@@ -51,8 +51,12 @@ pub struct ParallelBenchConfig {
 
 /// Worker counts the sweep always probes, plus the machine's core count.
 fn sweep_with_max() -> Vec<usize> {
-    let cores = available_cores();
-    let mut sweep = vec![1usize, 2, 4, 8, cores];
+    dedup_sweep(vec![1, 2, 4, 8, available_cores()])
+}
+
+/// A worker-count sweep in ascending order with each count once — the
+/// machine's core count often coincides with a fixed probe.
+fn dedup_sweep(mut sweep: Vec<usize>) -> Vec<usize> {
     sweep.sort_unstable();
     sweep.dedup();
     sweep
@@ -200,8 +204,9 @@ fn campaign_config(bench: &ParallelBenchConfig, instances: usize) -> CampaignCon
     }
 }
 
-/// Runs the whole sweep.
-pub fn run(config: ParallelBenchConfig) -> ParallelBenchReport {
+/// Runs the whole sweep, once per distinct worker count.
+pub fn run(mut config: ParallelBenchConfig) -> ParallelBenchReport {
+    config.instance_sweep = dedup_sweep(std::mem::take(&mut config.instance_sweep));
     let cores = available_cores();
     let population = PopulationConfig {
         n_sites: config.n_sites,
@@ -435,6 +440,8 @@ mod tests {
 
     #[test]
     fn smoke_report_is_well_formed_and_efficient_at_max_cores() {
+        // On a 1- or 2-core host the core count repeats a fixed probe;
+        // the sweep runs each distinct count once whatever the host.
         let cfg = ParallelBenchConfig {
             n_sites: 300,
             visits_per_site: 1,
@@ -442,11 +449,9 @@ mod tests {
             instance_sweep: vec![1, 2, available_cores()],
         };
         let report = run(cfg);
-        assert_eq!(report.sweep.len(), {
-            let mut s = vec![1, 2, available_cores()];
-            s.dedup();
-            s.len()
-        });
+        let want = dedup_sweep(vec![1, 2, available_cores()]);
+        let ran: Vec<usize> = report.sweep.iter().map(|e| e.instances).collect();
+        assert_eq!(ran, want);
         // The 1-worker entry is its own baseline.
         let first = &report.sweep[0];
         assert!((first.speedup_vs_1 - 1.0).abs() < 1e-9);

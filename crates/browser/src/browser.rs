@@ -9,7 +9,7 @@ use crate::recorder::EventRecorder;
 use crate::viewport::{ScrollOrigin, Viewport};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
 use hlisa_sim::{CounterSet, Observer};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Static browser configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +52,12 @@ impl BrowserConfig {
             ..Self::regular()
         }
     }
+
+    /// Builds this configuration's pristine page world, ready to be
+    /// shared by every browser opened with [`Browser::open_with_world`].
+    pub fn pristine_world(&self) -> Arc<World> {
+        Arc::new(build_firefox_world(self.flavor))
+    }
 }
 
 /// A loaded page plus interaction state.
@@ -63,7 +69,9 @@ pub struct Browser {
     /// stamps `world` from this snapshot instead of re-running the world
     /// builder — world construction is deterministic and RNG-free, so the
     /// stamp is observably identical (see the jsom differential proptest).
-    pristine_world: World,
+    /// Shared, never mutated: browsers opened from one caller-held
+    /// pristine (and their clones) all point at the same world.
+    pristine_world: Arc<World>,
     document: Document,
     /// The viewport over the current document.
     pub viewport: Viewport,
@@ -152,13 +160,30 @@ impl Browser {
     /// Opens a browser whose time is the given shared clock — the way a
     /// `SimContext` and a browser come to agree on "now".
     pub fn open_with_clock(config: BrowserConfig, document: Document, clock: VirtualClock) -> Self {
+        let pristine_world = config.pristine_world();
+        Self::open_with_world(config, document, clock, pristine_world)
+    }
+
+    /// Opens a browser whose page world is stamped from a caller-held
+    /// pristine world, which must have been built for `config.flavor`.
+    /// This is the one construction path: [`Browser::open`] and
+    /// [`Browser::open_with_clock`] build a fresh pristine and land here.
+    /// A caller opening many browsers of one flavour builds the world
+    /// once and shares it; world construction is deterministic and
+    /// RNG-free, so every browser is observably identical to a freshly
+    /// built one.
+    pub fn open_with_world(
+        config: BrowserConfig,
+        document: Document,
+        clock: VirtualClock,
+        pristine_world: Arc<World>,
+    ) -> Self {
         let viewport = Viewport::new(
             config.viewport_width,
             config.viewport_height,
             document.page_height,
         );
-        let pristine_world = build_firefox_world(config.flavor);
-        let world = pristine_world.clone();
+        let world = World::clone(&pristine_world);
         Self {
             config,
             world,
@@ -191,7 +216,7 @@ impl Browser {
             self.config.viewport_height,
             document.page_height,
         );
-        self.world = self.pristine_world.clone();
+        self.world = World::clone(&self.pristine_world);
         self.document = document;
         self.recorder.clear();
         self.metrics_cache = OnceLock::new();
@@ -1502,6 +1527,67 @@ mod tests {
         b.advance(5.0);
         assert_eq!(a.now_ms(), 10.0);
         assert_eq!(b.now_ms(), 15.0);
+    }
+
+    #[test]
+    fn browser_opened_from_shared_pristine_matches_fresh_open() {
+        use hlisa_jsom::{PropertyDescriptor, Template, Value};
+
+        fn template(world: &mut World) -> Template {
+            Template::capture(&mut world.realm, world.window, "window", 3)
+        }
+
+        let page = || standard_test_page("https://example.test/", 5_000.0);
+        let pristine = BrowserConfig::webdriver().pristine_world();
+        let mut shared = Browser::open_with_world(
+            BrowserConfig::webdriver(),
+            page(),
+            VirtualClock::new(),
+            Arc::clone(&pristine),
+        );
+        let mut fresh = Browser::open(BrowserConfig::webdriver(), page());
+
+        // Same metrics surface, jsom realm counters included — read
+        // before any template walk bumps the realms' get counters.
+        let metrics = shared.metrics();
+        assert_eq!(metrics, fresh.metrics());
+        assert!(metrics.get("jsom.objects_allocated").unwrap_or(0) > 0);
+        assert!(template(&mut shared.world)
+            .diff(&template(&mut fresh.world))
+            .is_empty());
+
+        // A visit that tampers with its page world leaves the shared
+        // pristine, and every later browser stamped from it, untouched.
+        let nav = shared.world.resolve_navigator();
+        shared.world.realm.set_own(
+            nav,
+            "tampered",
+            PropertyDescriptor::plain(Value::Bool(true)),
+        );
+        assert!(shared.world.realm.has_own(nav, "tampered"));
+        assert!(!pristine.realm.has_own(pristine.navigator, "tampered"));
+        let mut next = Browser::open_with_world(
+            BrowserConfig::webdriver(),
+            page(),
+            VirtualClock::new(),
+            Arc::clone(&pristine),
+        );
+        assert!(!next.world.realm.has_own(nav, "tampered"));
+        assert_eq!(
+            next.metrics(),
+            Browser::open(BrowserConfig::webdriver(), page()).metrics()
+        );
+
+        // Navigation restores the untouched pristine.
+        shared.navigate(page());
+        assert!(!shared.world.realm.has_own(nav, "tampered"));
+        let mut reference = Browser::open(BrowserConfig::webdriver(), page());
+        assert!(template(&mut shared.world)
+            .diff(&template(&mut reference.world))
+            .is_empty());
+        assert!(template(&mut next.world)
+            .diff(&template(&mut reference.world))
+            .is_empty());
     }
 
     #[test]

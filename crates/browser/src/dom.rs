@@ -25,7 +25,7 @@
 
 use crate::geometry::{Point, Rect};
 use crate::index::DocumentIndex;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a node in a [`Document`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -139,8 +139,9 @@ pub struct Document {
     min_page_height: f64,
     /// Lazily-built query index (spatial grid + id/tag/anchor maps).
     /// Torn down by every `&mut` access that could change layout, so it
-    /// never serves stale geometry; rebuilt on the next query.
-    index: OnceLock<DocumentIndex>,
+    /// never serves stale geometry; rebuilt on the next query. Immutable
+    /// once built, so clones share it.
+    index: OnceLock<Arc<DocumentIndex>>,
 }
 
 impl Clone for Document {
@@ -152,8 +153,14 @@ impl Clone for Document {
             page_width: self.page_width,
             page_height: self.page_height,
             min_page_height: self.min_page_height,
-            // The clone rebuilds its own index on first query.
-            index: OnceLock::new(),
+            // The index is a pure function of the content the clone has
+            // just copied, so a built one is shared, not rebuilt. Any
+            // layout-changing `&mut` access on either side drops only
+            // that side's handle.
+            index: self
+                .index
+                .get()
+                .map_or_else(OnceLock::new, |index| OnceLock::from(Arc::clone(index))),
         }
     }
 }
@@ -198,8 +205,20 @@ impl Document {
     /// The query index, built on demand for the current revision.
     fn index(&self) -> &DocumentIndex {
         self.index.get_or_init(|| {
-            DocumentIndex::build(&self.nodes, &self.roots, self.page_width, self.page_height)
+            Arc::new(DocumentIndex::build(
+                &self.nodes,
+                &self.roots,
+                self.page_width,
+                self.page_height,
+            ))
         })
+    }
+
+    /// Builds the query index now rather than on the first query. A
+    /// document that is cloned many times (a cached page opened once per
+    /// visit) builds it once, and every clone taken afterwards shares it.
+    pub fn build_index(&self) {
+        self.index();
     }
 
     /// Raw arena insertion; callers are responsible for reflowing.
@@ -764,6 +783,35 @@ mod tests {
         // A hidden element leaves the grid on the next rebuild.
         doc.element_mut(id).visible = false;
         assert_ne!(doc.hit_test(Point::new(625.0, 10_025.0)), Some(id));
+    }
+
+    #[test]
+    fn clones_share_a_built_index_until_either_side_mutates() {
+        let original = standard_test_page("u", 30_000.0);
+        original.build_index();
+        let mut clone = original.clone();
+        let shared = |a: &Document, b: &Document| match (a.index.get(), b.index.get()) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(shared(&original, &clone));
+        let id = clone.by_id("submit").unwrap();
+        let centre = clone.element(id).rect.center();
+        assert_eq!(clone.hit_test(centre), original.hit_test(centre));
+
+        // Moving the element in the clone drops only the clone's handle:
+        // the clone answers for its new layout, the original for its own.
+        clone.element_mut(id).rect = Rect::new(600.0, 10_000.0, 50.0, 50.0);
+        assert!(!shared(&original, &clone));
+        assert_eq!(clone.hit_test(Point::new(625.0, 10_025.0)), Some(id));
+        assert_eq!(original.hit_test(centre), Some(id));
+        assert_ne!(original.hit_test(Point::new(625.0, 10_025.0)), Some(id));
+
+        // An unindexed document's clone builds its own on first query.
+        let cold = standard_test_page("u", 30_000.0);
+        let cold_clone = cold.clone();
+        assert_eq!(cold_clone.by_id("submit"), Some(id));
+        assert!(cold.index.get().is_none());
     }
 
     #[test]

@@ -36,6 +36,9 @@ pub use clock::VirtualClock;
 pub use dom::{Display, Document, DocumentMutator, Element, ElementBuilder, NodeId};
 pub use events::{DomEvent, EventKind, EventPayload};
 pub use geometry::{Point, Rect};
+/// The page JS world type, re-exported for callers that hold a shared
+/// pristine world (see [`Browser::open_with_world`]).
+pub use hlisa_jsom::World;
 pub use input::RawInput;
 pub use recorder::EventRecorder;
 pub use viewport::{ScrollOrigin, Viewport};

@@ -29,6 +29,7 @@ use crate::campaign::{
     collect_results, machine_context, new_runtime, run_campaign, run_sharded, Campaign,
     CampaignConfig, MachineRun, SiteResult, SiteSource,
 };
+use crate::scenario::ScenarioScratch;
 use crate::screenshot::screenshot_table;
 use hlisa_sim::{
     CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, SimContext, WriteAheadObserver,
@@ -153,19 +154,21 @@ fn captured_site(
     plan: &LossPlan,
     mode: CaptureMode,
     acc: &mut CounterSet,
+    scratch: &mut ScenarioScratch,
 ) -> SiteResult {
     let outcomes: Vec<VisitOutcome> = (0..config.visits_per_site)
         .map(|v| {
             let mut ctx = machine_ctx.fork_visit(&site.domain, v as u64);
             let mut truth = hlisa_web::simulate_visit(site, client, runtime, &mut ctx);
             if let Some(kind) = site.scenario {
-                crate::scenario::apply_scenario_drive(
+                crate::scenario::apply_scenario_drive_with(
                     config.seed,
                     site,
                     kind,
                     client,
                     &mut truth,
                     &mut ctx,
+                    scratch,
                 );
             }
             let schedule = plan.draw(ctx.stream("fault"));
@@ -192,15 +195,27 @@ fn run_captured_machine(
         sites,
         shard_size: DEFAULT_SHARD_SIZE,
     };
+    // Each worker keeps its capture counters plus the scenario drive's
+    // retained agent, world and page, as the plain runner's workers do.
     let (slots, states) = run_sharded(
         config.instances,
         &source,
-        &CounterSet::new,
-        &|acc: &mut CounterSet, _k, _base, shard_sites| {
+        &|| (CounterSet::new(), ScenarioScratch::new()),
+        &|(acc, scratch): &mut (CounterSet, ScenarioScratch), _k, _base, shard_sites| {
             shard_sites
                 .iter()
                 .map(|site| {
-                    captured_site(config, site, client, runtime, &machine_ctx, plan, mode, acc)
+                    captured_site(
+                        config,
+                        site,
+                        client,
+                        runtime,
+                        &machine_ctx,
+                        plan,
+                        mode,
+                        acc,
+                        scratch,
+                    )
                 })
                 .collect::<Vec<SiteResult>>()
         },
@@ -208,7 +223,7 @@ fn run_captured_machine(
     // Worker-state totals are partition-independent; sorting makes the
     // merged set canonical whatever the claiming order was.
     let mut analytics = CounterSet::new();
-    for state in &states {
+    for (state, _) in &states {
         analytics.merge(state);
     }
     (

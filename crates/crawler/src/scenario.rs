@@ -12,13 +12,13 @@
 //! exactly the differential the paper's screenshot review reads off.
 //!
 //! The drives consume only forked streams (`"scenario"`) and the page is
-//! keyed on `(campaign seed, domain)` alone, so machines see the same
-//! page and campaigns without scenario sites are bit-identical to the
-//! pre-scenario model.
+//! a function of the campaign seed and the site alone, so machines see
+//! the same page and campaigns without scenario sites are bit-identical
+//! to the pre-scenario model.
 
 use hlisa_browser::events::EventKind;
 use hlisa_browser::viewport::WHEEL_TICK_PX;
-use hlisa_browser::{Browser, BrowserConfig, NodeId};
+use hlisa_browser::{Browser, BrowserConfig, Document, NodeId, VirtualClock, World};
 use hlisa_human::{HumanAgent, HumanParams};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::derive_seed;
@@ -29,6 +29,7 @@ use hlisa_web::page::TARGET_ID;
 use hlisa_web::{apply_scenario, generate_page, GeneratedPage, PageStructure};
 use hlisa_web::{ClientKind, Site, VisitOutcome, VisualOutcome};
 use hlisa_webdriver::{By, SeleniumActionChains, Session};
+use std::sync::Arc;
 
 /// Renders the site's scenario page. Structure is keyed on the campaign
 /// seed and the site's identity only — never the machine or visit — so
@@ -45,23 +46,56 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
     page
 }
 
-/// Worker-retained scratch for the HLISA scenario drives: one persistent
-/// [`HumanAgent`] rebound to each visit's forked context instead of built
-/// fresh per drive, so recovery steps (banner dismiss, re-locate,
-/// re-click) reuse the agent's trajectory and typing buffers. Rebinding
-/// changes no draw — the agent's streams come wholly from the fork — so
-/// drives through a reused scratch are bit-identical to fresh-agent
-/// drives (pinned by a regression test).
+/// Worker-retained scratch for the scenario drives. It holds three
+/// things, the last two built lazily by the first drive that needs them:
+///
+/// * one persistent [`HumanAgent`] rebound to each visit's forked context
+///   instead of built fresh per drive, so recovery steps (banner dismiss,
+///   re-locate, re-click) reuse the agent's trajectory and typing
+///   buffers. Rebinding changes no draw — the agent's streams come wholly
+///   from the fork;
+/// * one pristine WebDriver-flavour page world, which every drive's
+///   browser stamps by clone instead of re-running the world builder
+///   (construction is deterministic and RNG-free);
+/// * the most recently generated scenario page, keyed on everything
+///   [`scenario_page`] reads — the campaign seed, the [`ScenarioKind`] and
+///   the whole [`Site`]. A site's visits run back to back, so each visit
+///   after the first clones the document instead of regenerating it.
+///
+/// None of the three can influence a draw, so drives through a reused
+/// scratch are bit-identical to fresh-scratch drives (pinned by
+/// regression and differential tests).
 #[derive(Debug, Clone)]
 pub struct ScenarioScratch {
     human: HumanAgent,
+    world: Option<Arc<World>>,
+    page: Option<CachedPage>,
+    pages_generated: u64,
+}
+
+/// A generated scenario page with the complete key it was generated from.
+#[derive(Debug, Clone)]
+struct CachedPage {
+    campaign_seed: u64,
+    kind: ScenarioKind,
+    site: Site,
+    doc: Document,
+}
+
+impl CachedPage {
+    fn is_for(&self, site: &Site, kind: ScenarioKind, campaign_seed: u64) -> bool {
+        self.campaign_seed == campaign_seed && self.kind == kind && self.site == *site
+    }
 }
 
 impl ScenarioScratch {
-    /// A fresh scratch with cold buffers.
+    /// A fresh scratch with cold buffers, no world and no page.
     pub fn new() -> Self {
         Self {
             human: HumanAgent::with_context(HumanParams::paper_baseline(), SimContext::new(0)),
+            world: None,
+            page: None,
+            pages_generated: 0,
         }
     }
 
@@ -70,6 +104,45 @@ impl ScenarioScratch {
     /// drives prove the recovery hot path allocates nothing.
     pub fn capacities(&self) -> [usize; 4] {
         self.human.scratch_capacities()
+    }
+
+    /// How many scenario pages this scratch has generated — one per run
+    /// of consecutive drives of the same site, not one per drive.
+    pub fn pages_generated(&self) -> u64 {
+        self.pages_generated
+    }
+
+    /// Opens the drive's WebDriver browser on the site's scenario page:
+    /// the page from the cache (regenerated only when the key changed)
+    /// and the world stamped from the retained pristine.
+    fn open_browser(&mut self, site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Browser {
+        if !self
+            .page
+            .as_ref()
+            .is_some_and(|p| p.is_for(site, kind, campaign_seed))
+        {
+            self.page = None;
+        }
+        let page = self.page.get_or_insert_with(|| {
+            self.pages_generated += 1;
+            let doc = scenario_page(site, kind, campaign_seed).doc;
+            // Every visit's clone shares the index built here.
+            doc.build_index();
+            CachedPage {
+                campaign_seed,
+                kind,
+                site: site.clone(),
+                doc,
+            }
+        });
+        let config = BrowserConfig::webdriver();
+        let world = self.world.get_or_insert_with(|| config.pristine_world());
+        Browser::open_with_world(
+            config,
+            page.doc.clone(),
+            VirtualClock::new(),
+            Arc::clone(world),
+        )
     }
 }
 
@@ -146,10 +219,10 @@ pub fn drive_scenario_with(
     ctx: &mut SimContext,
     scratch: &mut ScenarioScratch,
 ) -> bool {
-    let page = scenario_page(site, kind, campaign_seed);
+    let browser = scratch.open_browser(site, kind, campaign_seed);
     match client {
-        ClientKind::OpenWpm => drive_selenium(page, kind, ctx),
-        ClientKind::OpenWpmSpoofed => drive_hlisa(page, kind, ctx, scratch),
+        ClientKind::OpenWpm => drive_selenium(browser, kind, ctx),
+        ClientKind::OpenWpmSpoofed => drive_hlisa(browser, kind, ctx, &mut scratch.human),
     }
 }
 
@@ -182,8 +255,8 @@ fn maybe_reveal_lazy(browser: &mut Browser) -> bool {
 /// pointer straight to the element centre, scrolling is a one-jump
 /// script call, and element handles are cached across DOM mutations —
 /// each scenario defeats one of those habits.
-fn drive_selenium(page: GeneratedPage, kind: ScenarioKind, ctx: &SimContext) -> bool {
-    let mut session = Session::new(Browser::open(BrowserConfig::webdriver(), page.doc));
+fn drive_selenium(browser: Browser, kind: ScenarioKind, ctx: &SimContext) -> bool {
+    let mut session = Session::new(browser);
     session.bind_context(ctx);
     match kind {
         ScenarioKind::CookieBanner => {
@@ -251,14 +324,12 @@ fn drive_selenium(page: GeneratedPage, kind: ScenarioKind, ctx: &SimContext) -> 
 /// recovery steps run through warm buffers instead of re-planning from a
 /// fresh agent.
 fn drive_hlisa(
-    page: GeneratedPage,
+    mut browser: Browser,
     kind: ScenarioKind,
     ctx: &mut SimContext,
-    scratch: &mut ScenarioScratch,
+    human: &mut HumanAgent,
 ) -> bool {
-    let mut browser = Browser::open(BrowserConfig::webdriver(), page.doc);
-    scratch.human.rebind(ctx.fork("scenario", 0));
-    let human = &mut scratch.human;
+    human.rebind(ctx.fork("scenario", 0));
     human.bind_browser(&browser);
     match kind {
         ScenarioKind::CookieBanner => {
@@ -405,6 +476,8 @@ mod tests {
             );
         }
         let warm = scratch.capacities();
+        // Three kinds, three distinct pages.
+        assert_eq!(scratch.pages_generated(), 3);
         for visit in 0..6u64 {
             let mut reused_ctx = SimContext::new(31).fork_visit(&site.domain, visit);
             let reused = drive_scenario_with(
@@ -430,7 +503,113 @@ mod tests {
                 warm,
                 "visit {visit}: recovery re-allocated plan buffers"
             );
+            // The cookie-banner page is generated on its first visit and
+            // cloned for every later one.
+            assert_eq!(
+                scratch.pages_generated(),
+                4,
+                "visit {visit}: page regenerated"
+            );
         }
+    }
+
+    /// Everything observable after a drive: the verdict, the visit
+    /// context's clock (the Selenium session runs on it) and, for the
+    /// HLISA drive, the agent's `"scenario"`-fork clock and the next draw
+    /// of each of its streams.
+    fn drive_state(
+        site: &Site,
+        kind: ScenarioKind,
+        client: ClientKind,
+        campaign_seed: u64,
+        visit: u64,
+        scratch: &mut ScenarioScratch,
+    ) -> (bool, f64, Option<(f64, Vec<u64>)>) {
+        use hlisa_sim::Rng;
+        let mut ctx = SimContext::new(77).fork_visit(&site.domain, visit);
+        let landed = drive_scenario_with(site, kind, client, campaign_seed, &mut ctx, scratch);
+        let agent = (client == ClientKind::OpenWpmSpoofed).then(|| {
+            let mut agent = scratch.human.context().clone();
+            let draws = vec![
+                agent.stream("agent").gen::<u64>(),
+                agent.stream("cursor").gen::<u64>(),
+                agent.stream("click").gen::<u64>(),
+                agent.stream("scroll").gen::<u64>(),
+                agent.stream("typing").gen::<u64>(),
+            ];
+            (agent.clock().now_ms(), draws)
+        });
+        (landed, ctx.clock().now_ms(), agent)
+    }
+
+    /// Differential test of the page-cache key: a reused scratch driven
+    /// through interleaved sites — same domain with another rank, kind or
+    /// layout, and two campaign seeds — must open exactly the page a fresh
+    /// generation gives and leave exactly the state a fresh scratch does.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_in_any_site_order() {
+        use hlisa_sim::Rng;
+        let base = scenario_site(ScenarioKind::CookieBanner);
+        let mut pool = Vec::new();
+        for kind in ScenarioKind::ALL {
+            pool.push(scenario_site(kind));
+            pool.push(Site {
+                rank: base.rank + 1,
+                ..scenario_site(kind)
+            });
+        }
+        pool.push(Site {
+            ad_slots: 5,
+            ..base.clone()
+        });
+        pool.push(Site {
+            domain: "other.example".into(),
+            ..base.clone()
+        });
+
+        let mut order = hlisa_stats::rngutil::rng_from_seed(5);
+        let mut reused = ScenarioScratch::new();
+        let mut runs = 0;
+        let mut previous: Option<(usize, u64)> = None;
+        for step in 0..120u64 {
+            // Repeat the previous site half the time, so the cache both
+            // hits and misses.
+            let (i, campaign_seed) = match previous {
+                Some(p) if order.gen_bool(0.5) => p,
+                _ => (
+                    order.gen_range(0..pool.len()),
+                    42 + order.gen_range(0..2u64),
+                ),
+            };
+            if previous != Some((i, campaign_seed)) {
+                runs += 1;
+            }
+            previous = Some((i, campaign_seed));
+            let site = &pool[i];
+            let Some(kind) = site.scenario else {
+                unreachable!("every pool site has a scenario")
+            };
+            let want = scenario_page(site, kind, campaign_seed).doc;
+            assert_eq!(
+                reused.open_browser(site, kind, campaign_seed).document(),
+                &want,
+                "step {step}: cached page differs from a fresh generation"
+            );
+            for client in [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed] {
+                let got = drive_state(site, kind, client, campaign_seed, step, &mut reused);
+                let mut fresh = ScenarioScratch::new();
+                let want = drive_state(site, kind, client, campaign_seed, step, &mut fresh);
+                assert_eq!(got, want, "step {step}: {client:?} diverged on {i}");
+                let mut ctx = SimContext::new(77).fork_visit(&site.domain, step);
+                assert_eq!(
+                    got.0,
+                    drive_scenario(site, kind, client, campaign_seed, &mut ctx),
+                    "step {step}: verdict differs from drive_scenario"
+                );
+            }
+        }
+        // One generation per run of consecutive same-key drives.
+        assert_eq!(reused.pages_generated(), runs);
     }
 
     #[test]

@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> bench_e2e unit tests (miniature traced + untraced run of every workload)"
+# The end-to-end benchmark is its own cargo workspace, so the workspace
+# test run above does not reach it; a runner change its traced mirror
+# does not follow fails here.
+cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 

@@ -30,7 +30,7 @@
 //! vary run to run — only its bound (`peak <= workers`) is guaranteed.
 
 use hlisa_crawler::campaign::{
-    run_machine, run_machine_planned, run_machine_shard_summaries, CampaignConfig,
+    run_machine, run_machine_shard_summaries, CampaignConfig, Pipeline, SiteSource,
 };
 use hlisa_web::{generate_population, sites_bytes, ClientKind, PopulationConfig, PopulationShards};
 use std::time::Duration;
@@ -283,12 +283,19 @@ pub fn run(mut config: ParallelBenchConfig) -> ParallelBenchReport {
     // level. The outcome table must be bit-identical either way — the
     // plan draws from a forked context, never the visit stream.
     let sites = generate_population(&population);
-    let plan_cfg = campaign_config(&config, cores);
-    let (off_t, baseline_run) = timed(|| run_machine(&plan_cfg, &sites, ClientKind::OpenWpm));
-    let (on_t, (planned_run, totals)) =
-        timed(|| run_machine_planned(&plan_cfg, &sites, ClientKind::OpenWpm));
+    let source = SiteSource::slice(&sites);
+    let off_cfg = campaign_config(&config, cores);
+    let on_cfg = CampaignConfig {
+        plan_interactions: true,
+        ..off_cfg.clone()
+    };
+    let machine =
+        |cfg: &CampaignConfig| run_machine(cfg, &source, ClientKind::OpenWpm, &Pipeline::default());
+    let (off_t, baseline) = timed(|| machine(&off_cfg));
+    let (on_t, planned) = timed(|| machine(&on_cfg));
+    let totals = planned.plan_totals;
     assert_eq!(
-        baseline_run, planned_run,
+        baseline.run, planned.run,
         "planned campaign diverged from the unplanned run"
     );
     let batch_plan = PlanThroughput {

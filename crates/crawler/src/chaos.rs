@@ -1,12 +1,18 @@
-//! Chaos-mode campaign runner: the legacy two-machine crawl threaded
-//! through the fault plane and the recovery policy engine.
+//! Chaos-mode campaigns: the visit pipeline with its fault stage on.
 //!
-//! The runner preserves two invariants the tests pin down:
+//! The stage order and the shared per-site loop live in
+//! [`crate::campaign`]; this module holds the fault stage's
+//! configuration, its per-site state (the site's outage verdict, circuit
+//! breaker and recovery records) and its output types. Two invariants are
+//! pinned by the tests:
 //!
 //! 1. **Rate-0 bit-identity.** With [`ChaosConfig::off`] the embedded
-//!    [`Campaign`] is byte-identical to [`run_campaign`]'s output: a
-//!    no-op [`FaultPlan`] consumes zero fault-stream draws, and visit
-//!    draws flow through the exact same `"visit"` stream forks.
+//!    [`Campaign`] is byte-identical to [`run_campaign`]'s output for any
+//!    population, scenario sites included: a no-op [`FaultPlan`] consumes
+//!    zero fault-stream draws, every attempt runs in a fresh fork of the
+//!    visit identical to the plain visit context, and the later stages
+//!    (scenario drive, planner, capture) run exactly as in the plain
+//!    pipeline.
 //! 2. **Determinism under faults.** Every fault draw and every backoff
 //!    jitter comes from the visit's `"fault"` stream — a pure function of
 //!    `(seed, machine, domain, visit index)` — so a faulted campaign
@@ -18,16 +24,13 @@
 //! made — HLISA chains stay lint-clean under retry. Only *injected*
 //! faults are retried: site-intrinsic transients (the population's flaky
 //! visits) are recorded as-is, matching the paper's non-retrying crawler.
+//!
+//! [`run_campaign`]: crate::campaign::run_campaign
 
-use crate::campaign::{
-    machine_context, run_sharded, Campaign, CampaignConfig, MachineRun, SiteResult, SiteSource,
-};
+use crate::campaign::{run_machines, Campaign, CampaignConfig, MachineOutput, Pipeline};
 use crate::recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
-use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, Observer, SimContext};
-use hlisa_web::visit::DetectorRuntime;
-use hlisa_web::{
-    generate_population, simulate_visit_attempt, ClientKind, Site, VisitError, DEFAULT_SHARD_SIZE,
-};
+use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, InjectedFault, SimContext};
+use hlisa_web::{ClientKind, Site, VisitError, VisitOutcome};
 
 /// Fault-plane and recovery configuration for a chaos campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +82,8 @@ impl SiteRecovery {
 }
 
 /// One machine's chaos crawl: results live in the embedded
-/// [`MachineRun`]; this carries the recovery telemetry alongside.
+/// [`MachineRun`](crate::campaign::MachineRun); this carries the
+/// recovery telemetry alongside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineRecovery {
     /// The client flavour this machine ran.
@@ -87,7 +91,7 @@ pub struct MachineRecovery {
     /// Per-site recovery records, in population order.
     pub sites: Vec<SiteRecovery>,
     /// Aggregated `fault.*` / `retry.*` / `breaker.*` counters, merged
-    /// from the per-worker monitors in worker-index order.
+    /// from the per-worker monitors and sorted by name.
     pub counters: hlisa_sim::CounterSet,
 }
 
@@ -113,41 +117,24 @@ impl ChaosCampaign {
     }
 }
 
-/// Runs the full two-machine campaign under a fault plane.
+/// Runs the full two-machine campaign under a fault plane: the visit
+/// pipeline with its fault stage on (see [`crate::campaign`]).
 pub fn run_chaos_campaign(config: &CampaignConfig, chaos: &ChaosConfig) -> ChaosCampaign {
-    run_chaos_campaign_sharded(config, chaos, DEFAULT_SHARD_SIZE)
-}
-
-/// [`run_chaos_campaign`] with an explicit shard size — the knob the
-/// determinism property tests sweep to prove the shard-claiming
-/// scheduler never affects chaos outcomes or counters.
-pub fn run_chaos_campaign_sharded(
-    config: &CampaignConfig,
-    chaos: &ChaosConfig,
-    shard_size: usize,
-) -> ChaosCampaign {
-    let sites = generate_population(&config.population);
-    let runtime = if config.world_cache {
-        DetectorRuntime::new()
-    } else {
-        DetectorRuntime::without_world_cache()
+    let pipeline = Pipeline {
+        faults: Some(chaos),
+        capture: None,
     };
-    let (openwpm, openwpm_recovery) = run_chaos_machine(
-        config,
-        chaos,
-        &sites,
-        ClientKind::OpenWpm,
-        &runtime,
-        shard_size,
-    );
-    let (spoofed, spoofed_recovery) = run_chaos_machine(
-        config,
-        chaos,
-        &sites,
-        ClientKind::OpenWpmSpoofed,
-        &runtime,
-        shard_size,
-    );
+    let (sites, openwpm, spoofed) = run_machines(config, &pipeline);
+    let split = |m: MachineOutput| {
+        let recovery = MachineRecovery {
+            client: m.run.client,
+            sites: m.recovery,
+            counters: m.counters,
+        };
+        (m.run, recovery)
+    };
+    let (openwpm, openwpm_recovery) = split(openwpm);
+    let (spoofed, spoofed_recovery) = split(spoofed);
     ChaosCampaign {
         campaign: Campaign {
             sites,
@@ -159,252 +146,137 @@ pub fn run_chaos_campaign_sharded(
     }
 }
 
-/// One machine's chaos crawl with `config.instances` parallel workers
-/// claiming shards off the same atomic-cursor scheduler as the plain
-/// runner. A shard's sites are wholly owned by the claiming worker, so
-/// per-site breaker state stays unsynchronised; per-worker fault monitors
-/// are merged after the join and canonicalised to name order, making the
-/// counter set independent of which worker claimed which shard.
-fn run_chaos_machine(
-    config: &CampaignConfig,
-    chaos: &ChaosConfig,
-    sites: &[Site],
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    shard_size: usize,
-) -> (MachineRun, MachineRecovery) {
-    let machine_ctx = machine_context(config, client);
-    let source = SiteSource::Slice { sites, shard_size };
-    let (slots, monitors) = run_sharded(
-        config.instances,
-        &source,
-        &FaultMonitor::new,
-        &|monitor: &mut FaultMonitor, _k, _base, shard_sites| {
-            shard_sites
-                .iter()
-                .map(|site| crawl_site(config, chaos, site, client, runtime, &machine_ctx, monitor))
-                .collect::<Vec<(SiteResult, SiteRecovery)>>()
-        },
-    );
-
-    // Merge per-worker counters, then canonicalise to name order: totals
-    // are partition-independent (every site is crawled exactly once,
-    // whichever worker claims its shard), but insertion order is not —
-    // sorting makes the whole `MachineRecovery` schedule-independent.
-    let mut counters = hlisa_sim::CounterSet::new();
-    for monitor in &monitors {
-        counters.merge(&monitor.counters());
-    }
-    let counters = counters.sorted();
-
-    let mut results = Vec::with_capacity(sites.len());
-    let mut recoveries = Vec::with_capacity(sites.len());
-    for (k, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(crawled) => {
-                for (result, recovery) in crawled {
-                    results.push(result);
-                    recoveries.push(recovery);
-                }
-            }
-            // Graceful degradation mirroring the legacy runner: every
-            // site of a shard whose worker died is recorded unvisited,
-            // not fatal.
-            None => source.with_shard(k, |_, shard_sites| {
-                for site in shard_sites {
-                    results.push(SiteResult {
-                        domain: site.domain.clone(),
-                        rank: site.rank,
-                        outcomes: Vec::new(),
-                    });
-                    recoveries.push(SiteRecovery {
-                        domain: site.domain.clone(),
-                        visits: Vec::new(),
-                        breaker_open: false,
-                    });
-                }
-            }),
-        }
-    }
-
-    (
-        MachineRun {
-            client,
-            sites: results,
-        },
-        MachineRecovery {
-            client,
-            sites: recoveries,
-            counters,
-        },
-    )
-}
-
-/// Crawls every visit of one site under the recovery policy. The site's
-/// circuit breaker lives here: a site is wholly owned by one worker, so
-/// breaker state needs no synchronisation and trips deterministically.
-fn crawl_site(
-    config: &CampaignConfig,
-    chaos: &ChaosConfig,
-    site: &Site,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
-    monitor: &mut FaultMonitor,
-) -> (SiteResult, SiteRecovery) {
-    let site_down = chaos.plan.site_is_down(config.seed, &site.domain);
-    let mut breaker = CircuitBreaker::new(chaos.breaker.clone());
-    let mut outcomes = Vec::with_capacity(config.visits_per_site);
-    let mut visits = Vec::with_capacity(config.visits_per_site);
-
-    for v in 0..config.visits_per_site {
-        if breaker.is_open() {
-            monitor.record(&FaultEvent::BreakerSkippedVisit);
-            let outcome = VisitError::Unreachable { site_down: true }.to_outcome();
-            outcomes.push(outcome.clone());
-            visits.push(VisitRecovery {
-                outcome,
-                attempts: 0,
-                faults: Vec::new(),
-                backoff_ms: 0.0,
-                skipped_by_breaker: true,
-            });
-            continue;
-        }
-        let recovery = visit_with_recovery(
-            chaos,
-            site,
-            site_down,
-            client,
-            runtime,
-            machine_ctx,
-            v as u64,
-            &mut breaker,
-            monitor,
-        );
-        outcomes.push(recovery.outcome.clone());
-        visits.push(recovery);
-    }
-
-    (
-        SiteResult {
-            domain: site.domain.clone(),
-            rank: site.rank,
-            outcomes,
-        },
-        SiteRecovery {
-            domain: site.domain.clone(),
-            visits,
-            breaker_open: breaker.is_open(),
-        },
-    )
-}
-
-/// One visit under the retry policy.
-///
-/// The fault context is forked **once** per visit and held across
-/// attempts: successive attempts draw successive values from its
-/// `"fault"` stream (fault schedule, then backoff jitter), while each
-/// attempt re-forks the *visit* context from scratch so interaction
-/// draws are identical across attempts.
-#[allow(clippy::too_many_arguments)]
-fn visit_with_recovery(
-    chaos: &ChaosConfig,
-    site: &Site,
+/// The fault stage's state for one site: the plane's outage verdict, the
+/// site's circuit breaker and its visits' recovery records. A site is
+/// wholly owned by one worker, so the breaker needs no synchronisation
+/// and trips deterministically.
+pub(crate) struct SiteFaults<'a> {
+    chaos: &'a ChaosConfig,
     site_down: bool,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
-    visit_idx: u64,
-    breaker: &mut CircuitBreaker,
-    monitor: &mut FaultMonitor,
-) -> VisitRecovery {
-    let mut fault_ctx = machine_ctx.fork_visit(&site.domain, visit_idx);
-    let mut faults = Vec::new();
-    let mut backoff_total = 0.0;
-    let mut attempt: u32 = 0;
+    breaker: CircuitBreaker,
+    visits: Vec<VisitRecovery>,
+}
 
-    loop {
-        attempt += 1;
-        let injected = if site_down {
-            Some(hlisa_sim::InjectedFault::PermanentUnreachable)
+impl<'a> SiteFaults<'a> {
+    pub(crate) fn new(
+        chaos: &'a ChaosConfig,
+        campaign_seed: u64,
+        site: &Site,
+        visits: usize,
+    ) -> Self {
+        Self {
+            chaos,
+            site_down: chaos.plan.site_is_down(campaign_seed, &site.domain),
+            breaker: CircuitBreaker::new(chaos.breaker.clone()),
+            visits: Vec::with_capacity(visits),
+        }
+    }
+
+    /// The pipeline's attempt stage under the fault plane: one visit
+    /// under the retry policy and the site's breaker.
+    ///
+    /// `ctx` is the visit context, held across attempts: successive
+    /// attempts draw successive values from its `"fault"` stream (fault
+    /// schedule, then backoff jitter). `try_visit(injected, deadline_ms)`
+    /// runs one attempt in a fresh re-fork of the visit, so interaction
+    /// draws are identical across attempts, and returns that re-fork.
+    /// Returns the visit's record and the context of the attempt that
+    /// settled it (`None` when the open breaker skipped the visit).
+    pub(crate) fn attempt(
+        &mut self,
+        ctx: &mut SimContext,
+        monitor: &mut FaultMonitor,
+        mut try_visit: impl FnMut(
+            Option<InjectedFault>,
+            f64,
+        ) -> (Result<VisitOutcome, VisitError>, SimContext),
+    ) -> (VisitRecovery, Option<SimContext>) {
+        let chaos = self.chaos;
+        let mut faults = Vec::new();
+        let mut backoff_ms = 0.0;
+        let mut attempts: u32 = 0;
+        let (outcome, settled) = if self.breaker.is_open() {
+            monitor.record(&FaultEvent::BreakerSkippedVisit);
+            (
+                VisitError::Unreachable { site_down: true }.to_outcome(),
+                None,
+            )
         } else {
-            chaos.plan.draw(fault_ctx.stream("fault"))
-        };
-        let mut ctx = machine_ctx.fork_visit(&site.domain, visit_idx);
-        let result = simulate_visit_attempt(
-            site,
-            client,
-            runtime,
-            &mut ctx,
-            injected,
-            chaos.retry.visit_deadline_ms,
-        );
-
-        match result {
-            Ok(outcome) => {
-                breaker.record_success();
-                if attempt > 1 {
-                    monitor.record(&FaultEvent::RecoveredAfterRetry { attempts: attempt });
-                }
-                return VisitRecovery {
-                    outcome,
-                    attempts: attempt,
-                    faults,
-                    backoff_ms: backoff_total,
-                    skipped_by_breaker: false,
+            loop {
+                attempts += 1;
+                let injected = if self.site_down {
+                    Some(InjectedFault::PermanentUnreachable)
+                } else {
+                    chaos.plan.draw(ctx.stream("fault"))
                 };
-            }
-            Err(e) => {
+                let (result, attempt_ctx) = try_visit(injected, chaos.retry.visit_deadline_ms);
+                let e = match result {
+                    Ok(outcome) => {
+                        self.breaker.record_success();
+                        if attempts > 1 {
+                            monitor.record(&FaultEvent::RecoveredAfterRetry { attempts });
+                        }
+                        break (outcome, Some(attempt_ctx));
+                    }
+                    Err(e) => e,
+                };
                 let kind = e.fault_kind();
                 // An error "is" the injected fault only when the kinds
                 // match — an intrinsic flake that preempted the scheduled
                 // fault is the population's own behaviour and is recorded
-                // as-is, exactly like the legacy (non-retrying) crawler.
+                // as-is, exactly like the plain (non-retrying) crawler.
                 let was_injected = injected.map(|f| f.kind()) == Some(kind);
                 if was_injected {
                     monitor.record(&FaultEvent::Injected { kind });
                     faults.push(kind);
                 }
                 if e.is_permanent() {
-                    if breaker.record_permanent_fault() {
+                    if self.breaker.record_permanent_fault() {
                         monitor.record(&FaultEvent::BreakerTripped);
                     }
-                    return VisitRecovery {
-                        outcome: e.to_outcome(),
-                        attempts: attempt,
-                        faults,
-                        backoff_ms: backoff_total,
-                        skipped_by_breaker: false,
-                    };
+                    break (e.to_outcome(), Some(attempt_ctx));
                 }
-                let can_retry = was_injected && attempt < chaos.retry.max_attempts();
-                if can_retry {
-                    let backoff = chaos
-                        .retry
-                        .backoff_ms(attempt - 1, fault_ctx.stream("fault"));
+                if was_injected && attempts < chaos.retry.max_attempts() {
+                    let backoff = chaos.retry.backoff_ms(attempts - 1, ctx.stream("fault"));
                     monitor.record(&FaultEvent::RetryScheduled {
-                        attempt: attempt - 1,
+                        attempt: attempts - 1,
                         backoff_ms: backoff,
                     });
-                    backoff_total += backoff;
+                    backoff_ms += backoff;
                     continue;
                 }
-                if attempt > 1 {
-                    monitor.record(&FaultEvent::GaveUp { attempts: attempt });
+                if attempts > 1 {
+                    monitor.record(&FaultEvent::GaveUp { attempts });
                 }
                 // Non-permanent failures never feed the breaker; but a
                 // completed (if failed) contact still resets its
                 // consecutive-permanent count.
-                breaker.record_success();
-                return VisitRecovery {
-                    outcome: e.to_outcome(),
-                    attempts: attempt,
-                    faults,
-                    backoff_ms: backoff_total,
-                    skipped_by_breaker: false,
-                };
+                self.breaker.record_success();
+                break (e.to_outcome(), Some(attempt_ctx));
             }
+        };
+        let record = VisitRecovery {
+            outcome,
+            attempts,
+            faults,
+            backoff_ms,
+            skipped_by_breaker: attempts == 0,
+        };
+        (record, settled)
+    }
+
+    /// Appends a visit's record once the later stages settled its
+    /// outcome.
+    pub(crate) fn record(&mut self, visit: VisitRecovery) {
+        self.visits.push(visit);
+    }
+
+    /// The site's recovery telemetry once all its visits ran.
+    pub(crate) fn into_recovery(self, site: &Site) -> SiteRecovery {
+        SiteRecovery {
+            domain: site.domain.clone(),
+            visits: self.visits,
+            breaker_open: self.breaker.is_open(),
         }
     }
 }

@@ -6,10 +6,17 @@
 //! codes (Figure 4 / Appendix B, with a Wilcoxon matched-pairs signed-rank
 //! test on first-party errors).
 //!
-//! [`campaign`] reproduces the harness (real parallelism across worker
-//! threads, deterministic per-visit seeding so results are
-//! schedule-independent), [`screenshot`] the Table 2 aggregation, and
-//! [`http_analysis`] the Figure 4 aggregation and significance test.
+//! [`campaign`] reproduces the harness: one machine engine (real
+//! parallelism across shard-claiming worker threads, deterministic
+//! per-visit seeding so results are schedule-independent) runs one visit
+//! pipeline — fork, attempt, scenario drive, planner, capture — whose
+//! optional stages are picked by a [`Pipeline`]. [`run_machine`] is the
+//! general entry point; [`run_campaign`], [`run_chaos_campaign`] (fault
+//! stage, [`chaos`] + [`recovery`]), [`run_captured_campaign`] and
+//! [`run_reliability_study`] (capture stage, [`reliability`]) and the
+//! shard-summary runners are thin wrappers over the same engine.
+//! [`screenshot`] is the Table 2 aggregation and [`http_analysis`] the
+//! Figure 4 aggregation and significance test.
 
 pub mod campaign;
 pub mod chaos;
@@ -22,14 +29,10 @@ pub mod screenshot;
 pub mod sink;
 
 pub use campaign::{
-    run_campaign, run_machine, run_machine_lazy, run_machine_planned, run_machine_shard_summaries,
-    run_machine_shard_summaries_persistent, run_machine_sharded, Campaign, CampaignConfig,
-    MachineRun, SiteResult,
+    run_campaign, run_machine, run_machine_shard_summaries, run_machine_shard_summaries_persistent,
+    Campaign, CampaignConfig, MachineOutput, MachineRun, Pipeline, SiteResult, SiteSource,
 };
-pub use chaos::{
-    run_chaos_campaign, run_chaos_campaign_sharded, ChaosCampaign, ChaosConfig, MachineRecovery,
-    SiteRecovery,
-};
+pub use chaos::{run_chaos_campaign, ChaosCampaign, ChaosConfig, MachineRecovery, SiteRecovery};
 pub use http_analysis::{analyze_http, HttpReport};
 pub use recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
 pub use reliability::{

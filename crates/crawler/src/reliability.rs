@@ -14,6 +14,12 @@
 //! recorder analytics into a [`DriftReport`] (per-metric relative error
 //! and conclusion flips).
 //!
+//! The capture stage is stage 5 of the one visit pipeline
+//! ([`crate::campaign`]): it runs after the attempt, the scenario drive
+//! and the planner, and draws its loss schedule from the visit's
+//! `"fault"` stream after any fault-plane draws, so it composes with the
+//! fault stage.
+//!
 //! Invariants pinned by `tests/reliability_loss.rs`:
 //!
 //! * a **pristine** captured campaign is bit-identical to
@@ -25,19 +31,11 @@
 //!   is bit-identical to pristine *for any seed and loss rate*, while
 //!   naive-lossy campaigns drift at any positive rate.
 
-use crate::campaign::{
-    collect_results, machine_context, new_runtime, run_campaign, run_sharded, Campaign,
-    CampaignConfig, MachineRun, SiteResult, SiteSource,
-};
-use crate::scenario::ScenarioScratch;
+use crate::campaign::{run_machines, Campaign, CampaignConfig, Pipeline};
 use crate::screenshot::screenshot_table;
-use hlisa_sim::{
-    CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, SimContext, WriteAheadObserver,
-};
-use hlisa_web::visit::DetectorRuntime;
+use hlisa_sim::{CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, WriteAheadObserver};
 use hlisa_web::{
-    emit_capture_events, generate_population, CaptureRecorder, ClientKind, Site, VisitOutcome,
-    DEFAULT_SHARD_SIZE, DEFAULT_VISIT_DEADLINE_MS,
+    emit_capture_events, CaptureRecorder, Site, VisitOutcome, DEFAULT_VISIT_DEADLINE_MS,
 };
 
 /// How a campaign's capture pipeline handles the loss plane.
@@ -84,7 +82,7 @@ pub struct CapturedCampaign {
 
 /// One visit's trip through the capture pipeline: ground truth in,
 /// recorded outcome out, pipeline counters merged into `acc`.
-fn captured_visit(
+pub(crate) fn captured_visit(
     site: &Site,
     truth: &VisitOutcome,
     schedule: LossSchedule,
@@ -138,129 +136,26 @@ fn captured_visit(
     }
 }
 
-/// All visits of one site through the capture pipeline. Ground truth is
-/// produced exactly as `campaign::visit_site` produces it — same fork,
-/// same draw sequence — and the loss schedule is drawn *afterwards* from
-/// the visit context's `"fault"` stream, which the plain runner never
-/// touches; a no-op plan draws nothing at all. Both facts together make
-/// rate-0 captured campaigns bit-identical to `run_campaign`.
-#[allow(clippy::too_many_arguments)]
-fn captured_site(
-    config: &CampaignConfig,
-    site: &Site,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    machine_ctx: &SimContext,
-    plan: &LossPlan,
-    mode: CaptureMode,
-    acc: &mut CounterSet,
-    scratch: &mut ScenarioScratch,
-) -> SiteResult {
-    let outcomes: Vec<VisitOutcome> = (0..config.visits_per_site)
-        .map(|v| {
-            let mut ctx = machine_ctx.fork_visit(&site.domain, v as u64);
-            let mut truth = hlisa_web::simulate_visit(site, client, runtime, &mut ctx);
-            if let Some(kind) = site.scenario {
-                crate::scenario::apply_scenario_drive_with(
-                    config.seed,
-                    site,
-                    kind,
-                    client,
-                    &mut truth,
-                    &mut ctx,
-                    scratch,
-                );
-            }
-            let schedule = plan.draw(ctx.stream("fault"));
-            captured_visit(site, &truth, schedule, mode, acc)
-        })
-        .collect();
-    SiteResult {
-        domain: site.domain.clone(),
-        rank: site.rank,
-        outcomes,
-    }
-}
-
-fn run_captured_machine(
-    config: &CampaignConfig,
-    sites: &[Site],
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    plan: &LossPlan,
-    mode: CaptureMode,
-) -> (MachineRun, CounterSet) {
-    let machine_ctx = machine_context(config, client);
-    let source = SiteSource::Slice {
-        sites,
-        shard_size: DEFAULT_SHARD_SIZE,
-    };
-    // Each worker keeps its capture counters plus the scenario drive's
-    // retained agent, world and page, as the plain runner's workers do.
-    let (slots, states) = run_sharded(
-        config.instances,
-        &source,
-        &|| (CounterSet::new(), ScenarioScratch::new()),
-        &|(acc, scratch): &mut (CounterSet, ScenarioScratch), _k, _base, shard_sites| {
-            shard_sites
-                .iter()
-                .map(|site| {
-                    captured_site(
-                        config,
-                        site,
-                        client,
-                        runtime,
-                        &machine_ctx,
-                        plan,
-                        mode,
-                        acc,
-                        scratch,
-                    )
-                })
-                .collect::<Vec<SiteResult>>()
-        },
-    );
-    // Worker-state totals are partition-independent; sorting makes the
-    // merged set canonical whatever the claiming order was.
-    let mut analytics = CounterSet::new();
-    for (state, _) in &states {
-        analytics.merge(state);
-    }
-    (
-        MachineRun {
-            client,
-            sites: collect_results(slots, &source),
-        },
-        analytics.sorted(),
-    )
-}
-
-/// Runs the standard two-machine campaign through the capture pipeline.
+/// Runs the standard two-machine campaign through the capture pipeline:
+/// the visit pipeline with its capture stage on.
 pub fn run_captured_campaign(
     config: &CampaignConfig,
     plan: &LossPlan,
     mode: CaptureMode,
 ) -> CapturedCampaign {
-    let sites = generate_population(&config.population);
-    let runtime = new_runtime(config);
-    let (openwpm, a1) =
-        run_captured_machine(config, &sites, ClientKind::OpenWpm, &runtime, plan, mode);
-    let (spoofed, a2) = run_captured_machine(
-        config,
-        &sites,
-        ClientKind::OpenWpmSpoofed,
-        &runtime,
-        plan,
-        mode,
-    );
-    let mut analytics = a1;
-    analytics.merge(&a2);
+    let pipeline = Pipeline {
+        faults: None,
+        capture: Some((plan, mode)),
+    };
+    let (sites, openwpm, spoofed) = run_machines(config, &pipeline);
+    let mut analytics = openwpm.counters;
+    analytics.merge(&spoofed.counters);
     CapturedCampaign {
         mode,
         campaign: Campaign {
             sites,
-            openwpm,
-            spoofed,
+            openwpm: openwpm.run,
+            spoofed: spoofed.run,
         },
         analytics: analytics.sorted(),
     }
@@ -425,15 +320,10 @@ pub fn run_reliability_study(config: &CampaignConfig, plan: &LossPlan) -> Reliab
     }
 }
 
-/// Convenience used by tests and the bench: the ground-truth campaign
-/// produced by the legacy runner, for diffing captured runs against.
-pub fn ground_truth_campaign(config: &CampaignConfig) -> Campaign {
-    run_campaign(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
     use hlisa_web::PopulationConfig;
 
     fn study_config() -> CampaignConfig {
@@ -458,7 +348,7 @@ mod tests {
     #[test]
     fn pristine_capture_records_the_ground_truth() {
         let config = study_config();
-        let truth = ground_truth_campaign(&config);
+        let truth = run_campaign(&config);
         let captured = run_captured_campaign(&config, &LossPlan::none(), CaptureMode::Pristine);
         assert_eq!(captured.campaign, truth);
     }

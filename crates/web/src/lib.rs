@@ -37,6 +37,6 @@ pub use site::{DetectionMethod, Reaction, Site, SiteDetector};
 pub use snapshot::{WorldSnapshot, WorldSnapshotCache};
 pub use traversal::{judge_traversal, traverse, PageGraph, TraversalStrategy};
 pub use visit::{
-    simulate_visit, simulate_visit_attempt, simulate_visit_planned, ClientKind, PlanStats,
-    VisitOutcome, VisitTimeline, VisualOutcome, DEFAULT_VISIT_DEADLINE_MS,
+    plan_visit, simulate_visit, simulate_visit_attempt, ClientKind, PlanStats, VisitOutcome,
+    VisitTimeline, VisualOutcome, DEFAULT_VISIT_DEADLINE_MS,
 };

@@ -246,41 +246,34 @@ impl PlanStats {
     }
 }
 
-/// Like [`simulate_visit`], additionally synthesising the visit's full
-/// interaction chain through a reusable batch [`VisitPlanner`] — the
-/// planner-driven campaign mode.
+/// Synthesises a visited site's full interaction chain through a reusable
+/// batch [`VisitPlanner`] — the planner stage of the campaign pipeline.
 ///
-/// The attempt itself runs the exact [`simulate_visit_attempt`] path; the
-/// interaction plan draws from a `"plan"` fork of the visit context, so
-/// the `"visit"` stream — and therefore every outcome — is bit-identical
-/// to the unplanned mode. Successful visits plan the same number of
+/// The plan draws only from a `"plan"` fork of the visit context, so the
+/// `"visit"` stream — and therefore every outcome — is bit-identical with
+/// or without planning. Successful visits plan the same number of
 /// interaction steps the visit timeline executes
 /// ([`VisitTimeline::steps_planned`]), scripted from the site's content
 /// hash; failed visits plan nothing.
-pub fn simulate_visit_planned(
+pub fn plan_visit(
     site: &Site,
-    client: ClientKind,
-    runtime: &DetectorRuntime,
-    ctx: &mut SimContext,
+    outcome: &VisitOutcome,
+    ctx: &SimContext,
     params: &HumanParams,
     planner: &mut VisitPlanner,
-) -> (VisitOutcome, PlanStats) {
-    let outcome =
-        simulate_visit_attempt(site, client, runtime, ctx, None, DEFAULT_VISIT_DEADLINE_MS)
-            .unwrap_or_else(|e| e.to_outcome());
-    let mut stats = PlanStats::default();
-    if outcome.successful {
-        let steps = VisitTimeline::for_site(site).steps_planned as usize;
-        let mut plan_ctx = ctx.fork("plan", 0);
-        let plan = planner.plan_site_visit(params, &mut plan_ctx, site_content_hash(site), steps);
-        stats = PlanStats {
-            actions: plan.actions().len() as u64,
-            samples: plan.samples().len() as u64,
-            keys: plan.keys().len() as u64,
-            ticks: plan.ticks().len() as u64,
-        };
+) -> PlanStats {
+    if !outcome.successful {
+        return PlanStats::default();
     }
-    (outcome, stats)
+    let steps = VisitTimeline::for_site(site).steps_planned as usize;
+    let mut plan_ctx = ctx.fork("plan", 0);
+    let plan = planner.plan_site_visit(params, &mut plan_ctx, site_content_hash(site), steps);
+    PlanStats {
+        actions: plan.actions().len() as u64,
+        samples: plan.samples().len() as u64,
+        keys: plan.keys().len() as u64,
+        ticks: plan.ticks().len() as u64,
+    }
 }
 
 /// Deterministic phase timeline for one visit, derived from the site's
@@ -809,10 +802,10 @@ mod tests {
         }
     }
 
-    /// The planner-driven entry leaves every outcome bit-identical to the
-    /// legacy path (the plan draws only from the `"plan"` fork), reports
-    /// non-trivial stats for successful visits, and reaches steady-state
-    /// arena capacities when one planner serves a whole population.
+    /// Planning leaves every outcome and the `"visit"` stream untouched
+    /// (the plan draws only from the `"plan"` fork) and reports
+    /// non-trivial stats for successful visits, with one planner serving
+    /// a whole population.
     #[test]
     fn planned_visits_match_unplanned_outcomes_bit_for_bit() {
         let cfg = PopulationConfig {
@@ -830,8 +823,8 @@ mod tests {
                 let mut ctx_a = SimContext::new(70 + i as u64);
                 let mut ctx_b = SimContext::new(70 + i as u64);
                 let legacy = simulate_visit(site, client, &rt, &mut ctx_a);
-                let (planned, stats) =
-                    simulate_visit_planned(site, client, &rt, &mut ctx_b, &params, &mut planner);
+                let planned = simulate_visit(site, client, &rt, &mut ctx_b);
+                let stats = plan_visit(site, &planned, &ctx_b, &params, &mut planner);
                 assert_eq!(legacy, planned, "{}: planned outcome diverged", site.domain);
                 // The "visit" stream is untouched by planning.
                 assert_eq!(

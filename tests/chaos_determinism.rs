@@ -1,17 +1,20 @@
 //! Chaos-mode invariants: the fault plane must never perturb what it does
 //! not touch.
 //!
-//! Two properties pin the PR's key guarantee (ISSUE 4): (a) with every
-//! fault rate at zero the chaos runner is bit-identical to the legacy
-//! campaign for *arbitrary* seeds and instance counts, and (b) retries
-//! consume RNG from the `"fault"` stream only, so any visit that ends in
-//! success — first try or after recovery — records exactly the outcome
-//! the faultless campaign records at the same `(machine, site, visit)`.
+//! Two properties pin the fault stage's key guarantee: (a) with every
+//! fault rate at zero the chaos runner is bit-identical to the plain
+//! campaign for *arbitrary* seeds and instance counts, on a population
+//! with scenario sites, and (b) retries consume RNG from the `"fault"`
+//! stream only, so any visit that ends in success — first try or after
+//! recovery — records exactly the outcome the faultless campaign records
+//! at the same `(machine, site, visit)`.
 
 use hlisa_crawler::{
-    run_campaign, run_chaos_campaign, run_chaos_campaign_sharded, CampaignConfig, ChaosConfig,
+    run_campaign, run_captured_campaign, run_chaos_campaign, run_machine, CampaignConfig,
+    CaptureMode, ChaosConfig, Pipeline, SiteSource,
 };
-use hlisa_web::PopulationConfig;
+use hlisa_sim::LossPlan;
+use hlisa_web::{generate_population, ClientKind, PopulationConfig, ScenarioMix};
 use proptest::prelude::*;
 
 fn config(seed: u64, instances: usize) -> CampaignConfig {
@@ -24,6 +27,11 @@ fn config(seed: u64, instances: usize) -> CampaignConfig {
             template_visible: (1, 0, 0),
             silent_http: (1, 1),
             breakage_sites: 1,
+            scenarios: ScenarioMix {
+                cookie_banner: 2,
+                lazy_content: 2,
+                spa_mutation: 2,
+            },
             ..PopulationConfig::default()
         },
         visits_per_site: 3,
@@ -62,9 +70,19 @@ proptest! {
     ) {
         let chaos = ChaosConfig::uniform(0.10);
         let serial = run_chaos_campaign(&config(seed, 1), &chaos);
-        let sharded = run_chaos_campaign_sharded(&config(seed, instances), &chaos, shard_size);
-        prop_assert_eq!(&sharded, &serial);
-        prop_assert_eq!(sharded.counters(), serial.counters());
+        let wide = config(seed, instances);
+        let sites = generate_population(&wide.population);
+        let source = SiteSource::Slice { sites: &sites, shard_size };
+        let pipeline = Pipeline { faults: Some(&chaos), capture: None };
+        for (client, run, recovery) in [
+            (ClientKind::OpenWpm, &serial.campaign.openwpm, &serial.openwpm_recovery),
+            (ClientKind::OpenWpmSpoofed, &serial.campaign.spoofed, &serial.spoofed_recovery),
+        ] {
+            let sharded = run_machine(&wide, &source, client, &pipeline);
+            prop_assert_eq!(&sharded.run, run);
+            prop_assert_eq!(&sharded.recovery, &recovery.sites);
+            prop_assert_eq!(&sharded.counters, &recovery.counters);
+        }
     }
 
     #[test]
@@ -94,6 +112,47 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The fault and capture stages compose in one pipeline. With chaos
+    /// off, pristine capture records exactly the plain campaign and naive
+    /// capture records exactly the capture-only campaign (the loss
+    /// schedule starts where it always did). Under 10% faults,
+    /// strengthened capture at 50% loss records exactly what pristine
+    /// capture records under the same faults.
+    #[test]
+    fn chaos_and_capture_compose_in_one_pipeline(
+        seed in 0u64..1_000_000,
+        instances in 1usize..5,
+    ) {
+        let cfg = config(seed, instances);
+        let sites = generate_population(&cfg.population);
+        let source = SiteSource::slice(&sites);
+        let plain = run_campaign(&cfg);
+        let lossy = LossPlan::uniform(0.5);
+        let naive = run_captured_campaign(&cfg, &lossy, CaptureMode::NaiveLossy);
+        let (off, faulted) = (ChaosConfig::off(), ChaosConfig::uniform(0.10));
+        let mut injected = 0;
+        for (client, plain_run, naive_run) in [
+            (ClientKind::OpenWpm, &plain.openwpm, &naive.campaign.openwpm),
+            (ClientKind::OpenWpmSpoofed, &plain.spoofed, &naive.campaign.spoofed),
+        ] {
+            let run = |faults: &ChaosConfig, plan: &LossPlan, mode: CaptureMode| {
+                let pipeline = Pipeline { faults: Some(faults), capture: Some((plan, mode)) };
+                run_machine(&cfg, &source, client, &pipeline)
+            };
+            let pristine_off = run(&off, &LossPlan::none(), CaptureMode::Pristine);
+            prop_assert_eq!(&pristine_off.run, plain_run);
+            prop_assert_eq!(&run(&off, &lossy, CaptureMode::NaiveLossy).run, naive_run);
+
+            let pristine = run(&faulted, &lossy, CaptureMode::Pristine);
+            let strengthened = run(&faulted, &lossy, CaptureMode::Strengthened);
+            prop_assert_eq!(&strengthened.run, &pristine.run);
+            prop_assert_eq!(&strengthened.recovery, &pristine.recovery);
+            prop_assert!(strengthened.counters.get("capture.replayed").unwrap_or(0) > 0);
+            injected += pristine.counters.get("fault.injected").unwrap_or(0);
+        }
+        prop_assert!(injected > 0, "10% faults injected nothing");
     }
 }
 

@@ -4,7 +4,7 @@
 use hlisa::HlisaActionChains;
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig};
-use hlisa_crawler::{run_machine, run_machine_lazy, run_machine_sharded, CampaignConfig};
+use hlisa_crawler::{run_machine, CampaignConfig, MachineRun, Pipeline, SiteSource};
 use hlisa_detect::LiveInteractionMonitor;
 use hlisa_sim::SimContext;
 use hlisa_web::visit::DetectorRuntime;
@@ -73,6 +73,17 @@ fn same_seed_contexts_replay_identical_visit_outcomes() {
     assert_ne!(run(11), run(12), "different seeds must diverge");
 }
 
+/// One plain machine run of `source`.
+fn plain(config: &CampaignConfig, source: &SiteSource<'_>) -> MachineRun {
+    run_machine(
+        config,
+        source,
+        ClientKind::OpenWpmSpoofed,
+        &Pipeline::default(),
+    )
+    .run
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -93,9 +104,9 @@ proptest! {
             plan_interactions: false,
         };
         let sites = generate_population(&base.population);
-        let serial = run_machine(&base, &sites, ClientKind::OpenWpmSpoofed);
+        let serial = plain(&base, &SiteSource::slice(&sites));
         let wide = CampaignConfig { instances: 8, ..base };
-        let parallel = run_machine(&wide, &sites, ClientKind::OpenWpmSpoofed);
+        let parallel = plain(&wide, &SiteSource::slice(&sites));
         prop_assert_eq!(serial, parallel);
     }
 
@@ -122,14 +133,14 @@ proptest! {
             plan_interactions: false,
         };
         let sites = generate_population(&base.population);
-        let serial = run_machine(&base, &sites, ClientKind::OpenWpmSpoofed);
+        let serial = plain(&base, &SiteSource::slice(&sites));
 
         let wide = CampaignConfig { instances, ..base };
-        let sharded = run_machine_sharded(&wide, &sites, ClientKind::OpenWpmSpoofed, shard_size);
+        let sharded = plain(&wide, &SiteSource::Slice { sites: &sites, shard_size });
         prop_assert_eq!(&sharded, &serial);
 
         let shards = hlisa_web::PopulationShards::with_shard_size(&wide.population, shard_size);
-        let lazy = run_machine_lazy(&wide, &shards, ClientKind::OpenWpmSpoofed);
+        let lazy = plain(&wide, &SiteSource::Lazy(&shards));
         prop_assert_eq!(&lazy, &serial);
         // Laziness held under contention: never more live shards than
         // workers (a worker materialises one shard at a time).

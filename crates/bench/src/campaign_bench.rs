@@ -4,13 +4,15 @@
 //!
 //! 1. **World acquisition** — building a `WebDriverFirefox` world from
 //!    scratch vs stamping one from a [`WorldSnapshot`] (the per-visit
-//!    cost a crawl pays 16,000 times at the paper's scale).
+//!    cost the uncached runtime pays 16,000 times at the paper's scale;
+//!    the cached runtime stamps only to fill a verdict).
 //! 2. **Property lookups** — the linear-scan reference model
 //!    ([`LinearObject`]) vs the shape-indexed realm storage, probed over
 //!    the real `Navigator.prototype` key set.
-//! 3. **Campaign visits/sec** — the full two-machine crawl with the
-//!    world-snapshot cache off (the pre-optimization cost model: one
-//!    fresh world build per visit) and on (stamped worlds).
+//! 3. **Campaign visits/sec** — the full two-machine crawl with
+//!    `world_cache` off (the pre-optimization cost model: one fresh world
+//!    build and one detector rescan per visit) and on (memoised detector
+//!    verdicts, each computed once per client on a snapshot stamp).
 //!
 //! Timing here reads the *wall clock on purpose*: the benchmark measures
 //! real elapsed cost, and its numbers feed a JSON report, never a
@@ -98,7 +100,7 @@ pub struct BenchReport {
     pub lookup: Comparison,
     /// Total visits simulated per campaign side.
     pub campaign_visits: u64,
-    /// Fresh-built-worlds campaign vs snapshot-stamped campaign.
+    /// Rebuild-and-rescan campaign vs memoised-verdicts campaign.
     pub campaign: Comparison,
 }
 
@@ -188,7 +190,7 @@ fn campaign_config(bench: &BenchConfig, world_cache: bool) -> CampaignConfig {
         visits_per_site: bench.visits_per_site,
         instances: 4,
         world_cache,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     }
 }
 

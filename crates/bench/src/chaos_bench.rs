@@ -89,8 +89,7 @@ fn campaign_config(bench: &ChaosBenchConfig) -> CampaignConfig {
         },
         visits_per_site: bench.visits_per_site,
         instances: 4,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     }
 }
 

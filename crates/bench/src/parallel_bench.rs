@@ -3,7 +3,8 @@
 //! Sweeps the worker count over a large lazily-sharded population and
 //! emits `BENCH_parallel.json` with, per `instances` value:
 //!
-//! * visits/sec and elapsed wall time;
+//! * visits/sec and elapsed wall time, the median of [`SWEEP_REPEATS`]
+//!   runs, with the runs' spread (`(max - min) / median`);
 //! * speedup vs the 1-worker run, parallel efficiency
 //!   (`speedup / instances`) and efficiency normalised to the physical
 //!   core count (`speedup / min(instances, cores)` — oversubscribed
@@ -32,6 +33,7 @@
 use hlisa_crawler::campaign::{
     run_machine, run_machine_shard_summaries, CampaignConfig, Pipeline, SiteSource,
 };
+use hlisa_stats::Summary;
 use hlisa_web::{generate_population, sites_bytes, ClientKind, PopulationConfig, PopulationShards};
 use std::time::Duration;
 
@@ -48,6 +50,10 @@ pub struct ParallelBenchConfig {
     /// Worker counts to sweep (deduplicated, in order).
     pub instance_sweep: Vec<usize>,
 }
+
+/// Timed runs per worker count. Each repetition sweeps every count in
+/// turn, so a drift in host speed lands on all counts alike.
+pub const SWEEP_REPEATS: usize = 5;
 
 /// Worker counts the sweep always probes, plus the machine's core count.
 fn sweep_with_max() -> Vec<usize> {
@@ -94,8 +100,10 @@ impl ParallelBenchConfig {
 pub struct SweepEntry {
     /// Workers requested.
     pub instances: usize,
-    /// Elapsed wall time.
+    /// Median elapsed wall time over the repetitions.
     pub elapsed_s: f64,
+    /// `(max - min) / median` of the repetitions' elapsed times.
+    pub spread: f64,
     /// Visits completed per second.
     pub visits_per_sec: f64,
     /// Throughput ratio vs the 1-worker entry.
@@ -104,7 +112,8 @@ pub struct SweepEntry {
     pub efficiency: f64,
     /// `speedup / min(instances, cores)` — what the hardware could give.
     pub efficiency_at_cores: f64,
-    /// High-water mark of concurrently materialised shards.
+    /// High-water mark of concurrently materialised shards, over all
+    /// repetitions.
     pub peak_resident_shards: usize,
     /// Peak-RSS proxy: peak resident shards × representative shard bytes.
     pub peak_materialised_bytes: usize,
@@ -199,8 +208,7 @@ fn campaign_config(bench: &ParallelBenchConfig, instances: usize) -> CampaignCon
         },
         visits_per_site: bench.visits_per_site,
         instances,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     }
 }
 
@@ -237,33 +245,44 @@ pub fn run(mut config: ParallelBenchConfig) -> ParallelBenchReport {
 
     let visits = (config.n_sites * config.visits_per_site) as f64;
     let mut reference: Option<Vec<ShardSummary>> = None;
-    let mut raw: Vec<(usize, f64, usize)> = Vec::new();
-    for &instances in &config.instance_sweep {
-        // Fresh shard layer per entry so the residency high-water mark is
-        // this run's, not the sweep's.
-        let shards = PopulationShards::with_shard_size(&population, config.shard_size);
-        let cfg = campaign_config(&config, instances);
-        let (t, summaries) =
-            timed(|| run_machine_shard_summaries(&cfg, &shards, ClientKind::OpenWpm, &summarise));
-        // Scale check: every worker count folds to the same summaries.
-        match &reference {
-            None => reference = Some(summaries),
-            Some(want) => assert_eq!(
-                &summaries, want,
-                "{instances}-worker run diverged from the 1-worker run"
-            ),
+    let points = config.instance_sweep.len();
+    let mut times = vec![Vec::new(); points];
+    let mut peaks = vec![0usize; points];
+    for _ in 0..SWEEP_REPEATS {
+        for (point, &instances) in config.instance_sweep.iter().enumerate() {
+            // Fresh shard layer per run so the residency high-water mark
+            // is this run's, not the sweep's.
+            let shards = PopulationShards::with_shard_size(&population, config.shard_size);
+            let cfg = campaign_config(&config, instances);
+            let (t, summaries) = timed(|| {
+                run_machine_shard_summaries(&cfg, &shards, ClientKind::OpenWpm, &summarise)
+            });
+            // Scale check: every run folds to the same summaries.
+            match &reference {
+                None => reference = Some(summaries),
+                Some(want) => assert_eq!(
+                    &summaries, want,
+                    "{instances}-worker run diverged from the first run"
+                ),
+            }
+            times[point].push(t.as_secs_f64());
+            peaks[point] = peaks[point].max(shards.peak_resident_shards());
         }
-        raw.push((instances, t.as_secs_f64(), shards.peak_resident_shards()));
     }
 
-    let base_s = raw.first().map_or(0.0, |(_, t, _)| *t);
-    let sweep: Vec<SweepEntry> = raw
-        .into_iter()
-        .map(|(instances, elapsed_s, peak)| {
+    let stats: Vec<Summary> = times.iter().map(|t| Summary::of(t)).collect();
+    let base_s = stats.first().map_or(0.0, |s| s.median);
+    let sweep: Vec<SweepEntry> = config
+        .instance_sweep
+        .iter()
+        .zip(stats.iter().zip(peaks))
+        .map(|(&instances, (times, peak))| {
+            let elapsed_s = times.median;
             let speedup = base_s / elapsed_s.max(1e-12);
             SweepEntry {
                 instances,
                 elapsed_s,
+                spread: (times.max - times.min) / elapsed_s.max(1e-12),
                 visits_per_sec: visits / elapsed_s.max(1e-12),
                 speedup_vs_1: speedup,
                 efficiency: speedup / instances as f64,
@@ -339,13 +358,14 @@ impl ParallelBenchReport {
             .map(|e| {
                 format!(
                     concat!(
-                        "    {{\"instances\": {}, \"elapsed_s\": {}, ",
+                        "    {{\"instances\": {}, \"elapsed_s\": {}, \"spread\": {}, ",
                         "\"visits_per_sec\": {}, \"speedup_vs_1\": {}, ",
                         "\"efficiency\": {}, \"efficiency_at_cores\": {}, ",
                         "\"peak_resident_shards\": {}, \"peak_materialised_bytes\": {}}}"
                     ),
                     e.instances,
                     json_num(e.elapsed_s),
+                    json_num(e.spread),
                     json_num(e.visits_per_sec),
                     json_num(e.speedup_vs_1),
                     json_num(e.efficiency),
@@ -359,7 +379,8 @@ impl ParallelBenchReport {
             concat!(
                 "{{\n",
                 "  \"benchmark\": \"hlisa parallel campaign scaling (lazy shards + claiming workers)\",\n",
-                "  \"config\": {{\"n_sites\": {}, \"visits_per_site\": {}, \"shard_size\": {}}},\n",
+                "  \"config\": {{\"n_sites\": {}, \"visits_per_site\": {}, \"shard_size\": {}, ",
+                "\"repeats\": {}}},\n",
                 "  \"cores\": {},\n",
                 "  \"population\": {{\"eager_bytes\": {}, \"shard_bookkeeping_bytes\": {}, ",
                 "\"eager_generation_s\": {}, \"shard_setup_s\": {}}},\n",
@@ -374,6 +395,7 @@ impl ParallelBenchReport {
             self.config.n_sites,
             self.config.visits_per_site,
             self.config.shard_size,
+            SWEEP_REPEATS,
             self.cores,
             self.eager_population_bytes,
             self.shard_bookkeeping_bytes,
@@ -410,11 +432,12 @@ impl ParallelBenchReport {
         for e in &self.sweep {
             out.push_str(&format!(
                 concat!(
-                    "  instances {:>3}: {:>10.0} visits/s  speedup {:>5.2}x  ",
+                    "  instances {:>3}: {:>10.0} visits/s (spread {:>4.2})  speedup {:>5.2}x  ",
                     "eff {:>5.2}  eff@cores {:>5.2}  peak {} shard(s) ({} KiB)\n"
                 ),
                 e.instances,
                 e.visits_per_sec,
+                e.spread,
                 e.speedup_vs_1,
                 e.efficiency,
                 e.efficiency_at_cores,
@@ -472,6 +495,7 @@ mod tests {
                 e.peak_resident_shards
             );
             assert!(e.peak_resident_shards >= 1);
+            assert!(e.spread >= 0.0);
             assert!(e.peak_materialised_bytes < report.eager_population_bytes);
         }
         // The planner drove real visits and synthesised real interaction.
@@ -480,6 +504,8 @@ mod tests {
         let json = report.to_json();
         for field in [
             "\"sweep\"",
+            "\"repeats\": 5",
+            "\"spread\"",
             "\"parallel_efficiency_at_max_cores\"",
             "\"peak_resident_shards\"",
             "\"eager_bytes\"",

@@ -119,8 +119,7 @@ fn campaign_config(bench: &ReliabilityBenchConfig) -> CampaignConfig {
         },
         visits_per_site: bench.visits_per_site,
         instances: 4,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     }
 }
 

@@ -67,10 +67,12 @@ pub struct CampaignConfig {
     pub visits_per_site: usize,
     /// Parallel browser instances per machine.
     pub instances: usize,
-    /// Stamp per-visit JS worlds from per-worker snapshots (`true`, the
-    /// fast path) or rebuild them from scratch every visit (`false`, the
-    /// original cost model). Campaign output is bit-identical either way —
-    /// world construction consumes no RNG — so this only trades speed.
+    /// Answer site detectors from memoised verdicts (`true`, the fast
+    /// path: each check runs once per client on a snapshot stamp) or
+    /// rebuild the client's JS world and rescan it on every visit
+    /// (`false`, the original cost model). Campaign output is
+    /// bit-identical either way — no check consumes RNG — so this only
+    /// trades speed.
     pub world_cache: bool,
     /// Run the planner stage: every successful visit also synthesises
     /// its interaction chain off a batch [`VisitPlanner`] (one reusable
@@ -301,10 +303,10 @@ pub fn run_machine_shard_summaries_persistent<S: Send + Sync>(
 }
 
 /// Both machines' runs of `pipeline` over one generated population. One
-/// detector runtime serves the whole campaign: the template reference is
-/// captured once and the snapshot cache keeps a slot per flavour, so both
-/// machines (and all their workers) share the same pristine worlds.
-/// Sharing changes no output — stamps are value clones.
+/// detector runtime serves the whole campaign, so both machines (and all
+/// their workers) share its template reference and its verdicts, each
+/// computed at most once. Sharing changes no output: a verdict depends
+/// only on the client's pristine world, never on which visit asked first.
 pub(crate) fn run_machines(
     config: &CampaignConfig,
     pipeline: &Pipeline<'_>,
@@ -694,8 +696,7 @@ mod tests {
             },
             visits_per_site: 4,
             instances: 4,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         }
     }
 
@@ -725,14 +726,43 @@ mod tests {
         assert_eq!(a, b, "parallel schedule must not affect results");
     }
 
+    /// Every detector role several times over, 8 visits per site: the
+    /// population of `hlisa_web::visit`'s verdict-memo differential.
+    fn detector_dense_config(seed: u64) -> CampaignConfig {
+        CampaignConfig {
+            seed,
+            population: PopulationConfig {
+                seed,
+                n_sites: 40,
+                unreachable_sites: 2,
+                webdriver_visible: (2, 2, 2, 2),
+                template_visible: (4, 4, 4),
+                silent_http: (3, 3),
+                breakage_sites: 2,
+                ..PopulationConfig::default()
+            },
+            visits_per_site: 8,
+            instances: 3,
+            ..CampaignConfig::default()
+        }
+    }
+
     #[test]
     fn snapshot_stamped_campaign_is_bit_identical_to_fresh_built() {
-        let cached = small_config();
-        let mut fresh = cached.clone();
-        fresh.world_cache = false;
-        let a = run_campaign(&cached);
-        let b = run_campaign(&fresh);
-        assert_eq!(a, b, "world snapshot cache must not change any outcome");
+        let configs = [small_config()]
+            .into_iter()
+            .chain([1, 2, 3].map(detector_dense_config));
+        for cached in configs {
+            let mut fresh = cached.clone();
+            fresh.world_cache = false;
+            let a = run_campaign(&cached);
+            let b = run_campaign(&fresh);
+            assert_eq!(
+                a, b,
+                "seed {}: memoised verdicts must not change any outcome",
+                cached.seed
+            );
+        }
     }
 
     /// The batch planner drives real campaign visits without changing a

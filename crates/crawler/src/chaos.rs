@@ -301,8 +301,7 @@ mod tests {
             },
             visits_per_site: 4,
             instances: 4,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         }
     }
 
@@ -422,8 +421,7 @@ mod tests {
             },
             visits_per_site: 4,
             instances: 2,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         }
     }
 

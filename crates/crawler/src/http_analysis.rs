@@ -131,8 +131,7 @@ mod tests {
             },
             visits_per_site: 8,
             instances: 8,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         })
     }
 

@@ -340,8 +340,7 @@ mod tests {
             },
             visits_per_site: 3,
             instances: 4,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         }
     }
 

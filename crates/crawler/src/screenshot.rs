@@ -121,8 +121,7 @@ mod tests {
             },
             visits_per_site: 6,
             instances: 4,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         })
     }
 
@@ -182,8 +181,7 @@ mod tests {
             },
             visits_per_site: 6,
             instances: 4,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         });
         let t = screenshot_table(&c);
         // Each scenario class fills its own row on machine (1): every

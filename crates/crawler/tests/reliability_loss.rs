@@ -44,8 +44,7 @@ fn arb_config() -> impl Strategy<Value = CampaignConfig> {
                 },
                 visits_per_site: visits,
                 instances,
-                world_cache: true,
-                plan_interactions: false,
+                ..CampaignConfig::default()
             },
         )
 }

@@ -9,7 +9,9 @@
 //! differential proptest in `hlisa-jsom`), and the realm's atom/shape
 //! tables are `Arc`-shared copy-on-write — a stamp is little more than a
 //! vector clone. This module caches one pristine [`World`] per flavour
-//! (plus the spoofed-extension variant) behind [`OnceLock`]s.
+//! (plus the spoofed-extension variant) behind [`OnceLock`]s. The
+//! detector runtime stamps from it only to fill a memoised verdict (see
+//! `visit::DetectorRuntime`), at most once per client and check.
 
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
 use hlisa_spoof::SpoofingExtension;
@@ -49,8 +51,8 @@ impl WorldSnapshot {
 }
 
 /// Lazily-built snapshots for every flavour a crawl can need. Each slot is
-/// built at most once per cache (i.e. once per `DetectorRuntime`, once per
-/// crawl worker) on first use.
+/// built at most once per cache (i.e. at most once per `DetectorRuntime`,
+/// which every worker of a campaign shares) on first use.
 #[derive(Debug, Clone, Default)]
 pub struct WorldSnapshotCache {
     regular: OnceLock<WorldSnapshot>,

@@ -14,6 +14,7 @@ use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
 use hlisa_sim::{InjectedFault, SimContext, VirtualClock};
 use hlisa_spoof::SpoofingExtension;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Default visit deadline (virtual ms) — mirrors OpenWPM's page-load
 /// timeout budget. A stalled or never-loading visit is cut here.
@@ -85,48 +86,203 @@ pub struct VisitOutcome {
     pub detected: bool,
 }
 
-/// Shared per-campaign detector state (the template reference is captured
-/// once, like a deployed detector shipping a baseline) plus the pristine
-/// world snapshots per-visit realms are stamped from.
+/// Shared per-campaign detector state.
+///
+/// A site detector's verdict is a pure function of the client's pristine
+/// world: the fingerprint scan reads it, and the template attack diffs it
+/// against an immutable regular-Firefox reference. No RNG or clock feeds
+/// either check. The cached runtime therefore runs each check at most
+/// once per client, on a real snapshot stamp, and memoises the bit; the
+/// uncached runtime rebuilds the world and reruns the checks on every
+/// visit, and is the reference model the cached one is tested against.
 #[derive(Debug, Clone)]
 pub struct DetectorRuntime {
-    template: TemplateAttackDetector,
-    /// `Some` = stamp per-visit worlds from cached snapshots (the fast
-    /// path); `None` = rebuild the world from scratch on every visit (the
-    /// pre-snapshot behaviour, kept as the benchmark baseline and for the
-    /// bit-identity test).
-    worlds: Option<WorldSnapshotCache>,
+    /// The template-attack reference, captured on the first deep check
+    /// (like a deployed detector shipping a baseline). Campaigns that
+    /// never run one never pay for it.
+    template: OnceLock<TemplateAttackDetector>,
+    /// `Some` = memoised verdicts (the fast path); `None` = rebuild the
+    /// world and rescan it on every visit (the reference model and the
+    /// benchmark baseline).
+    verdicts: Option<VerdictCache>,
+    #[cfg_attr(not(test), allow(dead_code))]
+    fills: FillCount,
+}
+
+/// The cached runtime's pristine worlds and per-client verdict cells.
+#[derive(Debug, Clone, Default)]
+struct VerdictCache {
+    worlds: WorldSnapshotCache,
+    openwpm: ClientVerdicts,
+    spoofed: ClientVerdicts,
+}
+
+/// One client's verdicts, each filled the first time a visit needs it.
+#[derive(Debug, Clone, Default)]
+struct ClientVerdicts {
+    fingerprint_bot: OnceLock<bool>,
+    tampered: OnceLock<bool>,
+}
+
+/// The two checks a site detector can run against the client's world.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// [`scan_fingerprint`] classifies the visitor as a bot.
+    FingerprintBot,
+    /// The template attack sees structural tampering.
+    Tampered,
+}
+
+impl VerdictCache {
+    fn cell(&self, client: ClientKind, check: Check) -> &OnceLock<bool> {
+        let cells = match client {
+            ClientKind::OpenWpm => &self.openwpm,
+            ClientKind::OpenWpmSpoofed => &self.spoofed,
+        };
+        match check {
+            Check::FingerprintBot => &cells.fingerprint_bot,
+            Check::Tampered => &cells.tampered,
+        }
+    }
+
+    fn stamp(&self, client: ClientKind) -> World {
+        match client {
+            ClientKind::OpenWpm => self.worlds.stamp(BrowserFlavor::WebDriverFirefox),
+            ClientKind::OpenWpmSpoofed => self.worlds.stamp_spoofed_webdriver(),
+        }
+    }
 }
 
 impl DetectorRuntime {
-    /// Builds the shared runtime with the world-snapshot cache enabled.
+    /// Builds the shared runtime with memoised verdicts. Nothing is built
+    /// until a visit needs it.
     pub fn new() -> Self {
-        Self {
-            template: TemplateAttackDetector::new(),
-            worlds: Some(WorldSnapshotCache::new()),
-        }
+        Self::with_verdicts(Some(VerdictCache::default()))
     }
 
-    /// Builds a runtime that re-runs the world builders for every visit —
-    /// the original per-visit cost model. Campaign output is bit-identical
-    /// either way (world construction consumes no RNG); only throughput
-    /// differs.
+    /// Builds a runtime that rebuilds the client's world and reruns every
+    /// check on every visit — the original per-visit cost model. Campaign
+    /// output is bit-identical either way (no check consumes RNG); only
+    /// throughput differs.
     pub fn without_world_cache() -> Self {
+        Self::with_verdicts(None)
+    }
+
+    fn with_verdicts(verdicts: Option<VerdictCache>) -> Self {
         Self {
-            template: TemplateAttackDetector::new(),
-            worlds: None,
+            template: OnceLock::new(),
+            verdicts,
+            fills: FillCount::default(),
         }
     }
 
-    /// The client's page world for one visit: stamped from the snapshot
-    /// cache when enabled, freshly built otherwise.
-    fn visit_world(&self, client: ClientKind) -> Result<World, VisitError> {
-        match &self.worlds {
-            Some(cache) => Ok(match client {
-                ClientKind::OpenWpm => cache.stamp(BrowserFlavor::WebDriverFirefox),
-                ClientKind::OpenWpmSpoofed => cache.stamp_spoofed_webdriver(),
-            }),
-            None => fresh_client_world(client),
+    fn template(&self) -> &TemplateAttackDetector {
+        self.template.get_or_init(|| {
+            self.count_fill();
+            TemplateAttackDetector::new()
+        })
+    }
+
+    /// Runs one check of the real detectors on `world`.
+    fn run_check(&self, check: Check, world: &mut World) -> bool {
+        match check {
+            Check::FingerprintBot => scan_fingerprint(world).is_bot,
+            Check::Tampered => self.template().is_tampered(world),
+        }
+    }
+
+    /// The memoised verdict of `check` for `client`, computed on a fresh
+    /// stamp the first time it is asked for.
+    fn memoised(&self, cache: &VerdictCache, client: ClientKind, check: Check) -> bool {
+        *cache.cell(client, check).get_or_init(|| {
+            self.count_fill();
+            let mut world = cache.stamp(client);
+            if check == Check::Tampered {
+                // A per-visit deep check scans the world before diffing
+                // it; the memo replays that sequence on its stamp.
+                self.run_check(Check::FingerprintBot, &mut world);
+            }
+            self.run_check(check, &mut world)
+        })
+    }
+
+    #[cfg(test)]
+    fn count_fill(&self) {
+        self.fills
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    #[cfg(not(test))]
+    fn count_fill(&self) {}
+}
+
+#[cfg(test)]
+impl DetectorRuntime {
+    /// The filled lazy cells by name, in a fixed order, with each
+    /// verdict's value (the template reads `true` once captured).
+    fn filled_cells(&self) -> Vec<(&'static str, bool)> {
+        let mut filled: Vec<_> = self
+            .template
+            .get()
+            .map(|_| ("template", true))
+            .into_iter()
+            .collect();
+        if let Some(cache) = &self.verdicts {
+            let cells = [
+                (
+                    "openwpm.fingerprint_bot",
+                    ClientKind::OpenWpm,
+                    Check::FingerprintBot,
+                ),
+                ("openwpm.tampered", ClientKind::OpenWpm, Check::Tampered),
+                (
+                    "spoofed.fingerprint_bot",
+                    ClientKind::OpenWpmSpoofed,
+                    Check::FingerprintBot,
+                ),
+                (
+                    "spoofed.tampered",
+                    ClientKind::OpenWpmSpoofed,
+                    Check::Tampered,
+                ),
+            ];
+            for (name, client, check) in cells {
+                if let Some(&value) = cache.cell(client, check).get() {
+                    filled.push((name, value));
+                }
+            }
+        }
+        filled
+    }
+
+    /// How many times any lazy cell ran its fill.
+    fn fills(&self) -> usize {
+        self.fills.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+/// How many times a runtime's lazy cells (template and verdicts) ran
+/// their fill: a test probe, zero-sized outside tests.
+#[cfg(test)]
+type FillCount = std::sync::Arc<std::sync::atomic::AtomicUsize>;
+#[cfg(not(test))]
+type FillCount = ();
+
+/// A site detector's verdict, asking `check` for each check it runs. The
+/// rate-limit draw of a template attack's deep check comes first, on
+/// every visit of either runtime, so memoising a check moves no draw.
+fn detector_verdict<R: Rng + ?Sized>(
+    method: DetectionMethod,
+    rng: &mut R,
+    mut check: impl FnMut(Check) -> bool,
+) -> bool {
+    match method {
+        DetectionMethod::WebdriverFlag => check(Check::FingerprintBot),
+        DetectionMethod::TemplateAttack => {
+            // Deep checks are rate-limited: the paper saw its surviving
+            // blocker fire "for a smaller subset of visits".
+            let runs_deep_check = rng.gen_bool(0.45);
+            check(Check::FingerprintBot) || (runs_deep_check && check(Check::Tampered))
         }
     }
 }
@@ -361,33 +517,20 @@ fn attempt_core<R: Rng + ?Sized>(
     }
     advance(timeline.load_ms);
 
-    // World build + detector scan. The uncached runtime rebuilds the
-    // world for every visit (the original cost model); the cached runtime
-    // stamps it from a snapshot, and only when a detector will actually
-    // run it — both safe, because world acquisition consumes no RNG.
-    let mut eager_world = if runtime.worlds.is_none() {
-        Some(fresh_client_world(client)?)
-    } else {
-        None
-    };
-    let detected = match site.detector.map(|d| d.method) {
-        None => false,
-        Some(method) => {
-            let mut world = match eager_world.take() {
-                Some(w) => w,
-                None => runtime.visit_world(client)?,
-            };
-            match method {
-                DetectionMethod::WebdriverFlag => scan_fingerprint(&mut world).is_bot,
-                DetectionMethod::TemplateAttack => {
-                    // Deep checks are rate-limited: the paper saw its
-                    // surviving blocker fire "for a smaller subset of
-                    // visits".
-                    let runs_deep_check = rng.gen_bool(0.45);
-                    let shallow = scan_fingerprint(&mut world).is_bot;
-                    shallow || (runs_deep_check && runtime.template.is_tampered(&mut world))
-                }
-            }
+    // Detector checks. The uncached runtime rebuilds the world for every
+    // visit, detector or not, and rescans it (the original cost model);
+    // the cached runtime answers from its memoised verdicts. Both agree,
+    // because no check consumes RNG.
+    let method = site.detector.map(|d| d.method);
+    let detected = match &runtime.verdicts {
+        Some(cache) => method.is_some_and(|method| {
+            detector_verdict(method, rng, |check| runtime.memoised(cache, client, check))
+        }),
+        None => {
+            let mut world = fresh_client_world(client)?;
+            method.is_some_and(|method| {
+                detector_verdict(method, rng, |check| runtime.run_check(check, &mut world))
+            })
         }
     };
 
@@ -781,25 +924,155 @@ mod tests {
         assert_eq!(v.visual, VisualOutcome::TransientError);
     }
 
+    /// Every detector role (webdriver, template and silent-HTTP) several
+    /// times over, plus unreachable and spoofing-breakage sites.
+    fn detector_dense_population(seed: u64) -> Vec<Site> {
+        generate_population(&PopulationConfig {
+            seed,
+            n_sites: 40,
+            unreachable_sites: 2,
+            webdriver_visible: (2, 2, 2, 2),
+            template_visible: (4, 4, 4),
+            silent_http: (3, 3),
+            breakage_sites: 2,
+            ..PopulationConfig::default()
+        })
+    }
+
+    const VISITS_PER_SITE: u64 = 8;
+
+    /// The memoised verdicts equal the rebuild-and-rescan reference on a
+    /// detector-dense population, visit by visit, with both clients
+    /// sharing one cached runtime. The coverage asserts keep the test
+    /// from passing vacuously: both deep-check branches and both values
+    /// of each verdict occur.
     #[test]
     fn cached_and_uncached_runtimes_agree_visit_by_visit() {
-        let cfg = PopulationConfig {
-            n_sites: 40,
-            unreachable_sites: 3,
-            ..PopulationConfig::default()
-        };
-        let sites = generate_population(&cfg);
-        let cached = DetectorRuntime::new();
-        let fresh = DetectorRuntime::without_world_cache();
-        for client in [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed] {
-            let mut ctx_a = SimContext::new(11);
-            let mut ctx_b = SimContext::new(11);
+        let mut deep_check_ran = [false; 2];
+        for seed in [1, 2, 3] {
+            let sites = detector_dense_population(seed);
+            let cached = DetectorRuntime::new();
+            let fresh = DetectorRuntime::without_world_cache();
+            let ctx = SimContext::new(seed);
             for site in &sites {
-                let a = simulate_visit(site, client, &cached, &mut ctx_a);
-                let b = simulate_visit(site, client, &fresh, &mut ctx_b);
-                assert_eq!(a, b, "{client:?} diverged on {}", site.domain);
+                for v in 0..VISITS_PER_SITE {
+                    // Alternate which client asks first, so neither fills
+                    // every cell.
+                    let mut clients = [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed];
+                    if v % 2 == 1 {
+                        clients.reverse();
+                    }
+                    for client in clients {
+                        let a = simulate_visit(
+                            site,
+                            client,
+                            &cached,
+                            &mut ctx.fork_visit(&site.domain, v),
+                        );
+                        let b = simulate_visit(
+                            site,
+                            client,
+                            &fresh,
+                            &mut ctx.fork_visit(&site.domain, v),
+                        );
+                        assert_eq!(
+                            a, b,
+                            "seed {seed}: {client:?} diverged on {} visit {v}",
+                            site.domain
+                        );
+                        // The spoofed client passes the shallow check and
+                        // is always tampered, so a template site detects
+                        // it exactly when the deep check runs.
+                        let template_site = site.detector.map(|d| d.method)
+                            == Some(DetectionMethod::TemplateAttack);
+                        if client == ClientKind::OpenWpmSpoofed && template_site && a.successful {
+                            deep_check_ran[usize::from(a.detected)] = true;
+                        }
+                    }
+                }
             }
+            assert_eq!(
+                cached.filled_cells(),
+                [
+                    ("template", true),
+                    ("openwpm.fingerprint_bot", true),
+                    ("spoofed.fingerprint_bot", false),
+                    ("spoofed.tampered", true),
+                ],
+                "seed {seed}"
+            );
         }
+        assert_eq!(deep_check_ran, [true, true], "both deep-check branches");
+        // Campaigns never need OpenWpm's tampered verdict (its shallow
+        // check always fires); asked directly, the memo gives the
+        // reference's `false`.
+        let cached = DetectorRuntime::new();
+        let cache = cached.verdicts.as_ref().expect("cached runtime");
+        let mut world = fresh_client_world(ClientKind::OpenWpm).expect("world builds");
+        let reference = cached.run_check(Check::Tampered, &mut world);
+        assert!(!reference);
+        assert_eq!(
+            cached.memoised(cache, ClientKind::OpenWpm, Check::Tampered),
+            reference
+        );
+    }
+
+    #[test]
+    fn verdicts_and_template_fill_lazily_and_at_most_once() {
+        let sites = detector_dense_population(1);
+        let crawl = |rt: &DetectorRuntime, clients: &[ClientKind], sites: &[&Site]| {
+            let ctx = SimContext::new(1);
+            for site in sites {
+                for v in 0..VISITS_PER_SITE {
+                    for &client in clients {
+                        simulate_visit(site, client, rt, &mut ctx.fork_visit(&site.domain, v));
+                    }
+                }
+            }
+        };
+        let all: Vec<&Site> = sites.iter().collect();
+        let non_template: Vec<&Site> = sites
+            .iter()
+            .filter(|s| s.detector.map(|d| d.method) != Some(DetectionMethod::TemplateAttack))
+            .collect();
+        assert!(non_template.len() < all.len());
+
+        let rt = DetectorRuntime::new();
+        assert_eq!(rt.filled_cells(), []);
+        // OpenWpm's shallow check always fires: no deep check, no template.
+        crawl(&rt, &[ClientKind::OpenWpm], &all);
+        assert_eq!(rt.filled_cells(), [("openwpm.fingerprint_bot", true)]);
+        // Neither client needs the template away from template sites.
+        let rt = DetectorRuntime::new();
+        crawl(
+            &rt,
+            &[ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed],
+            &non_template,
+        );
+        assert_eq!(
+            rt.filled_cells(),
+            [
+                ("openwpm.fingerprint_bot", true),
+                ("spoofed.fingerprint_bot", false)
+            ]
+        );
+        assert_eq!(rt.fills(), 2);
+
+        // Three workers sharing one runtime fill each cell at most once.
+        let rt = DetectorRuntime::new();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    crawl(
+                        &rt,
+                        &[ClientKind::OpenWpmSpoofed, ClientKind::OpenWpm],
+                        &all,
+                    )
+                });
+            }
+        });
+        assert_eq!(rt.filled_cells().len(), 4);
+        assert_eq!(rt.fills(), 4);
     }
 
     /// Planning leaves every outcome and the `"visit"` stream untouched

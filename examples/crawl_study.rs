@@ -19,8 +19,7 @@ fn main() {
         },
         visits_per_site: 8,
         instances: 8,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     };
     println!(
         "crawling {} sites x {} visits with {} parallel instances per machine...\n",

@@ -36,8 +36,7 @@ fn config(seed: u64, instances: usize) -> CampaignConfig {
         },
         visits_per_site: 3,
         instances,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     }
 }
 

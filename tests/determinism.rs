@@ -15,8 +15,7 @@ fn small_campaign(instances: usize) -> CampaignConfig {
         },
         visits_per_site: 4,
         instances,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     }
 }
 

@@ -88,8 +88,7 @@ fn field_study_shape_holds_at_reduced_scale() {
         },
         visits_per_site: 8,
         instances: 8,
-        world_cache: true,
-        plan_interactions: false,
+        ..CampaignConfig::default()
     });
     let t = screenshot_table(&campaign);
     let blocking = t.row("blocking/CAPTCHAs").unwrap();

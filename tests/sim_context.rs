@@ -100,8 +100,7 @@ proptest! {
             },
             visits_per_site: 3,
             instances: 1,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         };
         let sites = generate_population(&base.population);
         let serial = plain(&base, &SiteSource::slice(&sites));
@@ -129,8 +128,7 @@ proptest! {
             },
             visits_per_site: 3,
             instances: 1,
-            world_cache: true,
-            plan_interactions: false,
+            ..CampaignConfig::default()
         };
         let sites = generate_population(&base.population);
         let serial = plain(&base, &SiteSource::slice(&sites));

@@ -11,6 +11,7 @@ use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig, Point, RawInput};
 use hlisa_detect::reference::TYPING_TASK_TEXT;
 use hlisa_human::HumanParams;
+use hlisa_sim::SimContext;
 use hlisa_stats::ks::ks_two_sample;
 use hlisa_stats::rngutil::rng_from_seed;
 use hlisa_stats::wilcoxon::{wilcoxon_signed_rank, Alternative};
@@ -26,12 +27,12 @@ fn bench_motion(c: &mut Criterion) {
         ("naive_bezier", MotionStyle::naive_bezier()),
     ] {
         group.bench_function(name, |b| {
-            let mut rng = rng_from_seed(1);
+            let mut ctx = SimContext::new(1);
             b.iter(|| {
                 plan_motion(
                     style,
                     &params,
-                    &mut rng,
+                    &mut ctx,
                     Point::new(100.0, 500.0),
                     Point::new(900.0, 300.0),
                     40.0,
@@ -45,12 +46,12 @@ fn bench_motion(c: &mut Criterion) {
 fn bench_planners(c: &mut Criterion) {
     let params = HumanParams::paper_baseline();
     c.bench_function("typing/plan_hlisa_100_chars", |b| {
-        let mut rng = rng_from_seed(2);
-        b.iter(|| plan_hlisa_typing(&params, &mut rng, TYPING_TASK_TEXT))
+        let mut ctx = SimContext::new(2);
+        b.iter(|| plan_hlisa_typing(&params, &mut ctx, TYPING_TASK_TEXT))
     });
     c.bench_function("scroll/plan_hlisa_30000px", |b| {
-        let mut rng = rng_from_seed(3);
-        b.iter(|| plan_hlisa_scroll(&params, &mut rng, 30_000.0))
+        let mut ctx = SimContext::new(3);
+        b.iter(|| plan_hlisa_scroll(&params, &mut ctx, 30_000.0))
     });
 }
 

@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hlisa_detect::{probe_side_effects, scan_fingerprint, TemplateAttackDetector};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, Value};
+use hlisa_sim::SimContext;
 use hlisa_spoof::{SpoofMethod, SpoofingExtension};
-use hlisa_stats::rngutil::rng_from_seed;
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{generate_population, simulate_visit, ClientKind, PopulationConfig};
 
@@ -82,12 +82,12 @@ fn bench_visit(c: &mut Criterion) {
     let runtime = DetectorRuntime::new();
     let mut group = c.benchmark_group("crawl");
     group.bench_function("simulate_visit", |b| {
-        let mut rng = rng_from_seed(1);
+        let mut ctx = SimContext::new(1);
         let mut i = 0usize;
         b.iter(|| {
             let site = &sites[i % sites.len()];
             i += 1;
-            simulate_visit(site, ClientKind::OpenWpmSpoofed, &runtime, &mut rng)
+            simulate_visit(site, ClientKind::OpenWpmSpoofed, &runtime, &mut ctx)
         })
     });
     group.finish();

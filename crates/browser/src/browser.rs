@@ -1,7 +1,7 @@
 //! The browser: pages, clock, input pipeline, and event dispatch.
 
 use crate::clock::VirtualClock;
-use crate::dom::{Document, NodeId};
+use crate::dom::{Document, DocumentMemo, DocumentMutator, NodeId};
 use crate::events::{DomEvent, EventKind, EventPayload, MouseButton};
 use crate::geometry::Point;
 use crate::input::RawInput;
@@ -63,14 +63,16 @@ impl BrowserConfig {
 /// A loaded page plus interaction state.
 pub struct Browser {
     config: BrowserConfig,
-    /// The page JS world (spoofing targets live here).
-    pub world: World,
-    /// Pristine copy of the flavour's freshly-built world. Navigation
-    /// stamps `world` from this snapshot instead of re-running the world
-    /// builder — world construction is deterministic and RNG-free, so the
-    /// stamp is observably identical (see the jsom differential proptest).
-    /// Shared, never mutated: browsers opened from one caller-held
-    /// pristine (and their clones) all point at the same world.
+    /// The page JS world (spoofing targets live here), copy-on-write: it
+    /// is the pristine's allocation until the first [`Browser::world_mut`]
+    /// copies it, and a clone shares it until either side writes.
+    world: Arc<World>,
+    /// The flavour's freshly built world. Opening and navigation point
+    /// `world` at it instead of re-running the world builder — world
+    /// construction is deterministic and RNG-free, so sharing it is
+    /// observably identical to a fresh build (see the jsom differential
+    /// proptest). Never written: browsers opened from one caller-held
+    /// pristine (and their clones) all share the same world.
     pristine_world: Arc<World>,
     document: Document,
     /// The viewport over the current document.
@@ -113,8 +115,8 @@ impl Clone for Browser {
     fn clone(&self) -> Self {
         Browser {
             config: self.config.clone(),
-            world: self.world.clone(),
-            pristine_world: self.pristine_world.clone(),
+            world: Arc::clone(&self.world),
+            pristine_world: Arc::clone(&self.pristine_world),
             document: self.document.clone(),
             viewport: self.viewport.clone(),
             clock: self.clock.fork_detached(),
@@ -164,8 +166,9 @@ impl Browser {
         Self::open_with_world(config, document, clock, pristine_world)
     }
 
-    /// Opens a browser whose page world is stamped from a caller-held
-    /// pristine world, which must have been built for `config.flavor`.
+    /// Opens a browser whose page world is a caller-held pristine world,
+    /// which must have been built for `config.flavor`; the browser shares
+    /// it until its first [`Browser::world_mut`].
     /// This is the one construction path: [`Browser::open`] and
     /// [`Browser::open_with_clock`] build a fresh pristine and land here.
     /// A caller opening many browsers of one flavour builds the world
@@ -183,10 +186,9 @@ impl Browser {
             config.viewport_height,
             document.page_height,
         );
-        let world = World::clone(&pristine_world);
         Self {
             config,
-            world,
+            world: Arc::clone(&pristine_world),
             pristine_world,
             document,
             viewport,
@@ -216,7 +218,7 @@ impl Browser {
             self.config.viewport_height,
             document.page_height,
         );
-        self.world = World::clone(&self.pristine_world);
+        self.world = Arc::clone(&self.pristine_world);
         self.document = document;
         self.recorder.clear();
         self.metrics_cache = OnceLock::new();
@@ -225,6 +227,17 @@ impl Browser {
         self.keys_down.clear();
         self.last_click = None;
         self.focused = None;
+    }
+
+    /// The page JS world.
+    pub fn world(&self) -> &World {
+        &self.world
+    }
+
+    /// Mutable access to the page JS world; copies it first while it is
+    /// still shared (with the pristine or a clone).
+    pub fn world_mut(&mut self) -> &mut World {
+        Arc::make_mut(&mut self.world)
     }
 
     /// The loaded document.
@@ -245,15 +258,28 @@ impl Browser {
     /// `dom.mutations` counter records the revision, and the metrics
     /// cache is rebuilt on next read — a mutation changes both geometry
     /// and metrics, so neither PR 5 cache may serve the old revision.
-    pub fn mutate_document<R>(
-        &mut self,
-        f: impl FnOnce(&mut crate::dom::DocumentMutator) -> R,
-    ) -> R {
+    pub fn mutate_document<R>(&mut self, f: impl FnOnce(&mut DocumentMutator) -> R) -> R {
         let r = self.document.mutate(f);
+        self.document_mutated();
+        r
+    }
+
+    /// Like [`Browser::mutate_document`] for a memoised page program: when
+    /// the live document is an unwritten copy of the memo's last input
+    /// (the cached page a drive was opened on), the stored output and
+    /// result replace the run. The browser-side effects are the same
+    /// either way.
+    pub fn mutate_document_memo<R: Clone>(&mut self, memo: &mut DocumentMemo<R>) -> R {
+        let r = memo.apply(&mut self.document);
+        self.document_mutated();
+        r
+    }
+
+    /// The browser-side effects of one document mutation.
+    fn document_mutated(&mut self) {
         self.viewport.set_page_height(self.document.page_height);
         self.external_counters.add("dom.mutations", 1);
         self.metrics_cache = OnceLock::new();
-        r
     }
 
     /// The configuration.
@@ -1552,19 +1578,19 @@ mod tests {
         let metrics = shared.metrics();
         assert_eq!(metrics, fresh.metrics());
         assert!(metrics.get("jsom.objects_allocated").unwrap_or(0) > 0);
-        assert!(template(&mut shared.world)
-            .diff(&template(&mut fresh.world))
+        assert!(template(shared.world_mut())
+            .diff(&template(fresh.world_mut()))
             .is_empty());
 
         // A visit that tampers with its page world leaves the shared
-        // pristine, and every later browser stamped from it, untouched.
-        let nav = shared.world.resolve_navigator();
-        shared.world.realm.set_own(
+        // pristine, and every later browser opened on it, untouched.
+        let nav = shared.world_mut().resolve_navigator();
+        shared.world_mut().realm.set_own(
             nav,
             "tampered",
             PropertyDescriptor::plain(Value::Bool(true)),
         );
-        assert!(shared.world.realm.has_own(nav, "tampered"));
+        assert!(shared.world().realm.has_own(nav, "tampered"));
         assert!(!pristine.realm.has_own(pristine.navigator, "tampered"));
         let mut next = Browser::open_with_world(
             BrowserConfig::webdriver(),
@@ -1572,7 +1598,7 @@ mod tests {
             VirtualClock::new(),
             Arc::clone(&pristine),
         );
-        assert!(!next.world.realm.has_own(nav, "tampered"));
+        assert!(!next.world().realm.has_own(nav, "tampered"));
         assert_eq!(
             next.metrics(),
             Browser::open(BrowserConfig::webdriver(), page()).metrics()
@@ -1580,21 +1606,101 @@ mod tests {
 
         // Navigation restores the untouched pristine.
         shared.navigate(page());
-        assert!(!shared.world.realm.has_own(nav, "tampered"));
+        assert!(!shared.world().realm.has_own(nav, "tampered"));
         let mut reference = Browser::open(BrowserConfig::webdriver(), page());
-        assert!(template(&mut shared.world)
-            .diff(&template(&mut reference.world))
+        assert!(template(shared.world_mut())
+            .diff(&template(reference.world_mut()))
             .is_empty());
-        assert!(template(&mut next.world)
-            .diff(&template(&mut reference.world))
+        assert!(template(next.world_mut())
+            .diff(&template(reference.world_mut()))
             .is_empty());
+    }
+
+    #[test]
+    fn just_opened_browser_shares_the_pristine_world() {
+        let pristine = BrowserConfig::webdriver().pristine_world();
+        let mut b = Browser::open_with_world(
+            BrowserConfig::webdriver(),
+            standard_test_page("https://example.test/", 5_000.0),
+            VirtualClock::new(),
+            Arc::clone(&pristine),
+        );
+        assert!(std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
+        assert!(std::ptr::eq(b.clone().world(), Arc::as_ptr(&pristine)));
+        // The first write copies; navigation points back at the pristine.
+        b.world_mut();
+        assert!(!std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
+        b.navigate(standard_test_page("https://example.test/next", 5_000.0));
+        assert!(std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
+    }
+
+    #[test]
+    fn copy_on_write_keeps_every_other_holder_unchanged() {
+        use hlisa_jsom::{PropertyDescriptor, Value};
+
+        let pristine = BrowserConfig::webdriver().pristine_world();
+        let cached = standard_test_page("https://example.test/", 5_000.0);
+        cached.build_index();
+        let before = cached.clone();
+        let open = || {
+            Browser::open_with_world(
+                BrowserConfig::webdriver(),
+                cached.clone(),
+                VirtualClock::new(),
+                Arc::clone(&pristine),
+            )
+        };
+        let mut a = open();
+        let mut sibling = open();
+        let mut clone = a.clone();
+        let submit = cached.by_id("submit").unwrap();
+        let centre = cached.element(submit).rect.center();
+
+        // The clone writes its world, the sibling its DOM, `a` both.
+        let nav = pristine.navigator;
+        clone.world_mut().realm.set_own(
+            nav,
+            "tampered",
+            PropertyDescriptor::plain(Value::Bool(true)),
+        );
+        sibling.document_mut().element_mut(submit).rect =
+            crate::Rect::new(600.0, 900.0, 50.0, 50.0);
+        a.mutate_document(|m| m.detach(submit));
+        a.world_mut()
+            .realm
+            .set_own(nav, "other", PropertyDescriptor::plain(Value::Bool(true)));
+
+        // Each write landed on its writer only.
+        assert!(clone.world().realm.has_own(nav, "tampered"));
+        assert!(!clone.world().realm.has_own(nav, "other"));
+        assert_eq!(clone.document(), &before);
+        assert_eq!(clone.document().hit_test(centre), Some(submit));
+        assert!(!sibling.world().realm.has_own(nav, "tampered"));
+        assert_eq!(
+            sibling.document().hit_test(Point::new(625.0, 925.0)),
+            Some(submit)
+        );
+        assert!(!a.world().realm.has_own(nav, "tampered"));
+        assert!(a.document().by_id("submit").is_none());
+        // The pristine and the cached page saw none of it.
+        assert!(!pristine.realm.has_own(nav, "tampered"));
+        assert!(!pristine.realm.has_own(nav, "other"));
+        assert_eq!(cached, before);
+        assert_eq!(cached.hit_test(centre), Some(submit));
+        let late = open();
+        assert_eq!(late.document(), &before);
+        assert!(std::ptr::eq(late.world(), Arc::as_ptr(&pristine)));
+        assert_eq!(
+            late.metrics(),
+            Browser::open(BrowserConfig::webdriver(), before.clone()).metrics()
+        );
     }
 
     #[test]
     fn world_flavor_matches_config() {
         let mut bot = Browser::open(BrowserConfig::webdriver(), standard_test_page("u", 5_000.0));
-        let nav = bot.world.resolve_navigator();
-        let v = bot.world.realm.get(nav, "webdriver").unwrap();
+        let nav = bot.world_mut().resolve_navigator();
+        let v = bot.world_mut().realm.get(nav, "webdriver").unwrap();
         assert_eq!(v, hlisa_jsom::Value::Bool(true));
     }
 }

@@ -123,12 +123,24 @@ pub(crate) struct Node {
     pub(crate) depth: usize,
 }
 
+/// The node arena and the root list: the part of a document its clones
+/// share.
+#[derive(Debug, Clone, PartialEq)]
+struct Tree {
+    nodes: Vec<Node>,
+    roots: Vec<NodeId>,
+}
+
 /// A laid-out document.
 pub struct Document {
     /// URL the document was loaded from.
     pub url: String,
-    nodes: Vec<Node>,
-    roots: Vec<NodeId>,
+    /// The tree, copy-on-write: a clone shares this allocation until
+    /// either side writes, and every write goes through
+    /// `Document::tree_mut`, which copies a shared tree first. A tree
+    /// allocation two documents share therefore has one content for as
+    /// long as both hold it.
+    tree: Arc<Tree>,
     /// Total page width (px).
     pub page_width: f64,
     /// Total page height (px). Appendix E's scroll experiment uses a
@@ -138,9 +150,9 @@ pub struct Document {
     /// The authored minimum page height (reflow floor).
     min_page_height: f64,
     /// Lazily-built query index (spatial grid + id/tag/anchor maps).
-    /// Torn down by every `&mut` access that could change layout, so it
-    /// never serves stale geometry; rebuilt on the next query. Immutable
-    /// once built, so clones share it.
+    /// Torn down by every write to the tree, so it never serves stale
+    /// geometry; rebuilt on the next query. Immutable once built, so
+    /// clones share it.
     index: OnceLock<Arc<DocumentIndex>>,
 }
 
@@ -148,15 +160,13 @@ impl Clone for Document {
     fn clone(&self) -> Self {
         Self {
             url: self.url.clone(),
-            nodes: self.nodes.clone(),
-            roots: self.roots.clone(),
+            tree: Arc::clone(&self.tree),
             page_width: self.page_width,
             page_height: self.page_height,
             min_page_height: self.min_page_height,
-            // The index is a pure function of the content the clone has
-            // just copied, so a built one is shared, not rebuilt. Any
-            // layout-changing `&mut` access on either side drops only
-            // that side's handle.
+            // The index is a pure function of the content the clone now
+            // shares, so a built one is shared, not rebuilt. A write on
+            // either side drops only that side's handle.
             index: self
                 .index
                 .get()
@@ -169,8 +179,7 @@ impl PartialEq for Document {
     fn eq(&self, other: &Self) -> bool {
         // The index is derived state; equality is over page content only.
         self.url == other.url
-            && self.nodes == other.nodes
-            && self.roots == other.roots
+            && self.tree == other.tree
             && self.page_width == other.page_width
             && self.page_height == other.page_height
     }
@@ -180,7 +189,7 @@ impl std::fmt::Debug for Document {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Document")
             .field("url", &self.url)
-            .field("nodes", &self.nodes)
+            .field("nodes", &self.tree.nodes)
             .field("page_width", &self.page_width)
             .field("page_height", &self.page_height)
             .finish_non_exhaustive()
@@ -193,8 +202,10 @@ impl Document {
         assert!(page_width > 0.0 && page_height > 0.0, "degenerate page");
         Self {
             url: url.to_string(),
-            nodes: Vec::new(),
-            roots: Vec::new(),
+            tree: Arc::new(Tree {
+                nodes: Vec::new(),
+                roots: Vec::new(),
+            }),
             page_width,
             page_height,
             min_page_height: page_height,
@@ -206,8 +217,8 @@ impl Document {
     fn index(&self) -> &DocumentIndex {
         self.index.get_or_init(|| {
             Arc::new(DocumentIndex::build(
-                &self.nodes,
-                &self.roots,
+                &self.tree.nodes,
+                &self.tree.roots,
                 self.page_width,
                 self.page_height,
             ))
@@ -221,20 +232,42 @@ impl Document {
         self.index();
     }
 
+    /// The one write path into the tree. It copies the tree first if
+    /// another document (a clone, a memo's stored input) still shares it,
+    /// and drops this document's query index, which is derived from it.
+    fn tree_mut(&mut self) -> &mut Tree {
+        self.index = OnceLock::new();
+        Arc::make_mut(&mut self.tree)
+    }
+
+    /// True when `self` is a copy of `other` that neither side has
+    /// written since: one shared tree allocation and bit-equal page
+    /// fields. Sharing the allocation means sharing the content (see
+    /// `tree`); the page fields are compared because they can be written
+    /// without touching the tree.
+    fn is_unwritten_copy_of(&self, other: &Document) -> bool {
+        Arc::ptr_eq(&self.tree, &other.tree)
+            && self.url == other.url
+            && self.page_width.to_bits() == other.page_width.to_bits()
+            && self.page_height.to_bits() == other.page_height.to_bits()
+            && self.min_page_height.to_bits() == other.min_page_height.to_bits()
+    }
+
     /// Raw arena insertion; callers are responsible for reflowing.
     fn insert_node(&mut self, parent: Option<NodeId>, el: Element) -> NodeId {
-        let id = NodeId(self.nodes.len());
+        let tree = self.tree_mut();
+        let id = NodeId(tree.nodes.len());
         let depth = match parent {
             Some(p) => {
-                self.nodes[p.0].children.push(id);
-                self.nodes[p.0].depth + 1
+                tree.nodes[p.0].children.push(id);
+                tree.nodes[p.0].depth + 1
             }
             None => {
-                self.roots.push(id);
+                tree.roots.push(id);
                 0
             }
         };
-        self.nodes.push(Node {
+        tree.nodes.push(Node {
             el,
             parent,
             children: Vec::new(),
@@ -272,7 +305,7 @@ impl Document {
 
     /// Borrows an element.
     pub fn element(&self, id: NodeId) -> &Element {
-        &self.nodes[id.0].el
+        &self.tree.nodes[id.0].el
     }
 
     /// Borrows an element mutably. The caller may change anything the
@@ -282,43 +315,42 @@ impl Document {
     /// in-flow boxes are rewritten by the next reflow. Display changes
     /// must go through [`Document::mutate`] so layout reruns.
     pub fn element_mut(&mut self, id: NodeId) -> &mut Element {
-        self.index = OnceLock::new();
-        &mut self.nodes[id.0].el
+        &mut self.tree_mut().nodes[id.0].el
     }
 
     /// The parent of a node, if it is not a root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.0].parent
+        self.tree.nodes[id.0].parent
     }
 
     /// The children of a node, in insertion order.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.0].children
+        &self.tree.nodes[id.0].children
     }
 
     /// Tree depth of a node (roots are depth 0).
     pub fn depth(&self, id: NodeId) -> usize {
-        self.nodes[id.0].depth
+        self.tree.nodes[id.0].depth
     }
 
     /// Root nodes in insertion order.
     pub fn roots(&self) -> &[NodeId] {
-        &self.roots
+        &self.tree.roots
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.tree.nodes.len()
     }
 
     /// True when the document has no elements.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.tree.nodes.is_empty()
     }
 
     /// All node ids in arena (insertion) order.
     pub fn ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len()).map(NodeId)
+        (0..self.tree.nodes.len()).map(NodeId)
     }
 
     /// True when the node is attached to the layout tree: neither it nor
@@ -327,10 +359,10 @@ impl Document {
     pub fn in_tree(&self, id: NodeId) -> bool {
         let mut cur = Some(id);
         while let Some(c) = cur {
-            if self.nodes[c.0].el.display == Display::None {
+            if self.tree.nodes[c.0].el.display == Display::None {
                 return false;
             }
-            cur = self.nodes[c.0].parent;
+            cur = self.tree.nodes[c.0].parent;
         }
         true
     }
@@ -343,10 +375,10 @@ impl Document {
         }
         let mut cur = Some(id);
         while let Some(c) = cur {
-            if !self.nodes[c.0].el.visible {
+            if !self.tree.nodes[c.0].el.visible {
                 return false;
             }
-            cur = self.nodes[c.0].parent;
+            cur = self.tree.nodes[c.0].parent;
         }
         true
     }
@@ -357,8 +389,8 @@ impl Document {
         let mut sum = 0i64;
         let mut cur = Some(id);
         while let Some(c) = cur {
-            sum += i64::from(self.nodes[c.0].el.layer);
-            cur = self.nodes[c.0].parent;
+            sum += i64::from(self.tree.nodes[c.0].el.layer);
+            cur = self.tree.nodes[c.0].parent;
         }
         sum
     }
@@ -372,15 +404,97 @@ impl Document {
     /// trees always reflow to bit-identical geometry. Invalidates the
     /// query index.
     pub fn reflow(&mut self) {
-        self.index = OnceLock::new();
         let content = Rect::new(0.0, 0.0, self.page_width, self.min_page_height);
-        let flow_bottom = self.layout_flow(None, content);
+        let flow_bottom = self.tree_mut().layout_flow(None, content);
         // Page extent: the authored minimum, grown by overflowing *flow*
         // content only. Absolute boxes never change the extent, which
         // keeps the legacy flat pages bit-identical.
         self.page_height = self.min_page_height.max(flow_bottom);
     }
 
+    // ------------------------------------------------------------------
+    // Queries.
+    // ------------------------------------------------------------------
+
+    /// Finds the first attached element (arena order) with the given `id`
+    /// attribute. Detached ([`Display::None`]) subtrees are skipped — a
+    /// driver cannot locate what is not in the DOM.
+    pub fn by_id(&self, id_attr: &str) -> Option<NodeId> {
+        self.index().by_id(id_attr)
+    }
+
+    /// Linear reference model for [`Document::by_id`].
+    pub fn by_id_linear(&self, id_attr: &str) -> Option<NodeId> {
+        self.ids()
+            .find(|&i| self.tree.nodes[i.0].el.id == id_attr && self.in_tree(i))
+    }
+
+    /// Finds all attached elements with the given tag, in arena order.
+    pub fn by_tag(&self, tag: &str) -> Vec<NodeId> {
+        self.index().by_tag(tag).to_vec()
+    }
+
+    /// Linear reference model for [`Document::by_tag`].
+    pub fn by_tag_linear(&self, tag: &str) -> Vec<NodeId> {
+        self.ids()
+            .filter(|&i| self.tree.nodes[i.0].el.tag == tag && self.in_tree(i))
+            .collect()
+    }
+
+    /// Topmost effectively-visible element containing the point, if any.
+    /// "Topmost" is paint order: pre-order tree traversal, stable-sorted
+    /// by effective layer — for layer-0 flat documents this degenerates
+    /// to the old arena-order z-semantics. Served from the spatial grid;
+    /// semantically identical to [`Document::hit_test_linear`] (the
+    /// differential proptest in `tests/hit_test_differential.rs` pins
+    /// the equivalence).
+    pub fn hit_test(&self, p: Point) -> Option<NodeId> {
+        self.index().hit_test(&self.tree.nodes, p)
+    }
+
+    /// Linear reference model for [`Document::hit_test`]: a from-scratch
+    /// scan that recomputes paint position per node (effective layer via
+    /// ancestor walks, pre-order position via a fresh traversal) and
+    /// takes the maximum over containing, effectively-visible elements.
+    /// Deliberately shares no derived state with the index.
+    pub fn hit_test_linear(&self, p: Point) -> Option<NodeId> {
+        let mut pre_pos = vec![0usize; self.tree.nodes.len()];
+        let mut stack: Vec<NodeId> = self.tree.roots.iter().rev().copied().collect();
+        let mut next = 0usize;
+        while let Some(id) = stack.pop() {
+            pre_pos[id.0] = next;
+            next += 1;
+            for &c in self.tree.nodes[id.0].children.iter().rev() {
+                stack.push(c);
+            }
+        }
+        let mut best: Option<(i64, usize, NodeId)> = None;
+        for id in self.ids() {
+            if !self.effectively_visible(id) || !self.tree.nodes[id.0].el.rect.contains(p) {
+                continue;
+            }
+            let key = (self.effective_layer(id), pre_pos[id.0]);
+            if best.map(|(l, pp, _)| key > (l, pp)).unwrap_or(true) {
+                best = Some((key.0, key.1, id));
+            }
+        }
+        best.map(|(_, _, id)| id)
+    }
+
+    /// Finds the attached element anchoring `name` (for `#name`
+    /// navigation).
+    pub fn anchor_target(&self, name: &str) -> Option<NodeId> {
+        self.index().anchor_target(name)
+    }
+
+    /// Linear reference model for [`Document::anchor_target`].
+    pub fn anchor_target_linear(&self, name: &str) -> Option<NodeId> {
+        self.ids()
+            .find(|&i| self.tree.nodes[i.0].el.anchor.as_deref() == Some(name) && self.in_tree(i))
+    }
+}
+
+impl Tree {
     /// Lays out the flow children of `parent` (or the roots) inside
     /// `content`, returning the page-coordinate bottom edge of the flow.
     fn layout_flow(&mut self, parent: Option<NodeId>, content: Rect) -> f64 {
@@ -457,87 +571,6 @@ impl Document {
         }
         y
     }
-
-    // ------------------------------------------------------------------
-    // Queries.
-    // ------------------------------------------------------------------
-
-    /// Finds the first attached element (arena order) with the given `id`
-    /// attribute. Detached ([`Display::None`]) subtrees are skipped — a
-    /// driver cannot locate what is not in the DOM.
-    pub fn by_id(&self, id_attr: &str) -> Option<NodeId> {
-        self.index().by_id(id_attr)
-    }
-
-    /// Linear reference model for [`Document::by_id`].
-    pub fn by_id_linear(&self, id_attr: &str) -> Option<NodeId> {
-        self.ids()
-            .find(|&i| self.nodes[i.0].el.id == id_attr && self.in_tree(i))
-    }
-
-    /// Finds all attached elements with the given tag, in arena order.
-    pub fn by_tag(&self, tag: &str) -> Vec<NodeId> {
-        self.index().by_tag(tag).to_vec()
-    }
-
-    /// Linear reference model for [`Document::by_tag`].
-    pub fn by_tag_linear(&self, tag: &str) -> Vec<NodeId> {
-        self.ids()
-            .filter(|&i| self.nodes[i.0].el.tag == tag && self.in_tree(i))
-            .collect()
-    }
-
-    /// Topmost effectively-visible element containing the point, if any.
-    /// "Topmost" is paint order: pre-order tree traversal, stable-sorted
-    /// by effective layer — for layer-0 flat documents this degenerates
-    /// to the old arena-order z-semantics. Served from the spatial grid;
-    /// semantically identical to [`Document::hit_test_linear`] (the
-    /// differential proptest in `tests/hit_test_differential.rs` pins
-    /// the equivalence).
-    pub fn hit_test(&self, p: Point) -> Option<NodeId> {
-        self.index().hit_test(&self.nodes, p)
-    }
-
-    /// Linear reference model for [`Document::hit_test`]: a from-scratch
-    /// scan that recomputes paint position per node (effective layer via
-    /// ancestor walks, pre-order position via a fresh traversal) and
-    /// takes the maximum over containing, effectively-visible elements.
-    /// Deliberately shares no derived state with the index.
-    pub fn hit_test_linear(&self, p: Point) -> Option<NodeId> {
-        let mut pre_pos = vec![0usize; self.nodes.len()];
-        let mut stack: Vec<NodeId> = self.roots.iter().rev().copied().collect();
-        let mut next = 0usize;
-        while let Some(id) = stack.pop() {
-            pre_pos[id.0] = next;
-            next += 1;
-            for &c in self.nodes[id.0].children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        let mut best: Option<(i64, usize, NodeId)> = None;
-        for id in self.ids() {
-            if !self.effectively_visible(id) || !self.nodes[id.0].el.rect.contains(p) {
-                continue;
-            }
-            let key = (self.effective_layer(id), pre_pos[id.0]);
-            if best.map(|(l, pp, _)| key > (l, pp)).unwrap_or(true) {
-                best = Some((key.0, key.1, id));
-            }
-        }
-        best.map(|(_, _, id)| id)
-    }
-
-    /// Finds the attached element anchoring `name` (for `#name`
-    /// navigation).
-    pub fn anchor_target(&self, name: &str) -> Option<NodeId> {
-        self.index().anchor_target(name)
-    }
-
-    /// Linear reference model for [`Document::anchor_target`].
-    pub fn anchor_target_linear(&self, name: &str) -> Option<NodeId> {
-        self.ids()
-            .find(|&i| self.nodes[i.0].el.anchor.as_deref() == Some(name) && self.in_tree(i))
-    }
 }
 
 /// Batched structural mutation over a [`Document`], in the style of a
@@ -561,27 +594,27 @@ impl DocumentMutator<'_> {
 
     /// Changes how an element participates in layout.
     pub fn set_display(&mut self, id: NodeId, display: Display) {
-        self.doc.nodes[id.0].el.display = display;
+        self.doc.tree_mut().nodes[id.0].el.display = display;
     }
 
     /// Shows or hides an element (visibility, not layout).
     pub fn set_visible(&mut self, id: NodeId, visible: bool) {
-        self.doc.nodes[id.0].el.visible = visible;
+        self.doc.tree_mut().nodes[id.0].el.visible = visible;
     }
 
     /// Rewrites the authored box of an [`Display::Absolute`] element.
     pub fn set_rect(&mut self, id: NodeId, rect: Rect) {
-        self.doc.nodes[id.0].el.rect = rect;
+        self.doc.tree_mut().nodes[id.0].el.rect = rect;
     }
 
     /// Replaces an element's text content.
     pub fn set_text(&mut self, id: NodeId, text: &str) {
-        self.doc.nodes[id.0].el.text = text.to_string();
+        self.doc.tree_mut().nodes[id.0].el.text = text.to_string();
     }
 
     /// Renames an element's `id` attribute.
     pub fn set_id(&mut self, id: NodeId, id_attr: &str) {
-        self.doc.nodes[id.0].el.id = id_attr.to_string();
+        self.doc.tree_mut().nodes[id.0].el.id = id_attr.to_string();
     }
 
     /// Detaches a subtree from the document: it keeps its arena slots
@@ -589,12 +622,76 @@ impl DocumentMutator<'_> {
     /// but leaves layout, hit testing, and the locator queries. This is
     /// how banner dismissal and SPA re-renders model `removeChild`.
     pub fn detach(&mut self, id: NodeId) {
-        self.doc.nodes[id.0].el.display = Display::None;
+        self.doc.tree_mut().nodes[id.0].el.display = Display::None;
     }
 
     /// Read access to the document being mutated.
     pub fn doc(&self) -> &Document {
         self.doc
+    }
+}
+
+/// A page program together with its last run: the input document, the
+/// reflowed and indexed output, and the program's result.
+///
+/// A page program is a pure function of the document it mutates — it
+/// reads no RNG, clock or event — so applying it to an unwritten copy of
+/// the stored input (see [`Document`]'s `tree` field) must give the
+/// stored output and result, and the memo hands those back instead of
+/// re-running the program, the reflow and the index build. The memo owns
+/// its program, so one memo can never serve two programs. Applied through
+/// [`crate::Browser::mutate_document_memo`].
+#[derive(Debug, Clone)]
+pub struct DocumentMemo<R> {
+    program: fn(&mut DocumentMutator) -> R,
+    last: Option<MemoEntry<R>>,
+    hits: u64,
+}
+
+#[derive(Debug, Clone)]
+struct MemoEntry<R> {
+    input: Document,
+    output: Document,
+    result: R,
+}
+
+impl<R: Clone> DocumentMemo<R> {
+    /// An empty memo for one page program.
+    pub fn new(program: fn(&mut DocumentMutator) -> R) -> Self {
+        Self {
+            program,
+            last: None,
+            hits: 0,
+        }
+    }
+
+    /// How many applications replayed the stored run.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Applies the program to `doc`: swaps in the stored output when `doc`
+    /// is an unwritten copy of the stored input, and otherwise runs
+    /// [`Document::mutate`] and stores the run.
+    pub(crate) fn apply(&mut self, doc: &mut Document) -> R {
+        if let Some(last) = &self.last {
+            if doc.is_unwritten_copy_of(&last.input) {
+                self.hits += 1;
+                *doc = last.output.clone();
+                return last.result.clone();
+            }
+        }
+        // The stored input keeps sharing the pre-mutation tree, so the
+        // mutation below copies it and the input stays as it was.
+        let input = doc.clone();
+        let result = doc.mutate(self.program);
+        doc.build_index();
+        self.last = Some(MemoEntry {
+            input,
+            output: doc.clone(),
+            result: result.clone(),
+        });
+        result
     }
 }
 

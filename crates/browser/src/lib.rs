@@ -33,7 +33,7 @@ pub mod viewport;
 
 pub use browser::{Browser, BrowserConfig};
 pub use clock::VirtualClock;
-pub use dom::{Display, Document, DocumentMutator, Element, ElementBuilder, NodeId};
+pub use dom::{Display, Document, DocumentMemo, DocumentMutator, Element, ElementBuilder, NodeId};
 pub use events::{DomEvent, EventKind, EventPayload};
 pub use geometry::{Point, Rect};
 /// The page JS world type, re-exported for callers that hold a shared

@@ -13,91 +13,17 @@
 //! layout (`Block`/`Inline`), paint layers, and `Display::None`
 //! detachment.
 
-use hlisa_browser::dom::{Display, Document, Element};
-use hlisa_browser::{Point, Rect};
+mod support;
+
+use hlisa_browser::dom::{Display, Document};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use support::{assert_queries_agree, build_tree_doc, element, RawElement};
 
-const TAGS: &[&str] = &["div", "a", "button", "input", "span", "h2"];
-const IDS: &[&str] = &["", "submit", "text_area", "jump", "honey", "other"];
-const ANCHORS: &[Option<&str>] = &[None, None, Some("end"), Some("top")];
-
-/// One element decoded from a raw tuple so proptest drives the geometry.
-/// The last byte's low bit carries visibility (the vendored proptest
-/// subset has no `bool` strategy).
-#[allow(clippy::type_complexity)]
-fn element(raw: &(f64, f64, f64, f64, u8, u8, u8, u8)) -> Element {
-    let (x, y, w, h, tag, id, anchor, visible) = *raw;
-    Element {
-        tag: TAGS[tag as usize % TAGS.len()].to_string(),
-        id: IDS[id as usize % IDS.len()].to_string(),
-        rect: Rect::new(x, y, w, h),
-        display: Display::Absolute,
-        layer: 0,
-        visible: visible & 1 == 1,
-        focusable: false,
-        anchor: ANCHORS[anchor as usize % ANCHORS.len()].map(str::to_string),
-        text: String::new(),
-    }
-}
-
-fn build_doc(elements: &[(f64, f64, f64, f64, u8, u8, u8, u8)], page: (f64, f64)) -> Document {
+fn build_doc(elements: &[RawElement], page: (f64, f64)) -> Document {
     let mut doc = Document::new("https://differential.test/", page.0, page.1);
     for raw in elements {
         doc.add(element(raw));
-    }
-    doc
-}
-
-fn assert_queries_agree(doc: &Document, points: &[(f64, f64)]) {
-    for (x, y) in points {
-        let p = Point::new(*x, *y);
-        assert_eq!(doc.hit_test(p), doc.hit_test_linear(p), "hit_test at {p:?}");
-    }
-    for id_attr in IDS {
-        assert_eq!(doc.by_id(id_attr), doc.by_id_linear(id_attr));
-    }
-    for tag in TAGS {
-        assert_eq!(doc.by_tag(tag), doc.by_tag_linear(tag));
-    }
-    for name in ["end", "top", "missing"] {
-        assert_eq!(doc.anchor_target(name), doc.anchor_target_linear(name));
-    }
-}
-
-/// Decodes one tree node: geometry + identity bytes as in [`element`],
-/// plus structure bytes choosing parent, display mode, and paint layer.
-#[allow(clippy::type_complexity)]
-type RawTreeNode = ((f64, f64, f64, f64, u8, u8, u8, u8), (u8, u8, u8, u8));
-
-fn build_tree_doc(raw_nodes: &[RawTreeNode], page: (f64, f64)) -> Document {
-    let mut doc = Document::new("https://differential.test/", page.0, page.1);
-    let mut inserted = Vec::new();
-    for (i, (geom, (parent_sel, display_sel, layer, aux))) in raw_nodes.iter().enumerate() {
-        let mut el = element(geom);
-        el.display = match display_sel % 8 {
-            0..=2 => Display::Absolute,
-            3..=5 => Display::Block {
-                height: geom.3.max(1.0),
-                width_frac: 0.2 + f64::from(*aux % 80) / 100.0,
-                margin: f64::from(*aux % 16),
-                padding: f64::from(*aux % 8),
-            },
-            6 => Display::Inline {
-                width: geom.2.max(1.0),
-                height: geom.3.max(1.0),
-                margin: f64::from(*aux % 10),
-            },
-            _ => Display::None,
-        };
-        el.layer = i32::from(*layer % 5) - 2;
-        let id = if i == 0 || parent_sel % 4 == 0 {
-            doc.add(el)
-        } else {
-            let parent = inserted[*parent_sel as usize % i];
-            doc.add_child(parent, el)
-        };
-        inserted.push(id);
     }
     doc
 }

@@ -18,7 +18,7 @@
 
 use hlisa_browser::events::EventKind;
 use hlisa_browser::viewport::WHEEL_TICK_PX;
-use hlisa_browser::{Browser, BrowserConfig, Document, NodeId, VirtualClock, World};
+use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, NodeId, VirtualClock, World};
 use hlisa_human::{HumanAgent, HumanParams};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::derive_seed;
@@ -55,12 +55,14 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 ///   buffers. Rebinding changes no draw — the agent's streams come wholly
 ///   from the fork;
 /// * one pristine WebDriver-flavour page world, which every drive's
-///   browser stamps by clone instead of re-running the world builder
-///   (construction is deterministic and RNG-free);
+///   browser shares copy-on-write instead of re-running the world builder
+///   (construction is deterministic and RNG-free; no drive writes it);
 /// * the most recently generated scenario page, keyed on everything
 ///   [`scenario_page`] reads — the campaign seed, the [`ScenarioKind`] and
-///   the whole [`Site`]. A site's visits run back to back, so each visit
-///   after the first clones the document instead of regenerating it.
+///   the whole [`Site`] — with its kind's page program memoised. A site's
+///   visits run back to back, so each visit after the first shares the
+///   document instead of regenerating it, and swaps in the stored
+///   mutation instead of re-running the program.
 ///
 /// None of the three can influence a draw, so drives through a reused
 /// scratch are bit-identical to fresh-scratch drives (pinned by
@@ -73,13 +75,43 @@ pub struct ScenarioScratch {
     pages_generated: u64,
 }
 
-/// A generated scenario page with the complete key it was generated from.
+/// A generated scenario page with the complete key it was generated from,
+/// and its kind's page program.
 #[derive(Debug, Clone)]
 struct CachedPage {
     campaign_seed: u64,
     kind: ScenarioKind,
     site: Site,
     doc: Document,
+    program: PageProgram,
+}
+
+/// The page program a scenario page runs mid-visit, one variant per
+/// [`ScenarioKind`], memoised for the cached page: every drive opens an
+/// unwritten copy of the same document, so the first drive's mutation
+/// serves every later one. A drive matches on the program, so the kind it
+/// drives and the program it runs cannot disagree.
+#[derive(Debug, Clone)]
+enum PageProgram {
+    CookieBanner(DocumentMemo<bool>),
+    LazyContent(DocumentMemo<bool>),
+    SpaMutation(DocumentMemo<Option<NodeId>>),
+}
+
+impl PageProgram {
+    fn for_kind(kind: ScenarioKind) -> Self {
+        match kind {
+            ScenarioKind::CookieBanner => {
+                PageProgram::CookieBanner(DocumentMemo::new(dynamics::dismiss_banner))
+            }
+            ScenarioKind::LazyContent => {
+                PageProgram::LazyContent(DocumentMemo::new(dynamics::reveal_lazy))
+            }
+            ScenarioKind::SpaMutation => {
+                PageProgram::SpaMutation(DocumentMemo::new(dynamics::spa_rerender))
+            }
+        }
+    }
 }
 
 impl CachedPage {
@@ -112,10 +144,16 @@ impl ScenarioScratch {
         self.pages_generated
     }
 
-    /// Opens the drive's WebDriver browser on the site's scenario page:
+    /// Opens the drive's WebDriver browser on the site's scenario page —
     /// the page from the cache (regenerated only when the key changed)
-    /// and the world stamped from the retained pristine.
-    fn open_browser(&mut self, site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Browser {
+    /// and the retained pristine world, both shared — and hands out the
+    /// page's program and the agent alongside it.
+    fn open(
+        &mut self,
+        site: &Site,
+        kind: ScenarioKind,
+        campaign_seed: u64,
+    ) -> (Browser, &mut PageProgram, &mut HumanAgent) {
         if !self
             .page
             .as_ref()
@@ -133,16 +171,18 @@ impl ScenarioScratch {
                 kind,
                 site: site.clone(),
                 doc,
+                program: PageProgram::for_kind(kind),
             }
         });
         let config = BrowserConfig::webdriver();
         let world = self.world.get_or_insert_with(|| config.pristine_world());
-        Browser::open_with_world(
+        let browser = Browser::open_with_world(
             config,
             page.doc.clone(),
             VirtualClock::new(),
             Arc::clone(world),
-        )
+        );
+        (browser, &mut page.program, &mut self.human)
     }
 }
 
@@ -219,10 +259,30 @@ pub fn drive_scenario_with(
     ctx: &mut SimContext,
     scratch: &mut ScenarioScratch,
 ) -> bool {
-    let browser = scratch.open_browser(site, kind, campaign_seed);
+    drive(site, kind, client, campaign_seed, ctx, scratch).0
+}
+
+/// Drives one scenario visit and hands back the verdict together with the
+/// browser it drove.
+fn drive(
+    site: &Site,
+    kind: ScenarioKind,
+    client: ClientKind,
+    campaign_seed: u64,
+    ctx: &mut SimContext,
+    scratch: &mut ScenarioScratch,
+) -> (bool, Browser) {
+    let (mut browser, program, human) = scratch.open(site, kind, campaign_seed);
     match client {
-        ClientKind::OpenWpm => drive_selenium(browser, kind, ctx),
-        ClientKind::OpenWpmSpoofed => drive_hlisa(browser, kind, ctx, &mut scratch.human),
+        ClientKind::OpenWpm => {
+            let mut session = Session::new(browser);
+            let landed = drive_selenium(&mut session, program, ctx);
+            (landed, session.browser)
+        }
+        ClientKind::OpenWpmSpoofed => {
+            let landed = drive_hlisa(&mut browser, program, ctx, human);
+            (landed, browser)
+        }
     }
 }
 
@@ -232,10 +292,11 @@ pub fn drive_scenario_with(
 fn last_click_hit(browser: &Browser, id: NodeId) -> bool {
     browser
         .recorder
-        .of_kind(EventKind::Click)
-        .last()
-        .map(|e| e.target == Some(id))
-        .unwrap_or(false)
+        .events()
+        .iter()
+        .rev()
+        .find(|e| e.kind == EventKind::Click)
+        .is_some_and(|e| e.target == Some(id))
 }
 
 /// The page's lazy loader: it subscribes to *scroll events* and attaches
@@ -243,23 +304,22 @@ fn last_click_hit(browser: &Browser, id: NodeId) -> bool {
 /// threshold. A script jump (`window.scrollBy`) moves the viewport
 /// without firing any wheel event, so the loader never runs — the §4.1
 /// failure Selenium-style scrolling triggers.
-fn maybe_reveal_lazy(browser: &mut Browser) -> bool {
+fn maybe_reveal_lazy(browser: &mut Browser, reveal: &mut DocumentMemo<bool>) -> bool {
     let threshold = lazy_reveal_threshold(browser.document().page_height, browser.viewport.height);
     if browser.recorder.wheel_count() == 0 || browser.viewport.scroll_y() < threshold {
         return false;
     }
-    browser.mutate_document(dynamics::reveal_lazy)
+    browser.mutate_document_memo(reveal)
 }
 
 /// Machine (1): the stock OpenWPM drive. Selenium action chains move the
 /// pointer straight to the element centre, scrolling is a one-jump
 /// script call, and element handles are cached across DOM mutations —
 /// each scenario defeats one of those habits.
-fn drive_selenium(browser: Browser, kind: ScenarioKind, ctx: &SimContext) -> bool {
-    let mut session = Session::new(browser);
+fn drive_selenium(session: &mut Session, program: &mut PageProgram, ctx: &SimContext) -> bool {
     session.bind_context(ctx);
-    match kind {
-        ScenarioKind::CookieBanner => {
+    match program {
+        PageProgram::CookieBanner(_) => {
             // The locator sees the target fine (the overlay occludes, it
             // does not detach), so the drive marches straight into the
             // banner: the click dispatches to the overlay, not the CTA.
@@ -272,16 +332,16 @@ fn drive_selenium(browser: Browser, kind: ScenarioKind, ctx: &SimContext) -> boo
             let _ = SeleniumActionChains::new()
                 .move_to_element(target)
                 .click(Some(target))
-                .perform(&mut session);
+                .perform(session);
             last_click_hit(&session.browser, target.node())
         }
-        ScenarioKind::LazyContent => {
+        PageProgram::LazyContent(reveal) => {
             // One script jump to the bottom: the viewport moves but no
             // scroll events fire, so the deferred section never attaches
             // and the locator comes back empty-handed.
             let bottom = session.browser.viewport.max_scroll_y();
             session.scroll_by_script(bottom);
-            maybe_reveal_lazy(&mut session.browser);
+            maybe_reveal_lazy(&mut session.browser, reveal);
             let Ok(el) = session.find_element(By::Id(LAZY_TARGET_ID.into())) else {
                 return false;
             };
@@ -291,10 +351,10 @@ fn drive_selenium(browser: Browser, kind: ScenarioKind, ctx: &SimContext) -> boo
             let _ = SeleniumActionChains::new()
                 .move_to_element(el)
                 .click(Some(el))
-                .perform(&mut session);
+                .perform(session);
             last_click_hit(&session.browser, el.node())
         }
-        ScenarioKind::SpaMutation => {
+        PageProgram::SpaMutation(rerender) => {
             // Locate, then the app re-renders, then interact through the
             // cached handle: the classic stale-element window. The old
             // node is detached, so the click at its remembered geometry
@@ -305,13 +365,13 @@ fn drive_selenium(browser: Browser, kind: ScenarioKind, ctx: &SimContext) -> boo
             if session.ensure_interactable(confirm).is_err() {
                 return false;
             }
-            let Some(fresh) = session.browser.mutate_document(dynamics::spa_rerender) else {
+            let Some(fresh) = session.browser.mutate_document_memo(rerender) else {
                 return false;
             };
             let _ = SeleniumActionChains::new()
                 .move_to_element(confirm)
                 .click(Some(confirm))
-                .perform(&mut session);
+                .perform(session);
             last_click_hit(&session.browser, fresh)
         }
     }
@@ -324,15 +384,15 @@ fn drive_selenium(browser: Browser, kind: ScenarioKind, ctx: &SimContext) -> boo
 /// recovery steps run through warm buffers instead of re-planning from a
 /// fresh agent.
 fn drive_hlisa(
-    mut browser: Browser,
-    kind: ScenarioKind,
+    browser: &mut Browser,
+    program: &mut PageProgram,
     ctx: &mut SimContext,
     human: &mut HumanAgent,
 ) -> bool {
     human.rebind(ctx.fork("scenario", 0));
-    human.bind_browser(&browser);
-    match kind {
-        ScenarioKind::CookieBanner => {
+    human.bind_browser(browser);
+    match program {
+        PageProgram::CookieBanner(dismiss) => {
             let accept = browser.document().by_id(ACCEPT_ID);
             let target = browser.document().by_id(TARGET_ID);
             let (Some(accept), Some(target)) = (accept, target) else {
@@ -340,46 +400,46 @@ fn drive_hlisa(
             };
             // Dismiss-then-interact: click the consent button, let the
             // page's handler remove the overlay, then go for the CTA.
-            human.click_element(&mut browser, accept);
-            if !last_click_hit(&browser, accept) {
+            human.click_element(browser, accept);
+            if !last_click_hit(browser, accept) {
                 return false;
             }
-            browser.mutate_document(dynamics::dismiss_banner);
-            human.settle(&mut browser, 150.0, 600.0);
-            human.click_element(&mut browser, target);
-            last_click_hit(&browser, target)
+            browser.mutate_document_memo(dismiss);
+            human.settle(browser, 150.0, 600.0);
+            human.click_element(browser, target);
+            last_click_hit(browser, target)
         }
-        ScenarioKind::LazyContent => {
+        PageProgram::LazyContent(reveal) => {
             // Wheel-scroll past the reveal threshold (with a couple of
             // ticks of slack for wheel quantisation): the loader sees
             // real scroll events and attaches the section.
             let threshold =
                 lazy_reveal_threshold(browser.document().page_height, browser.viewport.height);
-            human.scroll_by(&mut browser, threshold + 3.0 * WHEEL_TICK_PX);
-            if !maybe_reveal_lazy(&mut browser) {
+            human.scroll_by(browser, threshold + 3.0 * WHEEL_TICK_PX);
+            if !maybe_reveal_lazy(browser, reveal) {
                 return false;
             }
             let Some(lazy) = browser.document().by_id(LAZY_TARGET_ID) else {
                 return false;
             };
-            human.click_element(&mut browser, lazy);
-            last_click_hit(&browser, lazy)
+            human.click_element(browser, lazy);
+            last_click_hit(browser, lazy)
         }
-        ScenarioKind::SpaMutation => {
+        PageProgram::SpaMutation(rerender) => {
             // The app re-renders mid-visit; HLISA's recovery is to
             // re-locate by id instead of trusting the stale handle.
             if browser.document().by_id(CONFIRM_ID).is_none() {
                 return false;
             }
-            if browser.mutate_document(dynamics::spa_rerender).is_none() {
+            if browser.mutate_document_memo(rerender).is_none() {
                 return false;
             }
-            human.settle(&mut browser, 150.0, 600.0);
+            human.settle(browser, 150.0, 600.0);
             let Some(confirm) = browser.document().by_id(CONFIRM_ID) else {
                 return false;
             };
-            human.click_element(&mut browser, confirm);
-            last_click_hit(&browser, confirm)
+            human.click_element(browser, confirm);
+            last_click_hit(browser, confirm)
         }
     }
 }
@@ -504,19 +564,23 @@ mod tests {
                 "visit {visit}: recovery re-allocated plan buffers"
             );
             // The cookie-banner page is generated on its first visit and
-            // cloned for every later one.
+            // shared by every later one, which also replays the first
+            // visit's banner dismissal.
             assert_eq!(
                 scratch.pages_generated(),
                 4,
                 "visit {visit}: page regenerated"
             );
+            assert_eq!(program_replays(&scratch), visit, "visit {visit}");
         }
     }
 
-    /// Everything observable after a drive: the verdict, the visit
-    /// context's clock (the Selenium session runs on it) and, for the
-    /// HLISA drive, the agent's `"scenario"`-fork clock and the next draw
-    /// of each of its streams.
+    /// Everything observable after a drive: the verdict, the final
+    /// document, the browser's metrics (`dom.mutations` included), the
+    /// visit context's clock (the Selenium session runs on it) and, for
+    /// the HLISA drive, the agent's `"scenario"`-fork clock and the next
+    /// draw of each of its streams.
+    #[allow(clippy::type_complexity)]
     fn drive_state(
         site: &Site,
         kind: ScenarioKind,
@@ -524,10 +588,16 @@ mod tests {
         campaign_seed: u64,
         visit: u64,
         scratch: &mut ScenarioScratch,
-    ) -> (bool, f64, Option<(f64, Vec<u64>)>) {
+    ) -> (
+        bool,
+        Document,
+        hlisa_sim::CounterSet,
+        f64,
+        Option<(f64, Vec<u64>)>,
+    ) {
         use hlisa_sim::Rng;
         let mut ctx = SimContext::new(77).fork_visit(&site.domain, visit);
-        let landed = drive_scenario_with(site, kind, client, campaign_seed, &mut ctx, scratch);
+        let (landed, browser) = drive(site, kind, client, campaign_seed, &mut ctx, scratch);
         let agent = (client == ClientKind::OpenWpmSpoofed).then(|| {
             let mut agent = scratch.human.context().clone();
             let draws = vec![
@@ -539,7 +609,22 @@ mod tests {
             ];
             (agent.clock().now_ms(), draws)
         });
-        (landed, ctx.clock().now_ms(), agent)
+        (
+            landed,
+            browser.document().clone(),
+            browser.metrics(),
+            ctx.clock().now_ms(),
+            agent,
+        )
+    }
+
+    /// How many drives replayed the cached page's stored mutation.
+    fn program_replays(scratch: &ScenarioScratch) -> u64 {
+        match scratch.page.as_ref().map(|p| &p.program) {
+            Some(PageProgram::CookieBanner(m) | PageProgram::LazyContent(m)) => m.hits(),
+            Some(PageProgram::SpaMutation(m)) => m.hits(),
+            None => 0,
+        }
     }
 
     /// Differential test of the page-cache key: a reused scratch driven
@@ -570,6 +655,7 @@ mod tests {
         let mut order = hlisa_stats::rngutil::rng_from_seed(5);
         let mut reused = ScenarioScratch::new();
         let mut runs = 0;
+        let mut replayed = false;
         let mut previous: Option<(usize, u64)> = None;
         for step in 0..120u64 {
             // Repeat the previous site half the time, so the cache both
@@ -591,7 +677,7 @@ mod tests {
             };
             let want = scenario_page(site, kind, campaign_seed).doc;
             assert_eq!(
-                reused.open_browser(site, kind, campaign_seed).document(),
+                reused.open(site, kind, campaign_seed).0.document(),
                 &want,
                 "step {step}: cached page differs from a fresh generation"
             );
@@ -600,6 +686,7 @@ mod tests {
                 let mut fresh = ScenarioScratch::new();
                 let want = drive_state(site, kind, client, campaign_seed, step, &mut fresh);
                 assert_eq!(got, want, "step {step}: {client:?} diverged on {i}");
+                replayed |= program_replays(&reused) > 0;
                 let mut ctx = SimContext::new(77).fork_visit(&site.domain, step);
                 assert_eq!(
                     got.0,
@@ -608,8 +695,10 @@ mod tests {
                 );
             }
         }
-        // One generation per run of consecutive same-key drives.
+        // One generation per run of consecutive same-key drives, and the
+        // reused scratch served some drives from a stored mutation.
         assert_eq!(reused.pages_generated(), runs);
+        assert!(replayed, "no drive replayed a stored mutation");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::clock::VirtualClock;
 use hlisa_stats::rngutil::{derive_seed, rng_from_seed};
 use rand::rngs::SmallRng;
-use std::collections::BTreeMap;
 
 /// The simulation context threaded through the interaction stack.
 ///
@@ -17,7 +16,8 @@ use std::collections::BTreeMap;
 pub struct SimContext {
     seed: u64,
     clock: VirtualClock,
-    streams: BTreeMap<String, SmallRng>,
+    /// Streams created so far, sorted by name.
+    streams: Vec<(String, SmallRng)>,
 }
 
 impl SimContext {
@@ -26,7 +26,7 @@ impl SimContext {
         SimContext {
             seed,
             clock: VirtualClock::new(),
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
         }
     }
 
@@ -35,7 +35,7 @@ impl SimContext {
         SimContext {
             seed,
             clock,
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
         }
     }
 
@@ -53,12 +53,22 @@ impl SimContext {
     ///
     /// Streams are created on first use with a seed derived from the root
     /// seed and the name alone, so draw sequences are insensitive to the
-    /// creation order of *other* streams.
+    /// creation order of *other* streams. The name is looked up first and
+    /// copied only when the stream is created, so the per-draw call on an
+    /// existing stream allocates nothing.
     pub fn stream(&mut self, name: &str) -> &mut SmallRng {
-        let seed = self.seed;
-        self.streams
-            .entry(name.to_string())
-            .or_insert_with(|| rng_from_seed(derive_seed(seed, name, 0)))
+        let i = match self
+            .streams
+            .binary_search_by(|(known, _)| known.as_str().cmp(name))
+        {
+            Ok(i) => i,
+            Err(i) => {
+                let rng = rng_from_seed(derive_seed(self.seed, name, 0));
+                self.streams.insert(i, (name.to_string(), rng));
+                i
+            }
+        };
+        &mut self.streams[i].1
     }
 
     /// A child context for an independently seeded unit of work.

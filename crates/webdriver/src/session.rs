@@ -218,12 +218,12 @@ impl Session {
         let first = parts
             .next()
             .ok_or_else(|| WebDriverError::InvalidArgument("empty path".into()))?;
-        let window = self.browser.world.window;
+        let world = self.browser.world_mut();
+        let window = world.window;
         let mut current = if first == "window" {
             Value::Object(window)
         } else {
-            self.browser
-                .world
+            world
                 .realm
                 .get(window, first)
                 .map_err(|e| WebDriverError::InvalidArgument(e.to_string()))?
@@ -232,9 +232,7 @@ impl Session {
             let id = current
                 .as_object()
                 .ok_or_else(|| WebDriverError::InvalidArgument(format!("{part} on non-object")))?;
-            current = self
-                .browser
-                .world
+            current = world
                 .realm
                 .get(id, part)
                 .map_err(|e| WebDriverError::InvalidArgument(e.to_string()))?;

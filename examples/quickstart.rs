@@ -27,7 +27,7 @@ fn main() {
         driver.execute_script_get("navigator.webdriver").unwrap()
     );
     SpoofingExtension::paper_default()
-        .inject(&mut driver.browser.world)
+        .inject(driver.browser.world_mut())
         .expect("extension injects");
     println!(
         "navigator.webdriver after spoofing:  {:?}",

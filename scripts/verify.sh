@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build --release --benches (criterion bench targets)"
+# `cargo test` does not compile bench targets, so an API change that
+# breaks one only shows up here.
+cargo build --release --workspace --benches
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

@@ -1,7 +1,8 @@
 //! Interaction fast-path benchmark: hit testing, trajectory synthesis,
 //! batch visit planning, and recorder analytics.
 //!
-//! Four measurements, emitted as `BENCH_interaction.json`:
+//! Four sections, each a retained reference against its optimised path,
+//! emitted as `BENCH_interaction.json`:
 //!
 //! 1. **Hit testing** — the linear reverse scan
 //!    ([`Document::hit_test_linear`]) vs the spatial-grid index
@@ -21,16 +22,12 @@
 //!    vs the one-arena [`VisitPlanner`], which lays every movement, key
 //!    stroke, and wheel tick of the visit into reused arenas — zero
 //!    allocations per visit in steady state, asserted via capacity
-//!    stability and reported in the JSON.
+//!    stability and reported as a fact.
 //! 4. **Recorder queries** — the retained full-scan analytics
 //!    (`*_rescan`) vs the incrementally-maintained views the recorder now
 //!    serves as slices, over a realistic multi-thousand-event trace.
-//!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
 
-pub use crate::campaign_bench::Comparison;
+use crate::harness::{compare, Report, Section};
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig, Document, ElementBuilder, EventRecorder, Point, Rect};
 use hlisa_human::cursor;
@@ -39,20 +36,19 @@ use hlisa_human::{HumanAgent, HumanParams, VisitPlanner};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::splitmix64;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
     /// Elements on the synthetic hit-test page.
     pub hit_elements: usize,
-    /// Full passes over the probe lattice per hit-test loop.
+    /// Full passes over the probe lattice per timed run.
     pub hit_passes: u32,
-    /// Cursor movements synthesized per trajectory loop.
+    /// Cursor movements synthesized per timed run.
     pub traj_moves: u32,
-    /// Whole visits planned per batch-planning loop.
+    /// Whole visits planned per timed run.
     pub plan_visits: u32,
-    /// Full query sweeps (all seven analytics views) per recorder loop.
+    /// Full query sweeps (all seven analytics views) per timed run.
     pub query_iters: u32,
 }
 
@@ -61,7 +57,7 @@ impl BenchConfig {
     pub fn full() -> Self {
         Self {
             hit_elements: 400,
-            hit_passes: 300,
+            hit_passes: 60,
             traj_moves: 20_000,
             plan_visits: 4_000,
             query_iters: 2_000,
@@ -78,32 +74,6 @@ impl BenchConfig {
             query_iters: 50,
         }
     }
-}
-
-/// The full benchmark result.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// Sizing used.
-    pub config: BenchConfig,
-    /// Linear reverse scan vs spatial-grid hit testing.
-    pub hit_test: Comparison,
-    /// Seed-era eager planner vs fixed-capacity kernel synthesis.
-    pub trajectory: Comparison,
-    /// Per-action fresh-buffer planning vs the one-arena batch planner.
-    pub batch_plan: Comparison,
-    /// Arenas that still grew during the timed batch-planning loop
-    /// (0 = zero steady-state allocations, the planner's contract).
-    pub plan_arenas_grown: u64,
-    /// Events in the recorder-query trace.
-    pub trace_events: u64,
-    /// Full-rescan analytics vs incremental views.
-    pub recorder: Comparison,
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 /// A listing-like page: a full-page body plus a lattice of row boxes, the
@@ -142,41 +112,42 @@ fn probe_points(doc: &Document) -> Vec<Point> {
     points
 }
 
-fn bench_hit_test(config: &BenchConfig) -> Comparison {
+fn bench_hit_test(config: &BenchConfig) -> Section {
     let doc = listing_page(config.hit_elements);
     let points = probe_points(&doc);
     // Prime the grid so index construction is not on the timed path
     // (a real session builds it once and queries it thousands of times).
     let _ = doc.hit_test(points[0]);
     let ops = u64::from(config.hit_passes) * points.len() as u64;
-    let (linear_t, a) = timed(|| {
-        let mut acc = 0u64;
-        for _ in 0..config.hit_passes {
-            for p in &points {
-                acc += doc
-                    .hit_test_linear(black_box(*p))
-                    .map_or(0, |id| id.index() as u64 + 1);
-            }
-        }
-        acc
-    });
-    let (grid_t, b) = timed(|| {
-        let mut acc = 0u64;
-        for _ in 0..config.hit_passes {
-            for p in &points {
-                acc += doc
-                    .hit_test(black_box(*p))
-                    .map_or(0, |id| id.index() as u64 + 1);
-            }
-        }
-        acc
-    });
-    assert_eq!(a, b, "hit-test sides disagree");
-    Comparison {
+    let (section, a, b) = compare(
+        "hit_test",
+        "probes",
         ops,
-        baseline_s: linear_t.as_secs_f64(),
-        optimized_s: grid_t.as_secs_f64(),
-    }
+        || {
+            let mut acc = 0u64;
+            for _ in 0..config.hit_passes {
+                for p in &points {
+                    acc += doc
+                        .hit_test_linear(black_box(*p))
+                        .map_or(0, |id| id.index() as u64 + 1);
+                }
+            }
+            acc
+        },
+        || {
+            let mut acc = 0u64;
+            for _ in 0..config.hit_passes {
+                for p in &points {
+                    acc += doc
+                        .hit_test(black_box(*p))
+                        .map_or(0, |id| id.index() as u64 + 1);
+                }
+            }
+            acc
+        },
+    );
+    assert_eq!(a, b, "hit-test sides disagree");
+    section
 }
 
 /// Deterministic movement endpoints: varied distances (short in-paragraph
@@ -195,7 +166,7 @@ fn move_endpoints(i: u32) -> (Point, Point, f64) {
     (from, to, target_w)
 }
 
-fn bench_trajectory(config: &BenchConfig) -> Comparison {
+fn bench_trajectory(config: &BenchConfig) -> Section {
     let params = HumanParams::paper_baseline();
     let checksum = |s: &cursor::TrajectorySample| s.x + s.y + s.t_ms;
     let mut scratch = cursor::StrokeScratch::new();
@@ -221,47 +192,49 @@ fn bench_trajectory(config: &BenchConfig) -> Comparison {
         );
         assert_eq!(reference, buf, "kernel diverges from reference on move {i}");
     }
-    let (reference_t, a) = timed(|| {
-        let mut acc = 0.0f64;
-        let mut samples = 0u64;
-        for i in 0..config.traj_moves {
-            let mut ctx = SimContext::new(u64::from(i));
-            let (from, to, w) = move_endpoints(i);
-            let v = cursor::reference::generate_with(&params, ctx.stream("cursor"), from, to, w);
-            samples += v.len() as u64;
-            acc += v.iter().map(checksum).sum::<f64>();
-            black_box(&v);
-        }
-        (acc, samples)
-    });
-    let (kernel_t, b) = timed(|| {
-        let mut acc = 0.0f64;
-        let mut samples = 0u64;
-        for i in 0..config.traj_moves {
-            let mut ctx = SimContext::new(u64::from(i));
-            let (from, to, w) = move_endpoints(i);
-            buf.clear();
-            cursor::synthesize_into(
-                &params,
-                ctx.stream("cursor"),
-                from,
-                to,
-                w,
-                &mut scratch,
-                &mut buf,
-            );
-            samples += buf.len() as u64;
-            acc += buf.iter().map(checksum).sum::<f64>();
-            black_box(&buf);
-        }
-        (acc, samples)
-    });
+    let (section, a, b) = compare(
+        "trajectory_synthesis",
+        "movements",
+        u64::from(config.traj_moves),
+        || {
+            let mut acc = 0.0f64;
+            let mut samples = 0u64;
+            for i in 0..config.traj_moves {
+                let mut ctx = SimContext::new(u64::from(i));
+                let (from, to, w) = move_endpoints(i);
+                let v =
+                    cursor::reference::generate_with(&params, ctx.stream("cursor"), from, to, w);
+                samples += v.len() as u64;
+                acc += v.iter().map(checksum).sum::<f64>();
+                black_box(&v);
+            }
+            (acc, samples)
+        },
+        || {
+            let mut acc = 0.0f64;
+            let mut samples = 0u64;
+            for i in 0..config.traj_moves {
+                let mut ctx = SimContext::new(u64::from(i));
+                let (from, to, w) = move_endpoints(i);
+                buf.clear();
+                cursor::synthesize_into(
+                    &params,
+                    ctx.stream("cursor"),
+                    from,
+                    to,
+                    w,
+                    &mut scratch,
+                    &mut buf,
+                );
+                samples += buf.len() as u64;
+                acc += buf.iter().map(checksum).sum::<f64>();
+                black_box(&buf);
+            }
+            (acc, samples)
+        },
+    );
     assert_eq!(a, b, "trajectory sides disagree");
-    Comparison {
-        ops: u64::from(config.traj_moves),
-        baseline_s: reference_t.as_secs_f64(),
-        optimized_s: kernel_t.as_secs_f64(),
-    }
+    section
 }
 
 /// Per-visit `(seed, content hash, planned steps)` for the batch-planning
@@ -274,7 +247,7 @@ fn plan_visit_shape(i: u32) -> (u64, u64, usize) {
     (seed, content_hash, steps)
 }
 
-fn bench_batch_plan(config: &BenchConfig) -> (Comparison, u64) {
+fn bench_batch_plan(config: &BenchConfig) -> (Section, u64) {
     let params = HumanParams::paper_baseline();
     let visits = config.plan_visits;
     let mut planner = VisitPlanner::new();
@@ -301,45 +274,43 @@ fn bench_batch_plan(config: &BenchConfig) -> (Comparison, u64) {
                 .total_ms(),
         );
     }
-    let (unbatched_t, a) = timed(|| {
-        let mut acc = 0.0f64;
-        for i in 0..visits {
-            let (seed, hash, steps) = plan_visit_shape(i);
-            let mut step_buf = Vec::new();
-            visit_script_into(hash, steps, &mut step_buf);
-            let mut ctx = SimContext::new(seed);
-            let plan = plan_visit_unbatched(&params, &mut ctx, &step_buf);
-            acc += plan.total_ms();
-            black_box(&plan);
-        }
-        acc
-    });
     let frozen = planner.capacities();
-    let (batched_t, b) = timed(|| {
-        let mut acc = 0.0f64;
-        for i in 0..visits {
-            let (seed, hash, steps) = plan_visit_shape(i);
-            let mut ctx = SimContext::new(seed);
-            acc += planner
-                .plan_site_visit(&params, &mut ctx, hash, steps)
-                .total_ms();
-        }
-        acc
-    });
+    let (section, a, b) = compare(
+        "batch_plan",
+        "visits",
+        u64::from(visits),
+        || {
+            let mut acc = 0.0f64;
+            for i in 0..visits {
+                let (seed, hash, steps) = plan_visit_shape(i);
+                let mut step_buf = Vec::new();
+                visit_script_into(hash, steps, &mut step_buf);
+                let mut ctx = SimContext::new(seed);
+                let plan = plan_visit_unbatched(&params, &mut ctx, &step_buf);
+                acc += plan.total_ms();
+                black_box(&plan);
+            }
+            acc
+        },
+        || {
+            let mut acc = 0.0f64;
+            for i in 0..visits {
+                let (seed, hash, steps) = plan_visit_shape(i);
+                let mut ctx = SimContext::new(seed);
+                acc += planner
+                    .plan_site_visit(&params, &mut ctx, hash, steps)
+                    .total_ms();
+            }
+            acc
+        },
+    );
     assert_eq!(a, b, "batch-plan sides disagree");
     let arenas_grown = frozen
         .iter()
         .zip(planner.capacities().iter())
         .filter(|(before, after)| before != after)
         .count() as u64;
-    (
-        Comparison {
-            ops: u64::from(visits),
-            baseline_s: unbatched_t.as_secs_f64(),
-            optimized_s: batched_t.as_secs_f64(),
-        },
-        arenas_grown,
-    )
+    (section, arenas_grown)
 }
 
 /// Drives one realistic session (clicks, typing, a full-page scroll, and
@@ -364,7 +335,7 @@ fn recorded_session() -> EventRecorder {
     b.recorder.clone()
 }
 
-fn bench_recorder(config: &BenchConfig) -> (u64, Comparison) {
+fn bench_recorder(config: &BenchConfig) -> (u64, Section) {
     let rec = recorded_session();
     let trace_events = rec.len() as u64;
     // Seven analytics views per sweep, matching what a level-2 detector
@@ -393,126 +364,51 @@ fn bench_recorder(config: &BenchConfig) -> (u64, Comparison) {
         sweep_incremental(&rec),
         "recorder views disagree"
     );
-    let (rescan_t, a) = timed(|| {
-        let mut acc = 0usize;
-        for _ in 0..config.query_iters {
-            acc += sweep_rescan(black_box(&rec));
-        }
-        acc
-    });
-    let (incr_t, b) = timed(|| {
-        let mut acc = 0usize;
-        for _ in 0..config.query_iters {
-            acc += sweep_incremental(black_box(&rec));
-        }
-        acc
-    });
-    assert_eq!(a, b, "recorder sides disagree");
-    (
-        trace_events,
-        Comparison {
-            ops,
-            baseline_s: rescan_t.as_secs_f64(),
-            optimized_s: incr_t.as_secs_f64(),
+    let (section, a, b) = compare(
+        "recorder_queries",
+        "queries",
+        ops,
+        || {
+            let mut acc = 0usize;
+            for _ in 0..config.query_iters {
+                acc += sweep_rescan(black_box(&rec));
+            }
+            acc
         },
-    )
+        || {
+            let mut acc = 0usize;
+            for _ in 0..config.query_iters {
+                acc += sweep_incremental(black_box(&rec));
+            }
+            acc
+        },
+    );
+    assert_eq!(a, b, "recorder sides disagree");
+    (trace_events, section)
 }
 
 /// Runs the whole suite.
-pub fn run(config: BenchConfig) -> BenchReport {
+pub fn run(config: BenchConfig) -> Report {
+    let mut report = Report::new(
+        "hlisa interaction fast path (hit test/trajectory/batch plan/recorder)",
+        vec![
+            ("hit_elements", config.hit_elements as u64),
+            ("hit_passes", u64::from(config.hit_passes)),
+            ("traj_moves", u64::from(config.traj_moves)),
+            ("plan_visits", u64::from(config.plan_visits)),
+            ("query_iters", u64::from(config.query_iters)),
+        ],
+    );
     let hit_test = bench_hit_test(&config);
     let trajectory = bench_trajectory(&config);
     let (batch_plan, plan_arenas_grown) = bench_batch_plan(&config);
     let (trace_events, recorder) = bench_recorder(&config);
-    BenchReport {
-        config,
-        hit_test,
-        trajectory,
-        batch_plan,
-        plan_arenas_grown,
-        trace_events,
-        recorder,
-    }
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn comparison_json(c: &Comparison, unit: &str) -> String {
-    format!(
-        concat!(
-            "{{\"ops\": {}, \"unit\": \"{}\", \"baseline_s\": {}, \"optimized_s\": {}, ",
-            "\"baseline_per_sec\": {}, \"optimized_per_sec\": {}, \"speedup\": {}}}"
-        ),
-        c.ops,
-        unit,
-        json_num(c.baseline_s),
-        json_num(c.optimized_s),
-        json_num(c.baseline_rate()),
-        json_num(c.optimized_rate()),
-        json_num(c.speedup()),
-    )
-}
-
-impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is three flat objects).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa interaction fast path ",
-                "(hit test/trajectory/batch plan/recorder)\",\n",
-                "  \"config\": {{\"hit_elements\": {}, \"hit_passes\": {}, ",
-                "\"traj_moves\": {}, \"plan_visits\": {}, \"query_iters\": {}}},\n",
-                "  \"trace_events\": {},\n",
-                "  \"plan_arenas_grown\": {},\n",
-                "  \"hit_test\": {},\n",
-                "  \"trajectory_synthesis\": {},\n",
-                "  \"batch_plan\": {},\n",
-                "  \"recorder_queries\": {}\n",
-                "}}\n"
-            ),
-            self.config.hit_elements,
-            self.config.hit_passes,
-            self.config.traj_moves,
-            self.config.plan_visits,
-            self.config.query_iters,
-            self.trace_events,
-            self.plan_arenas_grown,
-            comparison_json(&self.hit_test, "probes"),
-            comparison_json(&self.trajectory, "movements"),
-            comparison_json(&self.batch_plan, "visits"),
-            comparison_json(&self.recorder, "queries"),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, c: &Comparison| {
-            format!(
-                "{label:<18} {:>12.0}/s -> {:>12.0}/s   ({:.1}x)\n",
-                c.baseline_rate(),
-                c.optimized_rate(),
-                c.speedup()
-            )
-        };
-        let mut out = String::from("interaction fast-path benchmark (baseline -> optimized)\n");
-        out.push_str(&row("hit testing", &self.hit_test));
-        out.push_str(&row("trajectory synth", &self.trajectory));
-        out.push_str(&row("batch plan", &self.batch_plan));
-        out.push_str(&format!(
-            "{:<18} {} arenas grew during the timed loop\n",
-            "  steady state", self.plan_arenas_grown
-        ));
-        out.push_str(&row("recorder queries", &self.recorder));
-        out
-    }
+    report.sections = vec![hit_test, trajectory, batch_plan, recorder];
+    // Arenas that still grew during the timed batch-planning runs
+    // (0 = zero steady-state allocations, the planner's contract).
+    report.fact("plan_arenas_grown", plan_arenas_grown as f64);
+    report.fact("trace_events", trace_events as f64);
+    report
 }
 
 #[cfg(test)]
@@ -529,29 +425,25 @@ mod tests {
         cfg.plan_visits = 4;
         cfg.query_iters = 2;
         let report = run(cfg);
-        assert!(
-            report.trace_events > 1_000,
-            "{} events",
-            report.trace_events
-        );
+        let trace_events = report.get_fact("trace_events").unwrap();
+        assert!(trace_events > 1_000.0, "{trace_events} events");
         assert_eq!(
-            report.plan_arenas_grown, 0,
+            report.get_fact("plan_arenas_grown"),
+            Some(0.0),
             "batch planner allocated in steady state"
         );
-        let json = report.to_json();
-        for field in [
-            "\"hit_test\"",
-            "\"trajectory_synthesis\"",
-            "\"batch_plan\"",
-            "\"plan_arenas_grown\"",
-            "\"recorder_queries\"",
-            "\"speedup\"",
+        for name in [
+            "hit_test",
+            "trajectory_synthesis",
+            "batch_plan",
+            "recorder_queries",
         ] {
-            assert!(json.contains(field), "missing {field} in {json}");
+            let section = report.section(name).expect(name);
+            assert!(section.speedup().is_some(), "{name} has no baseline");
         }
         let human = report.render_human();
-        assert!(human.contains("recorder queries"));
-        assert!(human.contains("batch plan"));
+        assert!(human.contains("recorder_queries"));
+        assert!(human.contains("batch_plan"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! analysis covers the workspace, and what the structure costs over the
 //! retired token scanner.
 //!
-//! Three measurements, emitted as `BENCH_lint.json`:
+//! Three sections, each in covered lines per second, emitted as
+//! `BENCH_lint.json`:
 //!
 //! 1. **Parse** — lexing + tree building + recursive-descent parsing
 //!    ([`hlisa_lint::AstAnalysis`] construction) over every file the
@@ -16,93 +17,31 @@
 //!    `ast_cost_ratio` says what the AST upgrade costs per covered line
 //!    (expected well above 1 — the parse buys precision, and the
 //!    differential suite keeps both sides honest).
-//!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
 
+use crate::harness::{measure, Report};
 use hlisa_lint::{
     analyze_file, analyze_source, exemptions_for, find_workspace_root, workspace_files,
     AstAnalysis, Exemptions, RulePasses,
 };
 use std::hint::black_box;
 use std::path::Path;
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
-    /// Full workspace sweeps per timed phase.
+    /// Full workspace sweeps per timed run.
     pub iters: u32,
 }
 
 impl BenchConfig {
     /// The default run: big enough for stable rates.
     pub fn full() -> Self {
-        Self { iters: 40 }
+        Self { iters: 8 }
     }
 
     /// A seconds-scale smoke run for CI.
     pub fn smoke() -> Self {
-        Self { iters: 3 }
-    }
-}
-
-/// One timed phase.
-#[derive(Debug, Clone, Copy)]
-pub struct Phase {
-    /// Mean seconds per full workspace sweep.
-    pub seconds_per_sweep: f64,
-    /// Source lines covered per second.
-    pub lines_per_s: f64,
-}
-
-/// The full benchmark result.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// Sizing used.
-    pub config: BenchConfig,
-    /// Files the sweep covers.
-    pub files: usize,
-    /// Source lines the sweep covers.
-    pub lines: u64,
-    /// Findings per sweep (pre-suppression rule hits are not counted;
-    /// this is the post-suppression diagnostic count, a sanity anchor
-    /// that the timed work is the real analysis).
-    pub findings: usize,
-    /// Lex + tree building + parsing.
-    pub parse: Phase,
-    /// Rule passes over pre-built analyses.
-    pub analyze: Phase,
-    /// Parse + analyze (one `hlisa-lint` visit per file).
-    pub total: Phase,
-    /// The retired token scanner, for reference.
-    pub scanner: Phase,
-}
-
-impl BenchReport {
-    /// AST end-to-end cost per line over the token scanner's.
-    pub fn ast_cost_ratio(&self) -> f64 {
-        self.total.seconds_per_sweep / self.scanner.seconds_per_sweep.max(1e-12)
-    }
-
-    /// Fraction of the AST pass spent past the parser.
-    pub fn analyze_share(&self) -> f64 {
-        self.analyze.seconds_per_sweep / self.total.seconds_per_sweep.max(1e-12)
-    }
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
-}
-
-fn phase(total: Duration, iters: u32, lines: u64) -> Phase {
-    let per_sweep = total.as_secs_f64() / f64::from(iters.max(1));
-    Phase {
-        seconds_per_sweep: per_sweep,
-        lines_per_s: lines as f64 / per_sweep.max(1e-12),
+        Self { iters: 1 }
     }
 }
 
@@ -132,7 +71,7 @@ fn load_workspace(root: &Path) -> Vec<Loaded> {
 }
 
 /// Runs the benchmark against the enclosing workspace.
-pub fn run(config: BenchConfig) -> BenchReport {
+pub fn run(config: BenchConfig) -> Report {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("bench must run inside the workspace");
     let files = load_workspace(&root);
@@ -140,9 +79,10 @@ pub fn run(config: BenchConfig) -> BenchReport {
         .iter()
         .map(|f| f.text.lines().count() as u64)
         .sum::<u64>();
+    let ops = lines * u64::from(config.iters);
 
     // Parse: AstAnalysis construction only.
-    let (parse_t, analyses) = timed(|| {
+    let (parse, analyses) = measure("parse", "lines", ops, || {
         let mut last = Vec::new();
         for _ in 0..config.iters {
             last = files
@@ -154,7 +94,7 @@ pub fn run(config: BenchConfig) -> BenchReport {
     });
 
     // Analyze: rule passes over the pre-built analyses.
-    let (analyze_t, findings) = timed(|| {
+    let (analyze, findings) = measure("analyze", "lines", ops, || {
         let mut n = 0usize;
         for _ in 0..config.iters {
             n = files
@@ -167,7 +107,7 @@ pub fn run(config: BenchConfig) -> BenchReport {
     });
 
     // Token scanner reference.
-    let (scanner_t, _) = timed(|| {
+    let (scanner, _) = measure("token_scanner", "lines", ops, || {
         let mut n = 0usize;
         for _ in 0..config.iters {
             n = files
@@ -178,91 +118,22 @@ pub fn run(config: BenchConfig) -> BenchReport {
         n
     });
 
-    BenchReport {
-        config,
-        files: files.len(),
-        lines,
-        findings,
-        parse: phase(parse_t, config.iters, lines),
-        analyze: phase(analyze_t, config.iters, lines),
-        total: phase(parse_t + analyze_t, config.iters, lines),
-        scanner: phase(scanner_t, config.iters, lines),
-    }
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn phase_json(p: &Phase) -> String {
-    format!(
-        "{{\"seconds_per_sweep\": {}, \"lines_per_s\": {}}}",
-        json_num(p.seconds_per_sweep),
-        json_num(p.lines_per_s),
-    )
-}
-
-impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is flat).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa-lint AST analysis over the workspace\",\n",
-                "  \"config\": {{\"iters\": {}}},\n",
-                "  \"files\": {},\n",
-                "  \"lines\": {},\n",
-                "  \"findings\": {},\n",
-                "  \"parse\": {},\n",
-                "  \"analyze\": {},\n",
-                "  \"total\": {},\n",
-                "  \"token_scanner\": {},\n",
-                "  \"ast_cost_ratio\": {},\n",
-                "  \"analyze_share\": {}\n",
-                "}}\n"
-            ),
-            self.config.iters,
-            self.files,
-            self.lines,
-            self.findings,
-            phase_json(&self.parse),
-            phase_json(&self.analyze),
-            phase_json(&self.total),
-            phase_json(&self.scanner),
-            json_num(self.ast_cost_ratio()),
-            json_num(self.analyze_share()),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, p: &Phase| {
-            format!(
-                "{label:<14} {:>10.1} ms/sweep   {:>12.0} lines/s\n",
-                p.seconds_per_sweep * 1e3,
-                p.lines_per_s
-            )
-        };
-        let mut out = format!(
-            "lint throughput over {} files / {} lines ({} findings per sweep)\n",
-            self.files, self.lines, self.findings
-        );
-        out.push_str(&row("parse", &self.parse));
-        out.push_str(&row("analyze", &self.analyze));
-        out.push_str(&row("ast total", &self.total));
-        out.push_str(&row("token scanner", &self.scanner));
-        out.push_str(&format!(
-            "ast/scanner cost ratio {:.1}x, {:.0}% of the AST pass is past the parser\n",
-            self.ast_cost_ratio(),
-            self.analyze_share() * 100.0
-        ));
-        out
-    }
+    let ast_s = parse.time.median_s + analyze.time.median_s;
+    let mut report = Report::new(
+        "hlisa-lint AST analysis over the workspace",
+        vec![("iters", u64::from(config.iters))],
+    );
+    report.fact("files", files.len() as f64);
+    report.fact("lines", lines as f64);
+    // The post-suppression diagnostic count per sweep: a sanity anchor
+    // that the timed work is the real analysis.
+    report.fact("findings", findings as f64);
+    // AST end-to-end cost per line over the token scanner's.
+    report.fact("ast_cost_ratio", ast_s / scanner.time.median_s.max(1e-12));
+    // Fraction of the AST pass spent past the parser.
+    report.fact("analyze_share", analyze.time.median_s / ast_s.max(1e-12));
+    report.sections = vec![parse, analyze, scanner];
+    report
 }
 
 #[cfg(test)]
@@ -272,22 +143,17 @@ mod tests {
     #[test]
     fn smoke_report_is_well_formed() {
         let report = run(BenchConfig { iters: 1 });
-        assert!(report.files > 100, "{} files", report.files);
-        assert!(report.lines > 10_000, "{} lines", report.lines);
+        let files = report.get_fact("files").unwrap();
+        let lines = report.get_fact("lines").unwrap();
+        assert!(files > 100.0, "{files} files");
+        assert!(lines > 10_000.0, "{lines} lines");
         // The workspace gate holds, so a sweep with the real exemptions
         // finds nothing.
-        assert_eq!(report.findings, 0);
-        let json = report.to_json();
-        for field in [
-            "\"parse\"",
-            "\"analyze\"",
-            "\"total\"",
-            "\"token_scanner\"",
-            "\"ast_cost_ratio\"",
-            "\"lines_per_s\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
+        assert_eq!(report.get_fact("findings"), Some(0.0));
+        for name in ["parse", "analyze", "token_scanner"] {
+            assert!(report.section(name).is_some(), "missing {name}");
         }
-        assert!(report.render_human().contains("lint throughput"));
+        assert!(report.get_fact("ast_cost_ratio").is_some());
+        assert!(report.render_human().contains("hlisa-lint"));
     }
 }

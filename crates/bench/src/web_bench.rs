@@ -1,7 +1,7 @@
 //! Layered page-model benchmark: tree generation, layered hit testing,
 //! and batched DOM mutation.
 //!
-//! Three measurements, emitted as `BENCH_web.json`:
+//! Three sections, emitted as `BENCH_web.json`:
 //!
 //! 1. **Page generation** — [`generate_page`] throughput: nested DOM tree
 //!    construction plus the RNG-free flow layout, the cost every scenario
@@ -16,19 +16,14 @@
 //! 3. **DOM mutation** — one reflow per change (the naive `mutate` call
 //!    per operation) vs one [`DocumentMutator`] batch that reflows once
 //!    at the end, over SPA-style detach/restyle bursts.
-//!
-//! Timing here reads the *wall clock on purpose*: the benchmark measures
-//! real elapsed cost, and its numbers feed a JSON report, never a
-//! simulated observable, so the determinism fence does not apply.
 
-pub use crate::campaign_bench::Comparison;
+use crate::harness::{compare, measure, Report, Section};
 use hlisa_browser::{Display, Document, Point};
 use hlisa_sim::SimContext;
 use hlisa_web::dynamics::{apply_scenario, ScenarioKind};
 use hlisa_web::page::{generate_page, GeneratedPage, PageStructure};
 use hlisa_web::Site;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
@@ -36,9 +31,9 @@ pub struct BenchConfig {
     /// Pages generated for the throughput row (and reused as the probe
     /// corpus for hit testing).
     pub pages: usize,
-    /// Full passes over the probe lattice per hit-test loop.
+    /// Full passes over the probe lattice per timed run.
     pub hit_passes: u32,
-    /// Mutation bursts per mutation loop.
+    /// Mutation bursts per timed run.
     pub mutate_bursts: u32,
     /// Style changes per burst.
     pub muts_per_burst: usize,
@@ -49,7 +44,7 @@ impl BenchConfig {
     pub fn full() -> Self {
         Self {
             pages: 400,
-            hit_passes: 40,
+            hit_passes: 8,
             mutate_bursts: 2_000,
             muts_per_burst: 24,
         }
@@ -64,36 +59,6 @@ impl BenchConfig {
             muts_per_burst: 12,
         }
     }
-}
-
-/// The full benchmark result.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// Sizing used.
-    pub config: BenchConfig,
-    /// Pages generated on the timed path.
-    pub gen_pages: u64,
-    /// Page generation + flow layout, seconds.
-    pub gen_s: f64,
-    /// Nodes in the generated corpus (all pages).
-    pub corpus_nodes: u64,
-    /// Linear reference vs spatial-grid hit testing on layered pages.
-    pub hit_test: Comparison,
-    /// Reflow-per-change vs one batched reflow.
-    pub mutation: Comparison,
-}
-
-impl BenchReport {
-    /// Pages generated per second.
-    pub fn gen_rate(&self) -> f64 {
-        self.gen_pages as f64 / self.gen_s.max(1e-12)
-    }
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (start.elapsed(), out)
 }
 
 fn bench_site(i: usize) -> Site {
@@ -125,16 +90,15 @@ fn generate_corpus(pages: usize) -> Vec<GeneratedPage> {
         .collect()
 }
 
-fn bench_generation(config: &BenchConfig) -> (u64, f64, u64) {
+fn bench_generation(config: &BenchConfig) -> (Section, u64) {
     // Warm (page-in, branch predictors) with a few pages.
     black_box(generate_corpus(config.pages.min(8)));
-    let (t, nodes) = timed(|| {
+    measure("page_generation", "pages", config.pages as u64, || {
         generate_corpus(config.pages)
             .iter()
             .map(|p| p.doc.len() as u64)
             .sum::<u64>()
-    });
-    (config.pages as u64, t.as_secs_f64(), nodes)
+    })
 }
 
 /// Probe lattice: 32×32 points per page, spanning the page box.
@@ -151,7 +115,7 @@ fn probe_points(doc: &Document) -> Vec<Point> {
     points
 }
 
-fn bench_hit_test(config: &BenchConfig, corpus: &[GeneratedPage]) -> Comparison {
+fn bench_hit_test(config: &BenchConfig, corpus: &[GeneratedPage]) -> Section {
     let pages: Vec<(&Document, Vec<Point>)> = corpus
         .iter()
         .map(|p| {
@@ -165,38 +129,39 @@ fn bench_hit_test(config: &BenchConfig, corpus: &[GeneratedPage]) -> Comparison 
         .collect();
     let ops =
         u64::from(config.hit_passes) * pages.iter().map(|(_, pts)| pts.len() as u64).sum::<u64>();
-    let (linear_t, a) = timed(|| {
-        let mut acc = 0u64;
-        for _ in 0..config.hit_passes {
-            for (doc, pts) in &pages {
-                for p in pts {
-                    acc += doc
-                        .hit_test_linear(black_box(*p))
-                        .map_or(0, |id| id.index() as u64 + 1);
-                }
-            }
-        }
-        acc
-    });
-    let (grid_t, b) = timed(|| {
-        let mut acc = 0u64;
-        for _ in 0..config.hit_passes {
-            for (doc, pts) in &pages {
-                for p in pts {
-                    acc += doc
-                        .hit_test(black_box(*p))
-                        .map_or(0, |id| id.index() as u64 + 1);
-                }
-            }
-        }
-        acc
-    });
-    assert_eq!(a, b, "hit-test sides disagree");
-    Comparison {
+    let (section, a, b) = compare(
+        "layered_hit_test",
+        "probes",
         ops,
-        baseline_s: linear_t.as_secs_f64(),
-        optimized_s: grid_t.as_secs_f64(),
-    }
+        || {
+            let mut acc = 0u64;
+            for _ in 0..config.hit_passes {
+                for (doc, pts) in &pages {
+                    for p in pts {
+                        acc += doc
+                            .hit_test_linear(black_box(*p))
+                            .map_or(0, |id| id.index() as u64 + 1);
+                    }
+                }
+            }
+            acc
+        },
+        || {
+            let mut acc = 0u64;
+            for _ in 0..config.hit_passes {
+                for (doc, pts) in &pages {
+                    for p in pts {
+                        acc += doc
+                            .hit_test(black_box(*p))
+                            .map_or(0, |id| id.index() as u64 + 1);
+                    }
+                }
+            }
+            acc
+        },
+    );
+    assert_eq!(a, b, "hit-test sides disagree");
+    section
 }
 
 /// One SPA-style burst: restyle `k` leaf blocks (alternating hide/show),
@@ -209,7 +174,7 @@ fn mutation_targets(doc: &Document, k: usize) -> Vec<hlisa_browser::NodeId> {
         .collect()
 }
 
-fn bench_mutation(config: &BenchConfig, corpus: &[GeneratedPage]) -> Comparison {
+fn bench_mutation(config: &BenchConfig, corpus: &[GeneratedPage]) -> Section {
     let template = &corpus[0].doc;
     let targets = mutation_targets(template, config.muts_per_burst);
     assert!(!targets.is_empty(), "corpus page has no leaf paragraphs");
@@ -240,116 +205,46 @@ fn bench_mutation(config: &BenchConfig, corpus: &[GeneratedPage]) -> Comparison 
     };
     let ops = u64::from(config.mutate_bursts) * targets.len() as u64;
     let mut doc_a = template.clone();
-    let (per_change_t, ()) = timed(|| {
-        for i in 0..config.mutate_bursts {
-            burst(&mut doc_a, false, i % 2 == 0);
-        }
-    });
     let mut doc_b = template.clone();
-    let (batched_t, ()) = timed(|| {
-        for i in 0..config.mutate_bursts {
-            burst(&mut doc_b, true, i % 2 == 0);
-        }
-    });
-    assert_eq!(doc_a, doc_b, "mutation sides disagree");
-    Comparison {
+    let (section, (), ()) = compare(
+        "dom_mutation",
+        "changes",
         ops,
-        baseline_s: per_change_t.as_secs_f64(),
-        optimized_s: batched_t.as_secs_f64(),
-    }
+        || {
+            for i in 0..config.mutate_bursts {
+                burst(&mut doc_a, false, i % 2 == 0);
+            }
+        },
+        || {
+            for i in 0..config.mutate_bursts {
+                burst(&mut doc_b, true, i % 2 == 0);
+            }
+        },
+    );
+    assert_eq!(doc_a, doc_b, "mutation sides disagree");
+    section
 }
 
 /// Runs the whole suite.
-pub fn run(config: BenchConfig) -> BenchReport {
-    let (gen_pages, gen_s, corpus_nodes) = bench_generation(&config);
+pub fn run(config: BenchConfig) -> Report {
+    let mut report = Report::new(
+        "hlisa layered page model (generation/hit test/mutation)",
+        vec![
+            ("pages", config.pages as u64),
+            ("hit_passes", u64::from(config.hit_passes)),
+            ("mutate_bursts", u64::from(config.mutate_bursts)),
+            ("muts_per_burst", config.muts_per_burst as u64),
+        ],
+    );
+    let (generation, corpus_nodes) = bench_generation(&config);
     let corpus = generate_corpus(config.pages);
-    let hit_test = bench_hit_test(&config, &corpus);
-    let mutation = bench_mutation(&config, &corpus);
-    BenchReport {
-        config,
-        gen_pages,
-        gen_s,
-        corpus_nodes,
-        hit_test,
-        mutation,
-    }
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn comparison_json(c: &Comparison, unit: &str) -> String {
-    format!(
-        concat!(
-            "{{\"ops\": {}, \"unit\": \"{}\", \"baseline_s\": {}, \"optimized_s\": {}, ",
-            "\"baseline_per_sec\": {}, \"optimized_per_sec\": {}, \"speedup\": {}}}"
-        ),
-        c.ops,
-        unit,
-        json_num(c.baseline_s),
-        json_num(c.optimized_s),
-        json_num(c.baseline_rate()),
-        json_num(c.optimized_rate()),
-        json_num(c.speedup()),
-    )
-}
-
-impl BenchReport {
-    /// Serializes the report (hand-rolled: the workspace vendors no JSON
-    /// writer and the schema is flat).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"benchmark\": \"hlisa layered page model (generation/hit test/mutation)\",\n",
-                "  \"config\": {{\"pages\": {}, \"hit_passes\": {}, ",
-                "\"mutate_bursts\": {}, \"muts_per_burst\": {}}},\n",
-                "  \"corpus_nodes\": {},\n",
-                "  \"page_generation\": {{\"ops\": {}, \"unit\": \"pages\", ",
-                "\"seconds\": {}, \"per_sec\": {}}},\n",
-                "  \"layered_hit_test\": {},\n",
-                "  \"dom_mutation\": {}\n",
-                "}}\n"
-            ),
-            self.config.pages,
-            self.config.hit_passes,
-            self.config.mutate_bursts,
-            self.config.muts_per_burst,
-            self.corpus_nodes,
-            self.gen_pages,
-            json_num(self.gen_s),
-            json_num(self.gen_rate()),
-            comparison_json(&self.hit_test, "probes"),
-            comparison_json(&self.mutation, "changes"),
-        )
-    }
-
-    /// Human-readable summary.
-    pub fn render_human(&self) -> String {
-        let row = |label: &str, c: &Comparison| {
-            format!(
-                "{label:<18} {:>12.0}/s -> {:>12.0}/s   ({:.1}x)\n",
-                c.baseline_rate(),
-                c.optimized_rate(),
-                c.speedup()
-            )
-        };
-        let mut out = String::from("layered page-model benchmark (baseline -> optimized)\n");
-        out.push_str(&format!(
-            "{:<18} {:>12.0} pages/s ({} nodes built)\n",
-            "page generation",
-            self.gen_rate(),
-            self.corpus_nodes
-        ));
-        out.push_str(&row("layered hit test", &self.hit_test));
-        out.push_str(&row("dom mutation", &self.mutation));
-        out
-    }
+    report.sections = vec![
+        generation,
+        bench_hit_test(&config, &corpus),
+        bench_mutation(&config, &corpus),
+    ];
+    report.fact("corpus_nodes", corpus_nodes as f64);
+    report
 }
 
 #[cfg(test)]
@@ -365,18 +260,14 @@ mod tests {
             muts_per_burst: 4,
         };
         let report = run(cfg);
-        assert!(report.corpus_nodes > 100, "{} nodes", report.corpus_nodes);
-        let json = report.to_json();
-        for field in [
-            "\"page_generation\"",
-            "\"layered_hit_test\"",
-            "\"dom_mutation\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
+        let nodes = report.get_fact("corpus_nodes").unwrap();
+        assert!(nodes > 100.0, "{nodes} nodes");
+        assert!(report.section("page_generation").is_some());
+        for name in ["layered_hit_test", "dom_mutation"] {
+            let section = report.section(name).expect(name);
+            assert!(section.speedup().is_some(), "{name} has no baseline");
         }
-        let human = report.render_human();
-        assert!(human.contains("layered hit test"));
+        assert!(report.render_human().contains("layered_hit_test"));
     }
 
     #[test]

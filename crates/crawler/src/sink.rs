@@ -64,10 +64,27 @@ impl ShardSummarySink {
     }
 
     /// Opens the sink file for appending — resuming a prior run's file
-    /// without disturbing its durable lines.
+    /// without disturbing its durable lines. A torn tail left by a crash
+    /// (bytes after the last `\n`) is cut off first: appending onto it
+    /// would join it to the next record and turn it into interior
+    /// corruption, which makes [`replay`](Self::replay) refuse the file.
     pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let durable = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        if durable < bytes.len() {
+            file.set_len(durable as u64)?;
+            file.sync_data()?;
+        }
         Ok(Self {
             state: Mutex::new(SinkState { file, error: None }),
             path,
@@ -232,6 +249,26 @@ mod tests {
         resumed.record(1, "{}");
         resumed.finish().unwrap();
         assert_eq!(ShardSummarySink::replay(&path).unwrap().len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn append_after_a_crash_cuts_the_torn_tail() {
+        let path = scratch_path("resume_torn");
+        let first = ShardSummarySink::create(&path).unwrap();
+        first.record(0, "{}");
+        first.record(1, "{}");
+        first.finish().unwrap();
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(b"{\"shard\": 2, \"summ").unwrap();
+        }
+        let resumed = ShardSummarySink::append(&path).unwrap();
+        resumed.record(2, "{}");
+        resumed.finish().unwrap();
+        let records = ShardSummarySink::replay(&path).unwrap();
+        let shards: Vec<usize> = records.iter().map(|r| r.shard).collect();
+        assert_eq!(shards, [0, 1, 2]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -312,7 +312,7 @@ mod tests {
         let long_gaps = b
             .recorder
             .scroll_gaps()
-            .into_iter()
+            .iter()
             .filter(|g| **g >= 300.0)
             .count();
         assert!(long_gaps > 5);

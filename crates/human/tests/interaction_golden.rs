@@ -31,7 +31,7 @@ fn run_session() -> Browser {
         BrowserConfig::regular(),
         standard_test_page("https://golden.test/", 30_000.0),
     );
-    let mut h = HumanAgent::baseline(0xB175_EED);
+    let mut h = HumanAgent::baseline(0xB17_5EED);
     h.bind_browser(&b);
     let submit = b.document().by_id("submit").expect("submit exists");
     let input = b.document().by_id("text_area").expect("input exists");

@@ -103,7 +103,7 @@ fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Every `.rs` file the walker covers, as (workspace-relative path,
 /// absolute path, passes) — crate sources plus the shared `tests/` tree.
-/// Shared with [`crate::ledger`] and the `bench_lint` harness so both
+/// Shared with [`crate::ledger`] and the `lint` bench suite so both
 /// cover exactly the linted file set.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePasses)>> {
     let audit_only = RulePasses {

@@ -756,11 +756,14 @@ mod tests {
         }
     }
 
+    /// A fault and the predicate its visit error must satisfy.
+    type FaultCase = (InjectedFault, fn(&VisitError) -> bool);
+
     #[test]
     fn injected_faults_map_to_their_visit_errors() {
         let rt = DetectorRuntime::new();
         let site = plain_site();
-        let cases: [(InjectedFault, fn(&VisitError) -> bool); 5] = [
+        let cases: [FaultCase; 5] = [
             (InjectedFault::PageLoadTimeout, |e| {
                 matches!(e, VisitError::PageLoadTimeout { .. })
             }),

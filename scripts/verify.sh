@@ -25,34 +25,19 @@ cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 
-echo "==> bench_campaign --smoke (throughput harness sanity run)"
-cargo run -q -p hlisa-bench --release --bin bench_campaign -- --smoke --out BENCH_campaign.smoke.json
+echo "==> bench <suite> --smoke (sanity run of every bench suite)"
+for suite in campaign interaction web lint parallel reliability; do
+    cargo run -q -p hlisa-bench --release --bin bench -- "$suite" --smoke --out "BENCH_$suite.smoke.json"
+done
 
-echo "==> bench_campaign --chaos --smoke (fault plane: rate-0 identity + 5%-fault run)"
-cargo run -q -p hlisa-bench --release --bin bench_campaign -- --chaos --smoke --out BENCH_chaos.smoke.json
-
-echo "==> bench_interaction --smoke (interaction fast-path sanity run)"
-cargo run -q -p hlisa-bench --release --bin bench_interaction -- --smoke --out BENCH_interaction.smoke.json
-
-echo "==> bench_web --smoke (layered page-model sanity run)"
-cargo run -q -p hlisa-bench --release --bin bench_web -- --smoke --out BENCH_web.smoke.json
-
-echo "==> bench_lint --smoke (lint-throughput sanity run)"
-cargo run -q -p hlisa-bench --release --bin bench_lint -- --smoke --out BENCH_lint.smoke.json
-
-echo "==> bench_parallel --smoke (core-scaling sanity run: lazy shards + claiming workers)"
-cargo run -q -p hlisa-bench --release --bin bench_parallel -- --smoke --out BENCH_parallel.smoke.json
-
-echo "==> bench_reliability --smoke (measurement-loss drift curve + strengthened-mode identity)"
-cargo run -q -p hlisa-bench --release --bin bench_reliability -- --smoke --out BENCH_reliability.smoke.json
-
-echo "==> perf-regression guard (fresh smoke speedups vs committed baselines)"
+echo "==> bench guard (fresh smoke speedups vs committed baselines)"
 # campaign's end-to-end row only reaches its full speedup at full-run
 # scale (world-cache amortisation), so it is exempted explicitly.
-scripts/perf_guard.sh BENCH_campaign.smoke.json:campaign BENCH_interaction.smoke.json BENCH_web.smoke.json
+cargo run -q -p hlisa-bench --release --bin bench -- guard \
+    BENCH_campaign.smoke.json:campaign BENCH_interaction.smoke.json BENCH_web.smoke.json
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

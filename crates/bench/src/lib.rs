@@ -30,7 +30,7 @@
 //! | `web` | [`web_bench`] | page generation rate, layered hit test, batched DOM mutation |
 //! | `lint` | [`lint_bench`] | AST parse/analyze rates against the token scanner |
 //! | `parallel` | [`parallel_bench`] | worker-count sweep, lazy shard set-up, planner cost |
-//! | `reliability` | [`reliability_bench`] | drift-vs-loss-rate curve (facts only) |
+//! | `reliability` | [`reliability_bench`] | drift-vs-loss-rate curve (facts); `partial_capture` (lane-batched loss hash vs scalar `blame`) |
 
 pub mod ablations;
 pub mod appendix_d;

@@ -12,7 +12,10 @@
 //! and any claiming order — property-tested, including under the lazy
 //! [`PopulationShards`] source where a shard's sites are materialised
 //! only while a worker holds them. A shard whose processing panics is
-//! contained to its own slot and degrades to zero-outcome rows.
+//! contained to its own slot and degrades to zero-outcome rows; its
+//! telemetry is dropped with it, while the worker keeps what its earlier
+//! shards counted, so merged counters are the sum over the completed
+//! shards for any worker count.
 //!
 //! # The visit pipeline
 //!
@@ -32,23 +35,34 @@
 //!    it draws only from a `"plan"` fork.
 //! 5. **Capture**, only under [`Pipeline::capture`]: the outcome is
 //!    re-recorded through the capture pipeline ([`crate::reliability`])
-//!    under a loss schedule drawn from the `"fault"` stream *after* the
-//!    fault plane's draws. With the fault stage off, the schedule's draw
-//!    position is the stream's start.
+//!    in each mode of a *set* of [`CaptureMode`]s. The visit draws one
+//!    loss schedule from the `"fault"` stream *after* the fault plane's
+//!    draws (with the fault stage off, at the stream's start) and emits
+//!    its capture events once; the schedule and the events feed every
+//!    mode's observers, and each mode yields its own record and counters
+//!    ([`MachineOutput::other_modes`]). The modes can share one attempt
+//!    because capture is the last stage and draw-free past the schedule:
+//!    nothing a mode records flows back into the visit.
 //!
 //! Stages 2–5 never touch each other's streams, so switching a stage off
 //! leaves every other stage's draws where they were: the plain pipeline
 //! equals the faulted one at fault rate 0 and the pristine-captured one.
+//!
+//! The stages' telemetry is kept as plain per-worker tallies (the fault
+//! monitor's, the planner's, and one capture tally per mode) and rendered
+//! into named counter sets once per machine, so no visit builds or merges
+//! a [`CounterSet`].
 
 use crate::chaos::{ChaosConfig, SiteFaults, SiteRecovery};
-use crate::reliability::{captured_visit, CaptureMode};
+use crate::reliability::{captured_visit, CaptureMode, CaptureTally};
 use crate::scenario::{apply_scenario_drive_with, ScenarioScratch};
 use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_sim::{CounterSet, FaultMonitor, LossPlan, Observer, SimContext};
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{
-    generate_population, plan_visit, simulate_visit, simulate_visit_attempt, ClientKind, PlanStats,
-    PopulationConfig, PopulationShards, Site, VisitOutcome, DEFAULT_SHARD_SIZE,
+    emit_capture_events_into, generate_population, plan_visit, simulate_visit,
+    simulate_visit_attempt, CaptureEvent, ClientKind, PlanStats, PopulationConfig,
+    PopulationShards, Site, VisitOutcome, DEFAULT_SHARD_SIZE, DEFAULT_VISIT_DEADLINE_MS,
 };
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,9 +115,10 @@ impl Default for CampaignConfig {
 pub struct Pipeline<'a> {
     /// Attempt every visit under this fault plane and recovery policy.
     pub faults: Option<&'a ChaosConfig>,
-    /// Re-record every visit through the capture pipeline in this mode,
-    /// degraded by this loss plan.
-    pub capture: Option<(&'a LossPlan, CaptureMode)>,
+    /// Re-record every visit through the capture pipeline in each of
+    /// these modes, degraded by this loss plan. The visit draws one loss
+    /// schedule and emits its events once, for all the modes.
+    pub capture: Option<(&'a LossPlan, &'a [CaptureMode])>,
 }
 
 /// All visits of one site by one machine.
@@ -150,20 +165,29 @@ pub struct Campaign {
 }
 
 /// Everything one machine's pipeline run produced.
+///
+/// A capture stage with several modes yields one run and one counter set
+/// per mode: `run` and `counters` hold the first mode's, `other_modes`
+/// the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineOutput {
-    /// The recorded results.
+    /// The recorded results (under capture, as the first mode recorded
+    /// them).
     pub run: MachineRun,
     /// Per-site recovery telemetry in population order; empty unless the
-    /// fault stage ran.
+    /// fault stage ran. Its outcomes are `run`'s.
     pub recovery: Vec<SiteRecovery>,
     /// The stages' counters (`fault.*`/`retry.*`/`breaker.*` from the
-    /// fault stage, `loss.*`/`capture.*`/`recorder.*` from capture),
-    /// merged over the workers and sorted by name, so they are identical
-    /// for any worker count and claiming order.
+    /// fault stage, `loss.*`/`capture.*`/`recorder.*` from the first
+    /// capture mode), summed over the shards that completed and sorted by
+    /// name, so they are identical for any worker count and claiming
+    /// order.
     pub counters: CounterSet,
     /// Summed planner totals; all zero unless `plan_interactions`.
     pub plan_totals: PlanStats,
+    /// Every later capture mode's run and capture counters, in
+    /// [`Pipeline::capture`] order; empty with at most one mode.
+    pub other_modes: Vec<(MachineRun, CounterSet)>,
 }
 
 /// Where a machine's sites come from.
@@ -264,7 +288,7 @@ pub fn run_machine_shard_summaries<S: Send + Sync>(
     client: ClientKind,
     summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
 ) -> Vec<S> {
-    let (summaries, _, _) = drive(
+    let (summaries, _) = drive(
         config,
         &SiteSource::Lazy(shards),
         client,
@@ -341,20 +365,39 @@ fn run_machine_with(
     pipeline: &Pipeline<'_>,
     runtime: &DetectorRuntime,
 ) -> MachineOutput {
-    let (shards, counters, plan_totals) =
-        drive(config, source, client, pipeline, runtime, &|_, crawl| crawl);
+    let (shards, totals) = drive(config, source, client, pipeline, runtime, &|_, crawl| crawl);
+    let run = |sites| MachineRun { client, sites };
     let mut sites = Vec::with_capacity(source.n_sites());
+    let mut other_sites: Vec<Vec<SiteResult>> = (0..other_modes(pipeline))
+        .map(|_| Vec::with_capacity(source.n_sites()))
+        .collect();
     let mut recovery = Vec::new();
     for crawl in shards {
         sites.extend(crawl.results);
+        for (sites, results) in other_sites.iter_mut().zip(crawl.other_modes) {
+            sites.extend(results);
+        }
         recovery.extend(crawl.recovery);
     }
+    let (counters, other_counters) = totals.counters();
     MachineOutput {
-        run: MachineRun { client, sites },
+        run: run(sites),
         recovery,
         counters,
-        plan_totals,
+        plan_totals: totals.plan,
+        other_modes: other_sites
+            .into_iter()
+            .map(run)
+            .zip(other_counters)
+            .collect(),
     }
+}
+
+/// How many capture modes of `pipeline` follow its first.
+fn other_modes(pipeline: &Pipeline<'_>) -> usize {
+    pipeline
+        .capture
+        .map_or(0, |(_, modes)| modes.len().saturating_sub(1))
 }
 
 /// The shard-claiming worker engine. Spawns `min(instances, shards)`
@@ -363,20 +406,23 @@ fn run_machine_with(
 /// (`init` per worker), writing each shard's product into a write-once
 /// slot.
 ///
-/// A shard whose `process` panics leaves its slot empty; the worker
-/// resets its state with `init` (the panic may have left it half
-/// updated) and keeps claiming, so a panic is contained to its own shard
-/// whatever the worker count. Returns the per-shard products in shard
-/// order (`None` for a panicked shard — callers degrade those) and the
-/// worker states in worker-index order. The claiming order is
+/// A shard whose `process` panics leaves its slot empty; the worker hands
+/// its state to `recover` (the panic may have left it half updated) and
+/// keeps claiming, so a panic is contained to its own shard whatever the
+/// worker count. `recover` must discard what the panicked shard wrote and
+/// keep what completed shards did. Returns the per-shard products in
+/// shard order (`None` for a panicked shard — callers degrade those) and
+/// the worker states in worker-index order. The claiming order is
 /// scheduling-dependent; nothing processed is: `process` receives only
 /// the shard's identity and sites, so any claim order yields the same
-/// slot contents, and worker-state *totals* are partition-independent.
+/// slot contents, and worker-state *totals* over completed shards are
+/// partition-independent.
 pub(crate) fn run_sharded<S, W>(
     instances: usize,
     source: &SiteSource<'_>,
     init: &(impl Fn() -> W + Sync),
     process: &(impl Fn(&mut W, usize, &[Site]) -> S + Sync),
+    recover: &(impl Fn(&mut W) + Sync),
 ) -> (Vec<Option<S>>, Vec<W>)
 where
     S: Send + Sync,
@@ -412,7 +458,7 @@ where
                             Ok(product) => {
                                 let _ = slots[k].set(product);
                             }
-                            Err(_) => state = init(),
+                            Err(_) => recover(&mut state),
                         }
                     }
                     state
@@ -433,10 +479,12 @@ where
     )
 }
 
-/// One shard's crawl: a result per site and, under the fault stage, a
-/// recovery record per site.
+/// One shard's crawl: a result per site (as the first capture mode
+/// recorded it, under capture), one more per site for each later capture
+/// mode and, under the fault stage, a recovery record per site.
 struct ShardCrawl {
     results: Vec<SiteResult>,
+    other_modes: Vec<Vec<SiteResult>>,
     recovery: Vec<SiteRecovery>,
 }
 
@@ -444,9 +492,9 @@ struct ShardCrawl {
 /// the visit pipeline over each claimed shard and hand the shard's crawl
 /// to `fold` inside the worker. Returns the folded shards in shard order
 /// — a panicked shard is folded from degraded rows, the one degraded-fill
-/// path — plus the workers' merged, sorted counters and summed plan
-/// totals. Totals are sums over visits, so they are identical for any
-/// worker count and claiming order.
+/// path — plus the workers' summed tallies. A shard's tallies count only
+/// once it has been folded, so the totals are sums over the completed
+/// shards' visits: identical for any worker count and claiming order.
 fn drive<S: Send + Sync>(
     config: &CampaignConfig,
     source: &SiteSource<'_>,
@@ -454,7 +502,7 @@ fn drive<S: Send + Sync>(
     pipeline: &Pipeline<'_>,
     runtime: &DetectorRuntime,
     fold: &(impl Fn(usize, ShardCrawl) -> S + Sync),
-) -> (Vec<S>, CounterSet, PlanStats) {
+) -> (Vec<S>, Tallies) {
     let machine = Machine {
         config,
         client,
@@ -462,11 +510,17 @@ fn drive<S: Send + Sync>(
         pipeline: *pipeline,
         ctx: machine_context(config, client),
     };
+    let modes = pipeline.capture.map_or(0, |(_, modes)| modes.len());
     let (slots, workers) = run_sharded(
         config.instances,
         source,
-        &|| VisitWorker::new(config.plan_interactions),
-        &|worker: &mut VisitWorker, k, sites| fold(k, machine.crawl_shard(sites, worker)),
+        &|| VisitWorker::new(config.plan_interactions, modes),
+        &|worker: &mut VisitWorker, k, sites| {
+            let folded = fold(k, machine.crawl_shard(sites, worker));
+            worker.commit_shard();
+            folded
+        },
+        &|worker: &mut VisitWorker| worker.recover(config.plan_interactions),
     );
     let folded = slots
         .into_iter()
@@ -475,14 +529,11 @@ fn drive<S: Send + Sync>(
             slot.unwrap_or_else(|| source.with_shard(k, |sites| fold(k, machine.degraded(sites))))
         })
         .collect();
-    let mut counters = CounterSet::new();
-    let mut plan_totals = PlanStats::default();
+    let mut totals = Tallies::new(modes);
     for w in &workers {
-        counters.merge(&w.monitor.counters());
-        counters.merge(&w.analytics);
-        plan_totals.absorb(w.plan_totals);
+        totals.absorb(&w.totals);
     }
-    (folded, counters.sorted(), plan_totals)
+    (folded, totals)
 }
 
 /// The machine context every visit fork derives from: a pure function of
@@ -495,36 +546,96 @@ fn machine_context(config: &CampaignConfig, client: ClientKind) -> SimContext {
     SimContext::new(config.seed).fork(label, 0)
 }
 
+/// The telemetry the stages keep as plain tallies: the planner's totals,
+/// the fault stage's monitor, and one capture tally per capture mode
+/// (indexed like [`Pipeline::capture`]'s modes). Rendered into counter
+/// sets once per machine.
+#[derive(Debug, Clone, Default)]
+struct Tallies {
+    plan: PlanStats,
+    monitor: FaultMonitor,
+    captures: Vec<CaptureTally>,
+}
+
+impl Tallies {
+    fn new(modes: usize) -> Self {
+        Self {
+            captures: vec![CaptureTally::default(); modes],
+            ..Self::default()
+        }
+    }
+
+    fn absorb(&mut self, other: &Tallies) {
+        self.plan.absorb(other.plan);
+        self.monitor.absorb(&other.monitor);
+        for (mine, theirs) in self.captures.iter_mut().zip(&other.captures) {
+            mine.absorb(theirs);
+        }
+    }
+
+    /// The sorted counter sets: the fault stage's counters with the
+    /// first capture mode's, then each later mode's capture counters.
+    fn counters(&self) -> (CounterSet, Vec<CounterSet>) {
+        let mut first = self.monitor.counters();
+        let mut captures = self.captures.iter();
+        if let Some(capture) = captures.next() {
+            capture.render_into(&mut first);
+        }
+        let others = captures
+            .map(|capture| {
+                let mut set = CounterSet::new();
+                capture.render_into(&mut set);
+                set.sorted()
+            })
+            .collect();
+        (first.sorted(), others)
+    }
+}
+
 /// Worker-local visit state: the scenario drive's retained scratch, the
-/// planner and its running totals (planner mode only), and the fault and
-/// capture stages' counters. One lives per worker thread for the
-/// worker's whole shard stream, so every scratch buffer reaches its
-/// high-water capacity once and is then reused visit after visit.
-/// Nothing in it can influence a draw, so any worker produces the same
-/// results.
+/// planner (planner mode only), the capture stage's event buffer, and the
+/// stages' tallies — the current shard's, and the totals of the shards
+/// the worker completed. One lives per worker thread for the worker's
+/// whole shard stream, so every scratch buffer reaches its high-water
+/// capacity once and is then reused visit after visit. Nothing in it can
+/// influence a draw, so any worker produces the same results.
 ///
-/// The scratch and the planner are boxed to keep the state a few words
-/// wide: inline, their ~4 KiB pushed each worker's stack past the pages a
-/// reused thread stack keeps resident, and every machine run paid fresh
-/// page faults for it (measurable in `adverse_crawl`'s set-up time).
+/// The scratch, the planner and the tallies are boxed to keep the state a
+/// few words wide: inline, the scratch's and the planner's ~4 KiB pushed
+/// each worker's stack past the pages a reused thread stack keeps
+/// resident, and every machine run paid fresh page faults for it
+/// (measurable in `adverse_crawl`'s set-up time).
 struct VisitWorker {
     scenario: Box<ScenarioScratch>,
     planner: Option<Box<(HumanParams, VisitPlanner)>>,
-    plan_totals: PlanStats,
-    monitor: FaultMonitor,
-    analytics: CounterSet,
+    events: Vec<(f64, CaptureEvent)>,
+    shard: Box<Tallies>,
+    totals: Box<Tallies>,
 }
 
 impl VisitWorker {
-    fn new(plan_interactions: bool) -> Self {
+    fn new(plan_interactions: bool, modes: usize) -> Self {
         Self {
             scenario: Box::default(),
             planner: plan_interactions
                 .then(|| Box::new((HumanParams::paper_baseline(), VisitPlanner::new()))),
-            plan_totals: PlanStats::default(),
-            monitor: FaultMonitor::new(),
-            analytics: CounterSet::new(),
+            events: Vec::new(),
+            shard: Box::new(Tallies::new(modes)),
+            totals: Box::new(Tallies::new(modes)),
         }
+    }
+
+    /// The shard completed: its tallies join the worker's totals.
+    fn commit_shard(&mut self) {
+        self.totals.absorb(&self.shard);
+        *self.shard = Tallies::new(self.shard.captures.len());
+    }
+
+    /// A shard panicked: fresh scratch and shard tallies, same totals.
+    fn recover(&mut self, plan_interactions: bool) {
+        let totals = std::mem::take(&mut self.totals);
+        *self = Self::new(plan_interactions, totals.captures.len());
+        self.totals = totals;
     }
 }
 
@@ -542,20 +653,23 @@ impl Machine<'_> {
     fn crawl_shard(&self, sites: &[Site], worker: &mut VisitWorker) -> ShardCrawl {
         let mut crawl = ShardCrawl {
             results: Vec::with_capacity(sites.len()),
+            other_modes: (0..other_modes(&self.pipeline))
+                .map(|_| Vec::with_capacity(sites.len()))
+                .collect(),
             recovery: Vec::new(),
         };
         for site in sites {
-            let (result, recovery) = self.crawl_site(site, worker);
-            crawl.results.push(result);
+            let recovery = self.crawl_site(site, worker, &mut crawl);
             crawl.recovery.extend(recovery);
         }
         crawl
     }
 
     /// Graceful degradation for a shard whose processing panicked: every
-    /// site is recorded unvisited (zero outcomes) rather than aborting the
-    /// whole machine, mirroring how the paper's crawl keeps its Table 2
-    /// denominators when individual browser instances wedge.
+    /// site is recorded unvisited (zero outcomes) in every record rather
+    /// than aborting the whole machine, mirroring how the paper's crawl
+    /// keeps its Table 2 denominators when individual browser instances
+    /// wedge.
     fn degraded(&self, sites: &[Site]) -> ShardCrawl {
         let result = |site: &Site| SiteResult {
             domain: site.domain.clone(),
@@ -569,6 +683,9 @@ impl Machine<'_> {
         };
         ShardCrawl {
             results: sites.iter().map(result).collect(),
+            other_modes: (0..other_modes(&self.pipeline))
+                .map(|_| sites.iter().map(result).collect())
+                .collect(),
             recovery: match self.pipeline.faults {
                 Some(_) => sites.iter().map(recovery).collect(),
                 None => Vec::new(),
@@ -578,18 +695,24 @@ impl Machine<'_> {
 
     /// All visits of one site — the per-site loop of every runner,
     /// identical whichever worker claims the site and whenever it runs.
-    /// Under the fault stage the site also gets its recovery record.
+    /// Appends the site's results to `crawl`; under the fault stage the
+    /// site also gets its recovery record.
     fn crawl_site(
         &self,
         site: &Site,
         worker: &mut VisitWorker,
-    ) -> (SiteResult, Option<SiteRecovery>) {
+        crawl: &mut ShardCrawl,
+    ) -> Option<SiteRecovery> {
         let visits = self.config.visits_per_site;
         let mut faults = self
             .pipeline
             .faults
             .map(|chaos| SiteFaults::new(chaos, self.config.seed, site, visits));
         let mut outcomes = Vec::with_capacity(visits);
+        // The later capture modes' outcomes; no allocation for one mode.
+        let mut other_outcomes: Vec<Vec<VisitOutcome>> = (0..crawl.other_modes.len())
+            .map(|_| Vec::with_capacity(visits))
+            .collect();
         for v in 0..visits {
             // 1. Fork the visit context.
             let mut ctx = self.ctx.fork_visit(&site.domain, v as u64);
@@ -597,12 +720,21 @@ impl Machine<'_> {
             let outcome = match &mut faults {
                 None => {
                     let mut outcome = simulate_visit(site, self.client, self.runtime, &mut ctx);
-                    self.after_attempt(site, &mut outcome, &mut ctx, None, worker);
+                    self.after_attempt(
+                        site,
+                        &mut outcome,
+                        &mut ctx,
+                        None,
+                        worker,
+                        &mut other_outcomes,
+                    );
                     outcome
                 }
                 Some(faults) => {
-                    let (mut record, mut settled) =
-                        faults.attempt(&mut ctx, &mut worker.monitor, |injected, deadline_ms| {
+                    let (mut record, mut settled) = faults.attempt(
+                        &mut ctx,
+                        &mut worker.shard.monitor,
+                        |injected, deadline_ms| {
                             let mut attempt_ctx = self.ctx.fork_visit(&site.domain, v as u64);
                             let result = simulate_visit_attempt(
                                 site,
@@ -613,13 +745,15 @@ impl Machine<'_> {
                                 deadline_ms,
                             );
                             (result, attempt_ctx)
-                        });
+                        },
+                    );
                     self.after_attempt(
                         site,
                         &mut record.outcome,
                         &mut ctx,
                         settled.as_mut(),
                         worker,
+                        &mut other_outcomes,
                     );
                     let outcome = record.outcome.clone();
                     faults.record(record);
@@ -628,18 +762,24 @@ impl Machine<'_> {
             };
             outcomes.push(outcome);
         }
-        let result = SiteResult {
+        let result = |outcomes| SiteResult {
             domain: site.domain.clone(),
             rank: site.rank,
             outcomes,
         };
-        (result, faults.map(|f| f.into_recovery(site)))
+        crawl.results.push(result(outcomes));
+        for (results, outcomes) in crawl.other_modes.iter_mut().zip(other_outcomes) {
+            results.push(result(outcomes));
+        }
+        faults.map(|f| f.into_recovery(site))
     }
 
     /// Stages 3–5 on the settled attempt's `outcome`. `ctx` is the visit
     /// context; `settled` is the context of the attempt that settled the
     /// visit when the fault stage re-forked it (`None`: the attempt ran in
-    /// `ctx`, or the breaker skipped it).
+    /// `ctx`, or the breaker skipped it). The capture stage replaces
+    /// `outcome` with the first mode's record and appends each later
+    /// mode's record to its list in `other_outcomes`.
     fn after_attempt(
         &self,
         site: &Site,
@@ -647,6 +787,7 @@ impl Machine<'_> {
         ctx: &mut SimContext,
         settled: Option<&mut SimContext>,
         worker: &mut VisitWorker,
+        other_outcomes: &mut [Vec<VisitOutcome>],
     ) {
         let visit_ctx = match settled {
             Some(settled) => settled,
@@ -668,12 +809,23 @@ impl Machine<'_> {
         if let Some(planner) = &mut worker.planner {
             let (params, planner) = &mut **planner;
             let stats = plan_visit(site, outcome, visit_ctx, params, planner);
-            worker.plan_totals.absorb(stats);
+            worker.shard.plan.absorb(stats);
         }
-        // 5. Capture, continuing the visit's "fault" stream.
-        if let Some((plan, mode)) = self.pipeline.capture {
+        // 5. Capture, continuing the visit's "fault" stream: one schedule
+        // and one event stream feed every mode's observers.
+        if let Some((plan, modes)) = self.pipeline.capture {
             let schedule = plan.draw(ctx.stream("fault"));
-            *outcome = captured_visit(site, outcome, schedule, mode, &mut worker.analytics);
+            let events = &mut worker.events;
+            emit_capture_events_into(site, outcome, DEFAULT_VISIT_DEADLINE_MS, events);
+            let http = (outcome.first_party.len(), outcome.third_party.len());
+            let tallies = &mut worker.shard.captures;
+            for (j, &mode) in modes.iter().enumerate().skip(1) {
+                let recorded = captured_visit(events, http, schedule, mode, &mut tallies[j]);
+                other_outcomes[j - 1].push(recorded);
+            }
+            if let Some(&mode) = modes.first() {
+                *outcome = captured_visit(events, http, schedule, mode, &mut tallies[0]);
+            }
         }
     }
 }
@@ -829,13 +981,16 @@ mod tests {
                     *done += 1;
                     shard_sites.len()
                 },
+                &|_: &mut usize| {},
             );
             assert_eq!(slots.len(), source.n_shards());
             for (k, slot) in slots.iter().enumerate() {
                 assert_eq!(slot.is_none(), k == 2, "{instances} workers, shard {k}");
             }
-            // Every worker survived to return its state.
+            // Every worker survived to return its state, and the states
+            // still count every completed shard.
             assert_eq!(states.len(), instances);
+            assert_eq!(states.iter().sum::<usize>(), source.n_shards() - 1);
         }
     }
 
@@ -854,7 +1009,7 @@ mod tests {
         };
         // A worker that wedges mid-shard: shard 1 panics whenever it was
         // actually crawled. Every other shard is filled normally.
-        let (shards, _, _) = drive(
+        let (shards, _) = drive(
             &config,
             &source,
             ClientKind::OpenWpm,
@@ -884,6 +1039,63 @@ mod tests {
             assert_eq!(recovery[i].visits.is_empty(), poisoned, "site {i}");
         }
         assert!(results[10..20].iter().all(|r| !r.reached()));
+    }
+
+    /// A contained panic drops only the panicked shard's telemetry: the
+    /// merged counters are the sum over the completed shards, whatever the
+    /// worker count and whichever shards a worker completed before the
+    /// panic.
+    #[test]
+    fn a_panicking_shard_keeps_the_workers_earlier_telemetry() {
+        let config = small_config();
+        let sites = generate_population(&config.population);
+        let chaos = ChaosConfig::uniform(0.3);
+        let plan = LossPlan::uniform(0.3);
+        let modes = CaptureMode::ALL;
+        let pipeline = Pipeline {
+            faults: Some(&chaos),
+            capture: Some((&plan, &modes)),
+        };
+        let source = SiteSource::Slice {
+            sites: &sites,
+            shard_size: 10,
+        };
+        let counters = |instances: usize| {
+            let cfg = CampaignConfig {
+                instances,
+                ..config.clone()
+            };
+            let (_, totals) = drive(
+                &cfg,
+                &source,
+                ClientKind::OpenWpm,
+                &pipeline,
+                &new_runtime(&cfg),
+                &|k, crawl: ShardCrawl| {
+                    if k == 1 && crawl.results.iter().any(|r| !r.outcomes.is_empty()) {
+                        panic!("worker wedged on shard {k}");
+                    }
+                },
+            );
+            totals.counters()
+        };
+        // The same pipeline over the population without shard 1's sites.
+        let survivors: Vec<Site> = sites[..10].iter().chain(&sites[20..]).cloned().collect();
+        let expected = {
+            let out = run_machine(
+                &config,
+                &SiteSource::slice(&survivors),
+                ClientKind::OpenWpm,
+                &pipeline,
+            );
+            let others: Vec<CounterSet> = out.other_modes.into_iter().map(|(_, c)| c).collect();
+            (out.counters, others)
+        };
+        assert!(expected.0.get("fault.injected").unwrap_or(0) > 0);
+        assert!(expected.1[0].get("loss.dropped").unwrap_or(0) > 0);
+        for instances in [1usize, 2, 3] {
+            assert_eq!(counters(instances), expected, "{instances} workers");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! pipeline (`hlisa_web::capture`), degraded per visit by a
 //! `hlisa_sim::LossSchedule` drawn from the `"fault"` stream family; and
 //! [`run_reliability_study`] runs the same seeded campaign under all
-//! three [`CaptureMode`]s and diffs the resulting Table 2 rows and
+//! three [`CaptureMode`]s — in one pass, each visit's events feeding all
+//! three modes' observers — and diffs the resulting Table 2 rows and
 //! recorder analytics into a [`DriftReport`] (per-metric relative error
 //! and conclusion flips).
 //!
@@ -18,7 +19,8 @@
 //! ([`crate::campaign`]): it runs after the attempt, the scenario drive
 //! and the planner, and draws its loss schedule from the visit's
 //! `"fault"` stream after any fault-plane draws, so it composes with the
-//! fault stage.
+//! fault stage. The schedule is drawn once per visit whatever the number
+//! of modes, so every mode sees the schedule a one-mode run would draw.
 //!
 //! Invariants pinned by `tests/reliability_loss.rs`:
 //!
@@ -31,11 +33,16 @@
 //!   is bit-identical to pristine *for any seed and loss rate*, while
 //!   naive-lossy campaigns drift at any positive rate.
 
-use crate::campaign::{run_machines, Campaign, CampaignConfig, Pipeline};
-use crate::screenshot::screenshot_table;
-use hlisa_sim::{CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, WriteAheadObserver};
+use crate::campaign::{
+    run_machines, Campaign, CampaignConfig, MachineOutput, MachineRun, Pipeline,
+};
+use crate::screenshot::{screenshot_table, Table2};
+use hlisa_sim::{
+    CounterSet, LossPlan, LossSchedule, LossTally, LossyObserver, Observer, WriteAheadObserver,
+    WriteAheadTally,
+};
 use hlisa_web::{
-    emit_capture_events, CaptureRecorder, Site, VisitOutcome, DEFAULT_VISIT_DEADLINE_MS,
+    CaptureEvent, CaptureRecorder, RecorderTally, Site, VisitOutcome, DEFAULT_VISIT_DEADLINE_MS,
 };
 
 /// How a campaign's capture pipeline handles the loss plane.
@@ -56,6 +63,13 @@ pub enum CaptureMode {
 }
 
 impl CaptureMode {
+    /// Every mode, in the order the reliability study reports them.
+    pub const ALL: [CaptureMode; 3] = [
+        CaptureMode::Pristine,
+        CaptureMode::NaiveLossy,
+        CaptureMode::Strengthened,
+    ];
+
     /// Stable snake_case name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -80,44 +94,67 @@ pub struct CapturedCampaign {
     pub analytics: CounterSet,
 }
 
-/// One visit's trip through the capture pipeline: ground truth in,
-/// recorded outcome out, pipeline counters merged into `acc`.
+/// One capture mode's counters as plain tallies, summed over visits and
+/// rendered into a [`CounterSet`] once per machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct CaptureTally {
+    recorder: RecorderTally,
+    loss: LossTally,
+    write_ahead: WriteAheadTally,
+}
+
+impl CaptureTally {
+    pub(crate) fn absorb(&mut self, other: &CaptureTally) {
+        self.recorder.absorb(&other.recorder);
+        self.loss.absorb(&other.loss);
+        self.write_ahead.absorb(&other.write_ahead);
+    }
+
+    /// The same counters the mode's observers report, summed.
+    pub(crate) fn render_into(&self, counters: &mut CounterSet) {
+        self.recorder.render_into(counters);
+        self.loss.render_into(counters);
+        self.write_ahead.render_into(counters);
+    }
+}
+
+/// One visit's trip through one mode's capture pipeline: the visit's
+/// emitted `events` in, the recorded outcome out, the observers' tallies
+/// added to `tally`. Draw-free: the mode's loss `schedule` was drawn
+/// once for every mode of the visit. `http` is the ground truth's
+/// `(first-party, third-party)` status counts, the most a record holds.
 pub(crate) fn captured_visit(
-    site: &Site,
-    truth: &VisitOutcome,
+    events: &[(f64, CaptureEvent)],
+    http: (usize, usize),
     schedule: LossSchedule,
     mode: CaptureMode,
-    acc: &mut CounterSet,
+    tally: &mut CaptureTally,
 ) -> VisitOutcome {
-    let events = emit_capture_events(site, truth, DEFAULT_VISIT_DEADLINE_MS);
-    match mode {
+    let new_recorder = || CaptureRecorder::with_capacity(http.0, http.1);
+    let recorder = match mode {
         CaptureMode::Pristine => {
-            let mut recorder = CaptureRecorder::new();
-            for (t, e) in &events {
+            let mut recorder = new_recorder();
+            for (t, e) in events {
                 recorder.on_event(*t, e);
             }
-            acc.merge(&recorder.counters());
-            recorder.outcome()
+            recorder
         }
         CaptureMode::NaiveLossy => {
-            let mut lossy =
-                LossyObserver::new(CaptureRecorder::new(), schedule, DEFAULT_VISIT_DEADLINE_MS);
-            for (t, e) in &events {
+            let mut lossy = LossyObserver::new(new_recorder(), schedule, DEFAULT_VISIT_DEADLINE_MS);
+            for (t, e) in events {
                 lossy.on_event(*t, e);
             }
-            acc.merge(&lossy.counters());
-            lossy.inner().outcome()
+            tally.loss.absorb(&lossy.tally());
+            lossy.into_inner()
         }
         CaptureMode::Strengthened => {
             // Write-ahead capture sits at the emission site, upstream of
             // the lossy channel, so dropout and partial capture cannot
-            // touch what it buffers. The attach barrier acks when the
-            // schedule says instrumentation is wired; everything emitted
-            // before that replays from the buffer.
-            let mut wal = WriteAheadObserver::detached(CaptureRecorder::new());
+            // touch what it buffers. The attach barrier acks at the first
+            // event on or after the schedule's attach point; everything
+            // emitted before that replays from the buffer.
+            let mut wal = WriteAheadObserver::detached(new_recorder());
             let attach_at_ms = schedule.attach_at * DEFAULT_VISIT_DEADLINE_MS;
-            // The attach barrier acks at the first event on or after the
-            // schedule's attach point; everything before it buffers.
             let split = events
                 .iter()
                 .position(|(t, _)| *t >= attach_at_ms)
@@ -130,35 +167,58 @@ pub(crate) fn captured_visit(
             for (t, e) in &events[split..] {
                 wal.on_event(*t, e);
             }
-            acc.merge(&wal.counters());
-            wal.inner().outcome()
+            tally.write_ahead.absorb(&wal.tally());
+            wal.into_inner()
         }
+    };
+    tally.recorder.absorb(&recorder.tally());
+    recorder.into_outcome()
+}
+
+/// The visit pipeline with only its capture stage on, recording every
+/// visit in each of `modes`.
+fn capture_stage<'a>(plan: &'a LossPlan, modes: &'a [CaptureMode]) -> Pipeline<'a> {
+    Pipeline {
+        faults: None,
+        capture: Some((plan, modes)),
     }
 }
 
-/// Runs the standard two-machine campaign through the capture pipeline:
-/// the visit pipeline with its capture stage on.
+/// One mode's campaign from both machines' records of it.
+fn captured(
+    mode: CaptureMode,
+    sites: Vec<Site>,
+    (openwpm, mut analytics): (MachineRun, CounterSet),
+    (spoofed, counters): (MachineRun, CounterSet),
+) -> CapturedCampaign {
+    analytics.merge(&counters);
+    CapturedCampaign {
+        mode,
+        campaign: Campaign {
+            sites,
+            openwpm,
+            spoofed,
+        },
+        analytics: analytics.sorted(),
+    }
+}
+
+/// Runs the standard two-machine campaign through the capture pipeline
+/// in one mode: the visit pipeline with its capture stage on, recording
+/// in a one-mode set — the same pass [`run_reliability_study`] makes
+/// with all three modes.
 pub fn run_captured_campaign(
     config: &CampaignConfig,
     plan: &LossPlan,
     mode: CaptureMode,
 ) -> CapturedCampaign {
-    let pipeline = Pipeline {
-        faults: None,
-        capture: Some((plan, mode)),
-    };
-    let (sites, openwpm, spoofed) = run_machines(config, &pipeline);
-    let mut analytics = openwpm.counters;
-    analytics.merge(&spoofed.counters);
-    CapturedCampaign {
+    let (sites, openwpm, spoofed) = run_machines(config, &capture_stage(plan, &[mode]));
+    captured(
         mode,
-        campaign: Campaign {
-            sites,
-            openwpm: openwpm.run,
-            spoofed: spoofed.run,
-        },
-        analytics: analytics.sorted(),
-    }
+        sites,
+        (openwpm.run, openwpm.counters),
+        (spoofed.run, spoofed.counters),
+    )
 }
 
 /// One metric's drift between the pristine and an observed campaign.
@@ -223,7 +283,16 @@ fn rel_error(pristine: f64, observed: f64) -> f64 {
 /// Table 2 cell, the sign of every machine-1-vs-machine-2 comparison,
 /// and the comparable `recorder.*` analytics.
 pub fn drift_report(pristine: &CapturedCampaign, observed: &CapturedCampaign) -> DriftReport {
-    let table_p = screenshot_table(&pristine.campaign);
+    drift_from(&screenshot_table(&pristine.campaign), pristine, observed)
+}
+
+/// [`drift_report`] against the pristine campaign's already computed
+/// Table 2, `table_p`.
+fn drift_from(
+    table_p: &Table2,
+    pristine: &CapturedCampaign,
+    observed: &CapturedCampaign,
+) -> DriftReport {
     let table_o = screenshot_table(&observed.campaign);
     let mut metrics = Vec::new();
     let mut conclusion_flips = Vec::new();
@@ -305,12 +374,29 @@ pub struct ReliabilityStudy {
 
 /// Runs the same seeded campaign under all three capture modes and
 /// diffs the results — the Krumnow-style reliability comparison.
+///
+/// The campaign runs once: every visit is attempted, scenario-driven and
+/// emitted once, draws one loss schedule, and its events feed all three
+/// modes' observers ([`CaptureMode::ALL`]). The result equals three
+/// separate [`run_captured_campaign`] runs plus [`drift_report`]s, field
+/// for field, because capture is the pipeline's last stage and is
+/// draw-free apart from the schedule every mode draws at the same point
+/// of the visit's `"fault"` stream. The pristine Table 2 is computed once
+/// for both drift reports.
 pub fn run_reliability_study(config: &CampaignConfig, plan: &LossPlan) -> ReliabilityStudy {
-    let pristine = run_captured_campaign(config, plan, CaptureMode::Pristine);
-    let naive = run_captured_campaign(config, plan, CaptureMode::NaiveLossy);
-    let strengthened = run_captured_campaign(config, plan, CaptureMode::Strengthened);
-    let naive_drift = drift_report(&pristine, &naive);
-    let strengthened_drift = drift_report(&pristine, &strengthened);
+    let (sites, openwpm, spoofed) = run_machines(config, &capture_stage(plan, &CaptureMode::ALL));
+    let records = |m: MachineOutput| std::iter::once((m.run, m.counters)).chain(m.other_modes);
+    let campaigns: Vec<CapturedCampaign> = CaptureMode::ALL
+        .iter()
+        .zip(records(openwpm).zip(records(spoofed)))
+        .map(|(&mode, (m1, m2))| captured(mode, sites.clone(), m1, m2))
+        .collect();
+    // The pipeline yields one record per mode of `CaptureMode::ALL`.
+    let [pristine, naive, strengthened]: [CapturedCampaign; 3] =
+        campaigns.try_into().expect("one record per mode"); // lint: allow(no-panic)
+    let table_p = screenshot_table(&pristine.campaign);
+    let naive_drift = drift_from(&table_p, &pristine, &naive);
+    let strengthened_drift = drift_from(&table_p, &pristine, &strengthened);
     ReliabilityStudy {
         pristine,
         naive,

@@ -131,20 +131,32 @@ impl ShardSummarySink {
     /// a malformed *interior* line is an error — torn tails are the only
     /// corruption an append-fsync crash can produce.
     pub fn replay(path: impl AsRef<Path>) -> io::Result<Vec<ShardRecord>> {
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
-        let mut records = Vec::new();
-        let mut rest = text.as_str();
-        while let Some(nl) = rest.find('\n') {
-            let line = &rest[..nl];
-            rest = &rest[nl + 1..];
-            records.push(parse_line(line)?);
-        }
-        // `rest` is now the unterminated tail: empty on clean shutdown,
-        // a torn write after a crash. Either way it is not a record.
-        records.sort_by_key(|r| r.shard);
-        Ok(records)
+        let mut bytes = Vec::new();
+        File::open(path)?.read_to_end(&mut bytes)?;
+        replay_bytes(&bytes)
     }
+}
+
+/// [`ShardSummarySink::replay`] over a file's bytes. Lines are split on
+/// `b'\n'` before any decoding, so a torn tail that cuts a multi-byte
+/// character in half is dropped like any other torn tail; only complete
+/// lines must be UTF-8.
+fn replay_bytes(bytes: &[u8]) -> io::Result<Vec<ShardRecord>> {
+    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    // The last piece is the unterminated tail: empty on clean shutdown,
+    // a torn write after a crash. Either way it is not a record.
+    lines.pop();
+    let mut records = lines
+        .into_iter()
+        .map(|line| {
+            let line = std::str::from_utf8(line).map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("sink line: {e}"))
+            })?;
+            parse_line(line)
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    records.sort_by_key(|r| r.shard);
+    Ok(records)
 }
 
 fn parse_line(line: &str) -> io::Result<ShardRecord> {
@@ -177,6 +189,7 @@ pub(crate) fn scratch_path(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn records_fsync_and_replay_in_shard_order() {
@@ -237,6 +250,113 @@ mod tests {
         std::fs::write(&path, "not json at all\n{\"shard\": 0, \"summary\": {}}\n").unwrap();
         assert!(ShardSummarySink::replay(&path).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A crash can cut the file at any byte, including inside a
+    /// multi-byte character of a summary.
+    #[test]
+    fn replay_keeps_the_complete_lines_of_a_file_cut_at_every_byte() {
+        let path = scratch_path("cut");
+        let sink = ShardSummarySink::create(&path).unwrap();
+        let summaries = ["{\"name\": \"café ✓\"}", "{}", "{\"note\": \"日本語\"}"];
+        for (shard, summary) in summaries.iter().enumerate().rev() {
+            sink.record(shard, summary);
+        }
+        sink.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        // The last line lost the tail of "日本語"'s last character.
+        let records = ShardSummarySink::replay(&path).unwrap();
+        let shards: Vec<usize> = records.iter().map(|r| r.shard).collect();
+        assert_eq!(shards, [1, 2]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn arb_summaries() -> impl Strategy<Value = Vec<(usize, String)>> {
+        proptest::collection::vec((0usize..64, "[a-zé✓日 ]{0,6}"), 1..6).prop_map(|pairs| {
+            pairs
+                .into_iter()
+                .map(|(shard, text)| (shard, format!("{{\"s\": \"{text}\"}}")))
+                .collect()
+        })
+    }
+
+    /// The file `records` leaves, line by line, with each line's end offset.
+    fn journal(records: &[(usize, String)]) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for (shard, summary) in records {
+            bytes.extend_from_slice(
+                format!("{{\"shard\": {shard}, \"summary\": {summary}}}\n").as_bytes(),
+            );
+            ends.push(bytes.len());
+        }
+        (bytes, ends)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Cut at every byte offset, replay returns exactly the lines
+        /// that were complete at the cut, in shard order.
+        #[test]
+        fn replay_of_any_prefix_is_its_complete_lines(records in arb_summaries()) {
+            let (bytes, ends) = journal(&records);
+            for cut in 0..=bytes.len() {
+                let mut expected: Vec<ShardRecord> = records
+                    .iter()
+                    .zip(&ends)
+                    .filter(|(_, end)| **end <= cut)
+                    .map(|((shard, summary), _)| ShardRecord {
+                        shard: *shard,
+                        summary: summary.clone(),
+                    })
+                    .collect();
+                expected.sort_by_key(|r| r.shard);
+                prop_assert_eq!(replay_bytes(&bytes[..cut]).unwrap(), expected, "cut {}", cut);
+            }
+        }
+
+        /// Garbage inside an interior line — bytes that are not UTF-8, or
+        /// text that breaks the line format — is refused, never skipped.
+        #[test]
+        fn replay_refuses_interior_garbage(
+            records in arb_summaries(),
+            line in 0usize..6,
+            at in 0usize..200,
+            garbage in (0u8..3, "[a-z{}:\" ]{0,5}"),
+        ) {
+            let (bytes, ends) = journal(&records);
+            // An interior line: some complete line stays after it.
+            let line = line % records.len();
+            let start = if line == 0 { 0 } else { ends[line - 1] };
+            let end = ends[line] - 1;
+            let at = start + at % (end - start + 1);
+            let (kind, text) = garbage;
+            let injected: Vec<u8> = match kind {
+                // A stray continuation byte: never valid UTF-8.
+                0 => [&[0x80u8][..], text.as_bytes()].concat(),
+                // A lone lead byte of a three-byte character.
+                1 => [text.as_bytes(), &[0xE6u8][..]].concat(),
+                // Text that replaces the whole line's framing.
+                _ => format!("#{text}").into_bytes(),
+            };
+            let mut corrupt = bytes[..start].to_vec();
+            if kind == 2 {
+                corrupt.extend_from_slice(&injected);
+            } else {
+                corrupt.extend_from_slice(&bytes[start..at]);
+                corrupt.extend_from_slice(&injected);
+                corrupt.extend_from_slice(&bytes[at..end]);
+            }
+            corrupt.extend_from_slice(&bytes[end..]);
+            prop_assert!(replay_bytes(&corrupt).is_err());
+            // Whatever the damage, reading it never panics — not even
+            // as a torn tail of any length.
+            for cut in 0..=corrupt.len() {
+                let _ = replay_bytes(&corrupt[..cut]);
+            }
+        }
     }
 
     #[test]

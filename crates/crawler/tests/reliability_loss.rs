@@ -12,10 +12,15 @@
 //!   pipeline at rate 0 is bit-identical to today's runner;
 //! * **naive lossy drifts**: at any substantial loss rate the naively
 //!   captured campaign differs from ground truth while its records
-//!   still look like clean data.
+//!   still look like clean data;
+//! * **one pass equals three**: the study's single pass, which feeds
+//!   every mode from one attempt and one loss schedule per visit, equals
+//!   three separate one-mode campaigns and their drift reports.
 
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
-use hlisa_crawler::reliability::{run_captured_campaign, run_reliability_study, CaptureMode};
+use hlisa_crawler::reliability::{
+    drift_report, run_captured_campaign, run_reliability_study, CaptureMode,
+};
 use hlisa_sim::{LossPlan, Rng, SimContext};
 use hlisa_web::PopulationConfig;
 use proptest::prelude::*;
@@ -114,6 +119,35 @@ proptest! {
             with_plan.stream("fault").gen::<u64>(),
             without.stream("fault").gen::<u64>()
         );
+    }
+
+    /// The one-pass study equals three separate one-mode campaigns plus
+    /// their drift reports, field by field (records, analytics, drift),
+    /// at any worker count and at loss rates 0, 1 and in between.
+    #[test]
+    fn one_pass_study_equals_three_separate_campaigns(
+        config in arb_config(),
+        rate in (0u8..4, 0.0f64..1.0).prop_map(|(edge, rate)| match edge {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rate,
+        }),
+    ) {
+        let plan = LossPlan::uniform(rate);
+        let study = run_reliability_study(&config, &plan);
+        let [pristine, naive, strengthened] =
+            CaptureMode::ALL.map(|mode| run_captured_campaign(&config, &plan, mode));
+        prop_assert_eq!(&study.naive_drift, &drift_report(&pristine, &naive));
+        prop_assert_eq!(&study.strengthened_drift, &drift_report(&pristine, &strengthened));
+        for (fused, separate) in [
+            (&study.pristine, &pristine),
+            (&study.naive, &naive),
+            (&study.strengthened, &strengthened),
+        ] {
+            prop_assert_eq!(fused.mode, separate.mode);
+            prop_assert_eq!(&fused.analytics, &separate.analytics, "{:?}", fused.mode);
+            prop_assert_eq!(&fused.campaign, &separate.campaign, "{:?}", fused.mode);
+        }
     }
 
     /// At substantial loss rates the naive pipeline's record differs

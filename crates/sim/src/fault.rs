@@ -33,7 +33,7 @@
 //! plan, a no-op loss plan consumes **zero** RNG draws.
 
 use crate::observer::{CounterSet, Observer};
-use hlisa_stats::rngutil::derive_seed;
+use hlisa_stats::rngutil::{derive_seed, derive_seed_lanes};
 use rand::Rng;
 
 /// The typed fault taxonomy the plane can inject into a visit attempt.
@@ -74,6 +74,11 @@ impl FaultKind {
             FaultKind::TransientNetwork => "transient_network",
             FaultKind::PermanentUnreachable => "permanent_unreachable",
         }
+    }
+
+    /// Position in [`FaultKind::ALL`]: the kind's tally slot.
+    pub fn index(self) -> usize {
+        self as usize
     }
 
     /// Whether retrying the visit can possibly help. Permanent faults
@@ -247,10 +252,13 @@ impl FaultPlan {
             return false;
         }
         let h = derive_seed(campaign_seed, domain, 0) ^ derive_seed(0, SITE_OUTAGE_LABEL, 1);
-        // 53 mantissa bits give a uniform in [0, 1) with no rounding bias.
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.site_outage
+        unit_interval(h) < self.site_outage
     }
+}
+
+/// A hash as a uniform in [0, 1): 53 mantissa bits, no rounding bias.
+fn unit_interval(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Label for the per-event partial-capture derivation (see
@@ -286,6 +294,11 @@ impl LossKind {
             LossKind::DropoutWindow => "dropout_window",
             LossKind::PartialCapture => "partial_capture",
         }
+    }
+
+    /// Position in [`LossKind::ALL`]: the kind's tally slot.
+    pub fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -405,24 +418,22 @@ impl LossSchedule {
     /// [`LossKind::ALL`] order, so an event inside both a late-attach
     /// window and a dropout window is blamed on the late attach.
     pub fn blame(&self, at_fraction: f64, event_index: u64) -> Option<LossKind> {
+        self.window_blame(at_fraction).or_else(|| {
+            let (rate, salt) = self.partial?;
+            let h = derive_seed(salt, PARTIAL_CAPTURE_LABEL, event_index);
+            (unit_interval(h) < rate).then_some(LossKind::PartialCapture)
+        })
+    }
+
+    /// The time-window half of [`blame`](Self::blame): late attach, then
+    /// dropout. Partial capture is the only kind that depends on the
+    /// event index.
+    fn window_blame(&self, at_fraction: f64) -> Option<LossKind> {
         if at_fraction < self.attach_at {
             return Some(LossKind::LateAttach);
         }
-        if let Some((start, end)) = self.dropout {
-            if at_fraction >= start && at_fraction < end {
-                return Some(LossKind::DropoutWindow);
-            }
-        }
-        if let Some((rate, salt)) = self.partial {
-            let h = derive_seed(salt, PARTIAL_CAPTURE_LABEL, event_index);
-            // 53 mantissa bits give a uniform in [0, 1) with no rounding
-            // bias, matching `FaultPlan::site_is_down`.
-            let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-            if u < rate {
-                return Some(LossKind::PartialCapture);
-            }
-        }
-        None
+        let (start, end) = self.dropout?;
+        (at_fraction >= start && at_fraction < end).then_some(LossKind::DropoutWindow)
     }
 
     /// Whether the observer channel delivers this event.
@@ -430,6 +441,53 @@ impl LossSchedule {
         self.blame(at_fraction, event_index).is_none()
     }
 }
+
+/// The `loss.*` counter family as plain tallies: what one or more lossy
+/// channels were offered, delivered and dropped per [`LossKind`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LossTally {
+    /// Events offered to the channel.
+    pub offered: u64,
+    /// Events the channel delivered.
+    pub delivered: u64,
+    /// Events dropped, one slot per [`LossKind::ALL`] entry.
+    pub dropped: [u64; LossKind::ALL.len()],
+}
+
+impl LossTally {
+    /// Adds `other`'s tallies to these.
+    pub fn absorb(&mut self, other: &LossTally) {
+        self.offered += other.offered;
+        self.delivered += other.delivered;
+        for (mine, theirs) in self.dropped.iter_mut().zip(other.dropped) {
+            *mine += theirs;
+        }
+    }
+
+    /// Renders the family into `counters`, skipping zero tallies: the one
+    /// rendering of `loss.*`, shared by [`LossyObserver`]'s
+    /// [`Observer::counters`] and callers that sum tallies first.
+    pub fn render_into(&self, counters: &mut CounterSet) {
+        let dropped: u64 = self.dropped.iter().sum();
+        for (name, n) in [
+            ("loss.offered", self.offered),
+            ("loss.delivered", self.delivered),
+            ("loss.dropped", dropped),
+        ] {
+            if n > 0 {
+                counters.add(name, n);
+            }
+        }
+        for (kind, n) in LossKind::ALL.iter().zip(self.dropped) {
+            if n > 0 {
+                counters.add(&format!("loss.dropped.{}", kind.name()), n);
+            }
+        }
+    }
+}
+
+/// Event indices per partial-capture lane refill.
+const PARTIAL_LANES: usize = 8;
 
 /// Decorator that applies a [`LossSchedule`] to any [`Observer`] — the
 /// *naive* capture pipeline of the reliability study. The inner observer
@@ -440,17 +498,21 @@ impl LossSchedule {
 /// The decorator accounts for the channel in its own `loss.*` counters
 /// (offered, delivered, and dropped per [`LossKind`]) so a study can
 /// report *how much* was lost even though the degraded observer cannot.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its verdicts are exactly [`LossSchedule::blame`]'s. The
+/// partial-capture hash is computed [`PARTIAL_LANES`] event indices at a
+/// time ([`derive_seed_lanes`]) and kept as a bit mask until an event
+/// index falls outside it; the mask is a cache of the schedule, so it
+/// takes no part in equality or `Debug` output.
+#[derive(Clone)]
 pub struct LossyObserver<O> {
     inner: O,
     schedule: LossSchedule,
     span_ms: f64,
-    offered: u64,
-    delivered: u64,
-    // One tally per LossKind::ALL entry, materialized as
-    // `loss.dropped.<kind>` counters on demand — same hot-path reasoning
-    // as WriteAheadObserver.
-    dropped: [u64; LossKind::ALL.len()],
+    tally: LossTally,
+    // `(first index, mask)`: bit `j` set when index `first + j` is lost
+    // to partial capture.
+    lanes: Option<(u64, u8)>,
 }
 
 impl<O> LossyObserver<O> {
@@ -462,9 +524,8 @@ impl<O> LossyObserver<O> {
             inner,
             schedule,
             span_ms,
-            offered: 0,
-            delivered: 0,
-            dropped: [0; LossKind::ALL.len()],
+            tally: LossTally::default(),
+            lanes: None,
         }
     }
 
@@ -477,45 +538,79 @@ impl<O> LossyObserver<O> {
     pub fn into_inner(self) -> O {
         self.inner
     }
+
+    /// The channel's `loss.*` tallies so far.
+    pub fn tally(&self) -> LossTally {
+        self.tally
+    }
+
+    /// [`LossSchedule::blame`] for the event at `at_fraction` with
+    /// emission index `index`, served from the lane mask.
+    fn blame(&mut self, at_fraction: f64, index: u64) -> Option<LossKind> {
+        if let Some(kind) = self.schedule.window_blame(at_fraction) {
+            return Some(kind);
+        }
+        let (rate, salt) = self.schedule.partial?;
+        let (first, mask) = match self.lanes {
+            Some((first, mask)) if index.wrapping_sub(first) < PARTIAL_LANES as u64 => {
+                (first, mask)
+            }
+            _ => {
+                let hashes = derive_seed_lanes::<PARTIAL_LANES>(salt, PARTIAL_CAPTURE_LABEL, index);
+                let mask = hashes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, h)| unit_interval(**h) < rate)
+                    .fold(0u8, |mask, (lane, _)| mask | 1 << lane);
+                self.lanes = Some((index, mask));
+                (index, mask)
+            }
+        };
+        ((mask >> (index - first)) & 1 == 1).then_some(LossKind::PartialCapture)
+    }
+}
+
+impl<O: PartialEq> PartialEq for LossyObserver<O> {
+    fn eq(&self, other: &Self) -> bool {
+        self.inner == other.inner
+            && self.schedule == other.schedule
+            && self.span_ms == other.span_ms
+            && self.tally == other.tally
+    }
+}
+
+impl<O: std::fmt::Debug> std::fmt::Debug for LossyObserver<O> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LossyObserver")
+            .field("inner", &self.inner)
+            .field("schedule", &self.schedule)
+            .field("span_ms", &self.span_ms)
+            .field("tally", &self.tally)
+            .finish()
+    }
 }
 
 impl<E, O: Observer<E>> Observer<E> for LossyObserver<O> {
     fn on_event(&mut self, t_ms: f64, event: &E) {
-        let index = self.offered;
-        self.offered += 1;
+        let index = self.tally.offered;
+        self.tally.offered += 1;
         let at_fraction = if self.span_ms > 0.0 {
             (t_ms / self.span_ms).clamp(0.0, 1.0)
         } else {
             0.0
         };
-        match self.schedule.blame(at_fraction, index) {
+        match self.blame(at_fraction, index) {
             None => {
-                self.delivered += 1;
+                self.tally.delivered += 1;
                 self.inner.on_event(t_ms, event);
             }
-            Some(kind) => {
-                self.dropped[LossKind::ALL.iter().position(|k| *k == kind).unwrap_or(0)] += 1;
-            }
+            Some(kind) => self.tally.dropped[kind.index()] += 1,
         }
     }
 
     fn counters(&self) -> CounterSet {
         let mut c = self.inner.counters();
-        if self.offered > 0 {
-            c.add("loss.offered", self.offered);
-        }
-        if self.delivered > 0 {
-            c.add("loss.delivered", self.delivered);
-        }
-        let dropped: u64 = self.dropped.iter().sum();
-        if dropped > 0 {
-            c.add("loss.dropped", dropped);
-        }
-        for (kind, n) in LossKind::ALL.iter().zip(self.dropped) {
-            if n > 0 {
-                c.add(&format!("loss.dropped.{}", kind.name()), n);
-            }
-        }
+        self.tally.render_into(&mut c);
         c
     }
 }
@@ -539,9 +634,43 @@ pub struct WriteAheadObserver<E, O> {
     // this observer sits on the per-event hot path of every strengthened
     // visit, where a name-keyed `CounterSet::add` per event is the
     // difference between negligible and double-digit-percent overhead.
-    direct: u64,
-    buffered: u64,
-    replayed: u64,
+    tally: WriteAheadTally,
+}
+
+/// The `capture.*` counter family as plain tallies: events a write-ahead
+/// channel passed straight through, buffered before attach, and replayed
+/// at attach.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteAheadTally {
+    /// Events delivered straight through after attach.
+    pub direct: u64,
+    /// Events buffered before attach.
+    pub buffered: u64,
+    /// Buffered events replayed at attach.
+    pub replayed: u64,
+}
+
+impl WriteAheadTally {
+    /// Adds `other`'s tallies to these.
+    pub fn absorb(&mut self, other: &WriteAheadTally) {
+        self.direct += other.direct;
+        self.buffered += other.buffered;
+        self.replayed += other.replayed;
+    }
+
+    /// Renders the family into `counters`, skipping zero tallies: the one
+    /// rendering of `capture.*` (see [`LossTally::render_into`]).
+    pub fn render_into(&self, counters: &mut CounterSet) {
+        for (name, n) in [
+            ("capture.direct", self.direct),
+            ("capture.buffered", self.buffered),
+            ("capture.replayed", self.replayed),
+        ] {
+            if n > 0 {
+                counters.add(name, n);
+            }
+        }
+    }
 }
 
 impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
@@ -552,10 +681,13 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
             inner,
             buffer: Vec::new(),
             attached: false,
-            direct: 0,
-            buffered: 0,
-            replayed: 0,
+            tally: WriteAheadTally::default(),
         }
+    }
+
+    /// The channel's `capture.*` tallies so far.
+    pub fn tally(&self) -> WriteAheadTally {
+        self.tally
     }
 
     /// Whether the inner observer is attached and receiving directly.
@@ -576,7 +708,7 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
             return;
         }
         self.attached = true;
-        self.replayed += self.buffer.len() as u64;
+        self.tally.replayed += self.buffer.len() as u64;
         for (t_ms, event) in &self.buffer {
             self.inner.on_event(*t_ms, event);
         }
@@ -599,25 +731,17 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
 impl<E: Clone + Send, O: Observer<E>> Observer<E> for WriteAheadObserver<E, O> {
     fn on_event(&mut self, t_ms: f64, event: &E) {
         if self.attached {
-            self.direct += 1;
+            self.tally.direct += 1;
             self.inner.on_event(t_ms, event);
         } else {
-            self.buffered += 1;
+            self.tally.buffered += 1;
             self.buffer.push((t_ms, event.clone()));
         }
     }
 
     fn counters(&self) -> CounterSet {
         let mut c = self.inner.counters();
-        for (name, n) in [
-            ("capture.direct", self.direct),
-            ("capture.buffered", self.buffered),
-            ("capture.replayed", self.replayed),
-        ] {
-            if n > 0 {
-                c.add(name, n);
-            }
-        }
+        self.tally.render_into(&mut c);
         c
     }
 }
@@ -655,10 +779,17 @@ pub enum FaultEvent {
 }
 
 /// Streaming [`Observer`] that folds [`FaultEvent`]s into the
-/// `fault.*` / `retry.*` / `breaker.*` counter family.
+/// `fault.*` / `retry.*` / `breaker.*` counter family, as plain tallies
+/// rendered into counters only on [`Observer::counters`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultMonitor {
-    counters: CounterSet,
+    injected: [u64; FaultKind::ALL.len()],
+    retries: u64,
+    backoff_ms_total: u64,
+    recovered: u64,
+    gave_up: u64,
+    breaker_tripped: u64,
+    breaker_skipped_visits: u64,
 }
 
 impl FaultMonitor {
@@ -672,38 +803,65 @@ impl FaultMonitor {
     pub fn record(&mut self, event: &FaultEvent) {
         self.on_event(0.0, event);
     }
+
+    /// Adds `other`'s tallies to this monitor's.
+    pub fn absorb(&mut self, other: &FaultMonitor) {
+        for (mine, theirs) in self.injected.iter_mut().zip(other.injected) {
+            *mine += theirs;
+        }
+        self.retries += other.retries;
+        self.backoff_ms_total += other.backoff_ms_total;
+        self.recovered += other.recovered;
+        self.gave_up += other.gave_up;
+        self.breaker_tripped += other.breaker_tripped;
+        self.breaker_skipped_visits += other.breaker_skipped_visits;
+    }
 }
 
 impl Observer<FaultEvent> for FaultMonitor {
     fn on_event(&mut self, _t_ms: f64, event: &FaultEvent) {
         match event {
-            FaultEvent::Injected { kind } => {
-                self.counters.add("fault.injected", 1);
-                self.counters
-                    .add(&format!("fault.injected.{}", kind.name()), 1);
-            }
+            FaultEvent::Injected { kind } => self.injected[kind.index()] += 1,
             FaultEvent::RetryScheduled { backoff_ms, .. } => {
-                self.counters.add("retry.scheduled", 1);
-                self.counters
-                    .add("retry.backoff_ms_total", backoff_ms.round() as u64);
+                self.retries += 1;
+                self.backoff_ms_total += backoff_ms.round() as u64;
             }
-            FaultEvent::RecoveredAfterRetry { .. } => {
-                self.counters.add("retry.recovered", 1);
-            }
-            FaultEvent::GaveUp { .. } => {
-                self.counters.add("retry.gave_up", 1);
-            }
-            FaultEvent::BreakerTripped => {
-                self.counters.add("breaker.tripped", 1);
-            }
-            FaultEvent::BreakerSkippedVisit => {
-                self.counters.add("breaker.skipped_visits", 1);
-            }
+            FaultEvent::RecoveredAfterRetry { .. } => self.recovered += 1,
+            FaultEvent::GaveUp { .. } => self.gave_up += 1,
+            FaultEvent::BreakerTripped => self.breaker_tripped += 1,
+            FaultEvent::BreakerSkippedVisit => self.breaker_skipped_visits += 1,
         }
     }
 
+    /// Every counter an event touched, zero-valued ones skipped — except
+    /// `retry.backoff_ms_total`, which exists exactly when a retry was
+    /// scheduled, even if every backoff rounded to 0 ms.
     fn counters(&self) -> CounterSet {
-        self.counters.clone()
+        let mut c = CounterSet::new();
+        let injected: u64 = self.injected.iter().sum();
+        if injected > 0 {
+            c.add("fault.injected", injected);
+        }
+        for (kind, n) in FaultKind::ALL.iter().zip(self.injected) {
+            if n > 0 {
+                c.add(&format!("fault.injected.{}", kind.name()), n);
+            }
+        }
+        if self.retries > 0 {
+            c.add("retry.scheduled", self.retries);
+            c.add("retry.backoff_ms_total", self.backoff_ms_total);
+        }
+        for (name, n) in [
+            ("retry.recovered", self.recovered),
+            ("retry.gave_up", self.gave_up),
+            ("breaker.tripped", self.breaker_tripped),
+            ("breaker.skipped_visits", self.breaker_skipped_visits),
+        ] {
+            if n > 0 {
+                c.add(name, n);
+            }
+        }
+        c
     }
 }
 
@@ -829,6 +987,39 @@ mod tests {
         assert_eq!(c.get("retry.gave_up"), Some(1));
         assert_eq!(c.get("breaker.tripped"), Some(1));
         assert_eq!(c.get("breaker.skipped_visits"), Some(1));
+    }
+
+    #[test]
+    fn absorbed_monitors_count_like_one_monitor() {
+        let events = [
+            FaultEvent::Injected {
+                kind: FaultKind::MidVisitStall,
+            },
+            // A backoff that rounds to 0 ms still creates the total.
+            FaultEvent::RetryScheduled {
+                attempt: 0,
+                backoff_ms: 0.4,
+            },
+            FaultEvent::GaveUp { attempts: 2 },
+            FaultEvent::Injected {
+                kind: FaultKind::PermanentUnreachable,
+            },
+            FaultEvent::BreakerTripped,
+        ];
+        let mut whole = FaultMonitor::new();
+        let (mut a, mut b) = (FaultMonitor::new(), FaultMonitor::new());
+        for (i, e) in events.iter().enumerate() {
+            whole.record(e);
+            if i % 2 == 0 { &mut a } else { &mut b }.record(e);
+        }
+        a.absorb(&b);
+        assert_eq!(a, whole);
+        let c = whole.counters();
+        assert_eq!(c.get("retry.backoff_ms_total"), Some(0));
+        assert_eq!(c.get("fault.injected"), Some(2));
+        assert_eq!(c.get("fault.injected.mid_visit_stall"), Some(1));
+        assert_eq!(c.get("breaker.skipped_visits"), None);
+        assert_eq!(c.entries().len(), 7);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use clock::VirtualClock;
 pub use context::SimContext;
 pub use fault::{
     FaultEvent, FaultKind, FaultMonitor, FaultPlan, InjectedFault, LossKind, LossPlan,
-    LossSchedule, LossyObserver, WriteAheadObserver,
+    LossSchedule, LossTally, LossyObserver, WriteAheadObserver, WriteAheadTally,
 };
 pub use observer::{CounterSet, Observer};
 pub use streams::{is_registered, registered_names, stream_info, StreamInfo, STREAM_REGISTRY};

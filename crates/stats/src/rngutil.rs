@@ -30,6 +30,27 @@ pub fn derive_seed(seed: u64, label: &str, index: u64) -> u64 {
     splitmix64(h)
 }
 
+/// [`derive_seed`] for the `N` consecutive indices `first_index ..
+/// first_index + N`, bit-identical to `N` scalar calls.
+///
+/// A scalar derivation is one serial chain of `label.len() + 1` SplitMix
+/// rounds, each waiting on the previous multiply. Here the `N` chains run
+/// interleaved, byte by byte, so their multiplies overlap; a caller that
+/// needs the seeds of successive indices pays about one chain's latency
+/// for all `N`.
+pub fn derive_seed_lanes<const N: usize>(seed: u64, label: &str, first_index: u64) -> [u64; N] {
+    let mut h: [u64; N] = std::array::from_fn(|lane| {
+        let index = first_index.wrapping_add(lane as u64);
+        seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index.wrapping_add(1))
+    });
+    for b in label.as_bytes() {
+        for lane in &mut h {
+            *lane = splitmix64(lane.wrapping_add(u64::from(*b)));
+        }
+    }
+    h.map(splitmix64)
+}
+
 /// SplitMix64 finaliser; a cheap, well-distributed 64-bit mixer.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -65,6 +86,22 @@ mod tests {
     #[test]
     fn derive_seed_is_deterministic() {
         assert_eq!(derive_seed(7, "crawl", 3), derive_seed(7, "crawl", 3));
+    }
+
+    #[test]
+    fn lanes_match_scalar_derivations() {
+        for (seed, label, first) in [
+            (0u64, "loss-partial-capture", 0u64),
+            (0xfeed, "loss-partial-capture", 13),
+            (u64::MAX, "", u64::MAX - 3),
+            (7, "crawl", 1 << 40),
+        ] {
+            let lanes = derive_seed_lanes::<8>(seed, label, first);
+            for (lane, h) in lanes.iter().enumerate() {
+                let index = first.wrapping_add(lane as u64);
+                assert_eq!(*h, derive_seed(seed, label, index), "{label} lane {lane}");
+            }
+        }
     }
 
     #[test]

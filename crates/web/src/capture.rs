@@ -79,8 +79,22 @@ pub fn emit_capture_events(
     outcome: &VisitOutcome,
     deadline_ms: f64,
 ) -> Vec<(f64, CaptureEvent)> {
+    let mut events = Vec::new();
+    emit_capture_events_into(site, outcome, deadline_ms, &mut events);
+    events
+}
+
+/// [`emit_capture_events`] into a caller-owned buffer, which is cleared
+/// first: a campaign worker reuses one buffer for all its visits.
+pub fn emit_capture_events_into(
+    site: &Site,
+    outcome: &VisitOutcome,
+    deadline_ms: f64,
+    events: &mut Vec<(f64, CaptureEvent)>,
+) {
+    events.clear();
     if !outcome.reached {
-        return Vec::new();
+        return;
     }
     let tl = VisitTimeline::for_site(site);
     let committed = (tl.connect_ms + tl.load_ms).min(deadline_ms);
@@ -92,7 +106,7 @@ pub fn emit_capture_events(
     };
 
     let n_http = outcome.first_party.len() + outcome.third_party.len();
-    let mut events = Vec::with_capacity(n_http + tl.steps_planned as usize + 4);
+    events.reserve(n_http + tl.steps_planned as usize + 4);
     events.push((committed, CaptureEvent::Committed));
 
     // Responses arrive spread evenly across the observable window.
@@ -141,7 +155,6 @@ pub fn emit_capture_events(
     if outcome.successful {
         events.push((tail, CaptureEvent::Completed));
     }
-    events
 }
 
 /// Streaming [`Observer`] that rebuilds a [`VisitOutcome`] from whatever
@@ -166,79 +179,42 @@ pub struct CaptureRecorder {
     // the recorder runs once per emitted event of every captured visit,
     // so a name-keyed `CounterSet::add` per event is measurable campaign
     // overhead (see `WriteAheadObserver` for the same trade).
-    committed: u64,
-    http: u64,
-    steps: u64,
-    detections: u64,
-    visuals: u64,
-    completions: u64,
+    tally: RecorderTally,
 }
 
-impl CaptureRecorder {
-    /// A recorder that has seen nothing yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The visit outcome this recorder would write to the crawl record.
-    pub fn outcome(&self) -> VisitOutcome {
-        if !self.saw_any {
-            return VisitOutcome::unreached();
-        }
-        let visual = self.visual.unwrap_or(if self.completed {
-            VisualOutcome::Normal
-        } else {
-            VisualOutcome::Timeout
-        });
-        VisitOutcome {
-            reached: true,
-            successful: self.completed,
-            visual,
-            first_party: self.first_party.clone(),
-            third_party: self.third_party.clone(),
-            detected: self.detected,
-        }
-    }
+/// The `recorder.*` counter family as plain tallies: events a
+/// [`CaptureRecorder`] received, per [`CaptureEvent`] kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecorderTally {
+    /// `Committed` events.
+    pub committed: u64,
+    /// `Http` events.
+    pub http: u64,
+    /// `Step` events.
+    pub steps: u64,
+    /// `Detected` events.
+    pub detections: u64,
+    /// `Visual` events.
+    pub visuals: u64,
+    /// `Completed` events.
+    pub completions: u64,
 }
 
-impl Observer<CaptureEvent> for CaptureRecorder {
-    fn on_event(&mut self, _t_ms: f64, event: &CaptureEvent) {
-        self.saw_any = true;
-        match event {
-            CaptureEvent::Committed => {
-                self.committed += 1;
-            }
-            CaptureEvent::Http {
-                third_party,
-                status,
-            } => {
-                self.http += 1;
-                if *third_party {
-                    self.third_party.push(*status);
-                } else {
-                    self.first_party.push(*status);
-                }
-            }
-            CaptureEvent::Step { .. } => {
-                self.steps += 1;
-            }
-            CaptureEvent::Detected { by_detector } => {
-                self.detections += 1;
-                self.detected |= *by_detector;
-            }
-            CaptureEvent::Visual { outcome } => {
-                self.visuals += 1;
-                self.visual = Some(*outcome);
-            }
-            CaptureEvent::Completed => {
-                self.completions += 1;
-                self.completed = true;
-            }
-        }
+impl RecorderTally {
+    /// Adds `other`'s tallies to these.
+    pub fn absorb(&mut self, other: &RecorderTally) {
+        self.committed += other.committed;
+        self.http += other.http;
+        self.steps += other.steps;
+        self.detections += other.detections;
+        self.visuals += other.visuals;
+        self.completions += other.completions;
     }
 
-    fn counters(&self) -> CounterSet {
-        let mut c = CounterSet::new();
+    /// Renders the family into `counters`, skipping zero tallies: the one
+    /// rendering of `recorder.*`, shared by [`CaptureRecorder`]'s
+    /// [`Observer::counters`] and callers that sum tallies first.
+    pub fn render_into(&self, counters: &mut CounterSet) {
         let total = self.committed
             + self.http
             + self.steps
@@ -255,9 +231,100 @@ impl Observer<CaptureEvent> for CaptureRecorder {
             ("recorder.completed", self.completions),
         ] {
             if n > 0 {
-                c.add(name, n);
+                counters.add(name, n);
             }
         }
+    }
+}
+
+impl CaptureRecorder {
+    /// A recorder that has seen nothing yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`new`](Self::new), with room for `first_party` and `third_party`
+    /// HTTP statuses before the recorded outcome's lists reallocate.
+    pub fn with_capacity(first_party: usize, third_party: usize) -> Self {
+        Self {
+            first_party: Vec::with_capacity(first_party),
+            third_party: Vec::with_capacity(third_party),
+            ..Self::default()
+        }
+    }
+
+    /// The visit outcome this recorder would write to the crawl record.
+    pub fn outcome(&self) -> VisitOutcome {
+        self.clone().into_outcome()
+    }
+
+    /// [`outcome`](Self::outcome), moving the recorded status codes
+    /// instead of copying them.
+    pub fn into_outcome(self) -> VisitOutcome {
+        if !self.saw_any {
+            return VisitOutcome::unreached();
+        }
+        let visual = self.visual.unwrap_or(if self.completed {
+            VisualOutcome::Normal
+        } else {
+            VisualOutcome::Timeout
+        });
+        VisitOutcome {
+            reached: true,
+            successful: self.completed,
+            visual,
+            first_party: self.first_party,
+            third_party: self.third_party,
+            detected: self.detected,
+        }
+    }
+
+    /// The `recorder.*` tallies so far.
+    pub fn tally(&self) -> RecorderTally {
+        self.tally
+    }
+}
+
+impl Observer<CaptureEvent> for CaptureRecorder {
+    fn on_event(&mut self, _t_ms: f64, event: &CaptureEvent) {
+        self.saw_any = true;
+        let tally = &mut self.tally;
+        match event {
+            CaptureEvent::Committed => {
+                tally.committed += 1;
+            }
+            CaptureEvent::Http {
+                third_party,
+                status,
+            } => {
+                tally.http += 1;
+                if *third_party {
+                    self.third_party.push(*status);
+                } else {
+                    self.first_party.push(*status);
+                }
+            }
+            CaptureEvent::Step { .. } => {
+                tally.steps += 1;
+            }
+            CaptureEvent::Detected { by_detector } => {
+                tally.detections += 1;
+                self.detected |= *by_detector;
+            }
+            CaptureEvent::Visual { outcome } => {
+                tally.visuals += 1;
+                self.visual = Some(*outcome);
+            }
+            CaptureEvent::Completed => {
+                tally.completions += 1;
+                self.completed = true;
+            }
+        }
+    }
+
+    fn counters(&self) -> CounterSet {
+        let mut c = CounterSet::new();
+        self.tally.render_into(&mut c);
         c
     }
 }

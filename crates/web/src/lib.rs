@@ -27,7 +27,10 @@ pub mod snapshot;
 pub mod traversal;
 pub mod visit;
 
-pub use capture::{emit_capture_events, reconstruct_outcome, CaptureEvent, CaptureRecorder};
+pub use capture::{
+    emit_capture_events, emit_capture_events_into, reconstruct_outcome, CaptureEvent,
+    CaptureRecorder, RecorderTally,
+};
 pub use dynamics::{apply_scenario, ScenarioKind, ScenarioMix};
 pub use outcome::{VisitError, VisitPhase, VisitProgress};
 pub use page::{generate_page, GeneratedPage, PageStructure};

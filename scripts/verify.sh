@@ -34,7 +34,8 @@ echo "==> bench guard (fresh smoke speedups vs committed baselines)"
 # campaign's end-to-end row only reaches its full speedup at full-run
 # scale (world-cache amortisation), so it is exempted explicitly.
 cargo run -q -p hlisa-bench --release --bin bench -- guard \
-    BENCH_campaign.smoke.json:campaign BENCH_interaction.smoke.json BENCH_web.smoke.json
+    BENCH_campaign.smoke.json:campaign BENCH_interaction.smoke.json BENCH_web.smoke.json \
+    BENCH_reliability.smoke.json
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

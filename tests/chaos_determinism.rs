@@ -137,7 +137,7 @@ proptest! {
             (ClientKind::OpenWpmSpoofed, &plain.spoofed, &naive.campaign.spoofed),
         ] {
             let run = |faults: &ChaosConfig, plan: &LossPlan, mode: CaptureMode| {
-                let pipeline = Pipeline { faults: Some(faults), capture: Some((plan, mode)) };
+                let pipeline = Pipeline { faults: Some(faults), capture: Some((plan, &[mode])) };
                 run_machine(&cfg, &source, client, &pipeline)
             };
             let pristine_off = run(&off, &LossPlan::none(), CaptureMode::Pristine);

@@ -149,7 +149,7 @@ pub struct Document {
     pub page_height: f64,
     /// The authored minimum page height (reflow floor).
     min_page_height: f64,
-    /// Lazily-built query index (spatial grid + id/tag/anchor maps).
+    /// Lazily-built query index (spatial grid + id/tag/anchor lookups).
     /// Torn down by every write to the tree, so it never serves stale
     /// geometry; rebuilt on the next query. Immutable once built, so
     /// clones share it.
@@ -420,7 +420,7 @@ impl Document {
     /// attribute. Detached ([`Display::None`]) subtrees are skipped — a
     /// driver cannot locate what is not in the DOM.
     pub fn by_id(&self, id_attr: &str) -> Option<NodeId> {
-        self.index().by_id(id_attr)
+        self.index().by_id(&self.tree.nodes, id_attr)
     }
 
     /// Linear reference model for [`Document::by_id`].
@@ -431,7 +431,7 @@ impl Document {
 
     /// Finds all attached elements with the given tag, in arena order.
     pub fn by_tag(&self, tag: &str) -> Vec<NodeId> {
-        self.index().by_tag(tag).to_vec()
+        self.index().by_tag(&self.tree.nodes, tag)
     }
 
     /// Linear reference model for [`Document::by_tag`].
@@ -484,7 +484,7 @@ impl Document {
     /// Finds the attached element anchoring `name` (for `#name`
     /// navigation).
     pub fn anchor_target(&self, name: &str) -> Option<NodeId> {
-        self.index().anchor_target(name)
+        self.index().anchor_target(&self.tree.nodes, name)
     }
 
     /// Linear reference model for [`Document::anchor_target`].
@@ -498,14 +498,20 @@ impl Tree {
     /// Lays out the flow children of `parent` (or the roots) inside
     /// `content`, returning the page-coordinate bottom edge of the flow.
     fn layout_flow(&mut self, parent: Option<NodeId>, content: Rect) -> f64 {
-        let child_ids: Vec<NodeId> = match parent {
-            Some(p) => self.nodes[p.0].children.clone(),
-            None => self.roots.clone(),
+        let count = match parent {
+            Some(p) => self.nodes[p.0].children.len(),
+            None => self.roots.len(),
         };
         let mut y = content.y;
         let mut x = content.x;
         let mut line_h = 0.0f64;
-        for id in child_ids {
+        // By index: layout rewrites boxes, never the child lists, so
+        // nothing needs copying out of the arena first.
+        for k in 0..count {
+            let id = match parent {
+                Some(p) => self.nodes[p.0].children[k],
+                None => self.roots[k],
+            };
             match self.nodes[id.0].el.display {
                 Display::None => continue,
                 Display::Absolute => {

@@ -53,34 +53,64 @@ pub fn assert_queries_agree(doc: &Document, points: &[(f64, f64)]) {
 /// plus structure bytes choosing parent, display mode, and paint layer.
 pub type RawTreeNode = (RawElement, (u8, u8, u8, u8));
 
+/// Decodes raw tree nodes into insertion order: each element with the
+/// position (in this list) of its parent, or `None` for a root. Node 0
+/// is always a root, and a parent always precedes its children.
+pub fn decode_tree(raw_nodes: &[RawTreeNode]) -> Vec<(Option<usize>, Element)> {
+    raw_nodes
+        .iter()
+        .enumerate()
+        .map(|(i, (geom, (parent_sel, display_sel, layer, aux)))| {
+            let mut el = element(geom);
+            el.display = match display_sel % 8 {
+                0..=2 => Display::Absolute,
+                3..=5 => Display::Block {
+                    height: geom.3.max(1.0),
+                    width_frac: 0.2 + f64::from(*aux % 80) / 100.0,
+                    margin: f64::from(*aux % 16),
+                    padding: f64::from(*aux % 8),
+                },
+                6 => Display::Inline {
+                    width: geom.2.max(1.0),
+                    height: geom.3.max(1.0),
+                    margin: f64::from(*aux % 10),
+                },
+                _ => Display::None,
+            };
+            el.layer = i32::from(*layer % 5) - 2;
+            let parent = (i > 0 && parent_sel % 4 != 0).then(|| *parent_sel as usize % i);
+            (parent, el)
+        })
+        .collect()
+}
+
+/// Builds the decoded tree node by node (`add`/`add_child`), reflowing
+/// after every insertion.
 pub fn build_tree_doc(raw_nodes: &[RawTreeNode], page: (f64, f64)) -> Document {
     let mut doc = Document::new("https://differential.test/", page.0, page.1);
     let mut inserted = Vec::new();
-    for (i, (geom, (parent_sel, display_sel, layer, aux))) in raw_nodes.iter().enumerate() {
-        let mut el = element(geom);
-        el.display = match display_sel % 8 {
-            0..=2 => Display::Absolute,
-            3..=5 => Display::Block {
-                height: geom.3.max(1.0),
-                width_frac: 0.2 + f64::from(*aux % 80) / 100.0,
-                margin: f64::from(*aux % 16),
-                padding: f64::from(*aux % 8),
-            },
-            6 => Display::Inline {
-                width: geom.2.max(1.0),
-                height: geom.3.max(1.0),
-                margin: f64::from(*aux % 10),
-            },
-            _ => Display::None,
-        };
-        el.layer = i32::from(*layer % 5) - 2;
-        let id = if i == 0 || parent_sel % 4 == 0 {
-            doc.add(el)
-        } else {
-            let parent = inserted[*parent_sel as usize % i];
-            doc.add_child(parent, el)
+    for (parent, el) in decode_tree(raw_nodes) {
+        let id = match parent {
+            None => doc.add(el),
+            Some(p) => doc.add_child(inserted[p], el),
         };
         inserted.push(id);
     }
+    doc
+}
+
+/// Builds the decoded tree in one `mutate` batch, reflowing once.
+pub fn build_tree_doc_batched(raw_nodes: &[RawTreeNode], page: (f64, f64)) -> Document {
+    let mut doc = Document::new("https://differential.test/", page.0, page.1);
+    doc.mutate(|m| {
+        let mut inserted = Vec::new();
+        for (parent, el) in decode_tree(raw_nodes) {
+            let id = match parent {
+                None => m.append_root(el),
+                Some(p) => m.append_child(inserted[p], el),
+            };
+            inserted.push(id);
+        }
+    });
     doc
 }

@@ -33,10 +33,9 @@ const MIN_MOVE_DEFINITION_SITE: &str = "crates/webdriver/src/actions.rs";
 /// observable output. Today that is the jsom atom interner, whose
 /// name→id map backs O(1) property-key interning while the
 /// insertion-ordered `Vec` side of the table remains the canonical
-/// view, and the browser document index, whose id/tag/anchor maps are
-/// point-queried with precomputed document-ordered values.
-const UNORDERED_INTERIOR_SITES: &[&str] =
-    &["crates/jsom/src/atom.rs", "crates/browser/src/index.rs"];
+/// view. Every listed file must still hold a hash container (a unit
+/// test checks), so an exemption cannot outlive its reason.
+const UNORDERED_INTERIOR_SITES: &[&str] = &["crates/jsom/src/atom.rs"];
 
 /// Path prefixes sanctioned to fail fast (`no-panic` exempt): the
 /// offline bench report builders, where aborting on a malformed local
@@ -199,6 +198,24 @@ mod tests {
         let plain = exemptions_for("crates/core/src/motion.rs");
         assert!(!plain.min_move && !plain.unordered && !plain.panics);
         assert!(!plain.wall_clock && !plain.rng_def);
+    }
+
+    #[test]
+    fn every_unordered_exemption_still_has_a_hash_container_to_exempt() {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(here).expect("workspace root");
+        for rel in UNORDERED_INTERIOR_SITES {
+            let src = fs::read_to_string(root.join(rel)).expect(rel);
+            let unexempted = Exemptions {
+                unordered: false,
+                ..exemptions_for(rel)
+            };
+            let diags = crate::provenance::analyze_ast(rel, &src, unexempted);
+            assert!(
+                diags.iter().any(|d| d.rule == "no-unordered-containers"),
+                "{rel} holds no HashMap/HashSet any more: drop its exemption"
+            );
+        }
     }
 
     #[test]

@@ -104,67 +104,83 @@ pub fn lazy_reveal_threshold(page_height: f64, viewport_height: f64) -> f64 {
 
 /// Applies a scenario's initial page state to a generated page. Pure —
 /// consumes no RNG; geometry comes from the authored overlay boxes and
-/// the deterministic reflow.
+/// the deterministic reflow, which runs once, after the scenario's
+/// nodes are in.
 pub fn apply_scenario(page: &mut GeneratedPage, kind: ScenarioKind) {
-    match kind {
+    let (target, body) = (page.target, page.body);
+    page.doc.mutate(|m| match kind {
         ScenarioKind::CookieBanner => {
             // A modal centred over the primary target, one paint layer
             // up, with the accept button in its lower-left corner.
-            let target_rect = page.doc.element(page.target).rect;
+            let target_rect = m.doc().element(target).rect;
             let c = target_rect.center();
-            let w = (page.doc.page_width * 0.6).max(320.0);
+            let w = (m.doc().page_width * 0.6).max(320.0);
             let h = 240.0;
             let banner_rect = Rect::new((c.x - w / 2.0).max(0.0), (c.y - h / 2.0).max(0.0), w, h);
-            let banner = ElementBuilder::new("div", banner_rect)
-                .id(BANNER_ID)
-                .layer(1)
-                .text("We value your privacy")
-                .insert(&mut page.doc);
-            ElementBuilder::new(
-                "button",
-                Rect::new(banner_rect.x + 24.0, banner_rect.y + h - 52.0, 120.0, 32.0),
-            )
-            .id(ACCEPT_ID)
-            .text("Accept all")
-            .insert_under(&mut page.doc, banner);
+            let banner = m.append_root(
+                ElementBuilder::new("div", banner_rect)
+                    .id(BANNER_ID)
+                    .layer(1)
+                    .text("We value your privacy")
+                    .build(),
+            );
+            m.append_child(
+                banner,
+                ElementBuilder::new(
+                    "button",
+                    Rect::new(banner_rect.x + 24.0, banner_rect.y + h - 52.0, 120.0, 32.0),
+                )
+                .id(ACCEPT_ID)
+                .text("Accept all")
+                .build(),
+            );
         }
         ScenarioKind::LazyContent => {
             // The measured content sits in a display:none section at the
             // end of the body; until revealed it has no geometry and no
             // locator presence.
-            let section = ElementBuilder::flow("section", Display::None)
-                .id(LAZY_ID)
-                .insert_under(&mut page.doc, page.body);
-            ElementBuilder::flow(
-                "button",
-                Display::Block {
-                    height: 40.0,
-                    width_frac: 0.3,
-                    margin: 8.0,
-                    padding: 0.0,
-                },
-            )
-            .id(LAZY_TARGET_ID)
-            .text("Load more")
-            .insert_under(&mut page.doc, section);
+            let section = m.append_child(
+                body,
+                ElementBuilder::flow("section", Display::None)
+                    .id(LAZY_ID)
+                    .build(),
+            );
+            m.append_child(
+                section,
+                ElementBuilder::flow(
+                    "button",
+                    Display::Block {
+                        height: 40.0,
+                        width_frac: 0.3,
+                        margin: 8.0,
+                        padding: 0.0,
+                    },
+                )
+                .id(LAZY_TARGET_ID)
+                .text("Load more")
+                .build(),
+            );
         }
         ScenarioKind::SpaMutation => {
             // The confirmation button exists up front (so a naive driver
             // can cache its coordinates), flowing right after the target.
-            ElementBuilder::flow(
-                "button",
-                Display::Block {
-                    height: 40.0,
-                    width_frac: 0.25,
-                    margin: 10.0,
-                    padding: 0.0,
-                },
-            )
-            .id(CONFIRM_ID)
-            .text("Confirm")
-            .insert_under(&mut page.doc, page.body);
+            m.append_child(
+                body,
+                ElementBuilder::flow(
+                    "button",
+                    Display::Block {
+                        height: 40.0,
+                        width_frac: 0.25,
+                        margin: 10.0,
+                        padding: 0.0,
+                    },
+                )
+                .id(CONFIRM_ID)
+                .text("Confirm")
+                .build(),
+            );
         }
-    }
+    });
 }
 
 /// Page program: dismisses the consent overlay (what clicking

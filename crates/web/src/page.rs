@@ -14,7 +14,7 @@
 //! bit-identical trees, and the layout pass adds no randomness on top.
 
 use crate::site::Site;
-use hlisa_browser::{Display, Document, ElementBuilder, NodeId};
+use hlisa_browser::{Display, Document, DocumentMutator, ElementBuilder, NodeId};
 use hlisa_sim::SimContext;
 use rand::Rng;
 
@@ -59,6 +59,11 @@ pub struct GeneratedPage {
 /// Generates the site's page as a nested DOM tree, drawing structure
 /// from the context's `"site"` stream and letting the browser's flow
 /// layout compute all geometry.
+///
+/// The whole tree is inserted in one [`Document::mutate`] batch, so the
+/// page reflows once, after its last node. Layout is a pure function of
+/// the tree, so that one reflow gives the same boxes and page extent as
+/// a reflow after every insertion would.
 pub fn generate_page(
     site: &Site,
     structure: &PageStructure,
@@ -66,110 +71,133 @@ pub fn generate_page(
 ) -> GeneratedPage {
     let url = format!("https://{}/", site.domain);
     let mut doc = Document::new(&url, structure.page_width, structure.min_page_height);
-    let body = ElementBuilder::flow(
-        "body",
-        Display::Block {
-            height: 10.0,
-            width_frac: 1.0,
-            margin: 0.0,
-            padding: 16.0,
-        },
-    )
-    .insert(&mut doc);
-
-    // Header with a wrapping nav row.
-    let header = section(&mut doc, body, 60.0, 0.0);
-    {
-        let rng = ctx.stream("site");
-        let links = rng.gen_range(3..8);
-        for i in 0..links {
-            let w = 60.0 + rng.gen_range(0.0..80.0);
+    let (target, body) = doc.mutate(|m| {
+        let body = m.append_root(
             ElementBuilder::flow(
-                "a",
-                Display::Inline {
-                    width: w,
-                    height: 20.0,
-                    margin: 4.0,
+                "body",
+                Display::Block {
+                    height: 10.0,
+                    width_frac: 1.0,
+                    margin: 0.0,
+                    padding: 16.0,
                 },
             )
-            .id(&format!("nav-{i}"))
-            .insert_under(&mut doc, header);
+            .build(),
+        );
+
+        // Header with a wrapping nav row.
+        let header = section(m, body, 60.0, 0.0);
+        {
+            let rng = ctx.stream("site");
+            let links = rng.gen_range(3..8);
+            for i in 0..links {
+                let w = 60.0 + rng.gen_range(0.0..80.0);
+                m.append_child(
+                    header,
+                    ElementBuilder::flow(
+                        "a",
+                        Display::Inline {
+                            width: w,
+                            height: 20.0,
+                            margin: 4.0,
+                        },
+                    )
+                    .id(&format!("nav-{i}"))
+                    .build(),
+                );
+            }
         }
-    }
 
-    // The main content column: nested containers down to max_depth.
-    let main = section(&mut doc, body, 40.0, 8.0);
-    grow_containers(&mut doc, main, structure, 1, ctx);
+        // The main content column: nested containers down to max_depth.
+        let main = section(m, body, 40.0, 8.0);
+        grow_containers(m, main, structure, 1, ctx);
 
-    // The primary interaction target, always present and in flow.
-    let target = ElementBuilder::flow(
-        "button",
-        Display::Block {
-            height: 44.0,
-            width_frac: 0.25,
-            margin: 10.0,
-            padding: 0.0,
-        },
-    )
-    .id(TARGET_ID)
-    .text("Continue")
-    .insert_under(&mut doc, main);
+        // The primary interaction target, always present and in flow.
+        let target = m.append_child(
+            main,
+            ElementBuilder::flow(
+                "button",
+                Display::Block {
+                    height: 44.0,
+                    width_frac: 0.25,
+                    margin: 10.0,
+                    padding: 0.0,
+                },
+            )
+            .id(TARGET_ID)
+            .text("Continue")
+            .build(),
+        );
 
-    // Ad slots and the optional video player, as the visit model expects.
-    for slot in 0..site.ad_slots {
-        ElementBuilder::flow(
-            "div",
-            Display::Block {
-                height: 90.0,
-                width_frac: 0.75,
-                margin: 6.0,
-                padding: 0.0,
-            },
-        )
-        .id(&format!("ad-{slot}"))
-        .insert_under(&mut doc, body);
-    }
-    if site.has_video {
-        ElementBuilder::flow(
-            "video",
-            Display::Block {
-                height: 360.0,
-                width_frac: 0.66,
-                margin: 8.0,
-                padding: 0.0,
-            },
-        )
-        .id("player")
-        .insert_under(&mut doc, body);
-    }
+        // Ad slots and the optional video player, as the visit model
+        // expects.
+        for slot in 0..site.ad_slots {
+            m.append_child(
+                body,
+                ElementBuilder::flow(
+                    "div",
+                    Display::Block {
+                        height: 90.0,
+                        width_frac: 0.75,
+                        margin: 6.0,
+                        padding: 0.0,
+                    },
+                )
+                .id(&format!("ad-{slot}"))
+                .build(),
+            );
+        }
+        if site.has_video {
+            m.append_child(
+                body,
+                ElementBuilder::flow(
+                    "video",
+                    Display::Block {
+                        height: 360.0,
+                        width_frac: 0.66,
+                        margin: 8.0,
+                        padding: 0.0,
+                    },
+                )
+                .id("player")
+                .build(),
+            );
+        }
 
-    // The classic honey element: hidden, tiny, absolute.
-    ElementBuilder::new("div", hlisa_browser::Rect::new(10.0, 10.0, 8.0, 8.0))
-        .id("honey")
-        .hidden()
-        .insert(&mut doc);
+        // The classic honey element: hidden, tiny, absolute.
+        m.append_root(
+            ElementBuilder::new("div", hlisa_browser::Rect::new(10.0, 10.0, 8.0, 8.0))
+                .id("honey")
+                .hidden()
+                .build(),
+        );
+        (target, body)
+    });
 
     GeneratedPage { doc, target, body }
 }
 
 /// Appends one full-width block section under `parent`.
-fn section(doc: &mut Document, parent: NodeId, height: f64, padding: f64) -> NodeId {
-    ElementBuilder::flow(
-        "section",
-        Display::Block {
-            height,
-            width_frac: 1.0,
-            margin: 4.0,
-            padding,
-        },
+fn section(m: &mut DocumentMutator, parent: NodeId, height: f64, padding: f64) -> NodeId {
+    m.append_child(
+        parent,
+        ElementBuilder::flow(
+            "section",
+            Display::Block {
+                height,
+                width_frac: 1.0,
+                margin: 4.0,
+                padding,
+            },
+        )
+        .build(),
     )
-    .insert_under(doc, parent)
 }
 
 /// Recursively grows containers under `parent` until `max_depth`,
 /// drawing the branching factor and leaf mix from the `"site"` stream.
 fn grow_containers(
-    doc: &mut Document,
+    m: &mut DocumentMutator,
     parent: NodeId,
     structure: &PageStructure,
     depth: usize,
@@ -190,29 +218,35 @@ fn grow_containers(
             )
         };
         if nest {
-            let child = ElementBuilder::flow(
-                "div",
-                Display::Block {
-                    height: 10.0,
-                    width_frac: if wide { 1.0 } else { 0.8 },
-                    margin: 4.0,
-                    padding: 6.0,
-                },
-            )
-            .insert_under(doc, parent);
-            grow_containers(doc, child, structure, depth + 1, ctx);
+            let child = m.append_child(
+                parent,
+                ElementBuilder::flow(
+                    "div",
+                    Display::Block {
+                        height: 10.0,
+                        width_frac: if wide { 1.0 } else { 0.8 },
+                        margin: 4.0,
+                        padding: 6.0,
+                    },
+                )
+                .build(),
+            );
+            grow_containers(m, child, structure, depth + 1, ctx);
         } else {
-            ElementBuilder::flow(
-                "p",
-                Display::Block {
-                    height: leaf_h,
-                    width_frac: 1.0,
-                    margin: 2.0,
-                    padding: 0.0,
-                },
-            )
-            .id(&format!("d{depth}-p{i}"))
-            .insert_under(doc, parent);
+            m.append_child(
+                parent,
+                ElementBuilder::flow(
+                    "p",
+                    Display::Block {
+                        height: leaf_h,
+                        width_frac: 1.0,
+                        margin: 2.0,
+                        padding: 0.0,
+                    },
+                )
+                .id(&format!("d{depth}-p{i}"))
+                .build(),
+            );
         }
     }
 }

@@ -28,7 +28,7 @@
 //! | `campaign` | [`campaign_bench`] | snapshot stamp vs world build, shapes vs `LinearObject`, world cache vs rebuild |
 //! | `interaction` | [`interaction_bench`] | grid vs linear hit test, stroke kernel vs reference, batch planner, recorder views |
 //! | `web` | [`web_bench`] | page generation rate, layered hit test, batched DOM mutation |
-//! | `lint` | [`lint_bench`] | AST parse/analyze rates against the token scanner |
+//! | `lint` | [`lint_bench`] | AST parse and rule-pass rates over the workspace |
 //! | `parallel` | [`parallel_bench`] | worker-count sweep, lazy shard set-up, planner cost |
 //! | `reliability` | [`reliability_bench`] | drift-vs-loss-rate curve (facts); `partial_capture` (lane-batched loss hash vs scalar `blame`) |
 

@@ -1,8 +1,7 @@
 //! Lint-throughput benchmark: how fast the AST-grade determinism
-//! analysis covers the workspace, and what the structure costs over the
-//! retired token scanner.
+//! analysis covers the workspace.
 //!
-//! Three sections, each in covered lines per second, emitted as
+//! Two sections, each in covered lines per second, emitted as
 //! `BENCH_lint.json`:
 //!
 //! 1. **Parse** — lexing + tree building + recursive-descent parsing
@@ -11,17 +10,12 @@
 //! 2. **Analyze** — the rule passes ([`hlisa_lint::analyze_file`]) over
 //!    pre-built analyses, with each file's real exemptions and pass
 //!    configuration, so the split shows where a `hlisa-lint` run spends
-//!    its time.
-//! 3. **Token scanner** — the retired line/token scanner
-//!    ([`hlisa_lint::analyze_source`]) as the reference point: the
-//!    `ast_cost_ratio` says what the AST upgrade costs per covered line
-//!    (expected well above 1 — the parse buys precision, and the
-//!    differential suite keeps both sides honest).
+//!    its time (`analyze_share`).
 
 use crate::harness::{measure, Report};
 use hlisa_lint::{
-    analyze_file, analyze_source, exemptions_for, find_workspace_root, workspace_files,
-    AstAnalysis, Exemptions, RulePasses,
+    analyze_file, exemptions_for, find_workspace_root, workspace_files, AstAnalysis, Exemptions,
+    RulePasses,
 };
 use std::hint::black_box;
 use std::path::Path;
@@ -106,18 +100,6 @@ pub fn run(config: BenchConfig) -> Report {
         n
     });
 
-    // Token scanner reference.
-    let (scanner, _) = measure("token_scanner", "lines", ops, || {
-        let mut n = 0usize;
-        for _ in 0..config.iters {
-            n = files
-                .iter()
-                .map(|f| black_box(analyze_source(&f.rel, &f.text, f.exempt)).len())
-                .sum();
-        }
-        n
-    });
-
     let ast_s = parse.time.median_s + analyze.time.median_s;
     let mut report = Report::new(
         "hlisa-lint AST analysis over the workspace",
@@ -128,11 +110,9 @@ pub fn run(config: BenchConfig) -> Report {
     // The post-suppression diagnostic count per sweep: a sanity anchor
     // that the timed work is the real analysis.
     report.fact("findings", findings as f64);
-    // AST end-to-end cost per line over the token scanner's.
-    report.fact("ast_cost_ratio", ast_s / scanner.time.median_s.max(1e-12));
     // Fraction of the AST pass spent past the parser.
     report.fact("analyze_share", analyze.time.median_s / ast_s.max(1e-12));
-    report.sections = vec![parse, analyze, scanner];
+    report.sections = vec![parse, analyze];
     report
 }
 
@@ -150,10 +130,9 @@ mod tests {
         // The workspace gate holds, so a sweep with the real exemptions
         // finds nothing.
         assert_eq!(report.get_fact("findings"), Some(0.0));
-        for name in ["parse", "analyze", "token_scanner"] {
+        for name in ["parse", "analyze"] {
             assert!(report.section(name).is_some(), "missing {name}");
         }
-        assert!(report.get_fact("ast_cost_ratio").is_some());
         assert!(report.render_human().contains("hlisa-lint"));
     }
 }

@@ -6,10 +6,9 @@
 //! types, macro bodies, `use` trees). Structural nodes give the
 //! provenance passes real shape to walk (blocks, conditions, match arms,
 //! loops, calls); opaque runs guarantee that token-level rules still see
-//! *all* source, so the AST pass can reproduce every token-scanner
-//! finding even where it has no deeper structure. The differential test
-//! in `tests/ast_differential.rs` holds the two analyzers to that
-//! contract over the whole workspace.
+//! *all* source, even where the AST has no deeper structure.
+//! `tests/ast_differential.rs` checks that every workspace file parses
+//! with no opaque fallback.
 //!
 //! Lines are 1-based and attached to the nodes rules anchor diagnostics
 //! to; opaque runs carry per-token lines.
@@ -19,7 +18,7 @@ use crate::parse::Token;
 /// A flattened run of tokens the parser keeps but does not structure:
 /// generic parameter lists, where clauses, patterns, types, `use` trees,
 /// macro bodies. Group delimiters are preserved as punct tokens so
-/// neighbour-sensitive token rules behave exactly as in the scanner.
+/// neighbour-sensitive token rules (`.unwrap()`, `panic!`) still match.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TokenRun {
     /// The tokens, in source order.
@@ -45,8 +44,7 @@ pub struct Attr {
 impl Attr {
     /// True when this attribute gates the item to test builds: it
     /// mentions `test` and is not a `not(...)` form — the same predicate
-    /// the token scanner's region marker uses, so exemption behaviour
-    /// stays identical.
+    /// the opaque-run region marker uses.
     pub fn is_test_gate(&self) -> bool {
         let mut has_test = false;
         let mut has_not = false;
@@ -168,8 +166,8 @@ pub struct ItemAdt {
     pub header: TokenRun,
     /// Field / variant tokens, opaque (delimiters included).
     pub body: TokenRun,
-    /// True when the definition body is brace-delimited (the token
-    /// scanner only treats braced items as test-exemptable regions).
+    /// True when the definition body is brace-delimited (named fields or
+    /// enum variants); false for tuple and unit structs.
     pub braced: bool,
 }
 

@@ -16,7 +16,7 @@ const USAGE: &str = "\
 hlisa-lint: workspace determinism analyzer + action-chain detectability linter
 
 USAGE:
-    hlisa-lint [--json] [--root <dir>] [--skip-gate] [--ledger-check]
+    hlisa-lint [--json] [--root <dir>] [--ledger-check]
     hlisa-lint [--root <dir>] --ledger-write
     hlisa-lint [--json] --check-file <file.rs>
 
@@ -30,13 +30,11 @@ MODES:
 OPTIONS:
     --json          machine-readable output
     --root <dir>    workspace root (default: discovered from the cwd)
-    --skip-gate     source analysis only
     --ledger-check  also fail if the committed LINT_LEDGER.json is stale
 ";
 
 struct Args {
     json: bool,
-    skip_gate: bool,
     ledger_check: bool,
     ledger_write: bool,
     root: Option<PathBuf>,
@@ -46,7 +44,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: false,
-        skip_gate: false,
         ledger_check: false,
         ledger_write: false,
         root: None,
@@ -56,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => args.json = true,
-            "--skip-gate" => args.skip_gate = true,
             "--ledger-check" => args.ledger_check = true,
             "--ledger-write" => args.ledger_write = true,
             "--root" => {
@@ -179,33 +175,31 @@ fn main() -> ExitCode {
 
     // The planner gate: the linter must keep separating the Fig. 3 rungs.
     let mut gate_ok = true;
-    if !args.skip_gate {
-        let selenium = gate::selenium_report().rule_ids();
-        let naive = gate::naive_report(7).rule_ids();
-        let hlisa = gate::hlisa_report(7);
-        if selenium.len() < 3 {
-            gate_ok = false;
-            eprintln!("gate: Selenium chain tripped only {selenium:?} (expected >= 3 rules)");
-        }
-        if naive.len() < 3 {
-            gate_ok = false;
-            eprintln!("gate: naive chain tripped only {naive:?} (expected >= 3 rules)");
-        }
-        if !hlisa.is_clean() {
-            gate_ok = false;
-            eprintln!(
-                "gate: HLISA chain must lint clean but was flagged:\n{}",
-                hlisa.render_human()
-            );
-            report.merge(hlisa);
-        }
-        if gate_ok && !args.json {
-            eprintln!(
-                "gate: ok (selenium trips {}, naive trips {}, hlisa clean)",
-                selenium.len(),
-                naive.len()
-            );
-        }
+    let selenium = gate::selenium_report().rule_ids();
+    let naive = gate::naive_report(7).rule_ids();
+    let hlisa = gate::hlisa_report(7);
+    if selenium.len() < 3 {
+        gate_ok = false;
+        eprintln!("gate: Selenium chain tripped only {selenium:?} (expected >= 3 rules)");
+    }
+    if naive.len() < 3 {
+        gate_ok = false;
+        eprintln!("gate: naive chain tripped only {naive:?} (expected >= 3 rules)");
+    }
+    if !hlisa.is_clean() {
+        gate_ok = false;
+        eprintln!(
+            "gate: HLISA chain must lint clean but was flagged:\n{}",
+            hlisa.render_human()
+        );
+        report.merge(hlisa);
+    }
+    if gate_ok && !args.json {
+        eprintln!(
+            "gate: ok (selenium trips {}, naive trips {}, hlisa clean)",
+            selenium.len(),
+            naive.len()
+        );
     }
 
     emit(&report, args.json);

@@ -1,21 +1,18 @@
-//! The AST-grade analysis passes: every token-scanner rule re-implemented
-//! on the parsed [`crate::ast`] model, plus the stream-provenance rules
-//! that need real structure (conditions, loops, bindings) to exist at all.
+//! The AST-grade analysis passes: the six determinism source rules and
+//! the stream-provenance rules, all walking the parsed [`crate::ast`]
+//! model (conditions, loops and bindings need real structure to exist).
 //!
 //! ## Passes
 //!
-//! * **Source rules** ([`analyze_ast_source_rules`]) — the six token
-//!   rules (`no-thread-rng`, `no-rng-from-seed`, `no-wall-clock`,
-//!   `no-unordered-containers`, `no-panic`, `no-hardcoded-min-move`)
-//!   re-expressed structurally: `.unwrap()` is a method call with empty
-//!   turbofish and no arguments, `panic!` is a macro path, `Instant::now`
-//!   is two adjacent path segments, a hard-coded `min_duration_ms` is a
-//!   field initialiser whose value leads with a numeric literal. Opaque
-//!   [`TokenRun`]s (generics, patterns, types, macro bodies) are scanned
-//!   with a port of the token scanner's loop — including its in-run
-//!   `#[test]` region marking, so `#[test]` functions inside `proptest!`
-//!   bodies stay exempt. `tests/ast_differential.rs` holds this pass to
-//!   byte-equal findings with the scanner across the whole workspace.
+//! * **Source rules** — `no-thread-rng`, `no-rng-from-seed`,
+//!   `no-wall-clock`, `no-unordered-containers`, `no-panic`,
+//!   `no-hardcoded-min-move`, matched structurally: `.unwrap()` is a
+//!   method call with empty turbofish and no arguments, `panic!` is a
+//!   macro path, `Instant::now` is two adjacent path segments, a
+//!   hard-coded `min_duration_ms` is a field initialiser whose value
+//!   leads with a numeric literal. Opaque [`TokenRun`]s (generics,
+//!   patterns, types, macro bodies) are matched token by token on the
+//!   same shapes.
 //! * **Registry** — `stream-name-registry`: every `stream("...")` call
 //!   site must name a stream in [`hlisa_sim::STREAM_REGISTRY`], and the
 //!   name must be a string literal (a computed name defeats the
@@ -31,12 +28,13 @@
 //!   suppressed) on its line or the next would consume, is dead weight
 //!   that silently licenses future regressions.
 //!
-//! Known, deliberate divergences from the token scanner (none occur in
-//! the workspace; the differential test would surface them if they
-//! appeared): a `#[cfg(test)]`-gated `const` whose initialiser contains
-//! braces is treated as not test-exempt here (the scanner exempts up to
-//! the closing brace), and string/char literal tokens are visible to
-//! in-run neighbour checks here where the scanner dropped them.
+//! The source and stream rules skip test code. An item carrying a
+//! `#[test]` or `#[cfg(test)]` attribute (but not `cfg(not(test))`) is
+//! test code, whatever its kind — `mod`, `fn`, `use`, `type`, `const`,
+//! `static` — together with everything nested in it. Inside an opaque
+//! run (a `proptest!` body, say) the parser sees no items, so a gated
+//! run segment is test code from its attribute through the end of its
+//! braced body, or through its `;` when none comes first.
 
 use crate::ast::{
     Attr, Block, Expr, ExprPath, File, Item, ItemKind, Lit, LitKind, MacroCall, Stmt, StmtLet,
@@ -44,7 +42,6 @@ use crate::ast::{
 };
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::parse::{parse_file, AllowDirective, ParsedFile, Tok, Token};
-use crate::source::Exemptions;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A parsed file plus the indexes the passes share. Parse once, run any
@@ -68,30 +65,41 @@ impl AstAnalysis {
     }
 }
 
-/// Which rule families a run of the analyzer applies.
-#[derive(Debug, Clone, Copy)]
-pub struct RulePasses {
-    /// The six re-implemented token rules.
-    pub source_rules: bool,
-    /// `conditional-draw` and `loop-variant-fork`.
-    pub stream_rules: bool,
-    /// `stream-name-registry`.
-    pub registry: bool,
-    /// `stale-allow` (runs last; audits directives against everything
-    /// the enabled passes fired or suppressed).
-    pub stale: bool,
+/// Per-file rule exemptions, granted by the workspace walker to the few
+/// sanctioned definition sites (see `workspace.rs`).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Exemptions {
+    /// Skip `no-hardcoded-min-move`: only the pointer-move profile
+    /// definition site (`crates/webdriver/src/actions.rs`), where numeric
+    /// durations are the point.
+    pub min_move: bool,
+    /// Skip `no-unordered-containers`: only for sanctioned interior-use
+    /// modules whose hash containers are point-queried and never iterated
+    /// (the jsom atom interner), so their ordering can't reach output.
+    pub unordered: bool,
+    /// Skip `no-panic`: only for sanctioned fail-fast modules (the
+    /// offline bench report builders), where aborting on a malformed
+    /// local artifact is the intended behaviour.
+    pub panics: bool,
+    /// Skip `no-wall-clock`: only for the bench timing harnesses, whose
+    /// entire job is measuring real elapsed time (`Instant::now()`);
+    /// their readings are reporting artifacts, never simulation inputs.
+    pub wall_clock: bool,
+    /// Skip `no-rng-from-seed`: only the rng construction site itself
+    /// (`crates/stats/src/rngutil.rs`), which defines `rng_from_seed`
+    /// and therefore necessarily names it.
+    pub rng_def: bool,
 }
 
-impl RulePasses {
-    /// Every pass on — what the workspace walker runs on regular crates.
-    pub fn all() -> RulePasses {
-        RulePasses {
-            source_rules: true,
-            stream_rules: true,
-            registry: true,
-            stale: true,
-        }
-    }
+/// Which rules a run of the analyzer applies. The registry check and the
+/// suppression audit always run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RulePasses {
+    /// The determinism rules: the six source rules plus
+    /// `conditional-draw` and `loop-variant-fork`. Off only where real
+    /// randomness and time are sanctioned (`hlisa-sim`) and in the
+    /// shared `tests/` tree.
+    pub determinism: bool,
 }
 
 /// What kind of derivation call a ledger site is.
@@ -140,50 +148,22 @@ pub fn analyze_file(
     exempt: Exemptions,
     passes: RulePasses,
 ) -> Vec<Diagnostic> {
-    let mut a = Analyzer::new(file, exempt, passes, &analysis.allows);
+    let mut a = Analyzer::new(file, exempt, passes.determinism, &analysis.allows);
     a.walk_file(&analysis.parsed.ast);
-    if passes.stale {
-        a.stale_allow_pass(&analysis.parsed.allows);
-    }
+    a.stale_allow_pass(&analysis.parsed.allows);
     a.out
-}
-
-/// The six token rules only — the surface the differential test compares
-/// against [`crate::analyze_source`].
-pub fn analyze_ast_source_rules(
-    file: &str,
-    analysis: &AstAnalysis,
-    exempt: Exemptions,
-) -> Vec<Diagnostic> {
-    analyze_file(
-        file,
-        analysis,
-        exempt,
-        RulePasses {
-            source_rules: true,
-            stream_rules: false,
-            registry: false,
-            stale: false,
-        },
-    )
 }
 
 /// Convenience: parse `src` and run every pass.
 pub fn analyze_ast(file: &str, src: &str, exempt: Exemptions) -> Vec<Diagnostic> {
     let analysis = AstAnalysis::of(src);
-    analyze_file(file, &analysis, exempt, RulePasses::all())
+    analyze_file(file, &analysis, exempt, RulePasses { determinism: true })
 }
 
 /// Collects every `stream`/`fork`/`fork_visit` call site for the ledger
 /// (no diagnostics).
 pub fn collect_stream_sites(analysis: &AstAnalysis) -> Vec<StreamSite> {
-    let passes = RulePasses {
-        source_rules: false,
-        stream_rules: false,
-        registry: false,
-        stale: false,
-    };
-    let mut a = Analyzer::new("", Exemptions::default(), passes, &analysis.allows);
+    let mut a = Analyzer::new("", Exemptions::default(), false, &analysis.allows);
     a.walk_file(&analysis.parsed.ast);
     a.sites
 }
@@ -209,7 +189,8 @@ const ALWAYS_FIRE: &[(&str, &str, &str)] = &[
 struct Analyzer<'a> {
     file: &'a str,
     exempt: Exemptions,
-    passes: RulePasses,
+    /// Whether the determinism rules apply (see [`RulePasses`]).
+    determinism: bool,
     allows: &'a BTreeMap<usize, Vec<String>>,
     /// Every finding before suppression — the stale-allow ground truth.
     fired: Vec<(&'static str, usize)>,
@@ -228,13 +209,13 @@ impl<'a> Analyzer<'a> {
     fn new(
         file: &'a str,
         exempt: Exemptions,
-        passes: RulePasses,
+        determinism: bool,
         allows: &'a BTreeMap<usize, Vec<String>>,
     ) -> Analyzer<'a> {
         Analyzer {
             file,
             exempt,
-            passes,
+            determinism,
             allows,
             fired: Vec::new(),
             out: Vec::new(),
@@ -279,7 +260,7 @@ impl<'a> Analyzer<'a> {
 
     /// Rules that fire on a bare identifier anywhere outside tests.
     fn ident_rule(&mut self, name: &str, line: usize, in_test: bool) {
-        if !self.passes.source_rules || in_test {
+        if !self.determinism || in_test {
             return;
         }
         for &(word, rule, msg) in ALWAYS_FIRE {
@@ -309,7 +290,7 @@ impl<'a> Analyzer<'a> {
         for seg in &p.segments {
             self.ident_rule(&seg.name, seg.line, in_test);
         }
-        if self.passes.source_rules && !in_test && !self.exempt.wall_clock {
+        if self.determinism && !in_test && !self.exempt.wall_clock {
             for w in p.segments.windows(2) {
                 if w[0].name == "Instant" && w[1].name == "now" {
                     self.fire(
@@ -339,10 +320,25 @@ impl<'a> Analyzer<'a> {
         None
     }
 
+    /// Fires `stream-name-registry` when a literal stream name is not
+    /// registered.
+    fn check_registered(&mut self, text: &str, line: usize) {
+        if !hlisa_sim::is_registered(text) {
+            self.fire(
+                "stream-name-registry",
+                line,
+                format!(
+                    "stream name \"{text}\" is not in hlisa-sim's STREAM_REGISTRY; \
+                     register it (crates/sim/src/streams.rs) or fix the typo"
+                ),
+            );
+        }
+    }
+
     /// Fires `conditional-draw` when a use of `stream` sits under a
     /// condition that consumed a different stream.
     fn check_governed(&mut self, stream: &str, line: usize, in_test: bool) {
-        if !self.passes.stream_rules || in_test {
+        if !self.determinism || in_test {
             return;
         }
         let offender = self
@@ -528,8 +524,7 @@ impl<'a> Analyzer<'a> {
     }
 
     fn walk_item_inner(&mut self, item: &Item, in_test: bool) {
-        let gated = item.attrs.iter().any(Attr::is_test_gate);
-        let in_test = in_test || (gated && item_braced(&item.kind));
+        let in_test = in_test || item.attrs.iter().any(Attr::is_test_gate);
         for a in &item.attrs {
             self.scan_run(&a.tokens, in_test);
         }
@@ -615,7 +610,7 @@ impl<'a> Analyzer<'a> {
         for seg in &m.path {
             self.ident_rule(seg, m.line, in_test);
         }
-        if self.passes.source_rules
+        if self.determinism
             && !in_test
             && !self.exempt.panics
             && m.path.last().is_some_and(|s| s == "panic")
@@ -803,7 +798,7 @@ impl<'a> Analyzer<'a> {
                 self.path_rules(path, in_test, false);
                 for f in fields {
                     self.ident_rule(&f.name, f.line, in_test);
-                    if self.passes.source_rules
+                    if self.determinism
                         && !in_test
                         && !self.exempt.min_move
                         && f.name == "min_duration_ms"
@@ -839,7 +834,7 @@ impl<'a> Analyzer<'a> {
         in_test: bool,
     ) {
         self.ident_rule(name, line, in_test);
-        if self.passes.source_rules && !in_test {
+        if self.determinism && !in_test {
             if name == "unwrap" && !self.exempt.panics && turbofish.is_empty() && args.is_empty() {
                 self.fire(
                     "no-panic",
@@ -883,29 +878,16 @@ impl<'a> Analyzer<'a> {
                         in_test,
                         line,
                     });
-                    if self.passes.registry && !hlisa_sim::is_registered(text) {
-                        self.fire(
-                            "stream-name-registry",
-                            line,
-                            format!(
-                                "stream name \"{text}\" is not in hlisa-sim's STREAM_REGISTRY; \
-                                 register it (crates/sim/src/streams.rs) or fix the typo"
-                            ),
-                        );
-                    }
+                    self.check_registered(text, line);
                     self.check_governed(text, line, in_test);
                 }
-                _ => {
-                    if self.passes.registry {
-                        self.fire(
-                            "stream-name-registry",
-                            line,
-                            "stream name must be a string literal from STREAM_REGISTRY; \
-                             a computed name defeats the closed-set audit"
-                                .to_string(),
-                        );
-                    }
-                }
+                _ => self.fire(
+                    "stream-name-registry",
+                    line,
+                    "stream name must be a string literal from STREAM_REGISTRY; \
+                     a computed name defeats the closed-set audit"
+                        .to_string(),
+                ),
             }
         }
         if name == "fork" || name == "fork_visit" {
@@ -932,7 +914,7 @@ impl<'a> Analyzer<'a> {
                 in_test,
                 line,
             });
-            if self.passes.stream_rules
+            if self.determinism
                 && !in_test
                 && self.loop_depth > 0
                 && !args.is_empty()
@@ -950,10 +932,10 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// The min-move override in free/path call position — the same token
-    /// pattern the scanner matches when the call is not a method call.
+    /// The min-move override in free/path call position (the method-call
+    /// form is in [`Analyzer::method_rules`]).
     fn call_rules(&mut self, callee: &ExprPath, args: &[Expr], in_test: bool) {
-        if !self.passes.source_rules || in_test || self.exempt.min_move {
+        if !self.determinism || in_test || self.exempt.min_move {
             return;
         }
         if let Some(last) = callee.segments.last() {
@@ -969,13 +951,12 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    // ---- opaque-run scanning (the token scanner's loop, ported) -------
+    // ---- opaque-run scanning -----------------------------------------
 
-    /// Runs the token-level rules over an opaque run. This is a faithful
-    /// port of the scanner's loop — including `#[test]` region marking
-    /// *within* the run, so test items inside macro bodies stay exempt —
-    /// plus the registry check and ledger site collection, which apply in
-    /// test code too.
+    /// Runs the token-level rules over an opaque run, with `#[test]`
+    /// region marking *within* the run so test items inside macro bodies
+    /// stay exempt, plus the registry check and ledger site collection,
+    /// which apply in test code too.
     fn scan_run(&mut self, run: &TokenRun, in_test: bool) {
         if run.is_empty() {
             return;
@@ -1000,16 +981,7 @@ impl<'a> Analyzer<'a> {
                         in_test: t_in_test,
                         line,
                     });
-                    if self.passes.registry && !hlisa_sim::is_registered(text) {
-                        self.fire(
-                            "stream-name-registry",
-                            line,
-                            format!(
-                                "stream name \"{text}\" is not in hlisa-sim's STREAM_REGISTRY; \
-                                 register it (crates/sim/src/streams.rs) or fix the typo"
-                            ),
-                        );
-                    }
+                    self.check_registered(text, line);
                 }
             }
             if (name == "fork" || name == "fork_visit") && dotted_call {
@@ -1031,7 +1003,7 @@ impl<'a> Analyzer<'a> {
                 });
             }
 
-            if !self.passes.source_rules || t_in_test {
+            if !self.determinism || t_in_test {
                 continue;
             }
             self.ident_rule(name, line, false);
@@ -1149,33 +1121,9 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// True when the item has the braced body the scanner requires before it
-/// treats a `#[test]`/`#[cfg(test)]` gate as an exemptable region.
-fn item_braced(kind: &ItemKind) -> bool {
-    match kind {
-        ItemKind::Fn(f) => f.body.is_some(),
-        ItemKind::Mod(m) => m.items.is_some(),
-        ItemKind::Impl(_) | ItemKind::Trait(_) => true,
-        ItemKind::Adt(a) => a.braced,
-        ItemKind::Use(_) | ItemKind::TypeAlias(_) | ItemKind::Const(_) => false,
-        ItemKind::Macro(m) => m.body.tokens.iter().take(2).any(|t| t.is_punct("{")),
-        ItemKind::Verbatim(run) => {
-            for t in &run.tokens {
-                if t.is_punct("{") {
-                    return true;
-                }
-                if t.is_punct(";") {
-                    return false;
-                }
-            }
-            false
-        }
-    }
-}
-
 /// True when the expression's leftmost token is a numeric literal — the
-/// structural equivalent of the scanner's "`(` or `:` followed by a
-/// number" checks.
+/// structural form of the opaque runs' "`(` or `:` followed by a number"
+/// checks.
 fn leading_num(e: &Expr) -> bool {
     match e {
         Expr::Lit(l) => l.kind == LitKind::Num,
@@ -1209,9 +1157,10 @@ fn single_binding(pat: &TokenRun) -> Option<String> {
     name
 }
 
-/// Port of the scanner's `#[test]` / `#[cfg(test)]` region marker, over
-/// a run's tokens (used for macro bodies, which can hold whole test
-/// functions the parser never sees structurally).
+/// Marks the `#[test]` / `#[cfg(test)]` regions of a run's tokens (used
+/// for macro bodies, which can hold whole test functions the parser never
+/// sees structurally). A region runs from the attribute through the gated
+/// item's braced body, or through its `;` when that comes first.
 fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
     let n = tokens.len();
     let mut in_test = vec![false; n];
@@ -1245,16 +1194,23 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
             i = j.min(n - 1) + 1;
             continue;
         }
-        // Find the gated item's `{` (a `;` first means no body); skip
-        // intervening attributes.
+        // Find the gated item's end: its `;`, or the `}` closing its
+        // first brace group. Intervening attributes are skipped.
         let mut k = j + 1;
-        let mut body = None;
-        while k < n {
+        while k < n && !tokens[k].is_punct(";") {
             if tokens[k].is_punct("{") {
-                body = Some(k);
-                break;
-            }
-            if tokens[k].is_punct(";") {
+                let mut d = 0;
+                while k < n {
+                    if tokens[k].is_punct("{") {
+                        d += 1;
+                    } else if tokens[k].is_punct("}") {
+                        d -= 1;
+                        if d == 0 {
+                            break;
+                        }
+                    }
+                    k += 1;
+                }
                 break;
             }
             if tokens[k].is_punct("#") && k + 1 < n && tokens[k + 1].is_punct("[") {
@@ -1274,23 +1230,8 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
             }
             k += 1;
         }
-        if let Some(start) = body {
-            let mut d = 0;
-            let mut m = start;
-            while m < n {
-                if tokens[m].is_punct("{") {
-                    d += 1;
-                } else if tokens[m].is_punct("}") {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                m += 1;
-            }
-            for flag in in_test.iter_mut().take(m.min(n - 1) + 1).skip(i) {
-                *flag = true;
-            }
+        for flag in in_test.iter_mut().take(k.min(n - 1) + 1).skip(i) {
+            *flag = true;
         }
         i = j + 1;
     }
@@ -1307,7 +1248,7 @@ mod tests {
             "fixture.rs",
             &analysis,
             Exemptions::default(),
-            RulePasses::all(),
+            RulePasses { determinism: true },
         )
         .into_iter()
         .map(|d| (d.rule, d.location.line.unwrap_or(0)))
@@ -1443,5 +1384,29 @@ mod tests {
         assert!(rule_ids("fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }").is_empty());
         assert!(rule_ids("#[test]\nfn t() { Some(1).unwrap(); }").is_empty());
         assert!(rule_ids("#[test]\nfn t() { Some(1).expect(\"in tests\"); }").is_empty());
+    }
+
+    #[test]
+    fn test_gated_items_are_test_code_whatever_their_kind() {
+        let module = "#[cfg(test)]\nmod tests {\n use std::collections::HashSet;\n #[test]\n \
+                      fn t() { let s: HashSet<u8> = HashSet::new(); }\n}";
+        assert!(rule_ids(module).is_empty());
+        let unbraced = [
+            "#[cfg(test)]\nuse std::collections::HashSet;",
+            "#[cfg(test)]\ntype Seen = std::collections::HashMap<u8, u8>;",
+            "#[cfg(test)]\nconst T: u8 = { let x: Option<u8> = Some(1); x.unwrap() };",
+            "#[cfg(test)]\nstatic T: u8 = { let x: Option<u8> = Some(1); x.unwrap() };",
+        ];
+        for src in unbraced {
+            assert!(rule_ids(src).is_empty(), "{src}: {:?}", rule_ids(src));
+        }
+        // The same rule holds for test items inside an opaque macro body.
+        let in_macro = "m! {\n #[cfg(test)]\n use std::collections::HashSet;\n}";
+        assert!(rule_ids(in_macro).is_empty(), "{:?}", rule_ids(in_macro));
+        // `cfg(not(test))` is production code.
+        let not_test = "#[cfg(not(test))]\nmod prod { use std::collections::HashSet; }";
+        assert_eq!(rule_ids(not_test), ["no-unordered-containers"]);
+        let not_test_use = "#[cfg(not(test))]\nuse std::collections::HashSet;";
+        assert_eq!(rule_ids(not_test_use), ["no-unordered-containers"]);
     }
 }

@@ -6,7 +6,8 @@
 /// Which analyzer owns a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyzerKind {
-    /// The token-level workspace scanner ([`crate::source`]).
+    /// The determinism source rules of the workspace analyzer
+    /// ([`crate::provenance`]).
     Source,
     /// The action-chain detectability linter ([`crate::chain`]).
     Chain,

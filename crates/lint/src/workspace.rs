@@ -3,24 +3,23 @@
 //!
 //! Scope per region:
 //!
-//! * regular crates (`crates/*/src`) — every pass: the six source rules,
-//!   the stream-provenance rules, the registry check, and the
-//!   suppression audit;
+//! * regular crates (`crates/*/src`) — every pass: the determinism rules
+//!   (the six source rules and the stream-provenance rules), the
+//!   registry check, and the suppression audit;
 //! * `crates/sim/src` — the sanctioned home of real randomness and time,
-//!   so the source and stream rules have a gate there; the registry
-//!   check and suppression audit still apply (sim's own tests name
-//!   streams too, and a stale allow is stale anywhere);
+//!   so the determinism rules are off there; the registry check and
+//!   suppression audit still apply (sim's own tests name streams too,
+//!   and a stale allow is stale anywhere);
 //! * the shared `tests/` tree — integration/property tests; registry
 //!   check and suppression audit only.
 
 use crate::diag::Report;
-use crate::provenance::{analyze_file, AstAnalysis, RulePasses};
-use crate::source::Exemptions;
+use crate::provenance::{analyze_file, AstAnalysis, Exemptions, RulePasses};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Crates whose sources are exempt from the source and stream rules:
+/// Crates whose sources are exempt from the determinism rules:
 /// `hlisa-sim` is the sanctioned home of real randomness and time.
 const EXEMPT_CRATES: &[&str] = &["sim"];
 
@@ -56,8 +55,8 @@ const WALL_CLOCK_SANCTIONED_PREFIXES: &[&str] = &["crates/bench/src/"];
 const RNG_DEFINITION_SITE: &str = "crates/stats/src/rngutil.rs";
 
 /// The exemptions the walker grants a workspace-relative path. Public so
-/// the AST/token differential test can replay the walker's exact
-/// per-file configuration.
+/// the ledger and the `lint` bench suite analyze each file exactly as
+/// the walker does.
 pub fn exemptions_for(rel: &str) -> Exemptions {
     Exemptions {
         min_move: rel == MIN_MOVE_DEFINITION_SITE,
@@ -105,12 +104,6 @@ fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Shared with [`crate::ledger`] and the `lint` bench suite so both
 /// cover exactly the linted file set.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePasses)>> {
-    let audit_only = RulePasses {
-        source_rules: false,
-        stream_rules: false,
-        registry: true,
-        stale: true,
-    };
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
     let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -122,10 +115,8 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePass
     crates.sort();
     for krate in crates {
         let name = krate.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let passes = if EXEMPT_CRATES.contains(&name) {
-            audit_only
-        } else {
-            RulePasses::all()
+        let passes = RulePasses {
+            determinism: !EXEMPT_CRATES.contains(&name),
         };
         let src = krate.join("src");
         if !src.is_dir() {
@@ -142,7 +133,11 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePass
         let mut files = Vec::new();
         rust_files_under(&tests_dir, &mut files)?;
         for file in files {
-            out.push((rel_path(root, &file), file, audit_only));
+            out.push((
+                rel_path(root, &file),
+                file,
+                RulePasses { determinism: false },
+            ));
         }
     }
     Ok(out)
@@ -230,12 +225,12 @@ mod tests {
             .iter()
             .find(|(r, _, _)| r.starts_with("crates/sim/src/"))
             .expect("sim file");
-        assert!(!sim.2.source_rules && sim.2.registry && sim.2.stale);
+        assert!(!sim.2.determinism);
         let core = files
             .iter()
             .find(|(r, _, _)| r.starts_with("crates/core/src/"))
             .expect("core file");
-        assert!(core.2.source_rules && core.2.stream_rules);
+        assert!(core.2.determinism);
     }
 
     #[test]

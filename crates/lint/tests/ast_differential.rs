@@ -1,23 +1,13 @@
-//! The AST/token differential: the contract that lets the AST pass
-//! *replace* the token scanner as the primary source analyzer.
+//! Total parse coverage: every `.rs` file in every crate's `src/` tree
+//! (plus the shared `tests/` sources) parses with zero [`ParseIssue`]s.
+//! The parser's opaque fallback exists for garbage inputs, not for the
+//! workspace; any fallback would silently shrink the AST rules' view of
+//! the code.
 //!
-//! Two halves:
-//!
-//! 1. **Total parse coverage** — every `.rs` file in every crate's
-//!    `src/` tree (plus the shared `tests/` sources) parses with zero
-//!    [`ParseIssue`]s. The parser's opaque fallback exists for garbage
-//!    inputs, not for the workspace; any fallback would silently shrink
-//!    the AST rules' view of the code.
-//! 2. **Finding equivalence** — for every file, the AST re-implementation
-//!    of the token rules produces *exactly* the token scanner's findings
-//!    (same rule, same line), under the same exemptions the workspace
-//!    walker grants. This holds the two analyzers to byte-equal verdicts
-//!    over the entire codebase, so retiring the scanner from the gate
-//!    loses nothing.
+//! [`ParseIssue`]: hlisa_lint::parse::ParseIssue
 
-use hlisa_lint::provenance::{analyze_ast_source_rules, AstAnalysis};
-use hlisa_lint::workspace::{exemptions_for, find_workspace_root};
-use hlisa_lint::{analyze_source, parse_file};
+use hlisa_lint::parse_file;
+use hlisa_lint::workspace::find_workspace_root;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -72,44 +62,4 @@ fn every_workspace_file_parses_with_zero_issues() {
         failures.len(),
         failures.join("\n")
     );
-}
-
-#[test]
-fn ast_rules_reproduce_every_token_scanner_finding() {
-    let mut mismatches = Vec::new();
-    let mut token_findings = 0usize;
-    for (rel, path) in workspace_rust_files() {
-        let src = fs::read_to_string(&path).expect("read source");
-        let exempt = exemptions_for(&rel);
-        let mut scanner: Vec<(String, usize)> = analyze_source(&rel, &src, exempt)
-            .into_iter()
-            .map(|d| (d.rule.to_string(), d.location.line.unwrap_or(0)))
-            .collect();
-        let analysis = AstAnalysis::of(&src);
-        let mut ast: Vec<(String, usize)> = analyze_ast_source_rules(&rel, &analysis, exempt)
-            .into_iter()
-            .map(|d| (d.rule.to_string(), d.location.line.unwrap_or(0)))
-            .collect();
-        scanner.sort();
-        ast.sort();
-        token_findings += scanner.len();
-        if scanner != ast {
-            let only_scanner: Vec<_> = scanner.iter().filter(|f| !ast.contains(f)).collect();
-            let only_ast: Vec<_> = ast.iter().filter(|f| !scanner.contains(f)).collect();
-            mismatches.push(format!(
-                "{rel}: scanner-only {only_scanner:?}, ast-only {only_ast:?}"
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "analyzers disagree on {} file(s):\n{}",
-        mismatches.len(),
-        mismatches.join("\n")
-    );
-    // Both analyzers apply the same allows and exemptions, so the
-    // workspace-wide finding count can legitimately be zero; the corpus
-    // still exercises every rule via the sim/tests files (walked here
-    // but not by the workspace gate).
-    let _ = token_findings;
 }

@@ -1,8 +1,8 @@
 //! Interaction fast-path benchmark: hit testing, trajectory synthesis,
-//! batch visit planning, and recorder analytics.
+//! batch visit planning, recorder analytics, and pointer injection.
 //!
-//! Four sections, each a retained reference against its optimised path,
-//! emitted as `BENCH_interaction.json`:
+//! Five sections, emitted as `BENCH_interaction.json`; the first four
+//! each time a retained reference against its optimised path:
 //!
 //! 1. **Hit testing** — the linear reverse scan
 //!    ([`Document::hit_test_linear`]) vs the spatial-grid index
@@ -26,10 +26,20 @@
 //! 4. **Recorder queries** — the retained full-scan analytics
 //!    (`*_rescan`) vs the incrementally-maintained views the recorder now
 //!    serves as slices, over a realistic multi-thousand-event trace.
+//! 5. **Pointer injection** — one recorded HLISA movement injected as
+//!    one [`Browser::input_timed`] batch into a browser re-opened
+//!    ([`Browser::reopen`]) on a fresh copy of the page each time, the
+//!    way a scenario drive reuses its worker's browser. No baseline: the
+//!    per-item advance-then-input loop it replaced survives only as the
+//!    test-local reference of the browser's timed-input differential
+//!    test.
 
-use crate::harness::{compare, Report, Section};
+use crate::harness::{compare, measure, Report, Section};
 use hlisa_browser::dom::standard_test_page;
-use hlisa_browser::{Browser, BrowserConfig, Document, ElementBuilder, EventRecorder, Point, Rect};
+use hlisa_browser::{
+    Browser, BrowserConfig, Document, ElementBuilder, EventRecorder, Point, RawInput, Rect,
+    TimedInput, VirtualClock,
+};
 use hlisa_human::cursor;
 use hlisa_human::plan::{plan_visit_unbatched, visit_script_into, ScriptStep};
 use hlisa_human::{HumanAgent, HumanParams, VisitPlanner};
@@ -50,6 +60,8 @@ pub struct BenchConfig {
     pub plan_visits: u32,
     /// Full query sweeps (all seven analytics views) per timed run.
     pub query_iters: u32,
+    /// Recorded movements injected per timed run.
+    pub inject_moves: u32,
 }
 
 impl BenchConfig {
@@ -61,6 +73,7 @@ impl BenchConfig {
             traj_moves: 20_000,
             plan_visits: 4_000,
             query_iters: 2_000,
+            inject_moves: 50_000,
         }
     }
 
@@ -72,6 +85,7 @@ impl BenchConfig {
             traj_moves: 100,
             plan_visits: 60,
             query_iters: 50,
+            inject_moves: 500,
         }
     }
 }
@@ -387,27 +401,91 @@ fn bench_recorder(config: &BenchConfig) -> (u64, Section) {
     (trace_events, section)
 }
 
+/// One recorded HLISA movement from the cursor origin a fresh window
+/// hands out, as the timed batch [`HumanAgent::move_cursor_to`] injects.
+fn recorded_movement() -> Vec<TimedInput> {
+    let mut ctx = SimContext::new(1_117);
+    let mut samples = Vec::new();
+    cursor::synthesize_into(
+        &HumanParams::paper_baseline(),
+        ctx.stream("cursor"),
+        Point::new(0.0, 0.0),
+        Point::new(900.0, 300.0),
+        40.0,
+        &mut cursor::StrokeScratch::new(),
+        &mut samples,
+    );
+    let mut prev_t = 0.0;
+    samples
+        .iter()
+        .map(|s| {
+            let delay = (s.t_ms - prev_t).max(0.0);
+            prev_t = s.t_ms;
+            TimedInput::after(delay, RawInput::MouseMove { x: s.x, y: s.y })
+        })
+        .collect()
+}
+
+/// Returns the section, the movement's sample count and the events one
+/// injection dispatches.
+fn bench_pointer_injection(config: &BenchConfig) -> (Section, u64, u64) {
+    let movement = recorded_movement();
+    let page = standard_test_page("https://bench.test/", 30_000.0);
+    // Every re-opened copy shares the index built here, as scenario
+    // pages do.
+    page.build_index();
+    let mut browser = Browser::open(BrowserConfig::webdriver(), page.clone());
+    let inject = |browser: &mut Browser| {
+        browser.reopen(page.clone(), VirtualClock::new());
+        browser.input_timed(movement.iter().cloned());
+        browser.recorder.len() as u64
+    };
+    let per_move = inject(&mut browser);
+    let (section, events) = measure(
+        "pointer_injection",
+        "movements",
+        u64::from(config.inject_moves),
+        || {
+            let mut events = 0u64;
+            for _ in 0..config.inject_moves {
+                events += inject(black_box(&mut browser));
+            }
+            events
+        },
+    );
+    assert_eq!(
+        events,
+        per_move * u64::from(config.inject_moves),
+        "a re-opened browser dispatched a different trace"
+    );
+    (section, movement.len() as u64, per_move)
+}
+
 /// Runs the whole suite.
 pub fn run(config: BenchConfig) -> Report {
     let mut report = Report::new(
-        "hlisa interaction fast path (hit test/trajectory/batch plan/recorder)",
+        "hlisa interaction fast path (hit test/trajectory/batch plan/recorder/injection)",
         vec![
             ("hit_elements", config.hit_elements as u64),
             ("hit_passes", u64::from(config.hit_passes)),
             ("traj_moves", u64::from(config.traj_moves)),
             ("plan_visits", u64::from(config.plan_visits)),
             ("query_iters", u64::from(config.query_iters)),
+            ("inject_moves", u64::from(config.inject_moves)),
         ],
     );
     let hit_test = bench_hit_test(&config);
     let trajectory = bench_trajectory(&config);
     let (batch_plan, plan_arenas_grown) = bench_batch_plan(&config);
     let (trace_events, recorder) = bench_recorder(&config);
-    report.sections = vec![hit_test, trajectory, batch_plan, recorder];
+    let (injection, movement_samples, movement_events) = bench_pointer_injection(&config);
+    report.sections = vec![hit_test, trajectory, batch_plan, recorder, injection];
     // Arenas that still grew during the timed batch-planning runs
     // (0 = zero steady-state allocations, the planner's contract).
     report.fact("plan_arenas_grown", plan_arenas_grown as f64);
     report.fact("trace_events", trace_events as f64);
+    report.fact("movement_samples", movement_samples as f64);
+    report.fact("movement_events", movement_events as f64);
     report
 }
 
@@ -424,6 +502,7 @@ mod tests {
         cfg.traj_moves = 5;
         cfg.plan_visits = 4;
         cfg.query_iters = 2;
+        cfg.inject_moves = 3;
         let report = run(cfg);
         let trace_events = report.get_fact("trace_events").unwrap();
         assert!(trace_events > 1_000.0, "{trace_events} events");
@@ -441,6 +520,14 @@ mod tests {
             let section = report.section(name).expect(name);
             assert!(section.speedup().is_some(), "{name} has no baseline");
         }
+        let injection = report.section("pointer_injection").expect("injection row");
+        assert!(injection.speedup().is_none(), "injection has no baseline");
+        let samples = report.get_fact("movement_samples").unwrap();
+        let events = report.get_fact("movement_events").unwrap();
+        assert!(
+            samples > 10.0 && events > 0.0,
+            "{samples} samples, {events} events"
+        );
         let human = report.render_human();
         assert!(human.contains("recorder_queries"));
         assert!(human.contains("batch_plan"));

@@ -4,7 +4,7 @@ use crate::clock::VirtualClock;
 use crate::dom::{Document, DocumentMemo, DocumentMutator, NodeId};
 use crate::events::{DomEvent, EventKind, EventPayload, MouseButton};
 use crate::geometry::Point;
-use crate::input::RawInput;
+use crate::input::{RawInput, TimedInput};
 use crate::recorder::EventRecorder;
 use crate::viewport::{ScrollOrigin, Viewport};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
@@ -78,9 +78,15 @@ pub struct Browser {
     /// The viewport over the current document.
     pub viewport: Viewport,
     clock: VirtualClock,
-    /// Recorded events ("the page's listeners"). The recorder is itself an
-    /// [`Observer`] that dispatch feeds through the trait; it stays a named
-    /// field so trace accessors remain directly reachable.
+    /// Simulated now while an input entry point runs: read from `clock`
+    /// when it starts, advanced here item by item, and published to
+    /// `clock` once when it ends (see [`Browser::input_timed`]). Stale
+    /// outside those entry points; nothing reads it there.
+    batch_now_ms: f64,
+    /// Recorded events ("the page's listeners"). Dispatch hands it each
+    /// event first, by move, and the attached observers then see the
+    /// recorded event; it stays a named field so trace accessors remain
+    /// directly reachable.
     pub recorder: EventRecorder,
     observers: Vec<Box<dyn Observer<DomEvent>>>,
     mouse: Point,
@@ -98,11 +104,12 @@ pub struct Browser {
     /// Cached recorder + observer + external counter merge, so repeated
     /// [`Browser::metrics`] calls between events are O(1) instead of
     /// re-walking every counter source. Invalidated (reset to an empty
-    /// `OnceLock`) wherever any source can change: event dispatch,
-    /// counter absorption, observer attachment, and navigation. The
-    /// jsom realm stats are *not* part of the cached base — the realm
-    /// mutates its counters on plain property reads, so those are
-    /// layered on fresh at every call.
+    /// `OnceLock`) wherever any source can change: once per input entry
+    /// point (no one can read metrics while one runs), counter
+    /// absorption, observer attachment, document mutation, and
+    /// navigation. The jsom realm stats are *not* part of the cached
+    /// base — the realm mutates its counters on plain property reads,
+    /// so those are layered on fresh at every call.
     metrics_cache: OnceLock<CounterSet>,
 }
 
@@ -120,6 +127,7 @@ impl Clone for Browser {
             document: self.document.clone(),
             viewport: self.viewport.clone(),
             clock: self.clock.fork_detached(),
+            batch_now_ms: self.batch_now_ms,
             recorder: self.recorder.clone(),
             observers: Vec::new(),
             mouse: self.mouse,
@@ -192,6 +200,7 @@ impl Browser {
             pristine_world,
             document,
             viewport,
+            batch_now_ms: clock.now_ms(),
             clock,
             recorder: EventRecorder::new(),
             observers: Vec::new(),
@@ -208,6 +217,33 @@ impl Browser {
             external_counters: CounterSet::new(),
             metrics_cache: OnceLock::new(),
         }
+    }
+
+    /// Re-opens this browser on `document` with `clock`: afterwards it is
+    /// in exactly the state [`Browser::open_with_world`] gives for its
+    /// configuration and pristine world — viewport over the new page,
+    /// pristine page world, cursor at the origin, no pending move, no
+    /// held buttons or keys, no focus, visible, an empty recorder, no
+    /// observers and fresh counters. Only the capacity of the event,
+    /// observer and held-input buffers carries over, so a worker that
+    /// drives many pages through one browser stops growing them from
+    /// empty on every page.
+    pub fn reopen(&mut self, document: Document, clock: VirtualClock) {
+        let fresh = Self::open_with_world(
+            self.config.clone(),
+            document,
+            clock,
+            Arc::clone(&self.pristine_world),
+        );
+        let mut old = std::mem::replace(self, fresh);
+        old.recorder.clear();
+        old.observers.clear();
+        old.buttons_down.clear();
+        old.keys_down.clear();
+        self.recorder = old.recorder;
+        self.observers = old.observers;
+        self.buttons_down = old.buttons_down;
+        self.keys_down = old.keys_down;
     }
 
     /// Navigates to a new document. Interaction state carries over (the
@@ -318,7 +354,8 @@ impl Browser {
         self.clock.now_ms()
     }
 
-    /// Advances simulated time (drivers pace their input with this).
+    /// Advances simulated time with no input (an idle wait; paced input
+    /// goes through [`Browser::input_timed`]).
     pub fn advance(&mut self, delta_ms: f64) {
         self.clock.advance(delta_ms);
     }
@@ -329,12 +366,12 @@ impl Browser {
     }
 
     /// Rebinds the browser onto a shared clock. If the new clock is behind
-    /// this browser's current time it is advanced to match, preserving the
-    /// monotonicity of already-recorded event timestamps.
+    /// this browser's current time it is moved to exactly that time,
+    /// preserving the monotonicity of already-recorded event timestamps.
     pub fn bind_clock(&mut self, clock: VirtualClock) {
-        let behind = self.clock.now_ms() - clock.now_ms();
-        if behind > 0.0 {
-            clock.advance(behind);
+        let now = self.clock.now_ms();
+        if now > clock.now_ms() {
+            clock.advance_to(now);
         }
         self.clock = clock;
     }
@@ -383,6 +420,65 @@ impl Browser {
 
     /// Injects one raw input item at the current simulated time.
     pub fn input(&mut self, raw: RawInput) {
+        self.input_timed([TimedInput::after(0.0, raw)]);
+    }
+
+    /// Convenience: advance time, then inject.
+    pub fn input_after(&mut self, delta_ms: f64, raw: RawInput) {
+        self.input_timed([TimedInput::after(delta_ms, raw)]);
+    }
+
+    /// Injects a batch of timed input: for each item in order, lets its
+    /// delay pass, then injects its input (if any). This is the one path
+    /// timed input takes into the browser.
+    ///
+    /// Time is kept in a browser-local `f64` for the whole batch and
+    /// published to the shared clock once, at the end. Each delay is
+    /// added on its own, in item order — never pre-summed — so every
+    /// event timestamp, every coalescing decision and the final clock
+    /// value are bit-identical to advancing the shared clock before each
+    /// item. Nothing can read the shared clock while the batch runs: the
+    /// batch holds the browser mutably, and observers get each event's
+    /// timestamp as an argument.
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite delay, before injecting that
+    /// item — simulated time is monotone.
+    pub fn input_timed<I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = TimedInput>,
+    {
+        self.with_local_time(|b| {
+            for item in items {
+                assert!(
+                    item.delay_ms >= 0.0 && item.delay_ms.is_finite(),
+                    "clock must advance monotonically, got {}",
+                    item.delay_ms
+                );
+                b.batch_now_ms += item.delay_ms;
+                if let Some(raw) = item.raw {
+                    b.inject(raw);
+                }
+            }
+        })
+    }
+
+    /// Runs one input entry point on browser-local time: loads the shared
+    /// clock into `batch_now_ms`, invalidates the metrics cache once for
+    /// everything `f` dispatches, and publishes the instant `f` reached.
+    fn with_local_time<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let start = self.clock.now_ms();
+        self.batch_now_ms = start;
+        self.metrics_cache = OnceLock::new();
+        let r = f(self);
+        if self.batch_now_ms.to_bits() != start.to_bits() {
+            self.clock.advance_to(self.batch_now_ms);
+        }
+        r
+    }
+
+    /// Injects one raw input item at `batch_now_ms`.
+    fn inject(&mut self, raw: RawInput) {
         match raw {
             RawInput::MouseMove { x, y } => self.on_mouse_move(x, y),
             RawInput::MouseDown { button } => self.on_mouse_down(button),
@@ -441,29 +537,26 @@ impl Browser {
         }
     }
 
-    /// Convenience: advance time, then inject.
-    pub fn input_after(&mut self, delta_ms: f64, raw: RawInput) {
-        self.advance(delta_ms);
-        self.input(raw);
-    }
-
     // -----------------------------------------------------------------
-    // Pipeline internals
+    // Pipeline internals (all run inside `with_local_time`)
     // -----------------------------------------------------------------
 
+    /// Dispatches one event at `batch_now_ms`, quantised to the 1 ms a
+    /// page observes. The recorder is the first subscriber: it takes the
+    /// event by move, and every attached observer then sees the recorded
+    /// event by reference — no copy of the event is made.
     fn dispatch(&mut self, kind: EventKind, target: Option<NodeId>, payload: EventPayload) {
-        self.metrics_cache = OnceLock::new();
-        let event = DomEvent {
+        let timestamp_ms = self.batch_now_ms.floor();
+        self.recorder.record(DomEvent {
             kind,
-            timestamp_ms: self.clock.observable_now_ms(),
+            timestamp_ms,
             target,
             payload,
-        };
-        // The recorder is just the first subscriber; everything goes
-        // through the same Observer protocol.
-        Observer::on_event(&mut self.recorder, event.timestamp_ms, &event);
-        for observer in &mut self.observers {
-            observer.on_event(event.timestamp_ms, &event);
+        });
+        if let Some(event) = self.recorder.events().last() {
+            for observer in &mut self.observers {
+                observer.on_event(timestamp_ms, event);
+            }
         }
     }
 
@@ -473,7 +566,7 @@ impl Browser {
         let x = x.clamp(0.0, self.document.page_width);
         let y = y.clamp(0.0, self.document.page_height);
         self.mouse = Point::new(x, y);
-        let now = self.clock.now_ms();
+        let now = self.batch_now_ms;
         if now - self.last_move_dispatch_ms >= self.config.mousemove_min_interval_ms {
             self.last_move_dispatch_ms = now;
             self.pending_move = None;
@@ -506,7 +599,7 @@ impl Browser {
 
     fn flush_pending_move(&mut self) {
         if let Some(p) = self.pending_move.take() {
-            self.last_move_dispatch_ms = self.clock.now_ms();
+            self.last_move_dispatch_ms = self.batch_now_ms;
             let target = self.document.hit_test(p);
             self.dispatch(
                 EventKind::PointerMove,
@@ -632,7 +725,7 @@ impl Browser {
                         button,
                     },
                 );
-                let now = self.clock.observable_now_ms();
+                let now = self.batch_now_ms.floor();
                 if let Some((prev_t, prev_target)) = self.last_click {
                     if prev_target == up_target
                         && now - prev_t <= self.config.double_click_interval_ms
@@ -772,7 +865,7 @@ impl Browser {
             // Ease-out cubic, Gecko-like.
             let eased = 1.0 - (1.0 - tau).powi(3);
             let y = start + (clamped - start) * eased;
-            self.advance(16.0);
+            self.batch_now_ms += 16.0;
             let moved = self.viewport.scroll_to(y);
             if moved != 0.0 {
                 let pos = self.viewport.scroll_y();
@@ -789,6 +882,10 @@ impl Browser {
     /// given origin (Selenium uses [`ScrollOrigin::Script`]; a human drags
     /// the wheel). Returns the final scroll offset.
     pub fn scroll_element_into_view(&mut self, id: NodeId, origin: ScrollOrigin) -> f64 {
+        self.with_local_time(|b| b.scroll_into_view_now(id, origin))
+    }
+
+    fn scroll_into_view_now(&mut self, id: NodeId, origin: ScrollOrigin) -> f64 {
         let rect = self.document.element(id).rect;
         if self.viewport.is_y_visible(rect.y)
             && self.viewport.is_y_visible(rect.y + rect.height - 1.0)
@@ -818,7 +915,7 @@ impl Browser {
                     } else {
                         self.on_scroll_from(origin, dir);
                     }
-                    self.advance(16.0);
+                    self.batch_now_ms += 16.0;
                     guard += 1;
                 }
             }
@@ -837,21 +934,23 @@ impl Browser {
     /// on hidden elements: exactly the signals honey-element detectors
     /// watch for (§4.2 "adding honey elements").
     pub fn synthetic_click(&mut self, id: NodeId) {
-        let c = self.document.element(id).rect.center();
         let r = self.document.element(id).rect;
+        let c = r.center();
         if r.width > 0.0 && r.height > 0.0 {
             // A synthetic click reports the exact centre.
             self.recorder.record_click_offset(0.0);
         }
-        self.dispatch(
-            EventKind::Click,
-            Some(id),
-            EventPayload::Mouse {
-                x: c.x,
-                y: c.y,
-                button: MouseButton::Left,
-            },
-        );
+        self.with_local_time(|b| {
+            b.dispatch(
+                EventKind::Click,
+                Some(id),
+                EventPayload::Mouse {
+                    x: c.x,
+                    y: c.y,
+                    button: MouseButton::Left,
+                },
+            );
+        });
     }
 
     /// Enables Firefox's smooth-scrolling setting: large programmatic
@@ -1536,6 +1635,23 @@ mod tests {
         // The lagging clock is pulled forward, never the browser backward.
         assert_eq!(b.now_ms(), 500.0);
         assert_eq!(late_clock.now_ms(), 500.0);
+    }
+
+    #[test]
+    fn bind_clock_catches_up_exactly() {
+        // `c + (b - c)` rounds to one ulp below `b` for this pair, so a
+        // catch-up by delta would leave the bound clock behind the
+        // browser's last instant.
+        let (behind, ahead) = (287_558.909_433_546_53, 846_295.381_952_948_5);
+        let mut b = Browser::open_with_clock(
+            BrowserConfig::regular(),
+            standard_test_page("https://example.test/", 5_000.0),
+            VirtualClock::starting_at(ahead),
+        );
+        let late_clock = VirtualClock::starting_at(behind);
+        b.bind_clock(late_clock.clone());
+        assert_eq!(late_clock.now_ms().to_bits(), ahead.to_bits());
+        assert_eq!(b.now_ms().to_bits(), ahead.to_bits());
     }
 
     #[test]

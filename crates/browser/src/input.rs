@@ -78,3 +78,32 @@ pub enum RawInput {
         height: f64,
     },
 }
+
+/// One item of a timed batch for [`crate::Browser::input_timed`]: let
+/// `delay_ms` of simulated time pass, then inject `raw` (nothing, for a
+/// pure pause).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimedInput {
+    /// Simulated time before the input (ms, finite and non-negative).
+    pub delay_ms: f64,
+    /// The input injected once the delay has passed; `None` only waits.
+    pub raw: Option<RawInput>,
+}
+
+impl TimedInput {
+    /// `raw`, injected `delay_ms` after the previous item.
+    pub fn after(delay_ms: f64, raw: RawInput) -> Self {
+        Self {
+            delay_ms,
+            raw: Some(raw),
+        }
+    }
+
+    /// A pure wait of `delay_ms`.
+    pub fn pause(delay_ms: f64) -> Self {
+        Self {
+            delay_ms,
+            raw: None,
+        }
+    }
+}

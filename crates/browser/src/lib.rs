@@ -39,6 +39,6 @@ pub use geometry::{Point, Rect};
 /// The page JS world type, re-exported for callers that hold a shared
 /// pristine world (see [`Browser::open_with_world`]).
 pub use hlisa_jsom::World;
-pub use input::RawInput;
+pub use input::{RawInput, TimedInput};
 pub use recorder::EventRecorder;
 pub use viewport::{ScrollOrigin, Viewport};

@@ -374,9 +374,10 @@ impl EventRecorder {
     }
 }
 
-/// The recorder is the canonical [`Observer`]: the browser feeds it every
-/// dispatched event through this impl, and its counters expose the trace
-/// as per-event-kind metrics.
+/// The recorder is the canonical [`Observer`]: its counters expose the
+/// trace as per-event-kind metrics. The browser's own recorder takes each
+/// event by move through [`EventRecorder::record`]; a recorder attached as
+/// an ordinary observer records a copy of each event it is shown.
 impl Observer<DomEvent> for EventRecorder {
     fn on_event(&mut self, _t_ms: f64, event: &DomEvent) {
         self.record(event.clone());

@@ -18,7 +18,7 @@
 
 use hlisa_browser::events::EventKind;
 use hlisa_browser::viewport::WHEEL_TICK_PX;
-use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, NodeId, VirtualClock, World};
+use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, NodeId, VirtualClock};
 use hlisa_human::{HumanAgent, HumanParams};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::derive_seed;
@@ -29,7 +29,6 @@ use hlisa_web::page::TARGET_ID;
 use hlisa_web::{apply_scenario, generate_page, GeneratedPage, PageStructure};
 use hlisa_web::{ClientKind, Site, VisitOutcome, VisualOutcome};
 use hlisa_webdriver::{By, SeleniumActionChains, Session};
-use std::sync::Arc;
 
 /// Renders the site's scenario page. Structure is keyed on the campaign
 /// seed and the site's identity only — never the machine or visit — so
@@ -54,9 +53,15 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 ///   re-locate, re-click) reuse the agent's trajectory and typing
 ///   buffers. Rebinding changes no draw — the agent's streams come wholly
 ///   from the fork;
-/// * one pristine WebDriver-flavour page world, which every drive's
-///   browser shares copy-on-write instead of re-running the world builder
-///   (construction is deterministic and RNG-free; no drive writes it);
+/// * one WebDriver-flavour [`Browser`], re-opened on each drive's page
+///   ([`Browser::reopen`] gives exactly the state a fresh open does) so
+///   its event buffers keep their capacity from drive to drive. It keeps
+///   the pristine page world it was first opened with, which every drive
+///   shares copy-on-write instead of re-running the world builder
+///   (construction is deterministic and RNG-free; no drive writes it).
+///   It is boxed so the scratch stays as wide as it was without it: a
+///   worker builds its scratch on a fresh stack even in campaigns that
+///   never drive a scenario;
 /// * the most recently generated scenario page, keyed on everything
 ///   [`scenario_page`] reads — the campaign seed, the [`ScenarioKind`] and
 ///   the whole [`Site`] — with its kind's page program memoised. A site's
@@ -70,9 +75,10 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 #[derive(Debug, Clone)]
 pub struct ScenarioScratch {
     human: HumanAgent,
-    world: Option<Arc<World>>,
+    browser: Option<Box<Browser>>,
     page: Option<CachedPage>,
     pages_generated: u64,
+    browsers_opened: u64,
 }
 
 /// A generated scenario page with the complete key it was generated from,
@@ -125,9 +131,10 @@ impl ScenarioScratch {
     pub fn new() -> Self {
         Self {
             human: HumanAgent::with_context(HumanParams::paper_baseline(), SimContext::new(0)),
-            world: None,
+            browser: None,
             page: None,
             pages_generated: 0,
+            browsers_opened: 0,
         }
     }
 
@@ -144,16 +151,23 @@ impl ScenarioScratch {
         self.pages_generated
     }
 
+    /// How many browsers this scratch has built — one for its whole life,
+    /// since every later drive re-opens the retained one.
+    pub fn browsers_opened(&self) -> u64 {
+        self.browsers_opened
+    }
+
     /// Opens the drive's WebDriver browser on the site's scenario page —
-    /// the page from the cache (regenerated only when the key changed)
-    /// and the retained pristine world, both shared — and hands out the
-    /// page's program and the agent alongside it.
+    /// the page from the cache (regenerated only when the key changed),
+    /// shared, in the retained browser — and hands out the page's program
+    /// and the agent alongside it. The browser is lent out by value (a
+    /// Selenium drive moves it into a session) and put back by the drive.
     fn open(
         &mut self,
         site: &Site,
         kind: ScenarioKind,
         campaign_seed: u64,
-    ) -> (Browser, &mut PageProgram, &mut HumanAgent) {
+    ) -> (Box<Browser>, &mut PageProgram, &mut HumanAgent) {
         if !self
             .page
             .as_ref()
@@ -174,14 +188,24 @@ impl ScenarioScratch {
                 program: PageProgram::for_kind(kind),
             }
         });
-        let config = BrowserConfig::webdriver();
-        let world = self.world.get_or_insert_with(|| config.pristine_world());
-        let browser = Browser::open_with_world(
-            config,
-            page.doc.clone(),
-            VirtualClock::new(),
-            Arc::clone(world),
-        );
+        let doc = page.doc.clone();
+        let browser = match self.browser.take() {
+            Some(mut browser) => {
+                browser.reopen(doc, VirtualClock::new());
+                browser
+            }
+            None => {
+                self.browsers_opened += 1;
+                let config = BrowserConfig::webdriver();
+                let world = config.pristine_world();
+                Box::new(Browser::open_with_world(
+                    config,
+                    doc,
+                    VirtualClock::new(),
+                    world,
+                ))
+            }
+        };
         (browser, &mut page.program, &mut self.human)
     }
 }
@@ -259,31 +283,18 @@ pub fn drive_scenario_with(
     ctx: &mut SimContext,
     scratch: &mut ScenarioScratch,
 ) -> bool {
-    drive(site, kind, client, campaign_seed, ctx, scratch).0
-}
-
-/// Drives one scenario visit and hands back the verdict together with the
-/// browser it drove.
-fn drive(
-    site: &Site,
-    kind: ScenarioKind,
-    client: ClientKind,
-    campaign_seed: u64,
-    ctx: &mut SimContext,
-    scratch: &mut ScenarioScratch,
-) -> (bool, Browser) {
     let (mut browser, program, human) = scratch.open(site, kind, campaign_seed);
-    match client {
+    let landed = match client {
         ClientKind::OpenWpm => {
-            let mut session = Session::new(browser);
+            let mut session = Session::new(*browser);
             let landed = drive_selenium(&mut session, program, ctx);
-            (landed, session.browser)
+            browser = Box::new(session.browser);
+            landed
         }
-        ClientKind::OpenWpmSpoofed => {
-            let landed = drive_hlisa(&mut browser, program, ctx, human);
-            (landed, browser)
-        }
-    }
+        ClientKind::OpenWpmSpoofed => drive_hlisa(&mut browser, program, ctx, human),
+    };
+    scratch.browser = Some(browser);
+    landed
 }
 
 /// Whether the most recent `click` event was delivered to `id` — the
@@ -597,7 +608,11 @@ mod tests {
     ) {
         use hlisa_sim::Rng;
         let mut ctx = SimContext::new(77).fork_visit(&site.domain, visit);
-        let (landed, browser) = drive(site, kind, client, campaign_seed, &mut ctx, scratch);
+        let landed = drive_scenario_with(site, kind, client, campaign_seed, &mut ctx, scratch);
+        let browser = scratch
+            .browser
+            .as_ref()
+            .expect("the drive hands its browser back");
         let agent = (client == ClientKind::OpenWpmSpoofed).then(|| {
             let mut agent = scratch.human.context().clone();
             let draws = vec![
@@ -676,11 +691,13 @@ mod tests {
                 unreachable!("every pool site has a scenario")
             };
             let want = scenario_page(site, kind, campaign_seed).doc;
+            let (opened, ..) = reused.open(site, kind, campaign_seed);
             assert_eq!(
-                reused.open(site, kind, campaign_seed).0.document(),
+                opened.document(),
                 &want,
                 "step {step}: cached page differs from a fresh generation"
             );
+            reused.browser = Some(opened);
             for client in [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed] {
                 let got = drive_state(site, kind, client, campaign_seed, step, &mut reused);
                 let mut fresh = ScenarioScratch::new();
@@ -695,10 +712,12 @@ mod tests {
                 );
             }
         }
-        // One generation per run of consecutive same-key drives, and the
-        // reused scratch served some drives from a stored mutation.
+        // One generation per run of consecutive same-key drives, the
+        // reused scratch served some drives from a stored mutation, and
+        // every drive re-opened the one browser it built first.
         assert_eq!(reused.pages_generated(), runs);
         assert!(replayed, "no drive replayed a stored mutation");
+        assert_eq!(reused.browsers_opened(), 1);
     }
 
     #[test]

@@ -75,6 +75,35 @@ impl VirtualClock {
         }
     }
 
+    /// Moves the clock to exactly `t_ms`. Where [`VirtualClock::advance`]
+    /// adds a delta (and `c + (t − c)` can round to a neighbour of `t`),
+    /// this stores `t_ms` itself — the way a caller that kept time
+    /// locally publishes the instant it reached.
+    ///
+    /// # Panics
+    /// Panics if `t_ms` is non-finite or earlier than the clock's current
+    /// instant — simulated time is monotone.
+    pub fn advance_to(&self, t_ms: f64) {
+        assert!(t_ms.is_finite(), "clock target must be finite, got {t_ms}");
+        let mut current = self.bits.load(Ordering::Acquire);
+        loop {
+            let now = f64::from_bits(current);
+            assert!(
+                t_ms >= now,
+                "clock must advance monotonically, got {t_ms} < {now}"
+            );
+            match self.bits.compare_exchange_weak(
+                current,
+                t_ms.to_bits(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return,
+                Err(actual) => current = actual,
+            }
+        }
+    }
+
     /// An independent clock frozen at this clock's current instant —
     /// advancing one no longer moves the other.
     pub fn fork_detached(&self) -> Self {
@@ -106,6 +135,26 @@ mod tests {
     #[should_panic(expected = "monotonically")]
     fn rejects_negative_advance() {
         VirtualClock::new().advance(-1.0);
+    }
+
+    #[test]
+    fn advance_to_lands_exactly_where_advance_can_miss() {
+        let (from, to) = (287_558.909_433_546_53, 846_295.381_952_948_5);
+        let by_delta = VirtualClock::starting_at(from);
+        by_delta.advance(to - from);
+        assert_ne!(by_delta.now_ms(), to, "the delta round trip is inexact");
+        let exact = VirtualClock::starting_at(from);
+        let handle = exact.clone();
+        exact.advance_to(to);
+        assert_eq!(handle.now_ms().to_bits(), to.to_bits());
+        exact.advance_to(to);
+        assert_eq!(exact.now_ms(), to);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonically")]
+    fn advance_to_rejects_going_back() {
+        VirtualClock::starting_at(10.0).advance_to(9.5);
     }
 
     #[test]

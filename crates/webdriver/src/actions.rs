@@ -8,7 +8,7 @@
 //! moves*, which is precisely how HLISA expresses human-like trajectories.
 
 use hlisa_browser::events::MouseButton;
-use hlisa_browser::{Browser, RawInput};
+use hlisa_browser::{Browser, Point, RawInput, TimedInput};
 
 /// HLISA's patched minimum pointer-move duration (ms): "For Selenium
 /// versions <4, we change this duration to 50 msec" (§4.1). This constant
@@ -76,6 +76,10 @@ pub enum Action {
 
 /// Executes a list of primitive actions against a browser, advancing its
 /// simulated clock. Returns the total simulated time consumed.
+///
+/// Each action is one [`Browser::input_timed`] batch: a pointer move
+/// starts wherever the previous action left the cursor, so its samples
+/// are laid out only once that action has run.
 pub fn perform(browser: &mut Browser, profile: PointerMoveProfile, actions: &[Action]) -> f64 {
     let start = browser.now_ms();
     for action in actions {
@@ -83,20 +87,20 @@ pub fn perform(browser: &mut Browser, profile: PointerMoveProfile, actions: &[Ac
             Action::PointerMove { x, y, duration_ms } => {
                 let duration = duration_ms.max(profile.min_duration_ms);
                 let from = browser.mouse_position();
+                let to = Point::new(*x, *y);
                 let steps = (duration / profile.sample_interval_ms).ceil().max(1.0) as usize;
-                for i in 1..=steps {
-                    let t = i as f64 / steps as f64;
+                let step_ms = duration / steps as f64;
+                browser.input_timed((1..=steps).map(|i| {
                     // Uniform-speed straight line: position is linear in t.
-                    let p = from.lerp(hlisa_browser::Point::new(*x, *y), t);
-                    browser.advance(duration / steps as f64);
-                    browser.input(RawInput::MouseMove { x: p.x, y: p.y });
-                }
+                    let p = from.lerp(to, i as f64 / steps as f64);
+                    TimedInput::after(step_ms, RawInput::MouseMove { x: p.x, y: p.y })
+                }));
             }
             Action::PointerDown(b) => browser.input(RawInput::MouseDown { button: *b }),
             Action::PointerUp(b) => browser.input(RawInput::MouseUp { button: *b }),
             Action::KeyDown(k) => browser.input(RawInput::KeyDown { key: k.clone() }),
             Action::KeyUp(k) => browser.input(RawInput::KeyUp { key: k.clone() }),
-            Action::Pause(ms) => browser.advance(*ms),
+            Action::Pause(ms) => browser.input_timed([TimedInput::pause(*ms)]),
             Action::WheelTick(dir) => browser.input(RawInput::WheelTick { direction: *dir }),
         }
     }

@@ -5,7 +5,7 @@
 //! a site deploys a detector, the measurement platform's sessions start
 //! getting flagged, the platform upgrades its simulator, detection drops,
 //! the site escalates its detector, and so on — until the simulator
-//! impersonates the enrolled user and "ultimately defeat[s] detection
+//! impersonates the enrolled user and "ultimately defeat\[s\] detection
 //! based exclusively on interaction".
 
 use crate::simulators::Simulator;

@@ -17,7 +17,7 @@
 //!    cookie-banner overlay, so occlusion and z-order are on the probed
 //!    path.
 //! 3. **DOM mutation** — one reflow per change (the naive `mutate` call
-//!    per operation) vs one [`DocumentMutator`] batch that reflows once
+//!    per operation) vs one [`DocumentMutator`](hlisa_browser::DocumentMutator) batch that reflows once
 //!    at the end, over SPA-style detach/restyle bursts.
 
 use crate::harness::{compare, measure, Report, Section};

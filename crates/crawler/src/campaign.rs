@@ -1,21 +1,22 @@
 //! Crawl campaign execution: one visit pipeline behind every runner.
 //!
-//! # The machine engine
+//! # The engine
 //!
-//! One machine's crawl is distributed at *shard* granularity: workers
-//! claim consecutive shard indices off one atomic cursor instead of being
-//! statically striped over sites (`i % instances == w`). Claiming order is
-//! scheduling-dependent, but no draw is: every visit runs in a
-//! [`SimContext`] forked purely from `(machine seed, domain, visit
-//! index)`, and results land in per-shard write-once slots reassembled in
-//! shard order. The run is therefore bit-identical for any `instances`
-//! and any claiming order — property-tested, including under the lazy
-//! [`PopulationShards`] source where a shard's sites are materialised
-//! only while a worker holds them. A shard whose processing panics is
-//! contained to its own slot and degrades to zero-outcome rows; its
-//! telemetry is dropped with it, while the worker keeps what its earlier
-//! shards counted, so merged counters are the sum over the completed
-//! shards for any worker count.
+//! A crawl is distributed at *shard* granularity: workers claim
+//! consecutive shard indices off one atomic cursor instead of being
+//! statically striped over sites (`i % instances == w`). One claim runs
+//! every listed machine: the worker materialises shard *k* once and runs
+//! the machines in turn over each stretch of it up to a scenario site.
+//! Claiming order is scheduling-dependent, but no draw is: every visit
+//! runs in a [`SimContext`] forked purely from `(machine seed, domain,
+//! visit index)`, each machine keeps its own per-site fault state and
+//! tallies, and results land in per-shard write-once slots reassembled in
+//! shard order. Each machine's run is therefore bit-identical for any
+//! `instances`, claiming order, shard size, source laziness and set of
+//! machines sharing the pass — property-tested. The claimed shard is the
+//! containment unit: a panic anywhere in shard *k* degrades every
+//! machine's rows of *k* to zero-outcome rows and drops their telemetry of
+//! *k*, while the worker keeps what its earlier shards counted.
 //!
 //! # The visit pipeline
 //!
@@ -48,10 +49,10 @@
 //! leaves every other stage's draws where they were: the plain pipeline
 //! equals the faulted one at fault rate 0 and the pristine-captured one.
 //!
-//! The stages' telemetry is kept as plain per-worker tallies (the fault
-//! monitor's, the planner's, and one capture tally per mode) and rendered
-//! into named counter sets once per machine, so no visit builds or merges
-//! a [`CounterSet`].
+//! The stages' telemetry is kept as plain per-worker, per-machine tallies
+//! (the fault monitor's, the planner's, and one capture tally per mode)
+//! and rendered into named counter sets once per machine, so no visit
+//! builds or merges a [`CounterSet`].
 
 use crate::chaos::{ChaosConfig, SiteFaults, SiteRecovery};
 use crate::reliability::{captured_visit, CaptureMode, CaptureTally};
@@ -64,7 +65,6 @@ use hlisa_web::{
     simulate_visit_attempt, CaptureEvent, ClientKind, PlanStats, PopulationConfig,
     PopulationShards, Site, VisitOutcome, DEFAULT_SHARD_SIZE, DEFAULT_VISIT_DEADLINE_MS,
 };
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -233,26 +233,29 @@ impl<'a> SiteSource<'a> {
         self.n_sites().div_ceil(self.shard_size())
     }
 
-    pub(crate) fn shard_range(&self, k: usize) -> Range<usize> {
-        let lo = k * self.shard_size();
-        let hi = (lo + self.shard_size()).min(self.n_sites());
-        lo..hi
-    }
-
     /// Runs `f` over shard `k`'s sites. A slice source borrows its
     /// window; the lazy source materialises the shard for exactly the
     /// duration of the call.
     pub(crate) fn with_shard<T>(&self, k: usize, f: impl FnOnce(&[Site]) -> T) -> T {
         match self {
-            SiteSource::Slice { sites, .. } => f(&sites[self.shard_range(k)]),
+            SiteSource::Slice { sites, .. } => {
+                let lo = k * self.shard_size();
+                f(&sites[lo..(lo + self.shard_size()).min(sites.len())])
+            }
             SiteSource::Lazy(shards) => shards.with_shard(k, |_, sites| f(sites)),
         }
     }
 }
 
+/// The paper's two machines, in report order: stock OpenWPM, then
+/// OpenWPM with the spoofing extension.
+pub(crate) const MACHINES: [ClientKind; 2] = [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed];
+
 /// Runs the full two-machine campaign.
 pub fn run_campaign(config: &CampaignConfig) -> Campaign {
-    let (sites, openwpm, spoofed) = run_machines(config, &Pipeline::default());
+    let sites = generate_population(&config.population);
+    let source = SiteSource::slice(&sites);
+    let [openwpm, spoofed] = collect(config, &source, MACHINES, &Pipeline::default());
     Campaign {
         sites,
         openwpm: openwpm.run,
@@ -265,15 +268,17 @@ pub fn run_campaign(config: &CampaignConfig) -> Campaign {
 ///
 /// Neither the schedule, the thread count, the shard size nor the
 /// source's laziness can affect any draw: the output is bit-identical
-/// for all of them. Under a lazy source at most one shard per worker is
-/// materialised at any moment.
+/// for all of them, and to this machine's share of a two-machine run.
+/// Under a lazy source at most one shard per worker is materialised at
+/// any moment.
 pub fn run_machine(
     config: &CampaignConfig,
     source: &SiteSource<'_>,
     client: ClientKind,
     pipeline: &Pipeline<'_>,
 ) -> MachineOutput {
-    run_machine_with(config, source, client, pipeline, &new_runtime(config))
+    let [output] = collect(config, source, [client], pipeline);
+    output
 }
 
 /// Streaming variant for populations too large to hold a [`SiteResult`]
@@ -291,10 +296,9 @@ pub fn run_machine_shard_summaries<S: Send + Sync>(
     let (summaries, _) = drive(
         config,
         &SiteSource::Lazy(shards),
-        client,
+        [client],
         &Pipeline::default(),
-        &new_runtime(config),
-        &|k, crawl: ShardCrawl| summarise(k, crawl.results),
+        &|k, [crawl]: [ShardCrawl; 1]| summarise(k, crawl.results),
     );
     summaries
 }
@@ -326,27 +330,37 @@ pub fn run_machine_shard_summaries_persistent<S: Send + Sync>(
     Ok(summaries)
 }
 
-/// Both machines' runs of `pipeline` over one generated population. One
-/// detector runtime serves the whole campaign, so both machines (and all
-/// their workers) share its template reference and its verdicts, each
-/// computed at most once. Sharing changes no output: a verdict depends
-/// only on the client's pristine world, never on which visit asked first.
-pub(crate) fn run_machines(
+/// Every listed machine's run of `pipeline` over `source`, from one
+/// engine pass: the shards' crawls are split into one [`MachineOutput`]
+/// per client, in `clients` order.
+pub(crate) fn collect<const N: usize>(
     config: &CampaignConfig,
+    source: &SiteSource<'_>,
+    clients: [ClientKind; N],
     pipeline: &Pipeline<'_>,
-) -> (Vec<Site>, MachineOutput, MachineOutput) {
-    let sites = generate_population(&config.population);
-    let runtime = new_runtime(config);
-    let source = SiteSource::slice(&sites);
-    let openwpm = run_machine_with(config, &source, ClientKind::OpenWpm, pipeline, &runtime);
-    let spoofed = run_machine_with(
-        config,
-        &source,
-        ClientKind::OpenWpmSpoofed,
-        pipeline,
-        &runtime,
-    );
-    (sites, openwpm, spoofed)
+) -> [MachineOutput; N] {
+    let (shards, workers) = drive(config, source, clients, pipeline, &|_, crawls| crawls);
+    let mut crawls = clients.map(|_| ShardCrawl::new(source.n_sites(), pipeline));
+    for shard in shards {
+        for (crawl, part) in crawls.iter_mut().zip(shard) {
+            crawl.append(part);
+        }
+    }
+    let mut slot = 0;
+    crawls.map(|crawl| {
+        let (client, totals) = (clients[slot], machine_totals(&workers, slot, pipeline));
+        slot += 1;
+        let (counters, other_counters) = totals.counters();
+        let run = |sites| MachineRun { client, sites };
+        let other_runs = crawl.other_modes.into_iter().map(run);
+        MachineOutput {
+            run: run(crawl.results),
+            recovery: crawl.recovery,
+            counters,
+            plan_totals: totals.plan,
+            other_modes: other_runs.zip(other_counters).collect(),
+        }
+    })
 }
 
 fn new_runtime(config: &CampaignConfig) -> DetectorRuntime {
@@ -357,47 +371,9 @@ fn new_runtime(config: &CampaignConfig) -> DetectorRuntime {
     }
 }
 
-/// [`run_machine`] with an explicit (shareable) detector runtime.
-fn run_machine_with(
-    config: &CampaignConfig,
-    source: &SiteSource<'_>,
-    client: ClientKind,
-    pipeline: &Pipeline<'_>,
-    runtime: &DetectorRuntime,
-) -> MachineOutput {
-    let (shards, totals) = drive(config, source, client, pipeline, runtime, &|_, crawl| crawl);
-    let run = |sites| MachineRun { client, sites };
-    let mut sites = Vec::with_capacity(source.n_sites());
-    let mut other_sites: Vec<Vec<SiteResult>> = (0..other_modes(pipeline))
-        .map(|_| Vec::with_capacity(source.n_sites()))
-        .collect();
-    let mut recovery = Vec::new();
-    for crawl in shards {
-        sites.extend(crawl.results);
-        for (sites, results) in other_sites.iter_mut().zip(crawl.other_modes) {
-            sites.extend(results);
-        }
-        recovery.extend(crawl.recovery);
-    }
-    let (counters, other_counters) = totals.counters();
-    MachineOutput {
-        run: run(sites),
-        recovery,
-        counters,
-        plan_totals: totals.plan,
-        other_modes: other_sites
-            .into_iter()
-            .map(run)
-            .zip(other_counters)
-            .collect(),
-    }
-}
-
-/// How many capture modes of `pipeline` follow its first.
-fn other_modes(pipeline: &Pipeline<'_>) -> usize {
-    pipeline
-        .capture
-        .map_or(0, |(_, modes)| modes.len().saturating_sub(1))
+/// How many capture modes `pipeline` records in.
+fn capture_modes(pipeline: &Pipeline<'_>) -> usize {
+    pipeline.capture.map_or(0, |(_, modes)| modes.len())
 }
 
 /// The shard-claiming worker engine. Spawns `min(instances, shards)`
@@ -479,61 +455,135 @@ where
     )
 }
 
-/// One shard's crawl: a result per site (as the first capture mode
-/// recorded it, under capture), one more per site for each later capture
-/// mode and, under the fault stage, a recovery record per site.
+/// One machine's crawl of one shard: a result per site (as the first
+/// capture mode recorded it, under capture), one more per site for each
+/// later capture mode and, under the fault stage, a recovery record per
+/// site.
 struct ShardCrawl {
     results: Vec<SiteResult>,
     other_modes: Vec<Vec<SiteResult>>,
     recovery: Vec<SiteRecovery>,
 }
 
-/// The machine engine behind every runner: shard-claiming workers run
-/// the visit pipeline over each claimed shard and hand the shard's crawl
-/// to `fold` inside the worker. Returns the folded shards in shard order
-/// — a panicked shard is folded from degraded rows, the one degraded-fill
-/// path — plus the workers' summed tallies. A shard's tallies count only
-/// once it has been folded, so the totals are sums over the completed
-/// shards' visits: identical for any worker count and claiming order.
-fn drive<S: Send + Sync>(
+impl ShardCrawl {
+    fn new(sites: usize, pipeline: &Pipeline<'_>) -> Self {
+        Self {
+            results: Vec::with_capacity(sites),
+            other_modes: (1..capture_modes(pipeline))
+                .map(|_| Vec::with_capacity(sites))
+                .collect(),
+            recovery: Vec::new(),
+        }
+    }
+
+    /// Appends one site's records: its outcomes in the first mode, each
+    /// later mode's, and its recovery record under the fault stage.
+    fn push(
+        &mut self,
+        site: &Site,
+        outcomes: Vec<VisitOutcome>,
+        others: Vec<Vec<VisitOutcome>>,
+        recovery: Option<SiteRecovery>,
+    ) {
+        let result = |outcomes| SiteResult {
+            domain: site.domain.clone(),
+            rank: site.rank,
+            outcomes,
+        };
+        self.results.push(result(outcomes));
+        for (results, outcomes) in self.other_modes.iter_mut().zip(others) {
+            results.push(result(outcomes));
+        }
+        self.recovery.extend(recovery);
+    }
+
+    /// Graceful degradation for a shard whose processing panicked: every
+    /// site is recorded unvisited (zero outcomes) in every record rather
+    /// than aborting the whole run, mirroring how the paper's crawl keeps
+    /// its Table 2 denominators when individual browser instances wedge.
+    fn unvisited(sites: &[Site], pipeline: &Pipeline<'_>) -> Self {
+        let mut crawl = Self::new(sites.len(), pipeline);
+        for site in sites {
+            let recovery = pipeline.faults.map(|_| SiteRecovery {
+                domain: site.domain.clone(),
+                visits: Vec::new(),
+                breaker_open: false,
+            });
+            let others = vec![Vec::new(); crawl.other_modes.len()];
+            crawl.push(site, Vec::new(), others, recovery);
+        }
+        crawl
+    }
+
+    /// Appends a later shard's crawl of the same machine.
+    fn append(&mut self, later: ShardCrawl) {
+        self.results.extend(later.results);
+        for (results, later) in self.other_modes.iter_mut().zip(later.other_modes) {
+            results.extend(later);
+        }
+        self.recovery.extend(later.recovery);
+    }
+}
+
+/// The engine behind every runner: shard-claiming workers run every
+/// machine of `clients` over each claimed shard, in `clients` order, and
+/// hand the shard's crawls (one per machine) to `fold` inside the worker.
+/// Returns the folded shards in shard order (a panicked shard folded from
+/// every machine's unvisited rows) and the worker states, whose
+/// per-machine totals count only completed shards. One detector runtime
+/// serves the pass; a verdict depends only on the client's pristine
+/// world.
+fn drive<const N: usize, S: Send + Sync>(
     config: &CampaignConfig,
     source: &SiteSource<'_>,
-    client: ClientKind,
+    clients: [ClientKind; N],
     pipeline: &Pipeline<'_>,
-    runtime: &DetectorRuntime,
-    fold: &(impl Fn(usize, ShardCrawl) -> S + Sync),
-) -> (Vec<S>, Tallies) {
-    let machine = Machine {
+    fold: &(impl Fn(usize, [ShardCrawl; N]) -> S + Sync),
+) -> (Vec<S>, Vec<VisitWorker>) {
+    let runtime = new_runtime(config);
+    let machines: [Machine<'_>; N] = std::array::from_fn(|slot| Machine {
         config,
-        client,
-        runtime,
+        client: clients[slot],
+        slot,
+        runtime: &runtime,
         pipeline: *pipeline,
-        ctx: machine_context(config, client),
+        ctx: machine_context(config, clients[slot]),
+    });
+    let crawl_shard = |worker: &mut VisitWorker, sites: &[Site]| {
+        let mut crawls: [ShardCrawl; N] =
+            std::array::from_fn(|_| ShardCrawl::new(sites.len(), pipeline));
+        // Machine by machine over each run ending at a scenario site: the
+        // next machine finds that page still cached, and each machine's
+        // results sit together on the heap for whoever walks or drops them.
+        for run in sites.split_inclusive(|site| site.scenario.is_some()) {
+            for (machine, crawl) in machines.iter().zip(&mut crawls) {
+                for site in run {
+                    machine.crawl_site(site, worker, crawl);
+                }
+            }
+        }
+        crawls
     };
-    let modes = pipeline.capture.map_or(0, |(_, modes)| modes.len());
+    let modes = capture_modes(pipeline);
     let (slots, workers) = run_sharded(
         config.instances,
         source,
-        &|| VisitWorker::new(config.plan_interactions, modes),
+        &|| VisitWorker::new(config.plan_interactions, N, modes),
         &|worker: &mut VisitWorker, k, sites| {
-            let folded = fold(k, machine.crawl_shard(sites, worker));
+            let folded = fold(k, crawl_shard(worker, sites));
             worker.commit_shard();
             folded
         },
-        &|worker: &mut VisitWorker| worker.recover(config.plan_interactions),
+        &|worker: &mut VisitWorker| worker.recover(config.plan_interactions, modes),
     );
+    let unvisited =
+        |sites: &[Site]| std::array::from_fn(|_| ShardCrawl::unvisited(sites, pipeline));
     let folded = slots
         .into_iter()
         .enumerate()
-        .map(|(k, slot)| {
-            slot.unwrap_or_else(|| source.with_shard(k, |sites| fold(k, machine.degraded(sites))))
-        })
+        .map(|(k, slot)| slot.unwrap_or_else(|| source.with_shard(k, |s| fold(k, unvisited(s)))))
         .collect();
-    let mut totals = Tallies::new(modes);
-    for w in &workers {
-        totals.absorb(&w.totals);
-    }
-    (folded, totals)
+    (folded, workers)
 }
 
 /// The machine context every visit fork derives from: a pure function of
@@ -592,117 +642,84 @@ impl Tallies {
     }
 }
 
+/// Machine `slot`'s tallies summed over every worker's completed shards.
+fn machine_totals(workers: &[VisitWorker], slot: usize, pipeline: &Pipeline<'_>) -> Tallies {
+    let mut totals = Tallies::new(capture_modes(pipeline));
+    for worker in workers {
+        totals.absorb(&worker.totals[slot]);
+    }
+    totals
+}
+
 /// Worker-local visit state: the scenario drive's retained scratch, the
-/// planner (planner mode only), the capture stage's event buffer, and the
-/// stages' tallies — the current shard's, and the totals of the shards
-/// the worker completed. One lives per worker thread for the worker's
+/// planner (planner mode only), the capture stage's event buffer, and
+/// each machine's tallies — the current shard's, and the totals of the
+/// shards the worker completed. One serves every machine for the worker's
 /// whole shard stream, so every scratch buffer reaches its high-water
-/// capacity once and is then reused visit after visit. Nothing in it can
+/// capacity once and a site's scenario page, built for the first machine,
+/// is still cached when the next one drives it. Nothing in it can
 /// influence a draw, so any worker produces the same results.
 ///
-/// The scratch, the planner and the tallies are boxed to keep the state a
-/// few words wide: inline, the scratch's and the planner's ~4 KiB pushed
-/// each worker's stack past the pages a reused thread stack keeps
-/// resident, and every machine run paid fresh page faults for it
-/// (measurable in `adverse_crawl`'s set-up time).
+/// The scratch and the planner are boxed to keep the state a few words
+/// wide: inline, their ~4 KiB pushed each worker's stack past the pages a
+/// reused thread stack keeps resident, and every run paid fresh page
+/// faults for it (measurable in `adverse_crawl`'s set-up time).
 struct VisitWorker {
     scenario: Box<ScenarioScratch>,
     planner: Option<Box<(HumanParams, VisitPlanner)>>,
     events: Vec<(f64, CaptureEvent)>,
-    shard: Box<Tallies>,
-    totals: Box<Tallies>,
+    shard: Vec<Tallies>,
+    totals: Vec<Tallies>,
 }
 
 impl VisitWorker {
-    fn new(plan_interactions: bool, modes: usize) -> Self {
+    fn new(plan_interactions: bool, machines: usize, modes: usize) -> Self {
         Self {
             scenario: Box::default(),
             planner: plan_interactions
                 .then(|| Box::new((HumanParams::paper_baseline(), VisitPlanner::new()))),
             events: Vec::new(),
-            shard: Box::new(Tallies::new(modes)),
-            totals: Box::new(Tallies::new(modes)),
+            shard: vec![Tallies::new(modes); machines],
+            totals: vec![Tallies::new(modes); machines],
         }
     }
 
-    /// The shard completed: its tallies join the worker's totals.
+    /// The shard completed: every machine's tallies of it join the
+    /// worker's totals.
     fn commit_shard(&mut self) {
-        self.totals.absorb(&self.shard);
-        *self.shard = Tallies::new(self.shard.captures.len());
+        for (totals, shard) in self.totals.iter_mut().zip(&mut self.shard) {
+            let modes = shard.captures.len();
+            totals.absorb(&std::mem::replace(shard, Tallies::new(modes)));
+        }
     }
 
     /// A shard panicked: fresh scratch and shard tallies, same totals.
-    fn recover(&mut self, plan_interactions: bool) {
+    fn recover(&mut self, plan_interactions: bool, modes: usize) {
         let totals = std::mem::take(&mut self.totals);
-        *self = Self::new(plan_interactions, totals.captures.len());
+        *self = Self::new(plan_interactions, totals.len(), modes);
         self.totals = totals;
     }
 }
 
 /// One machine's fixed inputs: everything a visit reads besides its
-/// site and the worker's state.
+/// site and the worker's state. `slot` is the machine's index into the
+/// worker's tallies.
 struct Machine<'a> {
     config: &'a CampaignConfig,
     client: ClientKind,
+    slot: usize,
     runtime: &'a DetectorRuntime,
     pipeline: Pipeline<'a>,
     ctx: SimContext,
 }
 
 impl Machine<'_> {
-    fn crawl_shard(&self, sites: &[Site], worker: &mut VisitWorker) -> ShardCrawl {
-        let mut crawl = ShardCrawl {
-            results: Vec::with_capacity(sites.len()),
-            other_modes: (0..other_modes(&self.pipeline))
-                .map(|_| Vec::with_capacity(sites.len()))
-                .collect(),
-            recovery: Vec::new(),
-        };
-        for site in sites {
-            let recovery = self.crawl_site(site, worker, &mut crawl);
-            crawl.recovery.extend(recovery);
-        }
-        crawl
-    }
-
-    /// Graceful degradation for a shard whose processing panicked: every
-    /// site is recorded unvisited (zero outcomes) in every record rather
-    /// than aborting the whole machine, mirroring how the paper's crawl
-    /// keeps its Table 2 denominators when individual browser instances
-    /// wedge.
-    fn degraded(&self, sites: &[Site]) -> ShardCrawl {
-        let result = |site: &Site| SiteResult {
-            domain: site.domain.clone(),
-            rank: site.rank,
-            outcomes: Vec::new(),
-        };
-        let recovery = |site: &Site| SiteRecovery {
-            domain: site.domain.clone(),
-            visits: Vec::new(),
-            breaker_open: false,
-        };
-        ShardCrawl {
-            results: sites.iter().map(result).collect(),
-            other_modes: (0..other_modes(&self.pipeline))
-                .map(|_| sites.iter().map(result).collect())
-                .collect(),
-            recovery: match self.pipeline.faults {
-                Some(_) => sites.iter().map(recovery).collect(),
-                None => Vec::new(),
-            },
-        }
-    }
-
-    /// All visits of one site — the per-site loop of every runner,
-    /// identical whichever worker claims the site and whenever it runs.
-    /// Appends the site's results to `crawl`; under the fault stage the
-    /// site also gets its recovery record.
-    fn crawl_site(
-        &self,
-        site: &Site,
-        worker: &mut VisitWorker,
-        crawl: &mut ShardCrawl,
-    ) -> Option<SiteRecovery> {
+    /// All of this machine's visits of one site — the per-site loop of
+    /// every runner, identical whichever worker claims the site, whenever
+    /// it runs and whichever machines share the pass. Appends the site's
+    /// results to `crawl`; under the fault stage the site also gets its
+    /// recovery record.
+    fn crawl_site(&self, site: &Site, worker: &mut VisitWorker, crawl: &mut ShardCrawl) {
         let visits = self.config.visits_per_site;
         let mut faults = self
             .pipeline
@@ -710,7 +727,7 @@ impl Machine<'_> {
             .map(|chaos| SiteFaults::new(chaos, self.config.seed, site, visits));
         let mut outcomes = Vec::with_capacity(visits);
         // The later capture modes' outcomes; no allocation for one mode.
-        let mut other_outcomes: Vec<Vec<VisitOutcome>> = (0..crawl.other_modes.len())
+        let mut others: Vec<Vec<VisitOutcome>> = (0..crawl.other_modes.len())
             .map(|_| Vec::with_capacity(visits))
             .collect();
         for v in 0..visits {
@@ -720,20 +737,13 @@ impl Machine<'_> {
             let outcome = match &mut faults {
                 None => {
                     let mut outcome = simulate_visit(site, self.client, self.runtime, &mut ctx);
-                    self.after_attempt(
-                        site,
-                        &mut outcome,
-                        &mut ctx,
-                        None,
-                        worker,
-                        &mut other_outcomes,
-                    );
+                    self.after_attempt(site, &mut outcome, &mut ctx, None, worker, &mut others);
                     outcome
                 }
                 Some(faults) => {
                     let (mut record, mut settled) = faults.attempt(
                         &mut ctx,
-                        &mut worker.shard.monitor,
+                        &mut worker.shard[self.slot].monitor,
                         |injected, deadline_ms| {
                             let mut attempt_ctx = self.ctx.fork_visit(&site.domain, v as u64);
                             let result = simulate_visit_attempt(
@@ -747,14 +757,8 @@ impl Machine<'_> {
                             (result, attempt_ctx)
                         },
                     );
-                    self.after_attempt(
-                        site,
-                        &mut record.outcome,
-                        &mut ctx,
-                        settled.as_mut(),
-                        worker,
-                        &mut other_outcomes,
-                    );
+                    let (outcome, settled) = (&mut record.outcome, settled.as_mut());
+                    self.after_attempt(site, outcome, &mut ctx, settled, worker, &mut others);
                     let outcome = record.outcome.clone();
                     faults.record(record);
                     outcome
@@ -762,16 +766,12 @@ impl Machine<'_> {
             };
             outcomes.push(outcome);
         }
-        let result = |outcomes| SiteResult {
-            domain: site.domain.clone(),
-            rank: site.rank,
+        crawl.push(
+            site,
             outcomes,
-        };
-        crawl.results.push(result(outcomes));
-        for (results, outcomes) in crawl.other_modes.iter_mut().zip(other_outcomes) {
-            results.push(result(outcomes));
-        }
-        faults.map(|f| f.into_recovery(site))
+            others,
+            faults.map(|f| f.into_recovery(site)),
+        );
     }
 
     /// Stages 3–5 on the settled attempt's `outcome`. `ctx` is the visit
@@ -779,7 +779,7 @@ impl Machine<'_> {
     /// visit when the fault stage re-forked it (`None`: the attempt ran in
     /// `ctx`, or the breaker skipped it). The capture stage replaces
     /// `outcome` with the first mode's record and appends each later
-    /// mode's record to its list in `other_outcomes`.
+    /// mode's record to its list in `others`.
     fn after_attempt(
         &self,
         site: &Site,
@@ -787,7 +787,7 @@ impl Machine<'_> {
         ctx: &mut SimContext,
         settled: Option<&mut SimContext>,
         worker: &mut VisitWorker,
-        other_outcomes: &mut [Vec<VisitOutcome>],
+        others: &mut [Vec<VisitOutcome>],
     ) {
         let visit_ctx = match settled {
             Some(settled) => settled,
@@ -809,7 +809,7 @@ impl Machine<'_> {
         if let Some(planner) = &mut worker.planner {
             let (params, planner) = &mut **planner;
             let stats = plan_visit(site, outcome, visit_ctx, params, planner);
-            worker.shard.plan.absorb(stats);
+            worker.shard[self.slot].plan.absorb(stats);
         }
         // 5. Capture, continuing the visit's "fault" stream: one schedule
         // and one event stream feed every mode's observers.
@@ -818,10 +818,10 @@ impl Machine<'_> {
             let events = &mut worker.events;
             emit_capture_events_into(site, outcome, DEFAULT_VISIT_DEADLINE_MS, events);
             let http = (outcome.first_party.len(), outcome.third_party.len());
-            let tallies = &mut worker.shard.captures;
+            let tallies = &mut worker.shard[self.slot].captures;
             for (j, &mode) in modes.iter().enumerate().skip(1) {
                 let recorded = captured_visit(events, http, schedule, mode, &mut tallies[j]);
-                other_outcomes[j - 1].push(recorded);
+                others[j - 1].push(recorded);
             }
             if let Some(&mode) = modes.first() {
                 *outcome = captured_visit(events, http, schedule, mode, &mut tallies[0]);
@@ -833,6 +833,7 @@ impl Machine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlisa_web::ScenarioMix;
 
     fn small_config() -> CampaignConfig {
         CampaignConfig {
@@ -1012,10 +1013,9 @@ mod tests {
         let (shards, _) = drive(
             &config,
             &source,
-            ClientKind::OpenWpm,
+            [ClientKind::OpenWpm],
             &pipeline,
-            &new_runtime(&config),
-            &|k, crawl: ShardCrawl| {
+            &|k, [crawl]: [ShardCrawl; 1]| {
                 if k == 1 && crawl.results.iter().any(|r| !r.outcomes.is_empty()) {
                     panic!("worker wedged on shard {k}");
                 }
@@ -1065,19 +1065,18 @@ mod tests {
                 instances,
                 ..config.clone()
             };
-            let (_, totals) = drive(
+            let (_, workers) = drive(
                 &cfg,
                 &source,
-                ClientKind::OpenWpm,
+                [ClientKind::OpenWpm],
                 &pipeline,
-                &new_runtime(&cfg),
-                &|k, crawl: ShardCrawl| {
+                &|k, [crawl]: [ShardCrawl; 1]| {
                     if k == 1 && crawl.results.iter().any(|r| !r.outcomes.is_empty()) {
                         panic!("worker wedged on shard {k}");
                     }
                 },
             );
-            totals.counters()
+            machine_totals(&workers, 0, &pipeline).counters()
         };
         // The same pipeline over the population without shard 1's sites.
         let survivors: Vec<Site> = sites[..10].iter().chain(&sites[20..]).cloned().collect();
@@ -1095,6 +1094,184 @@ mod tests {
         assert!(expected.1[0].get("loss.dropped").unwrap_or(0) > 0);
         for instances in [1usize, 2, 3] {
             assert_eq!(counters(instances), expected, "{instances} workers");
+        }
+    }
+
+    /// The claimed shard is the containment unit of a paired pass: a panic
+    /// while folding shard 1 degrades both machines' rows of shard 1, and
+    /// only those, in every record, and drops both machines' telemetry of
+    /// it — each machine's counters are those of a run without shard 1's
+    /// sites, whatever the worker count.
+    #[test]
+    fn a_panic_in_a_paired_shard_degrades_every_machines_rows_of_that_shard_only() {
+        let config = small_config();
+        let sites = generate_population(&config.population);
+        let chaos = ChaosConfig::uniform(0.3);
+        let plan = LossPlan::uniform(0.3);
+        let modes = CaptureMode::ALL;
+        let pipeline = Pipeline {
+            faults: Some(&chaos),
+            capture: Some((&plan, &modes)),
+        };
+        let source = SiteSource::Slice {
+            sites: &sites,
+            shard_size: 10,
+        };
+        let counters = |out: &MachineOutput| {
+            let others: Vec<CounterSet> = out.other_modes.iter().map(|(_, c)| c.clone()).collect();
+            (out.counters.clone(), others)
+        };
+        let survivors: Vec<Site> = sites[..10].iter().chain(&sites[20..]).cloned().collect();
+        let expected = collect(&config, &SiteSource::slice(&survivors), MACHINES, &pipeline)
+            .map(|out| counters(&out));
+        let unpanicked = collect(&config, &source, MACHINES, &pipeline);
+        for instances in [1usize, 2, 3] {
+            let cfg = CampaignConfig {
+                instances,
+                ..config.clone()
+            };
+            let (shards, workers) = drive(
+                &cfg,
+                &source,
+                MACHINES,
+                &pipeline,
+                &|k, crawls: [ShardCrawl; 2]| {
+                    let crawled = crawls
+                        .iter()
+                        .any(|c| c.results.iter().any(|r| !r.outcomes.is_empty()));
+                    if k == 1 && crawled {
+                        panic!("worker wedged on shard {k}");
+                    }
+                    crawls
+                },
+            );
+            for (m, full) in unpanicked.iter().enumerate() {
+                let crawls = || shards.iter().map(|crawls| &crawls[m]);
+                let mut records = vec![(
+                    crawls().flat_map(|c| &c.results).collect::<Vec<_>>(),
+                    &full.run.sites,
+                )];
+                for (j, (run, _)) in full.other_modes.iter().enumerate() {
+                    let rows = crawls().flat_map(|c| &c.other_modes[j]).collect();
+                    records.push((rows, &run.sites));
+                }
+                for (rows, full_rows) in records {
+                    assert_eq!(rows.len(), sites.len());
+                    for (i, (row, full_row)) in rows.into_iter().zip(full_rows).enumerate() {
+                        if (10..20).contains(&i) {
+                            assert_eq!((&row.domain, row.rank), (&sites[i].domain, sites[i].rank));
+                            assert!(row.outcomes.is_empty(), "machine {m}, site {i}");
+                        } else {
+                            assert_eq!(row, full_row, "machine {m}, site {i}");
+                        }
+                    }
+                }
+                let recovery: Vec<&SiteRecovery> = crawls().flat_map(|c| &c.recovery).collect();
+                assert_eq!(recovery.len(), sites.len());
+                for (i, (rec, full_rec)) in recovery.into_iter().zip(&full.recovery).enumerate() {
+                    if (10..20).contains(&i) {
+                        assert!(rec.visits.is_empty(), "machine {m}, site {i}");
+                    } else {
+                        assert_eq!(rec, full_rec, "machine {m}, site {i}");
+                    }
+                }
+                assert_eq!(
+                    machine_totals(&workers, m, &pipeline).counters(),
+                    expected[m],
+                    "machine {m}, {instances} workers"
+                );
+            }
+        }
+        assert!(expected[1].0.get("fault.injected").unwrap_or(0) > 0);
+        assert!(expected[1].1[0].get("loss.dropped").unwrap_or(0) > 0);
+    }
+
+    /// One claim runs both machines, so the second machine drives the
+    /// scenario page the first one built: a paired drive builds exactly
+    /// the pages one machine's drive does, half of what two separate
+    /// drives build.
+    #[test]
+    fn a_paired_drive_builds_each_scenario_page_once() {
+        let config = CampaignConfig {
+            population: PopulationConfig {
+                scenarios: ScenarioMix {
+                    cookie_banner: 4,
+                    lazy_content: 4,
+                    spa_mutation: 4,
+                },
+                ..small_config().population
+            },
+            instances: 1,
+            ..small_config()
+        };
+        let sites = generate_population(&config.population);
+        let source = SiteSource::slice(&sites);
+        let plain = Pipeline::default();
+        let pages = |workers: Vec<VisitWorker>| -> u64 {
+            workers.iter().map(|w| w.scenario.pages_generated()).sum()
+        };
+        let paired = pages(drive(&config, &source, MACHINES, &plain, &|_, _| ()).1);
+        let single =
+            MACHINES.map(|client| pages(drive(&config, &source, [client], &plain, &|_, _| ()).1));
+        assert!(paired > 0, "the population drives no scenario page");
+        assert_eq!(paired, single[0]);
+        assert_eq!(2 * paired, single[0] + single[1]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The engine-level twin of `tests/paired_engine.rs`: a paired
+        /// pass gives each machine exactly its one-machine output for
+        /// every pipeline — plain, 10% faults, all capture modes at 30%
+        /// loss, and both stages at once, which no public two-client
+        /// runner exposes — over a slice or lazy source of any shard size
+        /// and any worker count.
+        #[test]
+        fn a_paired_pass_equals_each_machines_own_pass(
+            seed in 0u64..1_000_000,
+            instances in 1usize..6,
+            shard_size in 1usize..16,
+            lazy in 0usize..2,
+            stages in 0usize..4,
+        ) {
+            let config = CampaignConfig {
+                seed,
+                population: PopulationConfig {
+                    seed,
+                    n_sites: 24,
+                    scenarios: ScenarioMix {
+                        cookie_banner: 2,
+                        lazy_content: 2,
+                        spa_mutation: 2,
+                    },
+                    ..small_config().population
+                },
+                visits_per_site: 3,
+                instances,
+                ..small_config()
+            };
+            let chaos = ChaosConfig::uniform(0.1);
+            let plan = LossPlan::uniform(0.3);
+            let modes = CaptureMode::ALL;
+            let pipeline = Pipeline {
+                faults: (stages % 2 == 1).then_some(&chaos),
+                capture: (stages >= 2).then_some((&plan, &modes[..])),
+            };
+            let sites = generate_population(&config.population);
+            let shards = PopulationShards::with_shard_size(&config.population, shard_size);
+            let source = if lazy == 1 {
+                SiteSource::Lazy(&shards)
+            } else {
+                SiteSource::Slice {
+                    sites: &sites,
+                    shard_size,
+                }
+            };
+            let paired = collect(&config, &source, MACHINES, &pipeline);
+            for (out, client) in paired.iter().zip(MACHINES) {
+                proptest::prop_assert_eq!(out, &run_machine(&config, &source, client, &pipeline));
+            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! Chaos-mode campaigns: the visit pipeline with its fault stage on.
 //!
-//! The stage order and the shared per-site loop live in
-//! [`crate::campaign`]; this module holds the fault stage's
-//! configuration, its per-site state (the site's outage verdict, circuit
-//! breaker and recovery records) and its output types. Two invariants are
-//! pinned by the tests:
+//! The stage order, the shared per-site loop and the one engine pass over
+//! both machines live in [`crate::campaign`]; this module holds the fault
+//! stage's configuration, its per-site, per-machine state (outage verdict,
+//! circuit breaker and recovery records) and its output types. Two
+//! invariants are pinned by the tests:
 //!
 //! 1. **Rate-0 bit-identity.** With [`ChaosConfig::off`] the embedded
 //!    [`Campaign`] is byte-identical to [`run_campaign`]'s output for any
@@ -27,10 +27,10 @@
 //!
 //! [`run_campaign`]: crate::campaign::run_campaign
 
-use crate::campaign::{run_machines, Campaign, CampaignConfig, MachineOutput, Pipeline};
+use crate::campaign::{collect, Campaign, CampaignConfig, Pipeline, SiteSource, MACHINES};
 use crate::recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
 use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, InjectedFault, SimContext};
-use hlisa_web::{ClientKind, Site, VisitError, VisitOutcome};
+use hlisa_web::{generate_population, ClientKind, Site, VisitError, VisitOutcome};
 
 /// Fault-plane and recovery configuration for a chaos campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,24 +117,23 @@ impl ChaosCampaign {
     }
 }
 
-/// Runs the full two-machine campaign under a fault plane: the visit
-/// pipeline with its fault stage on (see [`crate::campaign`]).
+/// Runs the full two-machine campaign under a fault plane in one engine
+/// pass: the visit pipeline with its fault stage on (see [`crate::campaign`]).
 pub fn run_chaos_campaign(config: &CampaignConfig, chaos: &ChaosConfig) -> ChaosCampaign {
+    let sites = generate_population(&config.population);
     let pipeline = Pipeline {
         faults: Some(chaos),
         capture: None,
     };
-    let (sites, openwpm, spoofed) = run_machines(config, &pipeline);
-    let split = |m: MachineOutput| {
-        let recovery = MachineRecovery {
-            client: m.run.client,
-            sites: m.recovery,
-            counters: m.counters,
-        };
-        (m.run, recovery)
-    };
-    let (openwpm, openwpm_recovery) = split(openwpm);
-    let (spoofed, spoofed_recovery) = split(spoofed);
+    let [(openwpm, openwpm_recovery), (spoofed, spoofed_recovery)] =
+        collect(config, &SiteSource::slice(&sites), MACHINES, &pipeline).map(|m| {
+            let recovery = MachineRecovery {
+                client: m.run.client,
+                sites: m.recovery,
+                counters: m.counters,
+            };
+            (m.run, recovery)
+        });
     ChaosCampaign {
         campaign: Campaign {
             sites,
@@ -146,10 +145,10 @@ pub fn run_chaos_campaign(config: &CampaignConfig, chaos: &ChaosConfig) -> Chaos
     }
 }
 
-/// The fault stage's state for one site: the plane's outage verdict, the
-/// site's circuit breaker and its visits' recovery records. A site is
-/// wholly owned by one worker, so the breaker needs no synchronisation
-/// and trips deterministically.
+/// The fault stage's state for one site and machine: the plane's outage
+/// verdict, the breaker and the visits' recovery records. A site is wholly
+/// owned by one worker and each machine has its own state, so the breaker
+/// needs no synchronisation and trips deterministically.
 pub(crate) struct SiteFaults<'a> {
     chaos: &'a ChaosConfig,
     site_down: bool,

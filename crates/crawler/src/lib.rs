@@ -6,15 +6,16 @@
 //! codes (Figure 4 / Appendix B, with a Wilcoxon matched-pairs signed-rank
 //! test on first-party errors).
 //!
-//! [`campaign`] reproduces the harness: one machine engine (real
-//! parallelism across shard-claiming worker threads, deterministic
-//! per-visit seeding so results are schedule-independent) runs one visit
-//! pipeline — fork, attempt, scenario drive, planner, capture — whose
-//! optional stages are picked by a [`Pipeline`]. [`run_machine`] is the
-//! general entry point; [`run_campaign`], [`run_chaos_campaign`] (fault
-//! stage, [`chaos`] + [`recovery`]), [`run_captured_campaign`] and
-//! [`run_reliability_study`] (capture stage, [`reliability`]) and the
-//! shard-summary runners are thin wrappers over the same engine.
+//! [`campaign`] reproduces the harness: one engine (real parallelism
+//! across shard-claiming worker threads, deterministic per-visit seeding
+//! so results are schedule-independent) runs one visit pipeline — fork,
+//! attempt, scenario drive, planner, capture — whose optional stages are
+//! picked by a [`Pipeline`]. One shard claim runs every machine, and the
+//! claimed shard is what a panic degrades. [`run_campaign`],
+//! [`run_chaos_campaign`] (fault stage, [`chaos`] + [`recovery`]),
+//! [`run_captured_campaign`] and [`run_reliability_study`] (capture stage,
+//! [`reliability`]) are each one two-machine pass; [`run_machine`] and the
+//! shard-summary runners are one-machine passes.
 //! [`screenshot`] is the Table 2 aggregation and [`http_analysis`] the
 //! Figure 4 aggregation and significance test.
 

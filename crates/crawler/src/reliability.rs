@@ -10,10 +10,10 @@
 //! pipeline (`hlisa_web::capture`), degraded per visit by a
 //! `hlisa_sim::LossSchedule` drawn from the `"fault"` stream family; and
 //! [`run_reliability_study`] runs the same seeded campaign under all
-//! three [`CaptureMode`]s — in one pass, each visit's events feeding all
-//! three modes' observers — and diffs the resulting Table 2 rows and
-//! recorder analytics into a [`DriftReport`] (per-metric relative error
-//! and conclusion flips).
+//! three [`CaptureMode`]s — one engine pass over both machines, each
+//! visit's events feeding all three modes' observers — and diffs the
+//! resulting Table 2 rows and recorder analytics into a [`DriftReport`]
+//! (per-metric relative error and conclusion flips).
 //!
 //! The capture stage is stage 5 of the one visit pipeline
 //! ([`crate::campaign`]): it runs after the attempt, the scenario drive
@@ -34,7 +34,7 @@
 //!   naive-lossy campaigns drift at any positive rate.
 
 use crate::campaign::{
-    run_machines, Campaign, CampaignConfig, MachineOutput, MachineRun, Pipeline,
+    collect, Campaign, CampaignConfig, MachineOutput, Pipeline, SiteSource, MACHINES,
 };
 use crate::screenshot::{screenshot_table, Table2};
 use hlisa_sim::{
@@ -42,7 +42,8 @@ use hlisa_sim::{
     WriteAheadTally,
 };
 use hlisa_web::{
-    CaptureEvent, CaptureRecorder, RecorderTally, Site, VisitOutcome, DEFAULT_VISIT_DEADLINE_MS,
+    generate_population, CaptureEvent, CaptureRecorder, RecorderTally, VisitOutcome,
+    DEFAULT_VISIT_DEADLINE_MS,
 };
 
 /// How a campaign's capture pipeline handles the loss plane.
@@ -175,32 +176,42 @@ pub(crate) fn captured_visit(
     recorder.into_outcome()
 }
 
-/// The visit pipeline with only its capture stage on, recording every
-/// visit in each of `modes`.
-fn capture_stage<'a>(plan: &'a LossPlan, modes: &'a [CaptureMode]) -> Pipeline<'a> {
-    Pipeline {
+/// One capture pass of both machines over a fresh population, shaped
+/// into one campaign per mode of `modes`, in order: both machines'
+/// records of the mode, their capture counters merged.
+fn captured_campaigns<const N: usize>(
+    config: &CampaignConfig,
+    plan: &LossPlan,
+    modes: [CaptureMode; N],
+) -> [CapturedCampaign; N] {
+    let sites = generate_population(&config.population);
+    let pipeline = Pipeline {
         faults: None,
-        capture: Some((plan, modes)),
-    }
-}
-
-/// One mode's campaign from both machines' records of it.
-fn captured(
-    mode: CaptureMode,
-    sites: Vec<Site>,
-    (openwpm, mut analytics): (MachineRun, CounterSet),
-    (spoofed, counters): (MachineRun, CounterSet),
-) -> CapturedCampaign {
-    analytics.merge(&counters);
-    CapturedCampaign {
-        mode,
-        campaign: Campaign {
-            sites,
-            openwpm,
-            spoofed,
-        },
-        analytics: analytics.sorted(),
-    }
+        capture: Some((plan, &modes)),
+    };
+    let records = |m: MachineOutput| std::iter::once((m.run, m.counters)).chain(m.other_modes);
+    let [m1, m2] = collect(config, &SiteSource::slice(&sites), MACHINES, &pipeline).map(records);
+    // `vec!` clones the population for all modes but the last.
+    let populations = vec![sites; N].into_iter().zip(modes);
+    let campaigns: Vec<CapturedCampaign> = populations
+        .zip(m1.zip(m2))
+        .map(
+            |((sites, mode), ((openwpm, mut analytics), (spoofed, c)))| {
+                analytics.merge(&c);
+                CapturedCampaign {
+                    mode,
+                    campaign: Campaign {
+                        sites,
+                        openwpm,
+                        spoofed,
+                    },
+                    analytics: analytics.sorted(),
+                }
+            },
+        )
+        .collect();
+    // The pipeline yields one record per mode.
+    campaigns.try_into().expect("one record per mode") // lint: allow(no-panic)
 }
 
 /// Runs the standard two-machine campaign through the capture pipeline
@@ -212,13 +223,8 @@ pub fn run_captured_campaign(
     plan: &LossPlan,
     mode: CaptureMode,
 ) -> CapturedCampaign {
-    let (sites, openwpm, spoofed) = run_machines(config, &capture_stage(plan, &[mode]));
-    captured(
-        mode,
-        sites,
-        (openwpm.run, openwpm.counters),
-        (spoofed.run, spoofed.counters),
-    )
+    let [campaign] = captured_campaigns(config, plan, [mode]);
+    campaign
 }
 
 /// One metric's drift between the pristine and an observed campaign.
@@ -384,16 +390,7 @@ pub struct ReliabilityStudy {
 /// of the visit's `"fault"` stream. The pristine Table 2 is computed once
 /// for both drift reports.
 pub fn run_reliability_study(config: &CampaignConfig, plan: &LossPlan) -> ReliabilityStudy {
-    let (sites, openwpm, spoofed) = run_machines(config, &capture_stage(plan, &CaptureMode::ALL));
-    let records = |m: MachineOutput| std::iter::once((m.run, m.counters)).chain(m.other_modes);
-    let campaigns: Vec<CapturedCampaign> = CaptureMode::ALL
-        .iter()
-        .zip(records(openwpm).zip(records(spoofed)))
-        .map(|(&mode, (m1, m2))| captured(mode, sites.clone(), m1, m2))
-        .collect();
-    // The pipeline yields one record per mode of `CaptureMode::ALL`.
-    let [pristine, naive, strengthened]: [CapturedCampaign; 3] =
-        campaigns.try_into().expect("one record per mode"); // lint: allow(no-panic)
+    let [pristine, naive, strengthened] = captured_campaigns(config, plan, CaptureMode::ALL);
     let table_p = screenshot_table(&pristine.campaign);
     let naive_drift = drift_from(&table_p, &pristine, &naive);
     let strengthened_drift = drift_from(&table_p, &pristine, &strengthened);

@@ -489,9 +489,10 @@ impl<R: Rng + ?Sized> Iterator for TrajectoryStream<'_, R> {
 /// The common case (every stroke the Fitts model can produce at the 8 ms
 /// sample interval) runs entirely out of the inline tremor buffer and the
 /// shared basis table — no heap traffic at all. Strokes past
-/// [`BASIS_SHARED_MAX_N`] spill to the two retained `Vec`s, which allocate
-/// once and keep their capacity across calls, so steady-state synthesis
-/// performs zero allocations regardless of stroke length.
+/// `BASIS_SHARED_MAX_N` (192) samples spill to the two retained `Vec`s,
+/// which allocate once and keep their capacity across calls, so
+/// steady-state synthesis performs zero allocations regardless of stroke
+/// length.
 #[derive(Debug, Clone)]
 pub struct StrokeScratch {
     /// Inline tremor buffer covering every shared-basis stroke.

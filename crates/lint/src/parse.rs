@@ -15,7 +15,7 @@
 //! 2. [`build_trees`] — balanced `()`/`[]`/`{}` token trees, so the
 //!    parser can treat any delimited region as one unit and opaque
 //!    regions can be flattened back to tokens without re-lexing.
-//! 3. [`Parser`] — recursive descent over the trees into
+//! 3. `Parser` — recursive descent over the trees into
 //!    [`crate::ast::File`]: items, blocks, statements, and a Pratt
 //!    expression grammar covering the Rust subset this workspace uses.
 //!    Anything unrecognised degrades to an opaque token run and records

@@ -500,7 +500,7 @@ const PARTIAL_LANES: usize = 8;
 /// report *how much* was lost even though the degraded observer cannot.
 ///
 /// Its verdicts are exactly [`LossSchedule::blame`]'s. The
-/// partial-capture hash is computed [`PARTIAL_LANES`] event indices at a
+/// partial-capture hash is computed `PARTIAL_LANES` (8) event indices at a
 /// time ([`derive_seed_lanes`]) and kept as a bit mask until an event
 /// index falls outside it; the mask is a cache of the schedule, so it
 /// takes no part in equality or `Debug` output.

@@ -40,6 +40,12 @@ cargo run -q -p hlisa-bench --release --bin bench -- guard \
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors; vendored stand-ins excluded)"
+# Catches intra-doc links left dangling when an item is renamed, made
+# private or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude criterion --exclude serde --exclude serde_derive
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -14,13 +14,25 @@
 //!    `world_cache` off (the pre-optimization cost model: one fresh world
 //!    build and one detector rescan per visit) and on (memoised detector
 //!    verdicts, each computed once per client on a snapshot stamp).
+//! 4. **Visit core** — both machines' visits of a paper-prevalence
+//!    population through `simulate_visit` (a [`SiteProfile`] built per
+//!    visit: the site hashed and every request slot's background code
+//!    derived on every visit) vs one profile per site and machine reused
+//!    for all its visits, as the crawler runs them. This is the visit
+//!    layer's own cost: `bench_e2e`'s traced `web.visit.*` metrics come
+//!    from a mirror that calls `simulate_visit` per visit.
 
 use crate::harness::{compare, Report, Section};
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
 use hlisa_jsom::object::JsObject;
 use hlisa_jsom::realm::Realm;
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, LinearObject, PropertyDescriptor, Value};
-use hlisa_web::{PopulationConfig, WorldSnapshot};
+use hlisa_sim::SimContext;
+use hlisa_web::visit::DetectorRuntime;
+use hlisa_web::{
+    generate_population, simulate_visit, ClientKind, PopulationConfig, Site, SiteProfile,
+    VisitOutcome, WorldSnapshot,
+};
 use std::hint::black_box;
 
 /// Benchmark sizing.
@@ -34,6 +46,8 @@ pub struct BenchConfig {
     pub campaign_sites: usize,
     /// Visits per site per machine.
     pub visits_per_site: usize,
+    /// Sites in the visit-core population (8 visits per site and machine).
+    pub visit_core_sites: usize,
 }
 
 impl BenchConfig {
@@ -44,6 +58,7 @@ impl BenchConfig {
             lookup_iters: 4_000,
             campaign_sites: 120,
             visits_per_site: 8,
+            visit_core_sites: 2_000,
         }
     }
 
@@ -54,6 +69,7 @@ impl BenchConfig {
             lookup_iters: 2_000,
             campaign_sites: 30,
             visits_per_site: 4,
+            visit_core_sites: 500,
         }
     }
 }
@@ -158,6 +174,71 @@ fn bench_campaign(bench: &BenchConfig) -> Section {
     section
 }
 
+/// Visits per site and machine in the visit-core section: the paper's 8.
+const VISIT_CORE_VISITS: u64 = 8;
+
+/// Both machines' visits of every site, in crawl order, each site's
+/// visits through `visit_site(site, client, ctx)`.
+fn visit_core_crawl(
+    sites: &[Site],
+    mut visit_site: impl FnMut(&Site, ClientKind, &SimContext) -> Vec<VisitOutcome>,
+) -> Vec<VisitOutcome> {
+    let mut outcomes = Vec::with_capacity(2 * sites.len() * VISIT_CORE_VISITS as usize);
+    for (client, label) in [
+        (ClientKind::OpenWpm, "m1"),
+        (ClientKind::OpenWpmSpoofed, "m2"),
+    ] {
+        let machine = SimContext::new(42).fork(label, 0);
+        for site in sites {
+            outcomes.extend(visit_site(site, client, &machine));
+        }
+    }
+    outcomes
+}
+
+fn bench_visit_core(bench: &BenchConfig, report: &mut Report) -> Section {
+    let sites = generate_population(&PopulationConfig {
+        n_sites: bench.visit_core_sites,
+        ..PopulationConfig::default()
+    });
+    let runtime = DetectorRuntime::new();
+    let per_visit = || {
+        visit_core_crawl(&sites, |site, client, machine| {
+            (0..VISIT_CORE_VISITS)
+                .map(|v| {
+                    let mut ctx = machine.fork_visit(&site.domain, v);
+                    simulate_visit(site, client, &runtime, &mut ctx)
+                })
+                .collect()
+        })
+    };
+    let per_site = || {
+        visit_core_crawl(&sites, |site, client, machine| {
+            let profile = SiteProfile::new(site);
+            (0..VISIT_CORE_VISITS)
+                .map(|v| {
+                    let mut ctx = machine.fork_visit(&site.domain, v);
+                    profile.visit(client, &runtime, &mut ctx)
+                })
+                .collect()
+        })
+    };
+    // Fill the runtime's verdict memo before either side is timed.
+    per_site();
+    let visits = 2 * sites.len() as u64 * VISIT_CORE_VISITS;
+    let (section, fresh, reused) = compare("visit_core", "visits", visits, per_visit, per_site);
+    assert_eq!(fresh, reused, "per-visit and per-site profiles diverged");
+    let slots: usize = sites
+        .iter()
+        .map(|s| usize::from(s.first_party_requests) + usize::from(s.third_party_requests))
+        .sum();
+    report.fact(
+        "visit_core_slots_per_site",
+        slots as f64 / sites.len() as f64,
+    );
+    section
+}
+
 /// Runs the whole suite.
 pub fn run(config: BenchConfig) -> Report {
     let mut report = Report::new(
@@ -167,6 +248,7 @@ pub fn run(config: BenchConfig) -> Report {
             ("lookup_iters", u64::from(config.lookup_iters)),
             ("campaign_sites", config.campaign_sites as u64),
             ("visits_per_site", config.visits_per_site as u64),
+            ("visit_core_sites", config.visit_core_sites as u64),
         ],
     );
     report.sections = vec![
@@ -174,6 +256,8 @@ pub fn run(config: BenchConfig) -> Report {
         bench_lookup(config.lookup_iters),
         bench_campaign(&config),
     ];
+    let visit_core = bench_visit_core(&config, &mut report);
+    report.sections.push(visit_core);
     report
 }
 
@@ -189,9 +273,16 @@ mod tests {
         cfg.lookup_iters = 10;
         cfg.campaign_sites = 10;
         cfg.visits_per_site = 2;
+        cfg.visit_core_sites = 10;
         let report = run(cfg);
         assert_eq!(report.section("campaign").unwrap().ops, 2 * 10 * 2);
-        for name in ["world_acquisition", "property_lookup", "campaign"] {
+        assert_eq!(report.section("visit_core").unwrap().ops, 2 * 10 * 8);
+        for name in [
+            "world_acquisition",
+            "property_lookup",
+            "campaign",
+            "visit_core",
+        ] {
             let section = report.section(name).expect(name);
             assert!(section.speedup().is_some(), "{name} has no baseline");
         }

@@ -61,9 +61,9 @@ use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_sim::{CounterSet, FaultMonitor, LossPlan, Observer, SimContext};
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{
-    emit_capture_events_into, generate_population, plan_visit, simulate_visit,
-    simulate_visit_attempt, CaptureEvent, ClientKind, PlanStats, PopulationConfig,
-    PopulationShards, Site, VisitOutcome, DEFAULT_SHARD_SIZE, DEFAULT_VISIT_DEADLINE_MS,
+    emit_capture_events_into, generate_population, plan_visit, CaptureEvent, ClientKind, PlanStats,
+    PopulationConfig, PopulationShards, Site, SiteProfile, VisitOutcome, DEFAULT_SHARD_SIZE,
+    DEFAULT_VISIT_DEADLINE_MS,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -721,6 +721,8 @@ impl Machine<'_> {
     /// recovery record.
     fn crawl_site(&self, site: &Site, worker: &mut VisitWorker, crawl: &mut ShardCrawl) {
         let visits = self.config.visits_per_site;
+        // What is pure in the site, computed once for all its visits.
+        let profile = SiteProfile::new(site);
         let mut faults = self
             .pipeline
             .faults
@@ -736,8 +738,8 @@ impl Machine<'_> {
             // 2. Attempt the visit.
             let outcome = match &mut faults {
                 None => {
-                    let mut outcome = simulate_visit(site, self.client, self.runtime, &mut ctx);
-                    self.after_attempt(site, &mut outcome, &mut ctx, None, worker, &mut others);
+                    let mut outcome = profile.visit(self.client, self.runtime, &mut ctx);
+                    self.after_attempt(&profile, &mut outcome, &mut ctx, None, worker, &mut others);
                     outcome
                 }
                 Some(faults) => {
@@ -746,8 +748,7 @@ impl Machine<'_> {
                         &mut worker.shard[self.slot].monitor,
                         |injected, deadline_ms| {
                             let mut attempt_ctx = self.ctx.fork_visit(&site.domain, v as u64);
-                            let result = simulate_visit_attempt(
-                                site,
+                            let result = profile.attempt(
                                 self.client,
                                 self.runtime,
                                 &mut attempt_ctx,
@@ -758,7 +759,7 @@ impl Machine<'_> {
                         },
                     );
                     let (outcome, settled) = (&mut record.outcome, settled.as_mut());
-                    self.after_attempt(site, outcome, &mut ctx, settled, worker, &mut others);
+                    self.after_attempt(&profile, outcome, &mut ctx, settled, worker, &mut others);
                     let outcome = record.outcome.clone();
                     faults.record(record);
                     outcome
@@ -774,21 +775,23 @@ impl Machine<'_> {
         );
     }
 
-    /// Stages 3–5 on the settled attempt's `outcome`. `ctx` is the visit
-    /// context; `settled` is the context of the attempt that settled the
-    /// visit when the fault stage re-forked it (`None`: the attempt ran in
-    /// `ctx`, or the breaker skipped it). The capture stage replaces
+    /// Stages 3–5 on the settled attempt's `outcome` of the profiled
+    /// site. `ctx` is the visit context; `settled` is the context of the
+    /// attempt that settled the visit when the fault stage re-forked it
+    /// (`None`: the attempt ran in `ctx`, or the breaker skipped it). The
+    /// capture stage replaces
     /// `outcome` with the first mode's record and appends each later
     /// mode's record to its list in `others`.
     fn after_attempt(
         &self,
-        site: &Site,
+        profile: &SiteProfile<'_>,
         outcome: &mut VisitOutcome,
         ctx: &mut SimContext,
         settled: Option<&mut SimContext>,
         worker: &mut VisitWorker,
         others: &mut [Vec<VisitOutcome>],
     ) {
+        let site = profile.site();
         let visit_ctx = match settled {
             Some(settled) => settled,
             None => &mut *ctx,
@@ -808,7 +811,7 @@ impl Machine<'_> {
         // 4. Planner.
         if let Some(planner) = &mut worker.planner {
             let (params, planner) = &mut **planner;
-            let stats = plan_visit(site, outcome, visit_ctx, params, planner);
+            let stats = plan_visit(profile, outcome, visit_ctx, params, planner);
             worker.shard[self.slot].plan.absorb(stats);
         }
         // 5. Capture, continuing the visit's "fault" stream: one schedule
@@ -816,7 +819,12 @@ impl Machine<'_> {
         if let Some((plan, modes)) = self.pipeline.capture {
             let schedule = plan.draw(ctx.stream("fault"));
             let events = &mut worker.events;
-            emit_capture_events_into(site, outcome, DEFAULT_VISIT_DEADLINE_MS, events);
+            emit_capture_events_into(
+                profile.timeline(),
+                outcome,
+                DEFAULT_VISIT_DEADLINE_MS,
+                events,
+            );
             let http = (outcome.first_party.len(), outcome.third_party.len());
             let tallies = &mut worker.shard[self.slot].captures;
             for (j, &mode) in modes.iter().enumerate().skip(1) {

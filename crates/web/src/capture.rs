@@ -80,14 +80,17 @@ pub fn emit_capture_events(
     deadline_ms: f64,
 ) -> Vec<(f64, CaptureEvent)> {
     let mut events = Vec::new();
-    emit_capture_events_into(site, outcome, deadline_ms, &mut events);
+    let timeline = VisitTimeline::for_site(site);
+    emit_capture_events_into(&timeline, outcome, deadline_ms, &mut events);
     events
 }
 
-/// [`emit_capture_events`] into a caller-owned buffer, which is cleared
-/// first: a campaign worker reuses one buffer for all its visits.
+/// [`emit_capture_events`] on the site's `timeline` into a caller-owned
+/// buffer, which is cleared first: a campaign worker reuses one buffer
+/// for all its visits, and reads each site's timeline from its
+/// [`SiteProfile`](crate::visit::SiteProfile).
 pub fn emit_capture_events_into(
-    site: &Site,
+    tl: &VisitTimeline,
     outcome: &VisitOutcome,
     deadline_ms: f64,
     events: &mut Vec<(f64, CaptureEvent)>,
@@ -96,7 +99,6 @@ pub fn emit_capture_events_into(
     if !outcome.reached {
         return;
     }
-    let tl = VisitTimeline::for_site(site);
     let committed = (tl.connect_ms + tl.load_ms).min(deadline_ms);
     let chain_end = (committed + f64::from(tl.steps_planned) * tl.step_ms).min(deadline_ms);
     let tail = match outcome.visual {

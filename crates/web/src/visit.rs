@@ -314,14 +314,15 @@ impl Default for DetectorRuntime {
 /// `"visit"` stream. Failures degrade into recordable outcomes
 /// ([`VisitError::to_outcome`]); callers that need the typed error — the
 /// crawler's recovery engine — use [`simulate_visit_attempt`] instead.
+/// A caller visiting one site repeatedly builds its [`SiteProfile`] once
+/// and calls [`SiteProfile::visit`].
 pub fn simulate_visit(
     site: &Site,
     client: ClientKind,
     runtime: &DetectorRuntime,
     ctx: &mut SimContext,
 ) -> VisitOutcome {
-    simulate_visit_attempt(site, client, runtime, ctx, None, DEFAULT_VISIT_DEADLINE_MS)
-        .unwrap_or_else(|e| e.to_outcome())
+    SiteProfile::new(site).visit(client, runtime, ctx)
 }
 
 /// Like [`simulate_visit`], drawing from an explicit RNG stream (no
@@ -334,7 +335,7 @@ pub fn simulate_visit_with<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> VisitOutcome {
     attempt_core(
-        site,
+        &SiteProfile::new(site),
         client,
         runtime,
         rng,
@@ -345,16 +346,8 @@ pub fn simulate_visit_with<R: Rng + ?Sized>(
     .unwrap_or_else(|e| e.to_outcome())
 }
 
-/// One fault-aware visit attempt: the chaos-mode entry point.
-///
-/// Interaction draws come from the context's `"visit"` stream exactly as
-/// in [`simulate_visit`] — with `injected: None` the draw sequence (and
-/// therefore the outcome) is bit-identical to the legacy path. The
-/// scheduled fault, if any, is decided *by the caller* from the dedicated
-/// fault stream (see `hlisa_sim::FaultPlan`), so injection and retry
-/// never perturb the interaction streams. The context's [`VirtualClock`]
-/// drives the visit deadline and the elapsed-time fields of any
-/// partial-progress capture.
+/// One fault-aware visit attempt: the chaos-mode entry point, building a
+/// profile for this one call (see [`SiteProfile::attempt`]).
 pub fn simulate_visit_attempt(
     site: &Site,
     client: ClientKind,
@@ -363,16 +356,100 @@ pub fn simulate_visit_attempt(
     injected: Option<InjectedFault>,
     deadline_ms: f64,
 ) -> Result<VisitOutcome, VisitError> {
-    let clock = ctx.clock();
-    attempt_core(
-        site,
-        client,
-        runtime,
-        ctx.stream("visit"),
-        Some(&clock),
-        injected,
-        deadline_ms,
-    )
+    SiteProfile::new(site).attempt(client, runtime, ctx, injected, deadline_ms)
+}
+
+/// Everything about a visit that is a pure function of its site: the
+/// content hash, the phase timeline, and the background status code of
+/// every request slot. A crawler builds one per site and machine and
+/// reuses it for every visit and retry of that site; each visit then
+/// draws only what is live — detection, transient 5xx, ad suppression —
+/// in exactly the order a fresh profile would, so reuse moves no draw.
+#[derive(Debug, Clone)]
+pub struct SiteProfile<'a> {
+    site: &'a Site,
+    content_hash: u64,
+    timeline: VisitTimeline,
+    /// The first-party slots' background codes, then the third-party
+    /// slots'.
+    background: Box<[u16]>,
+}
+
+impl<'a> SiteProfile<'a> {
+    /// Hashes the site once and derives its timeline and every slot's
+    /// background code (one allocation).
+    pub fn new(site: &'a Site) -> Self {
+        let content_hash = site_content_hash(site);
+        let slots = |label: &'static str, n: u8| {
+            (0..n).map(move |i| {
+                background_code(hlisa_stats::rngutil::derive_seed(
+                    content_hash,
+                    label,
+                    u64::from(i),
+                ))
+            })
+        };
+        Self {
+            site,
+            content_hash,
+            timeline: VisitTimeline::from_hash(content_hash),
+            background: slots("fp", site.first_party_requests)
+                .chain(slots("tp", site.third_party_requests))
+                .collect(),
+        }
+    }
+
+    /// The profiled site.
+    pub fn site(&self) -> &'a Site {
+        self.site
+    }
+
+    /// The site's phase timeline ([`VisitTimeline::for_site`]).
+    pub fn timeline(&self) -> &VisitTimeline {
+        &self.timeline
+    }
+
+    /// One visit of `client`, drawing from the context's `"visit"`
+    /// stream, with failures degraded into recordable outcomes.
+    pub fn visit(
+        &self,
+        client: ClientKind,
+        runtime: &DetectorRuntime,
+        ctx: &mut SimContext,
+    ) -> VisitOutcome {
+        self.attempt(client, runtime, ctx, None, DEFAULT_VISIT_DEADLINE_MS)
+            .unwrap_or_else(|e| e.to_outcome())
+    }
+
+    /// One fault-aware visit attempt.
+    ///
+    /// Interaction draws come from the context's `"visit"` stream exactly
+    /// as in [`SiteProfile::visit`] — with `injected: None` the draw
+    /// sequence (and therefore the outcome) is the same. The scheduled
+    /// fault, if any, is decided *by the caller* from the dedicated fault
+    /// stream (see `hlisa_sim::FaultPlan`), so injection and retry never
+    /// perturb the interaction streams. The context's [`VirtualClock`]
+    /// drives the visit deadline and the elapsed-time fields of any
+    /// partial-progress capture.
+    pub fn attempt(
+        &self,
+        client: ClientKind,
+        runtime: &DetectorRuntime,
+        ctx: &mut SimContext,
+        injected: Option<InjectedFault>,
+        deadline_ms: f64,
+    ) -> Result<VisitOutcome, VisitError> {
+        let clock = ctx.clock();
+        attempt_core(
+            self,
+            client,
+            runtime,
+            ctx.stream("visit"),
+            Some(&clock),
+            injected,
+            deadline_ms,
+        )
+    }
 }
 
 /// Summary of one visit's batch-planned interaction chain.
@@ -410,9 +487,9 @@ impl PlanStats {
 /// or without planning. Successful visits plan the same number of
 /// interaction steps the visit timeline executes
 /// ([`VisitTimeline::steps_planned`]), scripted from the site's content
-/// hash; failed visits plan nothing.
+/// hash (both read from its `profile`); failed visits plan nothing.
 pub fn plan_visit(
-    site: &Site,
+    profile: &SiteProfile<'_>,
     outcome: &VisitOutcome,
     ctx: &SimContext,
     params: &HumanParams,
@@ -421,9 +498,9 @@ pub fn plan_visit(
     if !outcome.successful {
         return PlanStats::default();
     }
-    let steps = VisitTimeline::for_site(site).steps_planned as usize;
+    let steps = profile.timeline.steps_planned as usize;
     let mut plan_ctx = ctx.fork("plan", 0);
-    let plan = planner.plan_site_visit(params, &mut plan_ctx, site_content_hash(site), steps);
+    let plan = planner.plan_site_visit(params, &mut plan_ctx, profile.content_hash, steps);
     PlanStats {
         actions: plan.actions().len() as u64,
         samples: plan.samples().len() as u64,
@@ -455,7 +532,10 @@ pub struct VisitTimeline {
 impl VisitTimeline {
     /// The timeline for one site — a pure function of its content hash.
     pub fn for_site(site: &Site) -> Self {
-        let h = site_content_hash(site);
+        Self::from_hash(site_content_hash(site))
+    }
+
+    fn from_hash(h: u64) -> Self {
         Self {
             connect_ms: 40.0 + (h % 160) as f64,
             load_ms: 250.0 + ((h >> 8) % 2_000) as f64,
@@ -465,11 +545,11 @@ impl VisitTimeline {
     }
 }
 
-/// The shared visit core. `clock` is optional so the rng-only legacy
-/// entry point keeps working; when present it is advanced through the
-/// visit's phases and consulted for deadlines and progress capture.
+/// The visit core. `clock` is optional so the rng-only legacy entry
+/// point keeps working; when present it is advanced through the visit's
+/// phases and consulted for deadlines and progress capture.
 fn attempt_core<R: Rng + ?Sized>(
-    site: &Site,
+    profile: &SiteProfile<'_>,
     client: ClientKind,
     runtime: &DetectorRuntime,
     rng: &mut R,
@@ -477,7 +557,7 @@ fn attempt_core<R: Rng + ?Sized>(
     injected: Option<InjectedFault>,
     deadline_ms: f64,
 ) -> Result<VisitOutcome, VisitError> {
-    let timeline = VisitTimeline::for_site(site);
+    let (site, timeline) = (profile.site, profile.timeline);
     let start_ms = clock.map(VirtualClock::now_ms).unwrap_or(0.0);
     let elapsed =
         |clock: Option<&VirtualClock>| clock.map(VirtualClock::now_ms).unwrap_or(0.0) - start_ms;
@@ -589,7 +669,7 @@ fn attempt_core<R: Rng + ?Sized>(
     }
 
     // HTTP responses.
-    let (first_party, third_party) = synthesize_http(site, detected, visual, rng);
+    let (first_party, third_party) = synthesize_http(profile, detected, visual, rng);
 
     Ok(VisitOutcome {
         reached: true,
@@ -602,22 +682,20 @@ fn attempt_core<R: Rng + ?Sized>(
 }
 
 fn synthesize_http<R: Rng + ?Sized>(
-    site: &Site,
+    profile: &SiteProfile<'_>,
     detected: bool,
     visual: VisualOutcome,
     rng: &mut R,
 ) -> (Vec<u16>, Vec<u16>) {
-    let mut first = Vec::with_capacity(site.first_party_requests as usize);
-    let mut third = Vec::with_capacity(site.third_party_requests as usize);
-
+    let site = profile.site;
+    let (first_background, third_background) = profile
+        .background
+        .split_at(usize::from(site.first_party_requests));
     let blockish = matches!(visual, VisualOutcome::BlockPage | VisualOutcome::Captcha);
     let reaction = site.detector.map(|d| d.reaction);
-    // The per-site content hash feeding every slot's background code is
-    // the same for all slots; hash the domain once per visit, not per
-    // request.
-    let site_hash = site_content_hash(site);
 
-    for i in 0..site.first_party_requests {
+    let mut first = Vec::with_capacity(first_background.len());
+    for (i, &background) in first_background.iter().enumerate() {
         let code = if detected && blockish {
             // The main document always answers 403; of the subresources
             // the block page still references, most never load.
@@ -631,22 +709,23 @@ fn synthesize_http<R: Rng + ?Sized>(
         } else if detected && reaction == Some(Reaction::Http503) && rng.gen_bool(0.55) {
             503
         } else {
-            background_code(site_hash, false, i, rng)
+            live_code(background, rng)
         };
         first.push(code);
     }
 
+    // Under full suppression ad/tracker requests simply never happen.
     let ad_suppression = matches!(visual, VisualOutcome::NoAds) || blockish;
+    if ad_suppression {
+        return (first, Vec::new());
+    }
     let partial_suppression = matches!(visual, VisualOutcome::FewerAds);
-    for i in 0..site.third_party_requests {
-        if ad_suppression {
-            // Ad/tracker requests simply never happen.
-            continue;
-        }
+    let mut third = Vec::with_capacity(third_background.len());
+    for &background in third_background {
         if partial_suppression && rng.gen_bool(0.5) {
             continue;
         }
-        third.push(background_code(site_hash, true, i, rng));
+        third.push(live_code(background, rng));
     }
     (first, third)
 }
@@ -668,16 +747,17 @@ pub fn site_content_hash(site: &Site) -> u64 {
     h
 }
 
-/// Status code for request slot `i`, derived from the site's content hash.
-fn background_code<R: Rng + ?Sized>(site_hash: u64, third_party: bool, i: u8, rng: &mut R) -> u16 {
+/// One visit's status code for a slot whose background code is
+/// `background`: a small per-visit chance of a transient 5xx.
+fn live_code<R: Rng + ?Sized>(background: u16, rng: &mut R) -> u16 {
     if rng.gen_bool(0.001) {
         return if rng.gen_bool(0.6) { 500 } else { 502 };
     }
-    let h = hlisa_stats::rngutil::derive_seed(
-        site_hash,
-        if third_party { "tp" } else { "fp" },
-        u64::from(i),
-    );
+    background
+}
+
+/// A slot's background status code from its derived seed `h`.
+fn background_code(h: u64) -> u16 {
     let x = (h % 1_000_000) as f64 / 1_000_000.0;
     match x {
         x if x < 0.915 => 200,
@@ -1100,7 +1180,8 @@ mod tests {
                 let mut ctx_b = SimContext::new(70 + i as u64);
                 let legacy = simulate_visit(site, client, &rt, &mut ctx_a);
                 let planned = simulate_visit(site, client, &rt, &mut ctx_b);
-                let stats = plan_visit(site, &planned, &ctx_b, &params, &mut planner);
+                let profile = SiteProfile::new(site);
+                let stats = plan_visit(&profile, &planned, &ctx_b, &params, &mut planner);
                 assert_eq!(legacy, planned, "{}: planned outcome diverged", site.domain);
                 // The "visit" stream is untouched by planning.
                 assert_eq!(

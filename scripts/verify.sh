@@ -22,6 +22,13 @@ echo "==> bench_e2e unit tests (miniature traced + untraced run of every workloa
 # does not follow fails here.
 cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
 
+echo "==> bench_e2e production digests (all four workloads, seeds 1 and 2)"
+# One round of each workload at production size per seed: each child run
+# checks its digest against the committed EXPECTED table and the command
+# exits non-zero on any mismatch. The timings it prints are not gated.
+cargo run --quiet --release --offline --manifest-path bench_e2e/Cargo.toml -- \
+    --workload all --seed 1 --seconds 0 --repeat 2
+
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 

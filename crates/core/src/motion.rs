@@ -114,36 +114,24 @@ pub fn plan_motion_with<R: Rng + ?Sized>(
     target_w: f64,
 ) -> Vec<TrajectorySample> {
     let mut out = Vec::new();
-    plan_motion_into(style, params, rng, from, to, target_w, &mut out);
+    let mut scratch = StrokeScratch::new();
+    plan_motion_scratch(
+        style,
+        params,
+        rng,
+        from,
+        to,
+        target_w,
+        &mut scratch,
+        &mut out,
+    );
     out
 }
 
-/// Like [`plan_motion_with`], filling a caller-supplied buffer instead of
-/// allocating. The buffer is cleared first; reusing it across movements
-/// removes the per-action `Vec` from the motion hot path. Draw order is
-/// identical to [`plan_motion_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn plan_motion_into<R: Rng + ?Sized>(
-    style: MotionStyle,
-    params: &HumanParams,
-    rng: &mut R,
-    from: Point,
-    to: Point,
-    target_w: f64,
-    out: &mut Vec<TrajectorySample>,
-) {
-    // A `StrokeScratch` is stack-cheap to construct (its spill `Vec`s stay
-    // unallocated for ordinary strokes), so the scratch-free form simply
-    // delegates; hot paths hold their own scratch and call
-    // [`plan_motion_scratch`] directly.
-    let mut scratch = StrokeScratch::new();
-    plan_motion_scratch(style, params, rng, from, to, target_w, &mut scratch, out);
-}
-
-/// Like [`plan_motion_into`], additionally reusing a caller-retained
-/// [`StrokeScratch`] for the HLISA-style trajectory kernel, so a long
-/// action chain plans every movement without heap traffic. Draw order is
-/// identical to [`plan_motion_into`].
+/// The motion kernel: plans into a caller-supplied buffer (cleared first)
+/// and reuses a caller-retained [`StrokeScratch`] for the HLISA-style
+/// trajectory kernel, so a long action chain plans every movement without
+/// heap traffic. Draw order is identical to [`plan_motion_with`].
 #[allow(clippy::too_many_arguments)]
 pub fn plan_motion_scratch<R: Rng + ?Sized>(
     style: MotionStyle,

@@ -21,25 +21,16 @@ pub fn plan_hlisa_scroll(
     ctx: &mut SimContext,
     distance_px: f64,
 ) -> Vec<Action> {
-    plan_hlisa_scroll_with(params, ctx.stream("scroll"), distance_px)
+    let mut out = Vec::new();
+    plan_hlisa_scroll_into(params, ctx.stream("scroll"), distance_px, &mut out);
+    out
 }
 
-/// Like [`plan_hlisa_scroll`], drawing from an explicit RNG stream.
-pub fn plan_hlisa_scroll_with<R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &mut R,
-    distance_px: f64,
-) -> Vec<Action> {
-    let mut actions = Vec::new();
-    plan_hlisa_scroll_into(params, rng, distance_px, &mut actions);
-    actions
-}
-
-/// Like [`plan_hlisa_scroll_with`], filling a caller-supplied buffer
-/// instead of allocating. The buffer is cleared first. Draw order is
-/// identical — note it differs from the human planner's: no gap or break
-/// is drawn after the final tick (the action chain ends at the tick, so
-/// there is no trailing pause to time).
+/// Like [`plan_hlisa_scroll`], drawing from an explicit RNG stream and
+/// filling a caller-supplied buffer (cleared first) instead of
+/// allocating. Draw order differs from the human planner's: no gap or
+/// break is drawn after the final tick (the action chain ends at the tick,
+/// so there is no trailing pause to time).
 pub fn plan_hlisa_scroll_into<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,

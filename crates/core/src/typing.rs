@@ -13,7 +13,7 @@
 //! behaviour" escalation of the Fig. 3 simulator ladder, one of the
 //! refinements the paper's future-work section anticipates.
 
-use hlisa_human::typing::{plan_typing_into, plan_typing_with, PlannedKeyEvent};
+use hlisa_human::typing::{plan_typing_into, PlannedKeyEvent};
 use hlisa_human::HumanParams;
 use hlisa_sim::SimContext;
 use hlisa_webdriver::Action;
@@ -22,24 +22,21 @@ use rand::Rng;
 /// Plans HLISA keystroke actions for `text` (i.i.d. timing draws),
 /// drawing from the context's `"typing"` stream.
 pub fn plan_hlisa_typing(params: &HumanParams, ctx: &mut SimContext, text: &str) -> Vec<Action> {
-    plan_hlisa_typing_with(params, ctx.stream("typing"), text)
+    let mut out = Vec::new();
+    plan_hlisa_typing_into(
+        params,
+        ctx.stream("typing"),
+        text,
+        &mut Vec::new(),
+        &mut out,
+    );
+    out
 }
 
-/// Like [`plan_hlisa_typing`], drawing from an explicit RNG stream.
-pub fn plan_hlisa_typing_with<R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &mut R,
-    text: &str,
-) -> Vec<Action> {
-    let mut iid = params.clone();
-    iid.dwell_autocorr = 0.0;
-    events_to_actions(&plan_typing_with(&iid, rng, text))
-}
-
-/// Like [`plan_hlisa_typing_with`], filling caller-supplied buffers: the
-/// intermediate key plan goes into `events` and the compiled actions into
-/// `out` (both cleared first), so a driver typing many fields reuses the
-/// same two allocations.
+/// Like [`plan_hlisa_typing`], drawing from an explicit RNG stream and
+/// filling caller-supplied buffers: the intermediate key plan goes into
+/// `events` and the compiled actions into `out` (both cleared first), so a
+/// driver typing many fields reuses the same two allocations.
 pub fn plan_hlisa_typing_into<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,
@@ -61,20 +58,19 @@ pub fn plan_consistent_typing(
     ctx: &mut SimContext,
     text: &str,
 ) -> Vec<Action> {
-    plan_consistent_typing_with(params, ctx.stream("typing"), text)
+    let mut out = Vec::new();
+    plan_consistent_typing_into(
+        params,
+        ctx.stream("typing"),
+        text,
+        &mut Vec::new(),
+        &mut out,
+    );
+    out
 }
 
-/// Like [`plan_consistent_typing`], drawing from an explicit RNG stream.
-pub fn plan_consistent_typing_with<R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &mut R,
-    text: &str,
-) -> Vec<Action> {
-    events_to_actions(&plan_typing_with(params, rng, text))
-}
-
-/// Like [`plan_consistent_typing_with`], filling caller-supplied buffers
-/// (see [`plan_hlisa_typing_into`]).
+/// Like [`plan_consistent_typing`], drawing from an explicit RNG stream
+/// and filling caller-supplied buffers (see [`plan_hlisa_typing_into`]).
 pub fn plan_consistent_typing_into<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,
@@ -86,18 +82,11 @@ pub fn plan_consistent_typing_into<R: Rng + ?Sized>(
     events_to_actions_into(events, out);
 }
 
-/// Compiles a timestamped key plan into sequential Selenium primitives.
-/// Interleaved (rollover) presses survive: the actions are emitted in
-/// timestamp order with pauses in between, so a `key_down` of the next key
-/// can precede the `key_up` of the previous one.
-pub fn events_to_actions(events: &[PlannedKeyEvent]) -> Vec<Action> {
-    let mut actions = Vec::new();
-    events_to_actions_into(events, &mut actions);
-    actions
-}
-
-/// Like [`events_to_actions`], filling a caller-supplied buffer instead of
-/// allocating. The buffer is cleared first.
+/// Compiles a timestamped key plan into sequential Selenium primitives,
+/// filling a caller-supplied buffer (cleared first). Interleaved
+/// (rollover) presses survive: the actions are emitted in timestamp order
+/// with pauses in between, so a `key_down` of the next key can precede the
+/// `key_up` of the previous one.
 pub fn events_to_actions_into(events: &[PlannedKeyEvent], out: &mut Vec<Action>) {
     out.clear();
     out.reserve(events.len() * 2);

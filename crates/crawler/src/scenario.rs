@@ -141,7 +141,7 @@ impl ScenarioScratch {
     /// The retained agent's scratch capacities (see
     /// [`HumanAgent::scratch_capacities`]) — frozen capacities across
     /// drives prove the recovery hot path allocates nothing.
-    pub fn capacities(&self) -> [usize; 4] {
+    pub fn capacities(&self) -> [usize; 5] {
         self.human.scratch_capacities()
     }
 
@@ -525,10 +525,11 @@ mod tests {
         assert_eq!(run(5), run(5));
     }
 
-    /// Satellite regression: the banner-dismiss + re-click recovery drive
-    /// through a reused scratch (a) matches the fresh-agent drive exactly
-    /// and (b) allocates no new plan buffers once warm — capacities are
-    /// frozen across repeat drives.
+    /// Every recovery drive (banner dismissal, wheel scroll to lazy
+    /// content, SPA re-query) through a reused scratch (a) matches the
+    /// fresh-agent drive exactly and (b) allocates no new plan buffers
+    /// once warm — capacities are frozen across repeat drives of every
+    /// scenario kind.
     #[test]
     fn reused_scenario_scratch_is_warm_and_bit_identical() {
         let site = scenario_site(ScenarioKind::CookieBanner);
@@ -547,42 +548,43 @@ mod tests {
             );
         }
         let warm = scratch.capacities();
+        assert!(warm[2] > 0, "no warm-up drive wheel-scrolled");
         // Three kinds, three distinct pages.
         assert_eq!(scratch.pages_generated(), 3);
-        for visit in 0..6u64 {
-            let mut reused_ctx = SimContext::new(31).fork_visit(&site.domain, visit);
-            let reused = drive_scenario_with(
-                &site,
-                ScenarioKind::CookieBanner,
-                ClientKind::OpenWpmSpoofed,
-                42,
-                &mut reused_ctx,
-                &mut scratch,
-            );
-            let mut fresh_ctx = SimContext::new(31).fork_visit(&site.domain, visit);
-            let fresh = drive_scenario(
-                &site,
-                ScenarioKind::CookieBanner,
-                ClientKind::OpenWpmSpoofed,
-                42,
-                &mut fresh_ctx,
-            );
-            assert_eq!(reused, fresh, "visit {visit}: reuse changed the verdict");
-            assert!(reused, "banner recovery must succeed");
-            assert_eq!(
-                scratch.capacities(),
-                warm,
-                "visit {visit}: recovery re-allocated plan buffers"
-            );
-            // The cookie-banner page is generated on its first visit and
-            // shared by every later one, which also replays the first
-            // visit's banner dismissal.
-            assert_eq!(
-                scratch.pages_generated(),
-                4,
-                "visit {visit}: page regenerated"
-            );
-            assert_eq!(program_replays(&scratch), visit, "visit {visit}");
+        for (k, kind) in ScenarioKind::ALL.into_iter().enumerate() {
+            for visit in 0..6u64 {
+                let mut reused_ctx = SimContext::new(31).fork_visit(&site.domain, visit);
+                let reused = drive_scenario_with(
+                    &site,
+                    kind,
+                    ClientKind::OpenWpmSpoofed,
+                    42,
+                    &mut reused_ctx,
+                    &mut scratch,
+                );
+                let mut fresh_ctx = SimContext::new(31).fork_visit(&site.domain, visit);
+                let fresh =
+                    drive_scenario(&site, kind, ClientKind::OpenWpmSpoofed, 42, &mut fresh_ctx);
+                assert_eq!(
+                    reused, fresh,
+                    "{kind:?} visit {visit}: reuse changed the verdict"
+                );
+                assert!(reused, "{kind:?} visit {visit}: recovery must succeed");
+                assert_eq!(
+                    scratch.capacities(),
+                    warm,
+                    "{kind:?} visit {visit}: recovery re-allocated plan buffers"
+                );
+                // Each kind's page is generated on its first visit and
+                // shared by every later one, which also replays the first
+                // visit's page program.
+                assert_eq!(
+                    scratch.pages_generated(),
+                    4 + k as u64,
+                    "{kind:?} visit {visit}: page regenerated"
+                );
+                assert_eq!(program_replays(&scratch), visit, "{kind:?} visit {visit}");
+            }
         }
     }
 

@@ -11,20 +11,11 @@ use crate::params::HumanParams;
 use hlisa_browser::{Point, Rect};
 use hlisa_sim::SimContext;
 use hlisa_stats::Normal;
-use rand::Rng;
 
 /// Samples a click point inside `rect`, drawing from the context's
 /// `"click"` stream.
 pub fn sample_click_point(params: &HumanParams, ctx: &mut SimContext, rect: Rect) -> Point {
-    sample_click_point_with(params, ctx.stream("click"), rect)
-}
-
-/// Like [`sample_click_point`], drawing from an explicit RNG stream.
-pub fn sample_click_point_with<R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &mut R,
-    rect: Rect,
-) -> Point {
+    let rng = ctx.stream("click");
     let cx = rect.x + rect.width * (0.5 + params.click_bias_x_frac);
     let cy = rect.y + rect.height * 0.5;
     let dx = Normal::new(0.0, params.click_sigma_x_frac * rect.width);
@@ -48,24 +39,13 @@ pub fn sample_click_point_with<R: Rng + ?Sized>(
 
 /// Samples a button dwell time (ms) from the `"click"` stream.
 pub fn sample_dwell_ms(params: &HumanParams, ctx: &mut SimContext) -> f64 {
-    sample_dwell_ms_with(params, ctx.stream("click"))
-}
-
-/// Like [`sample_dwell_ms`], drawing from an explicit RNG stream.
-pub fn sample_dwell_ms_with<R: Rng + ?Sized>(params: &HumanParams, rng: &mut R) -> f64 {
-    params.click_dwell.sample(rng)
+    params.click_dwell.sample(ctx.stream("click"))
 }
 
 /// Samples the gap between the two clicks of a double click (ms) from the
 /// `"click"` stream.
 pub fn sample_double_click_gap_ms(params: &HumanParams, ctx: &mut SimContext) -> f64 {
-    sample_double_click_gap_ms_with(params, ctx.stream("click"))
-}
-
-/// Like [`sample_double_click_gap_ms`], drawing from an explicit RNG
-/// stream.
-pub fn sample_double_click_gap_ms_with<R: Rng + ?Sized>(params: &HumanParams, rng: &mut R) -> f64 {
-    params.double_click_gap.sample(rng)
+    params.double_click_gap.sample(ctx.stream("click"))
 }
 
 #[cfg(test)]

@@ -46,94 +46,54 @@ pub fn min_jerk_progress(tau: f64) -> f64 {
 /// precomputed row instead of re-evaluating the polynomial and the sine per
 /// sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BasisSample {
+struct BasisSample {
     /// Normalised time `i / n`.
-    pub tau: f64,
+    tau: f64,
     /// [`min_jerk_progress`] at `tau`.
-    pub s: f64,
+    s: f64,
     /// `sin(π·tau)`, the tremor envelope at `tau`.
-    pub envelope: f64,
+    envelope: f64,
 }
 
-/// Largest per-stroke sample count served from the shared basis tables.
+/// Largest per-stroke sample count served from the shared basis table.
 /// With the baseline 8 ms sample interval this covers strokes up to
-/// ~1.5 s; longer (rare) strokes fall back to direct evaluation.
+/// ~1.5 s; longer (rare) strokes evaluate their row into a spill buffer.
 const BASIS_SHARED_MAX_N: usize = 192;
 
 static BASIS_ROWS: std::sync::OnceLock<Vec<Vec<BasisSample>>> = std::sync::OnceLock::new();
 
-/// Evaluates one basis row directly — the exact expressions the sample
-/// loop historically inlined, so table and fallback are bit-identical.
-fn compute_basis_row(n: usize) -> Vec<BasisSample> {
-    (0..=n)
-        .map(|i| {
-            let tau = i as f64 / n as f64;
-            BasisSample {
-                tau,
-                s: min_jerk_progress(tau),
-                envelope: (std::f64::consts::PI * tau).sin(),
-            }
-        })
-        .collect()
+/// Sample `i` of an `n`-panel stroke's basis row — the exact expressions
+/// the seed-era sample loop inlined. The shared table and the spill branch
+/// of [`basis_row`] both evaluate this one formula.
+fn basis_sample(i: usize, n: usize) -> BasisSample {
+    let tau = i as f64 / n as f64;
+    BasisSample {
+        tau,
+        s: min_jerk_progress(tau),
+        envelope: (std::f64::consts::PI * tau).sin(),
+    }
 }
 
-/// The sample basis backing one stroke: a shared static row for common
-/// sample counts, an owned row beyond the cache bound.
-pub(crate) enum StrokeBasis {
-    /// Served from the process-wide table.
-    Shared(&'static [BasisSample]),
-    /// Computed for this stroke alone (`n` above the cache bound).
-    Owned(Vec<BasisSample>),
-}
-
-impl StrokeBasis {
-    /// The basis for an `n`-sample stroke (`n` panels, `n + 1` samples).
-    pub(crate) fn for_stroke(n: usize) -> Self {
-        if n <= BASIS_SHARED_MAX_N {
-            let rows = BASIS_ROWS.get_or_init(|| {
-                // Row k is for k-panel strokes; rows 0..3 are unused (the
-                // generators clamp n to ≥ 3) but kept so the row index is
-                // the sample count itself.
-                (0..=BASIS_SHARED_MAX_N).map(compute_basis_row).collect()
-            });
-            StrokeBasis::Shared(&rows[n])
-        } else {
-            StrokeBasis::Owned(compute_basis_row(n))
-        }
-    }
-
-    /// The factors of sample `i`.
-    pub(crate) fn get(&self, i: usize) -> BasisSample {
-        match self {
-            StrokeBasis::Shared(row) => row[i],
-            StrokeBasis::Owned(row) => row[i],
-        }
-    }
-
-    /// Fused evaluate-row-into-buffer path: the basis row for an `n`-panel
-    /// stroke as a contiguous slice, without a per-stroke allocation. Rows
-    /// within the shared bound come straight from the process-wide table;
-    /// longer rows are evaluated into `spill`, a caller-retained buffer
-    /// whose capacity survives across strokes. The values are identical to
-    /// [`StrokeBasis::for_stroke`] + [`StrokeBasis::get`] in every case
-    /// (same [`compute_basis_row`] expressions).
-    pub(crate) fn row_into(n: usize, spill: &mut Vec<BasisSample>) -> &[BasisSample] {
-        if n <= BASIS_SHARED_MAX_N {
-            let rows = BASIS_ROWS
-                .get_or_init(|| (0..=BASIS_SHARED_MAX_N).map(compute_basis_row).collect());
-            &rows[n]
-        } else {
-            spill.clear();
-            spill.extend((0..=n).map(|i| {
-                let tau = i as f64 / n as f64;
-                BasisSample {
-                    tau,
-                    s: min_jerk_progress(tau),
-                    envelope: (std::f64::consts::PI * tau).sin(),
-                }
-            }));
-            spill
-        }
+/// The basis row of an `n`-panel stroke (`n + 1` samples) as a contiguous
+/// slice, without a per-stroke allocation. Rows within the shared bound
+/// come straight from the process-wide table; longer rows are evaluated
+/// into `spill`, a caller-retained buffer whose capacity survives across
+/// strokes.
+fn basis_row(n: usize, spill: &mut Vec<BasisSample>) -> &[BasisSample] {
+    if n <= BASIS_SHARED_MAX_N {
+        let rows = BASIS_ROWS.get_or_init(|| {
+            // Row k is for k-panel strokes; rows 0..3 are unused (the
+            // generators clamp n to ≥ 3) but kept so the row index is the
+            // sample count itself.
+            (0..=BASIS_SHARED_MAX_N)
+                .map(|k| (0..=k).map(|i| basis_sample(i, k)).collect())
+                .collect()
+        });
+        &rows[n]
+    } else {
+        spill.clear();
+        spill.extend((0..=n).map(|i| basis_sample(i, n)));
+        spill
     }
 }
 
@@ -168,320 +128,6 @@ pub fn generate(
     target_w: f64,
 ) -> Vec<TrajectorySample> {
     generate_with(params, ctx.stream("cursor"), from, to, target_w)
-}
-
-/// Streaming equivalent of [`generate`]: yields the samples one at a time
-/// without materialising a `Vec`, drawing from the context's `"cursor"`
-/// stream. Sample values and RNG draw order are bit-identical to
-/// [`generate`] (enforced by a differential test), so a driver can switch
-/// between the two without changing any observable output.
-pub fn stream<'r>(
-    params: &HumanParams,
-    ctx: &'r mut SimContext,
-    from: Point,
-    to: Point,
-    target_w: f64,
-) -> TrajectoryStream<'r, rand::rngs::SmallRng> {
-    stream_with(params, ctx.stream("cursor"), from, to, target_w)
-}
-
-/// Like [`stream`], drawing from an explicit RNG stream.
-pub fn stream_with<'r, R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &'r mut R,
-    from: Point,
-    to: Point,
-    target_w: f64,
-) -> TrajectoryStream<'r, R> {
-    TrajectoryStream::new(params, rng, from, to, target_w)
-}
-
-/// A lazily generated trajectory (the streaming form of [`generate`]).
-///
-/// The RNG draw *order* of the eager generator is preserved exactly:
-/// structural draws (duration factor, two-phase decision, aim error) and
-/// the primary stroke's curve amplitude happen at construction; each
-/// emitted sample draws its own jitter; the correction pause, the
-/// correction stroke's amplitude, and the correction's suppressed first
-/// sample (the eager path's `.skip(1)` — its jitter *is* drawn) happen
-/// between the two strokes. Consuming the whole stream therefore leaves
-/// the RNG in the identical state the eager generator would.
-pub struct TrajectoryStream<'r, R: Rng + ?Sized> {
-    rng: &'r mut R,
-    jitter: Normal,
-    interval_ms: f64,
-    amp_frac: f64,
-    state: StreamState,
-}
-
-// The `Stroke` variant's inline tremor buffer dwarfs the other variants;
-// boxing it would cost the one-allocation-per-movement the streaming path
-// exists to avoid.
-#[allow(clippy::large_enum_variant)]
-enum StreamState {
-    /// Zero-distance movement: one sample, no draws.
-    Point(TrajectorySample),
-    /// One or two strokes in flight.
-    Stroke {
-        stroke: StrokeState,
-        correction: Option<PendingCorrection>,
-    },
-    Done,
-}
-
-/// The corrective submovement planned but not yet started (its pause and
-/// amplitude draws must wait until the primary stroke has finished, to
-/// match the eager draw order).
-struct PendingCorrection {
-    from: Point,
-    to: Point,
-    duration: f64,
-}
-
-/// One min-jerk stroke being emitted sample by sample.
-struct StrokeState {
-    from: Point,
-    control: Point,
-    to: Point,
-    duration: f64,
-    t0: f64,
-    n: usize,
-    next_i: usize,
-    tremor: f64,
-    px: f64,
-    py: f64,
-    /// Shared per-sample basis (tau, progress, envelope) for this `n`.
-    basis: StrokeBasis,
-    /// Batched tremor values, filled at `begin` when `n` fits the shared
-    /// bound (`batched`); longer strokes draw per sample instead. Either
-    /// way the draw sequence is identical — batching only moves the
-    /// draws to construction time, and nothing else draws from the
-    /// stream while a stroke is in flight. Inline (not heap) so the
-    /// streaming path keeps its zero-per-movement-allocation property.
-    tremor_buf: [f64; BASIS_SHARED_MAX_N + 1],
-    batched: bool,
-    /// Degenerate zero-distance stroke: one sample, no draws.
-    degenerate: bool,
-}
-
-impl StrokeState {
-    /// Mirrors the head of [`single_stroke`]: draws the curve amplitude
-    /// (unless degenerate), then the batched tremor fill, and fixes the
-    /// geometry.
-    #[allow(clippy::too_many_arguments)]
-    fn begin<R: Rng + ?Sized>(
-        amp_frac: f64,
-        interval_ms: f64,
-        rng: &mut R,
-        jitter: &Normal,
-        from: Point,
-        to: Point,
-        duration: f64,
-        t0: f64,
-    ) -> Self {
-        let dist = from.distance_to(to);
-        if dist < 1e-9 {
-            return Self {
-                from,
-                control: to,
-                to,
-                duration: 0.0,
-                t0,
-                n: 0,
-                next_i: 0,
-                tremor: 0.0,
-                px: 0.0,
-                py: 0.0,
-                basis: StrokeBasis::Owned(Vec::new()),
-                tremor_buf: [0.0; BASIS_SHARED_MAX_N + 1],
-                batched: false,
-                degenerate: true,
-            };
-        }
-        let amp_sigma = amp_frac * dist;
-        let amp = Normal::new(0.0, amp_sigma).sample(rng)
-            + amp_sigma * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-        let (px, py) = perpendicular(from, to);
-        let mid = from.lerp(to, 0.5);
-        let control = Point::new(mid.x + px * amp, mid.y + py * amp);
-        let n = ((duration / interval_ms).ceil() as usize).max(3);
-        let mut tremor_buf = [0.0f64; BASIS_SHARED_MAX_N + 1];
-        let batched = n <= BASIS_SHARED_MAX_N;
-        if batched {
-            fill_tremor(rng, jitter, &mut tremor_buf[..=n]);
-        }
-        Self {
-            from,
-            control,
-            to,
-            duration,
-            t0,
-            n,
-            next_i: 0,
-            tremor: 0.0,
-            px,
-            py,
-            basis: StrokeBasis::for_stroke(n),
-            tremor_buf,
-            batched,
-            degenerate: false,
-        }
-    }
-
-    /// The timestamp of the stroke's final sample.
-    fn end_t(&self) -> f64 {
-        if self.degenerate {
-            self.t0
-        } else {
-            self.t0 + self.duration
-        }
-    }
-
-    /// Emits the next sample, drawing its jitter — the loop body of
-    /// [`single_stroke`], one iteration at a time.
-    fn emit<R: Rng + ?Sized>(&mut self, rng: &mut R, jitter: &Normal) -> Option<TrajectorySample> {
-        if self.degenerate {
-            if self.next_i > 0 {
-                return None;
-            }
-            self.next_i = 1;
-            return Some(TrajectorySample {
-                t_ms: self.t0,
-                x: self.to.x,
-                y: self.to.y,
-            });
-        }
-        if self.next_i > self.n {
-            return None;
-        }
-        let i = self.next_i;
-        self.next_i += 1;
-        let BasisSample { tau, s, envelope } = self.basis.get(i);
-        let p = quad_bezier(self.from, self.control, self.to, s);
-        self.tremor = if self.batched {
-            self.tremor_buf[i]
-        } else {
-            0.7 * self.tremor + 0.3 * jitter.sample(rng)
-        };
-        if i == self.n {
-            // The eager stroke overwrites its last sample with the exact
-            // endpoint after drawing the (unused) final jitter.
-            return Some(TrajectorySample {
-                t_ms: self.t0 + self.duration,
-                x: self.to.x,
-                y: self.to.y,
-            });
-        }
-        Some(TrajectorySample {
-            t_ms: self.t0 + tau * self.duration,
-            x: p.x + self.px * self.tremor * envelope,
-            y: p.y + self.py * self.tremor * envelope,
-        })
-    }
-}
-
-impl<'r, R: Rng + ?Sized> TrajectoryStream<'r, R> {
-    fn new(params: &HumanParams, rng: &'r mut R, from: Point, to: Point, target_w: f64) -> Self {
-        let jitter = Normal::new(0.0, params.jitter_px);
-        let interval_ms = params.pointer_sample_interval_ms;
-        let amp_frac = params.curve_amplitude_frac;
-
-        let dist = from.distance_to(to);
-        if dist < 1e-9 {
-            return Self {
-                rng,
-                jitter,
-                interval_ms,
-                amp_frac,
-                state: StreamState::Point(TrajectorySample {
-                    t_ms: 0.0,
-                    x: to.x,
-                    y: to.y,
-                }),
-            };
-        }
-        let base = params.fitts_duration_ms(dist, target_w);
-        let duration = base * rng.gen_range(0.88..1.12);
-
-        let two_phase = dist > 250.0 && rng.gen_bool(0.6);
-        let mut correction = None;
-        let mut primary = (from, to, duration);
-        if two_phase {
-            let axis = ((to.x - from.x) / dist, (to.y - from.y) / dist);
-            let err_mag = (Normal::new(-0.01 * dist, 0.035 * dist).sample(rng))
-                .clamp(-0.12 * dist, 0.12 * dist);
-            if err_mag.abs() >= 6.0 {
-                let aim = Point::new(to.x + axis.0 * err_mag, to.y + axis.1 * err_mag);
-                let correction_duration = (70.0 + err_mag.abs() * 1.2).clamp(70.0, 180.0);
-                primary = (from, aim, duration * 0.82);
-                correction = Some(PendingCorrection {
-                    from: aim,
-                    to,
-                    duration: correction_duration,
-                });
-            }
-        }
-        let stroke = StrokeState::begin(
-            amp_frac,
-            interval_ms,
-            rng,
-            &jitter,
-            primary.0,
-            primary.1,
-            primary.2,
-            0.0,
-        );
-        Self {
-            rng,
-            jitter,
-            interval_ms,
-            amp_frac,
-            state: StreamState::Stroke { stroke, correction },
-        }
-    }
-}
-
-impl<R: Rng + ?Sized> Iterator for TrajectoryStream<'_, R> {
-    type Item = TrajectorySample;
-
-    fn next(&mut self) -> Option<TrajectorySample> {
-        loop {
-            match &mut self.state {
-                StreamState::Done => return None,
-                StreamState::Point(sample) => {
-                    let s = *sample;
-                    self.state = StreamState::Done;
-                    return Some(s);
-                }
-                StreamState::Stroke { stroke, correction } => {
-                    if let Some(s) = stroke.emit(&mut *self.rng, &self.jitter) {
-                        return Some(s);
-                    }
-                    let Some(c) = correction.take() else {
-                        self.state = StreamState::Done;
-                        return None;
-                    };
-                    // Between strokes: pause, correction amplitude, and the
-                    // correction's suppressed first sample — exactly the
-                    // eager path's draws around `.skip(1)`.
-                    let landing_t = stroke.end_t();
-                    let pause = self.rng.gen_range(30.0..90.0);
-                    let mut next_stroke = StrokeState::begin(
-                        self.amp_frac,
-                        self.interval_ms,
-                        &mut *self.rng,
-                        &self.jitter,
-                        c.from,
-                        c.to,
-                        c.duration,
-                        landing_t + pause,
-                    );
-                    let _ = next_stroke.emit(&mut *self.rng, &self.jitter);
-                    *stroke = next_stroke;
-                }
-            }
-        }
-    }
 }
 
 /// Reusable working memory for the fixed-capacity stroke kernel.
@@ -726,7 +372,7 @@ fn stroke_into<R: Rng + ?Sized>(
         tremor_spill
     };
     fill_tremor(rng, &jitter_dist, tremor);
-    let row = StrokeBasis::row_into(n, basis_spill);
+    let row = basis_row(n, basis_spill);
 
     // Draw-free SoA combine. The final sample is emitted separately: the
     // historic loop overwrote its position with the exact endpoint (its
@@ -969,16 +615,17 @@ mod tests {
         }
     }
 
-    /// The shared basis tables (and the owned fallback above the cache
+    /// The shared basis table (and the spill evaluation above the cache
     /// bound) must reproduce the direct per-sample evaluation bit for bit
-    /// — they are a memoisation, not an approximation.
+    /// — it is a memoisation, not an approximation.
     #[test]
     fn basis_table_is_bit_exact_with_direct_evaluation() {
+        let mut spill = Vec::new();
         for n in [3usize, 7, 64, 192, 193, 400] {
-            let basis = StrokeBasis::for_stroke(n);
-            for i in 0..=n {
+            let row = basis_row(n, &mut spill);
+            assert_eq!(row.len(), n + 1, "n={n}");
+            for (i, b) in row.iter().enumerate() {
                 let tau = i as f64 / n as f64;
-                let b = basis.get(i);
                 assert_eq!(b.tau.to_bits(), tau.to_bits(), "n={n} i={i}");
                 assert_eq!(
                     b.s.to_bits(),
@@ -992,15 +639,12 @@ mod tests {
                 );
             }
         }
-        // Above the bound the basis is owned, below it shared.
-        assert!(matches!(
-            StrokeBasis::for_stroke(400),
-            StrokeBasis::Owned(_)
-        ));
-        assert!(matches!(
-            StrokeBasis::for_stroke(64),
-            StrokeBasis::Shared(_)
-        ));
+        // Above the bound the row lives in the spill, below it in the
+        // shared table.
+        let row = basis_row(400, &mut spill).as_ptr();
+        assert_eq!(row, spill.as_ptr());
+        let row = basis_row(64, &mut spill).as_ptr();
+        assert_ne!(row, spill.as_ptr());
     }
 
     #[test]
@@ -1125,39 +769,6 @@ mod tests {
             let t = traj(seed);
             for w in t.windows(2) {
                 assert!(w[1].t_ms > w[0].t_ms, "seed {seed}");
-            }
-        }
-    }
-
-    /// The streaming generator is a drop-in replacement: over many seeds
-    /// and every structural branch (zero-distance, short single-stroke,
-    /// threshold-straddling, long two-phase), it yields bit-identical
-    /// samples *and* leaves the RNG in the identical state, so callers can
-    /// mix eager and streaming generation freely without perturbing any
-    /// later draw.
-    #[test]
-    fn stream_matches_eager_generator_bit_for_bit() {
-        let p = HumanParams::paper_baseline();
-        let cases = [
-            (Point::new(100.0, 500.0), Point::new(900.0, 300.0), 40.0),
-            (Point::new(10.0, 10.0), Point::new(60.0, 40.0), 20.0),
-            (Point::new(5.0, 5.0), Point::new(5.0, 5.0), 10.0),
-            (Point::new(0.0, 0.0), Point::new(260.0, 0.0), 4.0),
-            (Point::new(300.0, 800.0), Point::new(299.0, 801.0), 60.0),
-        ];
-        for seed in 0..200u64 {
-            for (from, to, w) in cases {
-                let mut eager_ctx = SimContext::new(seed);
-                let eager = generate(&p, &mut eager_ctx, from, to, w);
-                let mut stream_ctx = SimContext::new(seed);
-                let streamed: Vec<TrajectorySample> =
-                    stream(&p, &mut stream_ctx, from, to, w).collect();
-                assert_eq!(streamed, eager, "seed {seed} {from:?}->{to:?}");
-                assert_eq!(
-                    eager_ctx.stream("cursor").gen::<u64>(),
-                    stream_ctx.stream("cursor").gen::<u64>(),
-                    "rng state diverged after seed {seed} {from:?}->{to:?}"
-                );
             }
         }
     }
@@ -1319,11 +930,11 @@ mod tests {
         }
     }
 
-    /// Batched and per-sample tremor paths coexist in `single_stroke`
-    /// (strokes above [`BASIS_SHARED_MAX_N`] fall back to per-sample
-    /// draws). Both must realise the exact historic draw schedule: a
-    /// reference reimplementation of the historic inline loop agrees bit
-    /// for bit — samples and post-RNG state — on either side of the bound.
+    /// `single_stroke` serves its basis from the shared table up to
+    /// [`BASIS_SHARED_MAX_N`] and from the spill above it. On either side
+    /// of the bound it must realise the exact historic draw schedule: the
+    /// historic inline loop (per-sample draws over [`basis_row`]) agrees
+    /// bit for bit — samples and post-RNG state.
     #[test]
     fn single_stroke_matches_historic_reference_across_batch_bound() {
         use rand::rngs::SmallRng;
@@ -1346,12 +957,12 @@ mod tests {
             let mid = from.lerp(to, 0.5);
             let control = Point::new(mid.x + px * amp, mid.y + py * amp);
             let n = ((duration / params.pointer_sample_interval_ms).ceil() as usize).max(3);
-            let basis = StrokeBasis::for_stroke(n);
+            let mut spill = Vec::new();
+            let basis = basis_row(n, &mut spill);
             let jitter_dist = Normal::new(0.0, params.jitter_px);
             let mut samples = Vec::with_capacity(n + 1);
             let mut tremor = 0.0f64;
-            for i in 0..=n {
-                let BasisSample { tau, s, envelope } = basis.get(i);
+            for &BasisSample { tau, s, envelope } in basis {
                 let p = quad_bezier(from, control, to, s);
                 tremor = 0.7 * tremor + 0.3 * jitter_dist.sample(rng);
                 let (jx, jy) = (px * tremor * envelope, py * tremor * envelope);
@@ -1369,8 +980,8 @@ mod tests {
         }
 
         let p = HumanParams::paper_baseline();
-        // 8 ms interval: 600 ms → n = 75 (batched), 2400 ms → n = 300
-        // (above the bound, per-sample fallback).
+        // 8 ms interval: 600 ms → n = 75 (shared row), 2400 ms → n = 300
+        // (above the bound, spilled row).
         for duration in [600.0, 2400.0] {
             for seed in 0..100u64 {
                 let from = Point::new(40.0, 80.0);
@@ -1422,39 +1033,32 @@ mod tests {
                 prop_assert_eq!(live_rng, ref_rng, "post-RNG state diverged");
             }
 
-            /// At the shared-basis boundary the basis flips representation
-            /// (`Shared` at `n`, `Owned` at `n + 1` when `n` is the bound);
-            /// representations must agree bit for bit on the overlapping
-            /// evaluation — and the fused row path must agree with both.
+            /// At the shared-basis boundary `basis_row` flips from the
+            /// shared table (`n` up to the bound) to the spill (`n + 1`
+            /// past it); on both sides the row must equal the direct
+            /// per-sample formula bit for bit.
             #[test]
             fn owned_and_shared_basis_agree_at_the_boundary(
                 delta in 0usize..4,
             ) {
+                let mut spill = Vec::new();
                 for n in [
                     BASIS_SHARED_MAX_N - delta,
                     BASIS_SHARED_MAX_N + 1 + delta,
                 ] {
-                    let basis = StrokeBasis::for_stroke(n);
-                    if n <= BASIS_SHARED_MAX_N {
-                        prop_assert!(matches!(basis, StrokeBasis::Shared(_)));
-                    } else {
-                        prop_assert!(matches!(basis, StrokeBasis::Owned(_)));
+                    let row = basis_row(n, &mut spill);
+                    prop_assert_eq!(row.len(), n + 1);
+                    for (i, b) in row.iter().enumerate() {
+                        let tau = i as f64 / n as f64;
+                        prop_assert_eq!(b.tau.to_bits(), tau.to_bits());
+                        prop_assert_eq!(b.s.to_bits(), min_jerk_progress(tau).to_bits());
+                        prop_assert_eq!(
+                            b.envelope.to_bits(),
+                            (std::f64::consts::PI * tau).sin().to_bits()
+                        );
                     }
-                    let owned = compute_basis_row(n);
-                    let mut spill = Vec::new();
-                    let fused = StrokeBasis::row_into(n, &mut spill);
-                    prop_assert_eq!(fused.len(), n + 1);
-                    for i in 0..=n {
-                        let a = basis.get(i);
-                        let b = owned[i];
-                        let c = fused[i];
-                        prop_assert_eq!(a.tau.to_bits(), b.tau.to_bits());
-                        prop_assert_eq!(a.s.to_bits(), b.s.to_bits());
-                        prop_assert_eq!(a.envelope.to_bits(), b.envelope.to_bits());
-                        prop_assert_eq!(a.tau.to_bits(), c.tau.to_bits());
-                        prop_assert_eq!(a.s.to_bits(), c.s.to_bits());
-                        prop_assert_eq!(a.envelope.to_bits(), c.envelope.to_bits());
-                    }
+                    let spilled = basis_row(n, &mut spill).as_ptr() == spill.as_ptr();
+                    prop_assert_eq!(spilled, n > BASIS_SHARED_MAX_N);
                 }
             }
 

@@ -47,7 +47,8 @@ pub fn plan_scroll_with<R: Rng + ?Sized>(
 /// Like [`plan_scroll_with`], filling a caller-supplied buffer instead of
 /// allocating. The buffer is cleared first; its capacity survives across
 /// calls, so a reused buffer makes scroll planning allocation-free in
-/// steady state. Draws and tick values are identical to [`plan_scroll`].
+/// steady state. Draws and tick values are identical to [`plan_scroll`]:
+/// a gap or finger break is drawn after every tick, the last included.
 pub fn plan_scroll_into<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,
@@ -80,101 +81,9 @@ pub fn plan_scroll_into<R: Rng + ?Sized>(
     }
 }
 
-/// Streaming equivalent of [`plan_scroll`]: yields the ticks one at a
-/// time without materialising a `Vec`, drawing from the context's
-/// `"scroll"` stream. Tick values and RNG draw order are bit-identical
-/// to [`plan_scroll`] (enforced by a differential test).
-pub fn stream_scroll<'r>(
-    params: &HumanParams,
-    ctx: &'r mut SimContext,
-    distance_px: f64,
-    tick_px: f64,
-) -> ScrollStream<'r, rand::rngs::SmallRng> {
-    stream_scroll_with(params, ctx.stream("scroll"), distance_px, tick_px)
-}
-
-/// Like [`stream_scroll`], drawing from an explicit RNG stream.
-pub fn stream_scroll_with<'r, R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &'r mut R,
-    distance_px: f64,
-    tick_px: f64,
-) -> ScrollStream<'r, R> {
-    assert!(tick_px > 0.0, "tick size must be positive");
-    let direction = if distance_px >= 0.0 { 1 } else { -1 };
-    let n_ticks = (distance_px.abs() / tick_px).round() as usize;
-    // The eager planner draws the first flick length before its loop —
-    // even when there are zero ticks — so the stream must too.
-    let flick_len = sample_flick_len_with(params, rng);
-    ScrollStream {
-        rng,
-        tick_gap: params.scroll_tick_gap,
-        finger_break: params.scroll_finger_break,
-        flick_mean: params.scroll_ticks_per_flick_mean,
-        direction,
-        remaining: n_ticks,
-        t: 0.0,
-        ticks_in_flick: 0,
-        flick_len,
-    }
-}
-
-/// A lazily generated scroll plan (the streaming form of [`plan_scroll`]).
-///
-/// Each `next()` emits one tick and then advances the clock, drawing the
-/// inter-tick gap or finger break *after* every tick — including the
-/// last — exactly as the eager planner's loop does, so consuming the
-/// stream leaves the RNG in the identical state.
-pub struct ScrollStream<'r, R: Rng + ?Sized> {
-    rng: &'r mut R,
-    tick_gap: hlisa_stats::TruncatedNormal,
-    finger_break: hlisa_stats::TruncatedNormal,
-    flick_mean: f64,
-    direction: i32,
-    remaining: usize,
-    t: f64,
-    ticks_in_flick: usize,
-    flick_len: usize,
-}
-
-impl<R: Rng + ?Sized> Iterator for ScrollStream<'_, R> {
-    type Item = PlannedTick;
-
-    fn next(&mut self) -> Option<PlannedTick> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let tick = PlannedTick {
-            at_ms: self.t,
-            direction: self.direction,
-        };
-        self.ticks_in_flick += 1;
-        if self.ticks_in_flick >= self.flick_len {
-            self.t += self.finger_break.sample(self.rng);
-            self.ticks_in_flick = 0;
-            let sampled = self.flick_mean + self.rng.gen_range(-2.0..2.0);
-            self.flick_len = sampled.round().max(1.0) as usize;
-        } else {
-            self.t += self.tick_gap.sample(self.rng);
-        }
-        Some(tick)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
 /// Samples how many wheel ticks one finger flick delivers before the
-/// finger must be repositioned, drawing from the context's `"scroll"`
-/// stream. Shared by the human reference and HLISA so their flick-length
-/// distributions cannot drift apart.
-pub fn sample_flick_len(params: &HumanParams, ctx: &mut SimContext) -> usize {
-    sample_flick_len_with(params, ctx.stream("scroll"))
-}
-
-/// Like [`sample_flick_len`], drawing from an explicit RNG stream.
+/// finger must be repositioned. Shared by the human planner and HLISA's
+/// scrolling so their flick-length distributions cannot drift apart.
 pub fn sample_flick_len_with<R: Rng + ?Sized>(params: &HumanParams, rng: &mut R) -> usize {
     let mean = params.scroll_ticks_per_flick_mean;
     let sampled = mean + rng.gen_range(-2.0..2.0);
@@ -234,28 +143,5 @@ mod tests {
         let p = HumanParams::paper_baseline();
         let mut ctx = SimContext::new(6);
         let _ = plan_scroll(&p, &mut ctx, 100.0, 0.0);
-    }
-
-    /// The streaming planner is a drop-in replacement: bit-identical ticks
-    /// and identical post-RNG state across distances (including zero, whose
-    /// up-front flick draw must still happen).
-    #[test]
-    fn stream_matches_eager_planner_bit_for_bit() {
-        let p = HumanParams::paper_baseline();
-        for seed in 0..100u64 {
-            for distance in [0.0, 57.0, -570.0, 3_000.0, 30_000.0, -12_345.0] {
-                let mut eager_ctx = SimContext::new(seed);
-                let eager = plan_scroll(&p, &mut eager_ctx, distance, 57.0);
-                let mut stream_ctx = SimContext::new(seed);
-                let streamed: Vec<PlannedTick> =
-                    stream_scroll(&p, &mut stream_ctx, distance, 57.0).collect();
-                assert_eq!(streamed, eager, "seed {seed} distance {distance}");
-                assert_eq!(
-                    eager_ctx.stream("scroll").gen::<u64>(),
-                    stream_ctx.stream("scroll").gen::<u64>(),
-                    "rng state diverged after seed {seed} distance {distance}"
-                );
-            }
-        }
     }
 }

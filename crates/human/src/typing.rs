@@ -81,26 +81,17 @@ impl KeySink for Vec<PlannedKeyStroke> {
 /// produce are skipped (matching what a physical typist without an IME can
 /// enter).
 pub fn plan_typing(params: &HumanParams, ctx: &mut SimContext, text: &str) -> Vec<PlannedKeyEvent> {
-    plan_typing_with(params, ctx.stream("typing"), text)
-}
-
-/// Like [`plan_typing`], drawing from an explicit RNG stream.
-pub fn plan_typing_with<R: Rng + ?Sized>(
-    params: &HumanParams,
-    rng: &mut R,
-    text: &str,
-) -> Vec<PlannedKeyEvent> {
     let mut events = Vec::new();
-    plan_typing_into(params, rng, text, &mut events);
+    plan_typing_into(params, ctx.stream("typing"), text, &mut events);
     events
 }
 
-/// Like [`plan_typing_with`], filling a caller-supplied buffer instead of
-/// allocating. The buffer is cleared first; its capacity is reused across
-/// calls, which removes the per-action `Vec` (though not the per-key
-/// `String`s) from the typing hot path. A plan cannot stream lazily — the
-/// Shift release events it emits are retro-timed, so the plan is only
-/// time-ordered after the final sort.
+/// Like [`plan_typing`], drawing from an explicit RNG stream and filling a
+/// caller-supplied buffer instead of allocating. The buffer is cleared
+/// first; its capacity is reused across calls, which removes the
+/// per-action `Vec` (though not the per-key `String`s) from the typing hot
+/// path. A plan cannot stream lazily — the Shift release events it emits
+/// are retro-timed, so the plan is only time-ordered after the final sort.
 pub fn plan_typing_into<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,

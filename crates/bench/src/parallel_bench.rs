@@ -22,6 +22,15 @@
 //! forked context), and the throughput ratio is the cost of synthesising
 //! every successful visit's full interaction plan at campaign pace.
 //!
+//! A `paired_lazy` section sizes what a paired lazy pass saves over one
+//! pass per machine, on a population shaped like `bench_e2e`'s
+//! `dynamic_pages` workload (1,600 sites, 100 per 1,000 of each scenario
+//! kind, shards of 32, 8 visits, one worker per core): the baseline is
+//! two `run_machine_shard_summaries` passes, the change one
+//! [`campaign::run`] over both machines, which materialises each shard
+//! and builds each scenario page once. Both sides must fold to the same
+//! per-shard summaries.
+//!
 //! Every sweep run must also produce identical per-shard summaries — the
 //! benchmark doubles as a scale check of the bit-identical-for-any-
 //! `instances` property on a population far larger than the test suite's.
@@ -33,9 +42,12 @@
 
 use crate::harness::{available_cores, compare, rounds, Report, Section, REPEATS};
 use hlisa_crawler::campaign::{
-    run_machine, run_machine_shard_summaries, CampaignConfig, Pipeline, SiteSource,
+    self, run_machine_shard_summaries, CampaignConfig, MachineShard, Pipeline, SiteResult,
+    SiteSource, MACHINES,
 };
-use hlisa_web::{generate_population, sites_bytes, ClientKind, PopulationConfig, PopulationShards};
+use hlisa_web::{
+    generate_population, sites_bytes, ClientKind, PopulationConfig, PopulationShards, ScenarioMix,
+};
 
 /// Benchmark sizing.
 #[derive(Debug, Clone)]
@@ -140,7 +152,7 @@ pub fn run(mut config: BenchConfig) -> Report {
         &PopulationShards::with_shard_size(&population, config.shard_size).generate_shard(0),
     );
 
-    let summarise = |_k: usize, results: Vec<hlisa_crawler::SiteResult>| ShardSummary {
+    let summarise = |_k: usize, results: Vec<SiteResult>| ShardSummary {
         sites: results.len(),
         reached: results.iter().filter(|r| r.reached()).count(),
         successes: results.iter().map(|r| r.successful_visits()).sum(),
@@ -214,8 +226,16 @@ pub fn run(mut config: BenchConfig) -> Report {
         plan_interactions: true,
         ..off_cfg.clone()
     };
-    let machine =
-        |cfg: &CampaignConfig| run_machine(cfg, &source, ClientKind::OpenWpm, &Pipeline::default());
+    let machine = |cfg: &CampaignConfig| {
+        let fold = |_, [crawl]: [MachineShard; 1]| crawl;
+        campaign::run(
+            cfg,
+            &source,
+            [ClientKind::OpenWpm],
+            &Pipeline::default(),
+            &fold,
+        )
+    };
     let (batch_plan, baseline, planned) = compare(
         "batch_plan",
         "visits",
@@ -224,16 +244,73 @@ pub fn run(mut config: BenchConfig) -> Report {
         || machine(&on_cfg),
     );
     assert_eq!(
-        baseline.run, planned.run,
+        baseline.shards, planned.shards,
         "planned campaign diverged from the unplanned run"
     );
-    let totals = planned.plan_totals;
+    let totals = planned.telemetry[0].plan;
     report.fact("plan_actions", totals.actions as f64);
     report.fact("plan_samples", totals.samples as f64);
     report.fact("plan_keys", totals.keys as f64);
     report.fact("plan_ticks", totals.ticks as f64);
     report.sections.push(batch_plan);
+    // `dynamic_pages`' round size, or the suite's population if smaller.
+    let paired = paired_lazy(config.n_sites.min(1_600), cores, &summarise);
+    report.sections.push(paired);
     report
+}
+
+/// The `paired_lazy` section over `n_sites` sites with `instances`
+/// workers, both sides folding each shard with `summarise` (see the
+/// module docs).
+fn paired_lazy(
+    n_sites: usize,
+    instances: usize,
+    summarise: &(impl Fn(usize, Vec<SiteResult>) -> ShardSummary + Sync),
+) -> Section {
+    // `dynamic_pages`' population: the paper's roles scaled to `n_sites`,
+    // and 100 per 1,000 sites of each scenario kind.
+    let scale = |per_mille: usize| (per_mille * n_sites + 500) / 1_000;
+    let paper = PopulationConfig::default();
+    let w = paper.webdriver_visible;
+    let t = paper.template_visible;
+    let h = paper.silent_http;
+    let population = PopulationConfig {
+        n_sites,
+        unreachable_sites: scale(paper.unreachable_sites),
+        webdriver_visible: (scale(w.0), scale(w.1), scale(w.2), scale(w.3)),
+        template_visible: (scale(t.0), scale(t.1), scale(t.2)),
+        silent_http: (scale(h.0), scale(h.1)),
+        breakage_sites: scale(paper.breakage_sites),
+        scenarios: ScenarioMix {
+            cookie_banner: scale(100),
+            lazy_content: scale(100),
+            spa_mutation: scale(100),
+        },
+        ..paper
+    };
+    let cfg = CampaignConfig {
+        seed: 42,
+        population,
+        visits_per_site: 8,
+        instances,
+        ..CampaignConfig::default()
+    };
+    let shards = PopulationShards::with_shard_size(&cfg.population, 32);
+    let both = |k, crawls: [MachineShard; 2]| crawls.map(|mut c| summarise(k, c.records.remove(0)));
+    let visits = (n_sites * cfg.visits_per_site * MACHINES.len()) as u64;
+    let (section, apart, paired) = compare(
+        "paired_lazy",
+        "visits",
+        visits,
+        || MACHINES.map(|client| run_machine_shard_summaries(&cfg, &shards, client, summarise)),
+        || {
+            let source = SiteSource::Lazy(&shards);
+            let pass = campaign::run(&cfg, &source, MACHINES, &Pipeline::default(), &both);
+            [0, 1].map(|m| pass.shards.iter().map(|s| s[m]).collect::<Vec<_>>())
+        },
+    );
+    assert_eq!(apart, paired, "the paired pass diverged");
+    section
 }
 
 #[cfg(test)]
@@ -278,7 +355,7 @@ mod tests {
         // The planner drove real visits and synthesised real interaction.
         assert!(fact("plan_actions") > 0.0);
         assert!(fact("plan_samples") > fact("plan_actions"));
-        for name in ["population_setup", "batch_plan"] {
+        for name in ["population_setup", "batch_plan", "paired_lazy"] {
             assert!(report.section(name).unwrap().speedup().is_some());
         }
         assert!(report.render_human().contains("batch_plan"));

@@ -1,12 +1,15 @@
-//! Crawl campaign execution: one visit pipeline behind every runner.
+//! Crawl campaign execution: one engine entry, [`run`], and one visit
+//! pipeline behind every runner.
 //!
 //! # The engine
 //!
 //! A crawl is distributed at *shard* granularity: workers claim
 //! consecutive shard indices off one atomic cursor instead of being
 //! statically striped over sites (`i % instances == w`). One claim runs
-//! every listed machine: the worker materialises shard *k* once and runs
-//! the machines in turn over each stretch of it up to a scenario site.
+//! every listed machine: the worker materialises shard *k* once, runs
+//! the machines in turn over each stretch of it up to a scenario site,
+//! and folds their crawls of it ([`MachineShard`]s) with the caller's
+//! fold. Every runner is [`run`] plus output shaping.
 //! Claiming order is scheduling-dependent, but no draw is: every visit
 //! runs in a [`SimContext`] forked purely from `(machine seed, domain,
 //! visit index)`, each machine keeps its own per-site fault state and
@@ -15,8 +18,9 @@
 //! `instances`, claiming order, shard size, source laziness and set of
 //! machines sharing the pass — property-tested. The claimed shard is the
 //! containment unit: a panic anywhere in shard *k* degrades every
-//! machine's rows of *k* to zero-outcome rows and drops their telemetry of
-//! *k*, while the worker keeps what its earlier shards counted.
+//! machine's rows of *k* to zero-outcome rows, reports *k* in
+//! [`CrawlOutput::degraded`] and drops every machine's telemetry of *k*,
+//! while the worker keeps what its earlier shards counted.
 //!
 //! # The visit pipeline
 //!
@@ -40,8 +44,9 @@
 //!    loss schedule from the `"fault"` stream *after* the fault plane's
 //!    draws (with the fault stage off, at the stream's start) and emits
 //!    its capture events once; the schedule and the events feed every
-//!    mode's observers, and each mode yields its own record and counters
-//!    ([`MachineOutput::other_modes`]). The modes can share one attempt
+//!    mode's observers, and each mode yields its own record
+//!    ([`MachineShard::records`]) and counters
+//!    ([`MachineTelemetry::captures`]). The modes can share one attempt
 //!    because capture is the last stage and draw-free past the schedule:
 //!    nothing a mode records flows back into the visit.
 //!
@@ -51,10 +56,11 @@
 //!
 //! The stages' telemetry is kept as plain per-worker, per-machine tallies
 //! (the fault monitor's, the planner's, and one capture tally per mode)
-//! and rendered into named counter sets once per machine, so no visit
-//! builds or merges a [`CounterSet`].
+//! and rendered into one [`MachineTelemetry`] per machine once per pass,
+//! so no visit builds or merges a [`CounterSet`].
 
 use crate::chaos::{ChaosConfig, SiteFaults, SiteRecovery};
+use crate::recovery::VisitRecovery;
 use crate::reliability::{captured_visit, CaptureMode, CaptureTally};
 use crate::scenario::{apply_scenario_drive_with, ScenarioScratch};
 use hlisa_human::{HumanParams, VisitPlanner};
@@ -164,32 +170,6 @@ pub struct Campaign {
     pub spoofed: MachineRun,
 }
 
-/// Everything one machine's pipeline run produced.
-///
-/// A capture stage with several modes yields one run and one counter set
-/// per mode: `run` and `counters` hold the first mode's, `other_modes`
-/// the rest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineOutput {
-    /// The recorded results (under capture, as the first mode recorded
-    /// them).
-    pub run: MachineRun,
-    /// Per-site recovery telemetry in population order; empty unless the
-    /// fault stage ran. Its outcomes are `run`'s.
-    pub recovery: Vec<SiteRecovery>,
-    /// The stages' counters (`fault.*`/`retry.*`/`breaker.*` from the
-    /// fault stage, `loss.*`/`capture.*`/`recorder.*` from the first
-    /// capture mode), summed over the shards that completed and sorted by
-    /// name, so they are identical for any worker count and claiming
-    /// order.
-    pub counters: CounterSet,
-    /// Summed planner totals; all zero unless `plan_interactions`.
-    pub plan_totals: PlanStats,
-    /// Every later capture mode's run and capture counters, in
-    /// [`Pipeline::capture`] order; empty with at most one mode.
-    pub other_modes: Vec<(MachineRun, CounterSet)>,
-}
-
 /// Where a machine's sites come from.
 #[derive(Debug, Clone, Copy)]
 pub enum SiteSource<'a> {
@@ -249,118 +229,180 @@ impl<'a> SiteSource<'a> {
 
 /// The paper's two machines, in report order: stock OpenWPM, then
 /// OpenWPM with the spoofing extension.
-pub(crate) const MACHINES: [ClientKind; 2] = [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed];
+pub const MACHINES: [ClientKind; 2] = [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed];
+
+/// One machine's crawl of one shard, or of several appended: one record
+/// per capture mode, in [`Pipeline::capture`] order (exactly one record
+/// with capture off), each a [`SiteResult`] per site, and under the
+/// fault stage a recovery record per site.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MachineShard {
+    /// The results as each capture mode recorded them, each in site
+    /// order; with capture off, the one list of results.
+    pub records: Vec<Vec<SiteResult>>,
+    /// Per-site recovery telemetry in site order; empty unless the fault
+    /// stage ran. Each visit's outcome is the first record's.
+    pub recovery: Vec<SiteRecovery>,
+}
+
+impl MachineShard {
+    fn new(sites: usize, pipeline: &Pipeline<'_>) -> Self {
+        Self {
+            records: (0..capture_modes(pipeline).max(1))
+                .map(|_| Vec::with_capacity(sites))
+                .collect(),
+            recovery: Vec::new(),
+        }
+    }
+
+    /// Appends one site's rows: its outcomes in each record, and its
+    /// recovery record under the fault stage.
+    fn push(
+        &mut self,
+        site: &Site,
+        outcomes: Vec<Vec<VisitOutcome>>,
+        recovery: Option<SiteRecovery>,
+    ) {
+        for (rows, outcomes) in self.records.iter_mut().zip(outcomes) {
+            rows.push(SiteResult {
+                domain: site.domain.clone(),
+                rank: site.rank,
+                outcomes,
+            });
+        }
+        self.recovery.extend(recovery);
+    }
+
+    /// Graceful degradation for a shard whose processing panicked: every
+    /// site is recorded unvisited (zero outcomes) in every record rather
+    /// than aborting the whole run, mirroring how the paper's crawl keeps
+    /// its Table 2 denominators when individual browser instances wedge.
+    fn unvisited(sites: &[Site], pipeline: &Pipeline<'_>) -> Self {
+        let mut crawl = Self::new(sites.len(), pipeline);
+        for site in sites {
+            let recovery = pipeline.faults.map(|_| SiteRecovery {
+                domain: site.domain.clone(),
+                visits: Vec::new(),
+                breaker_open: false,
+            });
+            crawl.push(site, vec![Vec::new(); crawl.records.len()], recovery);
+        }
+        crawl
+    }
+
+    /// Appends a later shard's crawl of the same machine and pipeline; an
+    /// empty (default) crawl takes on the later one's records.
+    pub fn append(&mut self, later: MachineShard) {
+        if self.records.len() < later.records.len() {
+            self.records.resize_with(later.records.len(), Vec::new);
+        }
+        for (rows, later) in self.records.iter_mut().zip(later.records) {
+            rows.extend(later);
+        }
+        self.recovery.extend(later.recovery);
+    }
+
+    /// The crawl's one record (capture off) as `client`'s run.
+    pub(crate) fn into_run(mut self, client: ClientKind) -> MachineRun {
+        let sites = self.records.pop().unwrap_or_default();
+        MachineRun { client, sites }
+    }
+}
+
+/// One machine's stage telemetry, summed over the shards that completed
+/// and therefore identical for any worker count and claiming order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MachineTelemetry {
+    /// The fault stage's `fault.*`/`retry.*`/`breaker.*` counters, sorted
+    /// by name; empty unless the stage ran.
+    pub faults: CounterSet,
+    /// Each capture mode's `loss.*`/`capture.*`/`recorder.*` counters,
+    /// sorted by name, in [`Pipeline::capture`] order; empty with capture
+    /// off.
+    pub captures: Vec<CounterSet>,
+    /// Summed planner totals; all zero unless
+    /// [`CampaignConfig::plan_interactions`].
+    pub plan: PlanStats,
+}
+
+/// What one [`run`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrawlOutput<S, const N: usize> {
+    /// The folded shards, in shard order.
+    pub shards: Vec<S>,
+    /// The shards whose processing panicked, in ascending order: each was
+    /// folded from every machine's unvisited (zero-outcome) rows. Empty
+    /// for a clean run.
+    pub degraded: Vec<usize>,
+    /// Each machine's telemetry, in `clients` order.
+    pub telemetry: [MachineTelemetry; N],
+}
+
+/// The engine behind every runner: one pass of `pipeline` over `source`
+/// by every machine of `clients`, with `config.instances` workers.
+///
+/// A claim materialises shard *k* once, runs the machines over it in
+/// `clients` order and hands their crawls to `fold(k, crawls)` *inside
+/// the worker*, so a summarising fold keeps one summary per shard, and a
+/// lazy source holds at most one shard per worker. A shard whose
+/// processing (fold included) panics is folded from every machine's
+/// unvisited rows instead, listed in [`CrawlOutput::degraded`] and left
+/// out of the telemetry. No draw depends on the schedule, worker count,
+/// shard size, source laziness or the other machines of the pass.
+pub fn run<const N: usize, S: Send + Sync>(
+    config: &CampaignConfig,
+    source: &SiteSource<'_>,
+    clients: [ClientKind; N],
+    pipeline: &Pipeline<'_>,
+    fold: &(impl Fn(usize, [MachineShard; N]) -> S + Sync),
+) -> CrawlOutput<S, N> {
+    drive(config, source, clients, pipeline, fold).0
+}
 
 /// Runs the full two-machine campaign.
 pub fn run_campaign(config: &CampaignConfig) -> Campaign {
     let sites = generate_population(&config.population);
-    let source = SiteSource::slice(&sites);
-    let [openwpm, spoofed] = collect(config, &source, MACHINES, &Pipeline::default());
+    let ([openwpm, spoofed], _) = crawl_both(config, &sites, &Pipeline::default());
     Campaign {
         sites,
-        openwpm: openwpm.run,
-        spoofed: spoofed.run,
+        openwpm: openwpm.into_run(ClientKind::OpenWpm),
+        spoofed: spoofed.into_run(ClientKind::OpenWpmSpoofed),
     }
 }
 
-/// Runs one machine's crawl of `source` through `pipeline` with
-/// `config.instances` parallel workers.
-///
-/// Neither the schedule, the thread count, the shard size nor the
-/// source's laziness can affect any draw: the output is bit-identical
-/// for all of them, and to this machine's share of a two-machine run.
-/// Under a lazy source at most one shard per worker is materialised at
-/// any moment.
-pub fn run_machine(
-    config: &CampaignConfig,
-    source: &SiteSource<'_>,
-    client: ClientKind,
-    pipeline: &Pipeline<'_>,
-) -> MachineOutput {
-    let [output] = collect(config, source, [client], pipeline);
-    output
-}
-
-/// Streaming variant for populations too large to hold a [`SiteResult`]
-/// per site: each shard's results are folded into a summary by
-/// `summarise(shard index, results)` *inside the worker* and dropped, so
-/// the standing footprint is one summary per shard plus one materialised
-/// shard per worker. Summaries return in shard order; a shard whose
-/// processing panicked is summarised from degraded (zero-outcome) rows.
+/// Streaming runner for populations too large to hold a [`SiteResult`]
+/// per site: one machine's plain [`run`] over the lazy `shards`, each
+/// shard's results folded into a summary by `summarise(shard index,
+/// results)` inside the worker. Summaries return in shard order; a shard
+/// whose processing panicked is summarised from unvisited rows.
 pub fn run_machine_shard_summaries<S: Send + Sync>(
     config: &CampaignConfig,
     shards: &PopulationShards,
     client: ClientKind,
     summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
 ) -> Vec<S> {
-    let (summaries, _) = drive(
-        config,
-        &SiteSource::Lazy(shards),
-        [client],
-        &Pipeline::default(),
-        &|k, [crawl]: [ShardCrawl; 1]| summarise(k, crawl.results),
-    );
-    summaries
+    let fold = |k, [crawl]: [MachineShard; 1]| summarise(k, crawl.into_run(client).sites);
+    let source = SiteSource::Lazy(shards);
+    run(config, &source, [client], &Pipeline::default(), &fold).shards
 }
 
-/// [`run_machine_shard_summaries`] with a crash-safe on-disk journal:
-/// each shard's summary is rendered by `to_json` and appended to `sink`
-/// **as the shard completes**, fsync'd per append, so a harness crash
-/// loses at most the shard it was mid-write on.
-/// [`ShardSummarySink::replay`](crate::sink::ShardSummarySink::replay)
-/// recovers every durable line afterwards.
-///
-/// Returns the in-memory summaries (shard order) once every append is
-/// durably on disk; the first sink I/O error fails the run instead of
-/// silently dropping shards.
-pub fn run_machine_shard_summaries_persistent<S: Send + Sync>(
+/// Both machines' whole crawls of `sites` through `pipeline`, from one
+/// [`run`] whose fold keeps every shard: each machine's shards appended
+/// in shard order, and its telemetry. The eager runners shape this.
+pub(crate) fn crawl_both(
     config: &CampaignConfig,
-    shards: &PopulationShards,
-    client: ClientKind,
-    summarise: &(impl Fn(usize, Vec<SiteResult>) -> S + Sync),
-    to_json: &(impl Fn(&S) -> String + Sync),
-    sink: &crate::sink::ShardSummarySink,
-) -> std::io::Result<Vec<S>> {
-    let summaries = run_machine_shard_summaries(config, shards, client, &|k, results| {
-        let summary = summarise(k, results);
-        sink.record(k, &to_json(&summary));
-        summary
-    });
-    sink.finish()?;
-    Ok(summaries)
-}
-
-/// Every listed machine's run of `pipeline` over `source`, from one
-/// engine pass: the shards' crawls are split into one [`MachineOutput`]
-/// per client, in `clients` order.
-pub(crate) fn collect<const N: usize>(
-    config: &CampaignConfig,
-    source: &SiteSource<'_>,
-    clients: [ClientKind; N],
+    sites: &[Site],
     pipeline: &Pipeline<'_>,
-) -> [MachineOutput; N] {
-    let (shards, workers) = drive(config, source, clients, pipeline, &|_, crawls| crawls);
-    let mut crawls = clients.map(|_| ShardCrawl::new(source.n_sites(), pipeline));
-    for shard in shards {
-        for (crawl, part) in crawls.iter_mut().zip(shard) {
-            crawl.append(part);
+) -> ([MachineShard; 2], [MachineTelemetry; 2]) {
+    let source = SiteSource::slice(sites);
+    let out = run(config, &source, MACHINES, pipeline, &|_, crawls| crawls);
+    let mut whole = MACHINES.map(|_| MachineShard::new(sites.len(), pipeline));
+    for crawls in out.shards {
+        for (whole, crawl) in whole.iter_mut().zip(crawls) {
+            whole.append(crawl);
         }
     }
-    let mut slot = 0;
-    crawls.map(|crawl| {
-        let (client, totals) = (clients[slot], machine_totals(&workers, slot, pipeline));
-        slot += 1;
-        let (counters, other_counters) = totals.counters();
-        let run = |sites| MachineRun { client, sites };
-        let other_runs = crawl.other_modes.into_iter().map(run);
-        MachineOutput {
-            run: run(crawl.results),
-            recovery: crawl.recovery,
-            counters,
-            plan_totals: totals.plan,
-            other_modes: other_runs.zip(other_counters).collect(),
-        }
-    })
+    (whole, out.telemetry)
 }
 
 fn new_runtime(config: &CampaignConfig) -> DetectorRuntime {
@@ -455,91 +497,15 @@ where
     )
 }
 
-/// One machine's crawl of one shard: a result per site (as the first
-/// capture mode recorded it, under capture), one more per site for each
-/// later capture mode and, under the fault stage, a recovery record per
-/// site.
-struct ShardCrawl {
-    results: Vec<SiteResult>,
-    other_modes: Vec<Vec<SiteResult>>,
-    recovery: Vec<SiteRecovery>,
-}
-
-impl ShardCrawl {
-    fn new(sites: usize, pipeline: &Pipeline<'_>) -> Self {
-        Self {
-            results: Vec::with_capacity(sites),
-            other_modes: (1..capture_modes(pipeline))
-                .map(|_| Vec::with_capacity(sites))
-                .collect(),
-            recovery: Vec::new(),
-        }
-    }
-
-    /// Appends one site's records: its outcomes in the first mode, each
-    /// later mode's, and its recovery record under the fault stage.
-    fn push(
-        &mut self,
-        site: &Site,
-        outcomes: Vec<VisitOutcome>,
-        others: Vec<Vec<VisitOutcome>>,
-        recovery: Option<SiteRecovery>,
-    ) {
-        let result = |outcomes| SiteResult {
-            domain: site.domain.clone(),
-            rank: site.rank,
-            outcomes,
-        };
-        self.results.push(result(outcomes));
-        for (results, outcomes) in self.other_modes.iter_mut().zip(others) {
-            results.push(result(outcomes));
-        }
-        self.recovery.extend(recovery);
-    }
-
-    /// Graceful degradation for a shard whose processing panicked: every
-    /// site is recorded unvisited (zero outcomes) in every record rather
-    /// than aborting the whole run, mirroring how the paper's crawl keeps
-    /// its Table 2 denominators when individual browser instances wedge.
-    fn unvisited(sites: &[Site], pipeline: &Pipeline<'_>) -> Self {
-        let mut crawl = Self::new(sites.len(), pipeline);
-        for site in sites {
-            let recovery = pipeline.faults.map(|_| SiteRecovery {
-                domain: site.domain.clone(),
-                visits: Vec::new(),
-                breaker_open: false,
-            });
-            let others = vec![Vec::new(); crawl.other_modes.len()];
-            crawl.push(site, Vec::new(), others, recovery);
-        }
-        crawl
-    }
-
-    /// Appends a later shard's crawl of the same machine.
-    fn append(&mut self, later: ShardCrawl) {
-        self.results.extend(later.results);
-        for (results, later) in self.other_modes.iter_mut().zip(later.other_modes) {
-            results.extend(later);
-        }
-        self.recovery.extend(later.recovery);
-    }
-}
-
-/// The engine behind every runner: shard-claiming workers run every
-/// machine of `clients` over each claimed shard, in `clients` order, and
-/// hand the shard's crawls (one per machine) to `fold` inside the worker.
-/// Returns the folded shards in shard order (a panicked shard folded from
-/// every machine's unvisited rows) and the worker states, whose
-/// per-machine totals count only completed shards. One detector runtime
-/// serves the pass; a verdict depends only on the client's pristine
-/// world.
+/// [`run`], also returning the worker states. One detector runtime serves
+/// the pass; a verdict depends only on the client's pristine world.
 fn drive<const N: usize, S: Send + Sync>(
     config: &CampaignConfig,
     source: &SiteSource<'_>,
     clients: [ClientKind; N],
     pipeline: &Pipeline<'_>,
-    fold: &(impl Fn(usize, [ShardCrawl; N]) -> S + Sync),
-) -> (Vec<S>, Vec<VisitWorker>) {
+    fold: &(impl Fn(usize, [MachineShard; N]) -> S + Sync),
+) -> (CrawlOutput<S, N>, Vec<VisitWorker>) {
     let runtime = new_runtime(config);
     let machines: [Machine<'_>; N] = std::array::from_fn(|slot| Machine {
         config,
@@ -550,8 +516,8 @@ fn drive<const N: usize, S: Send + Sync>(
         ctx: machine_context(config, clients[slot]),
     });
     let crawl_shard = |worker: &mut VisitWorker, sites: &[Site]| {
-        let mut crawls: [ShardCrawl; N] =
-            std::array::from_fn(|_| ShardCrawl::new(sites.len(), pipeline));
+        let mut crawls: [MachineShard; N] =
+            std::array::from_fn(|_| MachineShard::new(sites.len(), pipeline));
         // Machine by machine over each run ending at a scenario site: the
         // next machine finds that page still cached, and each machine's
         // results sit together on the heap for whoever walks or drops them.
@@ -577,13 +543,31 @@ fn drive<const N: usize, S: Send + Sync>(
         &|worker: &mut VisitWorker| worker.recover(config.plan_interactions, modes),
     );
     let unvisited =
-        |sites: &[Site]| std::array::from_fn(|_| ShardCrawl::unvisited(sites, pipeline));
-    let folded = slots
+        |sites: &[Site]| std::array::from_fn(|_| MachineShard::unvisited(sites, pipeline));
+    let mut degraded = Vec::new();
+    let shards = slots
         .into_iter()
         .enumerate()
-        .map(|(k, slot)| slot.unwrap_or_else(|| source.with_shard(k, |s| fold(k, unvisited(s)))))
+        .map(|(k, slot)| {
+            slot.unwrap_or_else(|| {
+                degraded.push(k);
+                source.with_shard(k, |sites| fold(k, unvisited(sites)))
+            })
+        })
         .collect();
-    (folded, workers)
+    let telemetry = std::array::from_fn(|slot| {
+        let mut totals = Tallies::new(modes);
+        for worker in &workers {
+            totals.absorb(&worker.totals[slot]);
+        }
+        totals.telemetry()
+    });
+    let output = CrawlOutput {
+        shards,
+        degraded,
+        telemetry,
+    };
+    (output, workers)
 }
 
 /// The machine context every visit fork derives from: a pure function of
@@ -623,32 +607,19 @@ impl Tallies {
         }
     }
 
-    /// The sorted counter sets: the fault stage's counters with the
-    /// first capture mode's, then each later mode's capture counters.
-    fn counters(&self) -> (CounterSet, Vec<CounterSet>) {
-        let mut first = self.monitor.counters();
-        let mut captures = self.captures.iter();
-        if let Some(capture) = captures.next() {
-            capture.render_into(&mut first);
+    /// The tallies rendered into sorted counter sets.
+    fn telemetry(&self) -> MachineTelemetry {
+        let captures = self.captures.iter().map(|capture| {
+            let mut set = CounterSet::new();
+            capture.render_into(&mut set);
+            set.sorted()
+        });
+        MachineTelemetry {
+            faults: self.monitor.counters().sorted(),
+            captures: captures.collect(),
+            plan: self.plan,
         }
-        let others = captures
-            .map(|capture| {
-                let mut set = CounterSet::new();
-                capture.render_into(&mut set);
-                set.sorted()
-            })
-            .collect();
-        (first.sorted(), others)
     }
-}
-
-/// Machine `slot`'s tallies summed over every worker's completed shards.
-fn machine_totals(workers: &[VisitWorker], slot: usize, pipeline: &Pipeline<'_>) -> Tallies {
-    let mut totals = Tallies::new(capture_modes(pipeline));
-    for worker in workers {
-        totals.absorb(&worker.totals[slot]);
-    }
-    totals
 }
 
 /// Worker-local visit state: the scenario drive's retained scratch, the
@@ -717,9 +688,9 @@ impl Machine<'_> {
     /// All of this machine's visits of one site — the per-site loop of
     /// every runner, identical whichever worker claims the site, whenever
     /// it runs and whichever machines share the pass. Appends the site's
-    /// results to `crawl`; under the fault stage the site also gets its
+    /// rows to `crawl`; under the fault stage the site also gets its
     /// recovery record.
-    fn crawl_site(&self, site: &Site, worker: &mut VisitWorker, crawl: &mut ShardCrawl) {
+    fn crawl_site(&self, site: &Site, worker: &mut VisitWorker, crawl: &mut MachineShard) {
         let visits = self.config.visits_per_site;
         // What is pure in the site, computed once for all its visits.
         let profile = SiteProfile::new(site);
@@ -727,23 +698,21 @@ impl Machine<'_> {
             .pipeline
             .faults
             .map(|chaos| SiteFaults::new(chaos, self.config.seed, site, visits));
-        let mut outcomes = Vec::with_capacity(visits);
-        // The later capture modes' outcomes; no allocation for one mode.
-        let mut others: Vec<Vec<VisitOutcome>> = (0..crawl.other_modes.len())
+        // The visits' outcomes in each record.
+        let mut outcomes: Vec<Vec<VisitOutcome>> = (0..crawl.records.len())
             .map(|_| Vec::with_capacity(visits))
             .collect();
         for v in 0..visits {
             // 1. Fork the visit context.
             let mut ctx = self.ctx.fork_visit(&site.domain, v as u64);
             // 2. Attempt the visit.
-            let outcome = match &mut faults {
+            match &mut faults {
                 None => {
-                    let mut outcome = profile.visit(self.client, self.runtime, &mut ctx);
-                    self.after_attempt(&profile, &mut outcome, &mut ctx, None, worker, &mut others);
-                    outcome
+                    let outcome = profile.visit(self.client, self.runtime, &mut ctx);
+                    self.after_attempt(&profile, outcome, &mut ctx, None, worker, &mut outcomes);
                 }
                 Some(faults) => {
-                    let (mut record, mut settled) = faults.attempt(
+                    let (record, mut settled) = faults.attempt(
                         &mut ctx,
                         &mut worker.shard[self.slot].monitor,
                         |injected, deadline_ms| {
@@ -758,38 +727,36 @@ impl Machine<'_> {
                             (result, attempt_ctx)
                         },
                     );
-                    let (outcome, settled) = (&mut record.outcome, settled.as_mut());
-                    self.after_attempt(&profile, outcome, &mut ctx, settled, worker, &mut others);
-                    let outcome = record.outcome.clone();
-                    faults.record(record);
-                    outcome
+                    let settled = settled.as_mut();
+                    let outcome = record.outcome;
+                    self.after_attempt(&profile, outcome, &mut ctx, settled, worker, &mut outcomes);
+                    // The recovery record keeps the first record's outcome
+                    // and the record an exactly sized copy, allocated in
+                    // one piece: callers walk and drop the records.
+                    let first = &mut outcomes[0][v];
+                    let outcome = std::mem::replace(first, first.clone());
+                    faults.record(VisitRecovery { outcome, ..record });
                 }
-            };
-            outcomes.push(outcome);
+            }
         }
-        crawl.push(
-            site,
-            outcomes,
-            others,
-            faults.map(|f| f.into_recovery(site)),
-        );
+        crawl.push(site, outcomes, faults.map(|f| f.into_recovery(site)));
     }
 
     /// Stages 3–5 on the settled attempt's `outcome` of the profiled
-    /// site. `ctx` is the visit context; `settled` is the context of the
-    /// attempt that settled the visit when the fault stage re-forked it
-    /// (`None`: the attempt ran in `ctx`, or the breaker skipped it). The
-    /// capture stage replaces
-    /// `outcome` with the first mode's record and appends each later
-    /// mode's record to its list in `others`.
+    /// site, appending the visit's outcome to each record's list in
+    /// `outcomes`: `outcome` itself with capture off, each mode's capture
+    /// of it otherwise. `ctx` is the visit context; `settled` is the
+    /// context of the attempt that settled the visit when the fault stage
+    /// re-forked it (`None`: the attempt ran in `ctx`, or the breaker
+    /// skipped it).
     fn after_attempt(
         &self,
         profile: &SiteProfile<'_>,
-        outcome: &mut VisitOutcome,
+        mut outcome: VisitOutcome,
         ctx: &mut SimContext,
         settled: Option<&mut SimContext>,
         worker: &mut VisitWorker,
-        others: &mut [Vec<VisitOutcome>],
+        outcomes: &mut [Vec<VisitOutcome>],
     ) {
         let site = profile.site();
         let visit_ctx = match settled {
@@ -803,7 +770,7 @@ impl Machine<'_> {
                 site,
                 kind,
                 self.client,
-                outcome,
+                &mut outcome,
                 visit_ctx,
                 &mut worker.scenario,
             );
@@ -811,29 +778,27 @@ impl Machine<'_> {
         // 4. Planner.
         if let Some(planner) = &mut worker.planner {
             let (params, planner) = &mut **planner;
-            let stats = plan_visit(profile, outcome, visit_ctx, params, planner);
+            let stats = plan_visit(profile, &outcome, visit_ctx, params, planner);
             worker.shard[self.slot].plan.absorb(stats);
         }
         // 5. Capture, continuing the visit's "fault" stream: one schedule
         // and one event stream feed every mode's observers.
-        if let Some((plan, modes)) = self.pipeline.capture {
-            let schedule = plan.draw(ctx.stream("fault"));
-            let events = &mut worker.events;
-            emit_capture_events_into(
-                profile.timeline(),
-                outcome,
-                DEFAULT_VISIT_DEADLINE_MS,
-                events,
-            );
-            let http = (outcome.first_party.len(), outcome.third_party.len());
-            let tallies = &mut worker.shard[self.slot].captures;
-            for (j, &mode) in modes.iter().enumerate().skip(1) {
-                let recorded = captured_visit(events, http, schedule, mode, &mut tallies[j]);
-                others[j - 1].push(recorded);
-            }
-            if let Some(&mode) = modes.first() {
-                *outcome = captured_visit(events, http, schedule, mode, &mut tallies[0]);
-            }
+        let Some((plan, modes)) = self.pipeline.capture else {
+            outcomes[0].push(outcome);
+            return;
+        };
+        let schedule = plan.draw(ctx.stream("fault"));
+        let events = &mut worker.events;
+        emit_capture_events_into(
+            profile.timeline(),
+            &outcome,
+            DEFAULT_VISIT_DEADLINE_MS,
+            events,
+        );
+        let http = (outcome.first_party.len(), outcome.third_party.len());
+        let tallies = &mut worker.shard[self.slot].captures;
+        for ((outcomes, &mode), tally) in outcomes.iter_mut().zip(modes).zip(tallies) {
+            outcomes.push(captured_visit(events, http, schedule, mode, tally));
         }
     }
 }
@@ -861,8 +826,47 @@ mod tests {
         }
     }
 
+    /// One machine's crawl of `source` through `pipeline`, its shards
+    /// appended in shard order, and its telemetry.
+    fn single(
+        config: &CampaignConfig,
+        source: &SiteSource<'_>,
+        client: ClientKind,
+        pipeline: &Pipeline<'_>,
+    ) -> (MachineShard, MachineTelemetry) {
+        let out = run(config, source, [client], pipeline, &|_, [crawl]| crawl);
+        let mut whole = MachineShard::default();
+        for crawl in out.shards {
+            whole.append(crawl);
+        }
+        let [telemetry] = out.telemetry;
+        (whole, telemetry)
+    }
+
     fn plain(config: &CampaignConfig, source: &SiteSource<'_>, client: ClientKind) -> MachineRun {
-        run_machine(config, source, client, &Pipeline::default()).run
+        single(config, source, client, &Pipeline::default())
+            .0
+            .into_run(client)
+    }
+
+    /// Every machine's crawl from one pass over `clients` whose fold keeps
+    /// every shard: each machine's shards appended in shard order, and its
+    /// telemetry.
+    fn paired<const N: usize>(
+        config: &CampaignConfig,
+        source: &SiteSource<'_>,
+        clients: [ClientKind; N],
+        pipeline: &Pipeline<'_>,
+    ) -> [(MachineShard, MachineTelemetry); N] {
+        let out = run(config, source, clients, pipeline, &|_, crawls| crawls);
+        let mut whole = clients.map(|_| MachineShard::default());
+        for crawls in out.shards {
+            for (whole, crawl) in whole.iter_mut().zip(crawls) {
+                whole.append(crawl);
+            }
+        }
+        let mut telemetry = out.telemetry.into_iter();
+        whole.map(|crawl| (crawl, telemetry.next().unwrap_or_default()))
     }
 
     #[test]
@@ -938,9 +942,13 @@ mod tests {
         planned.plan_interactions = true;
         for client in [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed] {
             let baseline = plain(&config, &source, client);
-            let out = run_machine(&planned, &source, client, &Pipeline::default());
-            let totals = out.plan_totals;
-            assert_eq!(out.run, baseline, "{client:?}: planning changed outcomes");
+            let (crawl, telemetry) = single(&planned, &source, client, &Pipeline::default());
+            let totals = telemetry.plan;
+            assert_eq!(
+                crawl.into_run(client),
+                baseline,
+                "{client:?}: planning changed outcomes"
+            );
             assert!(totals.actions > 0, "{client:?}: planner saw no visits");
             assert!(totals.samples > totals.actions, "{client:?}: empty plans");
             // Totals are sums over visits: any partition of the shard
@@ -950,10 +958,14 @@ mod tests {
                     instances,
                     ..planned.clone()
                 };
-                let out = run_machine(&cfg, &source, client, &Pipeline::default());
-                assert_eq!(out.run, baseline, "{client:?}/{instances} workers diverged");
+                let (crawl, telemetry) = single(&cfg, &source, client, &Pipeline::default());
                 assert_eq!(
-                    out.plan_totals, totals,
+                    crawl.into_run(client),
+                    baseline,
+                    "{client:?}/{instances} workers diverged"
+                );
+                assert_eq!(
+                    telemetry.plan, totals,
                     "{client:?}/{instances} totals diverged"
                 );
             }
@@ -1016,37 +1028,50 @@ mod tests {
             faults: Some(&chaos),
             capture: None,
         };
-        // A worker that wedges mid-shard: shard 1 panics whenever it was
-        // actually crawled. Every other shard is filled normally.
-        let (shards, _) = drive(
-            &config,
-            &source,
-            [ClientKind::OpenWpm],
-            &pipeline,
-            &|k, [crawl]: [ShardCrawl; 1]| {
-                if k == 1 && crawl.results.iter().any(|r| !r.outcomes.is_empty()) {
-                    panic!("worker wedged on shard {k}");
-                }
-                crawl
-            },
-        );
-        let results: Vec<SiteResult> = shards.iter().flat_map(|c| c.results.clone()).collect();
-        let recovery: Vec<SiteRecovery> = shards.into_iter().flat_map(|c| c.recovery).collect();
-        // The machine run still covers the full population, in order…
-        assert_eq!(results.len(), sites.len());
-        assert_eq!(recovery.len(), sites.len());
-        for (site, result) in sites.iter().zip(&results) {
-            assert_eq!(site.domain, result.domain);
-            assert_eq!(site.rank, result.rank);
+        for instances in [1usize, 2, 3, 4] {
+            let cfg = CampaignConfig {
+                instances,
+                ..config.clone()
+            };
+            // A worker that wedges mid-shard: shard 1 panics whenever it
+            // was actually crawled. Every other shard is filled normally.
+            let out = run(
+                &cfg,
+                &source,
+                [ClientKind::OpenWpm],
+                &pipeline,
+                &|k, [crawl]: [MachineShard; 1]| {
+                    if k == 1 && crawl.records[0].iter().any(|r| !r.outcomes.is_empty()) {
+                        panic!("worker wedged on shard {k}");
+                    }
+                    crawl
+                },
+            );
+            assert_eq!(out.degraded, [1], "{instances} workers");
+            let results: Vec<SiteResult> = out
+                .shards
+                .iter()
+                .flat_map(|c| c.records[0].clone())
+                .collect();
+            let recovery: Vec<SiteRecovery> =
+                out.shards.into_iter().flat_map(|c| c.recovery).collect();
+            // The machine run still covers the full population, in order…
+            assert_eq!(results.len(), sites.len());
+            assert_eq!(recovery.len(), sites.len());
+            for (site, result) in sites.iter().zip(&results) {
+                assert_eq!(site.domain, result.domain);
+                assert_eq!(site.rank, result.rank);
+            }
+            // …and the poisoned shard's sites read as unvisited, keeping
+            // Table 2's denominators intact rather than crashing the
+            // campaign.
+            for i in 0..sites.len() {
+                let poisoned = (10..20).contains(&i);
+                assert_eq!(results[i].outcomes.is_empty(), poisoned, "site {i}");
+                assert_eq!(recovery[i].visits.is_empty(), poisoned, "site {i}");
+            }
+            assert!(results[10..20].iter().all(|r| !r.reached()));
         }
-        // …and the poisoned shard's sites read as unvisited, keeping
-        // Table 2's denominators intact rather than crashing the campaign.
-        for i in 0..sites.len() {
-            let poisoned = (10..20).contains(&i);
-            assert_eq!(results[i].outcomes.is_empty(), poisoned, "site {i}");
-            assert_eq!(recovery[i].visits.is_empty(), poisoned, "site {i}");
-        }
-        assert!(results[10..20].iter().all(|r| !r.reached()));
     }
 
     /// A contained panic drops only the panicked shard's telemetry: the
@@ -1073,33 +1098,26 @@ mod tests {
                 instances,
                 ..config.clone()
             };
-            let (_, workers) = drive(
+            let out = run(
                 &cfg,
                 &source,
                 [ClientKind::OpenWpm],
                 &pipeline,
-                &|k, [crawl]: [ShardCrawl; 1]| {
-                    if k == 1 && crawl.results.iter().any(|r| !r.outcomes.is_empty()) {
+                &|k, [crawl]: [MachineShard; 1]| {
+                    if k == 1 && crawl.records[0].iter().any(|r| !r.outcomes.is_empty()) {
                         panic!("worker wedged on shard {k}");
                     }
                 },
             );
-            machine_totals(&workers, 0, &pipeline).counters()
+            let [telemetry] = out.telemetry;
+            telemetry
         };
         // The same pipeline over the population without shard 1's sites.
         let survivors: Vec<Site> = sites[..10].iter().chain(&sites[20..]).cloned().collect();
-        let expected = {
-            let out = run_machine(
-                &config,
-                &SiteSource::slice(&survivors),
-                ClientKind::OpenWpm,
-                &pipeline,
-            );
-            let others: Vec<CounterSet> = out.other_modes.into_iter().map(|(_, c)| c).collect();
-            (out.counters, others)
-        };
-        assert!(expected.0.get("fault.injected").unwrap_or(0) > 0);
-        assert!(expected.1[0].get("loss.dropped").unwrap_or(0) > 0);
+        let source_survivors = SiteSource::slice(&survivors);
+        let (_, expected) = single(&config, &source_survivors, ClientKind::OpenWpm, &pipeline);
+        assert!(expected.faults.get("fault.injected").unwrap_or(0) > 0);
+        assert!(expected.captures[1].get("loss.dropped").unwrap_or(0) > 0);
         for instances in [1usize, 2, 3] {
             assert_eq!(counters(instances), expected, "{instances} workers");
         }
@@ -1125,45 +1143,38 @@ mod tests {
             sites: &sites,
             shard_size: 10,
         };
-        let counters = |out: &MachineOutput| {
-            let others: Vec<CounterSet> = out.other_modes.iter().map(|(_, c)| c.clone()).collect();
-            (out.counters.clone(), others)
-        };
         let survivors: Vec<Site> = sites[..10].iter().chain(&sites[20..]).cloned().collect();
-        let expected = collect(&config, &SiteSource::slice(&survivors), MACHINES, &pipeline)
-            .map(|out| counters(&out));
-        let unpanicked = collect(&config, &source, MACHINES, &pipeline);
+        let expected = paired(&config, &SiteSource::slice(&survivors), MACHINES, &pipeline)
+            .map(|(_, telemetry)| telemetry);
+        let unpanicked = paired(&config, &source, MACHINES, &pipeline);
+        let clean = run(&config, &source, MACHINES, &pipeline, &|_, _| ());
+        assert!(clean.degraded.is_empty(), "a clean run degraded shards");
         for instances in [1usize, 2, 3] {
             let cfg = CampaignConfig {
                 instances,
                 ..config.clone()
             };
-            let (shards, workers) = drive(
+            let out = run(
                 &cfg,
                 &source,
                 MACHINES,
                 &pipeline,
-                &|k, crawls: [ShardCrawl; 2]| {
+                &|k, crawls: [MachineShard; 2]| {
                     let crawled = crawls
                         .iter()
-                        .any(|c| c.results.iter().any(|r| !r.outcomes.is_empty()));
+                        .any(|c| c.records[0].iter().any(|r| !r.outcomes.is_empty()));
                     if k == 1 && crawled {
                         panic!("worker wedged on shard {k}");
                     }
                     crawls
                 },
             );
-            for (m, full) in unpanicked.iter().enumerate() {
-                let crawls = || shards.iter().map(|crawls| &crawls[m]);
-                let mut records = vec![(
-                    crawls().flat_map(|c| &c.results).collect::<Vec<_>>(),
-                    &full.run.sites,
-                )];
-                for (j, (run, _)) in full.other_modes.iter().enumerate() {
-                    let rows = crawls().flat_map(|c| &c.other_modes[j]).collect();
-                    records.push((rows, &run.sites));
-                }
-                for (rows, full_rows) in records {
+            assert_eq!(out.degraded, [1], "{instances} workers");
+            for (m, (full, _)) in unpanicked.iter().enumerate() {
+                let crawls = || out.shards.iter().map(|crawls| &crawls[m]);
+                assert_eq!(full.records.len(), modes.len());
+                for (j, full_rows) in full.records.iter().enumerate() {
+                    let rows: Vec<&SiteResult> = crawls().flat_map(|c| &c.records[j]).collect();
                     assert_eq!(rows.len(), sites.len());
                     for (i, (row, full_row)) in rows.into_iter().zip(full_rows).enumerate() {
                         if (10..20).contains(&i) {
@@ -1184,14 +1195,13 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    machine_totals(&workers, m, &pipeline).counters(),
-                    expected[m],
+                    out.telemetry[m], expected[m],
                     "machine {m}, {instances} workers"
                 );
             }
         }
-        assert!(expected[1].0.get("fault.injected").unwrap_or(0) > 0);
-        assert!(expected[1].1[0].get("loss.dropped").unwrap_or(0) > 0);
+        assert!(expected[1].faults.get("fault.injected").unwrap_or(0) > 0);
+        assert!(expected[1].captures[1].get("loss.dropped").unwrap_or(0) > 0);
     }
 
     /// One claim runs both machines, so the second machine drives the
@@ -1213,17 +1223,19 @@ mod tests {
             ..small_config()
         };
         let sites = generate_population(&config.population);
-        let source = SiteSource::slice(&sites);
+        let shards = PopulationShards::with_shard_size(&config.population, 7);
         let plain = Pipeline::default();
         let pages = |workers: Vec<VisitWorker>| -> u64 {
             workers.iter().map(|w| w.scenario.pages_generated()).sum()
         };
-        let paired = pages(drive(&config, &source, MACHINES, &plain, &|_, _| ()).1);
-        let single =
-            MACHINES.map(|client| pages(drive(&config, &source, [client], &plain, &|_, _| ()).1));
-        assert!(paired > 0, "the population drives no scenario page");
-        assert_eq!(paired, single[0]);
-        assert_eq!(2 * paired, single[0] + single[1]);
+        for source in [SiteSource::slice(&sites), SiteSource::Lazy(&shards)] {
+            let paired = pages(drive(&config, &source, MACHINES, &plain, &|_, _| ()).1);
+            let single = MACHINES
+                .map(|client| pages(drive(&config, &source, [client], &plain, &|_, _| ()).1));
+            assert!(paired > 0, "the population drives no scenario page");
+            assert_eq!(paired, single[0]);
+            assert_eq!(2 * paired, single[0] + single[1]);
+        }
     }
 
     proptest::proptest! {
@@ -1276,9 +1288,9 @@ mod tests {
                     shard_size,
                 }
             };
-            let paired = collect(&config, &source, MACHINES, &pipeline);
-            for (out, client) in paired.iter().zip(MACHINES) {
-                proptest::prop_assert_eq!(out, &run_machine(&config, &source, client, &pipeline));
+            let pass = paired(&config, &source, MACHINES, &pipeline);
+            for (out, client) in pass.iter().zip(MACHINES) {
+                proptest::prop_assert_eq!(out, &single(&config, &source, client, &pipeline));
             }
         }
     }
@@ -1324,15 +1336,15 @@ mod tests {
             run_machine_shard_summaries(&config, &shards, ClientKind::OpenWpm, &summarise);
         let path = crate::sink::scratch_path("campaign");
         let sink = crate::sink::ShardSummarySink::create(&path).unwrap();
-        let persisted = run_machine_shard_summaries_persistent(
-            &config,
-            &shards,
-            ClientKind::OpenWpm,
-            &summarise,
-            &to_json,
-            &sink,
-        )
-        .unwrap();
+        // Journaling is a fold: each summary is appended as its shard
+        // completes, and the run checks the sink once it returns.
+        let persisted =
+            run_machine_shard_summaries(&config, &shards, ClientKind::OpenWpm, &|k, results| {
+                let summary = summarise(k, results);
+                sink.record(k, &to_json(&summary));
+                summary
+            });
+        sink.finish().unwrap();
         assert_eq!(persisted, in_memory, "the journal must not change results");
 
         // Every shard is durably on disk, replayable in shard order with
@@ -1387,6 +1399,22 @@ mod tests {
                 .map(SiteResult::successful_visits)
                 .sum();
             assert_eq!(*successes, expect, "shard {k} summary diverged");
+        }
+        // One paired lazy pass gives each machine, shard by shard, the
+        // records of its own streaming run.
+        let pass = run(
+            &config,
+            &SiteSource::Lazy(&shards),
+            MACHINES,
+            &Pipeline::default(),
+            &|_, crawls| crawls.map(|crawl| crawl.records),
+        );
+        assert!(pass.degraded.is_empty());
+        for (m, client) in MACHINES.into_iter().enumerate() {
+            let own = run_machine_shard_summaries(&config, &shards, client, &|_, results| results);
+            let mine: Vec<&[Vec<SiteResult>]> = pass.shards.iter().map(|s| &s[m][..]).collect();
+            let own: Vec<&[Vec<SiteResult>]> = own.iter().map(std::slice::from_ref).collect();
+            assert_eq!(mine, own, "{client:?}");
         }
     }
 

@@ -27,7 +27,9 @@
 //!
 //! [`run_campaign`]: crate::campaign::run_campaign
 
-use crate::campaign::{collect, Campaign, CampaignConfig, Pipeline, SiteSource, MACHINES};
+use crate::campaign::{
+    crawl_both, Campaign, CampaignConfig, MachineShard, MachineTelemetry, Pipeline,
+};
 use crate::recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
 use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, InjectedFault, SimContext};
 use hlisa_web::{generate_population, ClientKind, Site, VisitError, VisitOutcome};
@@ -125,15 +127,17 @@ pub fn run_chaos_campaign(config: &CampaignConfig, chaos: &ChaosConfig) -> Chaos
         faults: Some(chaos),
         capture: None,
     };
-    let [(openwpm, openwpm_recovery), (spoofed, spoofed_recovery)] =
-        collect(config, &SiteSource::slice(&sites), MACHINES, &pipeline).map(|m| {
-            let recovery = MachineRecovery {
-                client: m.run.client,
-                sites: m.recovery,
-                counters: m.counters,
-            };
-            (m.run, recovery)
-        });
+    let ([m1, m2], [t1, t2]) = crawl_both(config, &sites, &pipeline);
+    let shape = |client, mut crawl: MachineShard, telemetry: MachineTelemetry| {
+        let recovery = MachineRecovery {
+            client,
+            sites: std::mem::take(&mut crawl.recovery),
+            counters: telemetry.faults,
+        };
+        (crawl.into_run(client), recovery)
+    };
+    let (openwpm, openwpm_recovery) = shape(ClientKind::OpenWpm, m1, t1);
+    let (spoofed, spoofed_recovery) = shape(ClientKind::OpenWpmSpoofed, m2, t2);
     ChaosCampaign {
         campaign: Campaign {
             sites,

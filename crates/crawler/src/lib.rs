@@ -6,16 +6,21 @@
 //! codes (Figure 4 / Appendix B, with a Wilcoxon matched-pairs signed-rank
 //! test on first-party errors).
 //!
-//! [`campaign`] reproduces the harness: one engine (real parallelism
-//! across shard-claiming worker threads, deterministic per-visit seeding
-//! so results are schedule-independent) runs one visit pipeline — fork,
-//! attempt, scenario drive, planner, capture — whose optional stages are
-//! picked by a [`Pipeline`]. One shard claim runs every machine, and the
-//! claimed shard is what a panic degrades. [`run_campaign`],
-//! [`run_chaos_campaign`] (fault stage, [`chaos`] + [`recovery`]),
-//! [`run_captured_campaign`] and [`run_reliability_study`] (capture stage,
-//! [`reliability`]) are each one two-machine pass; [`run_machine`] and the
-//! shard-summary runners are one-machine passes.
+//! [`campaign`] reproduces the harness: one engine entry, [`run`] (real
+//! parallelism across shard-claiming worker threads, deterministic
+//! per-visit seeding so results are schedule-independent), runs one
+//! visit pipeline — fork, attempt, scenario drive, planner, capture —
+//! whose optional stages are picked by a [`Pipeline`]. One shard claim
+//! runs every listed machine and hands their crawls of the shard
+//! ([`MachineShard`]s) to the caller's fold inside the worker; the
+//! claimed shard is what a panic degrades, and [`CrawlOutput`] lists the
+//! degraded shards. Every runner is [`run`] plus output shaping:
+//! [`run_campaign`], [`run_chaos_campaign`] (fault stage, [`chaos`] +
+//! [`recovery`]), [`run_captured_campaign`] and [`run_reliability_study`]
+//! (capture stage, [`reliability`]) keep every shard of both machines;
+//! [`run_machine_shard_summaries`] folds each of one machine's shards
+//! into a summary, which a fold may also journal to a
+//! [`ShardSummarySink`].
 //! [`screenshot`] is the Table 2 aggregation and [`http_analysis`] the
 //! Figure 4 aggregation and significance test.
 
@@ -30,8 +35,8 @@ pub mod screenshot;
 pub mod sink;
 
 pub use campaign::{
-    run_campaign, run_machine, run_machine_shard_summaries, run_machine_shard_summaries_persistent,
-    Campaign, CampaignConfig, MachineOutput, MachineRun, Pipeline, SiteResult, SiteSource,
+    run, run_campaign, run_machine_shard_summaries, Campaign, CampaignConfig, CrawlOutput,
+    MachineRun, MachineShard, MachineTelemetry, Pipeline, SiteResult, SiteSource, MACHINES,
 };
 pub use chaos::{run_chaos_campaign, ChaosCampaign, ChaosConfig, MachineRecovery, SiteRecovery};
 pub use http_analysis::{analyze_http, HttpReport};

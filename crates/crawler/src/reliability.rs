@@ -34,7 +34,7 @@
 //!   naive-lossy campaigns drift at any positive rate.
 
 use crate::campaign::{
-    collect, Campaign, CampaignConfig, MachineOutput, Pipeline, SiteSource, MACHINES,
+    crawl_both, Campaign, CampaignConfig, MachineRun, Pipeline, SiteResult, MACHINES,
 };
 use crate::screenshot::{screenshot_table, Table2};
 use hlisa_sim::{
@@ -42,7 +42,7 @@ use hlisa_sim::{
     WriteAheadTally,
 };
 use hlisa_web::{
-    generate_population, CaptureEvent, CaptureRecorder, RecorderTally, VisitOutcome,
+    generate_population, CaptureEvent, CaptureRecorder, RecorderTally, Site, VisitOutcome,
     DEFAULT_VISIT_DEADLINE_MS,
 };
 
@@ -176,42 +176,42 @@ pub(crate) fn captured_visit(
     recorder.into_outcome()
 }
 
-/// One capture pass of both machines over a fresh population, shaped
-/// into one campaign per mode of `modes`, in order: both machines'
-/// records of the mode, their capture counters merged.
-fn captured_campaigns<const N: usize>(
+/// One mode's share of a capture pass: both machines' records and
+/// capture counters.
+type ModeRecords = ((Vec<SiteResult>, Vec<SiteResult>), (CounterSet, CounterSet));
+
+/// One capture pass of both machines over `sites`, recording in every
+/// mode of `modes`: each mode's share, in order.
+fn capture_pass(
     config: &CampaignConfig,
+    sites: &[Site],
     plan: &LossPlan,
-    modes: [CaptureMode; N],
-) -> [CapturedCampaign; N] {
-    let sites = generate_population(&config.population);
+    modes: &[CaptureMode],
+) -> impl Iterator<Item = ModeRecords> {
     let pipeline = Pipeline {
         faults: None,
-        capture: Some((plan, &modes)),
+        capture: Some((plan, modes)),
     };
-    let records = |m: MachineOutput| std::iter::once((m.run, m.counters)).chain(m.other_modes);
-    let [m1, m2] = collect(config, &SiteSource::slice(&sites), MACHINES, &pipeline).map(records);
-    // `vec!` clones the population for all modes but the last.
-    let populations = vec![sites; N].into_iter().zip(modes);
-    let campaigns: Vec<CapturedCampaign> = populations
-        .zip(m1.zip(m2))
-        .map(
-            |((sites, mode), ((openwpm, mut analytics), (spoofed, c)))| {
-                analytics.merge(&c);
-                CapturedCampaign {
-                    mode,
-                    campaign: Campaign {
-                        sites,
-                        openwpm,
-                        spoofed,
-                    },
-                    analytics: analytics.sorted(),
-                }
-            },
-        )
-        .collect();
-    // The pipeline yields one record per mode.
-    campaigns.try_into().expect("one record per mode") // lint: allow(no-panic)
+    let ([m1, m2], [t1, t2]) = crawl_both(config, sites, &pipeline);
+    let records = m1.records.into_iter().zip(m2.records);
+    records.zip(t1.captures.into_iter().zip(t2.captures))
+}
+
+/// `mode`'s campaign over `sites` from its share of a capture pass, the
+/// machines' counters merged.
+fn captured(mode: CaptureMode, sites: Vec<Site>, share: ModeRecords) -> CapturedCampaign {
+    let ((openwpm, spoofed), (mut analytics, spoofed_counters)) = share;
+    analytics.merge(&spoofed_counters);
+    let run = |client, sites| MachineRun { client, sites };
+    CapturedCampaign {
+        mode,
+        campaign: Campaign {
+            sites,
+            openwpm: run(MACHINES[0], openwpm),
+            spoofed: run(MACHINES[1], spoofed),
+        },
+        analytics: analytics.sorted(),
+    }
 }
 
 /// Runs the standard two-machine campaign through the capture pipeline
@@ -223,8 +223,10 @@ pub fn run_captured_campaign(
     plan: &LossPlan,
     mode: CaptureMode,
 ) -> CapturedCampaign {
-    let [campaign] = captured_campaigns(config, plan, [mode]);
-    campaign
+    let sites = generate_population(&config.population);
+    // A one-mode pass yields one share.
+    let share = capture_pass(config, &sites, plan, &[mode]).next();
+    captured(mode, sites, share.unwrap_or_default())
 }
 
 /// One metric's drift between the pristine and an observed campaign.
@@ -390,7 +392,12 @@ pub struct ReliabilityStudy {
 /// of the visit's `"fault"` stream. The pristine Table 2 is computed once
 /// for both drift reports.
 pub fn run_reliability_study(config: &CampaignConfig, plan: &LossPlan) -> ReliabilityStudy {
-    let [pristine, naive, strengthened] = captured_campaigns(config, plan, CaptureMode::ALL);
+    let sites = generate_population(&config.population);
+    let mut pass = capture_pass(config, &sites, plan, &CaptureMode::ALL);
+    let [p, n, s] = CaptureMode::ALL;
+    // The population is cloned for all modes but the last.
+    let [pristine, naive, strengthened] = [(p, sites.clone()), (n, sites.clone()), (s, sites)]
+        .map(|(mode, sites)| captured(mode, sites, pass.next().unwrap_or_default()));
     let table_p = screenshot_table(&pristine.campaign);
     let naive_drift = drift_from(&table_p, &pristine, &naive);
     let strengthened_drift = drift_from(&table_p, &pristine, &strengthened);

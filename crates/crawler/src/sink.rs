@@ -1,14 +1,16 @@
-//! Persistent shard-summary sink: crash-safe JSONL output for the
-//! streaming campaign runner.
+//! Persistent shard-summary sink: crash-safe JSONL output for streaming
+//! campaign folds.
 //!
-//! [`run_machine_shard_summaries`](crate::campaign::run_machine_shard_summaries)
-//! holds one summary per shard in memory; for campaigns that must
-//! survive a harness crash, its persistent variant appends each shard's
-//! summary to a [`ShardSummarySink`] *as the shard completes*, fsync'd
-//! per append, so every line on disk is a durably finished shard. A
-//! crashed run leaves at worst one torn trailing line (a write the
-//! crash interrupted), which [`ShardSummarySink::replay`] detects and
-//! drops; every intact line is replayable.
+//! A fold over [`run`](crate::campaign::run) that summarises each shard
+//! inside the worker keeps one summary per shard in memory; for
+//! campaigns that must survive a harness crash, the fold also hands each
+//! rendered summary to [`ShardSummarySink::record`] *as the shard
+//! completes*, fsync'd per append, and the caller checks
+//! [`ShardSummarySink::finish`] once the run returns. Every line on disk
+//! is a durably finished shard. A crashed run leaves at worst one torn
+//! trailing line (a write the crash interrupted), which
+//! [`ShardSummarySink::replay`] detects and drops; every intact line is
+//! replayable.
 //!
 //! Line format, one shard per line:
 //!
@@ -100,7 +102,7 @@ impl ShardSummarySink {
     /// worker threads; a poisoned lock (a worker that panicked while
     /// appending) is recovered — the latched-error protocol already
     /// covers partial writes.
-    pub(crate) fn record(&self, shard: usize, summary_json: &str) {
+    pub fn record(&self, shard: usize, summary_json: &str) {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if state.error.is_some() {
             return;

@@ -5,8 +5,8 @@
 //!
 //! For an arbitrary seed, worker count, shard size and site source (a
 //! pre-generated slice or the lazy shard layer), every public two-client
-//! runner is checked against [`run_machine`] per client: the recorded
-//! runs, the recovery records, the counters and every later capture
+//! runner is checked against a one-client [`run`] per client: the
+//! recorded runs, the recovery records, the counters and every capture
 //! mode's record. The three pipelines a public runner exposes are drawn:
 //! plain ([`run_campaign`]), 10% faults ([`run_chaos_campaign`]) and all
 //! three capture modes at 30% loss ([`run_reliability_study`]). The
@@ -14,8 +14,8 @@
 //! engine-level twin of this test in `campaign.rs` covers it.
 
 use hlisa_crawler::{
-    run_campaign, run_chaos_campaign, run_machine, run_reliability_study, CampaignConfig,
-    CaptureMode, ChaosConfig, MachineOutput, Pipeline, SiteSource,
+    run, run_campaign, run_chaos_campaign, run_reliability_study, CampaignConfig, CaptureMode,
+    ChaosConfig, MachineRun, MachineShard, MachineTelemetry, Pipeline, SiteSource,
 };
 use hlisa_sim::{CounterSet, LossPlan};
 use hlisa_web::{generate_population, ClientKind, PopulationConfig, PopulationShards, ScenarioMix};
@@ -48,13 +48,14 @@ fn config(seed: u64, instances: usize) -> CampaignConfig {
     }
 }
 
-/// Each client's one-machine run of `pipeline` over the drawn source.
+/// Each client's one-machine run of `pipeline` over the drawn source: its
+/// shards appended in shard order, and its telemetry.
 fn single_runs(
     config: &CampaignConfig,
     lazy: bool,
     shard_size: usize,
     pipeline: &Pipeline<'_>,
-) -> [MachineOutput; 2] {
+) -> [(MachineShard, MachineTelemetry); 2] {
     let sites = generate_population(&config.population);
     let shards = PopulationShards::with_shard_size(&config.population, shard_size);
     let source = if lazy {
@@ -65,8 +66,24 @@ fn single_runs(
             shard_size,
         }
     };
-    [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed]
-        .map(|client| run_machine(config, &source, client, pipeline))
+    [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed].map(|client| {
+        let out = run(config, &source, [client], pipeline, &|_, [crawl]| crawl);
+        let mut whole = MachineShard::default();
+        for crawl in out.shards {
+            whole.append(crawl);
+        }
+        let [telemetry] = out.telemetry;
+        (whole, telemetry)
+    })
+}
+
+/// `crawl`'s records as runs of `client`, in record order.
+fn runs(client: ClientKind, crawl: &MachineShard) -> Vec<MachineRun> {
+    let run = |sites: &Vec<_>| MachineRun {
+        client,
+        sites: sites.clone(),
+    };
+    crawl.records.iter().map(run).collect()
 }
 
 /// Both machines' counter sets merged, as the runners report them.
@@ -93,11 +110,13 @@ proptest! {
             0 => {
                 let paired = run_campaign(&cfg);
                 let singles = single_runs(&cfg, lazy, shard_size, &Pipeline::default());
-                for (run, single) in [&paired.openwpm, &paired.spoofed].into_iter().zip(&singles) {
-                    prop_assert_eq!(run, &single.run);
-                    prop_assert!(single.recovery.is_empty());
-                    prop_assert!(single.counters.is_empty());
-                    prop_assert!(single.other_modes.is_empty());
+                for (run, (crawl, telemetry)) in
+                    [&paired.openwpm, &paired.spoofed].into_iter().zip(&singles)
+                {
+                    prop_assert_eq!(vec![run.clone()], runs(run.client, crawl));
+                    prop_assert!(crawl.recovery.is_empty());
+                    prop_assert!(telemetry.faults.is_empty());
+                    prop_assert!(telemetry.captures.is_empty());
                 }
             }
             1 => {
@@ -109,12 +128,12 @@ proptest! {
                     (&paired.campaign.openwpm, &paired.openwpm_recovery),
                     (&paired.campaign.spoofed, &paired.spoofed_recovery),
                 ];
-                for ((run, recovery), single) in machines.into_iter().zip(&singles) {
-                    prop_assert_eq!(run, &single.run);
-                    prop_assert_eq!(recovery.client, single.run.client);
-                    prop_assert_eq!(&recovery.sites, &single.recovery);
-                    prop_assert_eq!(&recovery.counters, &single.counters);
-                    prop_assert!(single.other_modes.is_empty());
+                for ((run, recovery), (crawl, telemetry)) in machines.into_iter().zip(&singles) {
+                    prop_assert_eq!(vec![run.clone()], runs(run.client, crawl));
+                    prop_assert_eq!(recovery.client, run.client);
+                    prop_assert_eq!(&recovery.sites, &crawl.recovery);
+                    prop_assert_eq!(&recovery.counters, &telemetry.faults);
+                    prop_assert!(telemetry.captures.is_empty());
                 }
                 prop_assert!(paired.counters().get("fault.injected").unwrap_or(0) > 0);
             }
@@ -124,12 +143,14 @@ proptest! {
                 let paired = run_reliability_study(&cfg, &plan);
                 let pipeline = Pipeline { faults: None, capture: Some((&plan, &modes)) };
                 let [m1, m2] = single_runs(&cfg, lazy, shard_size, &pipeline);
-                let records = |m: &MachineOutput| {
-                    std::iter::once((m.run.clone(), m.counters.clone()))
-                        .chain(m.other_modes.iter().cloned())
+                let records = |client, (crawl, telemetry): &(MachineShard, MachineTelemetry)| {
+                    runs(client, crawl)
+                        .into_iter()
+                        .zip(telemetry.captures.iter().cloned())
                         .collect::<Vec<_>>()
                 };
-                let (m1_records, m2_records) = (records(&m1), records(&m2));
+                let m1_records = records(ClientKind::OpenWpm, &m1);
+                let m2_records = records(ClientKind::OpenWpmSpoofed, &m2);
                 prop_assert_eq!(m1_records.len(), modes.len());
                 prop_assert_eq!(m2_records.len(), modes.len());
                 let campaigns = [&paired.pristine, &paired.naive, &paired.strengthened];
@@ -140,7 +161,8 @@ proptest! {
                     prop_assert_eq!(&captured.campaign.spoofed, run2);
                     prop_assert_eq!(&captured.analytics, &merged(counters1, counters2));
                 }
-                prop_assert!(m1.recovery.is_empty() && m2.recovery.is_empty());
+                prop_assert!(m1.0.recovery.is_empty() && m2.0.recovery.is_empty());
+                prop_assert!(m1.1.faults.is_empty() && m2.1.faults.is_empty());
                 prop_assert!(paired.naive.analytics.get("loss.dropped").unwrap_or(0) > 0);
             }
         }

@@ -1007,10 +1007,10 @@ mod tests {
 
         proptest! {
             /// Long strokes (`n` past [`BASIS_SHARED_MAX_N`]) take the
-            /// spill path in the kernel and the per-sample fallback in the
-            /// streaming state; both must reproduce the seed-era per-sample
-            /// loop — values and post-RNG state — for arbitrary seeds,
-            /// geometry, and durations on either side of the bound.
+            /// spill path in the kernel, short ones the shared basis table;
+            /// both must reproduce the seed-era per-sample loop — values
+            /// and post-RNG state — for arbitrary seeds, geometry, and
+            /// durations on either side of the bound.
             #[test]
             fn stroke_kernel_matches_reference_for_arbitrary_strokes(
                 seed in 0u64..u64::MAX,

@@ -8,11 +8,6 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo build --release --benches (criterion bench targets)"
-# `cargo test` does not compile bench targets, so an API change that
-# breaks one only shows up here.
-cargo build --release --workspace --benches
-
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -51,7 +46,7 @@ echo "==> cargo doc (rustdoc warnings are errors; vendored stand-ins excluded)"
 # Catches intra-doc links left dangling when an item is renamed, made
 # private or deleted.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-    --exclude proptest --exclude rand --exclude criterion --exclude serde --exclude serde_derive
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
 echo "==> cargo fmt --check"
 cargo fmt --check

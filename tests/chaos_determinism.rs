@@ -10,12 +10,38 @@
 //! at the same `(machine, site, visit)`.
 
 use hlisa_crawler::{
-    run_campaign, run_captured_campaign, run_chaos_campaign, run_machine, CampaignConfig,
-    CaptureMode, ChaosConfig, Pipeline, SiteSource,
+    run, run_campaign, run_captured_campaign, run_chaos_campaign, CampaignConfig, CaptureMode,
+    ChaosConfig, MachineRun, MachineShard, MachineTelemetry, Pipeline, SiteSource,
 };
 use hlisa_sim::LossPlan;
 use hlisa_web::{generate_population, ClientKind, PopulationConfig, ScenarioMix};
 use proptest::prelude::*;
+
+/// One machine's run of `pipeline` over `source`: its shards appended in
+/// shard order, and its telemetry.
+fn machine(
+    config: &CampaignConfig,
+    source: &SiteSource<'_>,
+    client: ClientKind,
+    pipeline: &Pipeline<'_>,
+) -> (MachineShard, MachineTelemetry) {
+    let out = run(config, source, [client], pipeline, &|_, [crawl]| crawl);
+    let mut whole = MachineShard::default();
+    for crawl in out.shards {
+        whole.append(crawl);
+    }
+    let [telemetry] = out.telemetry;
+    (whole, telemetry)
+}
+
+/// The crawl's one record (one capture mode) as `client`'s run.
+fn only_run(client: ClientKind, crawl: &MachineShard) -> MachineRun {
+    assert_eq!(crawl.records.len(), 1);
+    MachineRun {
+        client,
+        sites: crawl.records[0].clone(),
+    }
+}
 
 fn config(seed: u64, instances: usize) -> CampaignConfig {
     CampaignConfig {
@@ -77,10 +103,10 @@ proptest! {
             (ClientKind::OpenWpm, &serial.campaign.openwpm, &serial.openwpm_recovery),
             (ClientKind::OpenWpmSpoofed, &serial.campaign.spoofed, &serial.spoofed_recovery),
         ] {
-            let sharded = run_machine(&wide, &source, client, &pipeline);
-            prop_assert_eq!(&sharded.run, run);
+            let (sharded, telemetry) = machine(&wide, &source, client, &pipeline);
+            prop_assert_eq!(&only_run(client, &sharded), run);
             prop_assert_eq!(&sharded.recovery, &recovery.sites);
-            prop_assert_eq!(&sharded.counters, &recovery.counters);
+            prop_assert_eq!(&telemetry.faults, &recovery.counters);
         }
     }
 
@@ -138,18 +164,19 @@ proptest! {
         ] {
             let run = |faults: &ChaosConfig, plan: &LossPlan, mode: CaptureMode| {
                 let pipeline = Pipeline { faults: Some(faults), capture: Some((plan, &[mode])) };
-                run_machine(&cfg, &source, client, &pipeline)
+                machine(&cfg, &source, client, &pipeline)
             };
-            let pristine_off = run(&off, &LossPlan::none(), CaptureMode::Pristine);
-            prop_assert_eq!(&pristine_off.run, plain_run);
-            prop_assert_eq!(&run(&off, &lossy, CaptureMode::NaiveLossy).run, naive_run);
+            let (pristine_off, _) = run(&off, &LossPlan::none(), CaptureMode::Pristine);
+            prop_assert_eq!(&only_run(client, &pristine_off), plain_run);
+            let (naive_off, _) = run(&off, &lossy, CaptureMode::NaiveLossy);
+            prop_assert_eq!(&only_run(client, &naive_off), naive_run);
 
-            let pristine = run(&faulted, &lossy, CaptureMode::Pristine);
-            let strengthened = run(&faulted, &lossy, CaptureMode::Strengthened);
-            prop_assert_eq!(&strengthened.run, &pristine.run);
+            let (pristine, pristine_telemetry) = run(&faulted, &lossy, CaptureMode::Pristine);
+            let (strengthened, telemetry) = run(&faulted, &lossy, CaptureMode::Strengthened);
+            prop_assert_eq!(only_run(client, &strengthened), only_run(client, &pristine));
             prop_assert_eq!(&strengthened.recovery, &pristine.recovery);
-            prop_assert!(strengthened.counters.get("capture.replayed").unwrap_or(0) > 0);
-            injected += pristine.counters.get("fault.injected").unwrap_or(0);
+            prop_assert!(telemetry.captures[0].get("capture.replayed").unwrap_or(0) > 0);
+            injected += pristine_telemetry.faults.get("fault.injected").unwrap_or(0);
         }
         prop_assert!(injected > 0, "10% faults injected nothing");
     }

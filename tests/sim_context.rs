@@ -4,7 +4,7 @@
 use hlisa::HlisaActionChains;
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig};
-use hlisa_crawler::{run_machine, CampaignConfig, MachineRun, Pipeline, SiteSource};
+use hlisa_crawler::{run, CampaignConfig, MachineShard, Pipeline, SiteResult, SiteSource};
 use hlisa_detect::LiveInteractionMonitor;
 use hlisa_sim::SimContext;
 use hlisa_web::visit::DetectorRuntime;
@@ -73,21 +73,27 @@ fn same_seed_contexts_replay_identical_visit_outcomes() {
     assert_ne!(run(11), run(12), "different seeds must diverge");
 }
 
-/// One plain machine run of `source`.
-fn plain(config: &CampaignConfig, source: &SiteSource<'_>) -> MachineRun {
-    run_machine(
+/// One plain machine run of `source`: its results in population order.
+fn plain(config: &CampaignConfig, source: &SiteSource<'_>) -> Vec<SiteResult> {
+    let client = [ClientKind::OpenWpmSpoofed];
+    let out = run(
         config,
         source,
-        ClientKind::OpenWpmSpoofed,
+        client,
         &Pipeline::default(),
-    )
-    .run
+        &|_, [crawl]| crawl,
+    );
+    let mut whole = MachineShard::default();
+    for crawl in out.shards {
+        whole.append(crawl);
+    }
+    whole.records.swap_remove(0)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `run_machine` output is independent of the worker count: one
+    /// A one-machine `run`'s output is independent of the worker count: one
     /// instance and eight produce bit-identical results for any seed.
     #[test]
     fn run_machine_is_independent_of_instances(seed in 0u64..1_000) {

@@ -9,10 +9,8 @@
 //! based exclusively on interaction".
 
 use crate::simulators::Simulator;
-use crate::tournament::{pick_identifiable_individual, TournamentConfig};
-use hlisa_detect::interaction::UserProfile;
-use hlisa_detect::reference::run_human_session_with;
-use hlisa_detect::{DetectorLevel, HumanReference, InteractionDetector};
+use crate::tournament::{setup_ladder, TournamentConfig};
+use hlisa_detect::DetectorLevel;
 use hlisa_stats::rngutil::derive_seed;
 
 /// One round of the escalation.
@@ -32,52 +30,16 @@ pub struct Round {
 
 /// Runs the escalation loop: each side upgrades whenever it is losing.
 pub fn run_escalation(config: &TournamentConfig) -> Vec<Round> {
-    // Shared infrastructure, as in the tournament.
-    let reference = HumanReference::generate(
-        derive_seed(config.seed, "esc-reference", 0),
-        config.reference_sessions,
-    );
-    let enrolled = pick_identifiable_individual(config.seed);
-    let mut corpus = HumanReference::default();
-    for i in 0..config.enrollment_sessions {
-        let f = run_human_session_with(
-            enrolled.clone(),
-            derive_seed(config.seed, "esc-enroll", i as u64),
-        );
-        corpus.key_dwell_ms.extend(f.key_dwells_ms.clone());
-        corpus.click_dwell_ms.extend(f.click_dwells_ms.clone());
-        corpus
-            .click_offset_frac
-            .extend(f.click_offsets_frac.clone());
-        corpus.scroll_gap_ms.extend(f.scroll_gaps_ms.clone());
-    }
-    let profile = UserProfile::enroll(&corpus);
-
-    let detector_for = |level: DetectorLevel| -> InteractionDetector {
-        match level {
-            DetectorLevel::L1Artificial => InteractionDetector::level1(),
-            DetectorLevel::L2Deviation => InteractionDetector::level2(reference.clone()),
-            DetectorLevel::L3Consistency => InteractionDetector::level3(reference.clone()),
-            DetectorLevel::L4Profile => {
-                InteractionDetector::level4(reference.clone(), profile.clone())
-            }
-        }
-    };
-
-    let simulators: Vec<Simulator> = vec![
-        Simulator::Selenium,
-        Simulator::Naive,
-        Simulator::Hlisa,
-        Simulator::ConsistentHlisa,
-        Simulator::ProfileFitted(enrolled),
-    ];
+    let (detectors, mut simulators) = setup_ladder(config, "esc-reference", "esc-enroll");
+    // The measurement platform can field only the scripted rungs.
+    simulators.retain(Simulator::is_scripted);
 
     let mut rounds = Vec::new();
     let mut det_idx = 0usize;
     let mut sim_idx = 0usize;
     let mut round_no = 1usize;
     loop {
-        let detector = detector_for(DetectorLevel::ALL[det_idx]);
+        let detector = &detectors[det_idx];
         let sim = &simulators[sim_idx];
         let flagged = (0..config.sessions_per_agent)
             .filter(|i| {
@@ -99,7 +61,7 @@ pub fn run_escalation(config: &TournamentConfig) -> Vec<Round> {
             } else {
                 Some("simulator out of upgrades — detection holds")
             }
-        } else if det_idx + 1 < DetectorLevel::ALL.len() {
+        } else if det_idx + 1 < detectors.len() {
             Some("detector escalates")
         } else {
             None
@@ -107,7 +69,7 @@ pub fn run_escalation(config: &TournamentConfig) -> Vec<Round> {
 
         rounds.push(Round {
             round: round_no,
-            detector: DetectorLevel::ALL[det_idx],
+            detector: detector.level(),
             simulator: sim.label().to_string(),
             detection_rate: rate,
             escalation,

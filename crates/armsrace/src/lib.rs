@@ -18,6 +18,13 @@
 //! * a profile-fitted simulator ("use specific user profile") evades even
 //!   that — and, as the paper notes, such profiling detectors may already
 //!   conflict with the GDPR.
+//!
+//! The ladder is judged twice, from one code path: [`simulators`] holds
+//! the rungs and the one driver that runs a rung's three tasks, handing
+//! each finished session to the trace features ([`Simulator::run_session`],
+//! scored by the [`tournament`] and the [`escalation`]) or to the chain
+//! linter ([`lint_simulator`]). The tournament and the escalation share
+//! one ladder setup (reference corpus, enrolled profile, detectors).
 
 pub mod escalation;
 pub mod lintgate;

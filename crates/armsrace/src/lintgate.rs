@@ -1,198 +1,39 @@
 //! Static detectability per simulator rung: the arms-race ladder seen
 //! through the `hlisa-lint` chain linter instead of the trace detectors.
 //!
-//! Each rung drives the same three Appendix E tasks as
-//! [`crate::simulators`], but through a [`Session`] carrying a
-//! [`ChainLinter`] auditor, so every tell is caught *before* dispatch —
-//! the Fig. 3 ladder judged statically. Human rungs return `None`: real
-//! visitors produce traces, not action programs, so there is nothing for
-//! a static linter to read.
+//! Each scripted rung drives its three Appendix E tasks through the same
+//! driver as [`Simulator::run_session`], but each task's [`Session`]
+//! carries a [`ChainLinter`] auditor, so every tell is caught *before*
+//! dispatch — the Fig. 3 ladder judged statically, on the very sessions
+//! the trace detectors read. Human rungs return `None`: real visitors
+//! produce traces, not action programs, so there is nothing for a static
+//! linter to read.
 
 use crate::simulators::Simulator;
-use hlisa::{HlisaActionChains, NaiveActionChains};
-use hlisa_browser::dom::standard_test_page;
-use hlisa_browser::{Browser, BrowserConfig, Rect};
-use hlisa_detect::reference::{click_target_position, click_task_page, TYPING_TASK_TEXT};
-use hlisa_human::HumanParams;
+use hlisa_browser::Browser;
 use hlisa_lint::{ChainLinter, Report};
-use hlisa_stats::rngutil::derive_seed;
-use hlisa_webdriver::{By, SeleniumActionChains, Session};
+use hlisa_webdriver::Session;
 
-// Every session below drives the in-crate standard test page, whose
-// literal defines each looked-up id, and the simulated webdriver cannot
-// fail a perform; the `expect`s are fail-fast fixture assertions and
-// each carries a per-line no-panic allow directive.
 fn audited(browser: Browser) -> Session {
     let mut s = Session::new(browser);
     s.install_auditor(Box::new(ChainLinter::new()));
     s
 }
 
-fn click_session() -> Session {
-    audited(Browser::open(BrowserConfig::webdriver(), click_task_page()))
-}
-
-fn typing_session() -> Session {
-    audited(Browser::open(
-        BrowserConfig::webdriver(),
-        standard_test_page("https://tasks.test/type", 2_000.0),
-    ))
-}
-
-fn scroll_session() -> Session {
-    audited(Browser::open(
-        BrowserConfig::webdriver(),
-        standard_test_page("https://tasks.test/scroll", 30_000.0),
-    ))
-}
-
-fn relocate_target(s: &mut Session, seed: u64, round: usize) {
-    let target = s
-        .browser
-        .document()
-        .by_id("target")
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    let (x, y) = click_target_position(seed, round);
-    s.browser.document_mut().element_mut(target).rect = Rect::new(x, y, 120.0, 40.0);
-}
-
-fn drain(s: &mut Session, into: &mut Report) {
-    into.merge(Report::from_findings(&s.finish_audit()));
-}
-
 /// Lints one rung's session: the three tasks through an audited session.
 /// `None` for the human reference rows.
 pub fn lint_simulator(sim: &Simulator, seed: u64) -> Option<Report> {
-    match sim {
-        Simulator::Human | Simulator::EnrolledHuman(_) => None,
-        Simulator::Selenium => Some(lint_selenium(seed)),
-        Simulator::Naive => Some(lint_naive(seed)),
-        Simulator::Hlisa => Some(lint_hlisa(HumanParams::paper_baseline(), false, seed)),
-        Simulator::ConsistentHlisa => Some(lint_hlisa(HumanParams::paper_baseline(), true, seed)),
-        Simulator::ProfileFitted(params) => Some(lint_hlisa(params.clone(), true, seed)),
-    }
-}
-
-fn lint_selenium(seed: u64) -> Report {
     let mut report = Report::new();
-
-    let mut s = click_session();
-    let target = s
-        .find_element(By::Id("target".into()))
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    for round in 0..12 {
-        relocate_target(&mut s, seed, round);
-        SeleniumActionChains::new()
-            .click(Some(target))
-            .pause(0.3)
-            .perform(&mut s)
-            .expect("selenium click"); // lint: allow(no-panic)
-    }
-    drain(&mut s, &mut report);
-
-    let mut s = typing_session();
-    let input = s
-        .find_element(By::Id("text_area".into()))
-        .expect("standard test page defines #text_area"); // lint: allow(no-panic)
-    SeleniumActionChains::new()
-        .send_keys_to_element(input, TYPING_TASK_TEXT)
-        .perform(&mut s)
-        .expect("selenium typing"); // lint: allow(no-panic)
-    drain(&mut s, &mut report);
-
-    // Script "scrolling" routed through the session (not raw browser
-    // input) so the auditor sees what a page-world observer would.
-    let mut s = scroll_session();
-    let max = s.browser.viewport.max_scroll_y();
-    for _ in 0..4 {
-        s.scroll_by_script(max / 4.0);
-        s.browser.advance(120.0);
-    }
-    drain(&mut s, &mut report);
-    report
-}
-
-fn lint_naive(seed: u64) -> Report {
-    let mut report = Report::new();
-
-    let mut s = click_session();
-    let target = s
-        .find_element(By::Id("target".into()))
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    for round in 0..12 {
-        relocate_target(&mut s, seed, round);
-        NaiveActionChains::new(derive_seed(seed, "naive-click", round as u64))
-            .click(Some(target))
-            .pause(0.3)
-            .perform(&mut s)
-            .expect("naive click"); // lint: allow(no-panic)
-    }
-    drain(&mut s, &mut report);
-
-    let mut s = typing_session();
-    let input = s
-        .find_element(By::Id("text_area".into()))
-        .expect("standard test page defines #text_area"); // lint: allow(no-panic)
-    NaiveActionChains::new(derive_seed(seed, "naive-type", 0))
-        .send_keys_to_element(input, TYPING_TASK_TEXT)
-        .perform(&mut s)
-        .expect("naive typing"); // lint: allow(no-panic)
-    drain(&mut s, &mut report);
-
-    let mut s = scroll_session();
-    let max = s.browser.viewport.max_scroll_y();
-    NaiveActionChains::new(derive_seed(seed, "naive-scroll", 0))
-        .scroll_by(max)
-        .perform(&mut s)
-        .expect("naive scroll"); // lint: allow(no-panic)
-    drain(&mut s, &mut report);
-    report
-}
-
-fn lint_hlisa(params: HumanParams, consistent: bool, seed: u64) -> Report {
-    let chain = |label: &str, idx: u64| {
-        HlisaActionChains::with_params(params.clone(), derive_seed(seed, label, idx))
-            .with_consistency(consistent)
-    };
-    let mut report = Report::new();
-
-    let mut s = click_session();
-    let target = s
-        .find_element(By::Id("target".into()))
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    for round in 0..12 {
-        relocate_target(&mut s, seed, round);
-        chain("hlisa-click", round as u64)
-            .click(Some(target))
-            .pause(0.3)
-            .perform(&mut s)
-            .expect("hlisa click"); // lint: allow(no-panic)
-    }
-    drain(&mut s, &mut report);
-
-    let mut s = typing_session();
-    let input = s
-        .find_element(By::Id("text_area".into()))
-        .expect("standard test page defines #text_area"); // lint: allow(no-panic)
-    chain("hlisa-type", 0)
-        .send_keys_to_element(input, TYPING_TASK_TEXT)
-        .perform(&mut s)
-        .expect("hlisa typing"); // lint: allow(no-panic)
-    drain(&mut s, &mut report);
-
-    let mut s = scroll_session();
-    let max = s.browser.viewport.max_scroll_y();
-    chain("hlisa-scroll", 0)
-        .scroll_by(0.0, max)
-        .perform(&mut s)
-        .expect("hlisa scroll"); // lint: allow(no-panic)
-    drain(&mut s, &mut report);
-    report
+    sim.run_tasks(seed, audited, |mut s| {
+        report.merge(Report::from_findings(&s.finish_audit()));
+    })
+    .then_some(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlisa_human::HumanParams;
 
     #[test]
     fn the_static_ladder_matches_fig3() {
@@ -216,5 +57,7 @@ mod tests {
     #[test]
     fn human_rungs_have_no_action_program_to_lint() {
         assert!(lint_simulator(&Simulator::Human, 1).is_none());
+        let enrolled = HumanParams::individual(1);
+        assert!(lint_simulator(&Simulator::EnrolledHuman(enrolled), 1).is_none());
     }
 }

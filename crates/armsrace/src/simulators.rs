@@ -1,9 +1,10 @@
-//! Simulator rungs of the Fig. 3 ladder, each driving the same three
-//! Appendix E tasks through its own interaction API.
+//! Simulator rungs of the Fig. 3 ladder, and the one driver that runs a
+//! scripted rung's three Appendix E tasks for both of the ladder's judges:
+//! [`Simulator::run_session`] reads each finished task's trace for the
+//! detectors, [`crate::lint_simulator`] reads its chain-lint findings.
 
 use hlisa::{HlisaActionChains, NaiveActionChains};
 use hlisa_browser::dom::standard_test_page;
-use hlisa_browser::viewport::ScrollOrigin;
 use hlisa_browser::{Browser, BrowserConfig, Rect};
 use hlisa_detect::interaction::TraceFeatures;
 use hlisa_detect::reference::{
@@ -11,7 +12,7 @@ use hlisa_detect::reference::{
 };
 use hlisa_human::HumanParams;
 use hlisa_stats::rngutil::derive_seed;
-use hlisa_webdriver::{By, SeleniumActionChains, Session};
+use hlisa_webdriver::{By, SeleniumActionChains, Session, WebDriverError};
 
 /// A rung of the simulator ladder (Fig. 3, left column), plus human
 /// references for calibration rows.
@@ -35,6 +36,22 @@ pub enum Simulator {
 }
 
 impl Simulator {
+    /// The Fig. 3 ladder in row order: the five scripted rungs bottom up,
+    /// then the two human reference rows. `enrolled` is the individual the
+    /// level-4 detector protects; the fitted rung impersonates them and
+    /// the last row is them.
+    pub fn ladder(enrolled: HumanParams) -> Vec<Simulator> {
+        vec![
+            Simulator::Selenium,
+            Simulator::Naive,
+            Simulator::Hlisa,
+            Simulator::ConsistentHlisa,
+            Simulator::ProfileFitted(enrolled.clone()),
+            Simulator::Human,
+            Simulator::EnrolledHuman(enrolled),
+        ]
+    }
+
     /// Fig. 3 label (or a descriptive one for the reference rows).
     pub fn label(&self) -> &'static str {
         match self {
@@ -50,189 +67,134 @@ impl Simulator {
 
     /// Runs one session of the three tasks, returning extracted features.
     pub fn run_session(&self, seed: u64) -> TraceFeatures {
-        match self {
-            Simulator::Human => {
-                let subject = HumanParams::individual(derive_seed(seed, "visitor", 0));
-                run_human_session_with(subject, seed)
+        let subject = match self {
+            Simulator::Human => HumanParams::individual(derive_seed(seed, "visitor", 0)),
+            Simulator::EnrolledHuman(params) => params.clone(),
+            _ => {
+                let mut features = TraceFeatures::default();
+                self.run_tasks(seed, Session::new, |s| {
+                    features.merge(&TraceFeatures::extract(
+                        &s.browser.recorder,
+                        s.browser.document(),
+                    ));
+                });
+                return features;
             }
-            Simulator::EnrolledHuman(params) => run_human_session_with(params.clone(), seed),
-            Simulator::Selenium => run_selenium_session(seed),
-            Simulator::Naive => run_naive_session(seed),
-            Simulator::Hlisa => run_hlisa_session(HumanParams::paper_baseline(), false, seed),
-            Simulator::ConsistentHlisa => {
-                run_hlisa_session(HumanParams::paper_baseline(), true, seed)
-            }
-            Simulator::ProfileFitted(params) => run_hlisa_session(params.clone(), true, seed),
+        };
+        run_human_session_with(subject, seed)
+    }
+
+    /// Whether the rung drives the tasks through an action program (every
+    /// rung but the two human rows).
+    pub(crate) fn is_scripted(&self) -> bool {
+        !matches!(self, Simulator::Human | Simulator::EnrolledHuman(_))
+    }
+
+    /// Runs a scripted rung's three Appendix E tasks, each in a session
+    /// `open` makes from the task's browser, and hands each finished
+    /// session to `done`. Returns `false`, running nothing, for the human
+    /// rows: real visitors have no action program to drive.
+    pub(crate) fn run_tasks(
+        &self,
+        seed: u64,
+        open: fn(Browser) -> Session,
+        mut done: impl FnMut(Session),
+    ) -> bool {
+        if !self.is_scripted() {
+            return false;
         }
+        // The task pages define every looked-up id and the simulated
+        // webdriver cannot fail a perform, so an error is a broken fixture.
+        self.try_run_tasks(seed, open, &mut done)
+            .expect("the Appendix E tasks run on their own pages"); // lint: allow(no-panic)
+        true
     }
-}
 
-// Every session below drives the in-crate standard test page, whose
-// literal defines each looked-up id, and the simulated webdriver cannot
-// fail a perform; the `expect`s are fail-fast fixture assertions and
-// each carries a per-line no-panic allow directive.
-fn click_session() -> Session {
-    Session::new(Browser::open(BrowserConfig::webdriver(), click_task_page()))
-}
+    fn try_run_tasks(
+        &self,
+        seed: u64,
+        open: fn(Browser) -> Session,
+        done: &mut impl FnMut(Session),
+    ) -> Result<(), WebDriverError> {
+        let hlisa = |label: &str, idx: u64| {
+            let (params, consistent) = match self {
+                Simulator::ProfileFitted(params) => (params.clone(), true),
+                rung => (
+                    HumanParams::paper_baseline(),
+                    *rung == Simulator::ConsistentHlisa,
+                ),
+            };
+            HlisaActionChains::with_params(params, derive_seed(seed, label, idx))
+                .with_consistency(consistent)
+        };
+        let page = |url, height| {
+            open(Browser::open(
+                BrowserConfig::webdriver(),
+                standard_test_page(url, height),
+            ))
+        };
 
-fn typing_session() -> Session {
-    Session::new(Browser::open(
-        BrowserConfig::webdriver(),
-        standard_test_page("https://tasks.test/type", 2_000.0),
-    ))
-}
+        // Task 1: click the target, which relocates before each round.
+        let mut s = open(Browser::open(BrowserConfig::webdriver(), click_task_page()));
+        let target = s.find_element(By::Id("target".into()))?;
+        for round in 0..12 {
+            let (x, y) = click_target_position(seed, round);
+            s.browser.document_mut().element_mut(target.node()).rect = Rect::new(x, y, 120.0, 40.0);
+            let idx = round as u64;
+            match self {
+                Simulator::Selenium => SeleniumActionChains::new()
+                    .click(Some(target))
+                    .pause(0.3)
+                    .perform(&mut s),
+                Simulator::Naive => NaiveActionChains::new(derive_seed(seed, "naive-click", idx))
+                    .click(Some(target))
+                    .pause(0.3)
+                    .perform(&mut s),
+                _ => hlisa("hlisa-click", idx)
+                    .click(Some(target))
+                    .pause(0.3)
+                    .perform(&mut s),
+            }?;
+        }
+        done(s);
 
-fn scroll_session() -> Session {
-    Session::new(Browser::open(
-        BrowserConfig::webdriver(),
-        standard_test_page("https://tasks.test/scroll", 30_000.0),
-    ))
-}
+        // Task 2: type the task text into the text area.
+        let mut s = page("https://tasks.test/type", 2_000.0);
+        let input = s.find_element(By::Id("text_area".into()))?;
+        match self {
+            Simulator::Selenium => SeleniumActionChains::new()
+                .send_keys_to_element(input, TYPING_TASK_TEXT)
+                .perform(&mut s),
+            Simulator::Naive => NaiveActionChains::new(derive_seed(seed, "naive-type", 0))
+                .send_keys_to_element(input, TYPING_TASK_TEXT)
+                .perform(&mut s),
+            _ => hlisa("hlisa-type", 0)
+                .send_keys_to_element(input, TYPING_TASK_TEXT)
+                .perform(&mut s),
+        }?;
+        done(s);
 
-fn relocate_target(s: &mut Session, seed: u64, round: usize) {
-    let target = s
-        .browser
-        .document()
-        .by_id("target")
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    let (x, y) = click_target_position(seed, round);
-    s.browser.document_mut().element_mut(target).rect = Rect::new(x, y, 120.0, 40.0);
-}
-
-/// Selenium runs the tasks the way an OpenWPM study would: `ActionChains`
-/// clicks and typing, plus script scrolling (it has no scroll API).
-fn run_selenium_session(seed: u64) -> TraceFeatures {
-    // Task 1: click the relocating target.
-    let mut s = click_session();
-    let target = s
-        .find_element(By::Id("target".into()))
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    for round in 0..12 {
-        relocate_target(&mut s, seed, round);
-        SeleniumActionChains::new()
-            .click(Some(target))
-            .pause(0.3)
-            .perform(&mut s)
-            .expect("selenium click"); // lint: allow(no-panic)
+        // Task 3: scroll to the bottom of a long page.
+        let mut s = page("https://tasks.test/scroll", 30_000.0);
+        let max = s.browser.viewport.max_scroll_y();
+        match self {
+            // Selenium has no scroll API: arbitrary-distance script jumps,
+            // routed through the session so an auditor sees them.
+            Simulator::Selenium => {
+                for _ in 0..4 {
+                    s.scroll_by_script(max / 4.0);
+                    s.browser.advance(120.0);
+                }
+                Ok(())
+            }
+            Simulator::Naive => NaiveActionChains::new(derive_seed(seed, "naive-scroll", 0))
+                .scroll_by(max)
+                .perform(&mut s),
+            _ => hlisa("hlisa-scroll", 0).scroll_by(0.0, max).perform(&mut s),
+        }?;
+        done(s);
+        Ok(())
     }
-    let mut features = TraceFeatures::extract(&s.browser.recorder, s.browser.document());
-
-    // Task 2: typing.
-    let mut s = typing_session();
-    let input = s
-        .find_element(By::Id("text_area".into()))
-        .expect("standard test page defines #text_area"); // lint: allow(no-panic)
-    SeleniumActionChains::new()
-        .send_keys_to_element(input, TYPING_TASK_TEXT)
-        .perform(&mut s)
-        .expect("selenium typing"); // lint: allow(no-panic)
-    features.merge(&TraceFeatures::extract(
-        &s.browser.recorder,
-        s.browser.document(),
-    ));
-
-    // Task 3: "scrolling" — arbitrary-distance script jumps, no wheel.
-    let mut s = scroll_session();
-    let max = s.browser.viewport.max_scroll_y();
-    for i in 1..=4 {
-        s.browser.input(hlisa_browser::RawInput::ScrollFrom {
-            origin: ScrollOrigin::Script,
-            amount: max * f64::from(i) / 4.0,
-        });
-        s.browser.advance(120.0);
-    }
-    features.merge(&TraceFeatures::extract(
-        &s.browser.recorder,
-        s.browser.document(),
-    ));
-    features
-}
-
-fn run_naive_session(seed: u64) -> TraceFeatures {
-    let mut s = click_session();
-    let target = s
-        .find_element(By::Id("target".into()))
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    for round in 0..12 {
-        relocate_target(&mut s, seed, round);
-        NaiveActionChains::new(derive_seed(seed, "naive-click", round as u64))
-            .click(Some(target))
-            .pause(0.3)
-            .perform(&mut s)
-            .expect("naive click"); // lint: allow(no-panic)
-    }
-    let mut features = TraceFeatures::extract(&s.browser.recorder, s.browser.document());
-
-    let mut s = typing_session();
-    let input = s
-        .find_element(By::Id("text_area".into()))
-        .expect("standard test page defines #text_area"); // lint: allow(no-panic)
-    NaiveActionChains::new(derive_seed(seed, "naive-type", 0))
-        .send_keys_to_element(input, TYPING_TASK_TEXT)
-        .perform(&mut s)
-        .expect("naive typing"); // lint: allow(no-panic)
-    features.merge(&TraceFeatures::extract(
-        &s.browser.recorder,
-        s.browser.document(),
-    ));
-
-    let mut s = scroll_session();
-    let max = s.browser.viewport.max_scroll_y();
-    NaiveActionChains::new(derive_seed(seed, "naive-scroll", 0))
-        .scroll_by(max)
-        .perform(&mut s)
-        .expect("naive scroll"); // lint: allow(no-panic)
-    features.merge(&TraceFeatures::extract(
-        &s.browser.recorder,
-        s.browser.document(),
-    ));
-    features
-}
-
-fn run_hlisa_session(params: HumanParams, consistent: bool, seed: u64) -> TraceFeatures {
-    let chain = |label: &str, idx: u64| {
-        HlisaActionChains::with_params(params.clone(), derive_seed(seed, label, idx))
-            .with_consistency(consistent)
-    };
-
-    let mut s = click_session();
-    let target = s
-        .find_element(By::Id("target".into()))
-        .expect("standard test page defines #target"); // lint: allow(no-panic)
-    for round in 0..12 {
-        relocate_target(&mut s, seed, round);
-        chain("hlisa-click", round as u64)
-            .click(Some(target))
-            .pause(0.3)
-            .perform(&mut s)
-            .expect("hlisa click"); // lint: allow(no-panic)
-    }
-    let mut features = TraceFeatures::extract(&s.browser.recorder, s.browser.document());
-
-    let mut s = typing_session();
-    let input = s
-        .find_element(By::Id("text_area".into()))
-        .expect("standard test page defines #text_area"); // lint: allow(no-panic)
-    chain("hlisa-type", 0)
-        .send_keys_to_element(input, TYPING_TASK_TEXT)
-        .perform(&mut s)
-        .expect("hlisa typing"); // lint: allow(no-panic)
-    features.merge(&TraceFeatures::extract(
-        &s.browser.recorder,
-        s.browser.document(),
-    ));
-
-    let mut s = scroll_session();
-    let max = s.browser.viewport.max_scroll_y();
-    chain("hlisa-scroll", 0)
-        .scroll_by(0.0, max)
-        .perform(&mut s)
-        .expect("hlisa scroll"); // lint: allow(no-panic)
-    features.merge(&TraceFeatures::extract(
-        &s.browser.recorder,
-        s.browser.document(),
-    ));
-    features
 }
 
 #[cfg(test)]

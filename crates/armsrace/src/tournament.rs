@@ -1,11 +1,13 @@
 //! The simulator × detector tournament that regenerates Fig. 3's
-//! narrative as a detection-rate matrix.
+//! narrative as a detection-rate matrix, and its one renderer
+//! ([`report`]) for the `figure3` binary and the `arms_race` example.
 
 use crate::simulators::Simulator;
 use hlisa_detect::interaction::UserProfile;
 use hlisa_detect::reference::run_human_session_with;
 use hlisa_detect::{DetectorLevel, HumanReference, InteractionDetector};
 use hlisa_human::HumanParams;
+use hlisa_stats::ascii::format_table;
 use hlisa_stats::rngutil::derive_seed;
 
 /// Tournament configuration.
@@ -64,54 +66,42 @@ impl TournamentResult {
     }
 }
 
-/// Runs the tournament.
-pub fn run_tournament(config: &TournamentConfig) -> TournamentResult {
-    // The enrolled individual the level-4 detector protects. A seed is
-    // chosen whose tempo offset is large enough to be identifiable.
-    let enrolled_params = pick_identifiable_individual(config.seed);
-
-    // Level-2/3 reference corpus: the human population.
-    let reference = HumanReference::generate(
-        derive_seed(config.seed, "reference", 0),
+/// The ladder both experiments play on: one detector per level in
+/// [`DetectorLevel::ALL`] order, and [`Simulator::ladder`] around the
+/// identifiable individual. The level-2 reference is generated from the
+/// `reference` seed label and the level-4 profile is enrolled on that
+/// individual's `enroll`-labelled sessions.
+pub(crate) fn setup_ladder(
+    config: &TournamentConfig,
+    reference: &str,
+    enroll: &str,
+) -> ([InteractionDetector; 4], Vec<Simulator>) {
+    // The level-2/3 reference models the human population; the level-4
+    // profile models one identifiable individual only.
+    let enrolled = pick_identifiable_individual(config.seed);
+    let population = HumanReference::generate(
+        derive_seed(config.seed, reference, 0),
         config.reference_sessions,
     );
-
-    // Level-4 enrolment: sessions of the enrolled individual only.
-    let mut enrolled_corpus = HumanReference::default();
+    let mut corpus = HumanReference::default();
     for i in 0..config.enrollment_sessions {
-        let f = run_human_session_with(
-            enrolled_params.clone(),
-            derive_seed(config.seed, "enroll", i as u64),
-        );
-        enrolled_corpus.key_dwell_ms.extend(f.key_dwells_ms.clone());
-        enrolled_corpus
-            .click_dwell_ms
-            .extend(f.click_dwells_ms.clone());
-        enrolled_corpus
-            .click_offset_frac
-            .extend(f.click_offsets_frac.clone());
-        enrolled_corpus
-            .scroll_gap_ms
-            .extend(f.scroll_gaps_ms.clone());
+        corpus.absorb(&run_human_session_with(
+            enrolled.clone(),
+            derive_seed(config.seed, enroll, i as u64),
+        ));
     }
-    let profile = UserProfile::enroll(&enrolled_corpus);
-
     let detectors = [
         InteractionDetector::level1(),
-        InteractionDetector::level2(reference.clone()),
-        InteractionDetector::level3(reference.clone()),
-        InteractionDetector::level4(reference, profile),
+        InteractionDetector::level2(population.clone()),
+        InteractionDetector::level3(population.clone()),
+        InteractionDetector::level4(population, UserProfile::enroll(&corpus)),
     ];
+    (detectors, Simulator::ladder(enrolled))
+}
 
-    let simulators = vec![
-        Simulator::Selenium,
-        Simulator::Naive,
-        Simulator::Hlisa,
-        Simulator::ConsistentHlisa,
-        Simulator::ProfileFitted(enrolled_params.clone()),
-        Simulator::Human,
-        Simulator::EnrolledHuman(enrolled_params),
-    ];
+/// Runs the tournament.
+pub fn run_tournament(config: &TournamentConfig) -> TournamentResult {
+    let (detectors, simulators) = setup_ladder(config, "reference", "enroll");
 
     let mut cells = Vec::new();
     for sim in &simulators {
@@ -150,6 +140,56 @@ pub fn run_tournament(config: &TournamentConfig) -> TournamentResult {
     }
 }
 
+/// Renders the matrix with detection rates and GDPR annotations.
+pub fn report(result: &TournamentResult) -> String {
+    let mut out = String::from(
+        "Figure 3: the arms race for page interaction, as a measured detection matrix.\n\
+         Cells: fraction of sessions flagged by a detector at that level.\n\n",
+    );
+    let mut header: Vec<String> = vec!["Simulator \\ Detector".to_string()];
+    for l in DetectorLevel::ALL {
+        header.push(format!(
+            "L{}{}",
+            l as usize + 1,
+            if l.gdpr_sensitive() { "*" } else { "" }
+        ));
+    }
+    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
+    let rows: Vec<Vec<String>> = result
+        .simulators
+        .iter()
+        .map(|sim| {
+            let mut row = vec![sim.clone()];
+            for l in DetectorLevel::ALL {
+                let rate = result.rate(sim, l).unwrap_or(f64::NAN);
+                row.push(format!("{rate:.2}"));
+            }
+            row
+        })
+        .collect();
+    out.push_str(&format_table(&header_refs, &rows));
+    out.push_str(
+        "\n* levels the paper flags as potentially conflicting with privacy regulation (GDPR):\n",
+    );
+    for l in DetectorLevel::ALL {
+        out.push_str(&format!(
+            "  L{} = {}{}\n",
+            l as usize + 1,
+            l.label(),
+            if l.gdpr_sensitive() {
+                "  [GDPR-sensitive]"
+            } else {
+                ""
+            }
+        ));
+    }
+    out.push_str(
+        "\nReading: HLISA is first caught at L3 — \"to detect HLISA, an interaction-based\n\
+         detector needs to compare the observed interaction to a model of human behaviour\" (§5).\n",
+    );
+    out
+}
+
 /// Picks an individual whose tempo offset is clearly identifiable (so the
 /// enrolment story of Fig. 3's top rung is meaningful) yet still well
 /// inside the population envelope (so the level-2 detector, which must
@@ -177,6 +217,8 @@ pub fn pick_identifiable_individual(seed: u64) -> HumanParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::run_tournament as run;
 
     fn quick_config() -> TournamentConfig {
         TournamentConfig {
@@ -245,5 +287,21 @@ mod tests {
         // individual's tempo sits from the enrolled one.
         let other_human = Simulator::Human.label();
         assert!(r.rate(other_human, DetectorLevel::L4Profile).unwrap() >= 0.3);
+    }
+
+    #[test]
+    fn report_contains_matrix_and_annotations() {
+        let cfg = TournamentConfig {
+            seed: 3,
+            sessions_per_agent: 2,
+            reference_sessions: 2,
+            enrollment_sessions: 2,
+        };
+        let r = report(&run(&cfg));
+        assert!(r.contains("L1"));
+        assert!(r.contains("GDPR"));
+        assert!(r.contains("HLISA"));
+        // 7 simulator rows.
+        assert!(r.matches("0.").count() >= 7);
     }
 }

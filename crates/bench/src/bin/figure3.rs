@@ -1,13 +1,13 @@
 //! Regenerates Figure 3 (arms-race detection matrix).
-use hlisa_armsrace::TournamentConfig;
+use hlisa_armsrace::{escalation, run_escalation, run_tournament, tournament, TournamentConfig};
 fn main() {
     eprintln!("running the simulator x detector tournament...");
-    let result = hlisa_bench::figure3::run(&TournamentConfig::default());
-    println!("{}", hlisa_bench::figure3::report(&result));
+    let result = run_tournament(&TournamentConfig::default());
+    println!("{}", tournament::report(&result));
     eprintln!("playing out the escalation sequence...");
-    let rounds = hlisa_armsrace::run_escalation(&TournamentConfig {
+    let rounds = run_escalation(&TournamentConfig {
         sessions_per_agent: 4,
         ..TournamentConfig::default()
     });
-    println!("{}", hlisa_armsrace::escalation::report(&rounds));
+    println!("{}", escalation::report(&rounds));
 }

@@ -11,7 +11,7 @@
 //! | Figure 4 / Appendix B (HTTP errors) | [`fieldstudy`] | `figure4` |
 //! | Figure 1 (cursor trajectories) | [`figures`] | `figure1` |
 //! | Figure 2 (click distributions) | [`figures`] | `figure2` |
-//! | Figure 3 (arms race) | [`figure3`] | `figure3` |
+//! | Figure 3 (arms race) | [`hlisa_armsrace::tournament`] | `figure3` |
 //! | Table 3 (the HLISA API) | [`table3`] | `table3` |
 //! | Table 4 / Appendix G (tool comparison) | [`table4`] | `table4` |
 //! | Appendix C/D (events & granularity) | [`appendix_d`] | `appendix_d` |
@@ -36,7 +36,6 @@ pub mod ablations;
 pub mod appendix_d;
 pub mod campaign_bench;
 pub mod fieldstudy;
-pub mod figure3;
 pub mod figures;
 pub mod harness;
 pub mod interaction_bench;

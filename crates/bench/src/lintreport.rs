@@ -6,6 +6,7 @@
 //! program alone — before a single event reaches a page. The split is
 //! the same: rules pile up on the lower rungs and vanish at HLISA.
 
+use hlisa_armsrace::tournament::pick_identifiable_individual;
 use hlisa_armsrace::{lint_simulator, Simulator};
 use hlisa_lint::Report;
 use hlisa_stats::ascii::format_table;
@@ -19,21 +20,17 @@ pub struct RungLint {
     pub report: Option<Report>,
 }
 
-/// Lints every scriptable rung (plus the human row for contrast).
+/// Lints every scriptable rung (plus the human rows for contrast): the
+/// whole Fig. 3 ladder, fitted to the individual the tournament at `seed`
+/// enrols.
 pub fn run(seed: u64) -> Vec<RungLint> {
-    [
-        Simulator::Selenium,
-        Simulator::Naive,
-        Simulator::Hlisa,
-        Simulator::ConsistentHlisa,
-        Simulator::Human,
-    ]
-    .iter()
-    .map(|sim| RungLint {
-        label: sim.label(),
-        report: lint_simulator(sim, seed),
-    })
-    .collect()
+    Simulator::ladder(pick_identifiable_individual(seed))
+        .iter()
+        .map(|sim| RungLint {
+            label: sim.label(),
+            report: lint_simulator(sim, seed),
+        })
+        .collect()
 }
 
 /// Renders the rung × findings table.

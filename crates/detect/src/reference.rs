@@ -72,7 +72,8 @@ impl HumanReference {
         out
     }
 
-    fn absorb(&mut self, f: &TraceFeatures) {
+    /// Appends one session's feature samples to the corpus.
+    pub fn absorb(&mut self, f: &TraceFeatures) {
         self.key_dwell_ms.extend_from_slice(&f.key_dwells_ms);
         self.key_flight_ms.extend_from_slice(&f.key_flights_ms);
         self.click_dwell_ms.extend_from_slice(&f.click_dwells_ms);

@@ -10,6 +10,12 @@
 //! auditor, and returns the resulting report. `hlisa-lint` (and a test
 //! below) require the split to hold — a regression in either the linter
 //! or a planner flips the gate.
+//!
+//! This is deliberately not the Fig. 3 ladder's task driver
+//! (`hlisa_armsrace::simulators`), which lints the full three Appendix E
+//! tasks per rung for the `lintreport` table. The gate is a one-page
+//! self-check that runs inside the `hlisa-lint` binary as a CI gate, and
+//! `hlisa-lint` cannot depend on `hlisa-armsrace`, which depends on it.
 
 use crate::chain::ChainLinter;
 use crate::diag::Report;

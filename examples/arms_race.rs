@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --example arms_race`
 
-use hlisa_armsrace::{run_tournament, TournamentConfig};
-use hlisa_detect::DetectorLevel;
+use hlisa_armsrace::{escalation, run_escalation, run_tournament, tournament, TournamentConfig};
 
 fn main() {
     let config = TournamentConfig {
@@ -17,29 +16,11 @@ fn main() {
     );
     let result = run_tournament(&config);
 
-    println!(
-        "{:<46} {:>5} {:>5} {:>5} {:>5}",
-        "Simulator \\ Detector", "L1", "L2", "L3", "L4"
-    );
-    for sim in &result.simulators {
-        print!("{:<46}", truncate(sim, 45));
-        for level in DetectorLevel::ALL {
-            print!(" {:>5.2}", result.rate(sim, level).unwrap());
-        }
-        println!();
-    }
-    println!("\nCells are detection rates. The staircase is Fig. 3's narrative:");
+    println!("{}", tournament::report(&result));
+    println!("Cells are detection rates. The staircase is Fig. 3's narrative:");
     println!("each simulator escalation defeats one more detector level, and only");
     println!("impersonating the enrolled user's own profile defeats level 4.\n");
 
-    let rounds = hlisa_armsrace::run_escalation(&config);
-    println!("{}", hlisa_armsrace::escalation::report(&rounds));
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..n - 1])
-    }
+    let rounds = run_escalation(&config);
+    println!("{}", escalation::report(&rounds));
 }

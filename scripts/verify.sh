@@ -24,6 +24,13 @@ echo "==> bench_e2e production digests (all four workloads, seeds 1 and 2)"
 cargo run --quiet --release --offline --manifest-path bench_e2e/Cargo.toml -- \
     --workload all --seed 1 --seconds 0 --repeat 2
 
+echo "==> Fig. 3 front ends (figure3, lintreport, arms_race example), run once each"
+# The build step only compiles them; running them makes a panic in a
+# renderer or in the ladder fail the gate. Each takes well under a second.
+cargo run -q --release -p hlisa-bench --bin figure3 > /dev/null
+cargo run -q --release -p hlisa-bench --bin lintreport > /dev/null
+cargo run -q --release --example arms_race > /dev/null
+
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 

@@ -1,6 +1,7 @@
 //! Regenerates Figure 4 / Appendix B (HTTP errors + Wilcoxon test).
+use hlisa_crawler::{figure4_report, CampaignConfig, FieldTally};
 fn main() {
     eprintln!("running the paper-scale campaign (1,000 sites x 8 visits x 2 machines)...");
-    let campaign = hlisa_bench::fieldstudy::run_paper_scale();
-    println!("{}", hlisa_bench::fieldstudy::figure4_report(&campaign));
+    let tally = FieldTally::crawl(&CampaignConfig::default());
+    println!("{}", figure4_report(&tally.http()));
 }

@@ -7,8 +7,8 @@
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|
 //! | Table 1 (spoofing side effects) | [`table1`] | `table1` |
-//! | Table 2 (screenshot evaluation) | [`fieldstudy`] | `table2` |
-//! | Figure 4 / Appendix B (HTTP errors) | [`fieldstudy`] | `figure4` |
+//! | Table 2 (screenshot evaluation) | [`hlisa_crawler::field`], [`hlisa_crawler::report`] | `table2` |
+//! | Figure 4 / Appendix B (HTTP errors) | [`hlisa_crawler::field`], [`hlisa_crawler::report`] | `figure4` |
 //! | Figure 1 (cursor trajectories) | [`figures`] | `figure1` |
 //! | Figure 2 (click distributions) | [`figures`] | `figure2` |
 //! | Figure 3 (arms race) | [`hlisa_armsrace::tournament`] | `figure3` |
@@ -35,7 +35,6 @@
 pub mod ablations;
 pub mod appendix_d;
 pub mod campaign_bench;
-pub mod fieldstudy;
 pub mod figures;
 pub mod harness;
 pub mod interaction_bench;

@@ -6,9 +6,14 @@
 //! interval of 95% to test for significance." The paper finds a significant
 //! decrease in first-party errors with the extension (p = 0.004), driven by
 //! 403 and 503.
+//!
+//! Only successful visits count: a failed visit is web dynamics, not
+//! detection. The test pairs each site's errors per successful visit on
+//! both machines, fair when they completed different numbers of visits.
+//! The report is read off a [`FieldTally`], the pass that feeds Table 2.
 
-use crate::campaign::{Campaign, MachineRun};
-use hlisa_stats::wilcoxon::{wilcoxon_signed_rank, Alternative};
+use crate::campaign::Campaign;
+use crate::field::FieldTally;
 use hlisa_stats::WilcoxonResult;
 use std::collections::BTreeMap;
 
@@ -22,8 +27,9 @@ pub struct HttpReport {
     pub first_party: CodeCounts,
     /// Third-party response counts by status code.
     pub third_party: CodeCounts,
-    /// Wilcoxon matched-pairs test on per-site first-party error counts
-    /// (machine 1 vs machine 2). `None` when every pair ties.
+    /// Wilcoxon matched-pairs test on per-site first-party error rates,
+    /// errors per successful visit (machine 1 vs machine 2). `None` when
+    /// every pair ties.
     pub wilcoxon_first_party: Option<WilcoxonResult>,
     /// Same for third-party errors.
     pub wilcoxon_third_party: Option<WilcoxonResult>,
@@ -42,77 +48,9 @@ impl HttpReport {
     }
 }
 
-fn tally(run: &MachineRun, third: bool, into: &mut CodeCounts, slot: usize) {
-    for site in &run.sites {
-        // Only completed visits are comparable across machines; transient
-        // failures are web dynamics, not bot detection.
-        for o in site.outcomes.iter().filter(|o| o.successful) {
-            let codes = if third {
-                &o.third_party
-            } else {
-                &o.first_party
-            };
-            for c in codes {
-                let entry = into.entry(*c).or_insert((0, 0));
-                if slot == 0 {
-                    entry.0 += 1;
-                } else {
-                    entry.1 += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Mean errors per successful visit, per site. Normalising by completed
-/// visits keeps the pairing fair when the two machines completed different
-/// numbers of visits to a site (web dynamics, not detection).
-fn per_site_error_counts(run: &MachineRun, third: bool) -> Vec<f64> {
-    run.sites
-        .iter()
-        .map(|site| {
-            let ok = site.successful_visits();
-            if ok == 0 {
-                return 0.0;
-            }
-            let errors = site
-                .outcomes
-                .iter()
-                .filter(|o| o.successful)
-                .flat_map(|o| {
-                    if third {
-                        &o.third_party
-                    } else {
-                        &o.first_party
-                    }
-                })
-                .filter(|c| **c >= 400)
-                .count();
-            errors as f64 / ok as f64
-        })
-        .collect()
-}
-
 /// Builds the HTTP report from a campaign.
 pub fn analyze_http(campaign: &Campaign) -> HttpReport {
-    let mut first_party = CodeCounts::new();
-    let mut third_party = CodeCounts::new();
-    tally(&campaign.openwpm, false, &mut first_party, 0);
-    tally(&campaign.spoofed, false, &mut first_party, 1);
-    tally(&campaign.openwpm, true, &mut third_party, 0);
-    tally(&campaign.spoofed, true, &mut third_party, 1);
-
-    let fp1 = per_site_error_counts(&campaign.openwpm, false);
-    let fp2 = per_site_error_counts(&campaign.spoofed, false);
-    let tp1 = per_site_error_counts(&campaign.openwpm, true);
-    let tp2 = per_site_error_counts(&campaign.spoofed, true);
-
-    HttpReport {
-        first_party,
-        third_party,
-        wilcoxon_first_party: wilcoxon_signed_rank(&fp1, &fp2, Alternative::TwoSided),
-        wilcoxon_third_party: wilcoxon_signed_rank(&tp1, &tp2, Alternative::TwoSided),
-    }
+    FieldTally::of(campaign).http()
 }
 
 #[cfg(test)]

@@ -21,11 +21,16 @@
 //! [`run_machine_shard_summaries`] folds each of one machine's shards
 //! into a summary, which a fold may also journal to a
 //! [`ShardSummarySink`].
-//! [`screenshot`] is the Table 2 aggregation and [`http_analysis`] the
-//! Figure 4 aggregation and significance test.
+//! [`screenshot`] is Table 2 and [`http_analysis`] Figure 4 with its
+//! significance test; both are read off a [`FieldTally`] ([`field`]),
+//! one pass over the two machines' site rows, which is also a [`run`]
+//! fold: [`FieldTally::crawl`] tallies a campaign shard by shard without
+//! keeping its rows. [`report`] renders both as CSV and as the paper's
+//! terminal tables.
 
 pub mod campaign;
 pub mod chaos;
+pub mod field;
 pub mod http_analysis;
 pub mod recovery;
 pub mod reliability;
@@ -39,13 +44,16 @@ pub use campaign::{
     MachineRun, MachineShard, MachineTelemetry, Pipeline, SiteResult, SiteSource, MACHINES,
 };
 pub use chaos::{run_chaos_campaign, ChaosCampaign, ChaosConfig, MachineRecovery, SiteRecovery};
+pub use field::FieldTally;
 pub use http_analysis::{analyze_http, HttpReport};
 pub use recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
 pub use reliability::{
     drift_report, run_captured_campaign, run_reliability_study, CaptureMode, CapturedCampaign,
     DriftReport, MetricDrift, ReliabilityStudy,
 };
-pub use report::{recovery_csv, status_codes_csv, table2_csv, visits_csv};
+pub use report::{
+    figure4_report, recovery_csv, status_codes_csv, table2_csv, table2_report, visits_csv,
+};
 pub use scenario::ScenarioScratch;
 pub use screenshot::{screenshot_table, Table2, Table2Row};
 pub use sink::{ShardRecord, ShardSummarySink};

@@ -1,14 +1,19 @@
-//! CSV exports of campaign results.
+//! Campaign results as CSV and as the paper's terminal tables.
 //!
 //! OpenWPM studies end in dataframes; this module renders the campaign's
 //! three analysis surfaces — per-visit outcomes, the Table 2 aggregation,
 //! and the Figure 4 status-code counts — as RFC-4180-style CSV strings a
 //! downstream analysis (pandas, R) can ingest directly.
+//! [`table2_report`] and [`figure4_report`] render a [`Table2`] and an
+//! [`HttpReport`] as the `table2` and `figure4` regenerators print them.
 
 use crate::campaign::Campaign;
-use crate::http_analysis::analyze_http;
-use crate::screenshot::screenshot_table;
+use crate::http_analysis::{analyze_http, HttpReport};
+use crate::screenshot::{screenshot_table, Table2, Table2Row};
+use hlisa_stats::ascii::{bar_chart, format_table};
+use hlisa_stats::WilcoxonResult;
 use hlisa_web::{ClientKind, VisualOutcome};
+use std::iter::once;
 
 /// Escapes one CSV field.
 fn field(s: &str) -> String {
@@ -85,16 +90,14 @@ pub fn table2_csv(campaign: &Campaign) -> String {
     let mut out =
         String::from("response,sites_openwpm,sites_spoofed,visits_openwpm,visits_spoofed\n");
     for r in &t.rows {
-        out.push_str(&format!(
-            "{},{},{},{},{}\n",
-            field(&r.label),
-            r.sites.0,
-            r.sites.1,
-            r.visits.0,
-            r.visits.1
-        ));
+        out.push_str(&format!("{},{}\n", field(&r.label), counts(r).join(",")));
     }
     out
+}
+
+/// A Table 2 row's four counts: sites, then visits, each per machine.
+fn counts(r: &Table2Row) -> [String; 4] {
+    [r.sites.0, r.sites.1, r.visits.0, r.visits.1].map(|n| n.to_string())
 }
 
 /// Chaos-campaign recovery telemetry as CSV: one row per (machine, site)
@@ -133,6 +136,66 @@ pub fn status_codes_csv(campaign: &Campaign) -> String {
         for (code, (a, b)) in counts {
             out.push_str(&format!("{name},{code},{a},{b}\n"));
         }
+    }
+    out
+}
+
+/// Table 2 as in the paper, with the share of reached sites that show
+/// visible signs of bot detection.
+pub fn table2_report(t: &Table2) -> String {
+    let header = [
+        "Response",
+        "sites (1)",
+        "sites (2)",
+        "visits (1)",
+        "visits (2)",
+    ];
+    let row = |r: &Table2Row| once(r.label.clone()).chain(counts(r)).collect();
+    let rows: Vec<Vec<String>> = t.rows.iter().map(row).collect();
+    let mut out = format!(
+        "Table 2: Results from the screenshot evaluation.\n\n{}\n(1) = OpenWPM   (2) = OpenWPM+extension\n",
+        format_table(&header, &rows)
+    );
+    if let (Some(total), Some(block)) = (t.row("total"), t.row("blocking/CAPTCHAs")) {
+        // Every row but the total and the two ad subtotals.
+        let shown = |r: &&Table2Row| r.label != "total" && !r.label.starts_with('-');
+        let visible: usize = t.rows.iter().filter(shown).map(|r| r.sites.0).sum();
+        let share = 100.0 * visible as f64 / total.sites.0.max(1) as f64;
+        out.push_str(&format!(
+            "\nVisible signs of bot detection affect {visible} of {} reached sites ({share:.1}%) for OpenWPM;\n\
+             blocking persists on {} site(s) with the extension.\n",
+            total.sites.0, block.sites.1,
+        ));
+    }
+    out
+}
+
+/// Figure 4 (error codes with more than 100 occurrences, charted per
+/// party, and the Wilcoxon tests) as a terminal report.
+pub fn figure4_report(r: &HttpReport) -> String {
+    let mut out = String::from("Figure 4: HTTP (error) responses listed by status code with more than 100 occurrences.\n\n");
+    for (name, counts) in [("First", &r.first_party), ("Third", &r.third_party)] {
+        let mut bars = Vec::new();
+        for code in r.frequent_codes(counts, 100, true) {
+            let (a, b) = counts[&code];
+            for (machine, n) in [("OpenWPM    ", a), ("+extension ", b)] {
+                bars.push((format!("{code} {machine}"), n));
+            }
+        }
+        let chart = bar_chart(&bars, 50);
+        out.push_str(&format!("{name}-party responses (errors only):\n{chart}\n"));
+    }
+    let verdict = |w: &WilcoxonResult, yes, no| if w.significant_at(0.05) { yes } else { no };
+    if let Some(w) = &r.wilcoxon_first_party {
+        out.push_str(&format!(
+            "Wilcoxon matched-pairs signed-rank on per-site first-party errors: W = {}, n = {}, p = {:.4} ({})\n",
+            w.w, w.n_used, w.p_value, verdict(w, "significant decrease", "not significant"),
+        ));
+    }
+    if let Some(w) = &r.wilcoxon_third_party {
+        let p = w.p_value;
+        let verdict = verdict(w, "significant", "no notable difference");
+        out.push_str(&format!("Third-party errors: p = {p:.3} ({verdict})\n"));
     }
     out
 }

@@ -4,10 +4,12 @@
 //! CAPTCHAs, visible error messages ... In addition, we evaluate if there
 //! is missing content (such as ads)." Counts are reported separately for
 //! *sites* (a site counts once if any visit shows the outcome) and
-//! *visits*, per machine.
+//! *visits*, per machine, over successful visits. The table is read off
+//! a [`FieldTally`], the one pass that also feeds Figure 4.
 
-use crate::campaign::{Campaign, MachineRun};
-use hlisa_web::VisualOutcome;
+use crate::campaign::Campaign;
+use crate::field::FieldTally;
+use hlisa_web::VisualOutcome as V;
 
 /// One Table 2 row: (sites machine 1, sites machine 2, visits machine 1,
 /// visits machine 2).
@@ -35,74 +37,24 @@ impl Table2 {
     }
 }
 
-fn count(run: &MachineRun, pred: impl Fn(VisualOutcome) -> bool) -> (usize, usize) {
-    let mut sites = 0;
-    let mut visits = 0;
-    for s in &run.sites {
-        let matching = s
-            .outcomes
-            .iter()
-            .filter(|o| o.successful && pred(o.visual))
-            .count();
-        if matching > 0 {
-            sites += 1;
-        }
-        visits += matching;
-    }
-    (sites, visits)
-}
+/// Table 2's outcome rows below "total", in the paper's order: each
+/// label with the screenshot outcomes that count towards it.
+pub const ROWS: [(&str, &[V]); 8] = [
+    ("missing ads", &[V::NoAds, V::FewerAds]),
+    ("- no ads", &[V::NoAds]),
+    ("- less ads", &[V::FewerAds]),
+    ("blocking/CAPTCHAs", &[V::BlockPage, V::Captcha]),
+    ("frozen video element(s)", &[V::FrozenVideo]),
+    // Dynamic-page rows: interaction failures a screenshot review
+    // attributes to the drive, not the site's detector.
+    ("stuck on consent overlay", &[V::StuckOnOverlay]),
+    ("missing lazy-loaded content", &[V::MissingLazyContent]),
+    ("stale-element interaction", &[V::StaleElement]),
+];
 
 /// Builds Table 2 from a campaign.
 pub fn screenshot_table(campaign: &Campaign) -> Table2 {
-    let machines = [&campaign.openwpm, &campaign.spoofed];
-
-    let totals: Vec<(usize, usize)> = machines
-        .iter()
-        .map(|m| {
-            let sites = m.sites.iter().filter(|s| s.reached()).count();
-            let visits = m.sites.iter().map(|s| s.successful_visits()).sum();
-            (sites, visits)
-        })
-        .collect();
-
-    let pair = |pred: &dyn Fn(VisualOutcome) -> bool| -> ((usize, usize), (usize, usize)) {
-        (count(machines[0], pred), count(machines[1], pred))
-    };
-
-    let missing_ads = pair(&|v| matches!(v, VisualOutcome::NoAds | VisualOutcome::FewerAds));
-    let no_ads = pair(&|v| v == VisualOutcome::NoAds);
-    let less_ads = pair(&|v| v == VisualOutcome::FewerAds);
-    let blocking = pair(&|v| matches!(v, VisualOutcome::BlockPage | VisualOutcome::Captcha));
-    let frozen = pair(&|v| v == VisualOutcome::FrozenVideo);
-    let overlay = pair(&|v| v == VisualOutcome::StuckOnOverlay);
-    let lazy = pair(&|v| v == VisualOutcome::MissingLazyContent);
-    let stale = pair(&|v| v == VisualOutcome::StaleElement);
-
-    let row = |label: &str, ((s1, v1), (s2, v2)): ((usize, usize), (usize, usize))| Table2Row {
-        label: label.to_string(),
-        sites: (s1, s2),
-        visits: (v1, v2),
-    };
-
-    Table2 {
-        rows: vec![
-            Table2Row {
-                label: "total".to_string(),
-                sites: (totals[0].0, totals[1].0),
-                visits: (totals[0].1, totals[1].1),
-            },
-            row("missing ads", missing_ads),
-            row("- no ads", no_ads),
-            row("- less ads", less_ads),
-            row("blocking/CAPTCHAs", blocking),
-            row("frozen video element(s)", frozen),
-            // Dynamic-page rows: interaction failures a screenshot review
-            // attributes to the drive, not the site's detector.
-            row("stuck on consent overlay", overlay),
-            row("missing lazy-loaded content", lazy),
-            row("stale-element interaction", stale),
-        ],
-    }
+    FieldTally::of(campaign).table2()
 }
 
 #[cfg(test)]

@@ -108,16 +108,16 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
         }
     }
     let mut out = String::new();
+    // Cells are padded to their column's width, except that a line never
+    // ends in padding.
     let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            line.push_str(&format!("{:<w$}", cell, w = widths[i]));
-            if i + 1 < cells.len() {
-                line.push_str("  ");
-            }
-        }
-        line.push('\n');
-        line
+        let cells: Vec<String> = cells
+            .iter()
+            .zip(widths)
+            .map(|(cell, w)| format!("{cell:<w$}"))
+            .collect();
+        let line = cells.join("  ");
+        format!("{}\n", line.trim_end())
     };
     out.push_str(&fmt_row(
         &header.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
@@ -183,6 +183,10 @@ mod tests {
         );
         assert!(s.contains("name"));
         assert!(s.lines().count() == 4);
+        assert!(
+            s.lines().all(|l| !l.ends_with(' ')),
+            "trailing padding:\n{s:?}"
+        );
     }
 
     #[test]

@@ -31,6 +31,16 @@ cargo run -q --release -p hlisa-bench --bin figure3 > /dev/null
 cargo run -q --release -p hlisa-bench --bin lintreport > /dev/null
 cargo run -q --release --example arms_race > /dev/null
 
+echo "==> field-study front ends (table2, figure4, export_csv, crawl_study example), run once each"
+# Same reason: a panic in the field-study fold or a renderer fails the
+# gate. Each takes well under a second at paper scale.
+cargo run -q --release -p hlisa-bench --bin table2 > /dev/null
+cargo run -q --release -p hlisa-bench --bin figure4 > /dev/null
+csv_dir=$(mktemp -d)
+cargo run -q --release -p hlisa-bench --bin export_csv -- "$csv_dir" > /dev/null
+rm -rf "$csv_dir"
+cargo run -q --release --example crawl_study > /dev/null
+
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 

@@ -21,17 +21,23 @@
 //!    for all its visits, as the crawler runs them. This is the visit
 //!    layer's own cost: `bench_e2e`'s traced `web.visit.*` metrics come
 //!    from a mirror that calls `simulate_visit` per visit.
+//! 5. **Visit fork** — each visit's context and its `"visit"` stream's
+//!    first draw, over the same population: one
+//!    [`SimContext::fork_visit`] per visit (one serial hash of the domain
+//!    each) vs [`SimContext::visit_forks`] per site and machine (the
+//!    site's 8 seeds from one lane-batched derivation), as the crawler
+//!    forks them. Both sides must yield the same seeds and draws.
 
 use crate::harness::{compare, Report, Section};
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
 use hlisa_jsom::object::JsObject;
 use hlisa_jsom::realm::Realm;
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, LinearObject, PropertyDescriptor, Value};
-use hlisa_sim::SimContext;
+use hlisa_sim::{Rng, SimContext};
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{
     generate_population, simulate_visit, ClientKind, PopulationConfig, Site, SiteProfile,
-    VisitOutcome, WorldSnapshot,
+    WorldSnapshot,
 };
 use std::hint::black_box;
 
@@ -178,22 +184,22 @@ fn bench_campaign(bench: &BenchConfig) -> Section {
 const VISIT_CORE_VISITS: u64 = 8;
 
 /// Both machines' visits of every site, in crawl order, each site's
-/// visits through `visit_site(site, client, ctx)`.
-fn visit_core_crawl(
+/// visits appended to the output by `visit_site(site, client, ctx, out)`.
+fn visit_core_crawl<T>(
     sites: &[Site],
-    mut visit_site: impl FnMut(&Site, ClientKind, &SimContext) -> Vec<VisitOutcome>,
-) -> Vec<VisitOutcome> {
-    let mut outcomes = Vec::with_capacity(2 * sites.len() * VISIT_CORE_VISITS as usize);
+    mut visit_site: impl FnMut(&Site, ClientKind, &SimContext, &mut Vec<T>),
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(2 * sites.len() * VISIT_CORE_VISITS as usize);
     for (client, label) in [
         (ClientKind::OpenWpm, "m1"),
         (ClientKind::OpenWpmSpoofed, "m2"),
     ] {
         let machine = SimContext::new(42).fork(label, 0);
         for site in sites {
-            outcomes.extend(visit_site(site, client, &machine));
+            visit_site(site, client, &machine, &mut out);
         }
     }
-    outcomes
+    out
 }
 
 fn bench_visit_core(bench: &BenchConfig, report: &mut Report) -> Section {
@@ -203,24 +209,20 @@ fn bench_visit_core(bench: &BenchConfig, report: &mut Report) -> Section {
     });
     let runtime = DetectorRuntime::new();
     let per_visit = || {
-        visit_core_crawl(&sites, |site, client, machine| {
-            (0..VISIT_CORE_VISITS)
-                .map(|v| {
-                    let mut ctx = machine.fork_visit(&site.domain, v);
-                    simulate_visit(site, client, &runtime, &mut ctx)
-                })
-                .collect()
+        visit_core_crawl(&sites, |site, client, machine, out| {
+            out.extend((0..VISIT_CORE_VISITS).map(|v| {
+                let mut ctx = machine.fork_visit(&site.domain, v);
+                simulate_visit(site, client, &runtime, &mut ctx)
+            }))
         })
     };
     let per_site = || {
-        visit_core_crawl(&sites, |site, client, machine| {
+        visit_core_crawl(&sites, |site, client, machine, out| {
             let profile = SiteProfile::new(site);
-            (0..VISIT_CORE_VISITS)
-                .map(|v| {
-                    let mut ctx = machine.fork_visit(&site.domain, v);
-                    profile.visit(client, &runtime, &mut ctx)
-                })
-                .collect()
+            out.extend((0..VISIT_CORE_VISITS).map(|v| {
+                let mut ctx = machine.fork_visit(&site.domain, v);
+                profile.visit(client, &runtime, &mut ctx)
+            }))
         })
     };
     // Fill the runtime's verdict memo before either side is timed.
@@ -236,6 +238,32 @@ fn bench_visit_core(bench: &BenchConfig, report: &mut Report) -> Section {
         "visit_core_slots_per_site",
         slots as f64 / sites.len() as f64,
     );
+    section
+}
+
+fn bench_visit_fork(bench: &BenchConfig) -> Section {
+    let sites = generate_population(&PopulationConfig {
+        n_sites: bench.visit_core_sites,
+        ..PopulationConfig::default()
+    });
+    // Each visit's (context seed, first "visit" draw), in crawl order.
+    let first_draw = |mut ctx: SimContext| (ctx.seed(), ctx.stream("visit").gen::<u64>());
+    let per_visit = || {
+        visit_core_crawl(&sites, |site, _, machine, out| {
+            out.extend(
+                (0..VISIT_CORE_VISITS).map(|v| first_draw(machine.fork_visit(&site.domain, v))),
+            )
+        })
+    };
+    let batched = || {
+        visit_core_crawl(&sites, |site, _, machine, out| {
+            let forks = machine.visit_forks(&site.domain, VISIT_CORE_VISITS as usize);
+            out.extend(forks.map(first_draw))
+        })
+    };
+    let visits = 2 * sites.len() as u64 * VISIT_CORE_VISITS;
+    let (section, scalar, lanes) = compare("visit_fork", "visits", visits, per_visit, batched);
+    assert_eq!(scalar, lanes, "per-visit and batched visit forks diverged");
     section
 }
 
@@ -258,6 +286,7 @@ pub fn run(config: BenchConfig) -> Report {
     ];
     let visit_core = bench_visit_core(&config, &mut report);
     report.sections.push(visit_core);
+    report.sections.push(bench_visit_fork(&config));
     report
 }
 
@@ -277,11 +306,13 @@ mod tests {
         let report = run(cfg);
         assert_eq!(report.section("campaign").unwrap().ops, 2 * 10 * 2);
         assert_eq!(report.section("visit_core").unwrap().ops, 2 * 10 * 8);
+        assert_eq!(report.section("visit_fork").unwrap().ops, 2 * 10 * 8);
         for name in [
             "world_acquisition",
             "property_lookup",
             "campaign",
             "visit_core",
+            "visit_fork",
         ] {
             let section = report.section(name).expect(name);
             assert!(section.speedup().is_some(), "{name} has no baseline");

@@ -702,9 +702,9 @@ impl Machine<'_> {
         let mut outcomes: Vec<Vec<VisitOutcome>> = (0..crawl.records.len())
             .map(|_| Vec::with_capacity(visits))
             .collect();
-        for v in 0..visits {
-            // 1. Fork the visit context.
-            let mut ctx = self.ctx.fork_visit(&site.domain, v as u64);
+        // 1. Fork each visit's context (`fork_visit(domain, v)`, the
+        // site's seeds derived a batch at a time).
+        for (v, mut ctx) in self.ctx.visit_forks(&site.domain, visits).enumerate() {
             // 2. Attempt the visit.
             match &mut faults {
                 None => {
@@ -712,11 +712,14 @@ impl Machine<'_> {
                     self.after_attempt(&profile, outcome, &mut ctx, None, worker, &mut outcomes);
                 }
                 Some(faults) => {
+                    let seed = ctx.seed();
                     let (record, mut settled) = faults.attempt(
                         &mut ctx,
                         &mut worker.shard[self.slot].monitor,
                         |injected, deadline_ms| {
-                            let mut attempt_ctx = self.ctx.fork_visit(&site.domain, v as u64);
+                            // Each attempt re-forks the visit: a fresh
+                            // context of the visit's seed.
+                            let mut attempt_ctx = SimContext::new(seed);
                             let result = profile.attempt(
                                 self.client,
                                 self.runtime,

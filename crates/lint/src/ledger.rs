@@ -3,7 +3,8 @@
 //!
 //! [`build_ledger`] walks the same file set as the workspace linter,
 //! collects every `ctx.stream("...")` / `ctx.fork(...)` /
-//! `ctx.fork_visit(...)` call site from the AST pass, and aggregates
+//! `ctx.fork_visit(...)` call site (`ctx.visit_forks(...)` counts as
+//! `fork_visit`) from the AST pass, and aggregates
 //! them by `(crate, file, function, kind, stream)`. [`render_ledger`]
 //! serialises the result as canonical JSON — sorted keys, one entry per
 //! line — so `LINT_LEDGER.json` diffs cleanly under review.

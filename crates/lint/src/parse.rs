@@ -827,6 +827,11 @@ impl Parser {
             while !c.at_ident("fn") {
                 c.bump_into(&mut quals);
             }
+        } else if c.at_ident("unsafe")
+            && c.leaf_at(1)
+                .is_some_and(|t| t.is_ident("impl") || t.is_ident("trait"))
+        {
+            c.bump_into(&mut quals);
         }
         let kind = if c.eat_ident("fn") {
             crate::ast::ItemKind::Fn(self.parse_fn(c, quals))
@@ -2272,6 +2277,26 @@ fn f() {}
                 "fn"
             ]
         );
+    }
+
+    #[test]
+    fn unsafe_impls_and_traits_keep_their_bodies() {
+        let p = clean(
+            "
+            unsafe impl GlobalAlloc for Counting { unsafe fn alloc(&self) {} }
+            unsafe trait Marker { fn f(&self); }
+            ",
+        );
+        let ItemKind::Impl(imp) = &p.ast.items[0].kind else {
+            panic!("not an impl: {:?}", p.ast.items[0].kind);
+        };
+        assert!(imp
+            .header
+            .tokens
+            .first()
+            .is_some_and(|t| t.is_ident("unsafe")));
+        assert!(matches!(imp.items[0].kind, ItemKind::Fn(_)));
+        assert!(matches!(p.ast.items[1].kind, ItemKind::Trait(_)));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * **Stream rules** — `conditional-draw` (a draw from stream X inside a
 //!   branch whose condition consumed a *different* stream Y: Y's draw
 //!   count now gates X's sequence, re-entangling what PR 1 decoupled) and
-//!   `loop-variant-fork` (`fork`/`fork_visit` with all-literal arguments
-//!   inside a loop body: every iteration derives the same child seed).
+//!   `loop-variant-fork` (`fork`/`fork_visit`/`visit_forks` with
+//!   all-literal arguments inside a loop body: every iteration derives
+//!   the same child seeds).
 //! * **Suppression audit** — `stale-allow`: a `// lint: allow(r)`
 //!   directive that names an unknown rule, or that no finding (fired *or*
 //!   suppressed) on its line or the next would consume, is dead weight
@@ -109,8 +110,18 @@ pub enum SiteKind {
     Stream,
     /// `ctx.fork(label, index)`.
     Fork,
-    /// `ctx.fork_visit(domain, visit)`.
+    /// `ctx.fork_visit(domain, visit)`, or its batched form
+    /// `ctx.visit_forks(domain, visits)`, which derives the same children.
     ForkVisit,
+}
+
+/// The ledger kind of a fork method named `name`, if it is one.
+fn fork_kind(name: &str) -> Option<SiteKind> {
+    match name {
+        "fork" => Some(SiteKind::Fork),
+        "fork_visit" | "visit_forks" => Some(SiteKind::ForkVisit),
+        _ => None,
+    }
 }
 
 impl SiteKind {
@@ -160,8 +171,8 @@ pub fn analyze_ast(file: &str, src: &str, exempt: Exemptions) -> Vec<Diagnostic>
     analyze_file(file, &analysis, exempt, RulePasses { determinism: true })
 }
 
-/// Collects every `stream`/`fork`/`fork_visit` call site for the ledger
-/// (no diagnostics).
+/// Collects every `stream`/`fork`/`fork_visit`/`visit_forks` call site
+/// for the ledger (no diagnostics).
 pub fn collect_stream_sites(analysis: &AstAnalysis) -> Vec<StreamSite> {
     let mut a = Analyzer::new("", Exemptions::default(), false, &analysis.allows);
     a.walk_file(&analysis.parsed.ast);
@@ -890,12 +901,7 @@ impl<'a> Analyzer<'a> {
                 ),
             }
         }
-        if name == "fork" || name == "fork_visit" {
-            let kind = if name == "fork" {
-                SiteKind::Fork
-            } else {
-                SiteKind::ForkVisit
-            };
+        if let Some(kind) = fork_kind(name) {
             let label = args
                 .iter()
                 .find_map(|a| match a {
@@ -984,12 +990,7 @@ impl<'a> Analyzer<'a> {
                     self.check_registered(text, line);
                 }
             }
-            if (name == "fork" || name == "fork_visit") && dotted_call {
-                let kind = if name == "fork" {
-                    SiteKind::Fork
-                } else {
-                    SiteKind::ForkVisit
-                };
+            if let Some(kind) = fork_kind(name).filter(|_| dotted_call) {
                 let label = toks
                     .get(i + 2)
                     .and_then(|t| t.str_text())
@@ -1331,6 +1332,20 @@ mod tests {
         assert!(rules_of(good).is_empty());
         let outside = "fn f(ctx: &mut SimContext) {\n let child = ctx.fork(\"page-graph\", 0);\n}";
         assert!(rules_of(outside).is_empty());
+    }
+
+    #[test]
+    fn batched_visit_forks_are_visit_fork_sites() {
+        let bad = "fn f(ctx: &SimContext) {\n for _ in 0..3 \
+                   {\n  for v in ctx.visit_forks(\"example.org\", 8) {}\n }\n}";
+        assert_eq!(rules_of(bad), [("loop-variant-fork", 3)]);
+        let good = "fn f(ctx: &SimContext, sites: &[Site]) {\n for site in sites \
+                    {\n  for v in ctx.visit_forks(&site.domain, 8) {}\n }\n}";
+        assert!(rules_of(good).is_empty());
+        let sites = collect_stream_sites(&AstAnalysis::of(good));
+        assert_eq!(sites.len(), 1);
+        assert_eq!(sites[0].kind, SiteKind::ForkVisit);
+        assert_eq!(sites[0].stream, "<dynamic>");
     }
 
     #[test]

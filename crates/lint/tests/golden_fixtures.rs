@@ -51,6 +51,7 @@ fn every_provenance_rule_has_a_failing_fixture() {
         ("stream_registry.rs", "stream-name-registry"),
         ("conditional_draw.rs", "conditional-draw"),
         ("loop_variant_fork.rs", "loop-variant-fork"),
+        ("loop_variant_visit_forks.rs", "loop-variant-fork"),
         ("stale_allow.rs", "stale-allow"),
     ];
     for (fixture, rule) in cases {

@@ -1,7 +1,7 @@
 //! Named RNG streams with hierarchical forking.
 
 use crate::clock::VirtualClock;
-use hlisa_stats::rngutil::{derive_seed, rng_from_seed};
+use hlisa_stats::rngutil::{derive_seed, derive_seed_lanes, rng_from_seed};
 use rand::rngs::SmallRng;
 
 /// The simulation context threaded through the interaction stack.
@@ -16,18 +16,25 @@ use rand::rngs::SmallRng;
 pub struct SimContext {
     seed: u64,
     clock: VirtualClock,
-    /// Streams created so far, sorted by name.
-    streams: Vec<(String, SmallRng)>,
+    /// The first [`SimContext::INLINE_STREAMS`] streams, in creation
+    /// order: a filled prefix, then `None`s.
+    inline: [Option<Stream>; SimContext::INLINE_STREAMS],
+    /// Streams created after the inline slots filled, in creation order.
+    spill: Vec<Stream>,
 }
 
+/// A named stream: its registry name and its generator.
+type Stream = (&'static str, SmallRng);
+
 impl SimContext {
+    /// How many streams a context keeps inline. A plain visit touches one
+    /// or two and an interaction plan up to five; only streams past this
+    /// many go to a heap-allocated list.
+    pub const INLINE_STREAMS: usize = 4;
+
     /// A fresh context rooted at `seed`, with a clock starting at t = 0.
     pub fn new(seed: u64) -> Self {
-        SimContext {
-            seed,
-            clock: VirtualClock::new(),
-            streams: Vec::new(),
-        }
+        Self::with_clock(seed, VirtualClock::new())
     }
 
     /// A context rooted at `seed` sharing an existing clock.
@@ -35,7 +42,8 @@ impl SimContext {
         SimContext {
             seed,
             clock,
-            streams: Vec::new(),
+            inline: Default::default(),
+            spill: Vec::new(),
         }
     }
 
@@ -52,23 +60,32 @@ impl SimContext {
     /// The named RNG stream for one concern (`"motion"`, `"typing"`, ...).
     ///
     /// Streams are created on first use with a seed derived from the root
-    /// seed and the name alone, so draw sequences are insensitive to the
-    /// creation order of *other* streams. The name is looked up first and
-    /// copied only when the stream is created, so the per-draw call on an
-    /// existing stream allocates nothing.
-    pub fn stream(&mut self, name: &str) -> &mut SmallRng {
-        let i = match self
-            .streams
-            .binary_search_by(|(known, _)| known.as_str().cmp(name))
-        {
-            Ok(i) => i,
-            Err(i) => {
-                let rng = rng_from_seed(derive_seed(self.seed, name, 0));
-                self.streams.insert(i, (name.to_string(), rng));
-                i
+    /// seed and the name alone (`derive_seed(seed, name, 0)`), so draw
+    /// sequences are insensitive to the creation order of *other* streams.
+    /// Names are registry literals (see [`crate::STREAM_REGISTRY`]), so a
+    /// stream keeps its name by reference: the first
+    /// [`SimContext::INLINE_STREAMS`] streams live in the context itself
+    /// and cost no allocation, later ones are appended to a spill list.
+    pub fn stream(&mut self, name: &'static str) -> &mut SmallRng {
+        let seed = self.seed;
+        let create = || (name, rng_from_seed(derive_seed(seed, name, 0)));
+        // Slots fill front to back, so the first slot that is free or
+        // holds `name` is where `name` lives or goes.
+        let slot = self
+            .inline
+            .iter()
+            .position(|slot| slot.as_ref().map_or(true, |(known, _)| *known == name));
+        if let Some(i) = slot {
+            return &mut self.inline[i].get_or_insert_with(create).1;
+        }
+        let i = match self.spill.iter().position(|(known, _)| *known == name) {
+            Some(i) => i,
+            None => {
+                self.spill.push(create());
+                self.spill.len() - 1
             }
         };
-        &mut self.streams[i].1
+        &mut self.spill[i].1
     }
 
     /// A child context for an independently seeded unit of work.
@@ -86,12 +103,66 @@ impl SimContext {
         self.fork(domain, visit_idx)
     }
 
+    /// The contexts of a site's visits `0..visits`: the `v`-th item is
+    /// [`SimContext::fork_visit`]`(domain, v)`. The seeds are derived
+    /// [`VisitForks::LANES`] visits at a time with `derive_seed_lanes`,
+    /// whose interleaved hash chains cost about one scalar derivation, so
+    /// each batch of visits walks the domain once instead of once each.
+    pub fn visit_forks<'a>(&self, domain: &'a str, visits: usize) -> VisitForks<'a> {
+        VisitForks {
+            seed: self.seed,
+            domain,
+            next: 0,
+            end: visits,
+            lanes: [0; VisitForks::LANES],
+        }
+    }
+
     /// Rebinds the context onto `clock` (e.g. a browser's), so subsequent
     /// time observations come from the shared instant.
     pub fn bind_clock(&mut self, clock: VirtualClock) {
         self.clock = clock;
     }
 }
+
+/// The visit contexts of [`SimContext::visit_forks`], in visit order.
+#[derive(Debug, Clone)]
+pub struct VisitForks<'a> {
+    seed: u64,
+    domain: &'a str,
+    next: usize,
+    end: usize,
+    /// The seeds of the batch holding `next`, filled on entering it.
+    lanes: [u64; VisitForks::LANES],
+}
+
+impl VisitForks<'_> {
+    /// Visits whose seeds one batch derives.
+    pub const LANES: usize = 8;
+}
+
+impl Iterator for VisitForks<'_> {
+    type Item = SimContext;
+
+    fn next(&mut self) -> Option<SimContext> {
+        if self.next >= self.end {
+            return None;
+        }
+        let lane = self.next % Self::LANES;
+        if lane == 0 {
+            self.lanes = derive_seed_lanes(self.seed, self.domain, self.next as u64);
+        }
+        self.next += 1;
+        Some(SimContext::new(self.lanes[lane]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for VisitForks<'_> {}
 
 #[cfg(test)]
 mod tests {

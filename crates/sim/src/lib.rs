@@ -11,7 +11,8 @@
 //!
 //! * [`SimContext`] — named, hierarchically derived RNG streams
 //!   (`ctx.stream("motion")`) plus fork points for parallel work
-//!   (`ctx.fork_visit(domain, visit)`), built on
+//!   (`ctx.fork_visit(domain, visit)`, or `ctx.visit_forks(domain,
+//!   visits)` for all of a site's visits at once), built on
 //!   `hlisa_stats::rngutil::derive_seed` so every stream is a pure
 //!   function of `(root seed, path of labels)` and never of scheduling.
 //! * [`VirtualClock`] — a shared, monotone simulated-millisecond clock.
@@ -45,7 +46,7 @@ pub mod streams;
 
 pub use batch::SliceDraws;
 pub use clock::VirtualClock;
-pub use context::SimContext;
+pub use context::{SimContext, VisitForks};
 pub use fault::{
     FaultEvent, FaultKind, FaultMonitor, FaultPlan, InjectedFault, LossKind, LossPlan,
     LossSchedule, LossTally, LossyObserver, WriteAheadObserver, WriteAheadTally,

@@ -13,6 +13,7 @@ use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
 use hlisa_sim::{InjectedFault, SimContext, VirtualClock};
 use hlisa_spoof::SpoofingExtension;
+use hlisa_stats::rngutil::derive_seed_lanes;
 use rand::Rng;
 use std::sync::OnceLock;
 
@@ -377,25 +378,18 @@ pub struct SiteProfile<'a> {
 
 impl<'a> SiteProfile<'a> {
     /// Hashes the site once and derives its timeline and every slot's
-    /// background code (one allocation).
+    /// background code into one exactly sized buffer (one allocation).
     pub fn new(site: &'a Site) -> Self {
         let content_hash = site_content_hash(site);
-        let slots = |label: &'static str, n: u8| {
-            (0..n).map(move |i| {
-                background_code(hlisa_stats::rngutil::derive_seed(
-                    content_hash,
-                    label,
-                    u64::from(i),
-                ))
-            })
-        };
+        let (first, third) = (site.first_party_requests, site.third_party_requests);
+        let mut background = Vec::with_capacity(usize::from(first) + usize::from(third));
+        push_background_codes(content_hash, "fp", first, &mut background);
+        push_background_codes(content_hash, "tp", third, &mut background);
         Self {
             site,
             content_hash,
             timeline: VisitTimeline::from_hash(content_hash),
-            background: slots("fp", site.first_party_requests)
-                .chain(slots("tp", site.third_party_requests))
-                .collect(),
+            background: background.into_boxed_slice(),
         }
     }
 
@@ -755,6 +749,25 @@ fn live_code<R: Rng + ?Sized>(background: u16, rng: &mut R) -> u16 {
     }
     background
 }
+
+/// Appends the background codes of slots `0..slots` under `label`, slot
+/// `i`'s being `background_code(derive_seed(content_hash, label, i))`,
+/// deriving [`BACKGROUND_LANES`] slots' seeds at a time. `codes` must
+/// have room for them: filling a reserved buffer, rather than zeroing one
+/// (a `calloc`, which bypasses the allocator's thread cache) or
+/// collecting an iterator (which reallocates as it grows), keeps the
+/// profile at one plain allocation.
+fn push_background_codes(content_hash: u64, label: &str, slots: u8, codes: &mut Vec<u16>) {
+    for first in (0..slots).step_by(BACKGROUND_LANES) {
+        let seeds: [u64; BACKGROUND_LANES] =
+            derive_seed_lanes(content_hash, label, u64::from(first));
+        let batch = usize::from(slots - first).min(BACKGROUND_LANES);
+        codes.extend(seeds[..batch].iter().map(|&h| background_code(h)));
+    }
+}
+
+/// Slots whose background seeds one `derive_seed_lanes` batch derives.
+const BACKGROUND_LANES: usize = 8;
 
 /// A slot's background status code from its derived seed `h`.
 fn background_code(h: u64) -> u16 {
@@ -1221,5 +1234,36 @@ mod tests {
             }
         }
         assert!(ok >= 40, "{ok}/50 successful");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The lane-batched background codes are the scalar derivation's,
+        /// slot by slot, for party sizes on and off the batch width.
+        #[test]
+        fn batched_background_codes_match_scalar_derivations(
+            rank in 1u32..100_000,
+            name in 0u32..1_000_000,
+            first in 0u8..=255,
+            third in 0u8..=255,
+        ) {
+            let site = Site {
+                rank,
+                domain: format!("site{name}.test"),
+                first_party_requests: first,
+                third_party_requests: third,
+                ..plain_site()
+            };
+            let profile = SiteProfile::new(&site);
+            let hash = site_content_hash(&site);
+            let scalar = |label, n: u8| {
+                (0..u64::from(n)).map(move |i| {
+                    background_code(hlisa_stats::rngutil::derive_seed(hash, label, i))
+                })
+            };
+            let want: Vec<u16> = scalar("fp", first).chain(scalar("tp", third)).collect();
+            proptest::prop_assert_eq!(&profile.background[..], &want[..]);
+        }
     }
 }

@@ -45,6 +45,7 @@ use hlisa_crawler::campaign::{
     self, run_machine_shard_summaries, CampaignConfig, MachineShard, Pipeline, SiteResult,
     SiteSource, MACHINES,
 };
+use hlisa_sim::metrics::{PlanSlots, METRIC_REGISTRY};
 use hlisa_web::{
     generate_population, sites_bytes, ClientKind, PopulationConfig, PopulationShards, ScenarioMix,
 };
@@ -247,11 +248,11 @@ pub fn run(mut config: BenchConfig) -> Report {
         baseline.shards, planned.shards,
         "planned campaign diverged from the unplanned run"
     );
-    let totals = planned.telemetry[0].plan;
-    report.fact("plan_actions", totals.actions as f64);
-    report.fact("plan_samples", totals.samples as f64);
-    report.fact("plan_keys", totals.keys as f64);
-    report.fact("plan_ticks", totals.ticks as f64);
+    let plan = &planned.telemetry[0].plan;
+    for metric in &METRIC_REGISTRY[PlanSlots::SLOTS] {
+        let value = plan.get(metric.name).unwrap_or(0);
+        report.fact(metric.name.replace('.', "_"), value as f64);
+    }
     report.sections.push(batch_plan);
     // `dynamic_pages`' round size, or the suite's population if smaller.
     let paired = paired_lazy(config.n_sites.min(1_600), cores, &summarise);

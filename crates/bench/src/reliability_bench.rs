@@ -18,7 +18,8 @@
 use crate::harness::{compare, Report, Section};
 use hlisa_crawler::campaign::CampaignConfig;
 use hlisa_crawler::reliability::{drift_report, run_captured_campaign, CaptureMode};
-use hlisa_sim::{LossKind, LossPlan, LossSchedule, LossTally, LossyObserver, Observer, SimContext};
+use hlisa_sim::metrics::{self, LossSlots};
+use hlisa_sim::{LossKind, LossPlan, LossSchedule, LossyObserver, Observer, SimContext};
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{
     emit_capture_events, generate_population, simulate_visit, CaptureEvent, CaptureRecorder,
@@ -87,7 +88,7 @@ type CapturedInput = (Vec<(f64, CaptureEvent)>, LossSchedule);
 
 /// A naive capture channel: one visit's events and schedule in, the
 /// recorded outcome and the channel's tallies out.
-type Channel = fn(&[(f64, CaptureEvent)], &LossSchedule) -> (VisitOutcome, LossTally);
+type Channel = fn(&[(f64, CaptureEvent)], &LossSchedule) -> (VisitOutcome, LossSlots);
 
 /// `visits` campaign visits over `cfg`'s population, cycling through its
 /// sites, ready for the capture channel.
@@ -113,18 +114,18 @@ fn capture_inputs(cfg: &CampaignConfig, visits: usize) -> Vec<CapturedInput> {
 fn scalar_channel(
     events: &[(f64, CaptureEvent)],
     schedule: &LossSchedule,
-) -> (VisitOutcome, LossTally) {
+) -> (VisitOutcome, LossSlots) {
     let mut recorder = CaptureRecorder::new();
-    let mut tally = LossTally::default();
+    let mut tally = LossSlots::default();
     for (i, (t, e)) in events.iter().enumerate() {
-        tally.offered += 1;
+        tally.add(metrics::LOSS_OFFERED, 1);
         let at = (t / DEFAULT_VISIT_DEADLINE_MS).clamp(0.0, 1.0);
         match schedule.blame(at, i as u64) {
             None => {
-                tally.delivered += 1;
+                tally.add(metrics::LOSS_DELIVERED, 1);
                 recorder.on_event(*t, e);
             }
-            Some(kind) => tally.dropped[LossKind::index(kind)] += 1,
+            Some(kind) => tally.add(metrics::LOSS_DROPPED_KIND + LossKind::index(kind), 1),
         }
     }
     (recorder.into_outcome(), tally)
@@ -134,13 +135,13 @@ fn scalar_channel(
 fn lane_channel(
     events: &[(f64, CaptureEvent)],
     schedule: &LossSchedule,
-) -> (VisitOutcome, LossTally) {
+) -> (VisitOutcome, LossSlots) {
     let mut lossy =
         LossyObserver::new(CaptureRecorder::new(), *schedule, DEFAULT_VISIT_DEADLINE_MS);
     for (t, e) in events {
         lossy.on_event(*t, e);
     }
-    let tally = lossy.tally();
+    let tally = *lossy.tally();
     (lossy.into_inner().into_outcome(), tally)
 }
 

@@ -340,31 +340,34 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Each kind's DOM event name, in declaration order.
+    pub const NAMES: [&'static str; 21] = [
+        "pointermove",
+        "pointerdown",
+        "pointerup",
+        "mousemove",
+        "mousedown",
+        "mouseup",
+        "click",
+        "contextmenu",
+        "auxclick",
+        "dblclick",
+        "wheel",
+        "scroll",
+        "keydown",
+        "keypress",
+        "keyup",
+        "focus",
+        "blur",
+        "visibilitychange",
+        "resize",
+        "touchstart",
+        "touchend",
+    ];
+
     /// DOM event name.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::PointerMove => "pointermove",
-            EventKind::PointerDown => "pointerdown",
-            EventKind::PointerUp => "pointerup",
-            EventKind::MouseMove => "mousemove",
-            EventKind::MouseDown => "mousedown",
-            EventKind::MouseUp => "mouseup",
-            EventKind::Click => "click",
-            EventKind::ContextMenu => "contextmenu",
-            EventKind::AuxClick => "auxclick",
-            EventKind::DblClick => "dblclick",
-            EventKind::Wheel => "wheel",
-            EventKind::Scroll => "scroll",
-            EventKind::KeyDown => "keydown",
-            EventKind::KeyPress => "keypress",
-            EventKind::KeyUp => "keyup",
-            EventKind::Focus => "focus",
-            EventKind::Blur => "blur",
-            EventKind::VisibilityChange => "visibilitychange",
-            EventKind::Resize => "resize",
-            EventKind::TouchStart => "touchstart",
-            EventKind::TouchEnd => "touchend",
-        }
+        Self::NAMES[*self as usize]
     }
 
     /// Appendix D category this event carries information about.
@@ -503,16 +506,13 @@ mod tests {
     #[test]
     fn kind_names_round_trip_into_catalog() {
         let names: HashSet<&str> = EVENT_CATALOG.iter().map(|e| e.name).collect();
-        for k in [
-            EventKind::MouseMove,
-            EventKind::DblClick,
-            EventKind::Wheel,
-            EventKind::KeyDown,
-            EventKind::VisibilityChange,
-            EventKind::TouchEnd,
-        ] {
-            assert!(names.contains(k.name()));
+        let kinds: HashSet<&str> = EventKind::NAMES.into_iter().collect();
+        assert_eq!(kinds.len(), EventKind::NAMES.len());
+        for name in EventKind::NAMES {
+            assert!(names.contains(name), "{name}");
         }
+        assert_eq!(EventKind::MouseMove.name(), "mousemove");
+        assert_eq!(EventKind::TouchEnd.name(), "touchend");
     }
 
     #[test]

@@ -54,20 +54,21 @@
 //! leaves every other stage's draws where they were: the plain pipeline
 //! equals the faulted one at fault rate 0 and the pristine-captured one.
 //!
-//! The stages' telemetry is kept as plain per-worker, per-machine tallies
-//! (the fault monitor's, the planner's, and one capture tally per mode)
+//! The stages' telemetry is kept in per-worker [`Tally`]s, one per machine
+//! (the fault and planner stages) plus one per machine and capture mode,
 //! and rendered into one [`MachineTelemetry`] per machine once per pass,
 //! so no visit builds or merges a [`CounterSet`].
 
 use crate::chaos::{ChaosConfig, SiteFaults, SiteRecovery};
 use crate::recovery::VisitRecovery;
-use crate::reliability::{captured_visit, CaptureMode, CaptureTally};
+use crate::reliability::{captured_visit, CaptureMode};
 use crate::scenario::{apply_scenario_drive_with, ScenarioScratch};
 use hlisa_human::{HumanParams, VisitPlanner};
-use hlisa_sim::{CounterSet, FaultMonitor, LossPlan, Observer, SimContext};
+use hlisa_sim::metrics::{FaultSlots, LossSlots, PlanSlots, RecorderSlots};
+use hlisa_sim::{CounterSet, LossPlan, SimContext, Tally};
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{
-    emit_capture_events_into, generate_population, plan_visit, CaptureEvent, ClientKind, PlanStats,
+    emit_capture_events_into, generate_population, plan_visit, CaptureEvent, ClientKind,
     PopulationConfig, PopulationShards, Site, SiteProfile, VisitOutcome, DEFAULT_SHARD_SIZE,
     DEFAULT_VISIT_DEADLINE_MS,
 };
@@ -98,7 +99,8 @@ pub struct CampaignConfig {
     /// its interaction chain off a batch [`VisitPlanner`] (one reusable
     /// arena per worker). The plan draws only from a `"plan"` fork of
     /// each visit context, so campaign outcomes are bit-identical with
-    /// the mode on or off; planning adds per-worker [`PlanStats`] totals.
+    /// the mode on or off; planning adds the `plan.*` counters of
+    /// [`MachineTelemetry::plan`].
     pub plan_interactions: bool,
 }
 
@@ -320,9 +322,9 @@ pub struct MachineTelemetry {
     /// sorted by name, in [`Pipeline::capture`] order; empty with capture
     /// off.
     pub captures: Vec<CounterSet>,
-    /// Summed planner totals; all zero unless
+    /// The planner stage's `plan.*` counters, sorted by name; empty unless
     /// [`CampaignConfig::plan_interactions`].
-    pub plan: PlanStats,
+    pub plan: CounterSet,
 }
 
 /// What one [`run`] produced.
@@ -556,11 +558,11 @@ fn drive<const N: usize, S: Send + Sync>(
         })
         .collect();
     let telemetry = std::array::from_fn(|slot| {
-        let mut totals = Tallies::new(modes);
+        let mut totals = vec![Tally::default(); 1 + modes];
         for worker in &workers {
-            totals.absorb(&worker.totals[slot]);
+            absorb(&mut totals, &worker.totals[slot]);
         }
-        totals.telemetry()
+        telemetry(&totals[0], &totals[1..])
     });
     let output = CrawlOutput {
         shards,
@@ -580,52 +582,36 @@ fn machine_context(config: &CampaignConfig, client: ClientKind) -> SimContext {
     SimContext::new(config.seed).fork(label, 0)
 }
 
-/// The telemetry the stages keep as plain tallies: the planner's totals,
-/// the fault stage's monitor, and one capture tally per capture mode
-/// (indexed like [`Pipeline::capture`]'s modes). Rendered into counter
-/// sets once per machine.
-#[derive(Debug, Clone, Default)]
-struct Tallies {
-    plan: PlanStats,
-    monitor: FaultMonitor,
-    captures: Vec<CaptureTally>,
+/// Adds each of `other`'s tallies to the matching one of `tallies`.
+fn absorb(tallies: &mut [Tally], other: &[Tally]) {
+    for (mine, theirs) in tallies.iter_mut().zip(other) {
+        mine.absorb(theirs);
+    }
 }
 
-impl Tallies {
-    fn new(modes: usize) -> Self {
-        Self {
-            captures: vec![CaptureTally::default(); modes],
-            ..Self::default()
-        }
-    }
-
-    fn absorb(&mut self, other: &Tallies) {
-        self.plan.absorb(other.plan);
-        self.monitor.absorb(&other.monitor);
-        for (mine, theirs) in self.captures.iter_mut().zip(&other.captures) {
-            mine.absorb(theirs);
-        }
-    }
-
-    /// The tallies rendered into sorted counter sets.
-    fn telemetry(&self) -> MachineTelemetry {
-        let captures = self.captures.iter().map(|capture| {
-            let mut set = CounterSet::new();
-            capture.render_into(&mut set);
-            set.sorted()
-        });
-        MachineTelemetry {
-            faults: self.monitor.counters().sorted(),
-            captures: captures.collect(),
-            plan: self.plan,
-        }
+/// A machine's own tally and its capture modes' tallies rendered into
+/// sorted counter sets.
+fn telemetry(machine: &Tally, modes: &[Tally]) -> MachineTelemetry {
+    let render = |tally: &Tally, slots| {
+        let mut set = CounterSet::new();
+        tally.render_into(slots, &mut set);
+        set.sorted()
+    };
+    let captures = modes
+        .iter()
+        .map(|mode| render(mode, LossSlots::SLOTS.start..RecorderSlots::SLOTS.end));
+    MachineTelemetry {
+        faults: render(machine, FaultSlots::SLOTS),
+        captures: captures.collect(),
+        plan: render(machine, PlanSlots::SLOTS),
     }
 }
 
 /// Worker-local visit state: the scenario drive's retained scratch, the
 /// planner (planner mode only), the capture stage's event buffer, and
-/// each machine's tallies — the current shard's, and the totals of the
-/// shards the worker completed. One serves every machine for the worker's
+/// each machine's tallies — the machine's own, then one per capture
+/// mode — of the current shard, and their totals over the shards the
+/// worker completed. One serves every machine for the worker's
 /// whole shard stream, so every scratch buffer reaches its high-water
 /// capacity once and a site's scenario page, built for the first machine,
 /// is still cached when the next one drives it. Nothing in it can
@@ -639,8 +625,8 @@ struct VisitWorker {
     scenario: Box<ScenarioScratch>,
     planner: Option<Box<(HumanParams, VisitPlanner)>>,
     events: Vec<(f64, CaptureEvent)>,
-    shard: Vec<Tallies>,
-    totals: Vec<Tallies>,
+    shard: Vec<Vec<Tally>>,
+    totals: Vec<Vec<Tally>>,
 }
 
 impl VisitWorker {
@@ -650,8 +636,8 @@ impl VisitWorker {
             planner: plan_interactions
                 .then(|| Box::new((HumanParams::paper_baseline(), VisitPlanner::new()))),
             events: Vec::new(),
-            shard: vec![Tallies::new(modes); machines],
-            totals: vec![Tallies::new(modes); machines],
+            shard: vec![vec![Tally::default(); 1 + modes]; machines],
+            totals: vec![vec![Tally::default(); 1 + modes]; machines],
         }
     }
 
@@ -659,8 +645,8 @@ impl VisitWorker {
     /// worker's totals.
     fn commit_shard(&mut self) {
         for (totals, shard) in self.totals.iter_mut().zip(&mut self.shard) {
-            let modes = shard.captures.len();
-            totals.absorb(&std::mem::replace(shard, Tallies::new(modes)));
+            absorb(totals, shard);
+            shard.fill(Tally::default());
         }
     }
 
@@ -713,10 +699,8 @@ impl Machine<'_> {
                 }
                 Some(faults) => {
                     let seed = ctx.seed();
-                    let (record, mut settled) = faults.attempt(
-                        &mut ctx,
-                        &mut worker.shard[self.slot].monitor,
-                        |injected, deadline_ms| {
+                    let (record, mut settled) =
+                        faults.attempt(&mut ctx, |injected, deadline_ms| {
                             // Each attempt re-forks the visit: a fresh
                             // context of the visit's seed.
                             let mut attempt_ctx = SimContext::new(seed);
@@ -728,8 +712,7 @@ impl Machine<'_> {
                                 deadline_ms,
                             );
                             (result, attempt_ctx)
-                        },
-                    );
+                        });
                     let settled = settled.as_mut();
                     let outcome = record.outcome;
                     self.after_attempt(&profile, outcome, &mut ctx, settled, worker, &mut outcomes);
@@ -742,7 +725,8 @@ impl Machine<'_> {
                 }
             }
         }
-        crawl.push(site, outcomes, faults.map(|f| f.into_recovery(site)));
+        let tally = &mut worker.shard[self.slot][0];
+        crawl.push(site, outcomes, faults.map(|f| f.into_recovery(site, tally)));
     }
 
     /// Stages 3–5 on the settled attempt's `outcome` of the profiled
@@ -781,8 +765,8 @@ impl Machine<'_> {
         // 4. Planner.
         if let Some(planner) = &mut worker.planner {
             let (params, planner) = &mut **planner;
-            let stats = plan_visit(profile, &outcome, visit_ctx, params, planner);
-            worker.shard[self.slot].plan.absorb(stats);
+            let tally = &mut worker.shard[self.slot][0];
+            plan_visit(profile, &outcome, visit_ctx, params, planner, tally);
         }
         // 5. Capture, continuing the visit's "fault" stream: one schedule
         // and one event stream feed every mode's observers.
@@ -799,7 +783,7 @@ impl Machine<'_> {
             events,
         );
         let http = (outcome.first_party.len(), outcome.third_party.len());
-        let tallies = &mut worker.shard[self.slot].captures;
+        let tallies = &mut worker.shard[self.slot][1..];
         for ((outcomes, &mode), tally) in outcomes.iter_mut().zip(modes).zip(tallies) {
             outcomes.push(captured_visit(events, http, schedule, mode, tally));
         }
@@ -952,8 +936,10 @@ mod tests {
                 baseline,
                 "{client:?}: planning changed outcomes"
             );
-            assert!(totals.actions > 0, "{client:?}: planner saw no visits");
-            assert!(totals.samples > totals.actions, "{client:?}: empty plans");
+            let actions = totals.get("plan.actions").unwrap_or(0);
+            assert!(actions > 0, "{client:?}: planner saw no visits");
+            let samples = totals.get("plan.samples").unwrap_or(0);
+            assert!(samples > actions, "{client:?}: empty plans");
             // Totals are sums over visits: any partition of the shard
             // stream over workers lands on the same numbers.
             for instances in [1usize, 3, 8] {
@@ -1248,8 +1234,9 @@ mod tests {
         /// pass gives each machine exactly its one-machine output for
         /// every pipeline — plain, 10% faults, all capture modes at 30%
         /// loss, and both stages at once, which no public two-client
-        /// runner exposes — over a slice or lazy source of any shard size
-        /// and any worker count.
+        /// runner exposes, with or without the planner — over a slice or
+        /// lazy source of any shard size and any worker count. Every
+        /// counter name the engine renders is registered.
         #[test]
         fn a_paired_pass_equals_each_machines_own_pass(
             seed in 0u64..1_000_000,
@@ -1257,6 +1244,7 @@ mod tests {
             shard_size in 1usize..16,
             lazy in 0usize..2,
             stages in 0usize..4,
+            planned in 0usize..2,
         ) {
             let config = CampaignConfig {
                 seed,
@@ -1272,6 +1260,7 @@ mod tests {
                 },
                 visits_per_site: 3,
                 instances,
+                plan_interactions: planned == 1,
                 ..small_config()
             };
             let chaos = ChaosConfig::uniform(0.1);
@@ -1294,6 +1283,11 @@ mod tests {
             let pass = paired(&config, &source, MACHINES, &pipeline);
             for (out, client) in pass.iter().zip(MACHINES) {
                 proptest::prop_assert_eq!(out, &single(&config, &source, client, &pipeline));
+                let t = &out.1;
+                let sets = [&t.faults, &t.plan].into_iter().chain(&t.captures);
+                for (name, _) in sets.flat_map(CounterSet::entries) {
+                    proptest::prop_assert!(hlisa_sim::metric_info(name).is_some(), "{}", name);
+                }
             }
         }
     }

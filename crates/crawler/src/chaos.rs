@@ -31,7 +31,7 @@ use crate::campaign::{
     crawl_both, Campaign, CampaignConfig, MachineShard, MachineTelemetry, Pipeline,
 };
 use crate::recovery::{BreakerConfig, CircuitBreaker, RetryPolicy, VisitRecovery};
-use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, InjectedFault, SimContext};
+use hlisa_sim::{FaultEvent, FaultMonitor, FaultPlan, InjectedFault, SimContext, Tally};
 use hlisa_web::{generate_population, ClientKind, Site, VisitError, VisitOutcome};
 
 /// Fault-plane and recovery configuration for a chaos campaign.
@@ -150,14 +150,16 @@ pub fn run_chaos_campaign(config: &CampaignConfig, chaos: &ChaosConfig) -> Chaos
 }
 
 /// The fault stage's state for one site and machine: the plane's outage
-/// verdict, the breaker and the visits' recovery records. A site is wholly
-/// owned by one worker and each machine has its own state, so the breaker
-/// needs no synchronisation and trips deterministically.
+/// verdict, the breaker, the visits' recovery records and the monitor of
+/// their fault events. A site is wholly owned by one worker and each
+/// machine has its own state, so the breaker needs no synchronisation and
+/// trips deterministically.
 pub(crate) struct SiteFaults<'a> {
     chaos: &'a ChaosConfig,
     site_down: bool,
     breaker: CircuitBreaker,
     visits: Vec<VisitRecovery>,
+    monitor: FaultMonitor,
 }
 
 impl<'a> SiteFaults<'a> {
@@ -172,6 +174,7 @@ impl<'a> SiteFaults<'a> {
             site_down: chaos.plan.site_is_down(campaign_seed, &site.domain),
             breaker: CircuitBreaker::new(chaos.breaker.clone()),
             visits: Vec::with_capacity(visits),
+            monitor: FaultMonitor::new(),
         }
     }
 
@@ -188,7 +191,6 @@ impl<'a> SiteFaults<'a> {
     pub(crate) fn attempt(
         &mut self,
         ctx: &mut SimContext,
-        monitor: &mut FaultMonitor,
         mut try_visit: impl FnMut(
             Option<InjectedFault>,
             f64,
@@ -199,7 +201,7 @@ impl<'a> SiteFaults<'a> {
         let mut backoff_ms = 0.0;
         let mut attempts: u32 = 0;
         let (outcome, settled) = if self.breaker.is_open() {
-            monitor.record(&FaultEvent::BreakerSkippedVisit);
+            self.monitor.record(&FaultEvent::BreakerSkippedVisit);
             (
                 VisitError::Unreachable { site_down: true }.to_outcome(),
                 None,
@@ -217,7 +219,8 @@ impl<'a> SiteFaults<'a> {
                     Ok(outcome) => {
                         self.breaker.record_success();
                         if attempts > 1 {
-                            monitor.record(&FaultEvent::RecoveredAfterRetry { attempts });
+                            self.monitor
+                                .record(&FaultEvent::RecoveredAfterRetry { attempts });
                         }
                         break (outcome, Some(attempt_ctx));
                     }
@@ -230,18 +233,18 @@ impl<'a> SiteFaults<'a> {
                 // as-is, exactly like the plain (non-retrying) crawler.
                 let was_injected = injected.map(|f| f.kind()) == Some(kind);
                 if was_injected {
-                    monitor.record(&FaultEvent::Injected { kind });
+                    self.monitor.record(&FaultEvent::Injected { kind });
                     faults.push(kind);
                 }
                 if e.is_permanent() {
                     if self.breaker.record_permanent_fault() {
-                        monitor.record(&FaultEvent::BreakerTripped);
+                        self.monitor.record(&FaultEvent::BreakerTripped);
                     }
                     break (e.to_outcome(), Some(attempt_ctx));
                 }
                 if was_injected && attempts < chaos.retry.max_attempts() {
                     let backoff = chaos.retry.backoff_ms(attempts - 1, ctx.stream("fault"));
-                    monitor.record(&FaultEvent::RetryScheduled {
+                    self.monitor.record(&FaultEvent::RetryScheduled {
                         attempt: attempts - 1,
                         backoff_ms: backoff,
                     });
@@ -249,7 +252,7 @@ impl<'a> SiteFaults<'a> {
                     continue;
                 }
                 if attempts > 1 {
-                    monitor.record(&FaultEvent::GaveUp { attempts });
+                    self.monitor.record(&FaultEvent::GaveUp { attempts });
                 }
                 // Non-permanent failures never feed the breaker; but a
                 // completed (if failed) contact still resets its
@@ -274,8 +277,10 @@ impl<'a> SiteFaults<'a> {
         self.visits.push(visit);
     }
 
-    /// The site's recovery telemetry once all its visits ran.
-    pub(crate) fn into_recovery(self, site: &Site) -> SiteRecovery {
+    /// The site's recovery telemetry once all its visits ran; its fault
+    /// events' counts are added to `tally`.
+    pub(crate) fn into_recovery(self, site: &Site, tally: &mut Tally) -> SiteRecovery {
+        tally.absorb(self.monitor.tally());
         SiteRecovery {
             domain: site.domain.clone(),
             visits: self.visits,

@@ -37,12 +37,12 @@ use crate::campaign::{
     crawl_both, Campaign, CampaignConfig, MachineRun, Pipeline, SiteResult, MACHINES,
 };
 use crate::screenshot::{screenshot_table, Table2};
+use hlisa_sim::metrics::{RecorderSlots, METRIC_REGISTRY};
 use hlisa_sim::{
-    CounterSet, LossPlan, LossSchedule, LossTally, LossyObserver, Observer, WriteAheadObserver,
-    WriteAheadTally,
+    CounterSet, LossPlan, LossSchedule, LossyObserver, Observer, Tally, WriteAheadObserver,
 };
 use hlisa_web::{
-    generate_population, CaptureEvent, CaptureRecorder, RecorderTally, Site, VisitOutcome,
+    generate_population, CaptureEvent, CaptureRecorder, Site, VisitOutcome,
     DEFAULT_VISIT_DEADLINE_MS,
 };
 
@@ -95,32 +95,8 @@ pub struct CapturedCampaign {
     pub analytics: CounterSet,
 }
 
-/// One capture mode's counters as plain tallies, summed over visits and
-/// rendered into a [`CounterSet`] once per machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct CaptureTally {
-    recorder: RecorderTally,
-    loss: LossTally,
-    write_ahead: WriteAheadTally,
-}
-
-impl CaptureTally {
-    pub(crate) fn absorb(&mut self, other: &CaptureTally) {
-        self.recorder.absorb(&other.recorder);
-        self.loss.absorb(&other.loss);
-        self.write_ahead.absorb(&other.write_ahead);
-    }
-
-    /// The same counters the mode's observers report, summed.
-    pub(crate) fn render_into(&self, counters: &mut CounterSet) {
-        self.recorder.render_into(counters);
-        self.loss.render_into(counters);
-        self.write_ahead.render_into(counters);
-    }
-}
-
 /// One visit's trip through one mode's capture pipeline: the visit's
-/// emitted `events` in, the recorded outcome out, the observers' tallies
+/// emitted `events` in, the recorded outcome out, the observers' counts
 /// added to `tally`. Draw-free: the mode's loss `schedule` was drawn
 /// once for every mode of the visit. `http` is the ground truth's
 /// `(first-party, third-party)` status counts, the most a record holds.
@@ -129,7 +105,7 @@ pub(crate) fn captured_visit(
     http: (usize, usize),
     schedule: LossSchedule,
     mode: CaptureMode,
-    tally: &mut CaptureTally,
+    tally: &mut Tally,
 ) -> VisitOutcome {
     let new_recorder = || CaptureRecorder::with_capacity(http.0, http.1);
     let recorder = match mode {
@@ -145,7 +121,7 @@ pub(crate) fn captured_visit(
             for (t, e) in events {
                 lossy.on_event(*t, e);
             }
-            tally.loss.absorb(&lossy.tally());
+            tally.absorb(lossy.tally());
             lossy.into_inner()
         }
         CaptureMode::Strengthened => {
@@ -168,11 +144,11 @@ pub(crate) fn captured_visit(
             for (t, e) in &events[split..] {
                 wal.on_event(*t, e);
             }
-            tally.write_ahead.absorb(&wal.tally());
+            tally.absorb(wal.tally());
             wal.into_inner()
         }
     };
-    tally.recorder.absorb(&recorder.tally());
+    tally.absorb(recorder.tally());
     recorder.into_outcome()
 }
 
@@ -344,9 +320,10 @@ fn drift_from(
 
     // Recorder analytics present under pristine capture are comparable
     // across modes (loss.* / capture.* telemetry is mode-specific and
-    // excluded by the prefix filter).
+    // left out).
+    let recorder = &METRIC_REGISTRY[RecorderSlots::SLOTS];
     for (name, p) in pristine.analytics.entries() {
-        if !name.starts_with("recorder.") {
+        if !recorder.iter().any(|m| m.name == name) {
             continue;
         }
         let o = observed.analytics.get(name).unwrap_or(0);

@@ -10,7 +10,8 @@
 //! outside the sim layer — the exact hazards *Analysing and
 //! strengthening OpenWPM's reliability* shows corrupt web measurements.
 //! The same walk checks stream provenance (`stream-name-registry`,
-//! `conditional-draw`, `loop-variant-fork`, `stale-allow`), and
+//! `conditional-draw`, `loop-variant-fork`, `stale-allow`) and counter
+//! names (`metric-name-registry`), and
 //! [`ledger`] derives the committed `LINT_LEDGER.json` mapping every
 //! draw/fork site to its `(crate, fn, stream)`.
 //!

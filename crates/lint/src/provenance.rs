@@ -18,6 +18,10 @@
 //!   name must be a string literal (a computed name defeats the
 //!   closed-set audit). Runs in test code too: a typo'd stream in a test
 //!   mints an unreviewed derivation path just as silently.
+//!   `metric-name-registry` does the same for counter name literals
+//!   ([`hlisa_sim::METRIC_REGISTRY`]) passed to `.add(name, n)` outside
+//!   tests, and to `.get(name)` anywhere under a registered family: a
+//!   typo'd `get` returns `None` and makes an assertion vacuous.
 //! * **Stream rules** — `conditional-draw` (a draw from stream X inside a
 //!   branch whose condition consumed a *different* stream Y: Y's draw
 //!   count now gates X's sequence, re-entangling what PR 1 decoupled) and
@@ -43,6 +47,7 @@ use crate::ast::{
 };
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::parse::{parse_file, AllowDirective, ParsedFile, Tok, Token};
+use hlisa_sim::MetricInfo;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A parsed file plus the indexes the passes share. Parse once, run any
@@ -113,6 +118,18 @@ pub enum SiteKind {
     /// `ctx.fork_visit(domain, visit)`, or its batched form
     /// `ctx.visit_forks(domain, visits)`, which derives the same children.
     ForkVisit,
+}
+
+/// The text of a string-literal expression.
+fn str_lit(e: &Expr) -> Option<&str> {
+    match e {
+        Expr::Lit(Lit {
+            kind: LitKind::Str,
+            text,
+            ..
+        }) => Some(text),
+        _ => None,
+    }
 }
 
 /// The ledger kind of a fork method named `name`, if it is one.
@@ -346,6 +363,31 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// Fires `metric-name-registry` when a counter name literal is not
+    /// registered: any unregistered name when `strict` (an `add` outside
+    /// tests), else only one whose family (the part before its first
+    /// `.`) is a registered counter's (a `get`). `events.<kind>` names
+    /// are registered for every kind the browser dispatches.
+    fn check_metric(&mut self, text: &str, line: usize, strict: bool) {
+        let kind = text.strip_prefix("events.").unwrap_or_default();
+        let family = text.split_once('.').map(|(family, _)| family);
+        let in_family = |m: &MetricInfo| m.name.split_once('.').map(|(f, _)| f) == family;
+        if hlisa_sim::metric_info(text).is_some()
+            || hlisa_browser::EventKind::NAMES.contains(&kind)
+            || !(strict || hlisa_sim::METRIC_REGISTRY.iter().any(in_family))
+        {
+            return;
+        }
+        self.fire(
+            "metric-name-registry",
+            line,
+            format!(
+                "counter name \"{text}\" is not in hlisa-sim's METRIC_REGISTRY; \
+                 register it (crates/sim/src/metrics.rs) or fix the typo"
+            ),
+        );
+    }
+
     /// Fires `conditional-draw` when a use of `stream` sits under a
     /// condition that consumed a different stream.
     fn check_governed(&mut self, stream: &str, line: usize, in_test: bool) {
@@ -390,13 +432,8 @@ impl<'a> Analyzer<'a> {
                 recv, name, args, ..
             } => {
                 if name == "stream" && args.len() == 1 {
-                    if let Expr::Lit(Lit {
-                        kind: LitKind::Str,
-                        text,
-                        ..
-                    }) = &args[0]
-                    {
-                        out.insert(text.clone());
+                    if let Some(text) = str_lit(&args[0]) {
+                        out.insert(text.to_string());
                     }
                 }
                 self.streams_used_into(recv, out);
@@ -491,14 +528,7 @@ impl<'a> Analyzer<'a> {
     fn stream_handle_of(&self, e: &Expr) -> Option<String> {
         match e {
             Expr::MethodCall { name, args, .. } if name == "stream" && args.len() == 1 => {
-                match &args[0] {
-                    Expr::Lit(Lit {
-                        kind: LitKind::Str,
-                        text,
-                        ..
-                    }) => Some(text.clone()),
-                    _ => None,
-                }
+                str_lit(&args[0]).map(str::to_string)
             }
             Expr::Unary { expr, .. } => self.stream_handle_of(expr),
             Expr::Tuple {
@@ -876,23 +906,19 @@ impl<'a> Analyzer<'a> {
             }
         }
         if name == "stream" && args.len() == 1 {
-            match &args[0] {
-                Expr::Lit(Lit {
-                    kind: LitKind::Str,
-                    text,
-                    ..
-                }) => {
+            match str_lit(&args[0]) {
+                Some(text) => {
                     self.sites.push(StreamSite {
                         function: self.function_label(),
                         kind: SiteKind::Stream,
-                        stream: text.clone(),
+                        stream: text.to_string(),
                         in_test,
                         line,
                     });
                     self.check_registered(text, line);
                     self.check_governed(text, line, in_test);
                 }
-                _ => self.fire(
+                None => self.fire(
                     "stream-name-registry",
                     line,
                     "stream name must be a string literal from STREAM_REGISTRY; \
@@ -901,18 +927,21 @@ impl<'a> Analyzer<'a> {
                 ),
             }
         }
+        // `.add("name", n)` outside tests, `.get("name")` anywhere.
+        let counter = match (name, args) {
+            ("add", [counter, _]) if !in_test => str_lit(counter),
+            ("get", [counter]) => str_lit(counter),
+            _ => None,
+        };
+        if let Some(text) = counter {
+            self.check_metric(text, line, name == "add");
+        }
         if let Some(kind) = fork_kind(name) {
             let label = args
                 .iter()
-                .find_map(|a| match a {
-                    Expr::Lit(Lit {
-                        kind: LitKind::Str,
-                        text,
-                        ..
-                    }) => Some(text.clone()),
-                    _ => None,
-                })
-                .unwrap_or_else(|| "<dynamic>".to_string());
+                .find_map(str_lit)
+                .unwrap_or("<dynamic>")
+                .to_string();
             self.sites.push(StreamSite {
                 function: self.function_label(),
                 kind,
@@ -976,10 +1005,15 @@ impl<'a> Analyzer<'a> {
             let dotted_call = i > 0
                 && toks[i - 1].is_punct(".")
                 && toks.get(i + 1).is_some_and(|t| t.is_punct("("));
+            // The call's first argument, when it is a string literal.
+            let str_arg = toks
+                .get(i + 2)
+                .and_then(|t| t.str_text())
+                .filter(|_| dotted_call);
 
             // Registry + sites: live everywhere, including tests.
-            if name == "stream" && dotted_call {
-                if let Some(text) = toks.get(i + 2).and_then(|t| t.str_text()) {
+            if name == "stream" {
+                if let Some(text) = str_arg {
                     self.sites.push(StreamSite {
                         function: self.function_label(),
                         kind: SiteKind::Stream,
@@ -990,11 +1024,19 @@ impl<'a> Analyzer<'a> {
                     self.check_registered(text, line);
                 }
             }
+            // `.add("name", ...)` outside tests, `.get("name")` anywhere.
+            let end = match name {
+                "add" if !t_in_test => ",",
+                "get" => ")",
+                _ => "",
+            };
+            if let Some(text) = str_arg.filter(|_| !end.is_empty()) {
+                if toks.get(i + 3).is_some_and(|t| t.is_punct(end)) {
+                    self.check_metric(text, line, name == "add");
+                }
+            }
             if let Some(kind) = fork_kind(name).filter(|_| dotted_call) {
-                let label = toks
-                    .get(i + 2)
-                    .and_then(|t| t.str_text())
-                    .unwrap_or("<dynamic>");
+                let label = str_arg.unwrap_or("<dynamic>");
                 self.sites.push(StreamSite {
                     function: self.function_label(),
                     kind,
@@ -1289,6 +1331,28 @@ mod tests {
         let in_macro = "proptest! {\n #[test]\n fn t(s in any::<u64>()) { \
                         let mut c = SimContext::new(s); c.stream(\"bogus\"); }\n}";
         assert_eq!(rule_ids(in_macro), ["stream-name-registry"]);
+    }
+
+    #[test]
+    fn counter_names_are_checked_against_the_metric_registry() {
+        // Registered names, per-kind event names, and names outside every
+        // registered family pass.
+        let ok = "fn f(c: &mut CounterSet) {\n c.add(\"loss.offered\", 1);\n \
+                  c.add(\"events.click\", 1);\n c.get(\"x\");\n c.get(\"chaos.example\");\n}";
+        assert!(rule_ids(ok).is_empty());
+        for name in ["loss.ofered", "made.up", "events.clack"] {
+            let add = format!("fn f(c: &mut CounterSet) {{ c.add(\"{name}\", 1); }}");
+            assert_eq!(rule_ids(&add), ["metric-name-registry"], "{name}");
+        }
+        // Tests may add any name, but a typo'd get under a registered
+        // family fires, in macro bodies too.
+        let in_test = "#[cfg(test)]\nmod tests {\n fn t(c: &mut CounterSet) {\n  \
+                       c.add(\"made.up\", 1);\n  assert_eq!(c.get(\"fault.injectd\"), None);\n \
+                       c.get(\"events.clack\");\n }\n}";
+        assert_eq!(
+            rules_of(in_test),
+            [("metric-name-registry", 5), ("metric-name-registry", 6)]
+        );
     }
 
     #[test]

@@ -89,6 +89,16 @@ pub const CATALOG: &[RuleInfo] = &[
                     discussion: replayable randomness needs stable labels",
     },
     RuleInfo {
+        id: "metric-name-registry",
+        kind: AnalyzerKind::Provenance,
+        summary: "a counter name literal missing from hlisa_sim::METRIC_REGISTRY: \
+                  passed to CounterSet::add outside tests, or to CounterSet::get \
+                  anywhere under a registered family — a misspelled get returns \
+                  None, so an assertion expecting None checks nothing",
+        paper_ref: "OpenWPM-reliability (PAPERS.md): crawl data goes wrong \
+                    silently; a tool must report on itself under stable names",
+    },
+    RuleInfo {
         id: "conditional-draw",
         kind: AnalyzerKind::Provenance,
         summary: "a draw from one stream sits under a branch decided by a \

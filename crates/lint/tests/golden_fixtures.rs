@@ -49,6 +49,7 @@ fn every_source_rule_has_a_failing_fixture() {
 fn every_provenance_rule_has_a_failing_fixture() {
     let cases = [
         ("stream_registry.rs", "stream-name-registry"),
+        ("metric_registry.rs", "metric-name-registry"),
         ("conditional_draw.rs", "conditional-draw"),
         ("loop_variant_fork.rs", "loop-variant-fork"),
         ("loop_variant_visit_forks.rs", "loop-variant-fork"),

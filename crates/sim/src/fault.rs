@@ -32,6 +32,7 @@
 //! a late or lossy channel recovers the full stream. As with the fault
 //! plan, a no-op loss plan consumes **zero** RNG draws.
 
+use crate::metrics::{self, CaptureSlots, FaultSlots, LossSlots};
 use crate::observer::{CounterSet, Observer};
 use hlisa_stats::rngutil::{derive_seed, derive_seed_lanes};
 use rand::Rng;
@@ -64,17 +65,6 @@ impl FaultKind {
         FaultKind::TransientNetwork,
         FaultKind::PermanentUnreachable,
     ];
-
-    /// Stable snake_case name, used in counter names and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::PageLoadTimeout => "page_load_timeout",
-            FaultKind::MidVisitStall => "mid_visit_stall",
-            FaultKind::RealmCrash => "realm_crash",
-            FaultKind::TransientNetwork => "transient_network",
-            FaultKind::PermanentUnreachable => "permanent_unreachable",
-        }
-    }
 
     /// Position in [`FaultKind::ALL`]: the kind's tally slot.
     pub fn index(self) -> usize {
@@ -442,50 +432,6 @@ impl LossSchedule {
     }
 }
 
-/// The `loss.*` counter family as plain tallies: what one or more lossy
-/// channels were offered, delivered and dropped per [`LossKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LossTally {
-    /// Events offered to the channel.
-    pub offered: u64,
-    /// Events the channel delivered.
-    pub delivered: u64,
-    /// Events dropped, one slot per [`LossKind::ALL`] entry.
-    pub dropped: [u64; LossKind::ALL.len()],
-}
-
-impl LossTally {
-    /// Adds `other`'s tallies to these.
-    pub fn absorb(&mut self, other: &LossTally) {
-        self.offered += other.offered;
-        self.delivered += other.delivered;
-        for (mine, theirs) in self.dropped.iter_mut().zip(other.dropped) {
-            *mine += theirs;
-        }
-    }
-
-    /// Renders the family into `counters`, skipping zero tallies: the one
-    /// rendering of `loss.*`, shared by [`LossyObserver`]'s
-    /// [`Observer::counters`] and callers that sum tallies first.
-    pub fn render_into(&self, counters: &mut CounterSet) {
-        let dropped: u64 = self.dropped.iter().sum();
-        for (name, n) in [
-            ("loss.offered", self.offered),
-            ("loss.delivered", self.delivered),
-            ("loss.dropped", dropped),
-        ] {
-            if n > 0 {
-                counters.add(name, n);
-            }
-        }
-        for (kind, n) in LossKind::ALL.iter().zip(self.dropped) {
-            if n > 0 {
-                counters.add(&format!("loss.dropped.{}", kind.name()), n);
-            }
-        }
-    }
-}
-
 /// Event indices per partial-capture lane refill.
 const PARTIAL_LANES: usize = 8;
 
@@ -509,7 +455,7 @@ pub struct LossyObserver<O> {
     inner: O,
     schedule: LossSchedule,
     span_ms: f64,
-    tally: LossTally,
+    tally: LossSlots,
     // `(first index, mask)`: bit `j` set when index `first + j` is lost
     // to partial capture.
     lanes: Option<(u64, u8)>,
@@ -524,7 +470,7 @@ impl<O> LossyObserver<O> {
             inner,
             schedule,
             span_ms,
-            tally: LossTally::default(),
+            tally: LossSlots::default(),
             lanes: None,
         }
     }
@@ -539,9 +485,9 @@ impl<O> LossyObserver<O> {
         self.inner
     }
 
-    /// The channel's `loss.*` tallies so far.
-    pub fn tally(&self) -> LossTally {
-        self.tally
+    /// The channel's `loss.*` counts so far.
+    pub fn tally(&self) -> &LossSlots {
+        &self.tally
     }
 
     /// [`LossSchedule::blame`] for the event at `at_fraction` with
@@ -592,8 +538,8 @@ impl<O: std::fmt::Debug> std::fmt::Debug for LossyObserver<O> {
 
 impl<E, O: Observer<E>> Observer<E> for LossyObserver<O> {
     fn on_event(&mut self, t_ms: f64, event: &E) {
-        let index = self.tally.offered;
-        self.tally.offered += 1;
+        let index = self.tally.value(metrics::LOSS_OFFERED);
+        self.tally.add(metrics::LOSS_OFFERED, 1);
         let at_fraction = if self.span_ms > 0.0 {
             (t_ms / self.span_ms).clamp(0.0, 1.0)
         } else {
@@ -601,16 +547,16 @@ impl<E, O: Observer<E>> Observer<E> for LossyObserver<O> {
         };
         match self.blame(at_fraction, index) {
             None => {
-                self.tally.delivered += 1;
+                self.tally.add(metrics::LOSS_DELIVERED, 1);
                 self.inner.on_event(t_ms, event);
             }
-            Some(kind) => self.tally.dropped[kind.index()] += 1,
+            Some(kind) => self.tally.add(metrics::LOSS_DROPPED_KIND + kind.index(), 1),
         }
     }
 
     fn counters(&self) -> CounterSet {
         let mut c = self.inner.counters();
-        self.tally.render_into(&mut c);
+        self.tally.render_into(LossSlots::SLOTS, &mut c);
         c
     }
 }
@@ -630,47 +576,9 @@ pub struct WriteAheadObserver<E, O> {
     inner: O,
     buffer: Vec<(f64, E)>,
     attached: bool,
-    // Plain tallies, materialized as `capture.*` counters on demand:
-    // this observer sits on the per-event hot path of every strengthened
-    // visit, where a name-keyed `CounterSet::add` per event is the
-    // difference between negligible and double-digit-percent overhead.
-    tally: WriteAheadTally,
-}
-
-/// The `capture.*` counter family as plain tallies: events a write-ahead
-/// channel passed straight through, buffered before attach, and replayed
-/// at attach.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteAheadTally {
-    /// Events delivered straight through after attach.
-    pub direct: u64,
-    /// Events buffered before attach.
-    pub buffered: u64,
-    /// Buffered events replayed at attach.
-    pub replayed: u64,
-}
-
-impl WriteAheadTally {
-    /// Adds `other`'s tallies to these.
-    pub fn absorb(&mut self, other: &WriteAheadTally) {
-        self.direct += other.direct;
-        self.buffered += other.buffered;
-        self.replayed += other.replayed;
-    }
-
-    /// Renders the family into `counters`, skipping zero tallies: the one
-    /// rendering of `capture.*` (see [`LossTally::render_into`]).
-    pub fn render_into(&self, counters: &mut CounterSet) {
-        for (name, n) in [
-            ("capture.direct", self.direct),
-            ("capture.buffered", self.buffered),
-            ("capture.replayed", self.replayed),
-        ] {
-            if n > 0 {
-                counters.add(name, n);
-            }
-        }
-    }
+    // Slot counts, named only on `counters()`: a name-keyed add per
+    // event of every strengthened visit costs double-digit percent.
+    tally: CaptureSlots,
 }
 
 impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
@@ -681,13 +589,13 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
             inner,
             buffer: Vec::new(),
             attached: false,
-            tally: WriteAheadTally::default(),
+            tally: CaptureSlots::default(),
         }
     }
 
-    /// The channel's `capture.*` tallies so far.
-    pub fn tally(&self) -> WriteAheadTally {
-        self.tally
+    /// The channel's `capture.*` counts so far.
+    pub fn tally(&self) -> &CaptureSlots {
+        &self.tally
     }
 
     /// Whether the inner observer is attached and receiving directly.
@@ -708,7 +616,8 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
             return;
         }
         self.attached = true;
-        self.tally.replayed += self.buffer.len() as u64;
+        self.tally
+            .add(metrics::CAPTURE_REPLAYED, self.buffer.len() as u64);
         for (t_ms, event) in &self.buffer {
             self.inner.on_event(*t_ms, event);
         }
@@ -731,17 +640,17 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
 impl<E: Clone + Send, O: Observer<E>> Observer<E> for WriteAheadObserver<E, O> {
     fn on_event(&mut self, t_ms: f64, event: &E) {
         if self.attached {
-            self.tally.direct += 1;
+            self.tally.add(metrics::CAPTURE_DIRECT, 1);
             self.inner.on_event(t_ms, event);
         } else {
-            self.tally.buffered += 1;
+            self.tally.add(metrics::CAPTURE_BUFFERED, 1);
             self.buffer.push((t_ms, event.clone()));
         }
     }
 
     fn counters(&self) -> CounterSet {
         let mut c = self.inner.counters();
-        self.tally.render_into(&mut c);
+        self.tally.render_into(CaptureSlots::SLOTS, &mut c);
         c
     }
 }
@@ -779,17 +688,11 @@ pub enum FaultEvent {
 }
 
 /// Streaming [`Observer`] that folds [`FaultEvent`]s into the
-/// `fault.*` / `retry.*` / `breaker.*` counter family, as plain tallies
+/// `fault.*` / `retry.*` / `breaker.*` counter family, as slot counts
 /// rendered into counters only on [`Observer::counters`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultMonitor {
-    injected: [u64; FaultKind::ALL.len()],
-    retries: u64,
-    backoff_ms_total: u64,
-    recovered: u64,
-    gave_up: u64,
-    breaker_tripped: u64,
-    breaker_skipped_visits: u64,
+    tally: FaultSlots,
 }
 
 impl FaultMonitor {
@@ -804,63 +707,33 @@ impl FaultMonitor {
         self.on_event(0.0, event);
     }
 
-    /// Adds `other`'s tallies to this monitor's.
-    pub fn absorb(&mut self, other: &FaultMonitor) {
-        for (mine, theirs) in self.injected.iter_mut().zip(other.injected) {
-            *mine += theirs;
-        }
-        self.retries += other.retries;
-        self.backoff_ms_total += other.backoff_ms_total;
-        self.recovered += other.recovered;
-        self.gave_up += other.gave_up;
-        self.breaker_tripped += other.breaker_tripped;
-        self.breaker_skipped_visits += other.breaker_skipped_visits;
+    /// The monitor's counts so far.
+    pub fn tally(&self) -> &FaultSlots {
+        &self.tally
     }
 }
 
 impl Observer<FaultEvent> for FaultMonitor {
     fn on_event(&mut self, _t_ms: f64, event: &FaultEvent) {
+        let tally = &mut self.tally;
         match event {
-            FaultEvent::Injected { kind } => self.injected[kind.index()] += 1,
-            FaultEvent::RetryScheduled { backoff_ms, .. } => {
-                self.retries += 1;
-                self.backoff_ms_total += backoff_ms.round() as u64;
+            FaultEvent::Injected { kind } => {
+                tally.add(metrics::FAULT_INJECTED_KIND + kind.index(), 1)
             }
-            FaultEvent::RecoveredAfterRetry { .. } => self.recovered += 1,
-            FaultEvent::GaveUp { .. } => self.gave_up += 1,
-            FaultEvent::BreakerTripped => self.breaker_tripped += 1,
-            FaultEvent::BreakerSkippedVisit => self.breaker_skipped_visits += 1,
+            FaultEvent::RetryScheduled { backoff_ms, .. } => {
+                tally.add(metrics::RETRY_SCHEDULED, 1);
+                tally.add(metrics::RETRY_BACKOFF_MS_TOTAL, backoff_ms.round() as u64);
+            }
+            FaultEvent::RecoveredAfterRetry { .. } => tally.add(metrics::RETRY_RECOVERED, 1),
+            FaultEvent::GaveUp { .. } => tally.add(metrics::RETRY_GAVE_UP, 1),
+            FaultEvent::BreakerTripped => tally.add(metrics::BREAKER_TRIPPED, 1),
+            FaultEvent::BreakerSkippedVisit => tally.add(metrics::BREAKER_SKIPPED_VISITS, 1),
         }
     }
 
-    /// Every counter an event touched, zero-valued ones skipped — except
-    /// `retry.backoff_ms_total`, which exists exactly when a retry was
-    /// scheduled, even if every backoff rounded to 0 ms.
     fn counters(&self) -> CounterSet {
         let mut c = CounterSet::new();
-        let injected: u64 = self.injected.iter().sum();
-        if injected > 0 {
-            c.add("fault.injected", injected);
-        }
-        for (kind, n) in FaultKind::ALL.iter().zip(self.injected) {
-            if n > 0 {
-                c.add(&format!("fault.injected.{}", kind.name()), n);
-            }
-        }
-        if self.retries > 0 {
-            c.add("retry.scheduled", self.retries);
-            c.add("retry.backoff_ms_total", self.backoff_ms_total);
-        }
-        for (name, n) in [
-            ("retry.recovered", self.recovered),
-            ("retry.gave_up", self.gave_up),
-            ("breaker.tripped", self.breaker_tripped),
-            ("breaker.skipped_visits", self.breaker_skipped_visits),
-        ] {
-            if n > 0 {
-                c.add(name, n);
-            }
-        }
+        self.tally.render_into(FaultSlots::SLOTS, &mut c);
         c
     }
 }
@@ -869,6 +742,7 @@ impl Observer<FaultEvent> for FaultMonitor {
 mod tests {
     use super::*;
     use crate::context::SimContext;
+    use crate::metrics::Tally;
 
     #[test]
     fn noop_plan_consumes_no_draws() {
@@ -989,6 +863,10 @@ mod tests {
         assert_eq!(c.get("breaker.skipped_visits"), Some(1));
     }
 
+    /// Tallies absorb like one tally over any split of the events, in
+    /// every family this crate's observers count: split monitors sum to
+    /// the whole monitor, an absorbed tally renders exactly the merge of
+    /// its parts' counters, and every name rendered is registered.
     #[test]
     fn absorbed_monitors_count_like_one_monitor() {
         let events = [
@@ -1005,16 +883,64 @@ mod tests {
                 kind: FaultKind::PermanentUnreachable,
             },
             FaultEvent::BreakerTripped,
+            FaultEvent::RecoveredAfterRetry { attempts: 3 },
+            FaultEvent::BreakerSkippedVisit,
         ];
-        let mut whole = FaultMonitor::new();
-        let (mut a, mut b) = (FaultMonitor::new(), FaultMonitor::new());
-        for (i, e) in events.iter().enumerate() {
-            whole.record(e);
-            if i % 2 == 0 { &mut a } else { &mut b }.record(e);
+        let schedule = LossSchedule {
+            attach_at: 0.2,
+            dropout: Some((0.5, 0.7)),
+            partial: Some((0.3, 0xfeed)),
+        };
+        for mask in 0u32..1 << events.len() {
+            let in_a = |i: usize| mask >> i & 1 == 1;
+            let mut whole = FaultMonitor::new();
+            let mut monitors = [FaultMonitor::new(), FaultMonitor::new()];
+            // Each part is one visit's capture stack over its events.
+            let stack = || {
+                LossyObserver::new(
+                    WriteAheadObserver::detached(FaultMonitor::new()),
+                    schedule,
+                    events.len() as f64,
+                )
+            };
+            let mut stacks = [stack(), stack()];
+            for (i, e) in events.iter().enumerate() {
+                let part = usize::from(!in_a(i));
+                whole.record(e);
+                monitors[part].record(e);
+                if i == events.len() / 2 {
+                    stacks[part].inner.attach();
+                }
+                stacks[part].on_event(i as f64, e);
+            }
+            let mut absorbed = *monitors[0].tally();
+            absorbed.absorb(monitors[1].tally());
+            assert_eq!(&absorbed, whole.tally(), "mask {mask:#b}");
+
+            let mut total: Tally = Tally::default();
+            let mut merged = CounterSet::new();
+            for s in &stacks {
+                total.absorb(s.tally());
+                total.absorb(s.inner().tally());
+                total.absorb(s.inner().inner().tally());
+                merged.merge(&s.counters());
+            }
+            let mut rendered = CounterSet::new();
+            for family in [FaultSlots::SLOTS, LossSlots::SLOTS, CaptureSlots::SLOTS] {
+                total.render_into(family, &mut rendered);
+            }
+            assert_eq!(rendered.sorted(), merged.sorted(), "mask {mask:#b}");
+            for (name, _) in rendered.entries() {
+                assert!(metrics::metric_info(name).is_some(), "{name}");
+            }
         }
-        a.absorb(&b);
-        assert_eq!(a, whole);
-        let c = whole.counters();
+        let c = {
+            let mut whole = FaultMonitor::new();
+            for e in &events[..5] {
+                whole.record(e);
+            }
+            whole.counters()
+        };
         assert_eq!(c.get("retry.backoff_ms_total"), Some(0));
         assert_eq!(c.get("fault.injected"), Some(2));
         assert_eq!(c.get("fault.injected.mid_visit_stall"), Some(1));

@@ -31,26 +31,31 @@
 //!   `SimContext` may be asked for. `hlisa-lint`'s `stream-name-registry`
 //!   rule rejects call sites naming anything else, so a typo'd stream
 //!   name is a build failure, not a silently minted fresh stream.
+//! * [`metrics::METRIC_REGISTRY`] — the same closed set for counter
+//!   names, checked by the `metric-name-registry` rule. Its first
+//!   entries are the slots of [`Tally`], the one fixed-slot tally every
+//!   stage and observer of the engine counts into (an observer holds
+//!   only its family's slots) and renders from.
 //!
 //! The seed-derivation tree is documented in `DESIGN.md`; the contract
 //! that matters is: **two `SimContext`s built from the same seed produce
 //! identical draw sequences per stream, regardless of which other streams
 //! were used in between.**
 
-pub mod batch;
 pub mod clock;
 pub mod context;
 pub mod fault;
+pub mod metrics;
 pub mod observer;
 pub mod streams;
 
-pub use batch::SliceDraws;
 pub use clock::VirtualClock;
 pub use context::{SimContext, VisitForks};
 pub use fault::{
     FaultEvent, FaultKind, FaultMonitor, FaultPlan, InjectedFault, LossKind, LossPlan,
-    LossSchedule, LossTally, LossyObserver, WriteAheadObserver, WriteAheadTally,
+    LossSchedule, LossyObserver, WriteAheadObserver,
 };
+pub use metrics::{metric_info, MetricInfo, Tally, METRIC_REGISTRY};
 pub use observer::{CounterSet, Observer};
 pub use streams::{is_registered, registered_names, stream_info, StreamInfo, STREAM_REGISTRY};
 

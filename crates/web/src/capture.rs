@@ -26,6 +26,7 @@
 
 use crate::site::Site;
 use crate::visit::{VisitOutcome, VisitTimeline, VisualOutcome};
+use hlisa_sim::metrics::{self, RecorderSlots};
 use hlisa_sim::{CounterSet, Observer};
 
 /// One timestamped observation the instrumentation can record about a
@@ -177,66 +178,9 @@ pub struct CaptureRecorder {
     visual: Option<VisualOutcome>,
     first_party: Vec<u16>,
     third_party: Vec<u16>,
-    // Per-kind tallies, materialized as `recorder.*` counters on demand:
-    // the recorder runs once per emitted event of every captured visit,
-    // so a name-keyed `CounterSet::add` per event is measurable campaign
-    // overhead (see `WriteAheadObserver` for the same trade).
-    tally: RecorderTally,
-}
-
-/// The `recorder.*` counter family as plain tallies: events a
-/// [`CaptureRecorder`] received, per [`CaptureEvent`] kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecorderTally {
-    /// `Committed` events.
-    pub committed: u64,
-    /// `Http` events.
-    pub http: u64,
-    /// `Step` events.
-    pub steps: u64,
-    /// `Detected` events.
-    pub detections: u64,
-    /// `Visual` events.
-    pub visuals: u64,
-    /// `Completed` events.
-    pub completions: u64,
-}
-
-impl RecorderTally {
-    /// Adds `other`'s tallies to these.
-    pub fn absorb(&mut self, other: &RecorderTally) {
-        self.committed += other.committed;
-        self.http += other.http;
-        self.steps += other.steps;
-        self.detections += other.detections;
-        self.visuals += other.visuals;
-        self.completions += other.completions;
-    }
-
-    /// Renders the family into `counters`, skipping zero tallies: the one
-    /// rendering of `recorder.*`, shared by [`CaptureRecorder`]'s
-    /// [`Observer::counters`] and callers that sum tallies first.
-    pub fn render_into(&self, counters: &mut CounterSet) {
-        let total = self.committed
-            + self.http
-            + self.steps
-            + self.detections
-            + self.visuals
-            + self.completions;
-        for (name, n) in [
-            ("recorder.events", total),
-            ("recorder.committed", self.committed),
-            ("recorder.http", self.http),
-            ("recorder.steps", self.steps),
-            ("recorder.detected", self.detections),
-            ("recorder.visual", self.visuals),
-            ("recorder.completed", self.completions),
-        ] {
-            if n > 0 {
-                counters.add(name, n);
-            }
-        }
-    }
+    // Per-kind slot counts, named only on `counters()`: a name-keyed add
+    // per event of every captured visit is measurable campaign overhead.
+    tally: RecorderSlots,
 }
 
 impl CaptureRecorder {
@@ -281,52 +225,48 @@ impl CaptureRecorder {
         }
     }
 
-    /// The `recorder.*` tallies so far.
-    pub fn tally(&self) -> RecorderTally {
-        self.tally
+    /// The `recorder.*` counts so far.
+    pub fn tally(&self) -> &RecorderSlots {
+        &self.tally
     }
 }
 
 impl Observer<CaptureEvent> for CaptureRecorder {
     fn on_event(&mut self, _t_ms: f64, event: &CaptureEvent) {
         self.saw_any = true;
-        let tally = &mut self.tally;
-        match event {
-            CaptureEvent::Committed => {
-                tally.committed += 1;
-            }
+        let slot = match event {
+            CaptureEvent::Committed => metrics::RECORDER_COMMITTED,
             CaptureEvent::Http {
                 third_party,
                 status,
             } => {
-                tally.http += 1;
                 if *third_party {
                     self.third_party.push(*status);
                 } else {
                     self.first_party.push(*status);
                 }
+                metrics::RECORDER_HTTP
             }
-            CaptureEvent::Step { .. } => {
-                tally.steps += 1;
-            }
+            CaptureEvent::Step { .. } => metrics::RECORDER_STEPS,
             CaptureEvent::Detected { by_detector } => {
-                tally.detections += 1;
                 self.detected |= *by_detector;
+                metrics::RECORDER_DETECTED
             }
             CaptureEvent::Visual { outcome } => {
-                tally.visuals += 1;
                 self.visual = Some(*outcome);
+                metrics::RECORDER_VISUAL
             }
             CaptureEvent::Completed => {
-                tally.completions += 1;
                 self.completed = true;
+                metrics::RECORDER_COMPLETED
             }
-        }
+        };
+        self.tally.add(slot, 1);
     }
 
     fn counters(&self) -> CounterSet {
         let mut c = CounterSet::new();
-        self.tally.render_into(&mut c);
+        self.tally.render_into(RecorderSlots::SLOTS, &mut c);
         c
     }
 }
@@ -403,6 +343,8 @@ mod tests {
         }
     }
 
+    /// Every simulated visit round-trips, and its recorder's counts
+    /// absorb like one recorder's over any split of its events.
     #[test]
     fn simulated_population_round_trips() {
         let sites = generate_population(&PopulationConfig {
@@ -422,6 +364,24 @@ mod tests {
                     "{client:?} {} did not round-trip",
                     site.domain
                 );
+                // Recorders over a split of the events absorb into the
+                // whole recorder's tally and render what their merged
+                // counters say, under registered names.
+                let mut whole = CaptureRecorder::new();
+                let mut parts = [CaptureRecorder::new(), CaptureRecorder::new()];
+                for (i, (t, e)) in events.iter().enumerate() {
+                    whole.on_event(*t, e);
+                    parts[i % 2].on_event(*t, e);
+                }
+                let mut absorbed = *parts[0].tally();
+                absorbed.absorb(parts[1].tally());
+                assert_eq!(&absorbed, whole.tally());
+                let mut merged = parts[0].counters();
+                merged.merge(&parts[1].counters());
+                assert_eq!(merged.sorted(), whole.counters().sorted());
+                for (name, _) in whole.counters().entries() {
+                    assert!(hlisa_sim::metric_info(name).is_some(), "{name}");
+                }
             }
         }
     }

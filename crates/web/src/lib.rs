@@ -29,7 +29,7 @@ pub mod visit;
 
 pub use capture::{
     emit_capture_events, emit_capture_events_into, reconstruct_outcome, CaptureEvent,
-    CaptureRecorder, RecorderTally,
+    CaptureRecorder,
 };
 pub use dynamics::{apply_scenario, ScenarioKind, ScenarioMix};
 pub use outcome::{VisitError, VisitPhase, VisitProgress};
@@ -40,6 +40,6 @@ pub use site::{DetectionMethod, Reaction, Site, SiteDetector};
 pub use snapshot::{WorldSnapshot, WorldSnapshotCache};
 pub use traversal::{judge_traversal, traverse, PageGraph, TraversalStrategy};
 pub use visit::{
-    plan_visit, simulate_visit, simulate_visit_attempt, ClientKind, PlanStats, SiteProfile,
-    VisitOutcome, VisitTimeline, VisualOutcome, DEFAULT_VISIT_DEADLINE_MS,
+    plan_visit, simulate_visit, simulate_visit_attempt, ClientKind, SiteProfile, VisitOutcome,
+    VisitTimeline, VisualOutcome, DEFAULT_VISIT_DEADLINE_MS,
 };

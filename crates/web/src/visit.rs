@@ -11,6 +11,7 @@ use crate::snapshot::WorldSnapshotCache;
 use hlisa_detect::{scan_fingerprint, TemplateAttackDetector};
 use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
+use hlisa_sim::metrics::{self, Tally};
 use hlisa_sim::{InjectedFault, SimContext, VirtualClock};
 use hlisa_spoof::SpoofingExtension;
 use hlisa_stats::rngutil::derive_seed_lanes;
@@ -446,33 +447,6 @@ impl<'a> SiteProfile<'a> {
     }
 }
 
-/// Summary of one visit's batch-planned interaction chain.
-///
-/// The counters are sums over the visit's [`hlisa_human::InteractionPlan`]
-/// arenas, so two planners that plan the same visit — fresh or reused,
-/// on any thread — report identical stats.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PlanStats {
-    /// Interaction steps the plan covers (0 for unsuccessful visits).
-    pub actions: u64,
-    /// Trajectory samples laid into the plan arena.
-    pub samples: u64,
-    /// Key strokes laid into the plan arena.
-    pub keys: u64,
-    /// Wheel ticks laid into the plan arena.
-    pub ticks: u64,
-}
-
-impl PlanStats {
-    /// Accumulates another visit's stats (for per-worker campaign totals).
-    pub fn absorb(&mut self, other: PlanStats) {
-        self.actions += other.actions;
-        self.samples += other.samples;
-        self.keys += other.keys;
-        self.ticks += other.ticks;
-    }
-}
-
 /// Synthesises a visited site's full interaction chain through a reusable
 /// batch [`VisitPlanner`] — the planner stage of the campaign pipeline.
 ///
@@ -482,25 +456,28 @@ impl PlanStats {
 /// interaction steps the visit timeline executes
 /// ([`VisitTimeline::steps_planned`]), scripted from the site's content
 /// hash (both read from its `profile`); failed visits plan nothing.
+///
+/// The plan's sizes are added to `tally`'s `plan.*` slots: sums over the
+/// plan's arenas, so two planners that plan the same visit — fresh or
+/// reused, on any thread — count the same.
 pub fn plan_visit(
     profile: &SiteProfile<'_>,
     outcome: &VisitOutcome,
     ctx: &SimContext,
     params: &HumanParams,
     planner: &mut VisitPlanner,
-) -> PlanStats {
+    tally: &mut Tally,
+) {
     if !outcome.successful {
-        return PlanStats::default();
+        return;
     }
     let steps = profile.timeline.steps_planned as usize;
     let mut plan_ctx = ctx.fork("plan", 0);
     let plan = planner.plan_site_visit(params, &mut plan_ctx, profile.content_hash, steps);
-    PlanStats {
-        actions: plan.actions().len() as u64,
-        samples: plan.samples().len() as u64,
-        keys: plan.keys().len() as u64,
-        ticks: plan.ticks().len() as u64,
-    }
+    tally.add(metrics::PLAN_ACTIONS, plan.actions().len() as u64);
+    tally.add(metrics::PLAN_SAMPLES, plan.samples().len() as u64);
+    tally.add(metrics::PLAN_KEYS, plan.keys().len() as u64);
+    tally.add(metrics::PLAN_TICKS, plan.ticks().len() as u64);
 }
 
 /// Deterministic phase timeline for one visit, derived from the site's
@@ -1194,7 +1171,15 @@ mod tests {
                 let legacy = simulate_visit(site, client, &rt, &mut ctx_a);
                 let planned = simulate_visit(site, client, &rt, &mut ctx_b);
                 let profile = SiteProfile::new(site);
-                let stats = plan_visit(&profile, &planned, &ctx_b, &params, &mut planner);
+                let mut stats = Tally::default();
+                plan_visit(
+                    &profile,
+                    &planned,
+                    &ctx_b,
+                    &params,
+                    &mut planner,
+                    &mut stats,
+                );
                 assert_eq!(legacy, planned, "{}: planned outcome diverged", site.domain);
                 // The "visit" stream is untouched by planning.
                 assert_eq!(
@@ -1205,11 +1190,13 @@ mod tests {
                 );
                 if planned.successful {
                     let timeline = VisitTimeline::for_site(site);
-                    assert_eq!(stats.actions, u64::from(timeline.steps_planned));
-                    assert!(stats.samples > 0, "{}: no samples planned", site.domain);
+                    let actions = stats.value(metrics::PLAN_ACTIONS);
+                    assert_eq!(actions, u64::from(timeline.steps_planned));
+                    let samples = stats.value(metrics::PLAN_SAMPLES);
+                    assert!(samples > 0, "{}: no samples planned", site.domain);
                     planned_any = true;
                 } else {
-                    assert_eq!(stats, PlanStats::default());
+                    assert_eq!(stats, Tally::default());
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! each time a retained reference against its optimised path:
 //!
 //! 1. **Hit testing** — the linear reverse scan
-//!    ([`Document::hit_test_linear`]) vs the spatial-grid index
+//!    ([`Document::hit_test_linear`]) vs the row-band index
 //!    ([`Document::hit_test`]), probed over a deterministic point lattice
 //!    on a listing-sized page (hundreds of boxes).
 //! 2. **Trajectory synthesis** — the seed-era eager planner
@@ -129,7 +129,7 @@ fn probe_points(doc: &Document) -> Vec<Point> {
 fn bench_hit_test(config: &BenchConfig) -> Section {
     let doc = listing_page(config.hit_elements);
     let points = probe_points(&doc);
-    // Prime the grid so index construction is not on the timed path
+    // Build the index first so its construction is not on the timed path
     // (a real session builds it once and queries it thousands of times).
     let _ = doc.hit_test(points[0]);
     let ops = u64::from(config.hit_passes) * points.len() as u64;

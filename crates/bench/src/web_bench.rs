@@ -1,7 +1,7 @@
-//! Layered page-model benchmark: tree generation, layered hit testing,
-//! and batched DOM mutation.
+//! Layered page-model benchmark: tree generation, scenario-page set-up,
+//! layered hit testing, and batched DOM mutation.
 //!
-//! Three sections, emitted as `BENCH_web.json`:
+//! Four sections, emitted as `BENCH_web.json`:
 //!
 //! 1. **Page generation** — what opening a scenario page costs:
 //!    [`generate_page`] (nested DOM tree construction plus the RNG-free
@@ -10,20 +10,27 @@
 //!    every later visit to the site shares it. A plain rate (there is no
 //!    slow side to compare against — the flat model could not build these
 //!    pages at all).
-//! 2. **Layered hit testing** — the from-scratch linear reference
+//! 2. **Scenario-page set-up** — everything a (site, machine) pays before
+//!    its drives share the cached page: the page generation above plus
+//!    the first run of the page's program, which a drive applies through
+//!    a [`DocumentMemo`]. That run misses the empty memo, so it copies the
+//!    tree, reflows it and builds the output's index. Each corpus page
+//!    gets a scenario kind in turn and runs that kind's program. A plain
+//!    rate.
+//! 3. **Layered hit testing** — the from-scratch linear reference
 //!    ([`Document::hit_test_linear`], which recomputes effective layers
-//!    and pre-order per probe) vs the spatial-grid index
+//!    and pre-order per probe) vs the row-band index
 //!    ([`Document::hit_test`]) over generated pages carrying a
 //!    cookie-banner overlay, so occlusion and z-order are on the probed
 //!    path.
-//! 3. **DOM mutation** — one reflow per change (the naive `mutate` call
+//! 4. **DOM mutation** — one reflow per change (the naive `mutate` call
 //!    per operation) vs one [`DocumentMutator`](hlisa_browser::DocumentMutator) batch that reflows once
 //!    at the end, over SPA-style detach/restyle bursts.
 
 use crate::harness::{compare, measure, Report, Section};
-use hlisa_browser::{Display, Document, Point};
+use hlisa_browser::{Browser, BrowserConfig, Display, Document, DocumentMemo, Point, VirtualClock};
 use hlisa_sim::SimContext;
-use hlisa_web::dynamics::{apply_scenario, ScenarioKind};
+use hlisa_web::dynamics::{self, apply_scenario, ScenarioKind};
 use hlisa_web::page::{generate_page, GeneratedPage, PageStructure};
 use hlisa_web::Site;
 use std::hint::black_box;
@@ -105,6 +112,52 @@ fn bench_generation(config: &BenchConfig) -> (Section, u64) {
             .map(|p| p.doc.len() as u64)
             .sum::<u64>()
     })
+}
+
+/// Runs the page program of `kind` once on `doc` through a fresh memo,
+/// in `browser`, as the first drive of a cached page does. Returns the
+/// node count of the document it leaves.
+fn first_program_run(browser: &mut Browser, doc: Document, kind: ScenarioKind) -> usize {
+    browser.reopen(doc, VirtualClock::new());
+    match kind {
+        ScenarioKind::CookieBanner => {
+            browser.mutate_document_memo(&mut DocumentMemo::new(dynamics::dismiss_banner));
+        }
+        ScenarioKind::LazyContent => {
+            browser.mutate_document_memo(&mut DocumentMemo::new(dynamics::reveal_lazy));
+        }
+        ScenarioKind::SpaMutation => {
+            browser.mutate_document_memo(&mut DocumentMemo::new(dynamics::spa_rerender));
+        }
+    }
+    browser.document().len()
+}
+
+fn bench_scenario_setup(config: &BenchConfig) -> Section {
+    let sites: Vec<Site> = (0..config.pages).map(bench_site).collect();
+    let setup = |browser: &mut Browser, i: usize| {
+        let kind = ScenarioKind::ALL[i % ScenarioKind::ALL.len()];
+        let mut ctx = SimContext::new(0xB00C + i as u64);
+        let mut page = generate_page(&sites[i], &PageStructure::default(), &mut ctx);
+        apply_scenario(&mut page, kind);
+        page.doc.build_index();
+        first_program_run(browser, page.doc, kind) as u64
+    };
+    let bconfig = BrowserConfig::webdriver();
+    let world = bconfig.pristine_world();
+    let blank = Document::new("about:blank", 1280.0, 720.0);
+    let mut browser = Browser::open_with_world(bconfig, blank, VirtualClock::new(), world);
+    // Warm (page-in, branch predictors) with a few pages.
+    for i in 0..config.pages.min(8) {
+        black_box(setup(&mut browser, i));
+    }
+    let (section, nodes) = measure("scenario_page_setup", "pages", config.pages as u64, || {
+        (0..config.pages)
+            .map(|i| setup(&mut browser, i))
+            .sum::<u64>()
+    });
+    assert!(nodes > 0, "empty scenario pages");
+    section
 }
 
 /// Probe lattice: 32×32 points per page, spanning the page box.
@@ -230,7 +283,7 @@ fn bench_mutation(config: &BenchConfig, corpus: &[GeneratedPage]) -> Section {
 /// Runs the whole suite.
 pub fn run(config: BenchConfig) -> Report {
     let mut report = Report::new(
-        "hlisa layered page model (generation/hit test/mutation)",
+        "hlisa layered page model (generation/set-up/hit test/mutation)",
         vec![
             ("pages", config.pages as u64),
             ("hit_passes", u64::from(config.hit_passes)),
@@ -242,6 +295,7 @@ pub fn run(config: BenchConfig) -> Report {
     let corpus = generate_corpus(config.pages);
     report.sections = vec![
         generation,
+        bench_scenario_setup(&config),
         bench_hit_test(&config, &corpus),
         bench_mutation(&config, &corpus),
     ];
@@ -264,7 +318,10 @@ mod tests {
         let report = run(cfg);
         let nodes = report.get_fact("corpus_nodes").unwrap();
         assert!(nodes > 100.0, "{nodes} nodes");
-        assert!(report.section("page_generation").is_some());
+        for name in ["page_generation", "scenario_page_setup"] {
+            let section = report.section(name).expect(name);
+            assert!(section.speedup().is_none(), "{name} has a baseline");
+        }
         for name in ["layered_hit_test", "dom_mutation"] {
             let section = report.section(name).expect(name);
             assert!(section.speedup().is_some(), "{name} has no baseline");

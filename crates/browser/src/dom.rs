@@ -85,8 +85,10 @@ pub enum Display {
 /// An element node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Element {
-    /// Tag name (`"div"`, `"a"`, `"input"`, ...).
-    pub tag: String,
+    /// Tag name (`"div"`, `"a"`, `"input"`, ...). Tags are a fixed
+    /// vocabulary, so an element borrows its tag and copying a tree
+    /// copies no tag bytes.
+    pub tag: &'static str,
     /// `id` attribute (empty if none).
     pub id: String,
     /// Layout box in page coordinates. For [`Display::Absolute`] this is
@@ -114,18 +116,23 @@ pub struct Element {
     pub text: String,
 }
 
-/// One arena slot: the element plus its tree links.
-#[derive(Debug, Clone, PartialEq)]
+/// One arena slot: the element plus its tree links. Siblings (roots
+/// included) form a singly linked list in insertion order, so a node
+/// owns no child list and copying a tree allocates nothing per node for
+/// its structure.
+#[derive(Clone, PartialEq)]
 pub(crate) struct Node {
     pub(crate) el: Element,
     pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
+    pub(crate) first_child: Option<NodeId>,
+    pub(crate) last_child: Option<NodeId>,
+    pub(crate) next_sibling: Option<NodeId>,
     pub(crate) depth: usize,
 }
 
 /// The node arena and the root list: the part of a document its clones
 /// share.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 struct Tree {
     nodes: Vec<Node>,
     roots: Vec<NodeId>,
@@ -149,7 +156,7 @@ pub struct Document {
     pub page_height: f64,
     /// The authored minimum page height (reflow floor).
     min_page_height: f64,
-    /// Lazily-built query index (spatial grid + id/tag/anchor lookups).
+    /// Lazily-built query index (row bands + id/tag/anchor lookups).
     /// Torn down by every write to the tree, so it never serves stale
     /// geometry; rebuilt on the next query. Immutable once built, so
     /// clones share it.
@@ -189,7 +196,7 @@ impl std::fmt::Debug for Document {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Document")
             .field("url", &self.url)
-            .field("nodes", &self.tree.nodes)
+            .field("nodes", &*self.tree)
             .field("page_width", &self.page_width)
             .field("page_height", &self.page_height)
             .finish_non_exhaustive()
@@ -219,7 +226,6 @@ impl Document {
             Arc::new(DocumentIndex::build(
                 &self.tree.nodes,
                 &self.tree.roots,
-                self.page_width,
                 self.page_height,
             ))
         })
@@ -257,20 +263,27 @@ impl Document {
     fn insert_node(&mut self, parent: Option<NodeId>, el: Element) -> NodeId {
         let tree = self.tree_mut();
         let id = NodeId(tree.nodes.len());
-        let depth = match parent {
+        let (prev, depth) = match parent {
             Some(p) => {
-                tree.nodes[p.0].children.push(id);
-                tree.nodes[p.0].depth + 1
+                let parent = &mut tree.nodes[p.0];
+                parent.first_child.get_or_insert(id);
+                (parent.last_child.replace(id), parent.depth + 1)
             }
             None => {
+                let prev = tree.roots.last().copied();
                 tree.roots.push(id);
-                0
+                (prev, 0)
             }
         };
+        if let Some(prev) = prev {
+            tree.nodes[prev.0].next_sibling = Some(id);
+        }
         tree.nodes.push(Node {
             el,
             parent,
-            children: Vec::new(),
+            first_child: None,
+            last_child: None,
+            next_sibling: None,
             depth,
         });
         id
@@ -324,8 +337,8 @@ impl Document {
     }
 
     /// The children of a node, in insertion order.
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.tree.nodes[id.0].children
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.tree.siblings_from(self.tree.nodes[id.0].first_child)
     }
 
     /// Tree depth of a node (roots are depth 0).
@@ -444,12 +457,12 @@ impl Document {
     /// Topmost effectively-visible element containing the point, if any.
     /// "Topmost" is paint order: pre-order tree traversal, stable-sorted
     /// by effective layer — for layer-0 flat documents this degenerates
-    /// to the old arena-order z-semantics. Served from the spatial grid;
+    /// to the old arena-order z-semantics. Served from the row bands;
     /// semantically identical to [`Document::hit_test_linear`] (the
     /// differential proptest in `tests/hit_test_differential.rs` pins
     /// the equivalence).
     pub fn hit_test(&self, p: Point) -> Option<NodeId> {
-        self.index().hit_test(&self.tree.nodes, p)
+        self.index().hit_test(p)
     }
 
     /// Linear reference model for [`Document::hit_test`]: a from-scratch
@@ -459,13 +472,20 @@ impl Document {
     /// Deliberately shares no derived state with the index.
     pub fn hit_test_linear(&self, p: Point) -> Option<NodeId> {
         let mut pre_pos = vec![0usize; self.tree.nodes.len()];
-        let mut stack: Vec<NodeId> = self.tree.roots.iter().rev().copied().collect();
+        let mut stack: Vec<NodeId> = Vec::new();
         let mut next = 0usize;
-        while let Some(id) = stack.pop() {
-            pre_pos[id.0] = next;
+        for &root in &self.tree.roots {
+            pre_pos[root.0] = next;
             next += 1;
-            for &c in self.tree.nodes[id.0].children.iter().rev() {
-                stack.push(c);
+            stack.extend(self.tree.nodes[root.0].first_child);
+            while let Some(id) = stack.pop() {
+                pre_pos[id.0] = next;
+                next += 1;
+                // The next sibling waits under the subtree, which goes
+                // first.
+                let node = &self.tree.nodes[id.0];
+                stack.extend(node.next_sibling);
+                stack.extend(node.first_child);
             }
         }
         let mut best: Option<(i64, usize, NodeId)> = None;
@@ -494,24 +514,55 @@ impl Document {
     }
 }
 
+/// The arena as a list of `Node { el, parent, children, depth }`, each
+/// node's children listed in insertion order: the form the page goldens
+/// hash a document's `Debug` output in.
+impl std::fmt::Debug for Tree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.nodes.iter().map(|node| NodeDebug { tree: self, node }))
+            .finish()
+    }
+}
+
+/// One arena node, rendered with its child list.
+struct NodeDebug<'a> {
+    tree: &'a Tree,
+    node: &'a Node,
+}
+
+impl std::fmt::Debug for NodeDebug<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let children: Vec<NodeId> = self.tree.siblings_from(self.node.first_child).collect();
+        f.debug_struct("Node")
+            .field("el", &self.node.el)
+            .field("parent", &self.node.parent)
+            .field("children", &children)
+            .field("depth", &self.node.depth)
+            .finish()
+    }
+}
+
 impl Tree {
+    /// `first` and the siblings after it, in insertion order.
+    fn siblings_from(&self, first: Option<NodeId>) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(first, move |id| self.nodes[id.0].next_sibling)
+    }
+
     /// Lays out the flow children of `parent` (or the roots) inside
     /// `content`, returning the page-coordinate bottom edge of the flow.
     fn layout_flow(&mut self, parent: Option<NodeId>, content: Rect) -> f64 {
-        let count = match parent {
-            Some(p) => self.nodes[p.0].children.len(),
-            None => self.roots.len(),
-        };
         let mut y = content.y;
         let mut x = content.x;
         let mut line_h = 0.0f64;
-        // By index: layout rewrites boxes, never the child lists, so
-        // nothing needs copying out of the arena first.
-        for k in 0..count {
-            let id = match parent {
-                Some(p) => self.nodes[p.0].children[k],
-                None => self.roots[k],
-            };
+        // Along the sibling links: layout rewrites boxes, never the
+        // links, so nothing needs copying out of the arena first.
+        let mut next = match parent {
+            Some(p) => self.nodes[p.0].first_child,
+            None => self.roots.first().copied(),
+        };
+        while let Some(id) = next {
+            next = self.nodes[id.0].next_sibling;
             match self.nodes[id.0].el.display {
                 Display::None => continue,
                 Display::Absolute => {
@@ -710,10 +761,10 @@ pub struct ElementBuilder {
 impl ElementBuilder {
     /// Starts building an [`Display::Absolute`] element with the given
     /// tag and authored box — the legacy flat-page path.
-    pub fn new(tag: &str, rect: Rect) -> Self {
+    pub fn new(tag: &'static str, rect: Rect) -> Self {
         Self {
             el: Element {
-                tag: tag.to_string(),
+                tag,
                 id: String::new(),
                 rect,
                 display: Display::Absolute,
@@ -728,15 +779,16 @@ impl ElementBuilder {
 
     /// Starts building an in-flow element whose geometry the layout pass
     /// computes (the authored rect starts empty).
-    pub fn flow(tag: &str, display: Display) -> Self {
+    pub fn flow(tag: &'static str, display: Display) -> Self {
         let mut b = Self::new(tag, Rect::new(0.0, 0.0, 0.0, 0.0));
         b.el.display = display;
         b
     }
 
-    /// Sets the `id` attribute.
-    pub fn id(mut self, id: &str) -> Self {
-        self.el.id = id.to_string();
+    /// Sets the `id` attribute. An owned `String` (a `format!` id) is
+    /// moved in, not copied.
+    pub fn id(mut self, id: impl Into<String>) -> Self {
+        self.el.id = id.into();
         self
     }
 
@@ -765,8 +817,8 @@ impl ElementBuilder {
     }
 
     /// Sets the text content.
-    pub fn text(mut self, text: &str) -> Self {
-        self.el.text = text.to_string();
+    pub fn text(mut self, text: impl Into<String>) -> Self {
+        self.el.text = text.into();
         self
     }
 
@@ -883,7 +935,7 @@ mod tests {
         doc.element_mut(id).id = "renamed".to_string();
         assert_eq!(doc.by_id("renamed"), Some(id));
         assert!(doc.by_id("submit").is_none());
-        // A hidden element leaves the grid on the next rebuild.
+        // A hidden element leaves the bands on the next rebuild.
         doc.element_mut(id).visible = false;
         assert_ne!(doc.hit_test(Point::new(625.0, 10_025.0)), Some(id));
     }
@@ -965,7 +1017,7 @@ mod tests {
                         padding: 0.0,
                     },
                 )
-                .id(&format!("p{i}"))
+                .id(format!("p{i}"))
                 .insert_under(&mut doc, body),
             );
         }
@@ -981,7 +1033,7 @@ mod tests {
             assert_eq!(doc.parent(k), Some(body));
             assert_eq!(doc.depth(k), 1);
         }
-        assert_eq!(doc.children(body), &kids[..]);
+        assert_eq!(doc.children(body).collect::<Vec<_>>(), kids);
         assert_eq!(doc.roots(), &[body]);
     }
 
@@ -1185,7 +1237,7 @@ mod tests {
         });
         assert_eq!(doc.by_id("s"), Some(ids.1));
         assert_eq!(doc.element(ids.1).rect, Rect::new(0.0, 0.0, 10.0, 10.0));
-        assert_eq!(doc.children(ids.0), &[ids.1]);
+        assert_eq!(doc.children(ids.0).collect::<Vec<_>>(), [ids.1]);
     }
 
     #[test]

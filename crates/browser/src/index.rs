@@ -9,17 +9,22 @@
 //! * the **paint order** of the tree (pre-order traversal, stable-sorted
 //!   by cumulative layer) and per-node attachment/visibility, resolving
 //!   the z-order/occlusion semantics once;
-//! * a **uniform grid** over the page box: one flat candidate array,
-//!   cut into cells by per-cell offsets, holding the effectively-visible
-//!   elements whose boxes intersect each cell, in paint order, so a hit
-//!   test scans one cell instead of the whole tree;
+//! * **inline boxes**: the effectively-visible elements' boxes copied, in
+//!   paint order, into one contiguous `Rect` array, with the owning node
+//!   of each box in a parallel array, so a hit test reads 32-byte boxes
+//!   instead of whole arena nodes;
+//! * **row bands** over the page height: one flat array of `u32` paint
+//!   positions, cut into bands by per-band offsets, holding the boxes
+//!   that intersect each band, in paint order. A hit test scans one band
+//!   instead of the whole tree, and a full-width container is filed once
+//!   per band it spans (a 2-D grid files it once per cell);
 //! * an **id lookup** over *attached* nodes (detached `Display::None`
 //!   subtrees are not in the DOM): arena indices sorted by the hash of
 //!   their `id` attribute. The tag and anchor lookups have the same
 //!   layout and are built on the first `by_tag`/`anchor_target` query
 //!   (drives locate by id only, so most revisions never build them).
 //!
-//! The index holds no strings and no per-cell or per-key allocation: a
+//! The index holds no strings and no per-band or per-key allocation: a
 //! build is a handful of flat arrays, sized by the node count.
 //!
 //! The index is built lazily on first query and torn down by any `&mut`
@@ -28,20 +33,22 @@
 //! [`Document::mutate`], [`Document::reflow`]), so it can never serve
 //! stale geometry.
 //!
-//! Semantics are *identical* to the linear reference scans, enforced by a
-//! differential proptest (`tests/hit_test_differential.rs`):
+//! Semantics are *identical* to the linear reference scans, enforced by
+//! differential proptests over random documents
+//! (`tests/hit_test_differential.rs`) and over the generated scenario
+//! pages a crawl drives (`hlisa-web`'s `tests/index_differential.rs`):
 //!
 //! * paint order is pre-order position stable-sorted by effective layer,
-//!   so scanning a cell back-to-front and taking the first
+//!   so scanning a band back-to-front and taking the first
 //!   `rect.contains(p)` match returns the same topmost
 //!   effectively-visible element the reference's max-key scan finds (for
 //!   flat layer-0 documents both degenerate to arena order — the old
 //!   flat z-semantics);
-//! * cell coverage uses the same inclusive interval arithmetic as
-//!   [`crate::geometry::Rect::contains`], and both rect spans and query
-//!   points are clamped to the grid with the same monotone mapping, so an
-//!   element containing a point is always present in the point's cell —
-//!   even for boxes or points outside the page bounds;
+//! * band coverage uses the same inclusive interval arithmetic as
+//!   [`crate::geometry::Rect::contains`], and both box spans and query
+//!   points are clamped to the bands with the same monotone mapping, so
+//!   an element containing a point is always present in the point's
+//!   band — even for boxes or points outside the page bounds;
 //! * the lookups are sorted by (hash, arena index), so one key's
 //!   candidates come out in arena order, and each candidate is checked
 //!   against the node's real string: a hash collision can cost a
@@ -52,9 +59,9 @@ use crate::dom::{Display, Element, Node, NodeId};
 use crate::geometry::{Point, Rect};
 use std::sync::OnceLock;
 
-/// Hard cap on grid cells per axis: bounds memory for huge pages while
-/// keeping cells small enough that dense documents spread out.
-const MAX_CELLS_PER_AXIS: usize = 64;
+/// Hard cap on row bands: bounds memory for huge pages while keeping
+/// bands thin enough that dense documents spread out.
+const MAX_BANDS: usize = 64;
 
 /// Precomputed lookup structures for one document revision.
 #[derive(Debug)]
@@ -65,15 +72,15 @@ pub(crate) struct DocumentIndex {
     by_id: HashedKeys,
     /// The tag and anchor lookups, built on first use.
     locators: OnceLock<Locators>,
-    /// Effectively-visible elements intersecting each cell, in paint
-    /// order (bottom → top): cell `i` is
-    /// `cell_nodes[cell_start[i]..cell_start[i + 1]]`.
-    cell_nodes: Vec<NodeId>,
-    cell_start: Vec<usize>,
-    cols: usize,
-    rows: usize,
-    cell_w: f64,
-    cell_h: f64,
+    /// The effectively-visible elements' boxes in paint order (bottom →
+    /// top); `painted[i]` is the node `boxes[i]` belongs to.
+    boxes: Vec<Rect>,
+    painted: Vec<NodeId>,
+    /// Paint positions of the boxes intersecting each band, ascending:
+    /// band `i` is `band_boxes[band_start[i]..band_start[i + 1]]`.
+    band_boxes: Vec<u32>,
+    band_start: Vec<usize>,
+    band_h: f64,
 }
 
 /// The lookups only the `by_tag` and `anchor_target` queries read.
@@ -120,7 +127,7 @@ fn id_attr(el: &Element) -> Option<&str> {
 }
 
 fn tag_attr(el: &Element) -> Option<&str> {
-    Some(&el.tag)
+    Some(el.tag)
 }
 
 fn anchor_attr(el: &Element) -> Option<&str> {
@@ -140,12 +147,7 @@ fn key_hash(key: &str) -> u64 {
 
 impl DocumentIndex {
     /// Builds the index for the current tree contents.
-    pub(crate) fn build(
-        nodes: &[Node],
-        roots: &[NodeId],
-        page_width: f64,
-        page_height: f64,
-    ) -> Self {
+    pub(crate) fn build(nodes: &[Node], roots: &[NodeId], page_height: f64) -> Self {
         // One pre-order traversal resolves, per attached node (no
         // `Display::None` on the ancestor path): its cumulative paint
         // layer and effective visibility (no hidden ancestor). The list
@@ -153,10 +155,13 @@ impl DocumentIndex {
         let n = nodes.len();
         let mut paint: Vec<(i64, bool, NodeId)> = Vec::with_capacity(n);
         // Stack entries carry the parent's accumulated (layer, visible).
-        let mut stack: Vec<(NodeId, i64, bool)> =
-            roots.iter().rev().map(|&r| (r, 0i64, true)).collect();
+        // A node is pushed at most once, so `n` slots never regrow.
+        let mut stack: Vec<(NodeId, i64, bool)> = Vec::with_capacity(n);
+        stack.extend(roots.first().map(|&r| (r, 0i64, true)));
         while let Some((id, parent_layer, parent_visible)) = stack.pop() {
             let node = &nodes[id.index()];
+            // The next sibling waits under this subtree, which goes first.
+            stack.extend(node.next_sibling.map(|s| (s, parent_layer, parent_visible)));
             if node.el.display == Display::None {
                 // The whole subtree stays detached.
                 continue;
@@ -164,9 +169,7 @@ impl DocumentIndex {
             let layer = parent_layer + i64::from(node.el.layer);
             let visible = parent_visible && node.el.visible;
             paint.push((layer, visible, id));
-            for &c in node.children.iter().rev() {
-                stack.push((c, layer, visible));
-            }
+            stack.extend(node.first_child.map(|c| (c, layer, visible)));
         }
         // Paint order: pre-order, stable-sorted by effective layer. The
         // stable sort keeps document order within a layer, so flat
@@ -179,66 +182,52 @@ impl DocumentIndex {
                 .map(|&(_, _, id)| (key_hash(&nodes[id.index()].el.id), id))
                 .collect(),
         );
+        let visible = paint.iter().filter(|&&(_, visible, _)| visible).count();
+        let mut boxes = Vec::with_capacity(visible);
+        let mut painted = Vec::with_capacity(visible);
+        for &(_, _, id) in paint.iter().filter(|&&(_, visible, _)| visible) {
+            boxes.push(nodes[id.index()].el.rect);
+            painted.push(id);
+        }
 
-        // Cell sizing: aim for O(1) candidates per cell on spread-out
+        // Band sizing: aim for O(1) candidates per band on spread-out
         // documents without exploding memory on sparse ones.
-        let axis = (n as f64).sqrt().ceil() as usize;
-        let cols = axis.clamp(1, MAX_CELLS_PER_AXIS);
-        let rows = axis.clamp(1, MAX_CELLS_PER_AXIS);
-        let cell_w = page_width / cols as f64;
-        let cell_h = page_height / rows as f64;
-        let span = |rect: Rect| {
-            // Monotone, clamped span → every cell a contained point
-            // can map to is covered (see the module docs).
-            (
-                cell_coord(rect.x, cell_w, cols)..=cell_coord(rect.x + rect.width, cell_w, cols),
-                cell_coord(rect.y, cell_h, rows)..=cell_coord(rect.y + rect.height, cell_h, rows),
-            )
-        };
-        let visible_rects = || {
-            paint
-                .iter()
-                .filter(|&&(_, visible, _)| visible)
-                .map(|&(_, _, id)| (id, nodes[id.index()].el.rect))
+        let bands = ((n as f64).sqrt().ceil() as usize).clamp(1, MAX_BANDS);
+        let band_h = page_height / bands as f64;
+        // Monotone, clamped span → every band a contained point can map
+        // to is covered (see the module docs).
+        let span = |rect: &Rect| {
+            band_of(rect.y, band_h, bands)..=band_of(rect.y + rect.height, band_h, bands)
         };
 
-        // Spatial grid in two passes over the effectively-visible nodes
-        // in paint order: count each cell's candidates, turn the counts
-        // into offsets, then fill each cell bottom → top.
-        let ncells = cols * rows;
-        let mut cell_start = vec![0usize; ncells + 1];
-        for (_, rect) in visible_rects() {
-            let (cs, rs) = span(rect);
-            for r in rs {
-                for c in cs.clone() {
-                    cell_start[r * cols + c + 1] += 1;
-                }
+        // Bands in two passes over the boxes: count each band's boxes
+        // and turn the counts into band ends, then fill top → bottom,
+        // stepping each band's end down. Each band comes out in paint
+        // order and its end has moved to its start.
+        let mut band_start = vec![0usize; bands + 1];
+        for rect in &boxes {
+            for b in span(rect) {
+                band_start[b] += 1;
             }
         }
-        for i in 0..ncells {
-            cell_start[i + 1] += cell_start[i];
+        for b in 1..=bands {
+            band_start[b] += band_start[b - 1];
         }
-        let mut cursor = cell_start[..ncells].to_vec();
-        let mut cell_nodes = vec![NodeId(0); cell_start[ncells]];
-        for (id, rect) in visible_rects() {
-            let (cs, rs) = span(rect);
-            for r in rs {
-                for c in cs.clone() {
-                    let slot = &mut cursor[r * cols + c];
-                    cell_nodes[*slot] = id;
-                    *slot += 1;
-                }
+        let mut band_boxes = vec![0u32; band_start[bands]];
+        for (pos, rect) in boxes.iter().enumerate().rev() {
+            for b in span(rect) {
+                band_start[b] -= 1;
+                band_boxes[band_start[b]] = pos as u32;
             }
         }
         Self {
             by_id,
             locators: OnceLock::new(),
-            cell_nodes,
-            cell_start,
-            cols,
-            rows,
-            cell_w,
-            cell_h,
+            boxes,
+            painted,
+            band_boxes,
+            band_start,
+            band_h,
         }
     }
 
@@ -254,7 +243,7 @@ impl DocumentIndex {
             };
             Locators {
                 by_tag: HashedKeys::new(
-                    attached().map(|(id, el)| (key_hash(&el.tag), id)).collect(),
+                    attached().map(|(id, el)| (key_hash(el.tag), id)).collect(),
                 ),
                 by_anchor: HashedKeys::new(
                     attached()
@@ -287,30 +276,30 @@ impl DocumentIndex {
     }
 
     /// Fast path for [`crate::dom::Document::hit_test`]: topmost
-    /// effectively-visible element containing the point. Scans one cell
-    /// back-to-front; the cell holds candidates in paint order.
-    pub(crate) fn hit_test(&self, nodes: &[Node], p: Point) -> Option<NodeId> {
-        let c = cell_coord(p.x, self.cell_w, self.cols);
-        let r = cell_coord(p.y, self.cell_h, self.rows);
-        let cell = r * self.cols + c;
-        self.cell_nodes[self.cell_start[cell]..self.cell_start[cell + 1]]
+    /// effectively-visible element containing the point. Scans one band
+    /// back-to-front; the band lists its boxes in paint order.
+    pub(crate) fn hit_test(&self, p: Point) -> Option<NodeId> {
+        let band = band_of(p.y, self.band_h, self.band_start.len() - 1);
+        self.band_boxes[self.band_start[band]..self.band_start[band + 1]]
             .iter()
             .rev()
-            .find(|id| nodes[id.index()].el.rect.contains(p))
-            .copied()
+            .find(|&&pos| self.boxes[pos as usize].contains(p))
+            .map(|&pos| self.painted[pos as usize])
     }
 }
 
-/// Maps a coordinate to a clamped cell index along one axis.
-fn cell_coord(v: f64, cell_size: f64, n: usize) -> usize {
-    if cell_size <= 0.0 || !v.is_finite() {
+/// Maps a coordinate to a clamped band index. A quotient below 1
+/// (negative ones included) is band 0, and `as` truncates any other to
+/// its floor, so no `floor()` is needed.
+fn band_of(v: f64, band_h: f64, bands: usize) -> usize {
+    if band_h <= 0.0 || !v.is_finite() {
         return 0;
     }
-    let idx = (v / cell_size).floor();
-    if idx <= 0.0 {
+    let idx = v / band_h;
+    if idx < 1.0 {
         0
     } else {
-        (idx as usize).min(n - 1)
+        (idx as usize).min(bands - 1)
     }
 }
 
@@ -325,10 +314,12 @@ mod tests {
             .iter()
             .map(|id| Node {
                 el: ElementBuilder::new("div", Rect::new(0.0, 0.0, 10.0, 10.0))
-                    .id(id)
+                    .id(*id)
                     .build(),
                 parent: None,
-                children: Vec::new(),
+                first_child: None,
+                last_child: None,
+                next_sibling: None,
                 depth: 0,
             })
             .collect();

@@ -21,7 +21,7 @@ pub type RawElement = (f64, f64, f64, f64, u8, u8, u8, u8);
 pub fn element(raw: &RawElement) -> Element {
     let (x, y, w, h, tag, id, anchor, visible) = *raw;
     Element {
-        tag: TAGS[tag as usize % TAGS.len()].to_string(),
+        tag: TAGS[tag as usize % TAGS.len()],
         id: IDS[id as usize % IDS.len()].to_string(),
         rect: Rect::new(x, y, w, h),
         display: Display::Absolute,

@@ -41,6 +41,8 @@ impl Observer<DomEvent> for Tap {
     fn counters(&self) -> CounterSet {
         let mut c = CounterSet::new();
         let seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
+        // A test observer's own counter, read only through this file's
+        // metrics comparisons. lint: allow(metric-name-registry)
         c.add("tap.events", seen.len() as u64);
         c
     }

@@ -10,8 +10,10 @@
 //!   so the determinism rules are off there; the registry check and
 //!   suppression audit still apply (sim's own tests name streams too,
 //!   and a stale allow is stale anywhere);
-//! * the shared `tests/` tree — integration/property tests; registry
-//!   check and suppression audit only.
+//! * the integration tests — the shared `tests/` tree and every crate's
+//!   `crates/*/tests/` tree; registry check and suppression audit only.
+//!   The lint crate's own fixtures (`crates/lint/tests/fixtures/`) are
+//!   deliberate violations and stay out of the walk.
 
 use crate::diag::Report;
 use crate::provenance::{analyze_file, AstAnalysis, Exemptions, RulePasses};
@@ -22,6 +24,10 @@ use std::path::{Path, PathBuf};
 /// Crates whose sources are exempt from the determinism rules:
 /// `hlisa-sim` is the sanctioned home of real randomness and time.
 const EXEMPT_CRATES: &[&str] = &["sim"];
+
+/// The lint crate's fixtures: files that break a rule on purpose, each
+/// checked alone by `golden_fixtures.rs`, never by the workspace walk.
+const LINT_FIXTURES: &str = "crates/lint/tests/fixtures/";
 
 /// The one file allowed to spell out pointer-move duration floors
 /// numerically: the profile definitions themselves.
@@ -100,11 +106,26 @@ fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Every `.rs` file the walker covers, as (workspace-relative path,
-/// absolute path, passes) — crate sources plus the shared `tests/` tree.
-/// Shared with [`crate::ledger`] and the `lint` bench suite so both
-/// cover exactly the linted file set.
+/// absolute path, passes) — crate sources, each crate's integration
+/// tests and the shared `tests/` tree. Shared with [`crate::ledger`] and
+/// the `lint` bench suite so both cover exactly the linted file set.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePasses)>> {
     let mut out = Vec::new();
+    // Integration tests get the registry check and the suppression audit
+    // only.
+    let push_tests = |dir: &Path, out: &mut Vec<(String, PathBuf, RulePasses)>| {
+        let mut files = Vec::new();
+        if dir.is_dir() {
+            rust_files_under(dir, &mut files)?;
+        }
+        for file in files {
+            let rel = rel_path(root, &file);
+            if !rel.starts_with(LINT_FIXTURES) {
+                out.push((rel, file, RulePasses { determinism: false }));
+            }
+        }
+        io::Result::Ok(())
+    };
     let crates_dir = root.join("crates");
     let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)?
         .collect::<io::Result<Vec<_>>>()?
@@ -127,19 +148,9 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePass
         for file in files {
             out.push((rel_path(root, &file), file, passes));
         }
+        push_tests(&krate.join("tests"), &mut out)?;
     }
-    let tests_dir = root.join("tests");
-    if tests_dir.is_dir() {
-        let mut files = Vec::new();
-        rust_files_under(&tests_dir, &mut files)?;
-        for file in files {
-            out.push((
-                rel_path(root, &file),
-                file,
-                RulePasses { determinism: false },
-            ));
-        }
-    }
+    push_tests(&root.join("tests"), &mut out)?;
     Ok(out)
 }
 
@@ -150,7 +161,7 @@ fn rel_path(root: &Path, file: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lints the workspace (crate sources and the shared `tests/` tree),
+/// Lints the workspace (crate sources and the integration tests),
 /// returning one merged report with workspace-relative file paths.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut report = Report::new();
@@ -221,6 +232,12 @@ mod tests {
         let rels: Vec<&str> = files.iter().map(|(r, _, _)| r.as_str()).collect();
         assert!(rels.iter().any(|r| r.starts_with("crates/sim/src/")));
         assert!(rels.iter().any(|r| r.starts_with("tests/")));
+        assert!(!rels.iter().any(|r| r.starts_with(LINT_FIXTURES)));
+        let crate_test = files
+            .iter()
+            .find(|(r, _, _)| r == "crates/web/tests/allocations.rs")
+            .expect("crate test file");
+        assert!(!crate_test.2.determinism);
         let sim = files
             .iter()
             .find(|(r, _, _)| r.starts_with("crates/sim/src/"))
@@ -231,6 +248,40 @@ mod tests {
             .find(|(r, _, _)| r.starts_with("crates/core/src/"))
             .expect("core file");
         assert!(core.2.determinism);
+    }
+
+    #[test]
+    fn a_counter_typo_in_a_crate_integration_test_is_flagged() {
+        // A throwaway workspace: one crate whose integration test reads a
+        // misspelled `fault.injected`, and a lint fixture with the same
+        // typo, which the walk must leave out.
+        let root = std::env::temp_dir().join(format!("hlisa-lint-walk-{}", std::process::id()));
+        let typo = "#[test]\nfn no_faults() {\n    assert_eq!(counters().get(\"fault.injectd\"), None);\n}\n";
+        for (dir, file, text) in [
+            ("crates/demo/src", "lib.rs", ""),
+            ("crates/demo/tests", "faults.rs", typo),
+            ("crates/lint/src", "lib.rs", ""),
+            ("crates/lint/tests/fixtures", "typo.rs", typo),
+        ] {
+            fs::create_dir_all(root.join(dir)).expect("temp workspace");
+            fs::write(root.join(dir).join(file), text).expect("temp file");
+        }
+        let report = lint_workspace(&root);
+        fs::remove_dir_all(&root).expect("clean up");
+        let report = report.expect("walk");
+        let found: Vec<(&str, Option<&str>, Option<usize>)> = report
+            .diagnostics()
+            .iter()
+            .map(|d| (d.rule, d.location.file.as_deref(), d.location.line))
+            .collect();
+        assert_eq!(
+            found,
+            [(
+                "metric-name-registry",
+                Some("crates/demo/tests/faults.rs"),
+                Some(3)
+            )]
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn generate_page(
                             margin: 4.0,
                         },
                     )
-                    .id(&format!("nav-{i}"))
+                    .id(format!("nav-{i}"))
                     .build(),
                 );
             }
@@ -143,7 +143,7 @@ pub fn generate_page(
                         padding: 0.0,
                     },
                 )
-                .id(&format!("ad-{slot}"))
+                .id(format!("ad-{slot}"))
                 .build(),
             );
         }
@@ -244,7 +244,7 @@ fn grow_containers(
                         padding: 0.0,
                     },
                 )
-                .id(&format!("d{depth}-p{i}"))
+                .id(format!("d{depth}-p{i}"))
                 .build(),
             );
         }

@@ -1,5 +1,6 @@
-//! Allocation counts of the visit hot path, pinned with a counting
-//! global allocator (this test binary's own).
+//! Allocation counts of the visit hot path and of a scenario page's
+//! set-up, pinned with a counting global allocator (this test binary's
+//! own).
 //!
 //! A `SimContext` keeps its first streams inline, a `SiteProfile` derives
 //! its background codes into one exactly sized buffer, and a site's visit
@@ -8,12 +9,23 @@
 //! change that brings back a per-stream `String`, a growing buffer or a
 //! per-visit derivation shows up here as an extra allocation.
 //!
+//! A scenario page is built once per (site, machine) and its page program
+//! runs once through an empty `DocumentMemo` before every later drive
+//! replays it. Elements borrow their static tags, take their `format!`
+//! ids by move and link their children instead of owning a child list,
+//! and the query index is a handful of flat arrays. A `String` tag, a
+//! copied id or a per-node vector that comes back shows up here.
+//!
 //! Counts are per thread, so the harness's other test threads do not
 //! disturb them.
 
+use hlisa_browser::{Browser, BrowserConfig, DocumentMemo, VirtualClock};
 use hlisa_sim::{Rng, SimContext, STREAM_REGISTRY};
+use hlisa_stats::rngutil::derive_seed;
+use hlisa_web::dynamics::{self, apply_scenario, ScenarioKind};
+use hlisa_web::page::TARGET_ID;
 use hlisa_web::visit::DetectorRuntime;
-use hlisa_web::{ClientKind, Site, SiteProfile};
+use hlisa_web::{generate_page, ClientKind, GeneratedPage, PageStructure, Site, SiteProfile};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -85,6 +97,8 @@ fn inline_streams_cost_only_the_clock() {
         let mut draws = 0u64;
         for _ in 0..3 {
             for &name in &names {
+                // The names are the registry's own first entries.
+                // lint: allow(stream-name-registry)
                 draws ^= ctx.stream(name).gen::<u64>();
             }
         }
@@ -131,4 +145,63 @@ fn a_warm_plain_visit_allocates_its_clock_and_status_vectors() {
         );
     }
     assert!(forks.next().is_none());
+}
+
+/// The cookie-banner site the scenario-page pins are taken on: two ad
+/// slots and a video player, so every kind of generated node is there.
+fn banner_site() -> Site {
+    Site {
+        domain: "banner.test".into(),
+        ad_slots: 2,
+        has_video: true,
+        scenario: Some(ScenarioKind::CookieBanner),
+        ..plain_site()
+    }
+}
+
+/// The site's scenario page, built as a crawl builds it: generated from
+/// a context keyed on the campaign seed and the site, then its scenario
+/// applied. Returns the page with the allocations the two steps made.
+fn banner_page(site: &Site) -> (GeneratedPage, usize) {
+    let mut ctx = SimContext::new(derive_seed(1, &site.domain, u64::from(site.rank)));
+    allocations(|| {
+        let mut page = generate_page(site, &PageStructure::default(), &mut ctx);
+        apply_scenario(&mut page, ScenarioKind::CookieBanner);
+        page
+    })
+}
+
+#[test]
+fn a_scenario_page_allocates_within_its_pin() {
+    let (page, n) = banner_page(&banner_site());
+    assert_eq!(page.doc.len(), 42);
+    // An owned tag per element, a copied id or a child vector per
+    // parent would each add about one allocation per node.
+    assert_eq!(n, 43, "generating the page allocated beyond its pin");
+    // A built index serves lookups, and the clones that share it,
+    // without allocating.
+    page.doc.build_index();
+    let copy = page.doc.clone();
+    let (found, n) = allocations(|| copy.by_id(TARGET_ID));
+    assert_eq!((found, n), (Some(page.target), 0));
+}
+
+#[test]
+fn a_memo_miss_on_a_scenario_page_allocates_within_its_pin() {
+    let (page, _) = banner_page(&banner_site());
+    page.doc.build_index();
+    let config = BrowserConfig::webdriver();
+    let world = config.pristine_world();
+    let mut browser =
+        Browser::open_with_world(config, page.doc.clone(), VirtualClock::new(), world);
+    let mut memo = DocumentMemo::new(dynamics::dismiss_banner);
+    // The miss copies the tree, reflows it and indexes the output.
+    let (dismissed, n) = allocations(|| browser.mutate_document_memo(&mut memo));
+    assert!(dismissed);
+    // The copy allocates the arena, the root list and the elements'
+    // strings; the index its eight arrays.
+    assert_eq!(n, 48, "the memo miss allocated beyond its pin");
+    browser.reopen(page.doc.clone(), VirtualClock::new());
+    assert!(browser.mutate_document_memo(&mut memo));
+    assert_eq!(memo.hits(), 1, "the second run must replay the first");
 }

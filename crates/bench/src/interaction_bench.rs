@@ -1,7 +1,7 @@
 //! Interaction fast-path benchmark: hit testing, trajectory synthesis,
-//! batch visit planning, recorder analytics, and pointer injection.
+//! batch visit planning, and pointer injection.
 //!
-//! Five sections, emitted as `BENCH_interaction.json`; the first four
+//! Four sections, emitted as `BENCH_interaction.json`; the first three
 //! each time a retained reference against its optimised path:
 //!
 //! 1. **Hit testing** — the linear reverse scan
@@ -23,10 +23,7 @@
 //!    stroke, and wheel tick of the visit into reused arenas — zero
 //!    allocations per visit in steady state, asserted via capacity
 //!    stability and reported as a fact.
-//! 4. **Recorder queries** — the retained full-scan analytics
-//!    (`*_rescan`) vs the incrementally-maintained views the recorder now
-//!    serves as slices, over a realistic multi-thousand-event trace.
-//! 5. **Pointer injection** — one recorded HLISA movement injected as
+//! 4. **Pointer injection** — one recorded HLISA movement injected as
 //!    one [`Browser::input_timed`] batch into a browser re-opened
 //!    ([`Browser::reopen`]) on a fresh copy of the page each time, the
 //!    way a scenario drive reuses its worker's browser. No baseline: the
@@ -37,12 +34,12 @@
 use crate::harness::{compare, measure, Report, Section};
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{
-    Browser, BrowserConfig, Document, ElementBuilder, EventRecorder, Point, RawInput, Rect,
-    TimedInput, VirtualClock,
+    Browser, BrowserConfig, Document, ElementBuilder, Point, RawInput, Rect, TimedInput,
+    VirtualClock,
 };
 use hlisa_human::cursor;
 use hlisa_human::plan::{plan_visit_unbatched, visit_script_into, ScriptStep};
-use hlisa_human::{HumanAgent, HumanParams, VisitPlanner};
+use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::splitmix64;
 use std::hint::black_box;
@@ -58,8 +55,6 @@ pub struct BenchConfig {
     pub traj_moves: u32,
     /// Whole visits planned per timed run.
     pub plan_visits: u32,
-    /// Full query sweeps (all seven analytics views) per timed run.
-    pub query_iters: u32,
     /// Recorded movements injected per timed run.
     pub inject_moves: u32,
 }
@@ -72,7 +67,6 @@ impl BenchConfig {
             hit_passes: 60,
             traj_moves: 20_000,
             plan_visits: 4_000,
-            query_iters: 2_000,
             inject_moves: 50_000,
         }
     }
@@ -84,7 +78,6 @@ impl BenchConfig {
             hit_passes: 20,
             traj_moves: 100,
             plan_visits: 60,
-            query_iters: 50,
             inject_moves: 500,
         }
     }
@@ -327,80 +320,6 @@ fn bench_batch_plan(config: &BenchConfig) -> (Section, u64) {
     (section, arenas_grown)
 }
 
-/// Drives one realistic session (clicks, typing, a full-page scroll, and
-/// some wandering) to fill a recorder with a few thousand events.
-fn recorded_session() -> EventRecorder {
-    let mut b = Browser::open(
-        BrowserConfig::regular(),
-        standard_test_page("https://bench.test/", 30_000.0),
-    );
-    let mut h = HumanAgent::baseline(1_117);
-    let submit = b.document().by_id("submit").expect("standard page");
-    let text_area = b.document().by_id("text_area").expect("standard page");
-    h.click_element(&mut b, submit);
-    h.click_element(&mut b, text_area);
-    h.type_text(&mut b, "The quick brown fox jumps over the lazy dog");
-    h.scroll_to_bottom(&mut b);
-    for i in 0..12u32 {
-        let (from, to, w) = move_endpoints(i);
-        h.move_cursor_to(&mut b, from, w);
-        h.move_cursor_to(&mut b, to, w);
-    }
-    b.recorder.clone()
-}
-
-fn bench_recorder(config: &BenchConfig) -> (u64, Section) {
-    let rec = recorded_session();
-    let trace_events = rec.len() as u64;
-    // Seven analytics views per sweep, matching what a level-2 detector
-    // pulls when featurizing a session.
-    let ops = u64::from(config.query_iters) * 7;
-    let sweep_rescan = |r: &EventRecorder| {
-        r.cursor_trace_rescan().len()
-            + r.clicks_rescan().len()
-            + r.keystrokes_rescan().len()
-            + r.key_flight_times_rescan().len()
-            + r.scroll_deltas_rescan().len()
-            + r.scroll_gaps_rescan().len()
-            + r.wheel_count_rescan()
-    };
-    let sweep_incremental = |r: &EventRecorder| {
-        r.cursor_trace().len()
-            + r.clicks().len()
-            + r.keystrokes().len()
-            + r.key_flight_times().len()
-            + r.scroll_deltas().len()
-            + r.scroll_gaps().len()
-            + r.wheel_count()
-    };
-    assert_eq!(
-        sweep_rescan(&rec),
-        sweep_incremental(&rec),
-        "recorder views disagree"
-    );
-    let (section, a, b) = compare(
-        "recorder_queries",
-        "queries",
-        ops,
-        || {
-            let mut acc = 0usize;
-            for _ in 0..config.query_iters {
-                acc += sweep_rescan(black_box(&rec));
-            }
-            acc
-        },
-        || {
-            let mut acc = 0usize;
-            for _ in 0..config.query_iters {
-                acc += sweep_incremental(black_box(&rec));
-            }
-            acc
-        },
-    );
-    assert_eq!(a, b, "recorder sides disagree");
-    (trace_events, section)
-}
-
 /// One recorded HLISA movement from the cursor origin a fresh window
 /// hands out, as the timed batch [`HumanAgent::move_cursor_to`] injects.
 fn recorded_movement() -> Vec<TimedInput> {
@@ -464,26 +383,23 @@ fn bench_pointer_injection(config: &BenchConfig) -> (Section, u64, u64) {
 /// Runs the whole suite.
 pub fn run(config: BenchConfig) -> Report {
     let mut report = Report::new(
-        "hlisa interaction fast path (hit test/trajectory/batch plan/recorder/injection)",
+        "hlisa interaction fast path (hit test/trajectory/batch plan/injection)",
         vec![
             ("hit_elements", config.hit_elements as u64),
             ("hit_passes", u64::from(config.hit_passes)),
             ("traj_moves", u64::from(config.traj_moves)),
             ("plan_visits", u64::from(config.plan_visits)),
-            ("query_iters", u64::from(config.query_iters)),
             ("inject_moves", u64::from(config.inject_moves)),
         ],
     );
     let hit_test = bench_hit_test(&config);
     let trajectory = bench_trajectory(&config);
     let (batch_plan, plan_arenas_grown) = bench_batch_plan(&config);
-    let (trace_events, recorder) = bench_recorder(&config);
     let (injection, movement_samples, movement_events) = bench_pointer_injection(&config);
-    report.sections = vec![hit_test, trajectory, batch_plan, recorder, injection];
+    report.sections = vec![hit_test, trajectory, batch_plan, injection];
     // Arenas that still grew during the timed batch-planning runs
     // (0 = zero steady-state allocations, the planner's contract).
     report.fact("plan_arenas_grown", plan_arenas_grown as f64);
-    report.fact("trace_events", trace_events as f64);
     report.fact("movement_samples", movement_samples as f64);
     report.fact("movement_events", movement_events as f64);
     report
@@ -501,22 +417,14 @@ mod tests {
         cfg.hit_passes = 1;
         cfg.traj_moves = 5;
         cfg.plan_visits = 4;
-        cfg.query_iters = 2;
         cfg.inject_moves = 3;
         let report = run(cfg);
-        let trace_events = report.get_fact("trace_events").unwrap();
-        assert!(trace_events > 1_000.0, "{trace_events} events");
         assert_eq!(
             report.get_fact("plan_arenas_grown"),
             Some(0.0),
             "batch planner allocated in steady state"
         );
-        for name in [
-            "hit_test",
-            "trajectory_synthesis",
-            "batch_plan",
-            "recorder_queries",
-        ] {
+        for name in ["hit_test", "trajectory_synthesis", "batch_plan"] {
             let section = report.section(name).expect(name);
             assert!(section.speedup().is_some(), "{name} has no baseline");
         }
@@ -529,7 +437,7 @@ mod tests {
             "{samples} samples, {events} events"
         );
         let human = report.render_human();
-        assert!(human.contains("recorder_queries"));
+        assert!(human.contains("pointer_injection"));
         assert!(human.contains("batch_plan"));
     }
 

@@ -26,7 +26,7 @@
 //! | Suite | Module | What it pins |
 //! |---|---|---|
 //! | `campaign` | [`campaign_bench`] | snapshot stamp vs world build, shapes vs `LinearObject`, world cache vs rebuild |
-//! | `interaction` | [`interaction_bench`] | grid vs linear hit test, stroke kernel vs reference, batch planner, recorder views |
+//! | `interaction` | [`interaction_bench`] | banded vs linear hit test, stroke kernel vs reference, batch planner, pointer injection |
 //! | `web` | [`web_bench`] | page generation rate, layered hit test, batched DOM mutation |
 //! | `lint` | [`lint_bench`] | AST parse and rule-pass rates over the workspace |
 //! | `parallel` | [`parallel_bench`] | worker-count sweep, lazy shard set-up, planner cost |

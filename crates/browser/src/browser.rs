@@ -1,4 +1,10 @@
 //! The browser: pages, clock, input pipeline, and event dispatch.
+//!
+//! The browser caches no derived state of its own: [`Browser::metrics`]
+//! merges the recorder's, the observers' and the absorbed counters at
+//! each call, and the trace views are scans of the recorder's event log.
+//! The one cache a drive depends on is the document's query index
+//! (`index.rs`), which serves every hit test and `by_id`.
 
 use crate::clock::VirtualClock;
 use crate::dom::{Document, DocumentMemo, DocumentMutator, NodeId};
@@ -9,7 +15,7 @@ use crate::recorder::EventRecorder;
 use crate::viewport::{ScrollOrigin, Viewport};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
 use hlisa_sim::{CounterSet, Observer};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Static browser configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,16 +107,6 @@ pub struct Browser {
     /// crawler's `fault.*` / `retry.*` / `breaker.*` family — surfaced
     /// through [`Browser::metrics`] alongside the observer counters.
     external_counters: CounterSet,
-    /// Cached recorder + observer + external counter merge, so repeated
-    /// [`Browser::metrics`] calls between events are O(1) instead of
-    /// re-walking every counter source. Invalidated (reset to an empty
-    /// `OnceLock`) wherever any source can change: once per input entry
-    /// point (no one can read metrics while one runs), counter
-    /// absorption, observer attachment, document mutation, and
-    /// navigation. The jsom realm stats are *not* part of the cached
-    /// base — the realm mutates its counters on plain property reads,
-    /// so those are layered on fresh at every call.
-    metrics_cache: OnceLock<CounterSet>,
 }
 
 impl Clone for Browser {
@@ -139,9 +135,6 @@ impl Clone for Browser {
             focused: self.focused,
             visible: self.visible,
             external_counters: self.external_counters.clone(),
-            // Fresh cache: the clone recomputes from its own (identical)
-            // sources on first query, so values carry over observably.
-            metrics_cache: OnceLock::new(),
         }
     }
 }
@@ -215,7 +208,6 @@ impl Browser {
             focused: None,
             visible: true,
             external_counters: CounterSet::new(),
-            metrics_cache: OnceLock::new(),
         }
     }
 
@@ -257,7 +249,6 @@ impl Browser {
         self.world = Arc::clone(&self.pristine_world);
         self.document = document;
         self.recorder.clear();
-        self.metrics_cache = OnceLock::new();
         self.pending_move = None;
         self.buttons_down.clear();
         self.keys_down.clear();
@@ -290,10 +281,8 @@ impl Browser {
     /// re-renders, banner dismissal, lazy-content reveal) and keeps the
     /// browser's derived state coherent: the document's query index is
     /// invalidated and the tree reflowed (by [`Document::mutate`]), the
-    /// viewport's scrollable extent follows the new page height, a
-    /// `dom.mutations` counter records the revision, and the metrics
-    /// cache is rebuilt on next read — a mutation changes both geometry
-    /// and metrics, so neither PR 5 cache may serve the old revision.
+    /// viewport's scrollable extent follows the new page height, and a
+    /// `dom.mutations` counter records the revision.
     pub fn mutate_document<R>(&mut self, f: impl FnOnce(&mut DocumentMutator) -> R) -> R {
         let r = self.document.mutate(f);
         self.document_mutated();
@@ -315,7 +304,6 @@ impl Browser {
     fn document_mutated(&mut self) {
         self.viewport.set_page_height(self.document.page_height);
         self.external_counters.add("dom.mutations", 1);
-        self.metrics_cache = OnceLock::new();
     }
 
     /// The configuration.
@@ -338,8 +326,7 @@ impl Browser {
         self.visible
     }
 
-    /// Buttons currently held down (the WebDriver "release actions"
-    /// endpoint needs to know what to let go of).
+    /// Buttons currently held down.
     pub fn pressed_buttons(&self) -> Vec<MouseButton> {
         self.buttons_down.iter().map(|(b, _)| *b).collect()
     }
@@ -381,7 +368,6 @@ impl Browser {
     /// observer, in attachment order, after the recorder.
     pub fn attach_observer(&mut self, observer: Box<dyn Observer<DomEvent>>) {
         self.observers.push(observer);
-        self.metrics_cache = OnceLock::new();
     }
 
     /// Number of attached observers (the recorder is not counted).
@@ -393,22 +379,18 @@ impl Browser {
     /// campaign's fault monitor) into this browser's metrics surface.
     pub fn absorb_counters(&mut self, counters: &CounterSet) {
         self.external_counters.merge(counters);
-        self.metrics_cache = OnceLock::new();
     }
 
     /// Event-count metrics aggregated across the recorder and every
     /// attached observer, plus absorbed external counters (the crawler's
-    /// `fault.*` / `retry.*` family) and the page world's realm counters.
+    /// `fault.*` / `retry.*` family) and the page world's realm counters,
+    /// merged afresh from every source at each call.
     pub fn metrics(&self) -> CounterSet {
-        let base = self.metrics_cache.get_or_init(|| {
-            let mut all = Observer::counters(&self.recorder);
-            for o in &self.observers {
-                all.merge(&o.counters());
-            }
-            all.merge(&self.external_counters);
-            all
-        });
-        let mut all = base.clone();
+        let mut all = Observer::counters(&self.recorder);
+        for o in &self.observers {
+            all.merge(&o.counters());
+        }
+        all.merge(&self.external_counters);
         let js = self.world.realm.stats();
         all.add("jsom.objects_allocated", js.objects_allocated);
         all.add("jsom.atoms_interned", js.atoms_interned);
@@ -464,12 +446,10 @@ impl Browser {
     }
 
     /// Runs one input entry point on browser-local time: loads the shared
-    /// clock into `batch_now_ms`, invalidates the metrics cache once for
-    /// everything `f` dispatches, and publishes the instant `f` reached.
+    /// clock into `batch_now_ms` and publishes the instant `f` reached.
     fn with_local_time<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let start = self.clock.now_ms();
         self.batch_now_ms = start;
-        self.metrics_cache = OnceLock::new();
         let r = f(self);
         if self.batch_now_ms.to_bits() != start.to_bits() {
             self.clock.advance_to(self.batch_now_ms);

@@ -156,7 +156,7 @@ pub struct Document {
     pub page_height: f64,
     /// The authored minimum page height (reflow floor).
     min_page_height: f64,
-    /// Lazily-built query index (row bands + id/tag/anchor lookups).
+    /// Lazily-built query index (row bands + id lookup).
     /// Torn down by every write to the tree, so it never serves stale
     /// geometry; rebuilt on the next query. Immutable once built, so
     /// clones share it.
@@ -431,24 +431,23 @@ impl Document {
 
     /// Finds the first attached element (arena order) with the given `id`
     /// attribute. Detached ([`Display::None`]) subtrees are skipped — a
-    /// driver cannot locate what is not in the DOM.
+    /// driver cannot locate what is not in the DOM — and, as with
+    /// `getElementById("")`, the empty id names no element.
     pub fn by_id(&self, id_attr: &str) -> Option<NodeId> {
         self.index().by_id(&self.tree.nodes, id_attr)
     }
 
     /// Linear reference model for [`Document::by_id`].
     pub fn by_id_linear(&self, id_attr: &str) -> Option<NodeId> {
+        if id_attr.is_empty() {
+            return None;
+        }
         self.ids()
             .find(|&i| self.tree.nodes[i.0].el.id == id_attr && self.in_tree(i))
     }
 
     /// Finds all attached elements with the given tag, in arena order.
     pub fn by_tag(&self, tag: &str) -> Vec<NodeId> {
-        self.index().by_tag(&self.tree.nodes, tag)
-    }
-
-    /// Linear reference model for [`Document::by_tag`].
-    pub fn by_tag_linear(&self, tag: &str) -> Vec<NodeId> {
         self.ids()
             .filter(|&i| self.tree.nodes[i.0].el.tag == tag && self.in_tree(i))
             .collect()
@@ -501,14 +500,9 @@ impl Document {
         best.map(|(_, _, id)| id)
     }
 
-    /// Finds the attached element anchoring `name` (for `#name`
-    /// navigation).
+    /// Finds the first attached element (arena order) anchoring `name`
+    /// (for `#name` navigation).
     pub fn anchor_target(&self, name: &str) -> Option<NodeId> {
-        self.index().anchor_target(&self.tree.nodes, name)
-    }
-
-    /// Linear reference model for [`Document::anchor_target`].
-    pub fn anchor_target_linear(&self, name: &str) -> Option<NodeId> {
         self.ids()
             .find(|&i| self.tree.nodes[i.0].el.anchor.as_deref() == Some(name) && self.in_tree(i))
     }
@@ -974,12 +968,6 @@ mod tests {
         let doc = standard_test_page("u", 30_000.0);
         for id_attr in ["submit", "text_area", "jump", "honey", "ghost", ""] {
             assert_eq!(doc.by_id(id_attr), doc.by_id_linear(id_attr));
-        }
-        for tag in ["button", "a", "div", "nope"] {
-            assert_eq!(doc.by_tag(tag), doc.by_tag_linear(tag));
-        }
-        for name in ["end", "missing"] {
-            assert_eq!(doc.anchor_target(name), doc.anchor_target_linear(name));
         }
         for x in [0.0, 10.0, 160.0, 550.0, 970.0, 1279.0, 1280.0, -5.0] {
             for y in [0.0, 14.0, 130.0, 315.0, 500.0, 29_500.0, 30_000.0] {

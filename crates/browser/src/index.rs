@@ -1,10 +1,12 @@
 //! Query acceleration for [`crate::dom::Document`].
 //!
 //! Every pointer sample a driver injects pays a `hit_test`, and every
-//! locator call (`by_id`, `by_tag`, `anchor_target`) scans the node
-//! arena. At measurement scale — a campaign synthesises millions of
-//! pointer samples — those linear scans dominate the interaction
-//! pipeline. This module precomputes, per document revision:
+//! drive locates its targets with `by_id`. At measurement scale — a
+//! campaign synthesises millions of pointer samples — linear scans of
+//! the node arena would dominate the interaction pipeline. The other
+//! locators (`by_tag`, `anchor_target`) have no hot caller and stay
+//! linear scans in `dom.rs`. This module precomputes, per document
+//! revision:
 //!
 //! * the **paint order** of the tree (pre-order traversal, stable-sorted
 //!   by cumulative layer) and per-node attachment/visibility, resolving
@@ -19,10 +21,9 @@
 //!   instead of the whole tree, and a full-width container is filed once
 //!   per band it spans (a 2-D grid files it once per cell);
 //! * an **id lookup** over *attached* nodes (detached `Display::None`
-//!   subtrees are not in the DOM): arena indices sorted by the hash of
-//!   their `id` attribute. The tag and anchor lookups have the same
-//!   layout and are built on the first `by_tag`/`anchor_target` query
-//!   (drives locate by id only, so most revisions never build them).
+//!   subtrees are not in the DOM) that carry a non-empty `id`: arena
+//!   indices sorted by the hash of their `id` attribute. The empty id
+//!   names no element, so it is not filed.
 //!
 //! The index holds no strings and no per-band or per-key allocation: a
 //! build is a handful of flat arrays, sized by the node count.
@@ -49,15 +50,13 @@
 //!   points are clamped to the bands with the same monotone mapping, so
 //!   an element containing a point is always present in the point's
 //!   band — even for boxes or points outside the page bounds;
-//! * the lookups are sorted by (hash, arena index), so one key's
+//! * the id lookup is sorted by (hash, arena index), so one id's
 //!   candidates come out in arena order, and each candidate is checked
-//!   against the node's real string: a hash collision can cost a
-//!   comparison but never answer for another key. `by_id` and
-//!   `anchor_target` take the first match, `by_tag` all of them.
+//!   against the node's real id: a hash collision can cost a comparison
+//!   but never answer for another id. `by_id` takes the first match.
 
-use crate::dom::{Display, Element, Node, NodeId};
+use crate::dom::{Display, Node, NodeId};
 use crate::geometry::{Point, Rect};
-use std::sync::OnceLock;
 
 /// Hard cap on row bands: bounds memory for huge pages while keeping
 /// bands thin enough that dense documents spread out.
@@ -66,12 +65,8 @@ const MAX_BANDS: usize = 64;
 /// Precomputed lookup structures for one document revision.
 #[derive(Debug)]
 pub(crate) struct DocumentIndex {
-    /// Every attached element by its `id` attribute. The empty id is
-    /// indexed like any other so `by_id("")` matches the linear reference
-    /// (which finds the first attached unnamed element).
+    /// Every attached element with a non-empty `id` attribute, by id.
     by_id: HashedKeys,
-    /// The tag and anchor lookups, built on first use.
-    locators: OnceLock<Locators>,
     /// The effectively-visible elements' boxes in paint order (bottom →
     /// top); `painted[i]` is the node `boxes[i]` belongs to.
     boxes: Vec<Rect>,
@@ -83,16 +78,7 @@ pub(crate) struct DocumentIndex {
     band_h: f64,
 }
 
-/// The lookups only the `by_tag` and `anchor_target` queries read.
-#[derive(Debug)]
-struct Locators {
-    /// Every attached element by tag.
-    by_tag: HashedKeys,
-    /// Every attached element that names an anchor, by anchor name.
-    by_anchor: HashedKeys,
-}
-
-/// Arena indices sorted by (hash of one string attribute, arena index):
+/// Arena indices sorted by (hash of their `id` attribute, arena index):
 /// one hash's entries form a contiguous run in arena order.
 #[derive(Debug)]
 struct HashedKeys(Vec<(u64, NodeId)>);
@@ -104,34 +90,16 @@ impl HashedKeys {
         Self(entries)
     }
 
-    /// The nodes whose attribute (read by `attr`) equals `key`, in arena
-    /// order.
-    fn matches<'a>(
-        &'a self,
-        nodes: &'a [Node],
-        key: &'a str,
-        attr: fn(&Element) -> Option<&str>,
-    ) -> impl Iterator<Item = NodeId> + 'a {
+    /// The nodes whose `id` equals `key`, in arena order.
+    fn matches<'a>(&'a self, nodes: &'a [Node], key: &'a str) -> impl Iterator<Item = NodeId> + 'a {
         let h = key_hash(key);
         let start = self.0.partition_point(|&(k, _)| k < h);
         self.0[start..]
             .iter()
             .take_while(move |&&(k, _)| k == h)
             .map(|&(_, id)| id)
-            .filter(move |id| attr(&nodes[id.index()].el) == Some(key))
+            .filter(move |id| nodes[id.index()].el.id == key)
     }
-}
-
-fn id_attr(el: &Element) -> Option<&str> {
-    Some(&el.id)
-}
-
-fn tag_attr(el: &Element) -> Option<&str> {
-    Some(el.tag)
-}
-
-fn anchor_attr(el: &Element) -> Option<&str> {
-    el.anchor.as_deref()
 }
 
 /// FNV-1a over the key's bytes: fixed across processes, so the index
@@ -176,12 +144,16 @@ impl DocumentIndex {
         // layer-0 pages paint in arena order exactly as before.
         paint.sort_by_key(|&(layer, _, _)| layer);
 
-        let by_id = HashedKeys::new(
-            paint
-                .iter()
-                .map(|&(_, _, id)| (key_hash(&nodes[id.index()].el.id), id))
-                .collect(),
-        );
+        // One allocation, sized for every attached node; the unnamed
+        // ones (about half a generated page) are skipped.
+        let mut ids = Vec::with_capacity(paint.len());
+        for &(_, _, id) in &paint {
+            let key = &nodes[id.index()].el.id;
+            if !key.is_empty() {
+                ids.push((key_hash(key), id));
+            }
+        }
+        let by_id = HashedKeys::new(ids);
         let visible = paint.iter().filter(|&&(_, visible, _)| visible).count();
         let mut boxes = Vec::with_capacity(visible);
         let mut painted = Vec::with_capacity(visible);
@@ -222,7 +194,6 @@ impl DocumentIndex {
         }
         Self {
             by_id,
-            locators: OnceLock::new(),
             boxes,
             painted,
             band_boxes,
@@ -231,48 +202,9 @@ impl DocumentIndex {
         }
     }
 
-    /// The tag and anchor lookups, built on first use from the attached
-    /// nodes (exactly the `by_id` entries).
-    fn locators(&self, nodes: &[Node]) -> &Locators {
-        self.locators.get_or_init(|| {
-            let attached = || {
-                self.by_id
-                    .0
-                    .iter()
-                    .map(|&(_, id)| (id, &nodes[id.index()].el))
-            };
-            Locators {
-                by_tag: HashedKeys::new(
-                    attached().map(|(id, el)| (key_hash(el.tag), id)).collect(),
-                ),
-                by_anchor: HashedKeys::new(
-                    attached()
-                        .filter_map(|(id, el)| el.anchor.as_deref().map(|a| (key_hash(a), id)))
-                        .collect(),
-                ),
-            }
-        })
-    }
-
     /// Fast path for [`crate::dom::Document::by_id`].
     pub(crate) fn by_id(&self, nodes: &[Node], id: &str) -> Option<NodeId> {
-        self.by_id.matches(nodes, id, id_attr).next()
-    }
-
-    /// Fast path for [`crate::dom::Document::by_tag`] (arena order).
-    pub(crate) fn by_tag(&self, nodes: &[Node], tag: &str) -> Vec<NodeId> {
-        self.locators(nodes)
-            .by_tag
-            .matches(nodes, tag, tag_attr)
-            .collect()
-    }
-
-    /// Fast path for [`crate::dom::Document::anchor_target`].
-    pub(crate) fn anchor_target(&self, nodes: &[Node], name: &str) -> Option<NodeId> {
-        self.locators(nodes)
-            .by_anchor
-            .matches(nodes, name, anchor_attr)
-            .next()
+        self.by_id.matches(nodes, id).next()
     }
 
     /// Fast path for [`crate::dom::Document::hit_test`]: topmost
@@ -325,10 +257,7 @@ mod tests {
             .collect();
         // Both nodes filed under the hash of "x", as if "y" collided.
         let keys = HashedKeys::new(vec![(key_hash("x"), NodeId(1)), (key_hash("x"), NodeId(0))]);
-        assert_eq!(
-            keys.matches(&nodes, "x", id_attr).collect::<Vec<_>>(),
-            [NodeId(0)]
-        );
-        assert_eq!(keys.matches(&nodes, "y", id_attr).next(), None);
+        assert_eq!(keys.matches(&nodes, "x").collect::<Vec<_>>(), [NodeId(0)]);
+        assert_eq!(keys.matches(&nodes, "y").next(), None);
     }
 }

@@ -1,15 +1,11 @@
 //! Event recorder — the stand-in for a page's JavaScript event listeners.
 //!
 //! Appendix E: "We built a website that uses JavaScript to record events."
-//! The recorder captures every dispatched event in order and offers the
-//! trace views the paper's analysis needs (cursor trajectories, click
-//! timings, key dwell/flight times, scroll cadences).
-//!
-//! The trace views are maintained *incrementally*: every aggregate is
-//! updated at [`EventRecorder::record`] time, so detector-side queries
-//! are O(1) slice borrows instead of O(n) rescans of the event log. The
-//! original full-scan derivations are retained as `*_rescan` reference
-//! implementations; a test asserts the two always agree.
+//! The recorder captures every dispatched event in order, and the trace
+//! views the paper's analysis needs (cursor trajectories, click timings,
+//! key dwell/flight times, scroll cadences) are derived from that log
+//! afterwards, each by one scan, the way the paper's analysis reads the
+//! page's event log once a session has ended.
 
 use crate::events::{DomEvent, EventKind, EventPayload, MouseButton};
 use hlisa_sim::{CounterSet, Observer};
@@ -19,26 +15,6 @@ use hlisa_sim::{CounterSet, Observer};
 pub struct EventRecorder {
     events: Vec<DomEvent>,
     click_offsets: Vec<f64>,
-    // ---- incremental aggregates, maintained by `record` ----
-    cursor: Vec<CursorSample>,
-    clicks: Vec<ClickObservation>,
-    /// Open presses awaiting their release: (button, down_t, x, y).
-    pending_clicks: Vec<(MouseButton, f64, f64, f64)>,
-    keystrokes: Vec<KeyObservation>,
-    /// Open keydowns awaiting their keyup. Stores the *event index* of
-    /// the keydown instead of a cloned key `String`; the key is borrowed
-    /// from the event log for matching and cloned only once, when the
-    /// pair completes.
-    pending_keys: Vec<(usize, f64)>,
-    key_flights: Vec<f64>,
-    scroll_deltas: Vec<f64>,
-    scroll_gaps: Vec<f64>,
-    /// Timestamp and position of the last `scroll` event.
-    last_scroll: Option<(f64, f64)>,
-    wheel_count: usize,
-    /// Per-kind event counts in first-seen order (≤ 57 kinds, so a
-    /// linear scan beats hashing and keeps counter order deterministic).
-    kind_counts: Vec<(EventKind, u64)>,
 }
 
 /// A single sampled cursor position.
@@ -88,80 +64,9 @@ impl EventRecorder {
         Self::default()
     }
 
-    /// Records one event, folding it into every incremental aggregate.
+    /// Records one event.
     pub fn record(&mut self, ev: DomEvent) {
-        self.update_aggregates(&ev);
         self.events.push(ev);
-    }
-
-    /// Folds one event into the running aggregates. Called *before* the
-    /// event is appended, so `self.events.len()` is the index the event
-    /// will occupy.
-    fn update_aggregates(&mut self, ev: &DomEvent) {
-        match self.kind_counts.iter_mut().find(|(k, _)| *k == ev.kind) {
-            Some((_, c)) => *c += 1,
-            None => self.kind_counts.push((ev.kind, 1)),
-        }
-        match (&ev.kind, &ev.payload) {
-            (EventKind::MouseMove, EventPayload::Mouse { x, y, .. }) => {
-                self.cursor.push(CursorSample {
-                    t: ev.timestamp_ms,
-                    x: *x,
-                    y: *y,
-                });
-            }
-            (EventKind::MouseDown, EventPayload::Mouse { x, y, button }) => {
-                self.pending_clicks.push((*button, ev.timestamp_ms, *x, *y));
-            }
-            (EventKind::MouseUp, EventPayload::Mouse { button, .. }) => {
-                if let Some(pos) = self.pending_clicks.iter().position(|(b, ..)| b == button) {
-                    let (b, down_t, x, y) = self.pending_clicks.remove(pos);
-                    self.clicks.push(ClickObservation {
-                        down_t,
-                        up_t: ev.timestamp_ms,
-                        x,
-                        y,
-                        dwell_ms: ev.timestamp_ms - down_t,
-                        button: b,
-                    });
-                }
-            }
-            (EventKind::KeyDown, EventPayload::Key { .. }) => {
-                self.pending_keys.push((self.events.len(), ev.timestamp_ms));
-            }
-            (EventKind::KeyUp, EventPayload::Key { key, .. }) => {
-                let events = &self.events;
-                let matching = self.pending_keys.iter().position(|(idx, _)| {
-                    matches!(&events[*idx].payload,
-                        EventPayload::Key { key: k, .. } if k == key)
-                });
-                if let Some(pos) = matching {
-                    let (idx, down_t) = self.pending_keys.remove(pos);
-                    if let EventPayload::Key { key, .. } = &self.events[idx].payload {
-                        if let Some(last) = self.keystrokes.last() {
-                            self.key_flights.push(down_t - last.up_t);
-                        }
-                        self.keystrokes.push(KeyObservation {
-                            down_t,
-                            up_t: ev.timestamp_ms,
-                            key: key.clone(),
-                            dwell_ms: ev.timestamp_ms - down_t,
-                        });
-                    }
-                }
-            }
-            (EventKind::Scroll, EventPayload::Scroll { scroll_y }) => {
-                if let Some((last_t, last_y)) = self.last_scroll {
-                    self.scroll_deltas.push(*scroll_y - last_y);
-                    self.scroll_gaps.push(ev.timestamp_ms - last_t);
-                }
-                self.last_scroll = Some((ev.timestamp_ms, *scroll_y));
-            }
-            (EventKind::Wheel, _) => {
-                self.wheel_count += 1;
-            }
-            _ => {}
-        }
     }
 
     /// All events in dispatch order.
@@ -181,21 +86,10 @@ impl EventRecorder {
         &self.click_offsets
     }
 
-    /// Clears the trace and every aggregate.
+    /// Clears the trace.
     pub fn clear(&mut self) {
         self.events.clear();
         self.click_offsets.clear();
-        self.cursor.clear();
-        self.clicks.clear();
-        self.pending_clicks.clear();
-        self.keystrokes.clear();
-        self.pending_keys.clear();
-        self.key_flights.clear();
-        self.scroll_deltas.clear();
-        self.scroll_gaps.clear();
-        self.last_scroll = None;
-        self.wheel_count = 0;
-        self.kind_counts.clear();
     }
 
     /// Number of recorded events.
@@ -213,60 +107,8 @@ impl EventRecorder {
         self.events.iter().filter(|e| e.kind == kind).collect()
     }
 
-    /// The cursor trajectory: every `mousemove` as (t, x, y). O(1) — the
-    /// trace is maintained incrementally at record time.
-    pub fn cursor_trace(&self) -> &[CursorSample] {
-        &self.cursor
-    }
-
-    /// Click observations: mousedown/mouseup pairs per button, in order.
-    /// O(1) — maintained incrementally at record time.
-    pub fn clicks(&self) -> &[ClickObservation] {
-        &self.clicks
-    }
-
-    /// Key observations: keydown/keyup pairs per key, supporting the
-    /// interleaved presses fast human typing produces (§4.1: "sometimes a
-    /// key is only released when a different key has already been pressed").
-    /// O(1) — maintained incrementally at record time.
-    pub fn keystrokes(&self) -> &[KeyObservation] {
-        &self.keystrokes
-    }
-
-    /// Flight times between consecutive keystrokes: keyup(i) → keydown(i+1),
-    /// in ms (may be negative for interleaved presses). O(1) — maintained
-    /// incrementally at record time.
-    pub fn key_flight_times(&self) -> &[f64] {
-        &self.key_flights
-    }
-
-    /// Scroll deltas between consecutive scroll events (px). O(1) —
-    /// maintained incrementally at record time.
-    pub fn scroll_deltas(&self) -> &[f64] {
-        &self.scroll_deltas
-    }
-
-    /// Inter-event gaps between consecutive scroll events (ms). O(1) —
-    /// maintained incrementally at record time.
-    pub fn scroll_gaps(&self) -> &[f64] {
-        &self.scroll_gaps
-    }
-
-    /// Count of wheel events. O(1) — maintained incrementally.
-    pub fn wheel_count(&self) -> usize {
-        self.wheel_count
-    }
-
-    // ---- full-scan reference implementations --------------------------
-    //
-    // The original O(n) derivations over the raw event log, retained as
-    // the semantic definition of each aggregate. The incremental views
-    // above must always equal these (asserted by a test); keeping both
-    // also lets offline consumers recompute views from a deserialized
-    // event log alone.
-
-    /// Full-scan reference for [`cursor_trace`](Self::cursor_trace).
-    pub fn cursor_trace_rescan(&self) -> Vec<CursorSample> {
+    /// The cursor trajectory: every `mousemove` as (t, x, y).
+    pub fn cursor_trace(&self) -> Vec<CursorSample> {
         self.events
             .iter()
             .filter(|e| e.kind == EventKind::MouseMove)
@@ -281,8 +123,8 @@ impl EventRecorder {
             .collect()
     }
 
-    /// Full-scan reference for [`clicks`](Self::clicks).
-    pub fn clicks_rescan(&self) -> Vec<ClickObservation> {
+    /// Click observations: mousedown/mouseup pairs per button, in order.
+    pub fn clicks(&self) -> Vec<ClickObservation> {
         let mut out = Vec::new();
         let mut pending: Vec<(MouseButton, f64, f64, f64)> = Vec::new();
         for e in &self.events {
@@ -309,8 +151,10 @@ impl EventRecorder {
         out
     }
 
-    /// Full-scan reference for [`keystrokes`](Self::keystrokes).
-    pub fn keystrokes_rescan(&self) -> Vec<KeyObservation> {
+    /// Key observations: keydown/keyup pairs per key, supporting the
+    /// interleaved presses fast human typing produces (§4.1: "sometimes a
+    /// key is only released when a different key has already been pressed").
+    pub fn keystrokes(&self) -> Vec<KeyObservation> {
         let mut out = Vec::new();
         let mut pending: Vec<(String, f64)> = Vec::new();
         for e in &self.events {
@@ -335,17 +179,17 @@ impl EventRecorder {
         out
     }
 
-    /// Full-scan reference for [`key_flight_times`](Self::key_flight_times).
-    pub fn key_flight_times_rescan(&self) -> Vec<f64> {
-        let strokes = self.keystrokes_rescan();
-        strokes
+    /// Flight times between consecutive keystrokes: keyup(i) → keydown(i+1),
+    /// in ms (may be negative for interleaved presses).
+    pub fn key_flight_times(&self) -> Vec<f64> {
+        self.keystrokes()
             .windows(2)
             .map(|w| w[1].down_t - w[0].up_t)
             .collect()
     }
 
-    /// Full-scan reference for [`scroll_deltas`](Self::scroll_deltas).
-    pub fn scroll_deltas_rescan(&self) -> Vec<f64> {
+    /// Scroll deltas between consecutive scroll events (px).
+    pub fn scroll_deltas(&self) -> Vec<f64> {
         let ys: Vec<f64> = self
             .events
             .iter()
@@ -357,8 +201,8 @@ impl EventRecorder {
         ys.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Full-scan reference for [`scroll_gaps`](Self::scroll_gaps).
-    pub fn scroll_gaps_rescan(&self) -> Vec<f64> {
+    /// Inter-event gaps between consecutive scroll events (ms).
+    pub fn scroll_gaps(&self) -> Vec<f64> {
         let ts: Vec<f64> = self
             .events
             .iter()
@@ -368,9 +212,12 @@ impl EventRecorder {
         ts.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Full-scan reference for [`wheel_count`](Self::wheel_count).
-    pub fn wheel_count_rescan(&self) -> usize {
-        self.of_kind(EventKind::Wheel).len()
+    /// Count of wheel events.
+    pub fn wheel_count(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| e.kind == EventKind::Wheel)
+            .count()
     }
 }
 
@@ -384,13 +231,21 @@ impl Observer<DomEvent> for EventRecorder {
     }
 
     fn counters(&self) -> CounterSet {
-        // One insertion per *kind* (first-seen order, matching what
-        // per-event insertion would produce) instead of one string
-        // format + linear probe per event.
+        // One pass tallies every kind; counters are then added once per
+        // kind, in first-seen order.
+        let mut counts = [0u64; EventKind::NAMES.len()];
+        let mut order = Vec::new();
+        for e in &self.events {
+            let count = &mut counts[e.kind as usize];
+            if *count == 0 {
+                order.push(e.kind);
+            }
+            *count += 1;
+        }
         let mut counters = CounterSet::new();
         counters.add("events.total", self.events.len() as u64);
-        for (kind, count) in &self.kind_counts {
-            counters.add(&format!("events.{}", kind.name()), *count);
+        for kind in order {
+            counters.add(&format!("events.{}", kind.name()), counts[kind as usize]);
         }
         counters
     }
@@ -520,75 +375,5 @@ mod tests {
         assert!(r.keystrokes().is_empty());
         assert_eq!(r.wheel_count(), 0);
         assert!(r.counters().get("events.keydown").is_none());
-    }
-
-    /// The incremental aggregates equal the full-scan references after a
-    /// busy mixed trace — including unmatched presses, rollover typing,
-    /// and a mid-stream burst of every event family.
-    #[test]
-    fn incremental_views_equal_rescan() {
-        let mut r = EventRecorder::new();
-        // Mixed trace: moves, an interleaved typing burst, a right-button
-        // press with no release, clicks, wheel + scroll cadence.
-        r.record(mouse_ev(
-            EventKind::MouseMove,
-            1.0,
-            10.0,
-            20.0,
-            MouseButton::Left,
-        ));
-        r.record(key_ev(EventKind::KeyDown, 2.0, "a"));
-        r.record(key_ev(EventKind::KeyDown, 3.0, "b"));
-        r.record(mouse_ev(
-            EventKind::MouseDown,
-            4.0,
-            11.0,
-            21.0,
-            MouseButton::Right,
-        ));
-        r.record(key_ev(EventKind::KeyUp, 5.0, "a"));
-        r.record(mouse_ev(
-            EventKind::MouseDown,
-            6.0,
-            12.0,
-            22.0,
-            MouseButton::Left,
-        ));
-        r.record(key_ev(EventKind::KeyUp, 7.0, "b"));
-        r.record(mouse_ev(
-            EventKind::MouseUp,
-            8.0,
-            12.0,
-            22.0,
-            MouseButton::Left,
-        ));
-        for (i, y) in [(0u32, 57.0), (1, 114.0), (2, 171.0)] {
-            r.record(DomEvent {
-                kind: EventKind::Wheel,
-                timestamp_ms: 9.0 + f64::from(i),
-                target: None,
-                payload: EventPayload::Mouse {
-                    x: 12.0,
-                    y: 22.0,
-                    button: MouseButton::Left,
-                },
-            });
-            r.record(DomEvent {
-                kind: EventKind::Scroll,
-                timestamp_ms: 9.5 + f64::from(i),
-                target: None,
-                payload: EventPayload::Scroll { scroll_y: y },
-            });
-        }
-        r.record(key_ev(EventKind::KeyDown, 20.0, "c"));
-        r.record(key_ev(EventKind::KeyUp, 25.0, "c"));
-
-        assert_eq!(r.cursor_trace(), r.cursor_trace_rescan());
-        assert_eq!(r.clicks(), r.clicks_rescan());
-        assert_eq!(r.keystrokes(), r.keystrokes_rescan());
-        assert_eq!(r.key_flight_times(), r.key_flight_times_rescan());
-        assert_eq!(r.scroll_deltas(), r.scroll_deltas_rescan());
-        assert_eq!(r.scroll_gaps(), r.scroll_gaps_rescan());
-        assert_eq!(r.wheel_count(), r.wheel_count_rescan());
     }
 }

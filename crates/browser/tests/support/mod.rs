@@ -41,12 +41,6 @@ pub fn assert_queries_agree(doc: &Document, points: &[(f64, f64)]) {
     for id_attr in IDS {
         assert_eq!(doc.by_id(id_attr), doc.by_id_linear(id_attr));
     }
-    for tag in TAGS {
-        assert_eq!(doc.by_tag(tag), doc.by_tag_linear(tag));
-    }
-    for name in ["end", "top", "missing"] {
-        assert_eq!(doc.anchor_target(name), doc.anchor_target_linear(name));
-    }
 }
 
 /// Decodes one tree node: geometry + identity bytes as in [`element`],

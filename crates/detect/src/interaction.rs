@@ -202,7 +202,7 @@ impl TraceFeatures {
         // dwell spans whole character groups and would swamp the
         // per-character rhythm every level analyses. Strokes are ordered
         // by press time (rollover typing completes out of order).
-        let mut strokes = recorder.keystrokes().to_vec();
+        let mut strokes = recorder.keystrokes();
         strokes.sort_by(|a, b| {
             a.down_t
                 .partial_cmp(&b.down_t)
@@ -243,9 +243,8 @@ impl TraceFeatures {
         // Clicks. Offsets come from the recorder's dispatch-time
         // annotations (pages compute them inside the click listener, when
         // the element's box is still where the click happened).
-        for c in recorder.clicks() {
-            f.click_dwells_ms.push(c.dwell_ms);
-        }
+        let clicks = recorder.clicks();
+        f.click_dwells_ms = clicks.iter().map(|c| c.dwell_ms).collect();
         f.click_offsets_frac = recorder.click_offsets().to_vec();
         let _ = doc;
 
@@ -289,16 +288,15 @@ impl TraceFeatures {
         }
 
         // Scrolling.
-        f.scroll_gaps_ms = recorder.scroll_gaps().to_vec();
-        f.scroll_deltas_px = recorder.scroll_deltas().to_vec();
+        f.scroll_gaps_ms = recorder.scroll_gaps();
+        f.scroll_deltas_px = recorder.scroll_deltas();
         f.wheel_events = recorder.wheel_count();
         f.scroll_events = recorder.of_kind(EventKind::Scroll).len();
 
         // Synthetic clicks: click events in excess of completed left
         // press/release pairs.
         let click_events = recorder.of_kind(EventKind::Click).len();
-        let left_pairs = recorder
-            .clicks()
+        let left_pairs = clicks
             .iter()
             .filter(|c| c.button == hlisa_browser::events::MouseButton::Left)
             .count();

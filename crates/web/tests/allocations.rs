@@ -1,6 +1,6 @@
 //! Allocation counts of the visit hot path and of a scenario page's
-//! set-up, pinned with a counting global allocator (this test binary's
-//! own).
+//! set-up, pinned with the counting global allocator of
+//! `counting_alloc`.
 //!
 //! A `SimContext` keeps its first streams inline, a `SiteProfile` derives
 //! its background codes into one exactly sized buffer, and a site's visit
@@ -15,10 +15,10 @@
 //! ids by move and link their children instead of owning a child list,
 //! and the query index is a handful of flat arrays. A `String` tag, a
 //! copied id or a per-node vector that comes back shows up here.
-//!
-//! Counts are per thread, so the harness's other test threads do not
-//! disturb them.
 
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use hlisa_browser::{Browser, BrowserConfig, DocumentMemo, VirtualClock};
 use hlisa_sim::{Rng, SimContext, STREAM_REGISTRY};
 use hlisa_stats::rngutil::derive_seed;
@@ -26,49 +26,6 @@ use hlisa_web::dynamics::{self, apply_scenario, ScenarioKind};
 use hlisa_web::page::TARGET_ID;
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{generate_page, ClientKind, GeneratedPage, PageStructure, Site, SiteProfile};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call forwards to `System` unchanged; the thread-local
-// counter is const-initialised and has no destructor, so bumping it
-// never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Runs `f` and returns its result with the allocations it made on this
-/// thread (reallocations count as allocations).
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 /// A reachable site without a detector, scenario or breakage, with
 /// request counts off the lane width.

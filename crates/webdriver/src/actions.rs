@@ -135,7 +135,7 @@ mod tests {
         let trace = b.recorder.cursor_trace();
         assert!(trace.len() >= 5, "trace too sparse: {}", trace.len());
         // Collinearity with the straight line y = x/2 from (0, 0).
-        for s in trace {
+        for s in &trace {
             assert!((s.y - s.x / 2.0).abs() < 1e-6, "not straight at {s:?}");
         }
         // Uniform speed: equal distance per equal time.

@@ -13,8 +13,9 @@
 //!   API" (§4.1). The primitive pointer move enforces Selenium's minimum
 //!   move duration, which [`Session::override_pointer_move_min_duration`]
 //!   lowers to 50 ms exactly as HLISA patches `create_pointer_move`.
-//! * [`session`] — a WebDriver session: element lookup, script-level
-//!   scrolling, and command dispatch.
+//! * [`session`] — a WebDriver session: element lookup and
+//!   introspection, action dispatch, script-level scrolling and clicks,
+//!   and reflective script probes.
 //! * [`selenium`] — `ActionChains` with Selenium's behavioural signature:
 //!   straight uniform-speed cursor moves, clicks dead-centre with no dwell,
 //!   13,333 cpm flawless typing without modifier keys, and script scrolling
@@ -23,13 +24,11 @@
 pub mod actions;
 pub mod audit;
 pub mod error;
-pub mod protocol;
 pub mod selenium;
 pub mod session;
 
 pub use actions::{Action, PointerMoveProfile, HLISA_MIN_MOVE_MS};
 pub use audit::{ActionAuditor, AuditFinding};
 pub use error::WebDriverError;
-pub use protocol::{Command, Response};
 pub use selenium::SeleniumActionChains;
 pub use session::{By, ElementHandle, Session};

@@ -266,6 +266,50 @@ mod tests {
     }
 
     #[test]
+    fn the_empty_id_names_no_element() {
+        // `getElementById("")` is null in a browser, although most
+        // elements of the page carry no id.
+        assert!(matches!(
+            session().find_element(By::Id(String::new())),
+            Err(WebDriverError::NoSuchElement(_))
+        ));
+    }
+
+    #[test]
+    fn element_introspection_reads_the_document() {
+        let s = session();
+        let honey = s.find_element(By::Id("honey".into())).unwrap();
+        assert!(!s.is_displayed(honey));
+        assert!(s.element_rect(honey).width > 0.0);
+        let submit = s.find_element(By::Id("submit".into())).unwrap();
+        assert!(s.is_displayed(submit));
+        assert_eq!(s.element_center(submit), s.element_rect(submit).center());
+    }
+
+    #[test]
+    fn typed_keys_show_in_the_element_text() {
+        let mut s = session();
+        let el = s.find_element(By::Id("text_area".into())).unwrap();
+        s.ensure_interactable(el).unwrap();
+        let c = s.element_center(el);
+        let mut actions = vec![
+            Action::PointerMove {
+                x: c.x,
+                y: c.y,
+                duration_ms: 0.0,
+            },
+            Action::PointerDown(hlisa_browser::events::MouseButton::Left),
+            Action::PointerUp(hlisa_browser::events::MouseButton::Left),
+        ];
+        for ch in ["W", "i", "r", "e"] {
+            actions.push(Action::KeyDown(ch.into()));
+            actions.push(Action::KeyUp(ch.into()));
+        }
+        s.perform_actions(&actions);
+        assert_eq!(s.element_text(el), "Wire");
+    }
+
+    #[test]
     fn ensure_interactable_scrolls_offscreen_elements() {
         let mut s = session();
         let el = s.find_element(By::Id("section-end".into())).unwrap();
@@ -293,6 +337,20 @@ mod tests {
         assert_eq!(v, Value::Bool(true));
         let v2 = s.execute_script_get("window.navigator.userAgent").unwrap();
         assert!(v2.as_str().unwrap().contains("Firefox"));
+    }
+
+    #[test]
+    fn script_path_stops_at_a_non_object() {
+        let mut s = session();
+        assert_eq!(
+            s.execute_script_get("window.navigator.webdriver").unwrap(),
+            Value::Bool(true)
+        );
+        // A boolean has no properties to step into.
+        assert!(matches!(
+            s.execute_script_get("navigator.webdriver.enabled"),
+            Err(WebDriverError::InvalidArgument(_))
+        ));
     }
 
     #[test]

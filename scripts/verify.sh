@@ -41,6 +41,12 @@ cargo run -q --release -p hlisa-bench --bin export_csv -- "$csv_dir" > /dev/null
 rm -rf "$csv_dir"
 cargo run -q --release --example crawl_study > /dev/null
 
+echo "==> remaining examples (quickstart, form_fill_study), run once each"
+# quickstart prints the recorder's trace views; form_fill_study drives
+# the form-filling comparison. Each takes a few milliseconds.
+cargo run -q --release --example quickstart > /dev/null
+cargo run -q --release --example form_fill_study > /dev/null
+
 echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 

@@ -1,8 +1,8 @@
 //! The browser: pages, clock, input pipeline, and event dispatch.
 //!
 //! The browser caches no derived state of its own: [`Browser::metrics`]
-//! merges the recorder's, the observers' and the absorbed counters at
-//! each call, and the trace views are scans of the recorder's event log.
+//! merges the recorder's and the observers' counters at each call, and
+//! the trace views are scans of the recorder's event log.
 //! The one cache a drive depends on is the document's query index
 //! (`index.rs`), which serves every hit test and `by_id`.
 
@@ -103,10 +103,9 @@ pub struct Browser {
     last_click: Option<(f64, Option<NodeId>)>,
     focused: Option<NodeId>,
     visible: bool,
-    /// Counters absorbed from outside the event dispatch — e.g. the
-    /// crawler's `fault.*` / `retry.*` / `breaker.*` family — surfaced
-    /// through [`Browser::metrics`] alongside the observer counters.
-    external_counters: CounterSet,
+    /// Structural mutations applied to the document since opening, the
+    /// `dom.mutations` counter of [`Browser::metrics`].
+    dom_mutations: u64,
 }
 
 impl Clone for Browser {
@@ -134,7 +133,7 @@ impl Clone for Browser {
             last_click: self.last_click,
             focused: self.focused,
             visible: self.visible,
-            external_counters: self.external_counters.clone(),
+            dom_mutations: self.dom_mutations,
         }
     }
 }
@@ -207,7 +206,7 @@ impl Browser {
             last_click: None,
             focused: None,
             visible: true,
-            external_counters: CounterSet::new(),
+            dom_mutations: 0,
         }
     }
 
@@ -303,7 +302,7 @@ impl Browser {
     /// The browser-side effects of one document mutation.
     fn document_mutated(&mut self) {
         self.viewport.set_page_height(self.document.page_height);
-        self.external_counters.add("dom.mutations", 1);
+        self.dom_mutations += 1;
     }
 
     /// The configuration.
@@ -375,22 +374,18 @@ impl Browser {
         self.observers.len()
     }
 
-    /// Absorbs an externally-produced counter set (e.g. a chaos
-    /// campaign's fault monitor) into this browser's metrics surface.
-    pub fn absorb_counters(&mut self, counters: &CounterSet) {
-        self.external_counters.merge(counters);
-    }
-
     /// Event-count metrics aggregated across the recorder and every
-    /// attached observer, plus absorbed external counters (the crawler's
-    /// `fault.*` / `retry.*` family) and the page world's realm counters,
-    /// merged afresh from every source at each call.
+    /// attached observer, plus `dom.mutations` once the document has been
+    /// mutated and the page world's realm counters, merged afresh from
+    /// every source at each call.
     pub fn metrics(&self) -> CounterSet {
         let mut all = Observer::counters(&self.recorder);
         for o in &self.observers {
             all.merge(&o.counters());
         }
-        all.merge(&self.external_counters);
+        if self.dom_mutations > 0 {
+            all.add("dom.mutations", self.dom_mutations);
+        }
         let js = self.world.realm.stats();
         all.add("jsom.objects_allocated", js.objects_allocated);
         all.add("jsom.atoms_interned", js.atoms_interned);
@@ -1215,7 +1210,7 @@ mod tests {
         b.navigate(standard_test_page("https://two.test/", 5_000.0));
         assert!(b.recorder.is_empty());
         assert_eq!(b.mouse_position(), Point::new(200.0, 200.0));
-        assert_eq!(b.document().url, "https://two.test/");
+        assert_eq!(&*b.document().url, "https://two.test/");
     }
 
     #[test]
@@ -1435,31 +1430,6 @@ mod tests {
     }
 
     #[test]
-    fn absorbed_fault_counters_surface_in_metrics() {
-        use hlisa_sim::{FaultEvent, FaultKind, FaultMonitor, Observer};
-
-        let mut monitor = FaultMonitor::new();
-        monitor.record(&FaultEvent::Injected {
-            kind: FaultKind::RealmCrash,
-        });
-        monitor.record(&FaultEvent::RetryScheduled {
-            attempt: 0,
-            backoff_ms: 750.0,
-        });
-        monitor.record(&FaultEvent::RecoveredAfterRetry { attempts: 2 });
-
-        let mut b = browser();
-        b.absorb_counters(&monitor.counters());
-        let metrics = b.metrics();
-        assert_eq!(metrics.get("fault.injected"), Some(1));
-        assert_eq!(metrics.get("fault.injected.realm_crash"), Some(1));
-        assert_eq!(metrics.get("retry.scheduled"), Some(1));
-        assert_eq!(metrics.get("retry.recovered"), Some(1));
-        // Absorbed counters survive cloning like the rest of the state.
-        assert_eq!(b.clone().metrics().get("fault.injected"), Some(1));
-    }
-
-    #[test]
     fn metrics_cache_invalidates_on_every_source_change() {
         use hlisa_sim::{CounterSet, Observer};
 
@@ -1472,13 +1442,6 @@ mod tests {
             after > before,
             "dispatch must invalidate ({before} -> {after})"
         );
-
-        // Prime again, then absorb external counters.
-        let _ = b.metrics();
-        let mut external = CounterSet::new();
-        external.add("chaos.example", 7);
-        b.absorb_counters(&external);
-        assert_eq!(b.metrics().get("chaos.example"), Some(7));
 
         // Prime again, then attach an observer with its own counters.
         let _ = b.metrics();

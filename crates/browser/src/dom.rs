@@ -140,8 +140,10 @@ struct Tree {
 
 /// A laid-out document.
 pub struct Document {
-    /// URL the document was loaded from.
-    pub url: String,
+    /// URL the document was loaded from. Shared: a clone (a visit's
+    /// copy of a cached page, a memo's stored output) points at the same
+    /// text instead of copying it.
+    pub url: Arc<str>,
     /// The tree, copy-on-write: a clone shares this allocation until
     /// either side writes, and every write goes through
     /// `Document::tree_mut`, which copies a shared tree first. A tree
@@ -166,7 +168,7 @@ pub struct Document {
 impl Clone for Document {
     fn clone(&self) -> Self {
         Self {
-            url: self.url.clone(),
+            url: Arc::clone(&self.url),
             tree: Arc::clone(&self.tree),
             page_width: self.page_width,
             page_height: self.page_height,
@@ -208,7 +210,7 @@ impl Document {
     pub fn new(url: &str, page_width: f64, page_height: f64) -> Self {
         assert!(page_width > 0.0 && page_height > 0.0, "degenerate page");
         Self {
-            url: url.to_string(),
+            url: url.into(),
             tree: Arc::new(Tree {
                 nodes: Vec::new(),
                 roots: Vec::new(),

@@ -247,8 +247,8 @@ fn a_reopened_browser_equals_a_fresh_one() {
     let page = || standard_test_page("https://reopen.test/", 8_000.0);
 
     // Leave a browser as dirty as a drive can: buttons and keys held,
-    // focus set, observers attached, minimised, scrolled, counters
-    // absorbed, smooth scrolling on, the world written, a trace recorded.
+    // focus set, observers attached, minimised, scrolled, smooth
+    // scrolling on, the world written, a trace recorded.
     let mut dirty = Browser::open_with_world(
         config.clone(),
         standard_test_page("https://dirty.test/", 20_000.0),
@@ -276,9 +276,6 @@ fn a_reopened_browser_equals_a_fresh_one() {
         ),
         TimedInput::after(10.0, RawInput::Minimize),
     ]);
-    let mut external = CounterSet::new();
-    external.add("fault.injected", 3);
-    dirty.absorb_counters(&external);
     let nav = dirty.world_mut().resolve_navigator();
     dirty.world_mut().realm.set_own(
         nav,

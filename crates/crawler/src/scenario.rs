@@ -53,13 +53,18 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 ///   re-locate, re-click) reuse the agent's trajectory and typing
 ///   buffers. Rebinding changes no draw — the agent's streams come wholly
 ///   from the fork;
-/// * one WebDriver-flavour [`Browser`], re-opened on each drive's page
+/// * one WebDriver [`Session`] — the worker's automated browser, as each
+///   crawl instance keeps one in the paper. Every drive borrows it: a
+///   Selenium drive drives the session, an HLISA drive its browser. Its
+///   WebDriver-flavour [`Browser`] is re-opened on each drive's page
 ///   ([`Browser::reopen`] gives exactly the state a fresh open does) so
-///   its event buffers keep their capacity from drive to drive. It keeps
-///   the pristine page world it was first opened with, which every drive
+///   its event buffers keep their capacity from drive to drive; no drive
+///   installs an auditor or changes the pointer profile, so the browser
+///   is all of the session a drive changes. The browser keeps the
+///   pristine page world it was first opened with, which every drive
 ///   shares copy-on-write instead of re-running the world builder
 ///   (construction is deterministic and RNG-free; no drive writes it).
-///   It is boxed so the scratch stays as wide as it was without it: a
+///   The session is boxed so it adds one word to the scratch: a
 ///   worker builds its scratch on a fresh stack even in campaigns that
 ///   never drive a scenario;
 /// * the most recently generated scenario page, keyed on everything
@@ -72,10 +77,10 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 /// None of the three can influence a draw, so drives through a reused
 /// scratch are bit-identical to fresh-scratch drives (pinned by
 /// regression and differential tests).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ScenarioScratch {
     human: HumanAgent,
-    browser: Option<Box<Browser>>,
+    session: Option<Box<Session>>,
     page: Option<CachedPage>,
     pages_generated: u64,
     browsers_opened: u64,
@@ -83,7 +88,7 @@ pub struct ScenarioScratch {
 
 /// A generated scenario page with the complete key it was generated from,
 /// and its kind's page program.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedPage {
     campaign_seed: u64,
     kind: ScenarioKind,
@@ -97,7 +102,7 @@ struct CachedPage {
 /// unwritten copy of the same document, so the first drive's mutation
 /// serves every later one. A drive matches on the program, so the kind it
 /// drives and the program it runs cannot disagree.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PageProgram {
     CookieBanner(DocumentMemo<bool>),
     LazyContent(DocumentMemo<bool>),
@@ -131,7 +136,7 @@ impl ScenarioScratch {
     pub fn new() -> Self {
         Self {
             human: HumanAgent::with_context(HumanParams::paper_baseline(), SimContext::new(0)),
-            browser: None,
+            session: None,
             page: None,
             pages_generated: 0,
             browsers_opened: 0,
@@ -159,15 +164,14 @@ impl ScenarioScratch {
 
     /// Opens the drive's WebDriver browser on the site's scenario page —
     /// the page from the cache (regenerated only when the key changed),
-    /// shared, in the retained browser — and hands out the page's program
-    /// and the agent alongside it. The browser is lent out by value (a
-    /// Selenium drive moves it into a session) and put back by the drive.
+    /// shared, in the retained session's browser — and hands out the
+    /// session with the page's program and the agent alongside it.
     fn open(
         &mut self,
         site: &Site,
         kind: ScenarioKind,
         campaign_seed: u64,
-    ) -> (Box<Browser>, &mut PageProgram, &mut HumanAgent) {
+    ) -> (&mut Session, &mut PageProgram, &mut HumanAgent) {
         if !self
             .page
             .as_ref()
@@ -189,24 +193,20 @@ impl ScenarioScratch {
             }
         });
         let doc = page.doc.clone();
-        let browser = match self.browser.take() {
-            Some(mut browser) => {
-                browser.reopen(doc, VirtualClock::new());
-                browser
+        let session = match self.session {
+            Some(ref mut session) => {
+                session.browser.reopen(doc, VirtualClock::new());
+                session
             }
             None => {
                 self.browsers_opened += 1;
                 let config = BrowserConfig::webdriver();
                 let world = config.pristine_world();
-                Box::new(Browser::open_with_world(
-                    config,
-                    doc,
-                    VirtualClock::new(),
-                    world,
-                ))
+                let browser = Browser::open_with_world(config, doc, VirtualClock::new(), world);
+                self.session.insert(Box::new(Session::new(browser)))
             }
         };
-        (browser, &mut page.program, &mut self.human)
+        (session, &mut page.program, &mut self.human)
     }
 }
 
@@ -283,18 +283,11 @@ pub fn drive_scenario_with(
     ctx: &mut SimContext,
     scratch: &mut ScenarioScratch,
 ) -> bool {
-    let (mut browser, program, human) = scratch.open(site, kind, campaign_seed);
-    let landed = match client {
-        ClientKind::OpenWpm => {
-            let mut session = Session::new(*browser);
-            let landed = drive_selenium(&mut session, program, ctx);
-            browser = Box::new(session.browser);
-            landed
-        }
-        ClientKind::OpenWpmSpoofed => drive_hlisa(&mut browser, program, ctx, human),
-    };
-    scratch.browser = Some(browser);
-    landed
+    let (session, program, human) = scratch.open(site, kind, campaign_seed);
+    match client {
+        ClientKind::OpenWpm => drive_selenium(session, program, ctx),
+        ClientKind::OpenWpmSpoofed => drive_hlisa(&mut session.browser, program, ctx, human),
+    }
 }
 
 /// Whether the most recent `click` event was delivered to `id` — the
@@ -611,10 +604,11 @@ mod tests {
         use hlisa_sim::Rng;
         let mut ctx = SimContext::new(77).fork_visit(&site.domain, visit);
         let landed = drive_scenario_with(site, kind, client, campaign_seed, &mut ctx, scratch);
-        let browser = scratch
-            .browser
+        let browser = &scratch
+            .session
             .as_ref()
-            .expect("the drive hands its browser back");
+            .expect("the drive opened a session")
+            .browser;
         let agent = (client == ClientKind::OpenWpmSpoofed).then(|| {
             let mut agent = scratch.human.context().clone();
             let draws = vec![
@@ -695,11 +689,10 @@ mod tests {
             let want = scenario_page(site, kind, campaign_seed).doc;
             let (opened, ..) = reused.open(site, kind, campaign_seed);
             assert_eq!(
-                opened.document(),
+                opened.browser.document(),
                 &want,
                 "step {step}: cached page differs from a fresh generation"
             );
-            reused.browser = Some(opened);
             for client in [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed] {
                 let got = drive_state(site, kind, client, campaign_seed, step, &mut reused);
                 let mut fresh = ScenarioScratch::new();

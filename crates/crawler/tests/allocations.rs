@@ -57,12 +57,12 @@ fn warm_drive(kind: ScenarioKind, client: ClientKind) -> (bool, usize) {
 
 /// (kind, client, allocations of one warm drive).
 const PINS: [(ScenarioKind, ClientKind, usize); 6] = [
-    (ScenarioKind::CookieBanner, ClientKind::OpenWpm, 5),
-    (ScenarioKind::CookieBanner, ClientKind::OpenWpmSpoofed, 6),
-    (ScenarioKind::LazyContent, ClientKind::OpenWpm, 6),
-    (ScenarioKind::LazyContent, ClientKind::OpenWpmSpoofed, 6),
-    (ScenarioKind::SpaMutation, ClientKind::OpenWpm, 8),
-    (ScenarioKind::SpaMutation, ClientKind::OpenWpmSpoofed, 6),
+    (ScenarioKind::CookieBanner, ClientKind::OpenWpm, 2),
+    (ScenarioKind::CookieBanner, ClientKind::OpenWpmSpoofed, 2),
+    (ScenarioKind::LazyContent, ClientKind::OpenWpm, 3),
+    (ScenarioKind::LazyContent, ClientKind::OpenWpmSpoofed, 2),
+    (ScenarioKind::SpaMutation, ClientKind::OpenWpm, 2),
+    (ScenarioKind::SpaMutation, ClientKind::OpenWpmSpoofed, 2),
 ];
 
 #[test]

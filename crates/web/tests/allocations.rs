@@ -157,8 +157,42 @@ fn a_memo_miss_on_a_scenario_page_allocates_within_its_pin() {
     assert!(dismissed);
     // The copy allocates the arena, the root list and the elements'
     // strings; the index its eight arrays.
-    assert_eq!(n, 48, "the memo miss allocated beyond its pin");
+    assert_eq!(n, 44, "the memo miss allocated beyond its pin");
     browser.reopen(page.doc.clone(), VirtualClock::new());
     assert!(browser.mutate_document_memo(&mut memo));
     assert_eq!(memo.hits(), 1, "the second run must replay the first");
+}
+
+/// A browser opened on the indexed banner page, as a worker's retained
+/// browser is, and the page it can be re-opened on.
+fn browser_on_banner_page() -> (Browser, GeneratedPage) {
+    let (page, _) = banner_page(&banner_site());
+    page.doc.build_index();
+    let config = BrowserConfig::webdriver();
+    let world = config.pristine_world();
+    let browser = Browser::open_with_world(config, page.doc.clone(), VirtualClock::new(), world);
+    (browser, page)
+}
+
+#[test]
+fn reopening_on_a_copy_of_a_scenario_page_allocates_within_its_pin() {
+    let (mut browser, page) = browser_on_banner_page();
+    // The copy shares the page's tree, index and URL, and the re-open
+    // keeps the browser's buffers: the new clock is the one allocation.
+    let ((), n) = allocations(|| browser.reopen(page.doc.clone(), VirtualClock::new()));
+    assert_eq!(browser.document(), &page.doc);
+    assert_eq!(n, 1, "re-opening on a page copy allocated beyond its pin");
+}
+
+#[test]
+fn a_memo_hit_on_a_scenario_page_allocates_within_its_pin() {
+    let (mut browser, page) = browser_on_banner_page();
+    let mut memo = DocumentMemo::new(dynamics::dismiss_banner);
+    assert!(browser.mutate_document_memo(&mut memo));
+    browser.reopen(page.doc.clone(), VirtualClock::new());
+    // The hit shares the stored output's tree, index and URL.
+    let (dismissed, n) = allocations(|| browser.mutate_document_memo(&mut memo));
+    assert!(dismissed);
+    assert_eq!(memo.hits(), 1, "the second run must replay the first");
+    assert_eq!(n, 0, "the memo hit allocated beyond its pin");
 }

@@ -30,8 +30,11 @@ impl fmt::Display for AuditFinding {
 /// the browser. Stateful: rules that span batches (typing cadence, scroll
 /// runs, click approach) accumulate across calls until [`finish`].
 ///
+/// Auditors are `Send`, like [`hlisa_sim::Observer`]s, so a session can
+/// live in a campaign worker's state.
+///
 /// [`finish`]: ActionAuditor::finish
-pub trait ActionAuditor: fmt::Debug {
+pub trait ActionAuditor: fmt::Debug + Send {
     /// Audits a batch of actions about to be performed. Returns findings
     /// that became decidable with this batch.
     fn audit_actions(&mut self, actions: &[Action]) -> Vec<AuditFinding>;

@@ -7,14 +7,17 @@ use hlisa_browser::dom::NodeId;
 use hlisa_browser::viewport::ScrollOrigin;
 use hlisa_browser::{Browser, Point};
 use hlisa_jsom::Value;
+use std::borrow::Cow;
 
-/// Element locator strategies (the ones the experiments use).
+/// Element locator strategies (the ones the experiments use). A locator
+/// borrows a `'static` name (`By::Id("submit".into())`) and owns only a
+/// name built at run time, so looking up a fixed id copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum By {
     /// By `id` attribute.
-    Id(String),
+    Id(Cow<'static, str>),
     /// By tag name.
-    Tag(String),
+    Tag(Cow<'static, str>),
 }
 
 /// A remote element reference.
@@ -270,7 +273,7 @@ mod tests {
         // `getElementById("")` is null in a browser, although most
         // elements of the page carry no id.
         assert!(matches!(
-            session().find_element(By::Id(String::new())),
+            session().find_element(By::Id("".into())),
             Err(WebDriverError::NoSuchElement(_))
         ));
     }

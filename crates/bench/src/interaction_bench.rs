@@ -35,7 +35,6 @@ use crate::harness::{compare, measure, Report, Section};
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{
     Browser, BrowserConfig, Document, ElementBuilder, Point, RawInput, Rect, TimedInput,
-    VirtualClock,
 };
 use hlisa_human::cursor;
 use hlisa_human::plan::{plan_visit_unbatched, visit_script_into, ScriptStep};
@@ -355,7 +354,7 @@ fn bench_pointer_injection(config: &BenchConfig) -> (Section, u64, u64) {
     page.build_index();
     let mut browser = Browser::open(BrowserConfig::webdriver(), page.clone());
     let inject = |browser: &mut Browser| {
-        browser.reopen(page.clone(), VirtualClock::new());
+        browser.reopen(page.clone());
         browser.input_timed(movement.iter().cloned());
         browser.recorder.len() as u64
     };

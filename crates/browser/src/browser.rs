@@ -1,4 +1,4 @@
-//! The browser: pages, clock, input pipeline, and event dispatch.
+//! The browser: pages, simulated time, input pipeline, and event dispatch.
 //!
 //! The browser caches no derived state of its own: [`Browser::metrics`]
 //! merges the recorder's and the observers' counters at each call, and
@@ -6,7 +6,6 @@
 //! The one cache a drive depends on is the document's query index
 //! (`index.rs`), which serves every hit test and `by_id`.
 
-use crate::clock::VirtualClock;
 use crate::dom::{Document, DocumentMemo, DocumentMutator, NodeId};
 use crate::events::{DomEvent, EventKind, EventPayload, MouseButton};
 use crate::geometry::Point;
@@ -83,12 +82,9 @@ pub struct Browser {
     document: Document,
     /// The viewport over the current document.
     pub viewport: Viewport,
-    clock: VirtualClock,
-    /// Simulated now while an input entry point runs: read from `clock`
-    /// when it starts, advanced here item by item, and published to
-    /// `clock` once when it ends (see [`Browser::input_timed`]). Stale
-    /// outside those entry points; nothing reads it there.
-    batch_now_ms: f64,
+    /// The page's simulated now (ms). Only [`Browser::advance`] and the
+    /// input entry points move it; no other browser or context shares it.
+    now_ms: f64,
     /// Recorded events ("the page's listeners"). Dispatch hands it each
     /// event first, by move, and the attached observers then see the
     /// recorded event; it stays a named field so trace accessors remain
@@ -109,11 +105,10 @@ pub struct Browser {
 }
 
 impl Clone for Browser {
-    /// Clones the page and interaction state. The clone gets an
-    /// *independent* clock frozen at the current instant (matching the old
-    /// per-browser clock semantics) and no attached observers — a sink
-    /// subscribed to one browser must not silently receive another's
-    /// events.
+    /// Clones the page and interaction state. The clone's time starts at
+    /// this browser's instant and moves on its own, and it has no
+    /// attached observers — a sink subscribed to one browser must not
+    /// silently receive another's events.
     fn clone(&self) -> Self {
         Browser {
             config: self.config.clone(),
@@ -121,8 +116,7 @@ impl Clone for Browser {
             pristine_world: Arc::clone(&self.pristine_world),
             document: self.document.clone(),
             viewport: self.viewport.clone(),
-            clock: self.clock.fork_detached(),
-            batch_now_ms: self.batch_now_ms,
+            now_ms: self.now_ms,
             recorder: self.recorder.clone(),
             observers: Vec::new(),
             mouse: self.mouse,
@@ -143,7 +137,7 @@ impl std::fmt::Debug for Browser {
         f.debug_struct("Browser")
             .field("config", &self.config)
             .field("url", &self.document.url)
-            .field("now_ms", &self.clock.now_ms())
+            .field("now_ms", &self.now_ms)
             .field("events", &self.recorder.len())
             .field("observers", &self.observers.len())
             .field("mouse", &self.mouse)
@@ -154,23 +148,17 @@ impl std::fmt::Debug for Browser {
 }
 
 impl Browser {
-    /// Opens a browser on the given document, with its own fresh clock.
+    /// Opens a browser on the given document, its time at t = 0.
     pub fn open(config: BrowserConfig, document: Document) -> Self {
-        Self::open_with_clock(config, document, VirtualClock::new())
-    }
-
-    /// Opens a browser whose time is the given shared clock — the way a
-    /// `SimContext` and a browser come to agree on "now".
-    pub fn open_with_clock(config: BrowserConfig, document: Document, clock: VirtualClock) -> Self {
         let pristine_world = config.pristine_world();
-        Self::open_with_world(config, document, clock, pristine_world)
+        Self::open_with_world(config, document, pristine_world)
     }
 
     /// Opens a browser whose page world is a caller-held pristine world,
     /// which must have been built for `config.flavor`; the browser shares
     /// it until its first [`Browser::world_mut`].
-    /// This is the one construction path: [`Browser::open`] and
-    /// [`Browser::open_with_clock`] build a fresh pristine and land here.
+    /// This is the one construction path: [`Browser::open`] builds a
+    /// fresh pristine and lands here; the browser's time starts at 0.
     /// A caller opening many browsers of one flavour builds the world
     /// once and shares it; world construction is deterministic and
     /// RNG-free, so every browser is observably identical to a freshly
@@ -178,7 +166,6 @@ impl Browser {
     pub fn open_with_world(
         config: BrowserConfig,
         document: Document,
-        clock: VirtualClock,
         pristine_world: Arc<World>,
     ) -> Self {
         let viewport = Viewport::new(
@@ -192,8 +179,7 @@ impl Browser {
             pristine_world,
             document,
             viewport,
-            batch_now_ms: clock.now_ms(),
-            clock,
+            now_ms: 0.0,
             recorder: EventRecorder::new(),
             observers: Vec::new(),
             // The OS hands a fresh window a cursor at the origin — the
@@ -210,20 +196,19 @@ impl Browser {
         }
     }
 
-    /// Re-opens this browser on `document` with `clock`: afterwards it is
-    /// in exactly the state [`Browser::open_with_world`] gives for its
-    /// configuration and pristine world — viewport over the new page,
+    /// Re-opens this browser on `document`: afterwards it is in exactly
+    /// the state [`Browser::open_with_world`] gives for its configuration
+    /// and pristine world — time back at 0, viewport over the new page,
     /// pristine page world, cursor at the origin, no pending move, no
     /// held buttons or keys, no focus, visible, an empty recorder, no
     /// observers and fresh counters. Only the capacity of the event,
     /// observer and held-input buffers carries over, so a worker that
     /// drives many pages through one browser stops growing them from
     /// empty on every page.
-    pub fn reopen(&mut self, document: Document, clock: VirtualClock) {
+    pub fn reopen(&mut self, document: Document) {
         let fresh = Self::open_with_world(
             self.config.clone(),
             document,
-            clock,
             Arc::clone(&self.pristine_world),
         );
         let mut old = std::mem::replace(self, fresh);
@@ -337,29 +322,21 @@ impl Browser {
 
     /// Simulated now (ms).
     pub fn now_ms(&self) -> f64 {
-        self.clock.now_ms()
+        self.now_ms
     }
 
     /// Advances simulated time with no input (an idle wait; paced input
     /// goes through [`Browser::input_timed`]).
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite delay — simulated time is
+    /// monotone.
     pub fn advance(&mut self, delta_ms: f64) {
-        self.clock.advance(delta_ms);
-    }
-
-    /// A handle to this browser's clock; clones share the instant.
-    pub fn clock(&self) -> VirtualClock {
-        self.clock.clone()
-    }
-
-    /// Rebinds the browser onto a shared clock. If the new clock is behind
-    /// this browser's current time it is moved to exactly that time,
-    /// preserving the monotonicity of already-recorded event timestamps.
-    pub fn bind_clock(&mut self, clock: VirtualClock) {
-        let now = self.clock.now_ms();
-        if now > clock.now_ms() {
-            clock.advance_to(now);
-        }
-        self.clock = clock;
+        assert!(
+            delta_ms >= 0.0 && delta_ms.is_finite(),
+            "time must advance monotonically, got {delta_ms}"
+        );
+        self.now_ms += delta_ms;
     }
 
     /// Subscribes an observer to this browser's event dispatch. Every
@@ -409,14 +386,10 @@ impl Browser {
     /// delay pass, then injects its input (if any). This is the one path
     /// timed input takes into the browser.
     ///
-    /// Time is kept in a browser-local `f64` for the whole batch and
-    /// published to the shared clock once, at the end. Each delay is
-    /// added on its own, in item order — never pre-summed — so every
-    /// event timestamp, every coalescing decision and the final clock
-    /// value are bit-identical to advancing the shared clock before each
-    /// item. Nothing can read the shared clock while the batch runs: the
-    /// batch holds the browser mutably, and observers get each event's
-    /// timestamp as an argument.
+    /// Each delay is added to the browser's time on its own, in item
+    /// order — never pre-summed — so every event timestamp, every
+    /// coalescing decision and the final time are bit-identical to
+    /// calling [`Browser::advance`] before each item.
     ///
     /// # Panics
     /// Panics on a negative or non-finite delay, before injecting that
@@ -425,34 +398,15 @@ impl Browser {
     where
         I: IntoIterator<Item = TimedInput>,
     {
-        self.with_local_time(|b| {
-            for item in items {
-                assert!(
-                    item.delay_ms >= 0.0 && item.delay_ms.is_finite(),
-                    "clock must advance monotonically, got {}",
-                    item.delay_ms
-                );
-                b.batch_now_ms += item.delay_ms;
-                if let Some(raw) = item.raw {
-                    b.inject(raw);
-                }
+        for item in items {
+            self.advance(item.delay_ms);
+            if let Some(raw) = item.raw {
+                self.inject(raw);
             }
-        })
-    }
-
-    /// Runs one input entry point on browser-local time: loads the shared
-    /// clock into `batch_now_ms` and publishes the instant `f` reached.
-    fn with_local_time<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let start = self.clock.now_ms();
-        self.batch_now_ms = start;
-        let r = f(self);
-        if self.batch_now_ms.to_bits() != start.to_bits() {
-            self.clock.advance_to(self.batch_now_ms);
         }
-        r
     }
 
-    /// Injects one raw input item at `batch_now_ms`.
+    /// Injects one raw input item at `now_ms`.
     fn inject(&mut self, raw: RawInput) {
         match raw {
             RawInput::MouseMove { x, y } => self.on_mouse_move(x, y),
@@ -513,15 +467,15 @@ impl Browser {
     }
 
     // -----------------------------------------------------------------
-    // Pipeline internals (all run inside `with_local_time`)
+    // Pipeline internals
     // -----------------------------------------------------------------
 
-    /// Dispatches one event at `batch_now_ms`, quantised to the 1 ms a
+    /// Dispatches one event at `now_ms`, quantised to the 1 ms a
     /// page observes. The recorder is the first subscriber: it takes the
     /// event by move, and every attached observer then sees the recorded
     /// event by reference — no copy of the event is made.
     fn dispatch(&mut self, kind: EventKind, target: Option<NodeId>, payload: EventPayload) {
-        let timestamp_ms = self.batch_now_ms.floor();
+        let timestamp_ms = self.now_ms.floor();
         self.recorder.record(DomEvent {
             kind,
             timestamp_ms,
@@ -541,7 +495,7 @@ impl Browser {
         let x = x.clamp(0.0, self.document.page_width);
         let y = y.clamp(0.0, self.document.page_height);
         self.mouse = Point::new(x, y);
-        let now = self.batch_now_ms;
+        let now = self.now_ms;
         if now - self.last_move_dispatch_ms >= self.config.mousemove_min_interval_ms {
             self.last_move_dispatch_ms = now;
             self.pending_move = None;
@@ -574,7 +528,7 @@ impl Browser {
 
     fn flush_pending_move(&mut self) {
         if let Some(p) = self.pending_move.take() {
-            self.last_move_dispatch_ms = self.batch_now_ms;
+            self.last_move_dispatch_ms = self.now_ms;
             let target = self.document.hit_test(p);
             self.dispatch(
                 EventKind::PointerMove,
@@ -700,7 +654,7 @@ impl Browser {
                         button,
                     },
                 );
-                let now = self.batch_now_ms.floor();
+                let now = self.now_ms.floor();
                 if let Some((prev_t, prev_target)) = self.last_click {
                     if prev_target == up_target
                         && now - prev_t <= self.config.double_click_interval_ms
@@ -840,7 +794,7 @@ impl Browser {
             // Ease-out cubic, Gecko-like.
             let eased = 1.0 - (1.0 - tau).powi(3);
             let y = start + (clamped - start) * eased;
-            self.batch_now_ms += 16.0;
+            self.now_ms += 16.0;
             let moved = self.viewport.scroll_to(y);
             if moved != 0.0 {
                 let pos = self.viewport.scroll_y();
@@ -857,10 +811,6 @@ impl Browser {
     /// given origin (Selenium uses [`ScrollOrigin::Script`]; a human drags
     /// the wheel). Returns the final scroll offset.
     pub fn scroll_element_into_view(&mut self, id: NodeId, origin: ScrollOrigin) -> f64 {
-        self.with_local_time(|b| b.scroll_into_view_now(id, origin))
-    }
-
-    fn scroll_into_view_now(&mut self, id: NodeId, origin: ScrollOrigin) -> f64 {
         let rect = self.document.element(id).rect;
         if self.viewport.is_y_visible(rect.y)
             && self.viewport.is_y_visible(rect.y + rect.height - 1.0)
@@ -890,7 +840,7 @@ impl Browser {
                     } else {
                         self.on_scroll_from(origin, dir);
                     }
-                    self.batch_now_ms += 16.0;
+                    self.now_ms += 16.0;
                     guard += 1;
                 }
             }
@@ -915,17 +865,15 @@ impl Browser {
             // A synthetic click reports the exact centre.
             self.recorder.record_click_offset(0.0);
         }
-        self.with_local_time(|b| {
-            b.dispatch(
-                EventKind::Click,
-                Some(id),
-                EventPayload::Mouse {
-                    x: c.x,
-                    y: c.y,
-                    button: MouseButton::Left,
-                },
-            );
-        });
+        self.dispatch(
+            EventKind::Click,
+            Some(id),
+            EventPayload::Mouse {
+                x: c.x,
+                y: c.y,
+                button: MouseButton::Left,
+            },
+        );
     }
 
     /// Enables Firefox's smooth-scrolling setting: large programmatic
@@ -1555,46 +1503,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_clock_times_events() {
-        let clock = hlisa_sim::VirtualClock::starting_at(1_000.0);
-        let mut b = Browser::open_with_clock(
-            BrowserConfig::regular(),
-            standard_test_page("https://example.test/", 5_000.0),
-            clock.clone(),
-        );
-        // Time advanced on the shared handle is what events observe.
-        clock.advance(23.5);
+    fn idle_time_times_events() {
+        let mut b = browser();
+        assert_eq!(b.now_ms(), 0.0);
+        // Time an idle wait passes is what events observe, at 1 ms.
+        b.advance(1_023.5);
         b.input(RawInput::WheelTick { direction: 1 });
         assert_eq!(b.recorder.events().last().unwrap().timestamp_ms, 1_023.0);
-        assert!(b.clock().shares_time_with(&clock));
+        assert_eq!(b.now_ms(), 1_023.5);
     }
 
     #[test]
-    fn bind_clock_preserves_monotonicity() {
-        let mut b = browser();
-        b.advance(500.0);
-        let late_clock = hlisa_sim::VirtualClock::starting_at(100.0);
-        b.bind_clock(late_clock.clone());
-        // The lagging clock is pulled forward, never the browser backward.
-        assert_eq!(b.now_ms(), 500.0);
-        assert_eq!(late_clock.now_ms(), 500.0);
-    }
-
-    #[test]
-    fn bind_clock_catches_up_exactly() {
-        // `c + (b - c)` rounds to one ulp below `b` for this pair, so a
-        // catch-up by delta would leave the bound clock behind the
-        // browser's last instant.
-        let (behind, ahead) = (287_558.909_433_546_53, 846_295.381_952_948_5);
-        let mut b = Browser::open_with_clock(
-            BrowserConfig::regular(),
-            standard_test_page("https://example.test/", 5_000.0),
-            VirtualClock::starting_at(ahead),
-        );
-        let late_clock = VirtualClock::starting_at(behind);
-        b.bind_clock(late_clock.clone());
-        assert_eq!(late_clock.now_ms().to_bits(), ahead.to_bits());
-        assert_eq!(b.now_ms().to_bits(), ahead.to_bits());
+    #[should_panic(expected = "monotonically")]
+    fn advance_rejects_a_negative_delay() {
+        browser().advance(-1.0);
     }
 
     #[test]
@@ -1624,12 +1546,8 @@ mod tests {
 
         let page = || standard_test_page("https://example.test/", 5_000.0);
         let pristine = BrowserConfig::webdriver().pristine_world();
-        let mut shared = Browser::open_with_world(
-            BrowserConfig::webdriver(),
-            page(),
-            VirtualClock::new(),
-            Arc::clone(&pristine),
-        );
+        let mut shared =
+            Browser::open_with_world(BrowserConfig::webdriver(), page(), Arc::clone(&pristine));
         let mut fresh = Browser::open(BrowserConfig::webdriver(), page());
 
         // Same metrics surface, jsom realm counters included — read
@@ -1651,12 +1569,8 @@ mod tests {
         );
         assert!(shared.world().realm.has_own(nav, "tampered"));
         assert!(!pristine.realm.has_own(pristine.navigator, "tampered"));
-        let mut next = Browser::open_with_world(
-            BrowserConfig::webdriver(),
-            page(),
-            VirtualClock::new(),
-            Arc::clone(&pristine),
-        );
+        let mut next =
+            Browser::open_with_world(BrowserConfig::webdriver(), page(), Arc::clone(&pristine));
         assert!(!next.world().realm.has_own(nav, "tampered"));
         assert_eq!(
             next.metrics(),
@@ -1681,7 +1595,6 @@ mod tests {
         let mut b = Browser::open_with_world(
             BrowserConfig::webdriver(),
             standard_test_page("https://example.test/", 5_000.0),
-            VirtualClock::new(),
             Arc::clone(&pristine),
         );
         assert!(std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
@@ -1705,7 +1618,6 @@ mod tests {
             Browser::open_with_world(
                 BrowserConfig::webdriver(),
                 cached.clone(),
-                VirtualClock::new(),
                 Arc::clone(&pristine),
             )
         };

@@ -688,7 +688,7 @@ impl DocumentMutator<'_> {
 /// reflowed and indexed output, and the program's result.
 ///
 /// A page program is a pure function of the document it mutates — it
-/// reads no RNG, clock or event — so applying it to an unwritten copy of
+/// reads no RNG, time or event — so applying it to an unwritten copy of
 /// the stored input (see [`Document`]'s `tree` field) must give the
 /// stored output and result, and the memo hands those back instead of
 /// re-running the program, the reflow and the index build. The memo owns

@@ -19,10 +19,15 @@
 //!
 //! A [`Browser`] owns one loaded [`dom::Document`] plus a
 //! [`hlisa_jsom::World`] for the page's JS globals, so fingerprint spoofing
-//! and interaction run against the same page.
+//! and interaction run against the same page. It also keeps the page's
+//! simulated time, a plain `f64` of milliseconds: it starts at 0 when the
+//! browser is opened or re-opened, moves only through
+//! [`Browser::advance`] and the input entry points, and every event
+//! carries it floored to the 1 ms a page observes (Appendix D: "the
+//! granularity for typing events is 1 ms"). No other browser, session or
+//! context shares it.
 
 pub mod browser;
-pub mod clock;
 pub mod dom;
 pub mod events;
 pub mod geometry;
@@ -32,7 +37,6 @@ pub mod recorder;
 pub mod viewport;
 
 pub use browser::{Browser, BrowserConfig};
-pub use clock::VirtualClock;
 pub use dom::{Display, Document, DocumentMemo, DocumentMutator, Element, ElementBuilder, NodeId};
 pub use events::{DomEvent, EventKind, EventPayload};
 pub use geometry::{Point, Rect};

@@ -1,23 +1,20 @@
 //! Differential tests for the timed-input path.
 //!
-//! [`Browser::input_timed`] keeps simulated time in a browser-local `f64`
-//! for a whole batch and publishes it to the shared clock once. The
-//! reference below is the loop every driver ran before that entry point
-//! existed: advance the shared clock by each item's delay, then inject
-//! the item. Over random sequences of moves (with delays below the
+//! [`Browser::input_timed`] takes a whole batch of timed input in one
+//! call. The reference below is the loop every driver ran before that
+//! entry point existed: advance the browser's time by each item's delay,
+//! then inject the item. Over random sequences of moves (with delays below the
 //! `mousemove` coalescing interval, zero delays and long gaps), presses
 //! and releases of both buttons, wheel ticks, key presses, script scrolls
 //! (smooth scrolling on and off) and pauses, both must leave bit-equal
-//! traces, metrics, observer streams, cursor positions and clocks.
+//! traces, metrics, observer streams, cursor positions and times.
 //!
 //! A second test pins [`Browser::reopen`]: a browser left in every kind
 //! of dirty state and re-opened behaves exactly like a freshly opened one.
 
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::events::MouseButton;
-use hlisa_browser::{
-    Browser, BrowserConfig, DomEvent, RawInput, ScrollOrigin, TimedInput, VirtualClock,
-};
+use hlisa_browser::{Browser, BrowserConfig, DomEvent, RawInput, ScrollOrigin, TimedInput};
 use hlisa_sim::{CounterSet, Observer};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -48,14 +45,14 @@ impl Observer<DomEvent> for Tap {
     }
 }
 
-/// A browser on the standard page whose clock starts at `start_ms`, with
-/// a [`Tap`] attached.
+/// A browser on the standard page whose time has idled to `start_ms`,
+/// with a [`Tap`] attached.
 fn tapped_browser(start_ms: f64, smooth: bool) -> (Browser, Seen) {
-    let mut b = Browser::open_with_clock(
+    let mut b = Browser::open(
         BrowserConfig::regular(),
         standard_test_page("https://timed.test/", 6_000.0),
-        VirtualClock::starting_at(start_ms),
     );
+    b.advance(start_ms);
     b.set_smooth_scrolling(smooth);
     let seen = Arc::new(Mutex::new(Vec::new()));
     b.attach_observer(Box::new(Tap {
@@ -64,7 +61,7 @@ fn tapped_browser(start_ms: f64, smooth: bool) -> (Browser, Seen) {
     (b, seen)
 }
 
-/// The per-item reference: advance the shared clock, then inject.
+/// The per-item reference: advance the browser's time, then inject.
 fn reference_loop(browser: &mut Browser, items: &[TimedInput]) {
     for item in items {
         browser.advance(item.delay_ms);
@@ -175,8 +172,7 @@ proptest! {
             observable(&batched, &batched_seen),
             observable(&reference, &ref_seen)
         );
-        // The shared clock was published, not just the browser's copy.
-        prop_assert_eq!(batched.clock().now_ms().to_bits(), reference.now_ms().to_bits());
+        prop_assert_eq!(batched.now_ms().to_bits(), reference.now_ms().to_bits());
     }
 }
 
@@ -252,9 +248,9 @@ fn a_reopened_browser_equals_a_fresh_one() {
     let mut dirty = Browser::open_with_world(
         config.clone(),
         standard_test_page("https://dirty.test/", 20_000.0),
-        VirtualClock::starting_at(4_321.5),
         Arc::clone(&pristine),
     );
+    dirty.advance(4_321.5);
     let (_, seen) = tapped_browser(0.0, false);
     dirty.attach_observer(Box::new(Tap {
         seen: Arc::clone(&seen),
@@ -285,13 +281,9 @@ fn a_reopened_browser_equals_a_fresh_one() {
     assert!(dirty.focused().is_some() && !dirty.is_visible());
     assert!(!dirty.pressed_buttons().is_empty() && !dirty.pressed_keys().is_empty());
 
-    dirty.reopen(page(), VirtualClock::starting_at(100.0));
-    let mut fresh = Browser::open_with_world(
-        config,
-        page(),
-        VirtualClock::starting_at(100.0),
-        Arc::clone(&pristine),
-    );
+    dirty.reopen(page());
+    let mut fresh = Browser::open_with_world(config, page(), Arc::clone(&pristine));
+    assert_eq!(dirty.now_ms(), 0.0, "a re-open starts the page's time at 0");
     assert_eq!(reopen_state(&dirty), reopen_state(&fresh));
     assert!(std::ptr::eq(dirty.world(), Arc::as_ptr(&pristine)));
 

@@ -241,10 +241,9 @@ impl HlisaActionChains {
     /// steady-state allocations. [`perform`](Self::perform) delegates here.
     pub fn perform_mut(&mut self, session: &mut Session) -> Result<(), WebDriverError> {
         // HLISA's create_pointer_move override (the canonical 50 ms floor
-        // lives in hlisa-webdriver), plus clock unification: the session's
-        // browser and this chain's context observe the same instant.
+        // lives in hlisa-webdriver). Events are timed by the session's
+        // browser alone; the chain's context only draws.
         session.apply_hlisa_profile();
-        session.bind_context(&self.ctx);
         let steps = std::mem::take(&mut self.steps);
         for step in steps {
             self.run_step(session, step)?;
@@ -517,6 +516,32 @@ mod tests {
             .send_keys_to_element(element, "Text..");
         ac.perform(&mut driver).unwrap();
         assert_eq!(driver.element_text(element), "Text..");
+    }
+
+    /// One chain performed on two sessions leaves each on its own time:
+    /// the chain only draws, so it never joins the two browsers.
+    #[test]
+    fn one_chain_on_two_sessions_keeps_each_sessions_time() {
+        let (mut a, mut b) = (session(), session());
+        // A has idled for 10 s before the chain starts; B is fresh.
+        let a_start = 10_000.0;
+        a.browser.advance(a_start);
+        let mut chain = HlisaActionChains::new(4).move_to(600.0, 300.0).click(None);
+        chain.perform_mut(&mut a).unwrap();
+        let a_first = a.browser.recorder.events()[0].timestamp_ms;
+        assert!(a_first >= a_start, "A's first event at {a_first} ms");
+
+        chain = chain.move_to(600.0, 300.0).click(None);
+        chain.perform_mut(&mut b).unwrap();
+        let b_first = b.browser.recorder.events()[0].timestamp_ms;
+        let b_now = b.browser.now_ms();
+        assert!(
+            b_first <= b_now && b_now < a_start,
+            "B's events ({b_first}..{b_now} ms) joined A's time ({} ms)",
+            a.browser.now_ms()
+        );
+        a.browser.advance(500.0);
+        assert_eq!(b.browser.now_ms(), b_now, "advancing A moved B");
     }
 
     #[test]

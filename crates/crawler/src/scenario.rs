@@ -18,7 +18,7 @@
 
 use hlisa_browser::events::EventKind;
 use hlisa_browser::viewport::WHEEL_TICK_PX;
-use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, NodeId, VirtualClock};
+use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, NodeId};
 use hlisa_human::{HumanAgent, HumanParams};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::derive_seed;
@@ -195,14 +195,14 @@ impl ScenarioScratch {
         let doc = page.doc.clone();
         let session = match self.session {
             Some(ref mut session) => {
-                session.browser.reopen(doc, VirtualClock::new());
+                session.browser.reopen(doc);
                 session
             }
             None => {
                 self.browsers_opened += 1;
                 let config = BrowserConfig::webdriver();
                 let world = config.pristine_world();
-                let browser = Browser::open_with_world(config, doc, VirtualClock::new(), world);
+                let browser = Browser::open_with_world(config, doc, world);
                 self.session.insert(Box::new(Session::new(browser)))
             }
         };
@@ -285,7 +285,7 @@ pub fn drive_scenario_with(
 ) -> bool {
     let (session, program, human) = scratch.open(site, kind, campaign_seed);
     match client {
-        ClientKind::OpenWpm => drive_selenium(session, program, ctx),
+        ClientKind::OpenWpm => drive_selenium(session, program),
         ClientKind::OpenWpmSpoofed => drive_hlisa(&mut session.browser, program, ctx, human),
     }
 }
@@ -320,8 +320,7 @@ fn maybe_reveal_lazy(browser: &mut Browser, reveal: &mut DocumentMemo<bool>) -> 
 /// pointer straight to the element centre, scrolling is a one-jump
 /// script call, and element handles are cached across DOM mutations —
 /// each scenario defeats one of those habits.
-fn drive_selenium(session: &mut Session, program: &mut PageProgram, ctx: &SimContext) -> bool {
-    session.bind_context(ctx);
+fn drive_selenium(session: &mut Session, program: &mut PageProgram) -> bool {
     match program {
         PageProgram::CookieBanner(_) => {
             // The locator sees the target fine (the overlay occludes, it
@@ -394,7 +393,6 @@ fn drive_hlisa(
     human: &mut HumanAgent,
 ) -> bool {
     human.rebind(ctx.fork("scenario", 0));
-    human.bind_browser(browser);
     match program {
         PageProgram::CookieBanner(dismiss) => {
             let accept = browser.document().by_id(ACCEPT_ID);
@@ -582,11 +580,9 @@ mod tests {
     }
 
     /// Everything observable after a drive: the verdict, the final
-    /// document, the browser's metrics (`dom.mutations` included), the
-    /// visit context's clock (the Selenium session runs on it) and, for
-    /// the HLISA drive, the agent's `"scenario"`-fork clock and the next
-    /// draw of each of its streams.
-    #[allow(clippy::type_complexity)]
+    /// document, the browser's metrics (`dom.mutations` included) and
+    /// time and, for the HLISA drive, the next draw of each of the
+    /// agent's `"scenario"`-fork streams.
     fn drive_state(
         site: &Site,
         kind: ScenarioKind,
@@ -594,13 +590,7 @@ mod tests {
         campaign_seed: u64,
         visit: u64,
         scratch: &mut ScenarioScratch,
-    ) -> (
-        bool,
-        Document,
-        hlisa_sim::CounterSet,
-        f64,
-        Option<(f64, Vec<u64>)>,
-    ) {
+    ) -> (bool, Document, hlisa_sim::CounterSet, f64, Option<Vec<u64>>) {
         use hlisa_sim::Rng;
         let mut ctx = SimContext::new(77).fork_visit(&site.domain, visit);
         let landed = drive_scenario_with(site, kind, client, campaign_seed, &mut ctx, scratch);
@@ -611,20 +601,19 @@ mod tests {
             .browser;
         let agent = (client == ClientKind::OpenWpmSpoofed).then(|| {
             let mut agent = scratch.human.context().clone();
-            let draws = vec![
+            vec![
                 agent.stream("agent").gen::<u64>(),
                 agent.stream("cursor").gen::<u64>(),
                 agent.stream("click").gen::<u64>(),
                 agent.stream("scroll").gen::<u64>(),
                 agent.stream("typing").gen::<u64>(),
-            ];
-            (agent.clock().now_ms(), draws)
+            ]
         });
         (
             landed,
             browser.document().clone(),
             browser.metrics(),
-            ctx.clock().now_ms(),
+            browser.now_ms(),
             agent,
         )
     }

@@ -7,7 +7,9 @@
 //! that deployment: it subscribes to the browser's event dispatch via
 //! [`hlisa_sim::Observer`] and maintains streaming counters of the
 //! level-1 artificiality cues (zero-dwell clicks, teleporting cursors,
-//! keyboard input without key events).
+//! keyboard input without key events). Both timed cues use the batch
+//! level 1's own limits from [`crate::thresholds`], so the live and the
+//! batch detector judge a click dwell or a cursor speed alike.
 //!
 //! The monitor is handed to `Browser::attach_observer` by value; a shared
 //! [`LiveMonitorHandle`] lets the experiment read the verdict afterwards,
@@ -19,6 +21,7 @@
 //! per cue, never the trace, so it needs no rescan/incremental split and
 //! its per-event cost is already the floor.
 
+use crate::thresholds::{MAX_HUMAN_SPEED_PX_PER_MS, MIN_HUMAN_CLICK_DWELL_MS};
 use hlisa_browser::events::{DomEvent, EventKind, EventPayload};
 use hlisa_sim::{CounterSet, Observer};
 use std::sync::{Arc, Mutex};
@@ -35,15 +38,6 @@ struct LiveState {
     last_pointer: Option<(f64, f64, f64)>,
     pointer_down_at: Option<f64>,
 }
-
-/// A pointer jump longer than this with no intermediate samples is not a
-/// human movement — even a fast flick produces waypoints at the pointer
-/// sampling rate.
-const TELEPORT_PX: f64 = 220.0;
-
-/// Button releases within this of the press read as machine clicks;
-/// humans dwell tens of milliseconds (§4.1's measured click model).
-const MIN_HUMAN_DWELL_MS: f64 = 3.0;
 
 /// Streaming first-party interaction monitor. Attach to a browser with
 /// `Browser::attach_observer(Box::new(monitor))`.
@@ -78,9 +72,13 @@ impl Observer<DomEvent> for LiveInteractionMonitor {
             EventKind::MouseMove => {
                 s.moves += 1;
                 if let EventPayload::Mouse { x, y, .. } = event.payload {
-                    if let Some((px, py, _pt)) = s.last_pointer {
+                    // A move faster than human motor limits since the last
+                    // sample teleports the cursor; one in the same
+                    // millisecond is infinitely fast.
+                    if let Some((px, py, pt)) = s.last_pointer {
                         let d = ((x - px).powi(2) + (y - py).powi(2)).sqrt();
-                        if d > TELEPORT_PX {
+                        let dt = t_ms - pt;
+                        if d > 0.0 && (dt <= 0.0 || d / dt > MAX_HUMAN_SPEED_PX_PER_MS) {
                             s.teleport_moves += 1;
                         }
                     }
@@ -92,7 +90,7 @@ impl Observer<DomEvent> for LiveInteractionMonitor {
             }
             EventKind::MouseUp => {
                 if let Some(down) = s.pointer_down_at.take() {
-                    if t_ms - down < MIN_HUMAN_DWELL_MS {
+                    if t_ms - down < MIN_HUMAN_CLICK_DWELL_MS {
                         s.zero_dwell_clicks += 1;
                     }
                 }
@@ -209,6 +207,72 @@ mod tests {
         m.on_event(10.0, &mouse(EventKind::MouseUp, 10.0, 5.0, 5.0));
         m.on_event(10.0, &mouse(EventKind::Click, 10.0, 5.0, 5.0));
         assert!(h.is_bot());
+    }
+
+    /// The live monitor and the batch level 1 read each timed cue alike:
+    /// a 4 ms dwell is a machine click, 300 px in 100 ms is a human
+    /// flick, 300 px in 1 ms is a teleport.
+    #[test]
+    fn live_and_batch_level1_agree_on_dwell_and_speed() {
+        use crate::interaction::InteractionDetector;
+        use hlisa_browser::{Document, EventRecorder};
+
+        // Four slow samples, then the stream's own last move and click.
+        let approach = |last: (f64, f64), click: Option<(f64, f64)>| {
+            let mut events: Vec<DomEvent> = (0..4)
+                .map(|i| {
+                    let t = f64::from(i) * 16.0;
+                    mouse(EventKind::MouseMove, t, 100.0 + f64::from(i) * 10.0, 200.0)
+                })
+                .collect();
+            events.push(mouse(EventKind::MouseMove, last.0, last.1, 200.0));
+            if let Some((down, up)) = click {
+                events.push(mouse(EventKind::MouseDown, down, last.1, 200.0));
+                events.push(mouse(EventKind::MouseUp, up, last.1, 200.0));
+                events.push(mouse(EventKind::Click, up, last.1, 200.0));
+            }
+            events
+        };
+        // (stream, the speed cue, the dwell cue)
+        let streams = [
+            (approach((64.0, 140.0), Some((100.0, 104.0))), false, true),
+            (approach((148.0, 430.0), None), false, false),
+            (approach((49.0, 430.0), None), true, false),
+        ];
+        let level1 = InteractionDetector::level1();
+        let doc = Document::new("about:blank", 1280.0, 720.0);
+        for (i, (events, speed_cue, dwell_cue)) in streams.into_iter().enumerate() {
+            let (mut live, handle) = LiveInteractionMonitor::new();
+            let mut recorder = EventRecorder::new();
+            for e in events {
+                live.on_event(e.timestamp_ms, &e);
+                recorder.record(e);
+            }
+            let batch = level1.judge(&recorder, &doc);
+            let fired = |name: &str| batch.signals.iter().any(|s| s.name == name);
+            let live_counts = handle.counters();
+            let live_fired = |name: &str| live_counts.get(name).unwrap_or(0) > 0;
+            assert_eq!(
+                fired("superhuman-speed"),
+                speed_cue,
+                "stream {i}: batch speed"
+            );
+            assert_eq!(
+                live_fired("live.teleport_moves"),
+                speed_cue,
+                "stream {i}: live speed"
+            );
+            assert_eq!(
+                fired("zero-dwell-click"),
+                dwell_cue,
+                "stream {i}: batch dwell"
+            );
+            assert_eq!(
+                live_fired("live.zero_dwell_clicks"),
+                dwell_cue,
+                "stream {i}: live dwell"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,6 @@ fn run_session() -> Browser {
         standard_test_page("https://golden.test/", 30_000.0),
     );
     let mut h = HumanAgent::baseline(0xB17_5EED);
-    h.bind_browser(&b);
     let submit = b.document().by_id("submit").expect("submit exists");
     let input = b.document().by_id("text_area").expect("input exists");
     h.click_element(&mut b, submit);

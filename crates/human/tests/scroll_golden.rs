@@ -34,10 +34,8 @@ fn browser() -> Browser {
     )
 }
 
-fn agent(seed: u64, b: &Browser) -> HumanAgent {
-    let mut h = HumanAgent::baseline(seed);
-    h.bind_browser(b);
-    h
+fn agent(seed: u64) -> HumanAgent {
+    HumanAgent::baseline(seed)
 }
 
 /// Hash of everything a scroll session leaves observable.
@@ -58,7 +56,7 @@ fn session_hash(b: &Browser, h: &HumanAgent) -> u64 {
 #[test]
 fn zero_distance_scroll_is_pinned() {
     let mut b = browser();
-    let mut h = agent(0x5C_0001, &b);
+    let mut h = agent(0x5C_0001);
     h.scroll_by(&mut b, 0.0);
     assert_eq!(b.recorder.wheel_count(), 0);
     assert_eq!(session_hash(&b, &h), 9_398_405_867_370_512_064);
@@ -67,7 +65,7 @@ fn zero_distance_scroll_is_pinned() {
 #[test]
 fn upward_scroll_after_a_downward_one_is_pinned() {
     let mut b = browser();
-    let mut h = agent(0x5C_0002, &b);
+    let mut h = agent(0x5C_0002);
     h.scroll_by(&mut b, 2_000.0);
     h.scroll_by(&mut b, -600.0);
     assert_eq!(session_hash(&b, &h), 4_482_496_001_362_421_505);
@@ -76,7 +74,7 @@ fn upward_scroll_after_a_downward_one_is_pinned() {
 #[test]
 fn scroll_to_bottom_of_the_standard_page_is_pinned() {
     let mut b = browser();
-    let mut h = agent(0x5C_0003, &b);
+    let mut h = agent(0x5C_0003);
     h.scroll_to_bottom(&mut b);
     assert!(b.recorder.wheel_count() > 400);
     assert_eq!(session_hash(&b, &h), 2_795_946_776_847_669_445);
@@ -85,10 +83,9 @@ fn scroll_to_bottom_of_the_standard_page_is_pinned() {
 #[test]
 fn two_scrolls_across_rebind_are_pinned() {
     let mut b = browser();
-    let mut h = agent(0x5C_0004, &b);
+    let mut h = agent(0x5C_0004);
     h.scroll_by(&mut b, 1_500.0);
     h.rebind(SimContext::new(0x5C_0005));
-    h.bind_browser(&b);
     h.scroll_by(&mut b, 900.0);
     assert_eq!(session_hash(&b, &h), 4_950_054_863_702_459_395);
 }

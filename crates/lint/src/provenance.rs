@@ -1059,8 +1059,8 @@ impl<'a> Analyzer<'a> {
                     self.fire(
                         "no-wall-clock",
                         line,
-                        "Instant::now() reads the wall clock; use the SimContext virtual \
-                         clock"
+                        "Instant::now() reads the wall clock; use simulated time \
+                         (SimContext::now_ms, Browser::now_ms)"
                             .to_string(),
                     );
                 }

@@ -34,8 +34,9 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "no-wall-clock",
         kind: AnalyzerKind::Source,
-        summary: "Instant::now()/SystemTime outside hlisa-sim: time must come \
-                  from the shared virtual clock or runs are irreproducible",
+        summary: "Instant::now()/SystemTime outside hlisa-sim: time must be \
+                  simulated (a context's or a browser's now_ms) or runs are \
+                  irreproducible",
         paper_ref: "OpenWPM-reliability (PAPERS.md): nondeterministic timing \
                     corrupts measurement comparisons",
     },

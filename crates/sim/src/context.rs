@@ -1,13 +1,12 @@
 //! Named RNG streams with hierarchical forking.
 
-use crate::clock::VirtualClock;
 use hlisa_stats::rngutil::{derive_seed, derive_seed_lanes, rng_from_seed};
 use rand::rngs::SmallRng;
 
 /// The simulation context threaded through the interaction stack.
 ///
-/// A `SimContext` owns a root seed, a [`VirtualClock`] handle, and a set
-/// of lazily created named RNG streams. Each stream's state is derived
+/// A `SimContext` owns a root seed, its unit of work's simulated time,
+/// and a set of lazily created named RNG streams. Each stream's state is derived
 /// purely from `(root seed, stream name)`, so the draws a layer sees
 /// depend only on its own use of its own stream — never on which other
 /// layers ran before it or how work was scheduled across threads. That is
@@ -15,7 +14,10 @@ use rand::rngs::SmallRng;
 #[derive(Debug, Clone)]
 pub struct SimContext {
     seed: u64,
-    clock: VirtualClock,
+    /// Simulated time of this context's unit of work (ms). It starts at 0
+    /// and only the visit core writes it ([`SimContext::set_now_ms`]);
+    /// nothing else shares or rebinds it.
+    now_ms: f64,
     /// The first [`SimContext::INLINE_STREAMS`] streams, in creation
     /// order: a filled prefix, then `None`s.
     inline: [Option<Stream>; SimContext::INLINE_STREAMS],
@@ -32,16 +34,11 @@ impl SimContext {
     /// many go to a heap-allocated list.
     pub const INLINE_STREAMS: usize = 4;
 
-    /// A fresh context rooted at `seed`, with a clock starting at t = 0.
+    /// A fresh context rooted at `seed`, its time at t = 0.
     pub fn new(seed: u64) -> Self {
-        Self::with_clock(seed, VirtualClock::new())
-    }
-
-    /// A context rooted at `seed` sharing an existing clock.
-    pub fn with_clock(seed: u64, clock: VirtualClock) -> Self {
         SimContext {
             seed,
-            clock,
+            now_ms: 0.0,
             inline: Default::default(),
             spill: Vec::new(),
         }
@@ -52,9 +49,24 @@ impl SimContext {
         self.seed
     }
 
-    /// A handle to the context's clock (clones share the instant).
-    pub fn clock(&self) -> VirtualClock {
-        self.clock.clone()
+    /// The context's simulated time (ms).
+    pub fn now_ms(&self) -> f64 {
+        self.now_ms
+    }
+
+    /// Moves the context's time to exactly `t_ms`: the visit core keeps
+    /// its phases' time in a local and stores the instant it reached.
+    ///
+    /// # Panics
+    /// Panics if `t_ms` is non-finite or earlier than the context's
+    /// current time — simulated time is monotone.
+    pub fn set_now_ms(&mut self, t_ms: f64) {
+        assert!(
+            t_ms.is_finite() && t_ms >= self.now_ms,
+            "time must advance monotonically, got {t_ms} < {}",
+            self.now_ms
+        );
+        self.now_ms = t_ms;
     }
 
     /// The named RNG stream for one concern (`"motion"`, `"typing"`, ...).
@@ -91,7 +103,7 @@ impl SimContext {
     /// A child context for an independently seeded unit of work.
     ///
     /// The child's streams derive from `derive_seed(seed, label, index)`
-    /// and its clock starts fresh at t = 0 — two forks with the same
+    /// and its time starts fresh at t = 0 — two forks with the same
     /// `(label, index)` are identical however the parent was used.
     pub fn fork(&self, label: &str, index: u64) -> SimContext {
         SimContext::new(derive_seed(self.seed, label, index))
@@ -116,12 +128,6 @@ impl SimContext {
             end: visits,
             lanes: [0; VisitForks::LANES],
         }
-    }
-
-    /// Rebinds the context onto `clock` (e.g. a browser's), so subsequent
-    /// time observations come from the shared instant.
-    pub fn bind_clock(&mut self, clock: VirtualClock) {
-        self.clock = clock;
     }
 }
 
@@ -226,19 +232,31 @@ mod tests {
 
     #[test]
     fn fork_clock_starts_fresh() {
-        let ctx = SimContext::new(5);
-        ctx.clock().advance(500.0);
+        let mut ctx = SimContext::new(5);
+        ctx.set_now_ms(500.0);
         let child = ctx.fork("machine", 0);
-        assert_eq!(child.clock().now_ms(), 0.0);
+        assert_eq!(child.now_ms(), 0.0);
     }
 
     #[test]
-    fn bound_clock_is_shared() {
-        let mut ctx = SimContext::new(9);
-        let clock = VirtualClock::starting_at(40.0);
-        ctx.bind_clock(clock.clone());
-        clock.advance(2.0);
-        assert_eq!(ctx.clock().now_ms(), 42.0);
-        assert!(ctx.clock().shares_time_with(&clock));
+    fn set_now_ms_stores_the_instant_exactly() {
+        // `from + (to - from)` rounds to a neighbour of `to` for this
+        // pair; the visit core stores the instant itself instead.
+        let (from, to) = (287_558.909_433_546_53, 846_295.381_952_948_5);
+        assert_ne!(from + (to - from), to);
+        let mut ctx = SimContext::new(1);
+        ctx.set_now_ms(from);
+        ctx.set_now_ms(to);
+        assert_eq!(ctx.now_ms().to_bits(), to.to_bits());
+        ctx.set_now_ms(to);
+        assert_eq!(ctx.now_ms(), to);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonically")]
+    fn set_now_ms_rejects_going_back() {
+        let mut ctx = SimContext::new(1);
+        ctx.set_now_ms(10.0);
+        ctx.set_now_ms(9.5);
     }
 }

@@ -4,9 +4,8 @@
 //! runs cannot be replayed cannot be audited (cf. Krumnow et al. on
 //! OpenWPM's reliability). Historically each crate in this workspace
 //! improvised its own randomness (`rng_from_seed` call sites scattered
-//! through `core`, `human`, `web`, `crawler`), its own clock (a private
-//! `SimClock` inside `hlisa-browser`), and its own observation (a
-//! hardwired recorder). This crate unifies all three concerns behind one
+//! through `core`, `human`, `web`, `crawler`) and its own observation (a
+//! hardwired recorder). This crate unifies both concerns behind one
 //! handle that the rest of the stack threads explicitly:
 //!
 //! * [`SimContext`] — named, hierarchically derived RNG streams
@@ -15,10 +14,11 @@
 //!   visits)` for all of a site's visits at once), built on
 //!   `hlisa_stats::rngutil::derive_seed` so every stream is a pure
 //!   function of `(root seed, path of labels)` and never of scheduling.
-//! * [`VirtualClock`] — a shared, monotone simulated-millisecond clock.
-//!   Handles clone cheaply and observe the same instant, so a browser, a
-//!   session and an agent can agree on "now" without threading `&mut`
-//!   time through every call.
+//! * Simulated time is a plain `f64` of milliseconds kept by its only
+//!   owners: a `SimContext` keeps its visit's time
+//!   ([`SimContext::now_ms`], written only by the visit core) and a
+//!   browser keeps its page's. Nothing shares or rebinds time, so a
+//!   browser's event timestamps depend only on its own input.
 //! * [`Observer`] — a pluggable sink for simulation events with counter
 //!   metrics, replacing hardwired recording so detectors and recorders
 //!   subscribe to the same dispatch fan-out.
@@ -42,14 +42,12 @@
 //! identical draw sequences per stream, regardless of which other streams
 //! were used in between.**
 
-pub mod clock;
 pub mod context;
 pub mod fault;
 pub mod metrics;
 pub mod observer;
 pub mod streams;
 
-pub use clock::VirtualClock;
 pub use context::{SimContext, VisitForks};
 pub use fault::{
     FaultEvent, FaultKind, FaultMonitor, FaultPlan, InjectedFault, LossKind, LossPlan,

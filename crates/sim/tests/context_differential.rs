@@ -89,7 +89,7 @@ proptest! {
                 batched.stream("visit").gen::<u64>(),
                 scalar.stream("visit").gen::<u64>()
             );
-            prop_assert_eq!(batched.clock().now_ms(), 0.0);
+            prop_assert_eq!(batched.now_ms(), 0.0);
             seen += 1;
         }
         prop_assert_eq!(seen, visits);

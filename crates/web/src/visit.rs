@@ -12,7 +12,7 @@ use hlisa_detect::{scan_fingerprint, TemplateAttackDetector};
 use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
 use hlisa_sim::metrics::{self, Tally};
-use hlisa_sim::{InjectedFault, SimContext, VirtualClock};
+use hlisa_sim::{InjectedFault, SimContext};
 use hlisa_spoof::SpoofingExtension;
 use hlisa_stats::rngutil::derive_seed_lanes;
 use rand::Rng;
@@ -92,7 +92,7 @@ pub struct VisitOutcome {
 ///
 /// A site detector's verdict is a pure function of the client's pristine
 /// world: the fingerprint scan reads it, and the template attack diffs it
-/// against an immutable regular-Firefox reference. No RNG or clock feeds
+/// against an immutable regular-Firefox reference. No RNG or time feeds
 /// either check. The cached runtime therefore runs each check at most
 /// once per client, on a real snapshot stamp, and memoises the bit; the
 /// uncached runtime rebuilds the world and reruns the checks on every
@@ -327,21 +327,22 @@ pub fn simulate_visit(
     SiteProfile::new(site).visit(client, runtime, ctx)
 }
 
-/// Like [`simulate_visit`], drawing from an explicit RNG stream (no
-/// clock: timing phases are skipped, outcomes are identical — visit
-/// outcomes never depend on the clock).
+/// Like [`simulate_visit`], drawing from an explicit RNG stream. The
+/// visit runs the same timed core from t = 0 and drops the time it
+/// reached: outcomes never depend on time.
 pub fn simulate_visit_with<R: Rng + ?Sized>(
     site: &Site,
     client: ClientKind,
     runtime: &DetectorRuntime,
     rng: &mut R,
 ) -> VisitOutcome {
+    let mut now_ms = 0.0;
     attempt_core(
         &SiteProfile::new(site),
         client,
         runtime,
         rng,
-        None,
+        &mut now_ms,
         None,
         DEFAULT_VISIT_DEADLINE_MS,
     )
@@ -423,9 +424,11 @@ impl<'a> SiteProfile<'a> {
     /// sequence (and therefore the outcome) is the same. The scheduled
     /// fault, if any, is decided *by the caller* from the dedicated fault
     /// stream (see `hlisa_sim::FaultPlan`), so injection and retry never
-    /// perturb the interaction streams. The context's [`VirtualClock`]
-    /// drives the visit deadline and the elapsed-time fields of any
-    /// partial-progress capture.
+    /// perturb the interaction streams. The visit's phases run on the
+    /// context's time ([`SimContext::now_ms`]), which drives the visit
+    /// deadline and the elapsed-time fields of any partial-progress
+    /// capture; the attempt stores the instant it reached back into the
+    /// context, exactly, whether it succeeds or fails.
     pub fn attempt(
         &self,
         client: ClientKind,
@@ -434,16 +437,18 @@ impl<'a> SiteProfile<'a> {
         injected: Option<InjectedFault>,
         deadline_ms: f64,
     ) -> Result<VisitOutcome, VisitError> {
-        let clock = ctx.clock();
-        attempt_core(
+        let mut now_ms = ctx.now_ms();
+        let result = attempt_core(
             self,
             client,
             runtime,
             ctx.stream("visit"),
-            Some(&clock),
+            &mut now_ms,
             injected,
             deadline_ms,
-        )
+        );
+        ctx.set_now_ms(now_ms);
+        result
     }
 }
 
@@ -486,7 +491,7 @@ pub fn plan_visit(
 ///
 /// Public because the capture layer (`crate::capture`) anchors its
 /// emitted event timestamps to the same timeline the visit core advances
-/// its clock by: the instrument observes the visit at the moments things
+/// its time by: the instrument observes the visit at the moments things
 /// actually happened.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisitTimeline {
@@ -516,30 +521,23 @@ impl VisitTimeline {
     }
 }
 
-/// The visit core. `clock` is optional so the rng-only legacy entry
-/// point keeps working; when present it is advanced through the visit's
-/// phases and consulted for deadlines and progress capture.
+/// The visit core. `now_ms` is the visit's time: the core advances it
+/// through the visit's phases and reads it for deadlines and progress
+/// capture, each phase adding its own duration in order.
 fn attempt_core<R: Rng + ?Sized>(
     profile: &SiteProfile<'_>,
     client: ClientKind,
     runtime: &DetectorRuntime,
     rng: &mut R,
-    clock: Option<&VirtualClock>,
+    now_ms: &mut f64,
     injected: Option<InjectedFault>,
     deadline_ms: f64,
 ) -> Result<VisitOutcome, VisitError> {
     let (site, timeline) = (profile.site, profile.timeline);
-    let start_ms = clock.map(VirtualClock::now_ms).unwrap_or(0.0);
-    let elapsed =
-        |clock: Option<&VirtualClock>| clock.map(VirtualClock::now_ms).unwrap_or(0.0) - start_ms;
-    let advance = |ms: f64| {
-        if let Some(c) = clock {
-            c.advance(ms);
-        }
-    };
+    let start_ms = *now_ms;
 
     // Connect phase.
-    advance(timeline.connect_ms.min(deadline_ms));
+    *now_ms += timeline.connect_ms.min(deadline_ms);
     if site.unreachable {
         return Err(VisitError::Unreachable { site_down: true });
     }
@@ -563,10 +561,10 @@ fn attempt_core<R: Rng + ?Sized>(
         });
     }
     if matches!(injected, Some(InjectedFault::PageLoadTimeout)) {
-        advance((deadline_ms - elapsed(clock)).max(0.0));
+        *now_ms += (deadline_ms - (*now_ms - start_ms)).max(0.0);
         return Err(VisitError::PageLoadTimeout { deadline_ms });
     }
-    advance(timeline.load_ms);
+    *now_ms += timeline.load_ms;
 
     // Detector checks. The uncached runtime rebuilds the world for every
     // visit, detector or not, and rescans it (the original cost model);
@@ -595,16 +593,17 @@ fn attempt_core<R: Rng + ?Sized>(
     if let Some((at_fraction, is_stall)) = chain_fault {
         let steps_done =
             ((at_fraction * f64::from(timeline.steps_planned)) as u32).min(timeline.steps_planned);
-        advance(f64::from(steps_done) * timeline.step_ms);
+        *now_ms += f64::from(steps_done) * timeline.step_ms;
+        let elapsed_ms = *now_ms - start_ms;
         let progress = VisitProgress {
             phase: VisitPhase::Interaction,
             steps_done,
             steps_planned: timeline.steps_planned,
-            elapsed_ms: elapsed(clock),
+            elapsed_ms,
         };
         if is_stall {
             // The stall holds the visit until the deadline fires.
-            advance((deadline_ms - elapsed(clock)).max(0.0));
+            *now_ms += (deadline_ms - elapsed_ms).max(0.0);
             return Err(VisitError::Stalled {
                 progress,
                 deadline_ms,
@@ -612,7 +611,7 @@ fn attempt_core<R: Rng + ?Sized>(
         }
         return Err(VisitError::RealmCrashed { progress });
     }
-    advance(f64::from(timeline.steps_planned) * timeline.step_ms);
+    *now_ms += f64::from(timeline.steps_planned) * timeline.step_ms;
 
     // Visual outcome (capture phase).
     let mut visual = VisualOutcome::Normal;
@@ -896,8 +895,7 @@ mod tests {
             InjectedFault::MidVisitStall { at_fraction: 0.2 },
         ] {
             let mut ctx = SimContext::new(13);
-            let clock = ctx.clock();
-            let before = clock.now_ms();
+            let before = ctx.now_ms();
             simulate_visit_attempt(
                 &site,
                 ClientKind::OpenWpm,
@@ -908,7 +906,7 @@ mod tests {
             )
             .expect_err("fault must fail the attempt");
             assert!(
-                clock.now_ms() - before >= 5_000.0,
+                ctx.now_ms() - before >= 5_000.0,
                 "{fault:?} should hold the visit until its deadline"
             );
         }

@@ -2,24 +2,27 @@
 //! set-up, pinned with the counting global allocator of
 //! `counting_alloc`.
 //!
-//! A `SimContext` keeps its first streams inline, a `SiteProfile` derives
-//! its background codes into one exactly sized buffer, and a site's visit
-//! contexts come from `visit_forks`. So a warm plain visit allocates only
-//! its context's clock and the outcome's two status-code vectors. A
-//! change that brings back a per-stream `String`, a growing buffer or a
-//! per-visit derivation shows up here as an extra allocation.
+//! A `SimContext` keeps its first streams inline and its time as a plain
+//! number, a `SiteProfile` derives its background codes into one exactly
+//! sized buffer, and a site's visit contexts come from `visit_forks`. So
+//! a warm plain visit allocates only the outcome's two status-code
+//! vectors. A change that brings back a per-stream `String`, a shared
+//! clock, a growing buffer or a per-visit derivation shows up here as an
+//! extra allocation.
 //!
 //! A scenario page is built once per (site, machine) and its page program
 //! runs once through an empty `DocumentMemo` before every later drive
 //! replays it. Elements borrow their static tags, take their `format!`
 //! ids by move and link their children instead of owning a child list,
 //! and the query index is a handful of flat arrays. A `String` tag, a
-//! copied id or a per-node vector that comes back shows up here.
+//! copied id or a per-node vector that comes back shows up here, and so
+//! does anything a browser's re-open allocates: its time is a number it
+//! resets, so the re-open allocates nothing.
 
 mod counting_alloc;
 
 use counting_alloc::allocations;
-use hlisa_browser::{Browser, BrowserConfig, DocumentMemo, VirtualClock};
+use hlisa_browser::{Browser, BrowserConfig, DocumentMemo};
 use hlisa_sim::{Rng, SimContext, STREAM_REGISTRY};
 use hlisa_stats::rngutil::derive_seed;
 use hlisa_web::dynamics::{self, apply_scenario, ScenarioKind};
@@ -46,7 +49,7 @@ fn plain_site() -> Site {
 }
 
 #[test]
-fn inline_streams_cost_only_the_clock() {
+fn inline_streams_allocate_nothing() {
     let names = STREAM_REGISTRY.iter().map(|s| s.name);
     let names: Vec<&'static str> = names.take(SimContext::INLINE_STREAMS).collect();
     let (draws, n) = allocations(|| {
@@ -62,10 +65,7 @@ fn inline_streams_cost_only_the_clock() {
         draws
     });
     assert_ne!(draws, 0);
-    assert_eq!(
-        n, 1,
-        "a context with inline streams allocated beyond its clock"
-    );
+    assert_eq!(n, 0, "a context with inline streams allocated");
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn a_site_profile_allocates_once() {
 }
 
 #[test]
-fn a_warm_plain_visit_allocates_its_clock_and_status_vectors() {
+fn a_warm_plain_visit_allocates_its_status_vectors() {
     let site = plain_site();
     let runtime = DetectorRuntime::new();
     let profile = SiteProfile::new(&site);
@@ -86,7 +86,7 @@ fn a_warm_plain_visit_allocates_its_clock_and_status_vectors() {
     for mut ctx in machine.visit_forks(&site.domain, 1) {
         profile.visit(ClientKind::OpenWpm, &runtime, &mut ctx);
     }
-    // Each visit: its fork (the clock) and its outcome's two vectors.
+    // Each visit: its outcome's two vectors; the fork allocates nothing.
     let mut forks = machine.visit_forks(&site.domain, 9);
     for _ in 0..9 {
         let (outcome, n) = allocations(|| {
@@ -96,10 +96,7 @@ fn a_warm_plain_visit_allocates_its_clock_and_status_vectors() {
         let outcome = outcome.expect("nine forks");
         assert!(outcome.successful);
         assert!(!outcome.first_party.is_empty() && !outcome.third_party.is_empty());
-        assert_eq!(
-            n, 3,
-            "a visit allocated beyond its clock and two status vectors"
-        );
+        assert_eq!(n, 2, "a visit allocated beyond its two status vectors");
     }
     assert!(forks.next().is_none());
 }
@@ -149,8 +146,7 @@ fn a_memo_miss_on_a_scenario_page_allocates_within_its_pin() {
     page.doc.build_index();
     let config = BrowserConfig::webdriver();
     let world = config.pristine_world();
-    let mut browser =
-        Browser::open_with_world(config, page.doc.clone(), VirtualClock::new(), world);
+    let mut browser = Browser::open_with_world(config, page.doc.clone(), world);
     let mut memo = DocumentMemo::new(dynamics::dismiss_banner);
     // The miss copies the tree, reflows it and indexes the output.
     let (dismissed, n) = allocations(|| browser.mutate_document_memo(&mut memo));
@@ -158,7 +154,7 @@ fn a_memo_miss_on_a_scenario_page_allocates_within_its_pin() {
     // The copy allocates the arena, the root list and the elements'
     // strings; the index its eight arrays.
     assert_eq!(n, 44, "the memo miss allocated beyond its pin");
-    browser.reopen(page.doc.clone(), VirtualClock::new());
+    browser.reopen(page.doc.clone());
     assert!(browser.mutate_document_memo(&mut memo));
     assert_eq!(memo.hits(), 1, "the second run must replay the first");
 }
@@ -170,18 +166,18 @@ fn browser_on_banner_page() -> (Browser, GeneratedPage) {
     page.doc.build_index();
     let config = BrowserConfig::webdriver();
     let world = config.pristine_world();
-    let browser = Browser::open_with_world(config, page.doc.clone(), VirtualClock::new(), world);
+    let browser = Browser::open_with_world(config, page.doc.clone(), world);
     (browser, page)
 }
 
 #[test]
 fn reopening_on_a_copy_of_a_scenario_page_allocates_within_its_pin() {
     let (mut browser, page) = browser_on_banner_page();
-    // The copy shares the page's tree, index and URL, and the re-open
-    // keeps the browser's buffers: the new clock is the one allocation.
-    let ((), n) = allocations(|| browser.reopen(page.doc.clone(), VirtualClock::new()));
+    // The copy shares the page's tree, index and URL, the re-open keeps
+    // the browser's buffers and resets its time to 0.
+    let ((), n) = allocations(|| browser.reopen(page.doc.clone()));
     assert_eq!(browser.document(), &page.doc);
-    assert_eq!(n, 1, "re-opening on a page copy allocated beyond its pin");
+    assert_eq!(n, 0, "re-opening on a page copy allocated");
 }
 
 #[test]
@@ -189,7 +185,7 @@ fn a_memo_hit_on_a_scenario_page_allocates_within_its_pin() {
     let (mut browser, page) = browser_on_banner_page();
     let mut memo = DocumentMemo::new(dynamics::dismiss_banner);
     assert!(browser.mutate_document_memo(&mut memo));
-    browser.reopen(page.doc.clone(), VirtualClock::new());
+    browser.reopen(page.doc.clone());
     // The hit shares the stored output's tree, index and URL.
     let (dismissed, n) = allocations(|| browser.mutate_document_memo(&mut memo));
     assert!(dismissed);

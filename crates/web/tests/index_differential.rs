@@ -15,7 +15,7 @@
 //! the page.
 
 use hlisa_browser::dom::DocumentMutator;
-use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, Point, VirtualClock, World};
+use hlisa_browser::{Browser, BrowserConfig, Document, DocumentMemo, Point, World};
 use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::derive_seed;
 use hlisa_web::dynamics::{self, apply_scenario, ScenarioKind};
@@ -98,12 +98,8 @@ fn check_program<R: Clone>(
     program: fn(&mut DocumentMutator) -> R,
     what: &str,
 ) {
-    let mut browser = Browser::open_with_world(
-        BrowserConfig::webdriver(),
-        doc.clone(),
-        VirtualClock::new(),
-        Arc::clone(world),
-    );
+    let mut browser =
+        Browser::open_with_world(BrowserConfig::webdriver(), doc.clone(), Arc::clone(world));
     browser.mutate_document_memo(&mut DocumentMemo::new(program));
     assert_index_agrees(browser.document(), what);
 }

@@ -16,7 +16,7 @@ use hlisa_browser::dom::{standard_test_page, DocumentMutator};
 use hlisa_browser::events::MouseButton;
 use hlisa_browser::{
     Browser, BrowserConfig, Display, Document, DocumentMemo, ElementBuilder, NodeId, Point,
-    RawInput, Rect, VirtualClock, World,
+    RawInput, Rect, World,
 };
 use hlisa_web::dynamics::{self, ACCEPT_ID, BANNER_ID, CONFIRM_ID, LAZY_ID, LAZY_TARGET_ID};
 use proptest::collection::vec;
@@ -105,7 +105,6 @@ fn open(doc: &Document, pristine: &Arc<World>) -> Browser {
     Browser::open_with_world(
         BrowserConfig::webdriver(),
         doc.clone(),
-        VirtualClock::new(),
         Arc::clone(pristine),
     )
 }

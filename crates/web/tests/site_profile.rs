@@ -8,7 +8,7 @@
 //! each party, unreachable, flaky and spoofing-breakage sites — both
 //! clients, every injected fault and several deadlines, each visit of a
 //! reused profile must return what a fresh `simulate_visit_attempt`
-//! returns, leave the clock where it leaves it, and leave the `"visit"`
+//! returns, leave the context's time where it leaves it, and leave the `"visit"`
 //! stream at the same position. On the rng-only path it must match
 //! `simulate_visit_with`.
 
@@ -111,7 +111,7 @@ proptest! {
                     deadline_ms,
                 );
                 prop_assert_eq!(&reused, &fresh, "{:?} visit {} {:?}", site, v, client);
-                prop_assert_eq!(reused_ctx.clock().now_ms(), fresh_ctx.clock().now_ms());
+                prop_assert_eq!(reused_ctx.now_ms(), fresh_ctx.now_ms());
                 prop_assert_eq!(
                     reused_ctx.stream("visit").gen::<u64>(),
                     fresh_ctx.stream("visit").gen::<u64>(),

@@ -98,7 +98,7 @@ fn visit_core_outputs_are_bit_identical_to_the_pre_profile_capture() {
                             fault,
                             deadline_ms,
                         );
-                        let now_ms = ctx.clock().now_ms();
+                        let now_ms = ctx.now_ms();
                         let next_draw: u64 = ctx.stream("visit").gen();
                         write!(hash, "{result:?} {now_ms:?} {next_draw}").unwrap();
                     }

@@ -75,7 +75,7 @@ pub enum Action {
 }
 
 /// Executes a list of primitive actions against a browser, advancing its
-/// simulated clock. Returns the total simulated time consumed.
+/// simulated time. Returns the total simulated time consumed.
 ///
 /// Each action is one [`Browser::input_timed`] batch: a pointer move
 /// starts wherever the previous action left the cursor, so its samples

@@ -112,13 +112,6 @@ impl Session {
         self.override_pointer_move_min_duration(crate::actions::HLISA_MIN_MOVE_MS);
     }
 
-    /// Binds the session's browser onto the context's clock, so every
-    /// event timestamp the page observes comes from the same shared
-    /// instant the rest of the simulation reads.
-    pub fn bind_context(&mut self, ctx: &hlisa_sim::SimContext) {
-        self.browser.bind_clock(ctx.clock());
-    }
-
     /// `find element`.
     pub fn find_element(&self, by: By) -> Result<ElementHandle, WebDriverError> {
         let node = match &by {
@@ -387,17 +380,6 @@ mod tests {
             PointerMoveProfile::hlisa_patched().min_duration_ms,
             crate::actions::HLISA_MIN_MOVE_MS
         );
-    }
-
-    #[test]
-    fn bind_context_unifies_session_and_context_time() {
-        let mut s = session();
-        let ctx = hlisa_sim::SimContext::new(1);
-        s.bind_context(&ctx);
-        ctx.clock().advance(40.0);
-        assert_eq!(s.browser.now_ms(), 40.0);
-        s.perform_actions(&[Action::Pause(10.0)]);
-        assert_eq!(ctx.clock().now_ms(), 50.0);
     }
 
     #[test]

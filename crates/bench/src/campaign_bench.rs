@@ -1,6 +1,6 @@
 //! Campaign-throughput benchmark: the atoms/shapes/snapshots hot path.
 //!
-//! Three sections, each a retained reference against its optimised
+//! Five sections, each a retained reference against its optimised
 //! path, emitted as `BENCH_campaign.json`:
 //!
 //! 1. **World acquisition** — building a `WebDriverFirefox` world from
@@ -20,13 +20,18 @@
 //!    derived on every visit) vs one profile per site and machine reused
 //!    for all its visits, as the crawler runs them. This is the visit
 //!    layer's own cost: `bench_e2e`'s traced `web.visit.*` metrics come
-//!    from a mirror that calls `simulate_visit` per visit.
+//!    from a mirror that calls `simulate_visit` per visit. Live path:
+//!    [`SiteProfile::visit`]; baseline: [`simulate_visit`]. A timed run
+//!    makes [`VISIT_CORE_PASSES`] passes over the population.
 //! 5. **Visit fork** — each visit's context and its `"visit"` stream's
 //!    first draw, over the same population: one
 //!    [`SimContext::fork_visit`] per visit (one serial hash of the domain
 //!    each) vs [`SimContext::visit_forks`] per site and machine (the
 //!    site's 8 seeds from one lane-batched derivation), as the crawler
-//!    forks them. Both sides must yield the same seeds and draws.
+//!    forks them. Both sides must yield the same seeds and draws. Live
+//!    path: [`SimContext::visit_forks`]; baseline:
+//!    [`SimContext::fork_visit`]. A timed run makes
+//!    [`VISIT_FORK_PASSES`] passes over the population.
 
 use crate::harness::{compare, Report, Section};
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
@@ -183,6 +188,25 @@ fn bench_campaign(bench: &BenchConfig) -> Section {
 /// Visits per site and machine in the visit-core section: the paper's 8.
 const VISIT_CORE_VISITS: u64 = 8;
 
+/// Passes over the population per timed visit-core run. One pass of the
+/// full run's 2,000 sites takes 7–21 ms on a 2-vCPU host, short enough
+/// for scheduling noise to decide the row (a one-pass take read spread
+/// 0.17); 16 passes make a run last over 100 ms.
+pub const VISIT_CORE_PASSES: u32 = 16;
+
+/// Passes over the population per timed visit-fork run. One pass takes
+/// 2–6 ms on a 2-vCPU host (a one-pass take read spread 0.21); 64
+/// passes make a run last over 100 ms.
+pub const VISIT_FORK_PASSES: u32 = 64;
+
+/// Runs `run` `n` times and returns the last run's output.
+fn passes<T>(n: u32, mut run: impl FnMut() -> T) -> T {
+    for _ in 1..n {
+        black_box(run());
+    }
+    run()
+}
+
 /// Both machines' visits of every site, in crawl order, each site's
 /// visits appended to the output by `visit_site(site, client, ctx, out)`.
 fn visit_core_crawl<T>(
@@ -227,7 +251,11 @@ fn bench_visit_core(bench: &BenchConfig, report: &mut Report) -> Section {
     };
     // Fill the runtime's verdict memo before either side is timed.
     per_site();
-    let visits = 2 * sites.len() as u64 * VISIT_CORE_VISITS;
+    let (per_visit, per_site) = (
+        || passes(VISIT_CORE_PASSES, per_visit),
+        || passes(VISIT_CORE_PASSES, per_site),
+    );
+    let visits = 2 * sites.len() as u64 * VISIT_CORE_VISITS * u64::from(VISIT_CORE_PASSES);
     let (section, fresh, reused) = compare("visit_core", "visits", visits, per_visit, per_site);
     assert_eq!(fresh, reused, "per-visit and per-site profiles diverged");
     let slots: usize = sites
@@ -261,7 +289,11 @@ fn bench_visit_fork(bench: &BenchConfig) -> Section {
             out.extend(forks.map(first_draw))
         })
     };
-    let visits = 2 * sites.len() as u64 * VISIT_CORE_VISITS;
+    let (per_visit, batched) = (
+        || passes(VISIT_FORK_PASSES, per_visit),
+        || passes(VISIT_FORK_PASSES, batched),
+    );
+    let visits = 2 * sites.len() as u64 * VISIT_CORE_VISITS * u64::from(VISIT_FORK_PASSES);
     let (section, scalar, lanes) = compare("visit_fork", "visits", visits, per_visit, batched);
     assert_eq!(scalar, lanes, "per-visit and batched visit forks diverged");
     section
@@ -305,8 +337,10 @@ mod tests {
         cfg.visit_core_sites = 10;
         let report = run(cfg);
         assert_eq!(report.section("campaign").unwrap().ops, 2 * 10 * 2);
-        assert_eq!(report.section("visit_core").unwrap().ops, 2 * 10 * 8);
-        assert_eq!(report.section("visit_fork").unwrap().ops, 2 * 10 * 8);
+        let visit_core = 2 * 10 * 8 * u64::from(VISIT_CORE_PASSES);
+        assert_eq!(report.section("visit_core").unwrap().ops, visit_core);
+        let visit_fork = 2 * 10 * 8 * u64::from(VISIT_FORK_PASSES);
+        assert_eq!(report.section("visit_fork").unwrap().ops, visit_fork);
         for name in [
             "world_acquisition",
             "property_lookup",

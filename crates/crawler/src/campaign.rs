@@ -608,7 +608,8 @@ fn telemetry(machine: &Tally, modes: &[Tally]) -> MachineTelemetry {
 }
 
 /// Worker-local visit state: the scenario drive's retained scratch, the
-/// planner (planner mode only), the capture stage's event buffer, and
+/// planner (planner mode only), the capture stage's event buffer and
+/// write-ahead buffer, and
 /// each machine's tallies — the machine's own, then one per capture
 /// mode — of the current shard, and their totals over the shards the
 /// worker completed. One serves every machine for the worker's
@@ -625,6 +626,7 @@ struct VisitWorker {
     scenario: Box<ScenarioScratch>,
     planner: Option<Box<(HumanParams, VisitPlanner)>>,
     events: Vec<(f64, CaptureEvent)>,
+    write_ahead: Vec<(f64, CaptureEvent)>,
     shard: Vec<Vec<Tally>>,
     totals: Vec<Vec<Tally>>,
 }
@@ -636,6 +638,7 @@ impl VisitWorker {
             planner: plan_interactions
                 .then(|| Box::new((HumanParams::paper_baseline(), VisitPlanner::new()))),
             events: Vec::new(),
+            write_ahead: Vec::new(),
             shard: vec![vec![Tally::default(); 1 + modes]; machines],
             totals: vec![vec![Tally::default(); 1 + modes]; machines],
         }
@@ -782,10 +785,10 @@ impl Machine<'_> {
             DEFAULT_VISIT_DEADLINE_MS,
             events,
         );
-        let http = (outcome.first_party.len(), outcome.third_party.len());
         let tallies = &mut worker.shard[self.slot][1..];
+        let write_ahead = &mut worker.write_ahead;
         for ((outcomes, &mode), tally) in outcomes.iter_mut().zip(modes).zip(tallies) {
-            outcomes.push(captured_visit(events, http, schedule, mode, tally));
+            outcomes.push(captured_visit(events, schedule, mode, tally, write_ahead));
         }
     }
 }

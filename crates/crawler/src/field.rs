@@ -48,7 +48,7 @@ impl MachineTally {
             for (hit, (_, outcomes)) in hits.iter_mut().zip(ROWS) {
                 *hit += usize::from(outcomes.contains(&o.visual));
             }
-            let parties = [&o.first_party, &o.third_party];
+            let parties: [&[u16]; 2] = [&o.first_party, &o.third_party];
             for ((codes, errors), party) in self.codes.iter_mut().zip(&mut errors).zip(parties) {
                 for &code in party {
                     add_code(codes, usize::from(code), 1);

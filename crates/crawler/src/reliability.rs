@@ -98,26 +98,27 @@ pub struct CapturedCampaign {
 /// One visit's trip through one mode's capture pipeline: the visit's
 /// emitted `events` in, the recorded outcome out, the observers' counts
 /// added to `tally`. Draw-free: the mode's loss `schedule` was drawn
-/// once for every mode of the visit. `http` is the ground truth's
-/// `(first-party, third-party)` status counts, the most a record holds.
+/// once for every mode of the visit. `write_ahead` is the worker's
+/// retained buffer, lent to the strengthened mode's write-ahead channel
+/// and handed back with the capacity it reached.
 pub(crate) fn captured_visit(
     events: &[(f64, CaptureEvent)],
-    http: (usize, usize),
     schedule: LossSchedule,
     mode: CaptureMode,
     tally: &mut Tally,
+    write_ahead: &mut Vec<(f64, CaptureEvent)>,
 ) -> VisitOutcome {
-    let new_recorder = || CaptureRecorder::with_capacity(http.0, http.1);
     let recorder = match mode {
         CaptureMode::Pristine => {
-            let mut recorder = new_recorder();
+            let mut recorder = CaptureRecorder::new();
             for (t, e) in events {
                 recorder.on_event(*t, e);
             }
             recorder
         }
         CaptureMode::NaiveLossy => {
-            let mut lossy = LossyObserver::new(new_recorder(), schedule, DEFAULT_VISIT_DEADLINE_MS);
+            let mut lossy =
+                LossyObserver::new(CaptureRecorder::new(), schedule, DEFAULT_VISIT_DEADLINE_MS);
             for (t, e) in events {
                 lossy.on_event(*t, e);
             }
@@ -130,7 +131,8 @@ pub(crate) fn captured_visit(
             // touch what it buffers. The attach barrier acks at the first
             // event on or after the schedule's attach point; everything
             // emitted before that replays from the buffer.
-            let mut wal = WriteAheadObserver::detached(new_recorder());
+            let buffer = std::mem::take(write_ahead);
+            let mut wal = WriteAheadObserver::detached_with(CaptureRecorder::new(), buffer);
             let attach_at_ms = schedule.attach_at * DEFAULT_VISIT_DEADLINE_MS;
             let split = events
                 .iter()
@@ -145,7 +147,9 @@ pub(crate) fn captured_visit(
                 wal.on_event(*t, e);
             }
             tally.absorb(wal.tally());
-            wal.into_inner()
+            let (recorder, buffer) = wal.into_parts();
+            *write_ahead = buffer;
+            recorder
         }
     };
     tally.absorb(recorder.tally());

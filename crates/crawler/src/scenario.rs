@@ -28,7 +28,7 @@ use hlisa_web::dynamics::{
 use hlisa_web::page::TARGET_ID;
 use hlisa_web::{apply_scenario, generate_page, GeneratedPage, PageStructure};
 use hlisa_web::{ClientKind, Site, VisitOutcome, VisualOutcome};
-use hlisa_webdriver::{By, SeleniumActionChains, Session};
+use hlisa_webdriver::{By, ElementHandle, SeleniumActionChains, Session};
 
 /// Renders the site's scenario page. Structure is keyed on the campaign
 /// seed and the site's identity only — never the machine or visit — so
@@ -45,8 +45,9 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
     page
 }
 
-/// Worker-retained scratch for the scenario drives. It holds three
-/// things, the last two built lazily by the first drive that needs them:
+/// Worker-retained scratch for the scenario drives. It holds four
+/// things, the session and the page built lazily by the first drive that
+/// needs them:
 ///
 /// * one persistent [`HumanAgent`] rebound to each visit's forked context
 ///   instead of built fresh per drive, so recovery steps (banner dismiss,
@@ -67,6 +68,9 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 ///   The session is boxed so it adds one word to the scratch: a
 ///   worker builds its scratch on a fresh stack even in campaigns that
 ///   never drive a scenario;
+/// * one Selenium action chain, which every Selenium drive queues its
+///   move and click on and performs without consuming, so its step
+///   storage is reused instead of grown afresh per drive;
 /// * the most recently generated scenario page, keyed on everything
 ///   [`scenario_page`] reads — the campaign seed, the [`ScenarioKind`] and
 ///   the whole [`Site`] — with its kind's page program memoised. A site's
@@ -74,13 +78,14 @@ pub fn scenario_page(site: &Site, kind: ScenarioKind, campaign_seed: u64) -> Gen
 ///   document instead of regenerating it, and swaps in the stored
 ///   mutation instead of re-running the program.
 ///
-/// None of the three can influence a draw, so drives through a reused
+/// None of the four can influence a draw, so drives through a reused
 /// scratch are bit-identical to fresh-scratch drives (pinned by
 /// regression and differential tests).
 #[derive(Debug)]
 pub struct ScenarioScratch {
     human: HumanAgent,
     session: Option<Box<Session>>,
+    selenium: SeleniumActionChains,
     page: Option<CachedPage>,
     pages_generated: u64,
     browsers_opened: u64,
@@ -137,6 +142,7 @@ impl ScenarioScratch {
         Self {
             human: HumanAgent::with_context(HumanParams::paper_baseline(), SimContext::new(0)),
             session: None,
+            selenium: SeleniumActionChains::new(),
             page: None,
             pages_generated: 0,
             browsers_opened: 0,
@@ -165,13 +171,19 @@ impl ScenarioScratch {
     /// Opens the drive's WebDriver browser on the site's scenario page —
     /// the page from the cache (regenerated only when the key changed),
     /// shared, in the retained session's browser — and hands out the
-    /// session with the page's program and the agent alongside it.
+    /// session with the page's program, the agent and the Selenium chain
+    /// alongside it.
     fn open(
         &mut self,
         site: &Site,
         kind: ScenarioKind,
         campaign_seed: u64,
-    ) -> (&mut Session, &mut PageProgram, &mut HumanAgent) {
+    ) -> (
+        &mut Session,
+        &mut PageProgram,
+        &mut HumanAgent,
+        &mut SeleniumActionChains,
+    ) {
         if !self
             .page
             .as_ref()
@@ -206,7 +218,12 @@ impl ScenarioScratch {
                 self.session.insert(Box::new(Session::new(browser)))
             }
         };
-        (session, &mut page.program, &mut self.human)
+        (
+            session,
+            &mut page.program,
+            &mut self.human,
+            &mut self.selenium,
+        )
     }
 }
 
@@ -283,9 +300,9 @@ pub fn drive_scenario_with(
     ctx: &mut SimContext,
     scratch: &mut ScenarioScratch,
 ) -> bool {
-    let (session, program, human) = scratch.open(site, kind, campaign_seed);
+    let (session, program, human, chain) = scratch.open(site, kind, campaign_seed);
     match client {
-        ClientKind::OpenWpm => drive_selenium(session, program),
+        ClientKind::OpenWpm => drive_selenium(session, chain, program),
         ClientKind::OpenWpmSpoofed => drive_hlisa(&mut session.browser, program, ctx, human),
     }
 }
@@ -320,7 +337,11 @@ fn maybe_reveal_lazy(browser: &mut Browser, reveal: &mut DocumentMemo<bool>) -> 
 /// pointer straight to the element centre, scrolling is a one-jump
 /// script call, and element handles are cached across DOM mutations —
 /// each scenario defeats one of those habits.
-fn drive_selenium(session: &mut Session, program: &mut PageProgram) -> bool {
+fn drive_selenium(
+    session: &mut Session,
+    chain: &mut SeleniumActionChains,
+    program: &mut PageProgram,
+) -> bool {
     match program {
         PageProgram::CookieBanner(_) => {
             // The locator sees the target fine (the overlay occludes, it
@@ -332,10 +353,7 @@ fn drive_selenium(session: &mut Session, program: &mut PageProgram) -> bool {
             if session.ensure_interactable(target).is_err() {
                 return false;
             }
-            let _ = SeleniumActionChains::new()
-                .move_to_element(target)
-                .click(Some(target))
-                .perform(session);
+            selenium_click(session, chain, target);
             last_click_hit(&session.browser, target.node())
         }
         PageProgram::LazyContent(reveal) => {
@@ -351,10 +369,7 @@ fn drive_selenium(session: &mut Session, program: &mut PageProgram) -> bool {
             if session.ensure_interactable(el).is_err() {
                 return false;
             }
-            let _ = SeleniumActionChains::new()
-                .move_to_element(el)
-                .click(Some(el))
-                .perform(session);
+            selenium_click(session, chain, el);
             last_click_hit(&session.browser, el.node())
         }
         PageProgram::SpaMutation(rerender) => {
@@ -371,13 +386,17 @@ fn drive_selenium(session: &mut Session, program: &mut PageProgram) -> bool {
             let Some(fresh) = session.browser.mutate_document_memo(rerender) else {
                 return false;
             };
-            let _ = SeleniumActionChains::new()
-                .move_to_element(confirm)
-                .click(Some(confirm))
-                .perform(session);
+            selenium_click(session, chain, confirm);
             last_click_hit(&session.browser, fresh)
         }
     }
+}
+
+/// Selenium's move-then-click on `el`, queued on the scratch's retained
+/// chain, so the drive reuses its step storage.
+fn selenium_click(session: &mut Session, chain: &mut SeleniumActionChains, el: ElementHandle) {
+    *chain = std::mem::take(chain).move_to_element(el).click(Some(el));
+    let _ = chain.perform_mut(session);
 }
 
 /// Machine (2): the HLISA drive. Raw OS input from the human models —

@@ -585,9 +585,18 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
     /// A write-ahead channel whose instrumentation has not attached yet;
     /// events buffer until [`attach`](Self::attach).
     pub fn detached(inner: O) -> Self {
+        Self::detached_with(inner, Vec::new())
+    }
+
+    /// [`detached`](Self::detached), buffering into a lent `buffer`
+    /// (cleared first) so a caller that captures visit after visit
+    /// reuses its capacity; [`into_parts`](Self::into_parts) hands it
+    /// back.
+    pub fn detached_with(inner: O, mut buffer: Vec<(f64, E)>) -> Self {
+        buffer.clear();
         Self {
             inner,
-            buffer: Vec::new(),
+            buffer,
             attached: false,
             tally: CaptureSlots::default(),
         }
@@ -631,9 +640,15 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
 
     /// Unwraps the inner observer, attaching first so no buffered event
     /// is ever lost.
-    pub fn into_inner(mut self) -> O {
+    pub fn into_inner(self) -> O {
+        self.into_parts().0
+    }
+
+    /// [`into_inner`](Self::into_inner), also returning the write-ahead
+    /// buffer, empty, with the capacity it reached.
+    pub fn into_parts(mut self) -> (O, Vec<(f64, E)>) {
         self.attach();
-        self.inner
+        (self.inner, self.buffer)
     }
 }
 

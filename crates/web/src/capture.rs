@@ -24,6 +24,7 @@
 //!    any drift in a lossy campaign is attributable to the loss plane
 //!    alone.
 
+use crate::codes::{StatusCodes, FIRST_PARTY_INLINE, THIRD_PARTY_INLINE};
 use crate::site::Site;
 use crate::visit::{VisitOutcome, VisitTimeline, VisualOutcome};
 use hlisa_sim::metrics::{self, RecorderSlots};
@@ -176,8 +177,8 @@ pub struct CaptureRecorder {
     completed: bool,
     detected: bool,
     visual: Option<VisualOutcome>,
-    first_party: Vec<u16>,
-    third_party: Vec<u16>,
+    first_party: StatusCodes<FIRST_PARTY_INLINE>,
+    third_party: StatusCodes<THIRD_PARTY_INLINE>,
     // Per-kind slot counts, named only on `counters()`: a name-keyed add
     // per event of every captured visit is measurable campaign overhead.
     tally: RecorderSlots,
@@ -189,23 +190,12 @@ impl CaptureRecorder {
         Self::default()
     }
 
-    /// [`new`](Self::new), with room for `first_party` and `third_party`
-    /// HTTP statuses before the recorded outcome's lists reallocate.
-    pub fn with_capacity(first_party: usize, third_party: usize) -> Self {
-        Self {
-            first_party: Vec::with_capacity(first_party),
-            third_party: Vec::with_capacity(third_party),
-            ..Self::default()
-        }
-    }
-
     /// The visit outcome this recorder would write to the crawl record.
     pub fn outcome(&self) -> VisitOutcome {
         self.clone().into_outcome()
     }
 
-    /// [`outcome`](Self::outcome), moving the recorded status codes
-    /// instead of copying them.
+    /// [`outcome`](Self::outcome), consuming the recorder.
     pub fn into_outcome(self) -> VisitOutcome {
         if !self.saw_any {
             return VisitOutcome::unreached();
@@ -334,8 +324,8 @@ mod tests {
                 reached: true,
                 successful: true,
                 visual,
-                first_party: vec![200, 404, 200],
-                third_party: vec![200, 302],
+                first_party: vec![200, 404, 200].into(),
+                third_party: vec![200, 302].into(),
                 detected: visual == VisualOutcome::BlockPage,
             };
             let events = emit_capture_events(&site, &truth, DEFAULT_VISIT_DEADLINE_MS);
@@ -402,8 +392,8 @@ mod tests {
             reached: true,
             successful: true,
             visual: VisualOutcome::Normal,
-            first_party: vec![200; 10],
-            third_party: vec![200; 20],
+            first_party: vec![200; 10].into(),
+            third_party: vec![200; 20].into(),
             detected: false,
         };
         let events = emit_capture_events(&site, &truth, DEFAULT_VISIT_DEADLINE_MS);
@@ -419,8 +409,8 @@ mod tests {
             reached: true,
             successful: true,
             visual: VisualOutcome::Normal,
-            first_party: vec![200],
-            third_party: vec![],
+            first_party: vec![200].into(),
+            third_party: vec![].into(),
             detected: false,
         };
         let events = emit_capture_events(&site, &truth, DEFAULT_VISIT_DEADLINE_MS);
@@ -444,8 +434,8 @@ mod tests {
             reached: true,
             successful: true,
             visual: VisualOutcome::Normal,
-            first_party: vec![200, 200],
-            third_party: vec![200],
+            first_party: vec![200, 200].into(),
+            third_party: vec![200].into(),
             detected: false,
         };
         let events = emit_capture_events(&site, &truth, DEFAULT_VISIT_DEADLINE_MS);

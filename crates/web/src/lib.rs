@@ -17,6 +17,7 @@
 //! exercises the same spoofing/detection code paths as §3.1.
 
 pub mod capture;
+pub mod codes;
 pub mod dynamics;
 pub mod outcome;
 pub mod page;
@@ -31,6 +32,7 @@ pub use capture::{
     emit_capture_events, emit_capture_events_into, reconstruct_outcome, CaptureEvent,
     CaptureRecorder,
 };
+pub use codes::{StatusCodes, FIRST_PARTY_INLINE, THIRD_PARTY_INLINE};
 pub use dynamics::{apply_scenario, ScenarioKind, ScenarioMix};
 pub use outcome::{VisitError, VisitPhase, VisitProgress};
 pub use page::{generate_page, GeneratedPage, PageStructure};

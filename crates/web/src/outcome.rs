@@ -10,6 +10,7 @@
 //! [`VisitOutcome`] via [`VisitError::to_outcome`], so a faulted campaign
 //! produces partial site results instead of aborting the machine.
 
+use crate::codes::StatusCodes;
 use crate::visit::{VisitOutcome, VisualOutcome};
 use hlisa_sim::FaultKind;
 
@@ -155,23 +156,21 @@ impl VisitError {
     /// transient HTTP flake records its status as the sole first-party
     /// response — bit-compatibility the rate-0 chaos invariant relies on.
     pub fn to_outcome(&self) -> VisitOutcome {
-        let (reached, visual, first_party) = match self {
+        let (reached, visual, status) = match self {
             VisitError::Unreachable { .. } => return VisitOutcome::unreached(),
-            VisitError::PageLoadTimeout { .. } => (true, VisualOutcome::Timeout, Vec::new()),
-            VisitError::Stalled { .. } => (true, VisualOutcome::Stalled, Vec::new()),
-            VisitError::RealmCrashed { .. } => (true, VisualOutcome::Crashed, Vec::new()),
-            VisitError::TransientNetwork { status } => (
-                true,
-                VisualOutcome::TransientError,
-                status.map(|s| vec![s]).unwrap_or_default(),
-            ),
+            VisitError::PageLoadTimeout { .. } => (true, VisualOutcome::Timeout, None),
+            VisitError::Stalled { .. } => (true, VisualOutcome::Stalled, None),
+            VisitError::RealmCrashed { .. } => (true, VisualOutcome::Crashed, None),
+            VisitError::TransientNetwork { status } => {
+                (true, VisualOutcome::TransientError, *status)
+            }
         };
         VisitOutcome {
             reached,
             successful: false,
             visual,
-            first_party,
-            third_party: Vec::new(),
+            first_party: status.into_iter().collect(),
+            third_party: StatusCodes::new(),
             detected: false,
         }
     }
@@ -191,8 +190,8 @@ impl VisitOutcome {
             reached: false,
             successful: false,
             visual: VisualOutcome::Unreachable,
-            first_party: Vec::new(),
-            third_party: Vec::new(),
+            first_party: StatusCodes::new(),
+            third_party: StatusCodes::new(),
             detected: false,
         }
     }

@@ -7,6 +7,17 @@ use hlisa_sim::SimContext;
 use hlisa_stats::rngutil::derive_seed;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::ops::Range;
+
+/// First-party requests per generated site, drawn uniformly. A visit
+/// record keeps its first-party codes inline up to this range's maximum
+/// ([`FIRST_PARTY_INLINE`](crate::codes::FIRST_PARTY_INLINE)).
+pub const FIRST_PARTY_REQUESTS: Range<u8> = 6..18;
+
+/// Third-party requests per generated site, drawn uniformly. A visit
+/// record keeps its third-party codes inline up to this range's maximum
+/// ([`THIRD_PARTY_INLINE`](crate::codes::THIRD_PARTY_INLINE)).
+pub const THIRD_PARTY_REQUESTS: Range<u8> = 10..45;
 
 /// Calibration knobs (defaults reproduce the paper's environment).
 #[derive(Debug, Clone, PartialEq)]
@@ -80,8 +91,8 @@ pub(crate) fn draw_site_attrs<R: Rng + ?Sized>(
         ad_slots: rng.gen_range(0..6),
         has_video: rng.gen_bool(0.18),
         flaky_visit_prob: (rng.gen_range(0.0..2.0) * config.mean_flakiness).clamp(0.0, 0.5),
-        first_party_requests: rng.gen_range(6..18),
-        third_party_requests: rng.gen_range(10..45),
+        first_party_requests: rng.gen_range(FIRST_PARTY_REQUESTS),
+        third_party_requests: rng.gen_range(THIRD_PARTY_REQUESTS),
     }
 }
 

@@ -5,6 +5,7 @@
 //! with [`hlisa_spoof`], and the site's detector runs the real
 //! [`hlisa_detect`] checks against that world.
 
+use crate::codes::{StatusCodes, FIRST_PARTY_INLINE, THIRD_PARTY_INLINE};
 use crate::outcome::{VisitError, VisitPhase, VisitProgress};
 use crate::site::{DetectionMethod, Reaction, Site};
 use crate::snapshot::WorldSnapshotCache;
@@ -70,7 +71,8 @@ pub enum VisualOutcome {
     StaleElement,
 }
 
-/// Outcome of one visit.
+/// Outcome of one visit. Its status codes are held inline
+/// ([`StatusCodes`]), so a record of a generated site owns no heap block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VisitOutcome {
     /// Whether the site answered.
@@ -80,9 +82,9 @@ pub struct VisitOutcome {
     /// Screenshot-level outcome.
     pub visual: VisualOutcome,
     /// First-party response status codes.
-    pub first_party: Vec<u16>,
+    pub first_party: StatusCodes<FIRST_PARTY_INLINE>,
     /// Third-party response status codes.
-    pub third_party: Vec<u16>,
+    pub third_party: StatusCodes<THIRD_PARTY_INLINE>,
     /// Ground truth: did the site's detector fire? (Not observable by the
     /// crawler; used for validation.)
     pub detected: bool,
@@ -656,7 +658,10 @@ fn synthesize_http<R: Rng + ?Sized>(
     detected: bool,
     visual: VisualOutcome,
     rng: &mut R,
-) -> (Vec<u16>, Vec<u16>) {
+) -> (
+    StatusCodes<FIRST_PARTY_INLINE>,
+    StatusCodes<THIRD_PARTY_INLINE>,
+) {
     let site = profile.site;
     let (first_background, third_background) = profile
         .background
@@ -664,7 +669,7 @@ fn synthesize_http<R: Rng + ?Sized>(
     let blockish = matches!(visual, VisualOutcome::BlockPage | VisualOutcome::Captcha);
     let reaction = site.detector.map(|d| d.reaction);
 
-    let mut first = Vec::with_capacity(first_background.len());
+    let mut first = StatusCodes::new();
     for (i, &background) in first_background.iter().enumerate() {
         let code = if detected && blockish {
             // The main document always answers 403; of the subresources
@@ -687,10 +692,10 @@ fn synthesize_http<R: Rng + ?Sized>(
     // Under full suppression ad/tracker requests simply never happen.
     let ad_suppression = matches!(visual, VisualOutcome::NoAds) || blockish;
     if ad_suppression {
-        return (first, Vec::new());
+        return (first, StatusCodes::new());
     }
     let partial_suppression = matches!(visual, VisualOutcome::FewerAds);
-    let mut third = Vec::with_capacity(third_background.len());
+    let mut third = StatusCodes::new();
     for &background in third_background {
         if partial_suppression && rng.gen_bool(0.5) {
             continue;

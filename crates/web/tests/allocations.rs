@@ -4,11 +4,13 @@
 //!
 //! A `SimContext` keeps its first streams inline and its time as a plain
 //! number, a `SiteProfile` derives its background codes into one exactly
-//! sized buffer, and a site's visit contexts come from `visit_forks`. So
-//! a warm plain visit allocates only the outcome's two status-code
-//! vectors. A change that brings back a per-stream `String`, a shared
-//! clock, a growing buffer or a per-visit derivation shows up here as an
-//! extra allocation.
+//! sized buffer, a site's visit contexts come from `visit_forks`, and a
+//! `VisitOutcome` holds its status codes inline. So a warm plain visit
+//! allocates nothing, and neither does recording it through any capture
+//! mode's observers once the worker's event and write-ahead buffers are
+//! warm. A change that brings back a per-stream `String`, a shared
+//! clock, a heap status list, a growing buffer or a per-visit derivation
+//! shows up here as an allocation.
 //!
 //! A scenario page is built once per (site, machine) and its page program
 //! runs once through an empty `DocumentMemo` before every later drive
@@ -23,12 +25,18 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use hlisa_browser::{Browser, BrowserConfig, DocumentMemo};
-use hlisa_sim::{Rng, SimContext, STREAM_REGISTRY};
+use hlisa_sim::{
+    LossSchedule, LossyObserver, Observer, Rng, SimContext, WriteAheadObserver, STREAM_REGISTRY,
+};
 use hlisa_stats::rngutil::derive_seed;
 use hlisa_web::dynamics::{self, apply_scenario, ScenarioKind};
 use hlisa_web::page::TARGET_ID;
 use hlisa_web::visit::DetectorRuntime;
-use hlisa_web::{generate_page, ClientKind, GeneratedPage, PageStructure, Site, SiteProfile};
+use hlisa_web::{
+    emit_capture_events_into, generate_page, generate_population, CaptureEvent, CaptureRecorder,
+    ClientKind, GeneratedPage, PageStructure, PopulationConfig, Site, SiteProfile, VisitOutcome,
+    DEFAULT_VISIT_DEADLINE_MS,
+};
 
 /// A reachable site without a detector, scenario or breakage, with
 /// request counts off the lane width.
@@ -77,7 +85,7 @@ fn a_site_profile_allocates_once() {
 }
 
 #[test]
-fn a_warm_plain_visit_allocates_its_status_vectors() {
+fn a_warm_plain_visit_allocates_nothing() {
     let site = plain_site();
     let runtime = DetectorRuntime::new();
     let profile = SiteProfile::new(&site);
@@ -86,7 +94,8 @@ fn a_warm_plain_visit_allocates_its_status_vectors() {
     for mut ctx in machine.visit_forks(&site.domain, 1) {
         profile.visit(ClientKind::OpenWpm, &runtime, &mut ctx);
     }
-    // Each visit: its outcome's two vectors; the fork allocates nothing.
+    // The outcome holds its status codes inline; the fork allocates
+    // nothing.
     let mut forks = machine.visit_forks(&site.domain, 9);
     for _ in 0..9 {
         let (outcome, n) = allocations(|| {
@@ -96,9 +105,135 @@ fn a_warm_plain_visit_allocates_its_status_vectors() {
         let outcome = outcome.expect("nine forks");
         assert!(outcome.successful);
         assert!(!outcome.first_party.is_empty() && !outcome.third_party.is_empty());
-        assert_eq!(n, 2, "a visit allocated beyond its two status vectors");
+        assert_eq!(n, 0, "a warm plain visit allocated");
     }
     assert!(forks.next().is_none());
+}
+
+/// The crawler's three capture modes (`hlisa_crawler::CaptureMode`).
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Pristine,
+    NaiveLossy,
+    Strengthened,
+}
+
+/// Records one visit's `events` through `mode`'s observers, as the
+/// crawler's capture stage does: a bare recorder, a recorder behind the
+/// lossy channel, or a recorder behind a write-ahead channel that borrows
+/// the worker's retained `write_ahead` buffer and hands it back.
+fn record(
+    mode: Mode,
+    events: &[(f64, CaptureEvent)],
+    schedule: LossSchedule,
+    write_ahead: &mut Vec<(f64, CaptureEvent)>,
+) -> VisitOutcome {
+    let recorder = match mode {
+        Mode::Pristine => {
+            let mut recorder = CaptureRecorder::new();
+            for (t, e) in events {
+                recorder.on_event(*t, e);
+            }
+            recorder
+        }
+        Mode::NaiveLossy => {
+            let mut lossy =
+                LossyObserver::new(CaptureRecorder::new(), schedule, DEFAULT_VISIT_DEADLINE_MS);
+            for (t, e) in events {
+                lossy.on_event(*t, e);
+            }
+            lossy.into_inner()
+        }
+        Mode::Strengthened => {
+            let buffer = std::mem::take(write_ahead);
+            let mut wal = WriteAheadObserver::detached_with(CaptureRecorder::new(), buffer);
+            let attach_at_ms = schedule.attach_at * DEFAULT_VISIT_DEADLINE_MS;
+            for (t, e) in events {
+                if *t >= attach_at_ms {
+                    wal.attach();
+                }
+                wal.on_event(*t, e);
+            }
+            let (recorder, buffer) = wal.into_parts();
+            *write_ahead = buffer;
+            recorder
+        }
+    };
+    recorder.into_outcome()
+}
+
+#[test]
+fn a_warm_captured_visit_allocates_nothing_in_any_mode() {
+    let site = plain_site();
+    let runtime = DetectorRuntime::new();
+    let profile = SiteProfile::new(&site);
+    let machine = SimContext::new(42).fork("m1", 0);
+    // Attaches late, drops a window and loses some events at random, so
+    // every channel does its work.
+    let schedule = LossSchedule {
+        attach_at: 0.1,
+        dropout: Some((0.2, 0.3)),
+        partial: Some((0.2, 9)),
+    };
+    let (mut events, mut write_ahead) = (Vec::new(), Vec::new());
+    for mode in [Mode::Pristine, Mode::NaiveLossy, Mode::Strengthened] {
+        // The first visit warms the worker's buffers.
+        for (i, mut ctx) in machine.visit_forks(&site.domain, 4).enumerate() {
+            let ((truth, recorded), n) = allocations(|| {
+                let truth = profile.visit(ClientKind::OpenWpm, &runtime, &mut ctx);
+                let timeline = profile.timeline();
+                emit_capture_events_into(timeline, &truth, DEFAULT_VISIT_DEADLINE_MS, &mut events);
+                let recorded = record(mode, &events, schedule, &mut write_ahead);
+                (truth, recorded)
+            });
+            match mode {
+                Mode::NaiveLossy => assert_ne!(recorded, truth, "the lossy channel lost nothing"),
+                _ => assert_eq!(recorded, truth, "{mode:?} lost an event"),
+            }
+            if i > 0 {
+                assert_eq!(n, 0, "a warm {mode:?} captured visit allocated");
+            }
+        }
+    }
+    assert!(
+        write_ahead.capacity() > 0,
+        "the write-ahead buffer was not kept"
+    );
+}
+
+#[test]
+fn generated_sites_keep_their_status_codes_inline() {
+    // 919 detector sites of 1,000, 38% of them template attacks: the
+    // blocking and ad-hiding reactions that cut a visit's codes short,
+    // and the 403/503 responders that rewrite them.
+    let dense = PopulationConfig {
+        seed: 11,
+        webdriver_visible: (114, 46, 91, 23),
+        template_visible: (87, 87, 175),
+        silent_http: (205, 91),
+        ..PopulationConfig::default()
+    };
+    let runtime = DetectorRuntime::new();
+    for config in [PopulationConfig::default(), dense] {
+        let sites = generate_population(&config);
+        let machine = SimContext::new(config.seed);
+        for site in &sites {
+            let profile = SiteProfile::new(site);
+            for (client, mut ctx) in [ClientKind::OpenWpm, ClientKind::OpenWpmSpoofed]
+                .into_iter()
+                .zip(machine.visit_forks(&site.domain, 2))
+            {
+                let outcome = profile.visit(client, &runtime, &mut ctx);
+                assert!(
+                    !outcome.first_party.spilled() && !outcome.third_party.spilled(),
+                    "{} spilled its status codes ({} + {} requests)",
+                    site.domain,
+                    site.first_party_requests,
+                    site.third_party_requests
+                );
+            }
+        }
+    }
 }
 
 /// The cookie-banner site the scenario-page pins are taken on: two ad

@@ -1,12 +1,15 @@
 //! WebDriver error codes (the subset the experiments can hit).
 
+use crate::session::By;
 use std::fmt;
 
 /// A WebDriver-level error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WebDriverError {
-    /// `no such element` — locator matched nothing.
-    NoSuchElement(String),
+    /// `no such element` — the locator matched nothing. It carries the
+    /// locator itself, which borrows a `'static` name, so a failed
+    /// lookup by a fixed id allocates nothing.
+    NoSuchElement(By),
     /// `element not interactable` — e.g. hidden element.
     ElementNotInteractable(String),
     /// `invalid argument`.
@@ -22,7 +25,7 @@ pub enum WebDriverError {
 impl fmt::Display for WebDriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WebDriverError::NoSuchElement(m) => write!(f, "no such element: {m}"),
+            WebDriverError::NoSuchElement(by) => write!(f, "no such element: {by:?}"),
             WebDriverError::ElementNotInteractable(m) => {
                 write!(f, "element not interactable: {m}")
             }
@@ -45,9 +48,10 @@ mod tests {
 
     #[test]
     fn display_matches_webdriver_spec_wording() {
-        assert!(WebDriverError::NoSuchElement("#x".into())
-            .to_string()
-            .starts_with("no such element"));
+        assert_eq!(
+            WebDriverError::NoSuchElement(By::Id("x".into())).to_string(),
+            "no such element: Id(\"x\")"
+        );
         assert!(WebDriverError::ElementNotInteractable("#x".into())
             .to_string()
             .contains("not interactable"));

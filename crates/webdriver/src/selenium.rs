@@ -159,7 +159,22 @@ impl SeleniumActionChains {
     }
 
     /// Executes the chain.
-    pub fn perform(self, session: &mut Session) -> Result<(), WebDriverError> {
+    pub fn perform(mut self, session: &mut Session) -> Result<(), WebDriverError> {
+        self.perform_mut(session)
+    }
+
+    /// Executes the chain without consuming it: the queue empties, on an
+    /// error too, but keeps its capacity, so a driver that keeps one
+    /// chain queues and performs again without allocating.
+    /// [`perform`](Self::perform) delegates here.
+    pub fn perform_mut(&mut self, session: &mut Session) -> Result<(), WebDriverError> {
+        let result = self.run_steps(session);
+        self.steps.clear();
+        result
+    }
+
+    /// Runs the queued steps in order, stopping at the first error.
+    fn run_steps(&self, session: &mut Session) -> Result<(), WebDriverError> {
         for step in &self.steps {
             match step {
                 ChainStep::MoveToElement(el) => move_to_element(session, *el)?,
@@ -446,6 +461,21 @@ mod tests {
             .perform(&mut s)
             .unwrap_err();
         assert!(matches!(err, WebDriverError::ElementNotInteractable(_)));
+    }
+
+    #[test]
+    fn a_kept_chain_empties_after_each_perform() {
+        let mut s = session();
+        let submit = s.find_element(By::Id("submit".into())).unwrap();
+        let honey = s.find_element(By::Id("honey".into())).unwrap();
+        let mut chain = SeleniumActionChains::new().click(Some(submit));
+        chain.perform_mut(&mut s).unwrap();
+        assert!(chain.is_empty());
+        // A failed step must not leave its rest queued for the next use.
+        chain = chain.click(Some(honey)).click(Some(submit));
+        assert!(chain.perform_mut(&mut s).is_err());
+        assert!(chain.is_empty());
+        assert_eq!(s.browser.recorder.clicks().len(), 1);
     }
 
     #[test]

@@ -118,8 +118,10 @@ impl Session {
             By::Id(id) => self.browser.document().by_id(id),
             By::Tag(tag) => self.browser.document().by_tag(tag).first().copied(),
         };
-        node.map(|node| ElementHandle { node })
-            .ok_or_else(|| WebDriverError::NoSuchElement(format!("{by:?}")))
+        match node {
+            Some(node) => Ok(ElementHandle { node }),
+            None => Err(WebDriverError::NoSuchElement(by)),
+        }
     }
 
     /// Executes primitive actions ("perform actions" endpoint). With an

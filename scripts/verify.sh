@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> allocation pins, release profile"
+# The pins are exact, and release inlining decides some of them (it has
+# moved with unrelated edits); the benchmarks run release code, so the
+# pins must hold there as well as in the test profile above.
+cargo test -q --release -p hlisa-web -p hlisa-crawler -p hlisa-webdriver --test allocations
+
 echo "==> bench_e2e unit tests (miniature traced + untraced run of every workload)"
 # The end-to-end benchmark is its own cargo workspace, so the workspace
 # test run above does not reach it; a runner change its traced mirror

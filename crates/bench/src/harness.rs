@@ -216,6 +216,7 @@ impl Report {
     }
 
     /// The value of the fact called `name`.
+    #[cfg(test)]
     pub fn get_fact(&self, name: &str) -> Option<f64> {
         self.facts.iter().find(|f| f.name == name).map(|f| f.value)
     }

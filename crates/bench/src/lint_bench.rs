@@ -5,17 +5,21 @@
 //! `BENCH_lint.json`:
 //!
 //! 1. **Parse** — lexing + tree building + recursive-descent parsing
-//!    ([`hlisa_lint::AstAnalysis`] construction) over every file the
-//!    workspace linter covers.
-//! 2. **Analyze** — the rule passes ([`hlisa_lint::analyze_file`]) over
-//!    pre-built analyses, with each file's real exemptions and pass
-//!    configuration, so the split shows where a `hlisa-lint` run spends
-//!    its time (`analyze_share`).
+//!    ([`hlisa_lint::AstAnalysis`] construction) over every file a
+//!    `hlisa-lint` run parses: the linted files and the reader-only
+//!    trees (`examples/`, `bench_e2e/src/`).
+//! 2. **Analyze** — every rule pass over pre-built analyses: the
+//!    per-file passes ([`hlisa_lint::analyze_file`], with each file's
+//!    real exemptions and pass configuration) and the workspace-wide
+//!    `unread-pub-item` pass ([`hlisa_lint::surface::Surface`]), so the
+//!    split shows where a `hlisa-lint` run spends its time
+//!    (`analyze_share`).
 
 use crate::harness::{measure, Report};
+use hlisa_lint::surface::Surface;
 use hlisa_lint::{
-    analyze_file, exemptions_for, find_workspace_root, workspace_files, AstAnalysis, Exemptions,
-    RulePasses,
+    analyze_file, exemptions_for, find_workspace_root, reader_files, workspace_files, AstAnalysis,
+    Exemptions, RulePasses,
 };
 use std::hint::black_box;
 use std::path::Path;
@@ -39,18 +43,25 @@ impl BenchConfig {
     }
 }
 
-/// One loaded workspace file.
+/// One loaded workspace file; `passes` is `None` for a reader-only file.
 struct Loaded {
     rel: String,
     text: String,
     exempt: Exemptions,
-    passes: RulePasses,
+    passes: Option<RulePasses>,
 }
 
 fn load_workspace(root: &Path) -> Vec<Loaded> {
-    workspace_files(root)
+    let linted = workspace_files(root)
         .expect("walk workspace")
         .into_iter()
+        .map(|(rel, path, passes)| (rel, path, Some(passes)));
+    let read = reader_files(root)
+        .expect("walk reader trees")
+        .into_iter()
+        .map(|(rel, path)| (rel, path, None));
+    linted
+        .chain(read)
         .map(|(rel, path, passes)| {
             let text = std::fs::read_to_string(&path).expect("read source");
             let exempt = exemptions_for(&rel);
@@ -87,15 +98,19 @@ pub fn run(config: BenchConfig) -> Report {
         last
     });
 
-    // Analyze: rule passes over the pre-built analyses.
+    // Analyze: every rule pass over the pre-built analyses.
     let (analyze, findings) = measure("analyze", "lines", ops, || {
         let mut n = 0usize;
         for _ in 0..config.iters {
-            n = files
-                .iter()
-                .zip(&analyses)
-                .map(|(f, a)| black_box(analyze_file(&f.rel, a, f.exempt, f.passes)).len())
-                .sum();
+            let mut surface = Surface::default();
+            n = 0;
+            for (f, a) in files.iter().zip(&analyses) {
+                if let Some(passes) = f.passes {
+                    n += black_box(analyze_file(&f.rel, a, f.exempt, passes)).len();
+                }
+                surface.add(&f.rel, &f.text, &a.parsed);
+            }
+            n += black_box(surface.finish()).len();
         }
         n
     });

@@ -222,24 +222,6 @@ impl Browser {
         self.keys_down = old.keys_down;
     }
 
-    /// Navigates to a new document. Interaction state carries over (the
-    /// cursor stays where the OS left it) but the event trace resets.
-    pub fn navigate(&mut self, document: Document) {
-        self.viewport = Viewport::new(
-            self.config.viewport_width,
-            self.config.viewport_height,
-            document.page_height,
-        );
-        self.world = Arc::clone(&self.pristine_world);
-        self.document = document;
-        self.recorder.clear();
-        self.pending_move = None;
-        self.buttons_down.clear();
-        self.keys_down.clear();
-        self.last_click = None;
-        self.focused = None;
-    }
-
     /// The page JS world.
     pub fn world(&self) -> &World {
         &self.world
@@ -267,6 +249,7 @@ impl Browser {
     /// invalidated and the tree reflowed (by [`Document::mutate`]), the
     /// viewport's scrollable extent follows the new page height, and a
     /// `dom.mutations` counter records the revision.
+    // lint: allow(unread-pub-item) test reference: the unmemoised side of memo_differential.rs
     pub fn mutate_document<R>(&mut self, f: impl FnOnce(&mut DocumentMutator) -> R) -> R {
         let r = self.document.mutate(f);
         self.document_mutated();
@@ -306,16 +289,19 @@ impl Browser {
     }
 
     /// Whether the page is visible.
+    // lint: allow(unread-pub-item) test reference: timed_input.rs's re-open differential compares it
     pub fn is_visible(&self) -> bool {
         self.visible
     }
 
     /// Buttons currently held down.
+    // lint: allow(unread-pub-item) test reference: timed_input.rs's differentials compare it
     pub fn pressed_buttons(&self) -> Vec<MouseButton> {
         self.buttons_down.iter().map(|(b, _)| *b).collect()
     }
 
     /// Keys currently held down.
+    // lint: allow(unread-pub-item) test reference: timed_input.rs's differentials compare it
     pub fn pressed_keys(&self) -> Vec<String> {
         self.keys_down.clone()
     }
@@ -342,11 +328,13 @@ impl Browser {
     /// Subscribes an observer to this browser's event dispatch. Every
     /// event the page's listeners would see is fanned out to each attached
     /// observer, in attachment order, after the recorder.
+    // lint: allow(unread-pub-item) test reference: timed_input.rs's differentials compare observer streams
     pub fn attach_observer(&mut self, observer: Box<dyn Observer<DomEvent>>) {
         self.observers.push(observer);
     }
 
     /// Number of attached observers (the recorder is not counted).
+    // lint: allow(unread-pub-item) test reference: timed_input.rs's re-open differential compares it
     pub fn observer_count(&self) -> usize {
         self.observers.len()
     }
@@ -875,14 +863,6 @@ impl Browser {
             },
         );
     }
-
-    /// Enables Firefox's smooth-scrolling setting: large programmatic
-    /// scrolls are animated as a burst of eased intermediate scroll
-    /// events instead of one jump (the refinement the paper's future-work
-    /// section says HLISA should account for).
-    pub fn set_smooth_scrolling(&mut self, on: bool) {
-        self.viewport.smooth_scrolling = on;
-    }
 }
 
 #[cfg(test)]
@@ -1152,16 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn navigate_resets_trace_but_not_cursor() {
-        let mut b = browser();
-        b.input_after(30.0, RawInput::MouseMove { x: 200.0, y: 200.0 });
-        b.navigate(standard_test_page("https://two.test/", 5_000.0));
-        assert!(b.recorder.is_empty());
-        assert_eq!(b.mouse_position(), Point::new(200.0, 200.0));
-        assert_eq!(&*b.document().url, "https://two.test/");
-    }
-
-    #[test]
     fn right_press_fires_contextmenu() {
         let mut b = browser();
         b.input_after(30.0, RawInput::MouseMove { x: 160.0, y: 500.0 });
@@ -1307,7 +1277,7 @@ mod tests {
     #[test]
     fn smooth_scrolling_animates_script_jumps() {
         let mut b = browser();
-        b.set_smooth_scrolling(true);
+        b.viewport.smooth_scrolling = true;
         b.input_after(
             10.0,
             RawInput::ScrollFrom {
@@ -1405,9 +1375,9 @@ mod tests {
         b.attach_observer(Box::new(Fixed));
         assert_eq!(b.metrics().get("observer.fixed"), Some(1));
 
-        // Prime again, then navigate: the event trace resets.
+        // Prime again, then re-open: the event trace resets.
         let _ = b.metrics();
-        b.navigate(standard_test_page("https://example.test/next", 5_000.0));
+        b.reopen(standard_test_page("https://example.test/next", 5_000.0));
         assert_eq!(b.metrics().get("events.total"), Some(0));
     }
 
@@ -1577,8 +1547,8 @@ mod tests {
             Browser::open(BrowserConfig::webdriver(), page()).metrics()
         );
 
-        // Navigation restores the untouched pristine.
-        shared.navigate(page());
+        // Re-opening restores the untouched pristine.
+        shared.reopen(page());
         assert!(!shared.world().realm.has_own(nav, "tampered"));
         let mut reference = Browser::open(BrowserConfig::webdriver(), page());
         assert!(template(shared.world_mut())
@@ -1599,10 +1569,10 @@ mod tests {
         );
         assert!(std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
         assert!(std::ptr::eq(b.clone().world(), Arc::as_ptr(&pristine)));
-        // The first write copies; navigation points back at the pristine.
+        // The first write copies; a re-open points back at the pristine.
         b.world_mut();
         assert!(!std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
-        b.navigate(standard_test_page("https://example.test/next", 5_000.0));
+        b.reopen(standard_test_page("https://example.test/next", 5_000.0));
         assert!(std::ptr::eq(b.world(), Arc::as_ptr(&pristine)));
     }
 

@@ -76,7 +76,7 @@ pub enum Display {
     },
     /// Removed from layout entirely (`display: none`): the subtree gets
     /// no geometry, is skipped by hit testing *and* by the locator
-    /// queries (`by_id`, `by_tag`, `anchor_target`) — it is not "in the
+    /// queries (`by_id`, `by_tag`) — it is not "in the
     /// DOM" as far as drivers can observe. Lazy content that has not been
     /// scrolled into existence yet, and detached SPA nodes, live here.
     None,
@@ -301,6 +301,7 @@ impl Document {
     }
 
     /// Adds an element as the last child of `parent`. Triggers a reflow.
+    // lint: allow(unread-pub-item) test reference: the node-by-node side of batched_build.rs
     pub fn add_child(&mut self, parent: NodeId, el: Element) -> NodeId {
         let id = self.insert_node(Some(parent), el);
         self.reflow();
@@ -440,6 +441,7 @@ impl Document {
     }
 
     /// Linear reference model for [`Document::by_id`].
+    // lint: allow(unread-pub-item) test reference: index_differential.rs checks by_id against it
     pub fn by_id_linear(&self, id_attr: &str) -> Option<NodeId> {
         if id_attr.is_empty() {
             return None;
@@ -500,13 +502,6 @@ impl Document {
             }
         }
         best.map(|(_, _, id)| id)
-    }
-
-    /// Finds the first attached element (arena order) anchoring `name`
-    /// (for `#name` navigation).
-    pub fn anchor_target(&self, name: &str) -> Option<NodeId> {
-        self.ids()
-            .find(|&i| self.tree.nodes[i.0].el.anchor.as_deref() == Some(name) && self.in_tree(i))
     }
 }
 
@@ -648,26 +643,6 @@ impl DocumentMutator<'_> {
     /// Changes how an element participates in layout.
     pub fn set_display(&mut self, id: NodeId, display: Display) {
         self.doc.tree_mut().nodes[id.0].el.display = display;
-    }
-
-    /// Shows or hides an element (visibility, not layout).
-    pub fn set_visible(&mut self, id: NodeId, visible: bool) {
-        self.doc.tree_mut().nodes[id.0].el.visible = visible;
-    }
-
-    /// Rewrites the authored box of an [`Display::Absolute`] element.
-    pub fn set_rect(&mut self, id: NodeId, rect: Rect) {
-        self.doc.tree_mut().nodes[id.0].el.rect = rect;
-    }
-
-    /// Replaces an element's text content.
-    pub fn set_text(&mut self, id: NodeId, text: &str) {
-        self.doc.tree_mut().nodes[id.0].el.text = text.to_string();
-    }
-
-    /// Renames an element's `id` attribute.
-    pub fn set_id(&mut self, id: NodeId, id_attr: &str) {
-        self.doc.tree_mut().nodes[id.0].el.id = id_attr.to_string();
     }
 
     /// Detaches a subtree from the document: it keeps its arena slots
@@ -829,6 +804,7 @@ impl ElementBuilder {
     }
 
     /// Finishes, inserting as the last child of `parent`.
+    #[cfg(test)]
     pub fn insert_under(self, doc: &mut Document, parent: NodeId) -> NodeId {
         doc.add_child(parent, self.el)
     }
@@ -895,14 +871,6 @@ mod tests {
         let hit = doc.hit_test(c).unwrap();
         assert_ne!(hit, honey);
         assert_eq!(doc.element(hit).tag, "body");
-    }
-
-    #[test]
-    fn anchor_lookup() {
-        let doc = standard_test_page("u", 30_000.0);
-        let target = doc.anchor_target("end").unwrap();
-        assert_eq!(doc.element(target).id, "section-end");
-        assert!(doc.anchor_target("missing").is_none());
     }
 
     #[test]

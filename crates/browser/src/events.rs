@@ -369,28 +369,6 @@ impl EventKind {
     pub fn name(&self) -> &'static str {
         Self::NAMES[*self as usize]
     }
-
-    /// Appendix D category this event carries information about.
-    pub fn category(&self) -> CoverageCategory {
-        match self {
-            EventKind::PointerMove | EventKind::MouseMove => CoverageCategory::MouseMovement,
-            EventKind::PointerDown
-            | EventKind::PointerUp
-            | EventKind::MouseDown
-            | EventKind::MouseUp
-            | EventKind::Click
-            | EventKind::ContextMenu
-            | EventKind::AuxClick
-            | EventKind::DblClick => CoverageCategory::MouseClicking,
-            EventKind::Wheel | EventKind::Scroll => CoverageCategory::Scrolling,
-            EventKind::KeyDown | EventKind::KeyPress | EventKind::KeyUp => CoverageCategory::Typing,
-            EventKind::TouchStart | EventKind::TouchEnd => CoverageCategory::Touch,
-            EventKind::Focus
-            | EventKind::Blur
-            | EventKind::VisibilityChange
-            | EventKind::Resize => CoverageCategory::FocusChange,
-        }
-    }
 }
 
 /// Mouse button identifier (DOM `MouseEvent.button`).
@@ -513,13 +491,5 @@ mod tests {
         }
         assert_eq!(EventKind::MouseMove.name(), "mousemove");
         assert_eq!(EventKind::TouchEnd.name(), "touchend");
-    }
-
-    #[test]
-    fn categories_assigned_sensibly() {
-        assert_eq!(EventKind::Click.category(), CoverageCategory::MouseClicking);
-        assert_eq!(EventKind::Scroll.category(), CoverageCategory::Scrolling);
-        assert_eq!(EventKind::KeyUp.category(), CoverageCategory::Typing);
-        assert_eq!(EventKind::Blur.category(), CoverageCategory::FocusChange);
     }
 }

@@ -64,14 +64,6 @@ impl Rect {
         p.x >= self.x && p.x < self.x + self.width && p.y >= self.y && p.y < self.y + self.height
     }
 
-    /// True when the two rectangles overlap.
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.x < other.x + other.width
-            && other.x < self.x + self.width
-            && self.y < other.y + other.height
-            && other.y < self.y + self.height
-    }
-
     /// The point at a relative offset from the top-left corner.
     pub fn offset(&self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
@@ -101,15 +93,6 @@ mod tests {
         assert!(r.contains(Point::new(109.9, 59.9)));
         assert!(!r.contains(Point::new(110.0, 40.0)));
         assert!(!r.contains(Point::new(60.0, 60.0)));
-    }
-
-    #[test]
-    fn rect_intersections() {
-        let a = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let b = Rect::new(5.0, 5.0, 10.0, 10.0);
-        let c = Rect::new(20.0, 20.0, 5.0, 5.0);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
     }
 
     #[test]

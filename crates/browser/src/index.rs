@@ -4,8 +4,8 @@
 //! drive locates its targets with `by_id`. At measurement scale — a
 //! campaign synthesises millions of pointer samples — linear scans of
 //! the node arena would dominate the interaction pipeline. The other
-//! locators (`by_tag`, `anchor_target`) have no hot caller and stay
-//! linear scans in `dom.rs`. This module precomputes, per document
+//! locator (`by_tag`) has no hot caller and stays a
+//! linear scan in `dom.rs`. This module precomputes, per document
 //! revision:
 //!
 //! * the **paint order** of the tree (pre-order traversal, stable-sorted

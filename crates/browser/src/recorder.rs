@@ -181,6 +181,7 @@ impl EventRecorder {
 
     /// Flight times between consecutive keystrokes: keyup(i) → keydown(i+1),
     /// in ms (may be negative for interleaved presses).
+    // lint: allow(unread-pub-item) test reference: interaction_golden.rs hashes it
     pub fn key_flight_times(&self) -> Vec<f64> {
         self.keystrokes()
             .windows(2)

@@ -12,7 +12,7 @@ mod support;
 use hlisa_browser::Point;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use support::{assert_queries_agree, build_tree_doc, build_tree_doc_batched, ANCHORS, IDS, TAGS};
+use support::{assert_queries_agree, build_tree_doc, build_tree_doc_batched, IDS, TAGS};
 
 proptest! {
     #[test]
@@ -43,9 +43,6 @@ proptest! {
         }
         for tag in TAGS {
             prop_assert_eq!(one_by_one.by_tag(tag), batched.by_tag(tag));
-        }
-        for name in ANCHORS.iter().flatten() {
-            prop_assert_eq!(one_by_one.anchor_target(name), batched.anchor_target(name));
         }
         assert_queries_agree(&batched, &points);
     }

@@ -53,7 +53,7 @@ fn tapped_browser(start_ms: f64, smooth: bool) -> (Browser, Seen) {
         standard_test_page("https://timed.test/", 6_000.0),
     );
     b.advance(start_ms);
-    b.set_smooth_scrolling(smooth);
+    b.viewport.smooth_scrolling = smooth;
     let seen = Arc::new(Mutex::new(Vec::new()));
     b.attach_observer(Box::new(Tap {
         seen: Arc::clone(&seen),
@@ -255,7 +255,7 @@ fn a_reopened_browser_equals_a_fresh_one() {
     dirty.attach_observer(Box::new(Tap {
         seen: Arc::clone(&seen),
     }));
-    dirty.set_smooth_scrolling(true);
+    dirty.viewport.smooth_scrolling = true;
     drive(&mut dirty);
     dirty.input_timed([
         TimedInput::after(

@@ -95,11 +95,6 @@ impl HlisaActionChains {
         }
     }
 
-    /// The chain's simulation context.
-    pub fn context(&self) -> &SimContext {
-        &self.ctx
-    }
-
     /// Enables tempo-drift consistency in the timing draws — the "use
     /// consistent behaviour" escalation of Fig. 3 (a future-work refinement
     /// beyond the paper's i.i.d. proof of concept).

@@ -14,7 +14,9 @@
 //!   with Backspace).
 //!
 //! They are provided here as composable helpers over the HLISA chain so an
-//! experiment can opt in per task.
+//! experiment can opt in per task. No experiment in this repository opts
+//! in, so the module is compiled for its own tests only.
+#![cfg(test)]
 
 use crate::chains::HlisaActionChains;
 use crate::motion::{plan_motion, trajectory_to_actions, MotionStyle};
@@ -191,7 +193,7 @@ impl ExperimentBehaviors {
             let mut chars = key.chars();
             matches!(
                 (chars.next(), chars.next()),
-                (Some(c), None) if hlisa_human::keyboard::requires_shift(c)
+                (Some(c), None) if us_qwerty(c).is_some_and(|s| s.needs_shift)
             )
         };
         let params = &self.params;

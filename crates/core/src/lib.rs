@@ -40,13 +40,12 @@
 
 pub mod chains;
 pub mod comparators;
-pub mod extras;
+mod extras;
 pub mod motion;
 pub mod naive;
 pub mod scrolling;
 pub mod typing;
 
 pub use chains::HlisaActionChains;
-pub use extras::ExperimentBehaviors;
 pub use motion::{plan_motion, DurationModel, MotionStyle};
 pub use naive::NaiveActionChains;

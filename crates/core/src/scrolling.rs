@@ -10,25 +10,12 @@
 use hlisa_browser::viewport::WHEEL_TICK_PX;
 use hlisa_human::scroll::sample_flick_len_with;
 use hlisa_human::HumanParams;
-use hlisa_sim::SimContext;
 use hlisa_webdriver::Action;
 use rand::Rng;
 
 /// Plans wheel-tick actions covering `distance_px` (positive = down),
-/// drawing from the context's `"scroll"` stream.
-pub fn plan_hlisa_scroll(
-    params: &HumanParams,
-    ctx: &mut SimContext,
-    distance_px: f64,
-) -> Vec<Action> {
-    let mut out = Vec::new();
-    plan_hlisa_scroll_into(params, ctx.stream("scroll"), distance_px, &mut out);
-    out
-}
-
-/// Like [`plan_hlisa_scroll`], drawing from an explicit RNG stream and
-/// filling a caller-supplied buffer (cleared first) instead of
-/// allocating. Draw order differs from the human planner's: no gap or
+/// drawing from `rng` and filling a caller-supplied buffer (cleared
+/// first). Draw order differs from the human planner's: no gap or
 /// break is drawn after the final tick (the action chain ends at the tick,
 /// so there is no trailing pause to time).
 pub fn plan_hlisa_scroll_into<R: Rng + ?Sized>(
@@ -63,6 +50,16 @@ pub fn plan_hlisa_scroll_into<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use hlisa_sim::SimContext;
+
+    fn plan_hlisa_scroll(
+        params: &HumanParams,
+        ctx: &mut SimContext,
+        distance_px: f64,
+    ) -> Vec<Action> {
+        let mut out = Vec::new();
+        plan_hlisa_scroll_into(params, ctx.stream("scroll"), distance_px, &mut out);
+        out
+    }
 
     #[test]
     fn tick_count_covers_distance() {

@@ -9,32 +9,17 @@
 //! by the same planner as the human reference with the tempo-drift
 //! autocorrelation set to zero, then compiled to Selenium key primitives.
 //!
-//! [`plan_consistent_typing`] keeps the drift on — the "use consistent
+//! [`plan_consistent_typing_into`] keeps the drift on — the "use consistent
 //! behaviour" escalation of the Fig. 3 simulator ladder, one of the
 //! refinements the paper's future-work section anticipates.
 
 use hlisa_human::typing::{plan_typing_into, PlannedKeyEvent};
 use hlisa_human::HumanParams;
-use hlisa_sim::SimContext;
 use hlisa_webdriver::Action;
 use rand::Rng;
 
 /// Plans HLISA keystroke actions for `text` (i.i.d. timing draws),
-/// drawing from the context's `"typing"` stream.
-pub fn plan_hlisa_typing(params: &HumanParams, ctx: &mut SimContext, text: &str) -> Vec<Action> {
-    let mut out = Vec::new();
-    plan_hlisa_typing_into(
-        params,
-        ctx.stream("typing"),
-        text,
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// Like [`plan_hlisa_typing`], drawing from an explicit RNG stream and
-/// filling caller-supplied buffers: the intermediate key plan goes into
+/// drawing from `rng` and filling caller-supplied buffers: the intermediate key plan goes into
 /// `events` and the compiled actions into `out` (both cleared first), so a
 /// driver typing many fields reuses the same two allocations.
 pub fn plan_hlisa_typing_into<R: Rng + ?Sized>(
@@ -51,26 +36,8 @@ pub fn plan_hlisa_typing_into<R: Rng + ?Sized>(
 }
 
 /// Plans typing with the human tempo drift retained — the consistency
-/// escalation that defeats level-3 detectors. Draws from the context's
-/// `"typing"` stream.
-pub fn plan_consistent_typing(
-    params: &HumanParams,
-    ctx: &mut SimContext,
-    text: &str,
-) -> Vec<Action> {
-    let mut out = Vec::new();
-    plan_consistent_typing_into(
-        params,
-        ctx.stream("typing"),
-        text,
-        &mut Vec::new(),
-        &mut out,
-    );
-    out
-}
-
-/// Like [`plan_consistent_typing`], drawing from an explicit RNG stream
-/// and filling caller-supplied buffers (see [`plan_hlisa_typing_into`]).
+/// escalation that defeats level-3 detectors — drawing from `rng` and
+/// filling caller-supplied buffers (see [`plan_hlisa_typing_into`]).
 pub fn plan_consistent_typing_into<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,
@@ -108,6 +75,34 @@ pub fn events_to_actions_into(events: &[PlannedKeyEvent], out: &mut Vec<Action>)
 mod tests {
     use super::*;
     use hlisa_sim::SimContext;
+
+    fn plan_hlisa_typing(params: &HumanParams, ctx: &mut SimContext, text: &str) -> Vec<Action> {
+        let mut out = Vec::new();
+        plan_hlisa_typing_into(
+            params,
+            ctx.stream("typing"),
+            text,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
+
+    fn plan_consistent_typing(
+        params: &HumanParams,
+        ctx: &mut SimContext,
+        text: &str,
+    ) -> Vec<Action> {
+        let mut out = Vec::new();
+        plan_consistent_typing_into(
+            params,
+            ctx.stream("typing"),
+            text,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
 
     fn plan(text: &str, seed: u64) -> Vec<Action> {
         let p = HumanParams::paper_baseline();

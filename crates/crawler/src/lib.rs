@@ -51,9 +51,7 @@ pub use reliability::{
     drift_report, run_captured_campaign, run_reliability_study, CaptureMode, CapturedCampaign,
     DriftReport, MetricDrift, ReliabilityStudy,
 };
-pub use report::{
-    figure4_report, recovery_csv, status_codes_csv, table2_csv, table2_report, visits_csv,
-};
+pub use report::{figure4_report, status_codes_csv, table2_csv, table2_report, visits_csv};
 pub use scenario::ScenarioScratch;
 pub use screenshot::{screenshot_table, Table2, Table2Row};
-pub use sink::{ShardRecord, ShardSummarySink};
+pub use sink::ShardSummarySink;

@@ -100,34 +100,6 @@ fn counts(r: &Table2Row) -> [String; 4] {
     [r.sites.0, r.sites.1, r.visits.0, r.visits.1].map(|n| n.to_string())
 }
 
-/// Chaos-campaign recovery telemetry as CSV: one row per (machine, site)
-/// with attempt/fault/breaker columns, followed by the merged counter
-/// family as `counter,<name>,<value>,` rows (same column count so the
-/// file stays rectangular).
-pub fn recovery_csv(chaos: &crate::chaos::ChaosCampaign) -> String {
-    let mut out = String::from("machine,domain,visits,attempts,faults,backoff_ms,breaker_open\n");
-    for rec in [&chaos.openwpm_recovery, &chaos.spoofed_recovery] {
-        for site in &rec.sites {
-            let faults: usize = site.visits.iter().map(|v| v.faults.len()).sum();
-            let backoff: f64 = site.visits.iter().map(|v| v.backoff_ms).sum();
-            out.push_str(&format!(
-                "{},{},{},{},{},{:.0},{}\n",
-                client_name(rec.client),
-                field(&site.domain),
-                site.visits.len(),
-                site.total_attempts(),
-                faults,
-                backoff,
-                site.breaker_open,
-            ));
-        }
-    }
-    for (name, value) in chaos.counters().entries() {
-        out.push_str(&format!("counter,{},{},,,,\n", field(name), value));
-    }
-    out
-}
-
 /// Figure 4 series as CSV: one row per (traffic class, status code).
 pub fn status_codes_csv(campaign: &Campaign) -> String {
     let r = analyze_http(campaign);

@@ -278,8 +278,9 @@ pub fn apply_scenario_drive_with(
     }
 }
 
-/// Drives one scenario visit to completion. Returns whether the primary
-/// interaction actually landed on its intended element.
+/// Drives one scenario visit to completion with a fresh scratch: the
+/// reference the warm-scratch tests compare `drive_scenario_with` to.
+#[cfg(test)]
 pub fn drive_scenario(
     site: &Site,
     kind: ScenarioKind,
@@ -291,7 +292,9 @@ pub fn drive_scenario(
     drive_scenario_with(site, kind, client, campaign_seed, ctx, &mut scratch)
 }
 
-/// Like [`drive_scenario`], reusing a worker-retained scratch.
+/// Drives one scenario visit to completion, reusing a worker-retained
+/// scratch. Returns whether the primary interaction actually landed on
+/// its intended element.
 pub fn drive_scenario_with(
     site: &Site,
     kind: ScenarioKind,

@@ -8,9 +8,10 @@
 //! completes*, fsync'd per append, and the caller checks
 //! [`ShardSummarySink::finish`] once the run returns. Every line on disk
 //! is a durably finished shard. A crashed run leaves at worst one torn
-//! trailing line (a write the crash interrupted), which
-//! [`ShardSummarySink::replay`] detects and drops; every intact line is
-//! replayable.
+//! trailing line (a write the crash interrupted), which the test-side
+//! reader (`ShardSummarySink::replay`, compiled for tests only: no
+//! program reads a sink back yet) detects and drops; every intact line
+//! is replayable.
 //!
 //! Line format, one shard per line:
 //!
@@ -19,8 +20,8 @@
 //! ```
 //!
 //! Workers append in completion order, which is nondeterministic under
-//! parallel claiming — [`replay`](ShardSummarySink::replay) returns
-//! records sorted by shard index so consumers see the canonical order.
+//! parallel claiming — `replay` returns records sorted by shard index so
+//! consumers see the canonical order.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -46,6 +47,7 @@ struct SinkState {
 
 /// One replayed sink line: a shard that durably completed before the
 /// crash (or clean shutdown).
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecord {
     /// The shard the summary covers.
@@ -69,7 +71,7 @@ impl ShardSummarySink {
     /// without disturbing its durable lines. A torn tail left by a crash
     /// (bytes after the last `\n`) is cut off first: appending onto it
     /// would join it to the next record and turn it into interior
-    /// corruption, which makes [`replay`](Self::replay) refuse the file.
+    /// corruption, which makes `replay` refuse the file.
     pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
@@ -126,7 +128,10 @@ impl ShardSummarySink {
             None => Ok(()),
         }
     }
+}
 
+#[cfg(test)]
+impl ShardSummarySink {
     /// Reads a sink file back, dropping at most one torn trailing line
     /// (a crash-interrupted append never ends in a newline). Records
     /// return sorted by shard index, whatever the completion order was;
@@ -139,10 +144,11 @@ impl ShardSummarySink {
     }
 }
 
-/// [`ShardSummarySink::replay`] over a file's bytes. Lines are split on
+/// `ShardSummarySink::replay` over a file's bytes. Lines are split on
 /// `b'\n'` before any decoding, so a torn tail that cuts a multi-byte
 /// character in half is dropped like any other torn tail; only complete
 /// lines must be UTF-8.
+#[cfg(test)]
 fn replay_bytes(bytes: &[u8]) -> io::Result<Vec<ShardRecord>> {
     let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
     // The last piece is the unterminated tail: empty on clean shutdown,
@@ -161,6 +167,7 @@ fn replay_bytes(bytes: &[u8]) -> io::Result<Vec<ShardRecord>> {
     Ok(records)
 }
 
+#[cfg(test)]
 fn parse_line(line: &str) -> io::Result<ShardRecord> {
     let malformed = || {
         io::Error::new(

@@ -27,5 +27,5 @@ pub use interaction::{DetectorLevel, InteractionDetector, InteractionVerdict, Si
 pub use live::{LiveInteractionMonitor, LiveMonitorHandle};
 pub use reference::HumanReference;
 pub use replay::{fingerprint_trace, ReplayDetector};
-pub use side_effects::{probe_side_effects, probe_unstable_method_identity, SideEffect};
+pub use side_effects::{probe_side_effects, SideEffect};
 pub use template_attack::TemplateAttackDetector;

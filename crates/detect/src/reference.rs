@@ -86,6 +86,7 @@ impl HumanReference {
 }
 
 /// Runs one full baseline-human session through the three tasks.
+#[cfg(test)]
 pub fn run_human_session(seed: u64) -> TraceFeatures {
     run_human_session_with(HumanParams::paper_baseline(), seed)
 }

@@ -63,6 +63,7 @@ impl ReplayDetector {
     }
 
     /// Number of distinct traces observed.
+    #[cfg(test)]
     pub fn distinct_sessions(&self) -> usize {
         self.seen.len()
     }

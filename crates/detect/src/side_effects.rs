@@ -126,7 +126,8 @@ pub fn probe_side_effects(world: &mut World) -> Vec<SideEffect> {
 /// `navigator.javaEnabled !== navigator.javaEnabled` — an identity
 /// instability no native object exhibits. (This is the "refine their
 /// current techniques" move of §4.2's arms race, applied to the
-/// fingerprint side.)
+/// fingerprint side.) No detector runs it, so it is compiled for tests only.
+#[cfg(test)]
 pub fn probe_unstable_method_identity(world: &mut World) -> bool {
     let nav = world.resolve_navigator();
     let a = world

@@ -98,6 +98,7 @@ impl HumanAgent {
     }
 
     /// The agent's simulation context.
+    // lint: allow(unread-pub-item) test reference: scroll_golden.rs reads the scroll stream through it
     pub fn context(&self) -> &SimContext {
         &self.ctx
     }
@@ -143,11 +144,6 @@ impl HumanAgent {
         &self.move_buf
     }
 
-    /// Presses and releases the primary button with human dwell.
-    pub fn press_and_release(&mut self, browser: &mut Browser, button: MouseButton) {
-        self.press_and_release_after(browser, 0.0, button);
-    }
-
     /// Waits `delay_ms`, then presses and releases `button` with human
     /// dwell — one timed batch. The dwell is drawn before the press is
     /// injected; injection draws nothing, so the draw order is the same
@@ -185,6 +181,7 @@ impl HumanAgent {
     }
 
     /// Double-clicks an element with a sampled inter-click gap.
+    // lint: allow(unread-pub-item) test reference: interaction_golden.rs pins its trace
     pub fn double_click_element(&mut self, browser: &mut Browser, id: NodeId) -> Point {
         let p = self.click_element(browser, id);
         let gap = sample_double_click_gap_ms(&self.params, &mut self.ctx);

@@ -561,6 +561,7 @@ pub mod metrics {
     /// True when the trajectory shows a two-phase (primary + corrective)
     /// structure: a near-stop well after the start followed by renewed
     /// movement.
+    #[cfg(test)]
     pub fn has_submovement(samples: &[TrajectorySample]) -> bool {
         let speeds = speeds(samples);
         if speeds.len() < 8 {

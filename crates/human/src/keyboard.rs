@@ -87,6 +87,7 @@ pub fn us_qwerty(ch: char) -> Option<KeyStrokeSpec> {
 }
 
 /// True when the character requires Shift on US QWERTY.
+#[cfg(test)]
 pub fn requires_shift(ch: char) -> bool {
     us_qwerty(ch).map(|s| s.needs_shift).unwrap_or(false)
 }
@@ -149,6 +150,7 @@ const QWERTY_ROWS: [&str; 3] = ["qwertyuiop", "asdfghjkl", "zxcvbnm"];
 /// A physically adjacent key on US QWERTY — what a slipping finger hits.
 /// `pick` selects among the neighbours deterministically. Returns `None`
 /// for characters without a letter-row position.
+// lint: allow(unread-pub-item) test reference: the typo tests of hlisa's ExperimentBehaviors (extras.rs)
 pub fn adjacent_key(ch: char, pick: usize) -> Option<char> {
     let lower = ch.to_ascii_lowercase();
     for (ri, row) in QWERTY_ROWS.iter().enumerate() {

@@ -8,7 +8,6 @@
 //! finger to continue scrolling").
 
 use crate::params::HumanParams;
-use hlisa_sim::SimContext;
 use rand::Rng;
 
 /// One planned wheel tick.
@@ -23,16 +22,18 @@ pub struct PlannedTick {
 /// Plans the wheel ticks to cover `distance_px` in the given direction
 /// (positive = down), given the browser's tick size. Draws from the
 /// context's `"scroll"` stream.
+#[cfg(test)]
 pub fn plan_scroll(
     params: &HumanParams,
-    ctx: &mut SimContext,
+    ctx: &mut hlisa_sim::SimContext,
     distance_px: f64,
     tick_px: f64,
 ) -> Vec<PlannedTick> {
     plan_scroll_with(params, ctx.stream("scroll"), distance_px, tick_px)
 }
 
-/// Like [`plan_scroll`], drawing from an explicit RNG stream.
+/// Plans the wheel ticks to cover `distance_px` in the given direction
+/// (positive = down), given the browser's tick size, drawing from `rng`.
 pub fn plan_scroll_with<R: Rng + ?Sized>(
     params: &HumanParams,
     rng: &mut R,
@@ -47,7 +48,7 @@ pub fn plan_scroll_with<R: Rng + ?Sized>(
 /// Like [`plan_scroll_with`], filling a caller-supplied buffer instead of
 /// allocating. The buffer is cleared first; its capacity survives across
 /// calls, so a reused buffer makes scroll planning allocation-free in
-/// steady state. Draws and tick values are identical to [`plan_scroll`]:
+/// steady state. Draws and tick values are identical to [`plan_scroll_with`]:
 /// a gap or finger break is drawn after every tick, the last included.
 pub fn plan_scroll_into<R: Rng + ?Sized>(
     params: &HumanParams,
@@ -93,6 +94,7 @@ pub fn sample_flick_len_with<R: Rng + ?Sized>(params: &HumanParams, rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlisa_sim::SimContext;
 
     fn plan(distance: f64, seed: u64) -> Vec<PlannedTick> {
         let p = HumanParams::paper_baseline();

@@ -11,7 +11,6 @@
 
 use crate::keyboard::{us_qwerty_key, KeyId};
 use crate::params::HumanParams;
-use hlisa_sim::SimContext;
 use rand::Rng;
 
 /// One planned key transition.
@@ -80,14 +79,21 @@ impl KeySink for Vec<PlannedKeyStroke> {
 /// context's `"typing"` stream. Characters the US-QWERTY layout cannot
 /// produce are skipped (matching what a physical typist without an IME can
 /// enter).
-pub fn plan_typing(params: &HumanParams, ctx: &mut SimContext, text: &str) -> Vec<PlannedKeyEvent> {
+#[cfg(test)]
+pub fn plan_typing(
+    params: &HumanParams,
+    ctx: &mut hlisa_sim::SimContext,
+    text: &str,
+) -> Vec<PlannedKeyEvent> {
     let mut events = Vec::new();
     plan_typing_into(params, ctx.stream("typing"), text, &mut events);
     events
 }
 
-/// Like [`plan_typing`], drawing from an explicit RNG stream and filling a
-/// caller-supplied buffer instead of allocating. The buffer is cleared
+/// Plans the key events for typing `text` like a human, drawing from `rng`
+/// and filling a caller-supplied buffer instead of allocating. Characters
+/// the US-QWERTY layout cannot produce are skipped (matching what a
+/// physical typist without an IME can enter). The buffer is cleared
 /// first; its capacity is reused across calls, which removes the
 /// per-action `Vec` (though not the per-key `String`s) from the typing hot
 /// path. A plan cannot stream lazily — the Shift release events it emits
@@ -196,6 +202,7 @@ fn plan_typing_core<R: Rng + ?Sized, S: KeySink>(
 
 /// Overall characters-per-minute implied by a plan (counting non-modifier
 /// presses).
+#[cfg(test)]
 pub fn plan_cpm(events: &[PlannedKeyEvent]) -> f64 {
     let presses: Vec<&PlannedKeyEvent> = events
         .iter()
@@ -214,6 +221,7 @@ pub fn plan_cpm(events: &[PlannedKeyEvent]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlisa_sim::SimContext;
 
     fn plan(text: &str, seed: u64) -> Vec<PlannedKeyEvent> {
         let p = HumanParams::paper_baseline();

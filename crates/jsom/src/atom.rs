@@ -25,6 +25,7 @@ pub struct Atom(u32);
 
 impl Atom {
     /// The always-present empty-name atom (anonymous functions).
+    #[cfg(test)]
     pub const EMPTY: Atom = Atom(0);
 
     /// The atom's dense index, usable for direct table addressing.
@@ -49,7 +50,7 @@ pub struct AtomTable {
 }
 
 impl AtomTable {
-    /// An empty table with `""` pre-interned as [`Atom::EMPTY`].
+    /// An empty table with `""` pre-interned as atom 0.
     ///
     /// Pre-interning the empty name matters for the snapshot path: proxy
     /// `get` traps allocate anonymous (empty-named) wrapper functions on
@@ -105,6 +106,7 @@ impl AtomTable {
 
     /// Whether this table shares storage with `other` (both are clones of
     /// the same snapshot and neither has diverged).
+    #[cfg(test)]
     pub fn shares_storage_with(&self, other: &AtomTable) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }

@@ -47,6 +47,7 @@ impl LinearObject {
 
     /// `Object.defineProperty` semantics: rejects redefinition of a
     /// non-configurable property.
+    // lint: allow(unread-pub-item) test reference: jsom's linear model in shape_differential.rs
     pub fn define(&mut self, key: &str, desc: PropertyDescriptor) -> Result<(), JsError> {
         if let Some(existing) = self.own(key) {
             if !existing.configurable {
@@ -61,6 +62,7 @@ impl LinearObject {
 
     /// `delete` semantics: `false` for own non-configurable properties,
     /// `true` otherwise (including missing keys).
+    // lint: allow(unread-pub-item) test reference: jsom's linear model in shape_differential.rs
     pub fn delete(&mut self, key: &str) -> bool {
         if let Some(pos) = self.props.iter().position(|(k, _)| k == key) {
             if !self.props[pos].1.configurable {
@@ -72,11 +74,13 @@ impl LinearObject {
     }
 
     /// Own keys in insertion order.
+    // lint: allow(unread-pub-item) test reference: jsom's linear model in shape_differential.rs
     pub fn own_keys(&self) -> Vec<String> {
         self.props.iter().map(|(k, _)| k.clone()).collect()
     }
 
     /// Own *enumerable* keys in insertion order (`Object.keys`).
+    // lint: allow(unread-pub-item) test reference: jsom's linear model in shape_differential.rs
     pub fn own_enumerable_keys(&self) -> Vec<String> {
         self.props
             .iter()

@@ -77,6 +77,7 @@ impl PropertyDescriptor {
 
     /// A non-enumerable data property, the default for
     /// `Object.defineProperty` when `enumerable` is omitted.
+    // lint: allow(unread-pub-item) test reference: shape_differential.rs defines its properties with it
     pub fn define_default(value: Value) -> Self {
         Self {
             kind: PropertyKind::Data {

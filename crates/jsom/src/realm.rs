@@ -24,7 +24,7 @@ pub struct ObjectId(usize);
 impl ObjectId {
     /// Constructs an id directly — for tests that need distinct ids without
     /// a realm.
-    #[doc(hidden)]
+    #[cfg(test)]
     pub fn test_id(raw: usize) -> Self {
         ObjectId(raw)
     }
@@ -176,6 +176,7 @@ impl Realm {
     }
 
     /// Own keys of `id` in insertion order (no proxy forwarding).
+    // lint: allow(unread-pub-item) test reference: shape_differential.rs checks it against jsom's linear model
     pub fn own_keys(&self, id: ObjectId) -> Vec<String> {
         self.shapes
             .keys(self.objects[id.0].shape)
@@ -485,6 +486,7 @@ impl Realm {
     /// True if `id` is a Proxy exotic object. Scripts cannot observe this
     /// directly — detectors must infer it from trap side effects — but the
     /// test suite uses it to validate the model.
+    // lint: allow(unread-pub-item) test reference: hlisa-spoof's tests of the Proxy method (Table 1 method 4)
     pub fn is_proxy(&self, id: ObjectId) -> bool {
         self.obj(id).proxy.is_some()
     }

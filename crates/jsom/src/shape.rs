@@ -87,6 +87,7 @@ impl ShapeForest {
     }
 
     /// Number of own properties a shape describes.
+    #[cfg(test)]
     pub fn key_count(&self, shape: ShapeId) -> usize {
         self.shapes[shape.index()].keys.len()
     }
@@ -97,6 +98,7 @@ impl ShapeForest {
     }
 
     /// Whether this forest shares storage with `other`.
+    #[cfg(test)]
     pub fn shares_storage_with(&self, other: &ShapeForest) -> bool {
         Arc::ptr_eq(&self.shapes, &other.shapes)
     }

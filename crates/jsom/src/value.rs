@@ -41,6 +41,7 @@ impl Value {
     }
 
     /// JS truthiness.
+    #[cfg(test)]
     pub fn is_truthy(&self) -> bool {
         match self {
             Value::Undefined | Value::Null => false,
@@ -65,6 +66,7 @@ impl Value {
     }
 
     /// Returns the bool if this is a boolean.
+    #[cfg(test)]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
@@ -73,6 +75,7 @@ impl Value {
     }
 
     /// Returns the number if this is a number.
+    #[cfg(test)]
     pub fn as_number(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),

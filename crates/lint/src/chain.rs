@@ -16,7 +16,9 @@
 //! break. Each rule fires at most once per program, at the first action
 //! that makes it decidable.
 
-use crate::diag::{Diagnostic, Location, Report, Severity};
+#[cfg(test)]
+use crate::diag::Report;
+use crate::diag::{Diagnostic, Location, Severity};
 use hlisa_detect::thresholds::{
     CADENCE_WINDOW_RESET_MS, FINGER_BREAK_FLOOR_MS, MAX_FLICK_RUN_TICKS, MAX_HUMAN_SPEED_PX_PER_MS,
     MAX_HUMAN_TYPING_CPM, METRONOME_CV, MIN_CADENCE_KEYS, MIN_GESTURE_MOVES,
@@ -29,11 +31,8 @@ use hlisa_webdriver::audit::{ActionAuditor, AuditFinding};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Stateful symbolic replayer. Feed it actions with
-/// [`observe`](ChainLinter::observe) (or whole programs via
-/// [`lint_actions`]); collect findings with
-/// [`into_report`](ChainLinter::into_report). Also implements
-/// [`ActionAuditor`] so a [`hlisa_webdriver::Session`] can run it live as
-/// strict mode.
+/// [`observe`](ChainLinter::observe). It implements [`ActionAuditor`]
+/// so a [`hlisa_webdriver::Session`] can run it live as strict mode.
 #[derive(Debug, Default)]
 pub struct ChainLinter {
     now_ms: f64,
@@ -314,6 +313,7 @@ impl ChainLinter {
     }
 
     /// Closes open windows (gesture, burst) and returns every finding.
+    #[cfg(test)]
     pub fn into_report(mut self) -> Report {
         self.end_gesture();
         self.flush_burst();
@@ -334,6 +334,7 @@ impl ChainLinter {
 }
 
 /// Lints one complete action program.
+#[cfg(test)]
 pub fn lint_actions(actions: &[Action]) -> Report {
     let mut linter = ChainLinter::new();
     for a in actions {

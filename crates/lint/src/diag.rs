@@ -128,6 +128,7 @@ impl Report {
     }
 
     /// All findings, in discovery order.
+    #[cfg(test)]
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diags
     }

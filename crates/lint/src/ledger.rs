@@ -59,6 +59,7 @@ impl Ledger {
     /// Per-stream `(sites, test_sites)` totals across the workspace,
     /// sorted by stream name. `fork`/`fork_visit` labels count too —
     /// they name derivation points just as streams do.
+    #[cfg(test)]
     pub fn stream_totals(&self) -> Vec<(String, usize, usize)> {
         let mut map: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
         for e in &self.entries {

@@ -23,6 +23,14 @@
 //! the same [`hlisa_detect::thresholds`] constants the runtime detector
 //! uses, so linter and detector cannot drift.
 //!
+//! **The public surface**: [`surface`] runs `unread-pub-item` once the
+//! walk has seen every file. A `pub` item of a library crate needs a
+//! non-test reader — library and bin sources of any crate, `examples/`,
+//! `bench_e2e/src/`; not tests, `use` lines or comments — or an allow
+//! stating one of two reasons: `paper API` (its Table 1 or Table 3 row,
+//! or §5 behaviour) or `test reference` (the differential test it
+//! anchors).
+//!
 //! Both analyzers share one diagnostics core ([`diag`]) with stable rule
 //! ids ([`rules`]), machine-readable JSON, and `// lint: allow(<rule>)`
 //! suppression for auditable exceptions. The `hlisa-lint` binary wires
@@ -37,9 +45,10 @@ pub mod ledger;
 pub mod parse;
 pub mod provenance;
 pub mod rules;
+pub mod surface;
 pub mod workspace;
 
-pub use chain::{lint_actions, ChainLinter};
+pub use chain::ChainLinter;
 pub use diag::{Diagnostic, Location, Report, Severity};
 pub use ledger::{build_ledger, check_ledger, render_ledger, Ledger, LedgerEntry, LEDGER_FILE};
 pub use parse::{lex, parse_file, ParsedFile};
@@ -48,7 +57,9 @@ pub use provenance::{
     StreamSite,
 };
 pub use rules::{rule_info, AnalyzerKind, RuleInfo, CATALOG};
-pub use workspace::{exemptions_for, find_workspace_root, lint_workspace, workspace_files};
+pub use workspace::{
+    exemptions_for, find_workspace_root, lint_workspace, reader_files, workspace_files,
+};
 
 /// Unit cases for the six determinism source rules
 /// ([`AnalyzerKind::Source`]), run through [`analyze_ast`].

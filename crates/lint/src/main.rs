@@ -21,11 +21,16 @@ USAGE:
     hlisa-lint [--json] --check-file <file.rs>
 
 MODES:
-    (default)            lint every crate's sources, then run the planner
-                         gate (Selenium/naive chains must trip rules, the
-                         HLISA chain must lint clean)
+    (default)            lint every crate's sources, with the
+                         workspace-wide unread-pub-item pass (which also
+                         reads examples/ and bench_e2e/src/), then run
+                         the planner gate (Selenium/naive chains must trip
+                         rules, the HLISA chain must lint clean)
     --ledger-write       rebuild LINT_LEDGER.json from the tree and exit
-    --check-file <file>  run only the per-file AST analysis on one file
+    --check-file <file>  run only the per-file AST analysis on one file;
+                         it cannot judge unread-pub-item (a pub item's
+                         readers live in other files), so that rule and
+                         the staleness of its allows are left out
 
 OPTIONS:
     --json          machine-readable output

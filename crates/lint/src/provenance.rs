@@ -33,9 +33,10 @@
 //!   suppressed) on its line or the next would consume, is dead weight
 //!   that silently licenses future regressions.
 //!
-//! The source and stream rules skip test code. An item carrying a
-//! `#[test]` or `#[cfg(test)]` attribute (but not `cfg(not(test))`) is
-//! test code, whatever its kind — `mod`, `fn`, `use`, `type`, `const`,
+//! The source and stream rules skip test code. A file whose inner
+//! attributes gate it to tests (`#![cfg(test)]`) is test code whole, and
+//! an item carrying a `#[test]` or `#[cfg(test)]` attribute (but not
+//! `cfg(not(test))`) is test code, whatever its kind — `mod`, `fn`, `use`, `type`, `const`,
 //! `static` — together with everything nested in it. Inside an opaque
 //! run (a `proptest!` body, say) the parser sees no items, so a gated
 //! run segment is test code from its attribute through the end of its
@@ -544,11 +545,13 @@ impl<'a> Analyzer<'a> {
     // ---- walking ------------------------------------------------------
 
     fn walk_file(&mut self, file: &File) {
+        // A module file opening with `#![cfg(test)]` is test code whole.
+        let in_test = file.attrs.iter().any(Attr::is_test_gate);
         for a in &file.attrs {
-            self.scan_run(&a.tokens, false);
+            self.scan_run(&a.tokens, in_test);
         }
         for item in &file.items {
-            self.walk_item(item, false);
+            self.walk_item(item, in_test);
         }
     }
 
@@ -1133,7 +1136,8 @@ impl<'a> Analyzer<'a> {
     /// pre-suppression finding list.
     fn stale_allow_pass(&mut self, allows: &[AllowDirective]) {
         let fired = self.fired.clone();
-        for d in allows {
+        // The workspace pass audits its own rule's allows.
+        for d in allows.iter().filter(|d| d.rule != crate::surface::RULE) {
             if crate::rules::rule_info(&d.rule).is_none() {
                 self.fire(
                     "stale-allow",
@@ -1204,7 +1208,7 @@ fn single_binding(pat: &TokenRun) -> Option<String> {
 /// for macro bodies, which can hold whole test functions the parser never
 /// sees structurally). A region runs from the attribute through the gated
 /// item's braced body, or through its `;` when that comes first.
-fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
+pub(crate) fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
     let n = tokens.len();
     let mut in_test = vec![false; n];
     let mut i = 0;

@@ -13,6 +13,8 @@ pub enum AnalyzerKind {
     Chain,
     /// The AST-level stream-provenance analysis ([`crate::provenance`]).
     Provenance,
+    /// The workspace-wide public-surface pass ([`crate::surface`]).
+    Surface,
 }
 
 /// One catalog entry.
@@ -127,6 +129,20 @@ pub const CATALOG: &[RuleInfo] = &[
                   license future regressions on their line",
         paper_ref: "ISSUE 7 suppression audit; OpenWPM-reliability \
                     (PAPERS.md): unaudited exemptions rot",
+    },
+    // --- Public surface (workspace pass) -------------------------------
+    RuleInfo {
+        id: "unread-pub-item",
+        kind: AnalyzerKind::Surface,
+        summary: "a pub item of a library crate that no non-test code reads \
+                  (library and bin sources, examples/, bench_e2e/src/; not \
+                  tests, use lines or comments): delete it, move it into \
+                  test code, or keep it with an allow stating `paper API` \
+                  (Table 1/Table 3 row, §5 behaviour) or `test reference` \
+                  (the differential test it anchors)",
+        paper_ref: "§5: a measurement tool is only as good as what it can \
+                    show about itself; OpenWPM-reliability (PAPERS.md): \
+                    unaudited parts lose data unnoticed",
     },
     // --- Chain detectability (Table 1 tells) --------------------------
     RuleInfo {

@@ -13,10 +13,14 @@
 //! * the integration tests — the shared `tests/` tree and every crate's
 //!   `crates/*/tests/` tree; registry check and suppression audit only.
 //!   The lint crate's own fixtures (`crates/lint/tests/fixtures/`) are
-//!   deliberate violations and stay out of the walk.
+//!   deliberate violations and stay out of the walk;
+//! * `examples/` and `bench_e2e/src/` — read, not linted: they count as
+//!   readers for the workspace-wide `unread-pub-item` pass
+//!   ([`crate::surface`]), which runs once every file is in.
 
 use crate::diag::Report;
 use crate::provenance::{analyze_file, AstAnalysis, Exemptions, RulePasses};
+use crate::surface::Surface;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -154,6 +158,19 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf, RulePass
     Ok(out)
 }
 
+/// The trees `unread-pub-item` reads but nothing lints: `examples/` and
+/// `bench_e2e/src/`, as (workspace-relative path, absolute path).
+pub fn reader_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    let mut files = Vec::new();
+    for dir in ["examples", "bench_e2e/src"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            rust_files_under(&dir, &mut files)?;
+        }
+    }
+    Ok(files.into_iter().map(|f| (rel_path(root, &f), f)).collect())
+}
+
 fn rel_path(root: &Path, file: &Path) -> String {
     file.strip_prefix(root)
         .unwrap_or(file)
@@ -161,10 +178,12 @@ fn rel_path(root: &Path, file: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lints the workspace (crate sources and the integration tests),
+/// Lints the workspace (crate sources and the integration tests, then
+/// the `unread-pub-item` pass over them and the reader-only trees),
 /// returning one merged report with workspace-relative file paths.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut report = Report::new();
+    let mut surface = Surface::default();
     for (rel, file, passes) in workspace_files(root)? {
         let text = fs::read_to_string(&file)?;
         let analysis = AstAnalysis::of(&text);
@@ -179,7 +198,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             });
         }
         report.extend(analyze_file(&rel, &analysis, exemptions_for(&rel), passes));
+        surface.add(&rel, &text, &analysis.parsed);
     }
+    for (rel, file) in reader_files(root)? {
+        let text = fs::read_to_string(&file)?;
+        surface.add(&rel, &text, &AstAnalysis::of(&text).parsed);
+    }
+    report.extend(surface.finish());
     Ok(report)
 }
 

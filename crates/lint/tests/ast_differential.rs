@@ -2,7 +2,11 @@
 //! (plus the shared `tests/` sources) parses with zero [`ParseIssue`]s.
 //! The parser's opaque fallback exists for garbage inputs, not for the
 //! workspace; any fallback would silently shrink the AST rules' view of
-//! the code.
+//! the code. The trees `unread-pub-item` reads but nothing lints
+//! (`examples/`, `bench_e2e/src/`) are held to the same bar: the pass
+//! judges their test gates (`#![cfg(test)]`) from the parse, and a
+//! construct the parser cannot structure is one its reading of them may
+//! get wrong, turning a real read into a false finding.
 //!
 //! [`ParseIssue`]: hlisa_lint::parse::ParseIssue
 
@@ -15,7 +19,12 @@ fn workspace_rust_files() -> Vec<(String, PathBuf)> {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = find_workspace_root(here).expect("workspace root");
     let mut files = Vec::new();
-    let mut stack = vec![root.join("crates"), root.join("tests")];
+    let mut stack = vec![
+        root.join("crates"),
+        root.join("tests"),
+        root.join("examples"),
+        root.join("bench_e2e/src"),
+    ];
     while let Some(dir) = stack.pop() {
         if !dir.is_dir() {
             continue;
@@ -43,6 +52,12 @@ fn workspace_rust_files() -> Vec<(String, PathBuf)> {
         "workspace walk found {} files",
         files.len()
     );
+    for reader in ["examples/", "bench_e2e/src/"] {
+        assert!(
+            files.iter().any(|(rel, _)| rel.starts_with(reader)),
+            "the walk misses {reader}"
+        );
+    }
     files
 }
 

@@ -1,6 +1,8 @@
 //! Golden-fixture tests for the `hlisa-lint` binary: every source rule
 //! has a seeded violation fixture the tool must reject (exit 1, rule id
-//! in the JSON), and the clean fixture must pass (exit 0).
+//! in the JSON), and the clean fixture must pass (exit 0). The
+//! cross-file `unread-pub-item` rule has a fixture workspace instead
+//! (`fixtures/unread_pub_item/`), linted with `--root`.
 
 use std::path::Path;
 use std::process::Command;
@@ -89,4 +91,68 @@ fn missing_files_are_a_usage_error_not_a_finding() {
         .output()
         .expect("run hlisa-lint");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// Runs workspace mode over a fixture workspace; returns the exit code
+/// and every finding as `rule file:line`, sorted.
+fn run_workspace(fixture: &str) -> (i32, Vec<String>) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
+    let out = Command::new(env!("CARGO_BIN_EXE_hlisa-lint"))
+        .arg("--root")
+        .arg(&root)
+        .output()
+        .expect("run hlisa-lint");
+    let mut found: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.strip_prefix("deny["))
+        .filter_map(|l| {
+            let (rule, rest) = l.split_once("] ")?;
+            let (at, _) = rest.split_once(": ")?;
+            Some(format!("{rule} {at}"))
+        })
+        .collect();
+    found.sort();
+    (out.status.code().expect("exit code"), found)
+}
+
+#[test]
+fn unread_pub_item_judges_the_fixture_workspace() {
+    // `crates/alpha` declares one item per case. Silent: items read by
+    // another crate's library, a bin, an example or `bench_e2e/src`, a
+    // `pub(crate)` fn, fns declared in bins (`main.rs`, `src/bin/`) or in
+    // a module gated by `#![cfg(test)]`, and an allowed unread item (read
+    // only from the shared tests). Flagged: the unread items of every
+    // kind, items whose only reads are a `#[cfg(test)]` module, a
+    // `#![cfg(test)]` module, a crate integration test, a `use` line, a
+    // comment and a string, or another crate's declaration of the same
+    // name; an allow whose item gained a reader (stale); an allow with
+    // no reason.
+    let (code, found) = run_workspace("unread_pub_item");
+    assert_eq!(code, 1);
+    let lib = "crates/alpha/src/lib.rs";
+    let mut want: Vec<String> = [4, 12, 14, 16, 18, 20, 22, 24, 26, 36, 42]
+        .iter()
+        .map(|line| format!("unread-pub-item {lib}:{line}"))
+        .collect();
+    want.push(format!("stale-allow {lib}:33"));
+    want.sort();
+    assert_eq!(found, want);
+}
+
+#[test]
+fn check_file_cannot_judge_the_cross_file_rule() {
+    // One file holding unread pub items and `allow(unread-pub-item)`
+    // directives, one of them stale in the workspace: alone, it reports
+    // neither the rule nor `stale-allow`.
+    let (code, json) = run_check("unread_pub_item/crates/alpha/src/lib.rs", true);
+    assert_eq!(code, 0, "{json}");
+    assert!(!json.contains("unread-pub-item"), "{json}");
+    assert!(!json.contains("stale-allow"), "{json}");
+    let usage = Command::new(env!("CARGO_BIN_EXE_hlisa-lint"))
+        .arg("--help")
+        .output()
+        .expect("run hlisa-lint");
+    assert!(String::from_utf8_lossy(&usage.stdout).contains("cannot judge unread-pub-item"));
 }

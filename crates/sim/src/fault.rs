@@ -197,6 +197,7 @@ impl FaultPlan {
     }
 
     /// True when the plan can never inject anything.
+    #[cfg(test)]
     pub fn is_noop(&self) -> bool {
         self.total_visit_rate() <= 0.0 && self.site_outage <= 0.0
     }
@@ -342,11 +343,6 @@ impl LossPlan {
         }
     }
 
-    /// True when the plan can never lose anything.
-    pub fn is_noop(&self) -> bool {
-        self.late_attach <= 0.0 && self.dropout <= 0.0 && self.partial_capture <= 0.0
-    }
-
     /// Draws one visit's loss schedule from `rng` — by convention the
     /// visit context's `"fault"` stream, so loss never perturbs the
     /// interaction streams. A no-op plan (and each inactive kind)
@@ -399,6 +395,7 @@ impl LossSchedule {
     }
 
     /// True when the schedule delivers every event.
+    // lint: allow(unread-pub-item) test reference: reliability_loss.rs's no-op-plan property
     pub fn is_pristine(&self) -> bool {
         self.attach_at <= 0.0 && self.dropout.is_none() && self.partial.is_none()
     }
@@ -427,6 +424,7 @@ impl LossSchedule {
     }
 
     /// Whether the observer channel delivers this event.
+    #[cfg(test)]
     pub fn delivers(&self, at_fraction: f64, event_index: u64) -> bool {
         self.blame(at_fraction, event_index).is_none()
     }
@@ -605,11 +603,6 @@ impl<E: Clone + Send, O: Observer<E>> WriteAheadObserver<E, O> {
     /// The channel's `capture.*` counts so far.
     pub fn tally(&self) -> &CaptureSlots {
         &self.tally
-    }
-
-    /// Whether the inner observer is attached and receiving directly.
-    pub fn is_attached(&self) -> bool {
-        self.attached
     }
 
     /// Pre-sizes the write-ahead buffer for a caller that knows how many

@@ -55,7 +55,7 @@ pub use fault::{
 };
 pub use metrics::{metric_info, MetricInfo, Tally, METRIC_REGISTRY};
 pub use observer::{CounterSet, Observer};
-pub use streams::{is_registered, registered_names, stream_info, StreamInfo, STREAM_REGISTRY};
+pub use streams::{is_registered, StreamInfo, STREAM_REGISTRY};
 
 // Re-exported so downstream crates can bound helpers on `impl Rng`
 // without depending on `rand` directly.

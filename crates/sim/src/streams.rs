@@ -119,16 +119,12 @@ pub fn is_registered(name: &str) -> bool {
 }
 
 /// Looks up a registry entry by name.
+#[cfg(test)]
 pub fn stream_info(name: &str) -> Option<&'static StreamInfo> {
     STREAM_REGISTRY
         .binary_search_by(|s| s.name.cmp(name))
         .ok()
         .map(|i| &STREAM_REGISTRY[i])
-}
-
-/// All registered names, in registry (sorted) order.
-pub fn registered_names() -> impl Iterator<Item = &'static str> {
-    STREAM_REGISTRY.iter().map(|s| s.name)
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@
 //! (the engine-source change), and [`MaintenanceModel`] quantifies the
 //! overhead trade-off the paper describes (per-release maintenance,
 //! per-platform builds) against the JS extension's deploy-anywhere model.
+//! No experiment patches a browser, so the module is compiled for its own
+//! tests only.
+#![cfg(test)]
 
 use hlisa_jsom::object::{NativeBehavior, PropertyKind};
 use hlisa_jsom::{JsError, Value, World};

@@ -10,14 +10,14 @@
 //!
 //! [`extension`] packages method 4 into an OpenWPM-style page-load hook —
 //! the spoofing extension whose field evaluation produces Table 2 and
-//! Figure 4. [`browser_patch`] models the alternative §3 weighs against
-//! JS-level spoofing: patching the browser source, which is side-effect
-//! free but carries per-release, per-platform maintenance overhead.
+//! Figure 4. `browser_patch` (compiled for its tests only) models the
+//! alternative §3 weighs against JS-level spoofing: patching the browser
+//! source, which is side-effect free but carries per-release,
+//! per-platform maintenance overhead.
 
-pub mod browser_patch;
+mod browser_patch;
 pub mod extension;
 pub mod methods;
 
-pub use browser_patch::BrowserPatch;
 pub use extension::SpoofingExtension;
 pub use methods::SpoofMethod;

@@ -164,6 +164,7 @@ pub fn proxy_wrap(world: &mut World, overrides: &[(String, Value)]) -> Result<()
 /// accessor on `Navigator.prototype`, which `delete` on the instance
 /// cannot reach — so the flag keeps reading `true`. Kept as a regression
 /// reference, not as a working method.
+#[cfg(test)]
 pub fn delete_webdriver(world: &mut World) -> bool {
     let nav = world.resolve_navigator();
     world.realm.delete_property(nav, "webdriver")

@@ -51,6 +51,7 @@ impl Summary {
 }
 
 /// Returns the `p`-th percentile (0–100) of `xs` (need not be sorted).
+#[cfg(test)]
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));

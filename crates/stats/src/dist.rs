@@ -101,6 +101,7 @@ impl Normal {
     }
 
     /// Probability density at `x`.
+    #[cfg(test)]
     pub fn pdf(&self, x: f64) -> f64 {
         if self.std_dev == 0.0 {
             return if x == self.mean { f64::INFINITY } else { 0.0 };
@@ -110,6 +111,7 @@ impl Normal {
     }
 
     /// Cumulative distribution function at `x`.
+    #[cfg(test)]
     pub fn cdf(&self, x: f64) -> f64 {
         if self.std_dev == 0.0 {
             return if x < self.mean { 0.0 } else { 1.0 };

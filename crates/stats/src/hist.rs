@@ -71,6 +71,7 @@ impl Histogram {
     }
 
     /// Centre of bin `i`.
+    #[cfg(test)]
     pub fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + w * (i as f64 + 0.5)

@@ -263,6 +263,7 @@ impl Observer<CaptureEvent> for CaptureRecorder {
 
 /// Convenience: reconstructs the outcome a recorder fed `events` would
 /// report.
+#[cfg(test)]
 pub fn reconstruct_outcome(events: &[(f64, CaptureEvent)]) -> VisitOutcome {
     let mut recorder = CaptureRecorder::new();
     for (t_ms, event) in events {

@@ -75,6 +75,7 @@ impl<const N: usize> StatusCodes<N> {
     }
 
     /// Whether the codes live on the heap (more than `N` of them).
+    // lint: allow(unread-pub-item) test reference: allocations.rs pins generated sites' codes inline with it
     pub fn spilled(&self) -> bool {
         matches!(self.0, Repr::Heap(_))
     }

@@ -28,10 +28,7 @@ pub mod snapshot;
 pub mod traversal;
 pub mod visit;
 
-pub use capture::{
-    emit_capture_events, emit_capture_events_into, reconstruct_outcome, CaptureEvent,
-    CaptureRecorder,
-};
+pub use capture::{emit_capture_events, emit_capture_events_into, CaptureEvent, CaptureRecorder};
 pub use codes::{StatusCodes, FIRST_PARTY_INLINE, THIRD_PARTY_INLINE};
 pub use dynamics::{apply_scenario, ScenarioKind, ScenarioMix};
 pub use outcome::{VisitError, VisitPhase, VisitProgress};

@@ -70,6 +70,7 @@ impl VisitProgress {
     }
 
     /// Fraction of the planned interaction chain completed, in [0, 1].
+    #[cfg(test)]
     pub fn chain_fraction(&self) -> f64 {
         if self.steps_planned == 0 {
             0.0

@@ -167,6 +167,7 @@ impl PopulationShards {
     }
 
     /// Shards currently materialised via [`Self::with_shard`].
+    // lint: allow(unread-pub-item) test reference: the lazy-campaign tests of hlisa-crawler check every shard is released
     pub fn resident_shards(&self) -> usize {
         self.resident.load(Ordering::SeqCst)
     }

@@ -96,6 +96,7 @@ pub struct Site {
 
 impl Site {
     /// True when the site deploys any visible-reaction bot detector.
+    #[cfg(test)]
     pub fn visibly_defends(&self) -> bool {
         self.detector.map(|d| d.reaction.visible()).unwrap_or(false)
     }

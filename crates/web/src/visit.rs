@@ -332,6 +332,7 @@ pub fn simulate_visit(
 /// Like [`simulate_visit`], drawing from an explicit RNG stream. The
 /// visit runs the same timed core from t = 0 and drops the time it
 /// reached: outcomes never depend on time.
+// lint: allow(unread-pub-item) test reference: visit_golden.rs and site_profile.rs check SiteProfile visits against it
 pub fn simulate_visit_with<R: Rng + ?Sized>(
     site: &Site,
     client: ClientKind,

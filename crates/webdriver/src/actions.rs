@@ -38,6 +38,7 @@ impl PointerMoveProfile {
 
     /// HLISA's patched profile: [`HLISA_MIN_MOVE_MS`] minimum move
     /// duration.
+    #[cfg(test)]
     pub fn hlisa_patched() -> Self {
         Self {
             min_duration_ms: HLISA_MIN_MOVE_MS,

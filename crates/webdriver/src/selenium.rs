@@ -40,7 +40,9 @@ enum ChainStep {
     Pause(f64),
     DragAndDrop(ElementHandle, ElementHandle),
     MoveToElementWithOffset(ElementHandle, f64, f64),
+    #[cfg(test)]
     KeyDown(String),
+    #[cfg(test)]
     KeyUp(String),
 }
 
@@ -131,12 +133,14 @@ impl SeleniumActionChains {
     }
 
     /// Queues a bare modifier/key press (held until `key_up`).
+    #[cfg(test)]
     pub fn key_down(mut self, key: &str) -> Self {
         self.steps.push(ChainStep::KeyDown(key.to_string()));
         self
     }
 
     /// Queues a key release.
+    #[cfg(test)]
     pub fn key_up(mut self, key: &str) -> Self {
         self.steps.push(ChainStep::KeyUp(key.to_string()));
         self
@@ -232,9 +236,11 @@ impl SeleniumActionChains {
                         duration_ms: 0.0,
                     }]);
                 }
+                #[cfg(test)]
                 ChainStep::KeyDown(k) => {
                     session.perform_actions(&[Action::KeyDown(k.clone())]);
                 }
+                #[cfg(test)]
                 ChainStep::KeyUp(k) => {
                     session.perform_actions(&[Action::KeyUp(k.clone())]);
                 }

@@ -64,6 +64,7 @@ impl Session {
 
     /// Findings accumulated so far (without flushing end-of-session
     /// rules; see [`Session::finish_audit`]).
+    #[cfg(test)]
     pub fn audit_findings(&self) -> &[AuditFinding] {
         &self.findings
     }
@@ -79,6 +80,7 @@ impl Session {
 
     /// Strict-mode verdict: flushes the audit and fails with
     /// [`WebDriverError::DetectableInteraction`] if anything was flagged.
+    #[cfg(test)]
     pub fn assert_undetectable(&mut self) -> Result<(), WebDriverError> {
         let findings = self.finish_audit();
         if findings.is_empty() {
@@ -94,6 +96,7 @@ impl Session {
     }
 
     /// The active pointer-move profile.
+    // lint: allow(unread-pub-item) test reference: hlisa's chains tests check the 50 ms profile through it
     pub fn pointer_profile(&self) -> PointerMoveProfile {
         self.profile
     }
@@ -201,6 +204,7 @@ impl Session {
     /// obscured elements. Dispatches a click with no pointer activity and
     /// works on hidden elements; both properties are exactly what
     /// honey-element detectors watch for.
+    // lint: allow(unread-pub-item) paper API: Table 1's click row, Selenium's JS click fallback
     pub fn script_click(&mut self, el: ElementHandle) {
         self.browser.synthetic_click(el.node);
         if let Some(a) = self.auditor.as_mut() {

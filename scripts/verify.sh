@@ -53,7 +53,13 @@ echo "==> remaining examples (quickstart, form_fill_study), run once each"
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example form_fill_study > /dev/null
 
-echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger)"
+# Workspace determinism rules, the detectability gate, the draw ledger,
+# and unread-pub-item: every pub item of a library crate needs a
+# non-test reader (library and bin sources, examples/, bench_e2e/src/;
+# not tests, use lines or comments) or an allow stating `paper API`
+# (Table 1/Table 3 row, §5 behaviour) or `test reference` (its
+# differential test).
+echo "==> hlisa-lint (workspace determinism + detectability gate + draw ledger + public surface)"
 cargo run -q -p hlisa-lint --release -- --ledger-check
 
 echo "==> bench <suite> --smoke (sanity run of every bench suite)"

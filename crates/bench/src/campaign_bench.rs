@@ -1,20 +1,21 @@
-//! Campaign-throughput benchmark: the atoms/shapes/snapshots hot path.
+//! Campaign-throughput benchmark: shape-indexed lookups, memoised
+//! detector verdicts and the visit core.
 //!
-//! Five sections, each a retained reference against its optimised
+//! Four sections, each a retained reference against its optimised
 //! path, emitted as `BENCH_campaign.json`:
 //!
-//! 1. **World acquisition** — building a `WebDriverFirefox` world from
-//!    scratch vs stamping one from a [`WorldSnapshot`] (the per-visit
-//!    cost the uncached runtime pays 16,000 times at the paper's scale;
-//!    the cached runtime stamps only to fill a verdict).
-//! 2. **Property lookups** — the linear-scan reference model
+//! 1. **Property lookups** — the linear-scan reference model
 //!    ([`LinearObject`]) vs the shape-indexed realm storage, probed over
-//!    the real `Navigator.prototype` key set.
-//! 3. **Campaign visits/sec** — the full two-machine crawl with
+//!    a window-sized object. Live path: [`Realm::has_own`]; baseline:
+//!    [`LinearObject::own`].
+//! 2. **Campaign visits/sec** — the full two-machine crawl with
 //!    `world_cache` off (the pre-optimization cost model: one fresh world
 //!    build and one detector rescan per visit) and on (memoised detector
-//!    verdicts, each computed once per client on a snapshot stamp).
-//! 4. **Visit core** — both machines' visits of a paper-prevalence
+//!    verdicts, each client's world built once and each verdict computed
+//!    once on a clone of it). Live path: [`DetectorRuntime::new`];
+//!    baseline: [`DetectorRuntime::without_world_cache`], both through
+//!    [`run_campaign`]. A timed run makes [`CAMPAIGN_PASSES`] campaigns.
+//! 3. **Visit core** — both machines' visits of a paper-prevalence
 //!    population through `simulate_visit` (a [`SiteProfile`] built per
 //!    visit: the site hashed and every request slot's background code
 //!    derived on every visit) vs one profile per site and machine reused
@@ -23,7 +24,7 @@
 //!    from a mirror that calls `simulate_visit` per visit. Live path:
 //!    [`SiteProfile::visit`]; baseline: [`simulate_visit`]. A timed run
 //!    makes [`VISIT_CORE_PASSES`] passes over the population.
-//! 5. **Visit fork** — each visit's context and its `"visit"` stream's
+//! 4. **Visit fork** — each visit's context and its `"visit"` stream's
 //!    first draw, over the same population: one
 //!    [`SimContext::fork_visit`] per visit (one serial hash of the domain
 //!    each) vs [`SimContext::visit_forks`] per site and machine (the
@@ -37,20 +38,17 @@ use crate::harness::{compare, Report, Section};
 use hlisa_crawler::campaign::{run_campaign, CampaignConfig};
 use hlisa_jsom::object::JsObject;
 use hlisa_jsom::realm::Realm;
-use hlisa_jsom::{build_firefox_world, BrowserFlavor, LinearObject, PropertyDescriptor, Value};
+use hlisa_jsom::{LinearObject, PropertyDescriptor, Value};
 use hlisa_sim::{Rng, SimContext};
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{
     generate_population, simulate_visit, ClientKind, PopulationConfig, Site, SiteProfile,
-    WorldSnapshot,
 };
 use std::hint::black_box;
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
-    /// World builds/stamps per timed run.
-    pub world_iters: u32,
     /// Full passes over the probe key set per timed run.
     pub lookup_iters: u32,
     /// Sites in the campaign population.
@@ -65,7 +63,6 @@ impl BenchConfig {
     /// The default run: big enough for stable ratios.
     pub fn full() -> Self {
         Self {
-            world_iters: 200,
             lookup_iters: 4_000,
             campaign_sites: 120,
             visits_per_site: 8,
@@ -76,33 +73,12 @@ impl BenchConfig {
     /// A seconds-scale smoke run for CI.
     pub fn smoke() -> Self {
         Self {
-            world_iters: 200,
             lookup_iters: 2_000,
             campaign_sites: 30,
             visits_per_site: 4,
             visit_core_sites: 500,
         }
     }
-}
-
-fn bench_world(iters: u32) -> Section {
-    let snapshot = WorldSnapshot::build(BrowserFlavor::WebDriverFirefox);
-    let (section, (), ()) = compare(
-        "world_acquisition",
-        "worlds",
-        u64::from(iters),
-        || {
-            for _ in 0..iters {
-                black_box(build_firefox_world(BrowserFlavor::WebDriverFirefox));
-            }
-        },
-        || {
-            for _ in 0..iters {
-                black_box(snapshot.stamp());
-            }
-        },
-    );
-    section
 }
 
 /// Lookup probe sizing: a real `window` global exposes hundreds of Web
@@ -171,15 +147,29 @@ fn campaign_config(bench: &BenchConfig, world_cache: bool) -> CampaignConfig {
     }
 }
 
+/// Campaigns per timed campaign run. One cached campaign of the full
+/// run's 120 sites takes ~1 ms on a 2-vCPU host, short enough for timer
+/// and scheduling noise to decide the row (a one-campaign take read
+/// spread 0.53); 128 campaigns make a run last over 100 ms.
+pub const CAMPAIGN_PASSES: u32 = 128;
+
 fn bench_campaign(bench: &BenchConfig) -> Section {
-    // 2 machines × sites × visits.
+    // 2 machines × sites × visits, per campaign.
     let visits = 2 * bench.campaign_sites as u64 * bench.visits_per_site as u64;
     let (section, fresh, cached) = compare(
         "campaign",
         "visits",
-        visits,
-        || run_campaign(&campaign_config(bench, false)),
-        || run_campaign(&campaign_config(bench, true)),
+        visits * u64::from(CAMPAIGN_PASSES),
+        || {
+            passes(CAMPAIGN_PASSES, || {
+                run_campaign(&campaign_config(bench, false))
+            })
+        },
+        || {
+            passes(CAMPAIGN_PASSES, || {
+                run_campaign(&campaign_config(bench, true))
+            })
+        },
     );
     assert_eq!(fresh, cached, "cached and fresh campaigns diverged");
     section
@@ -302,20 +292,15 @@ fn bench_visit_fork(bench: &BenchConfig) -> Section {
 /// Runs the whole suite.
 pub fn run(config: BenchConfig) -> Report {
     let mut report = Report::new(
-        "hlisa campaign throughput (atoms/shapes/snapshots)",
+        "hlisa campaign throughput (shapes, memoised verdicts, visit core)",
         vec![
-            ("world_iters", u64::from(config.world_iters)),
             ("lookup_iters", u64::from(config.lookup_iters)),
             ("campaign_sites", config.campaign_sites as u64),
             ("visits_per_site", config.visits_per_site as u64),
             ("visit_core_sites", config.visit_core_sites as u64),
         ],
     );
-    report.sections = vec![
-        bench_world(config.world_iters),
-        bench_lookup(config.lookup_iters),
-        bench_campaign(&config),
-    ];
+    report.sections = vec![bench_lookup(config.lookup_iters), bench_campaign(&config)];
     let visit_core = bench_visit_core(&config, &mut report);
     report.sections.push(visit_core);
     report.sections.push(bench_visit_fork(&config));
@@ -330,24 +315,18 @@ mod tests {
     fn smoke_report_is_well_formed() {
         let mut cfg = BenchConfig::smoke();
         // Keep the test fast; rates are not asserted here.
-        cfg.world_iters = 2;
         cfg.lookup_iters = 10;
         cfg.campaign_sites = 10;
         cfg.visits_per_site = 2;
         cfg.visit_core_sites = 10;
         let report = run(cfg);
-        assert_eq!(report.section("campaign").unwrap().ops, 2 * 10 * 2);
+        let campaign = 2 * 10 * 2 * u64::from(CAMPAIGN_PASSES);
+        assert_eq!(report.section("campaign").unwrap().ops, campaign);
         let visit_core = 2 * 10 * 8 * u64::from(VISIT_CORE_PASSES);
         assert_eq!(report.section("visit_core").unwrap().ops, visit_core);
         let visit_fork = 2 * 10 * 8 * u64::from(VISIT_FORK_PASSES);
         assert_eq!(report.section("visit_fork").unwrap().ops, visit_fork);
-        for name in [
-            "world_acquisition",
-            "property_lookup",
-            "campaign",
-            "visit_core",
-            "visit_fork",
-        ] {
+        for name in ["property_lookup", "campaign", "visit_core", "visit_fork"] {
             let section = report.section(name).expect(name);
             assert!(section.speedup().is_some(), "{name} has no baseline");
         }

@@ -1,7 +1,10 @@
 //! The browser: pages, simulated time, input pipeline, and event dispatch.
 //!
-//! The browser caches no derived state of its own: [`Browser::metrics`]
-//! merges the recorder's and the observers' counters at each call, and
+//! Every dispatched event goes to one subscriber, the page's
+//! [`EventRecorder`]: detectors judge the recorded trace after the
+//! session, as the paper's analysis reads the page's event log
+//! (Appendix E). The browser caches no derived state of its own:
+//! [`Browser::metrics`] renders the recorder's counters at each call, and
 //! the trace views are scans of the recorder's event log.
 //! The one cache a drive depends on is the document's query index
 //! (`index.rs`), which serves every hit test and `by_id`.
@@ -13,7 +16,7 @@ use crate::input::{RawInput, TimedInput};
 use crate::recorder::EventRecorder;
 use crate::viewport::{ScrollOrigin, Viewport};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
-use hlisa_sim::{CounterSet, Observer};
+use hlisa_sim::CounterSet;
 use std::sync::Arc;
 
 /// Static browser configuration.
@@ -65,7 +68,9 @@ impl BrowserConfig {
     }
 }
 
-/// A loaded page plus interaction state.
+/// A loaded page plus interaction state. A clone's time starts at this
+/// browser's instant and moves on its own.
+#[derive(Clone)]
 pub struct Browser {
     config: BrowserConfig,
     /// The page JS world (spoofing targets live here), copy-on-write: it
@@ -86,11 +91,9 @@ pub struct Browser {
     /// input entry points move it; no other browser or context shares it.
     now_ms: f64,
     /// Recorded events ("the page's listeners"). Dispatch hands it each
-    /// event first, by move, and the attached observers then see the
-    /// recorded event; it stays a named field so trace accessors remain
+    /// event by move; it stays a named field so trace accessors remain
     /// directly reachable.
     pub recorder: EventRecorder,
-    observers: Vec<Box<dyn Observer<DomEvent>>>,
     mouse: Point,
     pending_move: Option<Point>,
     last_move_dispatch_ms: f64,
@@ -104,34 +107,6 @@ pub struct Browser {
     dom_mutations: u64,
 }
 
-impl Clone for Browser {
-    /// Clones the page and interaction state. The clone's time starts at
-    /// this browser's instant and moves on its own, and it has no
-    /// attached observers — a sink subscribed to one browser must not
-    /// silently receive another's events.
-    fn clone(&self) -> Self {
-        Browser {
-            config: self.config.clone(),
-            world: Arc::clone(&self.world),
-            pristine_world: Arc::clone(&self.pristine_world),
-            document: self.document.clone(),
-            viewport: self.viewport.clone(),
-            now_ms: self.now_ms,
-            recorder: self.recorder.clone(),
-            observers: Vec::new(),
-            mouse: self.mouse,
-            pending_move: self.pending_move,
-            last_move_dispatch_ms: self.last_move_dispatch_ms,
-            buttons_down: self.buttons_down.clone(),
-            keys_down: self.keys_down.clone(),
-            last_click: self.last_click,
-            focused: self.focused,
-            visible: self.visible,
-            dom_mutations: self.dom_mutations,
-        }
-    }
-}
-
 impl std::fmt::Debug for Browser {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Browser")
@@ -139,7 +114,6 @@ impl std::fmt::Debug for Browser {
             .field("url", &self.document.url)
             .field("now_ms", &self.now_ms)
             .field("events", &self.recorder.len())
-            .field("observers", &self.observers.len())
             .field("mouse", &self.mouse)
             .field("focused", &self.focused)
             .field("visible", &self.visible)
@@ -181,7 +155,6 @@ impl Browser {
             viewport,
             now_ms: 0.0,
             recorder: EventRecorder::new(),
-            observers: Vec::new(),
             // The OS hands a fresh window a cursor at the origin — the
             // "mouse movement starting at (0,0)" signal of Appendix F.
             mouse: Point::new(0.0, 0.0),
@@ -200,11 +173,10 @@ impl Browser {
     /// the state [`Browser::open_with_world`] gives for its configuration
     /// and pristine world — time back at 0, viewport over the new page,
     /// pristine page world, cursor at the origin, no pending move, no
-    /// held buttons or keys, no focus, visible, an empty recorder, no
-    /// observers and fresh counters. Only the capacity of the event,
-    /// observer and held-input buffers carries over, so a worker that
-    /// drives many pages through one browser stops growing them from
-    /// empty on every page.
+    /// held buttons or keys, no focus, visible, an empty recorder and
+    /// fresh counters. Only the capacity of the event and held-input
+    /// buffers carries over, so a worker that drives many pages through
+    /// one browser stops growing them from empty on every page.
     pub fn reopen(&mut self, document: Document) {
         let fresh = Self::open_with_world(
             self.config.clone(),
@@ -213,11 +185,9 @@ impl Browser {
         );
         let mut old = std::mem::replace(self, fresh);
         old.recorder.clear();
-        old.observers.clear();
         old.buttons_down.clear();
         old.keys_down.clear();
         self.recorder = old.recorder;
-        self.observers = old.observers;
         self.buttons_down = old.buttons_down;
         self.keys_down = old.keys_down;
     }
@@ -325,29 +295,11 @@ impl Browser {
         self.now_ms += delta_ms;
     }
 
-    /// Subscribes an observer to this browser's event dispatch. Every
-    /// event the page's listeners would see is fanned out to each attached
-    /// observer, in attachment order, after the recorder.
-    // lint: allow(unread-pub-item) test reference: timed_input.rs's differentials compare observer streams
-    pub fn attach_observer(&mut self, observer: Box<dyn Observer<DomEvent>>) {
-        self.observers.push(observer);
-    }
-
-    /// Number of attached observers (the recorder is not counted).
-    // lint: allow(unread-pub-item) test reference: timed_input.rs's re-open differential compares it
-    pub fn observer_count(&self) -> usize {
-        self.observers.len()
-    }
-
-    /// Event-count metrics aggregated across the recorder and every
-    /// attached observer, plus `dom.mutations` once the document has been
-    /// mutated and the page world's realm counters, merged afresh from
-    /// every source at each call.
+    /// Event-count metrics from the recorder, plus `dom.mutations` once
+    /// the document has been mutated and the page world's realm
+    /// counters, rendered afresh at each call.
     pub fn metrics(&self) -> CounterSet {
-        let mut all = Observer::counters(&self.recorder);
-        for o in &self.observers {
-            all.merge(&o.counters());
-        }
+        let mut all = self.recorder.counters();
         if self.dom_mutations > 0 {
             all.add("dom.mutations", self.dom_mutations);
         }
@@ -459,22 +411,14 @@ impl Browser {
     // -----------------------------------------------------------------
 
     /// Dispatches one event at `now_ms`, quantised to the 1 ms a
-    /// page observes. The recorder is the first subscriber: it takes the
-    /// event by move, and every attached observer then sees the recorded
-    /// event by reference — no copy of the event is made.
+    /// page observes, to the recorder, which takes it by move.
     fn dispatch(&mut self, kind: EventKind, target: Option<NodeId>, payload: EventPayload) {
-        let timestamp_ms = self.now_ms.floor();
         self.recorder.record(DomEvent {
             kind,
-            timestamp_ms,
+            timestamp_ms: self.now_ms.floor(),
             target,
             payload,
         });
-        if let Some(event) = self.recorder.events().last() {
-            for observer in &mut self.observers {
-                observer.on_event(timestamp_ms, event);
-            }
-        }
     }
 
     fn on_mouse_move(&mut self, x: f64, y: f64) {
@@ -1304,53 +1248,7 @@ mod tests {
     }
 
     #[test]
-    fn observers_see_dispatch_and_feed_metrics() {
-        use hlisa_sim::{CounterSet, Observer};
-
-        struct ClickCounter {
-            clicks: u64,
-        }
-        impl Observer<DomEvent> for ClickCounter {
-            fn on_event(&mut self, _t: f64, ev: &DomEvent) {
-                if ev.kind == EventKind::Click {
-                    self.clicks += 1;
-                }
-            }
-            fn counters(&self) -> CounterSet {
-                let mut c = CounterSet::new();
-                c.add("observer.clicks", self.clicks);
-                c
-            }
-        }
-
-        let mut b = browser();
-        b.attach_observer(Box::new(ClickCounter { clicks: 0 }));
-        let button = b.document().by_id("submit").unwrap();
-        let c = b.element_center(button);
-        b.input_after(30.0, RawInput::MouseMove { x: c.x, y: c.y });
-        b.input_after(
-            10.0,
-            RawInput::MouseDown {
-                button: MouseButton::Left,
-            },
-        );
-        b.input_after(
-            70.0,
-            RawInput::MouseUp {
-                button: MouseButton::Left,
-            },
-        );
-
-        let metrics = b.metrics();
-        assert_eq!(metrics.get("observer.clicks"), Some(1));
-        assert_eq!(metrics.get("events.click"), Some(1));
-        assert_eq!(metrics.get("events.total"), Some(b.recorder.len() as u64));
-    }
-
-    #[test]
     fn metrics_cache_invalidates_on_every_source_change() {
-        use hlisa_sim::{CounterSet, Observer};
-
         let mut b = browser();
         // Prime the cache, then dispatch: the new event must show up.
         let before = b.metrics().get("events.total").unwrap_or(0);
@@ -1360,20 +1258,6 @@ mod tests {
             after > before,
             "dispatch must invalidate ({before} -> {after})"
         );
-
-        // Prime again, then attach an observer with its own counters.
-        let _ = b.metrics();
-        struct Fixed;
-        impl Observer<DomEvent> for Fixed {
-            fn on_event(&mut self, _t: f64, _ev: &DomEvent) {}
-            fn counters(&self) -> CounterSet {
-                let mut c = CounterSet::new();
-                c.add("observer.fixed", 1);
-                c
-            }
-        }
-        b.attach_observer(Box::new(Fixed));
-        assert_eq!(b.metrics().get("observer.fixed"), Some(1));
 
         // Prime again, then re-open: the event trace resets.
         let _ = b.metrics();
@@ -1490,17 +1374,10 @@ mod tests {
     }
 
     #[test]
-    fn clones_get_independent_clocks_and_no_observers() {
-        use hlisa_sim::Observer;
-        struct Null;
-        impl Observer<DomEvent> for Null {
-            fn on_event(&mut self, _t: f64, _ev: &DomEvent) {}
-        }
+    fn clones_get_independent_clocks() {
         let mut a = browser();
-        a.attach_observer(Box::new(Null));
         a.advance(10.0);
         let mut b = a.clone();
-        assert_eq!(b.observer_count(), 0);
         b.advance(5.0);
         assert_eq!(a.now_ms(), 10.0);
         assert_eq!(b.now_ms(), 15.0);

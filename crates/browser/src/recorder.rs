@@ -8,7 +8,7 @@
 //! page's event log once a session has ended.
 
 use crate::events::{DomEvent, EventKind, EventPayload, MouseButton};
-use hlisa_sim::{CounterSet, Observer};
+use hlisa_sim::CounterSet;
 
 /// A recorded interaction trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -220,20 +220,11 @@ impl EventRecorder {
             .filter(|e| e.kind == EventKind::Wheel)
             .count()
     }
-}
 
-/// The recorder is the canonical [`Observer`]: its counters expose the
-/// trace as per-event-kind metrics. The browser's own recorder takes each
-/// event by move through [`EventRecorder::record`]; a recorder attached as
-/// an ordinary observer records a copy of each event it is shown.
-impl Observer<DomEvent> for EventRecorder {
-    fn on_event(&mut self, _t_ms: f64, event: &DomEvent) {
-        self.record(event.clone());
-    }
-
-    fn counters(&self) -> CounterSet {
-        // One pass tallies every kind; counters are then added once per
-        // kind, in first-seen order.
+    /// The trace as per-event-kind metrics: `events.total`, then one
+    /// `events.<kind>` count per kind, in first-seen order. One pass
+    /// tallies every kind.
+    pub fn counters(&self) -> CounterSet {
         let mut counts = [0u64; EventKind::NAMES.len()];
         let mut order = Vec::new();
         for e in &self.events {

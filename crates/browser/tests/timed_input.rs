@@ -7,58 +7,26 @@
 //! `mousemove` coalescing interval, zero delays and long gaps), presses
 //! and releases of both buttons, wheel ticks, key presses, script scrolls
 //! (smooth scrolling on and off) and pauses, both must leave bit-equal
-//! traces, metrics, observer streams, cursor positions and times.
+//! traces, metrics, cursor positions and times.
 //!
 //! A second test pins [`Browser::reopen`]: a browser left in every kind
 //! of dirty state and re-opened behaves exactly like a freshly opened one.
 
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::events::MouseButton;
-use hlisa_browser::{Browser, BrowserConfig, DomEvent, RawInput, ScrollOrigin, TimedInput};
-use hlisa_sim::{CounterSet, Observer};
+use hlisa_browser::{Browser, BrowserConfig, RawInput, ScrollOrigin, TimedInput};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Every `(timestamp, event)` a [`Tap`] was handed.
-type Seen = Arc<Mutex<Vec<(f64, DomEvent)>>>;
-
-/// An observer that keeps every `(timestamp, event)` it is handed.
-struct Tap {
-    seen: Seen,
-}
-
-impl Observer<DomEvent> for Tap {
-    fn on_event(&mut self, t_ms: f64, event: &DomEvent) {
-        self.seen
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((t_ms, event.clone()));
-    }
-
-    fn counters(&self) -> CounterSet {
-        let mut c = CounterSet::new();
-        let seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-        // A test observer's own counter, read only through this file's
-        // metrics comparisons. lint: allow(metric-name-registry)
-        c.add("tap.events", seen.len() as u64);
-        c
-    }
-}
-
-/// A browser on the standard page whose time has idled to `start_ms`,
-/// with a [`Tap`] attached.
-fn tapped_browser(start_ms: f64, smooth: bool) -> (Browser, Seen) {
+/// A browser on the standard page whose time has idled to `start_ms`.
+fn browser_at(start_ms: f64, smooth: bool) -> Browser {
     let mut b = Browser::open(
         BrowserConfig::regular(),
         standard_test_page("https://timed.test/", 6_000.0),
     );
     b.advance(start_ms);
     b.viewport.smooth_scrolling = smooth;
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    b.attach_observer(Box::new(Tap {
-        seen: Arc::clone(&seen),
-    }));
-    (b, seen)
+    b
 }
 
 /// The per-item reference: advance the browser's time, then inject.
@@ -71,19 +39,15 @@ fn reference_loop(browser: &mut Browser, items: &[TimedInput]) {
     }
 }
 
-/// Everything a page, an observer or a caller can see after a drive, with
-/// every float rendered through `{:?}` (shortest round-trip form, so
-/// equal strings mean equal bits).
-fn observable(browser: &Browser, seen: &Mutex<Vec<(f64, DomEvent)>>) -> Vec<String> {
-    // Metrics first: they ask the tap for its counters, which locks.
-    let metrics = format!("{:?}", browser.metrics());
-    let seen = format!("{:?}", *seen.lock().unwrap_or_else(|p| p.into_inner()));
+/// Everything a page or a caller can see after a drive, with every
+/// float rendered through `{:?}` (shortest round-trip form, so equal
+/// strings mean equal bits).
+fn observable(browser: &Browser) -> Vec<String> {
     vec![
         format!("{:?}", browser.recorder.events()),
         format!("{:?}", browser.recorder.cursor_trace()),
         format!("{:?}", browser.recorder.click_offsets()),
-        metrics,
-        seen,
+        format!("{:?}", browser.metrics()),
         format!("{:?}", browser.mouse_position()),
         format!("{:#x}", browser.now_ms().to_bits()),
         format!("{:?}", browser.viewport.scroll_y()),
@@ -160,18 +124,15 @@ proptest! {
         let items: Vec<TimedInput> = raws.into_iter().map(item).collect();
         let start_ms = if zero_start == 0 { 0.0 } else { start };
         let smooth = smooth == 1;
-        let (mut reference, ref_seen) = tapped_browser(start_ms, smooth);
+        let mut reference = browser_at(start_ms, smooth);
         reference_loop(&mut reference, &items);
 
-        let (mut batched, batched_seen) = tapped_browser(start_ms, smooth);
+        let mut batched = browser_at(start_ms, smooth);
         for chunk in items.chunks(batch) {
             batched.input_timed(chunk.iter().cloned());
         }
 
-        prop_assert_eq!(
-            observable(&batched, &batched_seen),
-            observable(&reference, &ref_seen)
-        );
+        prop_assert_eq!(observable(&batched), observable(&reference));
         prop_assert_eq!(batched.now_ms().to_bits(), reference.now_ms().to_bits());
     }
 }
@@ -179,7 +140,7 @@ proptest! {
 #[test]
 #[should_panic(expected = "monotonically")]
 fn a_negative_delay_is_rejected() {
-    let (mut b, _) = tapped_browser(0.0, false);
+    let mut b = browser_at(0.0, false);
     b.input_timed([TimedInput::pause(5.0), TimedInput::pause(-1.0)]);
 }
 
@@ -194,7 +155,6 @@ fn reopen_state(b: &Browser) -> Vec<String> {
         format!("{}", b.is_visible()),
         format!("{:?}", b.pressed_buttons()),
         format!("{:?}", b.pressed_keys()),
-        format!("{}", b.observer_count()),
         format!("{:?}", b.viewport),
         format!("{:#x}", b.now_ms().to_bits()),
         format!("{:?}", b.config()),
@@ -243,7 +203,7 @@ fn a_reopened_browser_equals_a_fresh_one() {
     let page = || standard_test_page("https://reopen.test/", 8_000.0);
 
     // Leave a browser as dirty as a drive can: buttons and keys held,
-    // focus set, observers attached, minimised, scrolled, smooth
+    // focus set, minimised, scrolled, smooth
     // scrolling on, the world written, a trace recorded.
     let mut dirty = Browser::open_with_world(
         config.clone(),
@@ -251,10 +211,6 @@ fn a_reopened_browser_equals_a_fresh_one() {
         Arc::clone(&pristine),
     );
     dirty.advance(4_321.5);
-    let (_, seen) = tapped_browser(0.0, false);
-    dirty.attach_observer(Box::new(Tap {
-        seen: Arc::clone(&seen),
-    }));
     dirty.viewport.smooth_scrolling = true;
     drive(&mut dirty);
     dirty.input_timed([
@@ -287,11 +243,8 @@ fn a_reopened_browser_equals_a_fresh_one() {
     assert_eq!(reopen_state(&dirty), reopen_state(&fresh));
     assert!(std::ptr::eq(dirty.world(), Arc::as_ptr(&pristine)));
 
-    // The same drive leaves both in the same state, and the detached
-    // observer heard nothing of it.
-    let heard = seen.lock().unwrap_or_else(|p| p.into_inner()).len();
+    // The same drive leaves both in the same state.
     drive(&mut dirty);
     drive(&mut fresh);
     assert_eq!(reopen_state(&dirty), reopen_state(&fresh));
-    assert_eq!(seen.lock().unwrap_or_else(|p| p.into_inner()).len(), heard);
 }

@@ -815,6 +815,90 @@ mod tests {
             .any(|s| s.name == "interaction-while-hidden"));
     }
 
+    fn mouse(kind: EventKind, t: f64, x: f64, y: f64) -> hlisa_browser::DomEvent {
+        hlisa_browser::DomEvent {
+            kind,
+            timestamp_ms: t,
+            target: None,
+            payload: EventPayload::Mouse {
+                x,
+                y,
+                button: hlisa_browser::events::MouseButton::Left,
+            },
+        }
+    }
+
+    /// Level 1's signal names on a recorded event stream.
+    fn level1_signals(events: Vec<hlisa_browser::DomEvent>) -> Vec<&'static str> {
+        let mut recorder = EventRecorder::new();
+        for e in events {
+            recorder.record(e);
+        }
+        let doc = Document::new("about:blank", 1280.0, 720.0);
+        let verdict = InteractionDetector::level1().judge(&recorder, &doc);
+        verdict.signals.iter().map(|s| s.name).collect()
+    }
+
+    /// Level 1 reads each timed cue on the recorded stream: a 4 ms dwell
+    /// is a machine click, 300 px in 100 ms is a human flick, 300 px in
+    /// 1 ms is a teleport.
+    #[test]
+    fn level1_dwell_and_speed_cues_fire_on_exactly_the_expected_streams() {
+        // Four slow samples, then the stream's own last move and click.
+        let approach = |last: (f64, f64), click: Option<(f64, f64)>| {
+            let mut events: Vec<_> = (0..4)
+                .map(|i| {
+                    let t = f64::from(i) * 16.0;
+                    mouse(EventKind::MouseMove, t, 100.0 + f64::from(i) * 10.0, 200.0)
+                })
+                .collect();
+            events.push(mouse(EventKind::MouseMove, last.0, last.1, 200.0));
+            if let Some((down, up)) = click {
+                events.push(mouse(EventKind::MouseDown, down, last.1, 200.0));
+                events.push(mouse(EventKind::MouseUp, up, last.1, 200.0));
+                events.push(mouse(EventKind::Click, up, last.1, 200.0));
+            }
+            events
+        };
+        // (stream, the speed cue, the dwell cue)
+        let streams = [
+            (approach((64.0, 140.0), Some((100.0, 104.0))), false, true),
+            (approach((148.0, 430.0), None), false, false),
+            (approach((49.0, 430.0), None), true, false),
+        ];
+        for (i, (events, speed_cue, dwell_cue)) in streams.into_iter().enumerate() {
+            let names = level1_signals(events);
+            assert_eq!(
+                names.contains(&"superhuman-speed"),
+                speed_cue,
+                "stream {i}: {names:?}"
+            );
+            assert_eq!(
+                names.contains(&"zero-dwell-click"),
+                dwell_cue,
+                "stream {i}: {names:?}"
+            );
+        }
+    }
+
+    /// `click-without-pointer` counts click events with no button press
+    /// behind them. A pressed and released click with no cursor movement
+    /// at all is a completed press, so it does not fire; the same click
+    /// event with no press does.
+    #[test]
+    fn click_without_pointer_counts_unpressed_clicks_not_unmoved_ones() {
+        let pressed = vec![
+            mouse(EventKind::MouseDown, 50.0, 5.0, 5.0),
+            mouse(EventKind::MouseUp, 110.0, 5.0, 5.0),
+            mouse(EventKind::Click, 110.0, 5.0, 5.0),
+        ];
+        let names = level1_signals(pressed);
+        assert!(!names.contains(&"click-without-pointer"), "{names:?}");
+        let unpressed = vec![mouse(EventKind::Click, 110.0, 5.0, 5.0)];
+        let names = level1_signals(unpressed);
+        assert!(names.contains(&"click-without-pointer"), "{names:?}");
+    }
+
     #[test]
     fn synthetic_artificial_features_fire_l1() {
         let det = InteractionDetector::level1();

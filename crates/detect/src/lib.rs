@@ -11,21 +11,19 @@
 //!   detects statistical deviation from human distributions, level 3 tracks
 //!   behavioural consistency, and level 4 compares against an enrolled
 //!   per-user profile. [`mod@reference`] generates the human reference corpus
-//!   the upper levels need.
+//!   the upper levels need. Every level judges a finished session from
+//!   the events the page recorded, as the paper's analysis reads the
+//!   page's event log once a session has ended (Appendix E).
 
 pub mod fingerprint;
 pub mod interaction;
-pub mod live;
 pub mod reference;
-pub mod replay;
 pub mod side_effects;
 pub mod template_attack;
 pub mod thresholds;
 
 pub use fingerprint::{scan_fingerprint, FingerprintVerdict};
 pub use interaction::{DetectorLevel, InteractionDetector, InteractionVerdict, Signal};
-pub use live::{LiveInteractionMonitor, LiveMonitorHandle};
 pub use reference::HumanReference;
-pub use replay::{fingerprint_trace, ReplayDetector};
 pub use side_effects::{probe_side_effects, SideEffect};
 pub use template_attack::TemplateAttackDetector;

@@ -20,8 +20,8 @@
 //!   browser keeps its page's. Nothing shares or rebinds time, so a
 //!   browser's event timestamps depend only on its own input.
 //! * [`Observer`] — a pluggable sink for simulation events with counter
-//!   metrics, replacing hardwired recording so detectors and recorders
-//!   subscribe to the same dispatch fan-out.
+//!   metrics: the fault monitor and the capture study's recorder and
+//!   channels.
 //! * [`FaultPlan`] — the deterministic fault plane for chaos-mode crawls:
 //!   typed fault injection drawn from a dedicated `"fault"` stream, so
 //!   fault schedules are seeded and bit-reproducible while the

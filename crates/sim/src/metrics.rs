@@ -10,8 +10,8 @@
 //!
 //! The first [`TALLIED`] entries are the engine's stage counters, and an
 //! entry's position is its slot in a [`Tally`]. The entries after them
-//! are written directly by the browser and the live monitor, whose
-//! per-kind `events.<kind>` names come from its `EventKind`s.
+//! are written directly by the browser's `metrics()`, whose per-kind
+//! `events.<kind>` names come from its `EventKind`s.
 
 use crate::observer::CounterSet;
 use std::ops::Range;
@@ -83,12 +83,6 @@ pub const METRIC_REGISTRY: &[MetricInfo] = &[
     metric("jsom.shape_transitions", "transitions", "hlisa-browser"),
     metric("jsom.property_gets", "gets", "hlisa-browser"),
     metric("jsom.own_lookups", "lookups", "hlisa-browser"),
-    metric("live.moves", "events", "hlisa-detect"),
-    metric("live.clicks", "events", "hlisa-detect"),
-    metric("live.keydowns", "events", "hlisa-detect"),
-    metric("live.wheel_ticks", "events", "hlisa-detect"),
-    metric("live.zero_dwell_clicks", "clicks", "hlisa-detect"),
-    metric("live.teleport_moves", "moves", "hlisa-detect"),
 ];
 
 // Each tallied metric's slot: its position in `METRIC_REGISTRY`. A

@@ -2,10 +2,12 @@
 
 /// A sink subscribed to a simulation event stream.
 ///
-/// The browser's dispatch loop (and any other event source) fans each
-/// event out to every attached observer instead of hardwiring a recorder.
-/// Implementations range from full trace capture (`EventRecorder`) to
-/// streaming detectors that keep only counters.
+/// The chaos engine's [`FaultMonitor`](crate::FaultMonitor) counts
+/// injected faults through it, and the capture study's channels are
+/// observers: `hlisa-web`'s `CaptureRecorder` keeps a visit's capture
+/// events, and [`LossyObserver`](crate::LossyObserver) and
+/// [`WriteAheadObserver`](crate::WriteAheadObserver) wrap one to model a
+/// lossy and a strengthened instrumentation channel.
 ///
 /// The trait is generic over the event type so that event-producing
 /// crates can define observers over their own types without this crate

@@ -1,82 +1,5 @@
-//! 1-D and 2-D histograms.
-//!
-//! Used by the figure regenerators (Fig. 2 click scatter densities, Fig. 4
-//! status-code bars) and by the level-2 interaction detectors.
-
-/// A fixed-range 1-D histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n_bins` equal-width bins.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `n_bins == 0`.
-    pub fn new(lo: f64, hi: f64, n_bins: usize) -> Self {
-        assert!(lo < hi, "invalid range [{lo}, {hi})");
-        assert!(n_bins > 0, "need at least one bin");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; n_bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Adds every observation in `xs`.
-    pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
-        }
-    }
-
-    /// Bin counts (within range).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count below range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count at or above range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Centre of bin `i`.
-    #[cfg(test)]
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-}
+//! The 2-D histogram behind Fig. 2's click-scatter density plots
+//! (`hlisa_bench::figures`, rendered by [`crate::ascii::plot_density`]).
 
 /// A fixed-range 2-D histogram (for click scatter densities).
 #[derive(Debug, Clone, PartialEq)]
@@ -150,31 +73,6 @@ impl Histogram2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_bins_points() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.extend(&[0.5, 1.5, 1.6, 9.9, -1.0, 10.0]);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[1], 2);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn bin_center_is_midpoint() {
-        let h = Histogram::new(0.0, 10.0, 10);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid range")]
-    fn histogram_rejects_bad_range() {
-        let _ = Histogram::new(5.0, 5.0, 3);
-    }
 
     #[test]
     fn hist2d_places_points() {

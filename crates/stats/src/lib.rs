@@ -12,7 +12,7 @@
 //! * [`descriptive`] — summary statistics over slices.
 //! * [`wilcoxon`] — Wilcoxon matched-pairs signed-rank test.
 //! * [`ks`] — two-sample Kolmogorov–Smirnov test.
-//! * [`hist`] — 1-D and 2-D histograms.
+//! * [`hist`] — the 2-D histogram behind Fig. 2's click densities.
 //! * [`ascii`] — terminal renderings used by the figure regenerators.
 //! * [`rngutil`] — deterministic seeding helpers shared by all experiments.
 

@@ -24,7 +24,6 @@ pub mod page;
 pub mod population;
 pub mod shards;
 pub mod site;
-pub mod snapshot;
 pub mod traversal;
 pub mod visit;
 
@@ -36,7 +35,6 @@ pub use page::{generate_page, GeneratedPage, PageStructure};
 pub use population::{generate_population, PopulationConfig};
 pub use shards::{sites_bytes, PopulationShards, DEFAULT_SHARD_SIZE};
 pub use site::{DetectionMethod, Reaction, Site, SiteDetector};
-pub use snapshot::{WorldSnapshot, WorldSnapshotCache};
 pub use traversal::{judge_traversal, traverse, PageGraph, TraversalStrategy};
 pub use visit::{
     plan_visit, simulate_visit, simulate_visit_attempt, ClientKind, SiteProfile, VisitOutcome,

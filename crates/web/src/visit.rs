@@ -8,7 +8,6 @@
 use crate::codes::{StatusCodes, FIRST_PARTY_INLINE, THIRD_PARTY_INLINE};
 use crate::outcome::{VisitError, VisitPhase, VisitProgress};
 use crate::site::{DetectionMethod, Reaction, Site};
-use crate::snapshot::WorldSnapshotCache;
 use hlisa_detect::{scan_fingerprint, TemplateAttackDetector};
 use hlisa_human::{HumanParams, VisitPlanner};
 use hlisa_jsom::{build_firefox_world, BrowserFlavor, World};
@@ -95,10 +94,13 @@ pub struct VisitOutcome {
 /// A site detector's verdict is a pure function of the client's pristine
 /// world: the fingerprint scan reads it, and the template attack diffs it
 /// against an immutable regular-Firefox reference. No RNG or time feeds
-/// either check. The cached runtime therefore runs each check at most
-/// once per client, on a real snapshot stamp, and memoises the bit; the
-/// uncached runtime rebuilds the world and reruns the checks on every
-/// visit, and is the reference model the cached one is tested against.
+/// either check. The cached runtime therefore builds each client's world
+/// at most once, runs each check at most once per client on a clone of
+/// it, and memoises the bit; the uncached runtime rebuilds the world and
+/// reruns the checks on every visit, and is the reference model the
+/// cached one is tested against. Both build a world with
+/// `fresh_client_world`, so a failed extension injection reads
+/// `RealmCrashed` under either.
 #[derive(Debug, Clone)]
 pub struct DetectorRuntime {
     /// The template-attack reference, captured on the first deep check
@@ -113,17 +115,19 @@ pub struct DetectorRuntime {
     fills: FillCount,
 }
 
-/// The cached runtime's pristine worlds and per-client verdict cells.
+/// The cached runtime's per-client worlds and verdict cells.
 #[derive(Debug, Clone, Default)]
 struct VerdictCache {
-    worlds: WorldSnapshotCache,
     openwpm: ClientVerdicts,
     spoofed: ClientVerdicts,
 }
 
-/// One client's verdicts, each filled the first time a visit needs it.
+/// One client's world, built the first time a verdict needs it, and its
+/// verdicts, each filled the first time a visit needs it on a clone of
+/// that world.
 #[derive(Debug, Clone, Default)]
 struct ClientVerdicts {
+    world: OnceLock<Result<World, VisitError>>,
     fingerprint_bot: OnceLock<bool>,
     tampered: OnceLock<bool>,
 }
@@ -138,21 +142,18 @@ enum Check {
 }
 
 impl VerdictCache {
-    fn cell(&self, client: ClientKind, check: Check) -> &OnceLock<bool> {
-        let cells = match client {
+    fn client(&self, client: ClientKind) -> &ClientVerdicts {
+        match client {
             ClientKind::OpenWpm => &self.openwpm,
             ClientKind::OpenWpmSpoofed => &self.spoofed,
-        };
-        match check {
-            Check::FingerprintBot => &cells.fingerprint_bot,
-            Check::Tampered => &cells.tampered,
         }
     }
 
-    fn stamp(&self, client: ClientKind) -> World {
-        match client {
-            ClientKind::OpenWpm => self.worlds.stamp(BrowserFlavor::WebDriverFirefox),
-            ClientKind::OpenWpmSpoofed => self.worlds.stamp_spoofed_webdriver(),
+    fn cell(&self, client: ClientKind, check: Check) -> &OnceLock<bool> {
+        let cells = self.client(client);
+        match check {
+            Check::FingerprintBot => &cells.fingerprint_bot,
+            Check::Tampered => &cells.tampered,
         }
     }
 }
@@ -182,7 +183,7 @@ impl DetectorRuntime {
 
     fn template(&self) -> &TemplateAttackDetector {
         self.template.get_or_init(|| {
-            self.count_fill();
+            self.count(FILL);
             TemplateAttackDetector::new()
         })
     }
@@ -195,29 +196,46 @@ impl DetectorRuntime {
         }
     }
 
-    /// The memoised verdict of `check` for `client`, computed on a fresh
-    /// stamp the first time it is asked for.
-    fn memoised(&self, cache: &VerdictCache, client: ClientKind, check: Check) -> bool {
-        *cache.cell(client, check).get_or_init(|| {
-            self.count_fill();
-            let mut world = cache.stamp(client);
+    /// The memoised verdict of `check` for `client`, computed on a clone
+    /// of the client's world the first time it is asked for.
+    fn memoised(
+        &self,
+        cache: &VerdictCache,
+        client: ClientKind,
+        check: Check,
+    ) -> Result<bool, VisitError> {
+        let cell = cache.cell(client, check);
+        if let Some(&verdict) = cell.get() {
+            return Ok(verdict);
+        }
+        let pristine = cache
+            .client(client)
+            .world
+            .get_or_init(|| {
+                self.count(WORLD_BUILD);
+                fresh_client_world(client)
+            })
+            .as_ref()
+            .map_err(VisitError::clone)?;
+        Ok(*cell.get_or_init(|| {
+            self.count(FILL);
+            let mut world = pristine.clone();
             if check == Check::Tampered {
                 // A per-visit deep check scans the world before diffing
-                // it; the memo replays that sequence on its stamp.
+                // it; the memo replays that sequence on its clone.
                 self.run_check(Check::FingerprintBot, &mut world);
             }
             self.run_check(check, &mut world)
-        })
+        }))
     }
 
     #[cfg(test)]
-    fn count_fill(&self) {
-        self.fills
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn count(&self, probe: usize) {
+        self.fills[probe].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     #[cfg(not(test))]
-    fn count_fill(&self) {}
+    fn count(&self, _probe: usize) {}
 }
 
 #[cfg(test)]
@@ -261,16 +279,24 @@ impl DetectorRuntime {
 
     /// How many times any lazy cell ran its fill.
     fn fills(&self) -> usize {
-        self.fills.load(std::sync::atomic::Ordering::Relaxed)
+        self.fills[FILL].load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// How many client worlds the runtime built.
+    fn world_builds(&self) -> usize {
+        self.fills[WORLD_BUILD].load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
 /// How many times a runtime's lazy cells (template and verdicts) ran
-/// their fill: a test probe, zero-sized outside tests.
+/// their fill ([`FILL`]) and how many client worlds it built
+/// ([`WORLD_BUILD`]): a test probe, zero-sized outside tests.
 #[cfg(test)]
-type FillCount = std::sync::Arc<std::sync::atomic::AtomicUsize>;
+type FillCount = std::sync::Arc<[std::sync::atomic::AtomicUsize; 2]>;
 #[cfg(not(test))]
 type FillCount = ();
+const FILL: usize = 0;
+const WORLD_BUILD: usize = 1;
 
 /// A site detector's verdict, asking `check` for each check it runs. The
 /// rate-limit draw of a template attack's deep check comes first, on
@@ -278,22 +304,22 @@ type FillCount = ();
 fn detector_verdict<R: Rng + ?Sized>(
     method: DetectionMethod,
     rng: &mut R,
-    mut check: impl FnMut(Check) -> bool,
-) -> bool {
+    mut check: impl FnMut(Check) -> Result<bool, VisitError>,
+) -> Result<bool, VisitError> {
     match method {
         DetectionMethod::WebdriverFlag => check(Check::FingerprintBot),
         DetectionMethod::TemplateAttack => {
             // Deep checks are rate-limited: the paper saw its surviving
             // blocker fire "for a smaller subset of visits".
             let runs_deep_check = rng.gen_bool(0.45);
-            check(Check::FingerprintBot) || (runs_deep_check && check(Check::Tampered))
+            Ok(check(Check::FingerprintBot)? || (runs_deep_check && check(Check::Tampered)?))
         }
     }
 }
 
-/// Builds a client world from scratch (the uncached path). A failed
-/// extension injection surfaces as a typed world-build crash instead of
-/// panicking the worker thread.
+/// Builds a client world from scratch: the one world builder of both
+/// runtimes. A failed extension injection surfaces as a typed
+/// world-build crash instead of panicking the worker thread.
 fn fresh_client_world(client: ClientKind) -> Result<World, VisitError> {
     let mut world = build_firefox_world(BrowserFlavor::WebDriverFirefox);
     if client == ClientKind::OpenWpmSpoofed
@@ -575,16 +601,22 @@ fn attempt_core<R: Rng + ?Sized>(
     // because no check consumes RNG.
     let method = site.detector.map(|d| d.method);
     let detected = match &runtime.verdicts {
-        Some(cache) => method.is_some_and(|method| {
+        Some(cache) => method.map(|method| {
             detector_verdict(method, rng, |check| runtime.memoised(cache, client, check))
         }),
         None => {
             let mut world = fresh_client_world(client)?;
-            method.is_some_and(|method| {
-                detector_verdict(method, rng, |check| runtime.run_check(check, &mut world))
+            method.map(|method| {
+                detector_verdict(
+                    method,
+                    rng,
+                    |check| Ok(runtime.run_check(check, &mut world)),
+                )
             })
         }
-    };
+    }
+    .transpose()?
+    .unwrap_or(false);
 
     // Interaction chain, with mid-chain stall/crash injection. Progress
     // capture records how far the chain got before the fault.
@@ -1090,7 +1122,7 @@ mod tests {
         assert!(!reference);
         assert_eq!(
             cached.memoised(cache, ClientKind::OpenWpm, Check::Tampered),
-            reference
+            Ok(reference)
         );
     }
 
@@ -1116,9 +1148,11 @@ mod tests {
 
         let rt = DetectorRuntime::new();
         assert_eq!(rt.filled_cells(), []);
+        assert_eq!(rt.world_builds(), 0);
         // OpenWpm's shallow check always fires: no deep check, no template.
         crawl(&rt, &[ClientKind::OpenWpm], &all);
         assert_eq!(rt.filled_cells(), [("openwpm.fingerprint_bot", true)]);
+        assert_eq!(rt.world_builds(), 1);
         // Neither client needs the template away from template sites.
         let rt = DetectorRuntime::new();
         crawl(
@@ -1134,8 +1168,10 @@ mod tests {
             ]
         );
         assert_eq!(rt.fills(), 2);
+        assert_eq!(rt.world_builds(), 2);
 
-        // Three workers sharing one runtime fill each cell at most once.
+        // Three workers sharing one runtime fill each cell at most once,
+        // and build each client's world once for its two cells.
         let rt = DetectorRuntime::new();
         std::thread::scope(|scope| {
             for _ in 0..3 {
@@ -1150,6 +1186,15 @@ mod tests {
         });
         assert_eq!(rt.filled_cells().len(), 4);
         assert_eq!(rt.fills(), 4);
+        assert_eq!(rt.world_builds(), 2);
+        // Filling the last verdict cell builds no third world.
+        let cache = rt.verdicts.as_ref().expect("cached runtime");
+        assert_eq!(
+            rt.memoised(cache, ClientKind::OpenWpm, Check::Tampered),
+            Ok(false)
+        );
+        assert_eq!(rt.fills(), 5);
+        assert_eq!(rt.world_builds(), 2);
     }
 
     /// Planning leaves every outcome and the `"visit"` stream untouched

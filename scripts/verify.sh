@@ -37,6 +37,13 @@ cargo run -q --release -p hlisa-bench --bin figure3 > /dev/null
 cargo run -q --release -p hlisa-bench --bin lintreport > /dev/null
 cargo run -q --release --example arms_race > /dev/null
 
+echo "==> remaining paper front ends (figure1, figure2, table1, table3, table4, ablations, appendix_d), run once each"
+# Same reason: a deletion that breaks a renderer at run time fails the
+# gate. Together they take tens of milliseconds.
+for bin in figure1 figure2 table1 table3 table4 ablations appendix_d; do
+    cargo run -q --release -p hlisa-bench --bin "$bin" > /dev/null
+done
+
 echo "==> field-study front ends (table2, figure4, export_csv, crawl_study example), run once each"
 # Same reason: a panic in the field-study fold or a renderer fails the
 # gate. Each takes well under a second at paper scale.

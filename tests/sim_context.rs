@@ -1,27 +1,27 @@
-//! Integration tests for the SimContext layer: observer fan-out, seeded
-//! determinism, and schedule-independence of the campaign runner.
+//! Integration tests for the SimContext layer: the recorded trace a
+//! chain leaves, seeded determinism, and schedule-independence of the
+//! campaign runner.
 
 use hlisa::HlisaActionChains;
 use hlisa_browser::dom::standard_test_page;
 use hlisa_browser::{Browser, BrowserConfig};
 use hlisa_crawler::{run, CampaignConfig, MachineShard, Pipeline, SiteResult, SiteSource};
-use hlisa_detect::LiveInteractionMonitor;
+use hlisa_detect::InteractionDetector;
 use hlisa_sim::SimContext;
 use hlisa_web::visit::DetectorRuntime;
 use hlisa_web::{generate_population, simulate_visit, ClientKind, PopulationConfig};
 use hlisa_webdriver::{By, Session};
 use proptest::prelude::*;
 
-/// The recorder and a detect-crate consumer both run through the Observer
-/// protocol, and their event counts surface as browser metrics.
+/// An HLISA chain's recorded trace passes the batch level-1 cues a
+/// streaming monitor would watch (speed, click dwell, a click with no
+/// press), and the recorder's counts surface as browser metrics.
 #[test]
-fn live_monitor_subscribes_to_the_browser_and_feeds_metrics() {
-    let mut browser = Browser::open(
+fn hlisa_chain_recorder_passes_level1_cues_and_feeds_metrics() {
+    let browser = Browser::open(
         BrowserConfig::webdriver(),
         standard_test_page("https://observer.test/", 10_000.0),
     );
-    let (monitor, handle) = LiveInteractionMonitor::new();
-    browser.attach_observer(Box::new(monitor));
     let mut s = Session::new(browser);
 
     let el = s.find_element(By::Id("submit".into())).unwrap();
@@ -31,25 +31,26 @@ fn live_monitor_subscribes_to_the_browser_and_feeds_metrics() {
         .perform(&mut s)
         .unwrap();
 
-    // HLISA interaction passes the streaming level-1 cues.
-    assert!(
-        !handle.is_bot(),
-        "counters: {:?}",
-        handle.counters().entries()
-    );
+    // Only the named signals: batch level 1 also judges straightness.
+    let verdict = InteractionDetector::level1().judge(&s.browser.recorder, s.browser.document());
+    for name in [
+        "superhuman-speed",
+        "zero-dwell-click",
+        "click-without-pointer",
+    ] {
+        assert!(
+            verdict.signals.iter().all(|signal| signal.name != name),
+            "{name} fired: {:?}",
+            verdict.signals
+        );
+    }
 
-    // The same numbers are visible through the browser's metrics, merged
-    // with the recorder's own counts.
+    // The recorder's click and moves are visible through the metrics.
     let metrics = s.browser.metrics();
-    let clicks = metrics.get("live.clicks").unwrap();
-    assert_eq!(clicks, 1);
-    assert!(metrics.get("live.moves").unwrap() > 4);
-    assert_eq!(metrics.get("events.click"), Some(clicks));
-    assert_eq!(
-        metrics.get("live.moves"),
-        metrics.get("events.mousemove"),
-        "observer and recorder saw different streams"
-    );
+    assert_eq!(metrics.get("events.click"), Some(1));
+    let moves = metrics.get("events.mousemove").unwrap();
+    assert!(moves > 4);
+    assert_eq!(moves, s.browser.recorder.cursor_trace().len() as u64);
 }
 
 /// Two contexts with the same seed produce identical visit outcome

@@ -4,10 +4,10 @@
 //! Two sections, each in covered lines per second, emitted as
 //! `BENCH_lint.json`:
 //!
-//! 1. **Parse** — lexing + tree building + recursive-descent parsing
-//!    ([`hlisa_lint::AstAnalysis`] construction) over every file a
-//!    `hlisa-lint` run parses: the linted files and the reader-only
-//!    trees (`examples/`, `bench_e2e/src/`).
+//! 1. **Parse** — lexing, tree building, recursive-descent parsing and
+//!    the test mask ([`hlisa_lint::AstAnalysis`] construction) over every
+//!    file a `hlisa-lint` run parses: the linted files and the
+//!    reader-only trees (`examples/`, `bench_e2e/src/`).
 //! 2. **Analyze** — every rule pass over pre-built analyses: the
 //!    per-file passes ([`hlisa_lint::analyze_file`], with each file's
 //!    real exemptions and pass configuration) and the workspace-wide
@@ -108,7 +108,7 @@ pub fn run(config: BenchConfig) -> Report {
                 if let Some(passes) = f.passes {
                     n += black_box(analyze_file(&f.rel, a, f.exempt, passes)).len();
                 }
-                surface.add(&f.rel, &f.text, &a.parsed);
+                surface.add(&f.rel, &f.text, a);
             }
             n += black_box(surface.finish()).len();
         }

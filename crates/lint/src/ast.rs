@@ -4,9 +4,14 @@
 //! in its AST** — either as a structural field (a function name, a method
 //! call, a literal) or inside an opaque [`TokenRun`] (generics, patterns,
 //! types, macro bodies, `use` trees). Structural nodes give the
-//! provenance passes real shape to walk (blocks, conditions, match arms,
-//! loops, calls); opaque runs guarantee that token-level rules still see
-//! *all* source, even where the AST has no deeper structure.
+//! stream-provenance walker real shape to walk (blocks, conditions,
+//! match arms, loops, calls); of the opaque runs it scans only those
+//! that can hold a call (macro bodies, [`Expr::Opaque`],
+//! [`ItemKind::Verbatim`]), for stream names and ledger sites. The
+//! determinism source rules and `metric-name-registry` do not read the
+//! AST: they read the lexed token stream with one test mask
+//! ([`crate::provenance::AstAnalysis`]), so a construct the parser cannot
+//! structure hides no token from them.
 //! `tests/ast_differential.rs` checks that every workspace file parses
 //! with no opaque fallback.
 //!
@@ -17,8 +22,9 @@ use crate::parse::Token;
 
 /// A flattened run of tokens the parser keeps but does not structure:
 /// generic parameter lists, where clauses, patterns, types, `use` trees,
-/// macro bodies. Group delimiters are preserved as punct tokens so
-/// neighbour-sensitive token rules (`.unwrap()`, `panic!`) still match.
+/// macro bodies. Group delimiters are preserved as punct tokens so a
+/// token-level match on a run (`.stream("...")`) still sees its
+/// neighbours.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TokenRun {
     /// The tokens, in source order.
@@ -43,22 +49,18 @@ pub struct Attr {
 
 impl Attr {
     /// True when this attribute gates the item to test builds: it
-    /// mentions `test` and is not a `not(...)` form — the same predicate
-    /// the opaque-run region marker uses.
+    /// mentions `test` and is not a `not(...)` form.
     pub fn is_test_gate(&self) -> bool {
-        let mut has_test = false;
-        let mut has_not = false;
-        for t in &self.tokens.tokens {
-            if let Some(w) = t.ident() {
-                if w == "test" {
-                    has_test = true;
-                } else if w == "not" {
-                    has_not = true;
-                }
-            }
-        }
-        has_test && !has_not
+        gates_to_test(&self.tokens.tokens)
     }
+}
+
+/// True when an attribute's inner tokens gate its item to test builds:
+/// they mention `test` and are not a `not(...)` form. The one predicate
+/// behind [`Attr::is_test_gate`] and the test mask of
+/// [`crate::provenance::AstAnalysis`].
+pub(crate) fn gates_to_test(tokens: &[Token]) -> bool {
+    tokens.iter().any(|t| t.is_ident("test")) && !tokens.iter().any(|t| t.is_ident("not"))
 }
 
 /// A whole parsed file.

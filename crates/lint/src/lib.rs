@@ -3,17 +3,19 @@
 //!
 //! **Reliability** (the measurement-tool half): `hlisa-sim` centralises
 //! randomness, time, and observation; the source analyzer is the fence
-//! that keeps them there. [`parse`] lexes and parses every
-//! `.rs` file under `crates/*/src` and `tests/` into the [`ast`] model,
-//! and [`provenance`] walks that structure to deny wall-clock reads,
-//! ad-hoc RNG construction, and iteration-order-dependent containers
-//! outside the sim layer — the exact hazards *Analysing and
-//! strengthening OpenWPM's reliability* shows corrupt web measurements.
-//! The same walk checks stream provenance (`stream-name-registry`,
-//! `conditional-draw`, `loop-variant-fork`, `stale-allow`) and counter
-//! names (`metric-name-registry`), and
-//! [`ledger`] derives the committed `LINT_LEDGER.json` mapping every
-//! draw/fork site to its `(crate, fn, stream)`.
+//! that keeps them there. [`parse`] lexes and parses every `.rs` file
+//! under `crates/*/src`, `crates/*/tests` and `tests/`. [`provenance`]
+//! reads each file's lexed tokens once, with one test mask, to deny
+//! wall-clock reads, ad-hoc RNG construction, iteration-order-dependent
+//! containers and panics outside the sim layer — the exact hazards
+//! *Analysing and strengthening OpenWPM's reliability* shows corrupt web
+//! measurements — and to check counter names (`metric-name-registry`).
+//! It walks the [`ast`] model only for what needs structure, stream
+//! provenance (`stream-name-registry`, `conditional-draw`,
+//! `loop-variant-fork`), and [`ledger`] derives from the same walk the
+//! committed `LINT_LEDGER.json` mapping every draw/fork site to its
+//! `(crate, fn, stream)`. A file the parser cannot fully structure is a
+//! `parse-failure` finding, and `stale-allow` audits the suppressions.
 //!
 //! **Detectability** (the interaction half): Table 1's lesson is that an
 //! interaction program's tells — straight uniform moves, zero-dwell
@@ -61,8 +63,9 @@ pub use workspace::{
     exemptions_for, find_workspace_root, lint_workspace, reader_files, workspace_files,
 };
 
-/// Unit cases for the six determinism source rules
-/// ([`AnalyzerKind::Source`]), run through [`analyze_ast`].
+/// Unit cases for the token rules ([`AnalyzerKind::Source`]): the six
+/// determinism source rules and `metric-name-registry`, run through
+/// [`analyze_ast`].
 #[cfg(test)]
 mod source {
     mod tests {
@@ -214,6 +217,84 @@ mod source {
                 ..Default::default()
             };
             assert_eq!(rules_under("atom.rs", src, exempt), ["no-wall-clock"]);
+        }
+
+        /// Where a rule's name can sit; `$` takes the name.
+        const NAME_POSITIONS: [&str; 12] = [
+            "fn $() {}",
+            "mod $ {}",
+            "const $: u8 = 1;",
+            "fn f(x: X) -> u8 { x.$ }",
+            "fn f() -> P { P { $: 1 } }",
+            "fn f() { let _: $ = d(); }",
+            "fn f() -> u8 { 1 as $ }",
+            "fn f<T>() where T: $ {}",
+            "fn f(x: X) { match x { $ => {} } }",
+            "fn f() { let _ = |_: $| 1; }",
+            "#[$]\nfn f() {}",
+            "m! { $ }",
+        ];
+
+        /// Where a call can sit; `$` takes the call.
+        const CALL_POSITIONS: [&str; 9] = [
+            "fn f() { $; }",
+            "fn f() -> P { P { a: $ } }",
+            "fn f() { let _: [u8; $] = d(); }",
+            "fn f() -> u8 { 1 as X<[u8; $]> }",
+            "fn f<T>() where [u8; $]: Sized {}",
+            "fn f(x: X) { match x { [0; $] => {} } }",
+            "fn f() { let _ = |_: [u8; $]| 1; }",
+            "#[m($)]\nfn f() {}",
+            "m! { $ }",
+        ];
+
+        /// `code` in `position` fires `rule` alone outside tests; inside a
+        /// `#[cfg(test)]` module it fires `in_test`.
+        fn check(position: &str, code: &str, rule: &str, in_test: &[&str]) {
+            let src = position.replace('$', code);
+            assert_eq!(rules_of(&src), [rule], "{src}");
+            let gated = format!("#[cfg(test)]\nmod t {{\n{src}\n}}");
+            assert_eq!(rules_of(&gated), in_test, "{gated}");
+        }
+
+        #[test]
+        fn each_rule_fires_in_every_position_outside_tests_only() {
+            let names = [
+                ("thread_rng", "no-thread-rng"),
+                ("rng_from_seed", "no-rng-from-seed"),
+                ("SystemTime", "no-wall-clock"),
+                ("HashMap", "no-unordered-containers"),
+            ];
+            for position in NAME_POSITIONS {
+                for (name, rule) in names {
+                    check(position, name, rule, &[]);
+                }
+            }
+            let calls = [
+                ("Instant::now()", "no-wall-clock"),
+                ("x.unwrap()", "no-panic"),
+                ("x.expect(\"e\")", "no-panic"),
+                ("panic!(\"p\")", "no-panic"),
+                ("P { min_duration_ms: 5.0 }", "no-hardcoded-min-move"),
+                (
+                    "s.override_pointer_move_min_duration(5.0)",
+                    "no-hardcoded-min-move",
+                ),
+                ("c.add(\"made.up\", 1)", "metric-name-registry"),
+            ];
+            for position in CALL_POSITIONS {
+                for (code, rule) in calls {
+                    check(position, code, rule, &[]);
+                }
+                // A typo'd `get` under a registered family fires in tests too.
+                let get = "c.get(\"fault.injectd\")";
+                check(
+                    position,
+                    get,
+                    "metric-name-registry",
+                    &["metric-name-registry"],
+                );
+            }
         }
 
         #[test]

@@ -27,7 +27,7 @@ MODES:
                          the planner gate (Selenium/naive chains must trip
                          rules, the HLISA chain must lint clean)
     --ledger-write       rebuild LINT_LEDGER.json from the tree and exit
-    --check-file <file>  run only the per-file AST analysis on one file;
+    --check-file <file>  run only the per-file passes on one file;
                          it cannot judge unread-pub-item (a pub item's
                          readers live in other files), so that rule and
                          the staleness of its allows are left out

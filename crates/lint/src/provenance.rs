@@ -1,49 +1,61 @@
-//! The AST-grade analysis passes: the six determinism source rules and
-//! the stream-provenance rules, all walking the parsed [`crate::ast`]
-//! model (conditions, loops and bindings need real structure to exist).
+//! The per-file analysis passes: the determinism source rules over the
+//! lexed token stream, and the stream-provenance walk over the parsed
+//! [`crate::ast`] model (conditions, loops and bindings need real
+//! structure to exist).
 //!
 //! ## Passes
 //!
-//! * **Source rules** — `no-thread-rng`, `no-rng-from-seed`,
+//! * **Token rules** — `no-thread-rng`, `no-rng-from-seed`,
 //!   `no-wall-clock`, `no-unordered-containers`, `no-panic`,
-//!   `no-hardcoded-min-move`, matched structurally: `.unwrap()` is a
-//!   method call with empty turbofish and no arguments, `panic!` is a
-//!   macro path, `Instant::now` is two adjacent path segments, a
-//!   hard-coded `min_duration_ms` is a field initialiser whose value
-//!   leads with a numeric literal. Opaque [`TokenRun`]s (generics,
-//!   patterns, types, macro bodies) are matched token by token on the
-//!   same shapes.
-//! * **Registry** — `stream-name-registry`: every `stream("...")` call
-//!   site must name a stream in [`hlisa_sim::STREAM_REGISTRY`], and the
-//!   name must be a string literal (a computed name defeats the
-//!   closed-set audit). Runs in test code too: a typo'd stream in a test
-//!   mints an unreviewed derivation path just as silently.
-//!   `metric-name-registry` does the same for counter name literals
+//!   `no-hardcoded-min-move` and `metric-name-registry`, one matcher and
+//!   one message per shape, in one pass over the file's tokens: a banned
+//!   name is an identifier token, `.unwrap()` is `.` `unwrap` `(` `)`,
+//!   `panic!` is `panic` `!`, `Instant::now` is `Instant` `::` `now`, a
+//!   hard-coded floor is `min_duration_ms` `:` or
+//!   `override_pointer_move_min_duration` `(` followed by a number. Where
+//!   the tokens sit (a type, a pattern, an attribute, a macro body, a
+//!   construct the parser cannot structure) does not matter.
+//!   `metric-name-registry` checks counter name literals
 //!   ([`hlisa_sim::METRIC_REGISTRY`]) passed to `.add(name, n)` outside
 //!   tests, and to `.get(name)` anywhere under a registered family: a
 //!   typo'd `get` returns `None` and makes an assertion vacuous.
-//! * **Stream rules** — `conditional-draw` (a draw from stream X inside a
-//!   branch whose condition consumed a *different* stream Y: Y's draw
-//!   count now gates X's sequence, re-entangling what PR 1 decoupled) and
-//!   `loop-variant-fork` (`fork`/`fork_visit`/`visit_forks` with
-//!   all-literal arguments inside a loop body: every iteration derives
-//!   the same child seeds).
+//! * **Stream provenance** — the walker. `stream-name-registry`: every
+//!   `stream("...")` call site must name a stream in
+//!   [`hlisa_sim::STREAM_REGISTRY`], and the name must be a string
+//!   literal (a computed name defeats the closed-set audit). Runs in test
+//!   code too: a typo'd stream in a test mints an unreviewed derivation
+//!   path just as silently. `conditional-draw`: a draw from stream X
+//!   inside a branch whose condition consumed a *different* stream Y (Y's
+//!   draw count now gates X's sequence, re-entangling what named
+//!   streams decoupled). `loop-variant-fork`:
+//!   `fork`/`fork_visit`/`visit_forks` with all-literal arguments inside
+//!   a loop body (every iteration derives the same child seeds). The same
+//!   walk collects the ledger's call sites ([`collect_stream_sites`]).
+//!   Of the opaque runs it scans only those that can hold a call —
+//!   macro bodies, unparsed expressions, verbatim items — for stream
+//!   names and ledger sites.
+//! * **Parse failures** — `parse-failure`: a construct the parser cannot
+//!   structure is one the walker cannot see into.
 //! * **Suppression audit** — `stale-allow`: a `// lint: allow(r)`
 //!   directive that names an unknown rule, or that no finding (fired *or*
 //!   suppressed) on its line or the next would consume, is dead weight
 //!   that silently licenses future regressions.
 //!
-//! The source and stream rules skip test code. A file whose inner
-//! attributes gate it to tests (`#![cfg(test)]`) is test code whole, and
-//! an item carrying a `#[test]` or `#[cfg(test)]` attribute (but not
-//! `cfg(not(test))`) is test code, whatever its kind — `mod`, `fn`, `use`, `type`, `const`,
-//! `static` — together with everything nested in it. Inside an opaque
-//! run (a `proptest!` body, say) the parser sees no items, so a gated
-//! run segment is test code from its attribute through the end of its
-//! braced body, or through its `;` when none comes first.
+//! The determinism rules skip test code, and `metric-name-registry`
+//! accepts any `add` there. The token rules read one test mask per file,
+//! built once by [`AstAnalysis::of`] and shared with the
+//! `unread-pub-item` pass: a file whose inner attributes gate it to
+//! tests (`#![cfg(test)]`) is test code whole; otherwise an attribute
+//! mentioning `test` (but not `cfg(not(test))`) opens a region that runs
+//! through the gated item — the `}` closing its first brace group, or
+//! its `;`, whichever comes first outside its `(...)`/`[...]` groups —
+//! and never past the delimiter closing the group the item sits in. The
+//! walker judges test code structurally (an item carrying such an
+//! attribute, whatever its kind, with everything nested in it) and
+//! marks the opaque runs it scans as the mask does.
 
 use crate::ast::{
-    Attr, Block, Expr, ExprPath, File, Item, ItemKind, Lit, LitKind, MacroCall, Stmt, StmtLet,
+    gates_to_test, Attr, Block, Expr, File, Item, ItemKind, Lit, LitKind, MacroCall, Stmt, StmtLet,
     TokenRun,
 };
 use crate::diag::{Diagnostic, Location, Severity};
@@ -56,6 +68,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct AstAnalysis {
     /// The parse (tokens, AST, allows, issues).
     pub parsed: ParsedFile,
+    /// One flag per token of `parsed.tokens`: true inside test code.
+    pub(crate) test_mask: Vec<bool>,
     /// Line → rule ids allowed there.
     allows: BTreeMap<usize, Vec<String>>,
 }
@@ -64,11 +78,20 @@ impl AstAnalysis {
     /// Parses `src` and builds the shared indexes.
     pub fn of(src: &str) -> AstAnalysis {
         let parsed = parse_file(src);
+        let test_mask = if parsed.ast.attrs.iter().any(Attr::is_test_gate) {
+            vec![true; parsed.tokens.len()]
+        } else {
+            mark_test_regions(&parsed.tokens)
+        };
         let mut allows: BTreeMap<usize, Vec<String>> = BTreeMap::new();
         for a in &parsed.allows {
             allows.entry(a.line).or_default().push(a.rule.clone());
         }
-        AstAnalysis { parsed, allows }
+        AstAnalysis {
+            parsed,
+            test_mask,
+            allows,
+        }
     }
 }
 
@@ -98,14 +121,14 @@ pub struct Exemptions {
     pub rng_def: bool,
 }
 
-/// Which rules a run of the analyzer applies. The registry check and the
-/// suppression audit always run.
+/// Which rules a run of the analyzer applies. The registry checks, the
+/// parse-failure finding and the suppression audit always run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RulePasses {
     /// The determinism rules: the six source rules plus
     /// `conditional-draw` and `loop-variant-fork`. Off only where real
     /// randomness and time are sanctioned (`hlisa-sim`) and in the
-    /// shared `tests/` tree.
+    /// integration tests.
     pub determinism: bool,
 }
 
@@ -177,7 +200,19 @@ pub fn analyze_file(
     exempt: Exemptions,
     passes: RulePasses,
 ) -> Vec<Diagnostic> {
-    let mut a = Analyzer::new(file, exempt, passes.determinism, &analysis.allows);
+    let mut a = Analyzer::new(file, passes.determinism, &analysis.allows);
+    for issue in &analysis.parsed.issues {
+        a.fire(
+            "parse-failure",
+            issue.line,
+            format!(
+                "file does not fully parse ({}); fix the construct so the \
+                 stream-provenance walker sees all of it",
+                issue.message
+            ),
+        );
+    }
+    a.token_rules(&analysis.parsed.tokens, &analysis.test_mask, exempt);
     a.walk_file(&analysis.parsed.ast);
     a.stale_allow_pass(&analysis.parsed.allows);
     a.out
@@ -192,32 +227,13 @@ pub fn analyze_ast(file: &str, src: &str, exempt: Exemptions) -> Vec<Diagnostic>
 /// Collects every `stream`/`fork`/`fork_visit`/`visit_forks` call site
 /// for the ledger (no diagnostics).
 pub fn collect_stream_sites(analysis: &AstAnalysis) -> Vec<StreamSite> {
-    let mut a = Analyzer::new("", Exemptions::default(), false, &analysis.allows);
+    let mut a = Analyzer::new("", false, &analysis.allows);
     a.walk_file(&analysis.parsed.ast);
     a.sites
 }
 
-const ALWAYS_FIRE: &[(&str, &str, &str)] = &[
-    (
-        "thread_rng",
-        "no-thread-rng",
-        "thread_rng() is OS-seeded; draw from a SimContext stream",
-    ),
-    (
-        "rng_from_seed",
-        "no-rng-from-seed",
-        "ad-hoc seeding bypasses SimContext's derivation tree",
-    ),
-    (
-        "SystemTime",
-        "no-wall-clock",
-        "SystemTime reads the wall clock; use the SimContext virtual clock",
-    ),
-];
-
 struct Analyzer<'a> {
     file: &'a str,
-    exempt: Exemptions,
     /// Whether the determinism rules apply (see [`RulePasses`]).
     determinism: bool,
     allows: &'a BTreeMap<usize, Vec<String>>,
@@ -237,13 +253,11 @@ struct Analyzer<'a> {
 impl<'a> Analyzer<'a> {
     fn new(
         file: &'a str,
-        exempt: Exemptions,
         determinism: bool,
         allows: &'a BTreeMap<usize, Vec<String>>,
     ) -> Analyzer<'a> {
         Analyzer {
             file,
-            exempt,
             determinism,
             allows,
             fired: Vec::new(),
@@ -285,82 +299,98 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    // ---- the six source rules, structural side ------------------------
+    // ---- the token rules ----------------------------------------------
 
-    /// Rules that fire on a bare identifier anywhere outside tests.
-    fn ident_rule(&mut self, name: &str, line: usize, in_test: bool) {
-        if !self.determinism || in_test {
-            return;
-        }
-        for &(word, rule, msg) in ALWAYS_FIRE {
-            if name == word {
-                if (rule == "no-rng-from-seed" && self.exempt.rng_def)
-                    || (rule == "no-wall-clock" && self.exempt.wall_clock)
-                {
+    /// The six determinism source rules and `metric-name-registry`: one
+    /// pass over the file's tokens, `mask` flagging test code.
+    fn token_rules(&mut self, toks: &[Token], mask: &[bool], exempt: Exemptions) {
+        for (i, tok) in toks.iter().enumerate() {
+            let Some(name) = tok.ident() else { continue };
+            let at = |k: usize| toks.get(i + k);
+            let punct_at = |k: usize, p: &str| at(k).is_some_and(|t| t.is_punct(p));
+            let dotted_call = || i > 0 && toks[i - 1].is_punct(".") && punct_at(1, "(");
+            let num_after =
+                |p: &str| punct_at(1, p) && at(2).is_some_and(|t| matches!(t.tok, Tok::Num(_)));
+            let (rule, exempted, message) = match name {
+                // `.add("name", n)` outside tests, `.get("name")` anywhere.
+                "add" | "get" => {
+                    let (end, strict) = if name == "add" {
+                        (",", true)
+                    } else {
+                        (")", false)
+                    };
+                    if let Some(text) = at(2).and_then(Token::str_text) {
+                        if dotted_call() && punct_at(3, end) && !(strict && mask[i]) {
+                            self.check_metric(text, tok.line, strict);
+                        }
+                    }
                     continue;
                 }
-                self.fire(rule, line, msg.to_string());
-            }
-        }
-        if (name == "HashMap" || name == "HashSet") && !self.exempt.unordered {
-            self.fire(
-                "no-unordered-containers",
-                line,
-                format!("{name} iteration order is per-process random; use a BTree container"),
-            );
-        }
-    }
-
-    /// Path-expression rules: per-segment idents plus `Instant::now`
-    /// adjacency. `env_check` gates the conditional-draw use check (off
-    /// for struct-literal paths, which name types, not bindings).
-    fn path_rules(&mut self, p: &ExprPath, in_test: bool, env_check: bool) {
-        self.scan_run(&p.turbofish, in_test);
-        for seg in &p.segments {
-            self.ident_rule(&seg.name, seg.line, in_test);
-        }
-        if self.determinism && !in_test && !self.exempt.wall_clock {
-            for w in p.segments.windows(2) {
-                if w[0].name == "Instant" && w[1].name == "now" {
-                    self.fire(
-                        "no-wall-clock",
-                        w[0].line,
-                        "Instant::now() reads the wall clock; use the SimContext virtual clock"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-        if env_check && p.segments.len() == 1 {
-            if let Some(stream) = self.lookup(&p.segments[0].name) {
-                self.check_governed(&stream, p.segments[0].line, in_test);
-            }
-        }
-    }
-
-    // ---- provenance machinery ----------------------------------------
-
-    fn lookup(&self, var: &str) -> Option<String> {
-        for scope in self.env.iter().rev() {
-            if let Some(s) = scope.get(var) {
-                return Some(s.clone());
-            }
-        }
-        None
-    }
-
-    /// Fires `stream-name-registry` when a literal stream name is not
-    /// registered.
-    fn check_registered(&mut self, text: &str, line: usize) {
-        if !hlisa_sim::is_registered(text) {
-            self.fire(
-                "stream-name-registry",
-                line,
-                format!(
-                    "stream name \"{text}\" is not in hlisa-sim's STREAM_REGISTRY; \
-                     register it (crates/sim/src/streams.rs) or fix the typo"
+                _ if !self.determinism || mask[i] => continue,
+                "thread_rng" => (
+                    "no-thread-rng",
+                    false,
+                    "thread_rng() is OS-seeded; draw from a SimContext stream",
                 ),
-            );
+                "rng_from_seed" => (
+                    "no-rng-from-seed",
+                    exempt.rng_def,
+                    "ad-hoc seeding bypasses SimContext's derivation tree",
+                ),
+                "SystemTime" => (
+                    "no-wall-clock",
+                    exempt.wall_clock,
+                    "SystemTime reads the wall clock; use simulated time \
+                     (SimContext::now_ms, Browser::now_ms)",
+                ),
+                "Instant" if punct_at(1, "::") && at(2).is_some_and(|t| t.is_ident("now")) => (
+                    "no-wall-clock",
+                    exempt.wall_clock,
+                    "Instant::now() reads the wall clock; use simulated time \
+                     (SimContext::now_ms, Browser::now_ms)",
+                ),
+                "HashMap" => (
+                    "no-unordered-containers",
+                    exempt.unordered,
+                    "HashMap iteration order is per-process random; use a BTree container",
+                ),
+                "HashSet" => (
+                    "no-unordered-containers",
+                    exempt.unordered,
+                    "HashSet iteration order is per-process random; use a BTree container",
+                ),
+                "unwrap" if dotted_call() && punct_at(2, ")") => (
+                    "no-panic",
+                    exempt.panics,
+                    "unwrap() panics the worker; propagate a typed error or carry a \
+                     justified allow",
+                ),
+                "expect" if dotted_call() => (
+                    "no-panic",
+                    exempt.panics,
+                    "expect() panics the worker like unwrap(); propagate a typed error \
+                     or carry a justified allow",
+                ),
+                "panic" if punct_at(1, "!") => (
+                    "no-panic",
+                    exempt.panics,
+                    "panic! aborts the crawl worker; fail through the typed error path",
+                ),
+                "min_duration_ms" if num_after(":") => (
+                    "no-hardcoded-min-move",
+                    exempt.min_move,
+                    "hard-coded move-duration floor; derive from HLISA_MIN_MOVE_MS",
+                ),
+                "override_pointer_move_min_duration" if num_after("(") => (
+                    "no-hardcoded-min-move",
+                    exempt.min_move,
+                    "literal duration bypasses HLISA_MIN_MOVE_MS",
+                ),
+                _ => continue,
+            };
+            if !exempted {
+                self.fire(rule, tok.line, message.to_string());
+            }
         }
     }
 
@@ -387,6 +417,32 @@ impl<'a> Analyzer<'a> {
                  register it (crates/sim/src/metrics.rs) or fix the typo"
             ),
         );
+    }
+
+    // ---- provenance machinery ----------------------------------------
+
+    fn lookup(&self, var: &str) -> Option<String> {
+        for scope in self.env.iter().rev() {
+            if let Some(s) = scope.get(var) {
+                return Some(s.clone());
+            }
+        }
+        None
+    }
+
+    /// Fires `stream-name-registry` when a literal stream name is not
+    /// registered.
+    fn check_registered(&mut self, text: &str, line: usize) {
+        if !hlisa_sim::is_registered(text) {
+            self.fire(
+                "stream-name-registry",
+                line,
+                format!(
+                    "stream name \"{text}\" is not in hlisa-sim's STREAM_REGISTRY; \
+                     register it (crates/sim/src/streams.rs) or fix the typo"
+                ),
+            );
+        }
     }
 
     /// Fires `conditional-draw` when a use of `stream` sits under a
@@ -547,9 +603,6 @@ impl<'a> Analyzer<'a> {
     fn walk_file(&mut self, file: &File) {
         // A module file opening with `#![cfg(test)]` is test code whole.
         let in_test = file.attrs.iter().any(Attr::is_test_gate);
-        for a in &file.attrs {
-            self.scan_run(&a.tokens, in_test);
-        }
         for item in &file.items {
             self.walk_item(item, in_test);
         }
@@ -569,102 +622,37 @@ impl<'a> Analyzer<'a> {
 
     fn walk_item_inner(&mut self, item: &Item, in_test: bool) {
         let in_test = in_test || item.attrs.iter().any(Attr::is_test_gate);
-        for a in &item.attrs {
-            self.scan_run(&a.tokens, in_test);
-        }
-        self.scan_run(&item.vis, in_test);
-        match &item.kind {
+        let (label, items) = match &item.kind {
             ItemKind::Fn(f) => {
-                self.scan_run(&f.quals, in_test);
-                self.ident_rule(&f.name, item.line, in_test);
-                self.scan_run(&f.generics, in_test);
-                self.scan_run(&f.params, in_test);
-                self.scan_run(&f.ret, in_test);
-                self.scan_run(&f.where_clause, in_test);
                 if let Some(b) = &f.body {
                     self.fn_stack.push(f.name.clone());
                     self.walk_block(b, in_test);
                     self.fn_stack.pop();
                 }
+                return;
             }
-            ItemKind::Mod(m) => {
-                self.ident_rule(&m.name, item.line, in_test);
-                if let Some(items) = &m.items {
-                    self.fn_stack.push(m.name.clone());
-                    for it in items {
-                        self.walk_item(it, in_test);
-                    }
-                    self.fn_stack.pop();
-                }
-            }
-            ItemKind::Impl(i) => {
-                self.scan_run(&i.header, in_test);
-                let label = i
-                    .header
-                    .tokens
-                    .iter()
-                    .find_map(|t| t.ident())
-                    .unwrap_or("impl")
-                    .to_string();
-                self.fn_stack.push(label);
-                for it in &i.items {
-                    self.walk_item(it, in_test);
-                }
-                self.fn_stack.pop();
-            }
-            ItemKind::Trait(t) => {
-                self.scan_run(&t.header, in_test);
-                let label = t
-                    .header
-                    .tokens
-                    .iter()
-                    .find_map(|tok| tok.ident())
-                    .unwrap_or("trait")
-                    .to_string();
-                self.fn_stack.push(label);
-                for it in &t.items {
-                    self.walk_item(it, in_test);
-                }
-                self.fn_stack.pop();
-            }
-            ItemKind::Adt(a) => {
-                self.ident_rule(&a.name, item.line, in_test);
-                self.scan_run(&a.header, in_test);
-                self.scan_run(&a.body, in_test);
-            }
-            ItemKind::Use(run) | ItemKind::TypeAlias(run) | ItemKind::Verbatim(run) => {
-                self.scan_run(run, in_test);
-            }
+            ItemKind::Mod(m) => (m.name.clone(), m.items.as_deref().unwrap_or_default()),
+            ItemKind::Impl(i) => (header_label(&i.header, "impl"), i.items.as_slice()),
+            ItemKind::Trait(t) => (header_label(&t.header, "trait"), t.items.as_slice()),
             ItemKind::Const(c) => {
-                self.scan_run(&c.keyword, in_test);
-                self.ident_rule(&c.name, item.line, in_test);
-                self.scan_run(&c.ty, in_test);
                 if let Some(v) = &c.value {
                     self.walk_expr(v, in_test);
                 }
+                return;
             }
-            ItemKind::Macro(m) => {
-                self.macro_call(m, in_test);
-            }
+            ItemKind::Macro(m) => return self.macro_call(m, in_test),
+            ItemKind::Verbatim(run) => return self.scan_run(run, in_test),
+            ItemKind::Adt(_) | ItemKind::Use(_) | ItemKind::TypeAlias(_) => return,
+        };
+        self.fn_stack.push(label);
+        for it in items {
+            self.walk_item(it, in_test);
         }
+        self.fn_stack.pop();
     }
 
     /// Shared handling for item- and expression-position macro calls.
     fn macro_call(&mut self, m: &MacroCall, in_test: bool) {
-        for seg in &m.path {
-            self.ident_rule(seg, m.line, in_test);
-        }
-        if self.determinism
-            && !in_test
-            && !self.exempt.panics
-            && m.path.last().is_some_and(|s| s == "panic")
-        {
-            self.fire(
-                "no-panic",
-                m.line,
-                "panic! aborts the crawl worker; fail through the typed error path".to_string(),
-            );
-        }
         let label = m.path.last().cloned().unwrap_or_default() + "!";
         self.fn_stack.push(label);
         self.scan_run(&m.body, in_test);
@@ -677,23 +665,13 @@ impl<'a> Analyzer<'a> {
             match s {
                 Stmt::Let(l) => self.walk_let(l, in_test),
                 Stmt::Item(it) => self.walk_item(it, in_test),
-                Stmt::Expr(se) => {
-                    for a in &se.attrs {
-                        self.scan_run(&a.tokens, in_test);
-                    }
-                    self.walk_expr(&se.expr, in_test);
-                }
+                Stmt::Expr(se) => self.walk_expr(&se.expr, in_test),
             }
         }
         self.env.pop();
     }
 
     fn walk_let(&mut self, l: &StmtLet, in_test: bool) {
-        for a in &l.attrs {
-            self.scan_run(&a.tokens, in_test);
-        }
-        self.scan_run(&l.pat, in_test);
-        self.scan_run(&l.ty, in_test);
         if let Some(init) = &l.init {
             self.walk_expr(init, in_test);
         }
@@ -713,9 +691,18 @@ impl<'a> Analyzer<'a> {
 
     fn walk_expr(&mut self, e: &Expr, in_test: bool) {
         match e {
-            Expr::Lit(_) => {}
-            Expr::Path(p) => self.path_rules(p, in_test, true),
-            Expr::Unary { expr, .. } => self.walk_expr(expr, in_test),
+            Expr::Lit(_) | Expr::Continue(..) => {}
+            Expr::Path(p) => {
+                if let [seg] = p.segments.as_slice() {
+                    if let Some(stream) = self.lookup(&seg.name) {
+                        self.check_governed(&stream, seg.line, in_test);
+                    }
+                }
+            }
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::Try(expr) => {
+                self.walk_expr(expr, in_test);
+            }
+            Expr::Field { base, .. } => self.walk_expr(base, in_test),
             Expr::Binary { lhs, rhs, .. } => {
                 if let Some(l) = lhs {
                     self.walk_expr(l, in_test);
@@ -725,9 +712,6 @@ impl<'a> Analyzer<'a> {
                 }
             }
             Expr::Call { callee, args, .. } => {
-                if let Expr::Path(p) = callee.as_ref() {
-                    self.call_rules(p, args, in_test);
-                }
                 self.walk_expr(callee, in_test);
                 for a in args {
                     self.walk_expr(a, in_test);
@@ -736,41 +720,27 @@ impl<'a> Analyzer<'a> {
             Expr::MethodCall {
                 recv,
                 name,
-                turbofish,
                 args,
                 line,
+                ..
             } => {
-                self.scan_run(turbofish, in_test);
-                self.method_rules(name, turbofish, args, *line, in_test);
+                self.method_rules(name, args, *line, in_test);
                 self.walk_expr(recv, in_test);
                 for a in args {
                     self.walk_expr(a, in_test);
                 }
             }
-            Expr::Field { base, name, line } => {
-                self.ident_rule(name, *line, in_test);
-                self.walk_expr(base, in_test);
-            }
             Expr::Index { base, idx, .. } => {
                 self.walk_expr(base, in_test);
                 self.walk_expr(idx, in_test);
             }
-            Expr::Cast { expr, ty, .. } => {
-                self.walk_expr(expr, in_test);
-                self.scan_run(ty, in_test);
-            }
-            Expr::Try(inner) => self.walk_expr(inner, in_test),
             Expr::Tuple { elems, .. } | Expr::Array { elems, .. } => {
                 for el in elems {
                     self.walk_expr(el, in_test);
                 }
             }
-            Expr::Block { quals, block } => {
-                self.scan_run(quals, in_test);
-                self.walk_block(block, in_test);
-            }
+            Expr::Block { block, .. } => self.walk_block(block, in_test),
             Expr::If(i) => {
-                self.scan_run(&i.let_pat, in_test);
                 self.walk_expr(&i.cond, in_test);
                 self.governors.push(self.streams_used(&i.cond));
                 self.walk_block(&i.then_block, in_test);
@@ -783,10 +753,6 @@ impl<'a> Analyzer<'a> {
                 self.walk_expr(&m.scrutinee, in_test);
                 self.governors.push(self.streams_used(&m.scrutinee));
                 for arm in &m.arms {
-                    for a in &arm.attrs {
-                        self.scan_run(&a.tokens, in_test);
-                    }
-                    self.scan_run(&arm.pat, in_test);
                     if let Some(g) = &arm.guard {
                         self.walk_expr(g, in_test);
                         self.governors.push(self.streams_used(g));
@@ -799,8 +765,6 @@ impl<'a> Analyzer<'a> {
                 self.governors.pop();
             }
             Expr::Loop(l) => {
-                self.scan_run(&l.label, in_test);
-                self.scan_run(&l.pat, in_test);
                 let governed = if let Some(h) = &l.head {
                     self.walk_expr(h, in_test);
                     // `loop` has no head; `while`/`for` heads gate the
@@ -817,47 +781,16 @@ impl<'a> Analyzer<'a> {
                     self.governors.pop();
                 }
             }
-            Expr::Closure(c) => {
-                self.scan_run(&c.quals, in_test);
-                self.scan_run(&c.params, in_test);
-                self.scan_run(&c.ret, in_test);
-                self.walk_expr(&c.body, in_test);
-            }
-            Expr::Return(v, _) => {
+            Expr::Closure(c) => self.walk_expr(&c.body, in_test),
+            Expr::Return(v, _) | Expr::Break(_, v, _) => {
                 if let Some(v) = v {
                     self.walk_expr(v, in_test);
                 }
             }
-            Expr::Break(label, v, _) => {
-                self.scan_run(label, in_test);
-                if let Some(v) = v {
-                    self.walk_expr(v, in_test);
-                }
-            }
-            Expr::Continue(label, _) => self.scan_run(label, in_test),
             Expr::Macro(m) => self.macro_call(m, in_test),
-            Expr::Struct {
-                path, fields, rest, ..
-            } => {
-                self.path_rules(path, in_test, false);
-                for f in fields {
-                    self.ident_rule(&f.name, f.line, in_test);
-                    if self.determinism
-                        && !in_test
-                        && !self.exempt.min_move
-                        && f.name == "min_duration_ms"
-                        && f.value.as_ref().is_some_and(leading_num)
-                    {
-                        self.fire(
-                            "no-hardcoded-min-move",
-                            f.line,
-                            "hard-coded move-duration floor; derive from HLISA_MIN_MOVE_MS"
-                                .to_string(),
-                        );
-                    }
-                    if let Some(v) = &f.value {
-                        self.walk_expr(v, in_test);
-                    }
+            Expr::Struct { fields, rest, .. } => {
+                for v in fields.iter().filter_map(|f| f.value.as_ref()) {
+                    self.walk_expr(v, in_test);
                 }
                 if let Some(r) = rest {
                     self.walk_expr(r, in_test);
@@ -867,47 +800,9 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Rules keyed on a method call: `.unwrap()`, the min-move override,
-    /// the stream registry, fork sites.
-    fn method_rules(
-        &mut self,
-        name: &str,
-        turbofish: &TokenRun,
-        args: &[Expr],
-        line: usize,
-        in_test: bool,
-    ) {
-        self.ident_rule(name, line, in_test);
-        if self.determinism && !in_test {
-            if name == "unwrap" && !self.exempt.panics && turbofish.is_empty() && args.is_empty() {
-                self.fire(
-                    "no-panic",
-                    line,
-                    "unwrap() panics the worker; propagate a typed error or carry a \
-                     justified allow"
-                        .to_string(),
-                );
-            }
-            if name == "expect" && !self.exempt.panics && turbofish.is_empty() {
-                self.fire(
-                    "no-panic",
-                    line,
-                    "expect() panics the worker like unwrap(); propagate a typed error \
-                     or carry a justified allow"
-                        .to_string(),
-                );
-            }
-            if name == "override_pointer_move_min_duration"
-                && !self.exempt.min_move
-                && args.first().is_some_and(leading_num)
-            {
-                self.fire(
-                    "no-hardcoded-min-move",
-                    line,
-                    "literal duration bypasses HLISA_MIN_MOVE_MS".to_string(),
-                );
-            }
-        }
+    /// Rules keyed on a method call: the stream registry and ledger
+    /// sites, and `loop-variant-fork`.
+    fn method_rules(&mut self, name: &str, args: &[Expr], line: usize, in_test: bool) {
         if name == "stream" && args.len() == 1 {
             match str_lit(&args[0]) {
                 Some(text) => {
@@ -929,15 +824,6 @@ impl<'a> Analyzer<'a> {
                         .to_string(),
                 ),
             }
-        }
-        // `.add("name", n)` outside tests, `.get("name")` anywhere.
-        let counter = match (name, args) {
-            ("add", [counter, _]) if !in_test => str_lit(counter),
-            ("get", [counter]) => str_lit(counter),
-            _ => None,
-        };
-        if let Some(text) = counter {
-            self.check_metric(text, line, name == "add");
         }
         if let Some(kind) = fork_kind(name) {
             let label = args
@@ -970,163 +856,44 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// The min-move override in free/path call position (the method-call
-    /// form is in [`Analyzer::method_rules`]).
-    fn call_rules(&mut self, callee: &ExprPath, args: &[Expr], in_test: bool) {
-        if !self.determinism || in_test || self.exempt.min_move {
-            return;
-        }
-        if let Some(last) = callee.segments.last() {
-            if last.name == "override_pointer_move_min_duration"
-                && args.first().is_some_and(leading_num)
-            {
-                self.fire(
-                    "no-hardcoded-min-move",
-                    last.line,
-                    "literal duration bypasses HLISA_MIN_MOVE_MS".to_string(),
-                );
-            }
-        }
-    }
-
     // ---- opaque-run scanning -----------------------------------------
 
-    /// Runs the token-level rules over an opaque run, with `#[test]`
-    /// region marking *within* the run so test items inside macro bodies
-    /// stay exempt, plus the registry check and ledger site collection,
-    /// which apply in test code too.
+    /// Scans a run that can hold calls the parser did not structure (a
+    /// macro body, an unparsed expression, a verbatim item) for
+    /// `.stream("...")` (registry check and ledger site) and fork calls
+    /// (ledger sites). Test regions are marked within the run, so test
+    /// items inside a macro body record test sites.
     fn scan_run(&mut self, run: &TokenRun, in_test: bool) {
-        if run.is_empty() {
-            return;
-        }
         let toks = &run.tokens;
-        let marked = mark_test_regions(toks);
+        // Marked only when the run holds a site, which few runs do.
+        let mut marked = None;
         for (i, tok) in toks.iter().enumerate() {
             let Some(name) = tok.ident() else { continue };
-            let line = tok.line;
-            let t_in_test = in_test || marked[i];
             let dotted_call = i > 0
                 && toks[i - 1].is_punct(".")
                 && toks.get(i + 1).is_some_and(|t| t.is_punct("("));
-            // The call's first argument, when it is a string literal.
-            let str_arg = toks
-                .get(i + 2)
-                .and_then(|t| t.str_text())
-                .filter(|_| dotted_call);
-
-            // Registry + sites: live everywhere, including tests.
-            if name == "stream" {
-                if let Some(text) = str_arg {
-                    self.sites.push(StreamSite {
-                        function: self.function_label(),
-                        kind: SiteKind::Stream,
-                        stream: text.to_string(),
-                        in_test: t_in_test,
-                        line,
-                    });
-                    self.check_registered(text, line);
-                }
-            }
-            // `.add("name", ...)` outside tests, `.get("name")` anywhere.
-            let end = match name {
-                "add" if !t_in_test => ",",
-                "get" => ")",
-                _ => "",
-            };
-            if let Some(text) = str_arg.filter(|_| !end.is_empty()) {
-                if toks.get(i + 3).is_some_and(|t| t.is_punct(end)) {
-                    self.check_metric(text, line, name == "add");
-                }
-            }
-            if let Some(kind) = fork_kind(name).filter(|_| dotted_call) {
-                let label = str_arg.unwrap_or("<dynamic>");
-                self.sites.push(StreamSite {
-                    function: self.function_label(),
-                    kind,
-                    stream: label.to_string(),
-                    in_test: t_in_test,
-                    line,
-                });
-            }
-
-            if !self.determinism || t_in_test {
+            if !dotted_call {
                 continue;
             }
-            self.ident_rule(name, line, false);
-            match name {
-                "Instant"
-                    if !self.exempt.wall_clock
-                        && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                        && toks.get(i + 2).is_some_and(|t| t.is_ident("now")) =>
-                {
-                    self.fire(
-                        "no-wall-clock",
-                        line,
-                        "Instant::now() reads the wall clock; use simulated time \
-                         (SimContext::now_ms, Browser::now_ms)"
-                            .to_string(),
-                    );
+            // The call's first argument, when it is a string literal.
+            let str_arg = toks.get(i + 2).and_then(Token::str_text);
+            let kind = match (name, str_arg) {
+                ("stream", Some(text)) => {
+                    self.check_registered(text, tok.line);
+                    SiteKind::Stream
                 }
-                "unwrap"
-                    if !self.exempt.panics
-                        && dotted_call
-                        && toks.get(i + 2).is_some_and(|t| t.is_punct(")")) =>
-                {
-                    self.fire(
-                        "no-panic",
-                        line,
-                        "unwrap() panics the worker; propagate a typed error or carry a \
-                         justified allow"
-                            .to_string(),
-                    );
-                }
-                "expect" if !self.exempt.panics && dotted_call => {
-                    self.fire(
-                        "no-panic",
-                        line,
-                        "expect() panics the worker like unwrap(); propagate a typed error \
-                         or carry a justified allow"
-                            .to_string(),
-                    );
-                }
-                "panic"
-                    if !self.exempt.panics && toks.get(i + 1).is_some_and(|t| t.is_punct("!")) =>
-                {
-                    self.fire(
-                        "no-panic",
-                        line,
-                        "panic! aborts the crawl worker; fail through the typed error path"
-                            .to_string(),
-                    );
-                }
-                "min_duration_ms"
-                    if !self.exempt.min_move
-                        && toks.get(i + 1).is_some_and(|t| t.is_punct(":"))
-                        && toks
-                            .get(i + 2)
-                            .is_some_and(|t| matches!(t.tok, Tok::Num(_))) =>
-                {
-                    self.fire(
-                        "no-hardcoded-min-move",
-                        line,
-                        "hard-coded move-duration floor; derive from HLISA_MIN_MOVE_MS".to_string(),
-                    );
-                }
-                "override_pointer_move_min_duration"
-                    if !self.exempt.min_move
-                        && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-                        && toks
-                            .get(i + 2)
-                            .is_some_and(|t| matches!(t.tok, Tok::Num(_))) =>
-                {
-                    self.fire(
-                        "no-hardcoded-min-move",
-                        line,
-                        "literal duration bypasses HLISA_MIN_MOVE_MS".to_string(),
-                    );
-                }
-                _ => {}
-            }
+                _ => match fork_kind(name) {
+                    Some(kind) => kind,
+                    None => continue,
+                },
+            };
+            self.sites.push(StreamSite {
+                function: self.function_label(),
+                kind,
+                stream: str_arg.unwrap_or("<dynamic>").to_string(),
+                in_test: in_test || marked.get_or_insert_with(|| mark_test_regions(toks))[i],
+                line: tok.line,
+            });
         }
     }
 
@@ -1168,20 +935,15 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// True when the expression's leftmost token is a numeric literal — the
-/// structural form of the opaque runs' "`(` or `:` followed by a number"
-/// checks.
-fn leading_num(e: &Expr) -> bool {
-    match e {
-        Expr::Lit(l) => l.kind == LitKind::Num,
-        Expr::Binary { lhs: Some(l), .. } => leading_num(l),
-        Expr::MethodCall { recv, .. } => leading_num(recv),
-        Expr::Field { base, .. } | Expr::Index { base, .. } => leading_num(base),
-        Expr::Cast { expr, .. } => leading_num(expr),
-        Expr::Try(inner) => leading_num(inner),
-        Expr::Call { callee, .. } => leading_num(callee),
-        _ => false,
-    }
+/// The label an impl or trait block gives the ledger: its header's
+/// first identifier (the implemented trait or type), or `fallback`.
+fn header_label(header: &TokenRun, fallback: &str) -> String {
+    header
+        .tokens
+        .iter()
+        .find_map(|t| t.ident())
+        .unwrap_or(fallback)
+        .to_string()
 }
 
 /// The single identifier a `let` pattern binds, when it is that simple
@@ -1204,83 +966,61 @@ fn single_binding(pat: &TokenRun) -> Option<String> {
     name
 }
 
-/// Marks the `#[test]` / `#[cfg(test)]` regions of a run's tokens (used
-/// for macro bodies, which can hold whole test functions the parser never
-/// sees structurally). A region runs from the attribute through the gated
-/// item's braced body, or through its `;` when that comes first.
-pub(crate) fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
+/// Marks the test code of a token stream (a whole file, or one opaque
+/// run): each attribute that gates to tests ([`gates_to_test`]) through
+/// the end of the item it gates. Delimiters pair as the token trees pair
+/// them (a closer that does not close the innermost open group is a
+/// stray), and the item is the attribute's following sibling trees up to
+/// its `;` or through its first brace group, so a `;` inside a
+/// parameter's `[u8; 4]` does not end it, and it never runs past the
+/// group it sits in.
+fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
     let n = tokens.len();
+    // `pair[i]`: the delimiter paired with the one at `i`; `n` for other
+    // tokens, stray closers and groups left open.
+    let mut pair = vec![n; n];
+    let mut open: Vec<usize> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let opener = match t.punct() {
+            Some("(" | "[" | "{") => {
+                open.push(i);
+                continue;
+            }
+            Some(")") => "(",
+            Some("]") => "[",
+            Some("}") => "{",
+            _ => continue,
+        };
+        if let Some(&o) = open.last().filter(|&&o| tokens[o].is_punct(opener)) {
+            pair[o] = i;
+            pair[i] = o;
+            open.pop();
+        }
+    }
     let mut in_test = vec![false; n];
-    let mut i = 0;
-    while i < n {
-        let is_attr = tokens[i].is_punct("#") && i + 1 < n && tokens[i + 1].is_punct("[");
-        if !is_attr {
-            i += 1;
+    for i in 0..n.saturating_sub(1) {
+        let attr_end = pair[i + 1];
+        if in_test[i] || !tokens[i].is_punct("#") || !tokens[i + 1].is_punct("[") {
             continue;
         }
-        let mut depth = 0;
-        let mut j = i + 1;
-        let mut has_test = false;
-        let mut has_not = false;
-        while j < n {
-            if tokens[j].is_punct("[") {
-                depth += 1;
-            } else if tokens[j].is_punct("]") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if tokens[j].is_ident("test") {
-                has_test = true;
-            } else if tokens[j].is_ident("not") {
-                has_not = true;
-            }
-            j += 1;
-        }
-        if j >= n || !has_test || has_not {
-            i = j.min(n - 1) + 1;
+        if attr_end == n || !gates_to_test(&tokens[i + 2..attr_end]) {
             continue;
         }
-        // Find the gated item's end: its `;`, or the `}` closing its
-        // first brace group. Intervening attributes are skipped.
-        let mut k = j + 1;
-        while k < n && !tokens[k].is_punct(";") {
-            if tokens[k].is_punct("{") {
-                let mut d = 0;
-                while k < n {
-                    if tokens[k].is_punct("{") {
-                        d += 1;
-                    } else if tokens[k].is_punct("}") {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
+        let mut end = attr_end + 1;
+        while end < n && !tokens[end].is_punct(";") {
+            let paired = pair[end];
+            if tokens[end].is_punct("{") {
+                end = paired; // a body left open runs to the end
                 break;
+            } else if paired == n {
+                end += 1;
+            } else if paired < end {
+                break; // the close of the group the item sits in
+            } else {
+                end = paired + 1;
             }
-            if tokens[k].is_punct("#") && k + 1 < n && tokens[k + 1].is_punct("[") {
-                let mut d = 0;
-                k += 1;
-                while k < n {
-                    if tokens[k].is_punct("[") {
-                        d += 1;
-                    } else if tokens[k].is_punct("]") {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-            }
-            k += 1;
         }
-        for flag in in_test.iter_mut().take(k.min(n - 1) + 1).skip(i) {
-            *flag = true;
-        }
-        i = j + 1;
+        in_test[i..=end.min(n - 1)].fill(true);
     }
     in_test
 }
@@ -1467,6 +1207,30 @@ mod tests {
         assert!(rule_ids("fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }").is_empty());
         assert!(rule_ids("#[test]\nfn t() { Some(1).unwrap(); }").is_empty());
         assert!(rule_ids("#[test]\nfn t() { Some(1).expect(\"in tests\"); }").is_empty());
+    }
+
+    #[test]
+    fn a_test_region_runs_through_the_gated_item_whatever_its_header_holds() {
+        // A `;` inside the item's `(...)`/`[...]` groups does not end it.
+        let proptest = "proptest! { #[test] fn t(v in any::<[u8; 4]>()) \
+                        { let _ = Some(v).unwrap(); } }";
+        assert!(rule_ids(proptest).is_empty(), "{:?}", rule_ids(proptest));
+        let array_impl =
+            "#[cfg(test)]\nimpl X for [u8; 3] {\n fn f(&self) -> u8 { Some(1).unwrap() }\n}";
+        assert!(
+            rule_ids(array_impl).is_empty(),
+            "{:?}",
+            rule_ids(array_impl)
+        );
+        // It still ends with the item: the next item is production code.
+        let after =
+            "#[cfg(test)]\nconst A: [u8; 2] = [0; 2];\nfn f(x: Option<u8>) -> u8 { x.unwrap() }";
+        assert_eq!(rules_of(after), [("no-panic", 3)]);
+        // The one mask is what the public-surface pass reads too.
+        let analysis = AstAnalysis::of(proptest);
+        let tokens = &analysis.parsed.tokens;
+        let unwrap = tokens.iter().position(|t| t.is_ident("unwrap"));
+        assert_eq!(unwrap.map(|i| analysis.test_mask[i]), Some(true));
     }
 
     #[test]

@@ -6,12 +6,15 @@
 /// Which analyzer owns a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyzerKind {
-    /// The determinism source rules of the workspace analyzer
-    /// ([`crate::provenance`]).
+    /// The token rules of the workspace analyzer ([`crate::provenance`]):
+    /// the six determinism source rules and `metric-name-registry`, one
+    /// pass over each file's lexed tokens with one test mask.
     Source,
     /// The action-chain detectability linter ([`crate::chain`]).
     Chain,
-    /// The AST-level stream-provenance analysis ([`crate::provenance`]).
+    /// The stream-provenance walk over each file's AST
+    /// ([`crate::provenance`]), with the parse-failure finding and the
+    /// suppression audit.
     Provenance,
     /// The workspace-wide public-surface pass ([`crate::surface`]).
     Surface,
@@ -32,7 +35,7 @@ pub struct RuleInfo {
 
 /// Every shipped rule.
 pub const CATALOG: &[RuleInfo] = &[
-    // --- Source invariants (determinism hazards) ----------------------
+    // --- Token rules (determinism hazards, counter names) -------------
     RuleInfo {
         id: "no-wall-clock",
         kind: AnalyzerKind::Source,
@@ -80,6 +83,16 @@ pub const CATALOG: &[RuleInfo] = &[
         paper_ref: "OpenWPM-reliability (PAPERS.md): unhandled harness crashes \
                     bias crawl results; ISSUE 4 fault plane",
     },
+    RuleInfo {
+        id: "metric-name-registry",
+        kind: AnalyzerKind::Source,
+        summary: "a counter name literal missing from hlisa_sim::METRIC_REGISTRY: \
+                  passed to CounterSet::add outside tests, or to CounterSet::get \
+                  anywhere under a registered family — a misspelled get returns \
+                  None, so an assertion expecting None checks nothing",
+        paper_ref: "OpenWPM-reliability (PAPERS.md): crawl data goes wrong \
+                    silently; a tool must report on itself under stable names",
+    },
     // --- Stream provenance (AST pass) ----------------------------------
     RuleInfo {
         id: "stream-name-registry",
@@ -90,16 +103,6 @@ pub const CATALOG: &[RuleInfo] = &[
                   exactly one registered spelling",
         paper_ref: "PR 1 (SimContext named streams); §5 reliability \
                     discussion: replayable randomness needs stable labels",
-    },
-    RuleInfo {
-        id: "metric-name-registry",
-        kind: AnalyzerKind::Provenance,
-        summary: "a counter name literal missing from hlisa_sim::METRIC_REGISTRY: \
-                  passed to CounterSet::add outside tests, or to CounterSet::get \
-                  anywhere under a registered family — a misspelled get returns \
-                  None, so an assertion expecting None checks nothing",
-        paper_ref: "OpenWPM-reliability (PAPERS.md): crawl data goes wrong \
-                    silently; a tool must report on itself under stable names",
     },
     RuleInfo {
         id: "conditional-draw",
@@ -129,6 +132,15 @@ pub const CATALOG: &[RuleInfo] = &[
                   license future regressions on their line",
         paper_ref: "ISSUE 7 suppression audit; OpenWPM-reliability \
                     (PAPERS.md): unaudited exemptions rot",
+    },
+    RuleInfo {
+        id: "parse-failure",
+        kind: AnalyzerKind::Provenance,
+        summary: "a construct the parser cannot structure: the stream-provenance \
+                  walk cannot see into it, so its draws, forks and conditions \
+                  go unchecked (the token rules still read its tokens)",
+        paper_ref: "OpenWPM-reliability (PAPERS.md): a check that silently \
+                    covers less than it claims corrupts the measurement",
     },
     // --- Public surface (workspace pass) -------------------------------
     RuleInfo {

@@ -9,8 +9,8 @@
 //! * **Readers** are the library and bin sources of every crate, plus
 //!   two trees that are read but not linted: `examples/` and
 //!   `bench_e2e/src/`.
-//! * **Not reads**: `#[test]` / `#[cfg(test)]` regions (marked as the
-//!   per-file passes mark them inside macro bodies), the integration
+//! * **Not reads**: `#[test]` / `#[cfg(test)]` regions (the file's test
+//!   mask, which the per-file token rules read too), the integration
 //!   tests (`crates/*/tests/`, `tests/`), `use` declarations (so a
 //!   `pub use` does not keep an item alive), comments, string literals,
 //!   and declarations (the name after `fn`, `struct`, `const`, ...).
@@ -30,8 +30,7 @@
 
 use crate::ast::{Attr, Item, ItemKind};
 use crate::diag::{Diagnostic, Location, Severity};
-use crate::parse::ParsedFile;
-use crate::provenance::mark_test_regions;
+use crate::provenance::AstAnalysis;
 use std::collections::BTreeSet;
 
 /// The rule id.
@@ -98,8 +97,10 @@ pub struct Surface {
 }
 
 impl Surface {
-    /// Adds one file (`rel` is workspace-relative, `text` its source).
-    pub fn add(&mut self, rel: &str, text: &str, parsed: &ParsedFile) {
+    /// Adds one file (`rel` is workspace-relative, `text` its source),
+    /// reading its tokens through the analysis's test mask.
+    pub fn add(&mut self, rel: &str, text: &str, analysis: &AstAnalysis) {
+        let parsed = &analysis.parsed;
         for a in parsed.allows.iter().filter(|a| a.rule == RULE) {
             let comment = text.lines().nth(a.line - 1).unwrap_or("");
             self.allows.push(Allow {
@@ -116,7 +117,7 @@ impl Surface {
             self.declare(rel, &parsed.ast.items);
         }
         let toks = &parsed.tokens;
-        let in_test = mark_test_regions(toks);
+        let in_test = &analysis.test_mask;
         let mut i = 0;
         while i < toks.len() {
             match toks[i].ident() {

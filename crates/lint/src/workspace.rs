@@ -187,22 +187,12 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     for (rel, file, passes) in workspace_files(root)? {
         let text = fs::read_to_string(&file)?;
         let analysis = AstAnalysis::of(&text);
-        // A file the parser cannot fully structure would silently shrink
-        // the AST rules' view; surface it as a finding, not a skip.
-        for issue in &analysis.parsed.issues {
-            report.push(crate::diag::Diagnostic {
-                rule: "stream-name-registry",
-                severity: crate::diag::Severity::Deny,
-                location: crate::diag::Location::in_file(&rel, issue.line),
-                message: format!("file does not fully parse ({}); fix the construct so the AST passes see all of it", issue.message),
-            });
-        }
         report.extend(analyze_file(&rel, &analysis, exemptions_for(&rel), passes));
-        surface.add(&rel, &text, &analysis.parsed);
+        surface.add(&rel, &text, &analysis);
     }
     for (rel, file) in reader_files(root)? {
         let text = fs::read_to_string(&file)?;
-        surface.add(&rel, &text, &AstAnalysis::of(&text).parsed);
+        surface.add(&rel, &text, &AstAnalysis::of(&text));
     }
     report.extend(surface.finish());
     Ok(report)

@@ -69,6 +69,15 @@ fn every_provenance_rule_has_a_failing_fixture() {
 }
 
 #[test]
+fn a_file_that_does_not_parse_is_a_finding() {
+    let (code, json) = run_check("parse_failure.txt", true);
+    assert_eq!(code, 1, "{json}");
+    assert!(json.contains("\"rule\":\"parse-failure\""), "{json}");
+    // The token rules read the construct the parser could not structure.
+    assert!(json.contains("\"rule\":\"no-panic\""), "{json}");
+}
+
+#[test]
 fn the_clean_fixture_passes() {
     let (code, json) = run_check("clean.rs", true);
     assert_eq!(code, 0, "clean fixture flagged: {json}");
